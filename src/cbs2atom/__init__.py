@@ -3,15 +3,19 @@
 The package computes the elastic and inelastic spectra of the ladder
 (background) and crossed (interference) double-scattering channels, and the
 resulting spectral CBS enhancement factor, for two two-level atoms driven by
-a strong monochromatic laser.  Three independent computational routes are
-provided and cross-validated:
+a strong monochromatic laser.
 
-* closed-form expressions built from single-atom Green matrices
-  (:mod:`cbs2atom.atom`, :mod:`cbs2atom.spectra`),
+The averaged channels have one production route: the surviving coupling
+monomials of the two-atom master equation on a single canonical
+configuration (:mod:`cbs2atom.spectra`, built on :mod:`cbs2atom.twoatom`).
+Independent routes serve as test oracles:
+
+* the closed form in single-atom observables, with frequency integrals by
+  residues (the ``compact_*`` functions of :mod:`cbs2atom.spectra`),
 * a bichromatic pump-probe solver for a single driven atom
   (:mod:`cbs2atom.pumpprobe`),
-* a brute-force integration of the coupled two-atom master equation
-  (:mod:`cbs2atom.twoatom`, :mod:`cbs2atom.disorder`).
+* Monte-Carlo averages of the two-atom spectra over random geometries
+  (:mod:`cbs2atom.disorder`).
 """
 
 from cbs2atom.atom import AtomDriveParams, BlochSystem

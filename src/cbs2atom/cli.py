@@ -2,7 +2,7 @@
 
 Every emitted file is self-describing (parameter echo in header comments
 or JSON fields) and deterministically formatted, so re-running the same
-configuration reproduces the bytes exactly for the closed-form methods
+configuration reproduces the bytes exactly for the deterministic methods
 and within the quoted standard errors for the sampling oracle.
 """
 
@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 import cbs2atom
 from cbs2atom.atom import AtomDriveParams, build, mollow_p0, steady_state
@@ -28,8 +28,12 @@ from cbs2atom.residues import (
     check_sum_rule_III,
 )
 from cbs2atom.spectra import (
+    CbsResult,
     SpectralFunctionGrid,
+    _contrast,
     cbs_spectra,
+    compact_crossed,
+    compact_ladder,
     elastic_crossed,
     elastic_ladder,
     inelastic_crossed,
@@ -155,8 +159,14 @@ fig.savefig("{png}", dpi=160)
 print("wrote {png}")
 """
 
-_CSV_LOADER = """data = np.genfromtxt("{table}", delimiter=",", names=True)
-nu, ladder, crossed = data["nu"], data["L_inel"], data["C_inel"]
+# the header comments are dropped first: with ``names=True`` genfromtxt
+# takes the first line, comment or not, as the column names
+_CSV_TABLE = """with open("{table}") as handle:
+    data = np.genfromtxt([line for line in handle if not line.startswith("#")],
+                         delimiter=",", names=True)
+"""
+
+_CSV_LOADER = _CSV_TABLE + """nu, ladder, crossed = data["nu"], data["L_inel"], data["C_inel"]
 with open("{sidecar}") as handle:
     sidecar = json.load(handle)
 """
@@ -183,54 +193,45 @@ def _plot_script(table: str, sidecar: str, png: str) -> str:
 # ----------------------------------------------------------------------------
 
 
+def _result(drive: AtomDriveParams, ladder: SpectralFunctionGrid,
+            crossed: SpectralFunctionGrid) -> CbsResult:
+    return CbsResult(drive=drive, ladder=ladder, crossed=crossed,
+                     enhancement=_contrast(ladder, crossed))
+
+
 def _evaluate(cfg: RunConfig) -> tuple:
-    """Table columns plus the sidecar summary for one configuration."""
+    """Averaged signal, table columns and sidecar summary of one
+    configuration."""
     nus = cfg.grid
     drive = cfg.drive
-    columns = {"nu": nus}
+    err_columns, err_summary = {}, {}
     if cfg.method == "analytic":
-        ladder = inelastic_ladder(drive, nus=nus)
-        crossed = inelastic_crossed(drive, nus=nus)
-        columns["L_inel"] = ladder.values
-        columns["C_inel"] = crossed.values
-        summary = {
-            "elastic_ladder": ladder.elastic_weight,
-            "elastic_crossed": crossed.elastic_weight,
-            "enhancement": 1.0 + crossed.total / ladder.total,
-        }
+        result = cbs_spectra(drive, nus=nus)
     elif cfg.method == "pump-probe":
         got = channel_densities(drive, nus)
-        ladder = SpectralFunctionGrid(nus, got["ladder"], elastic_ladder(drive))
-        crossed = SpectralFunctionGrid(nus, got["crossed"], elastic_crossed(drive))
-        columns["L_inel"] = ladder.values
-        columns["C_inel"] = crossed.values
-        summary = {
-            "elastic_ladder": ladder.elastic_weight,
-            "elastic_crossed": crossed.elastic_weight,
-            "enhancement": 1.0 + crossed.total / ladder.total,
-        }
+        result = _result(drive,
+                         SpectralFunctionGrid(nus, got["ladder"], elastic_ladder(drive)),
+                         SpectralFunctionGrid(nus, got["crossed"], elastic_crossed(drive)))
     else:
         sampler = ConfigSampler(x_start=cfg.x0, periods=cfg.periods,
                                 samples=cfg.samples, seed=cfg.seed)
         averaged = monte_carlo_spectra(drive, sampler, nus)
-        lad = np.real(averaged.ladder.mean) / np.pi
-        cro = np.real(averaged.crossed.mean) / np.pi
-        columns["L_inel"] = lad
-        columns["C_inel"] = cro
-        columns["L_inel_err"] = averaged.ladder.stderr / np.pi
-        columns["C_inel_err"] = averaged.crossed.stderr / np.pi
-        el_lad = float(np.real(averaged.elastic_ladder.mean))
-        el_cro = float(np.real(averaged.elastic_crossed.mean))
-        total_lad = el_lad + simpson(lad, x=nus)
-        total_cro = el_cro + simpson(cro, x=nus)
-        summary = {
-            "elastic_ladder": el_lad,
-            "elastic_ladder_stderr": float(averaged.elastic_ladder.stderr),
-            "elastic_crossed": el_cro,
-            "elastic_crossed_stderr": float(averaged.elastic_crossed.stderr),
-            "enhancement": 1.0 + total_cro / total_lad,
-        }
-    return columns, summary
+        result = _result(
+            drive,
+            SpectralFunctionGrid(nus, np.real(averaged.ladder.mean) / np.pi,
+                                 float(np.real(averaged.elastic_ladder.mean))),
+            SpectralFunctionGrid(nus, np.real(averaged.crossed.mean) / np.pi,
+                                 float(np.real(averaged.elastic_crossed.mean))))
+        err_columns = {"L_inel_err": averaged.ladder.stderr / np.pi,
+                  "C_inel_err": averaged.crossed.stderr / np.pi}
+        err_summary = {"elastic_ladder_stderr": float(averaged.elastic_ladder.stderr),
+                   "elastic_crossed_stderr": float(averaged.elastic_crossed.stderr)}
+    columns = {"nu": nus, "L_inel": result.ladder.values,
+               "C_inel": result.crossed.values, **err_columns}
+    summary = {"elastic_ladder": result.elastic_ladder,
+               "elastic_crossed": result.elastic_crossed,
+               "enhancement": result.enhancement, **err_summary}
+    return result, columns, summary
 
 
 def _write_spectrum(cfg: RunConfig, basename: str, columns: dict,
@@ -262,7 +263,7 @@ def _write_spectrum(cfg: RunConfig, basename: str, columns: dict,
 
 def cmd_spectrum(cfg: RunConfig, basename: str = "spectrum") -> list:
     """Write the spectrum table, its summary sidecar, and a plot script."""
-    columns, summary = _evaluate(cfg)
+    _, columns, summary = _evaluate(cfg)
     return _write_spectrum(cfg, basename, columns, summary)
 
 
@@ -310,39 +311,55 @@ def _suite_equivalence(tolerance: float, nu_points: int) -> list:
     ]
 
 
+def _deviations(got: SpectralFunctionGrid, ref: SpectralFunctionGrid) -> tuple:
+    """Density deviation on the reference's peak and relative deviation of
+    the elastic weight."""
+    return (float(np.max(np.abs(got.values - ref.values)) / np.max(np.abs(ref.values))),
+            abs(got.elastic_weight - ref.elastic_weight) / abs(ref.elastic_weight))
+
+
 def _suite_oracle(tolerance: float, nu_points: int) -> list:
+    """Production channels against a generic geometry (``fixed-config-*``,
+    the gauge identity behind the canonical configuration) and against the
+    closed form in single-atom observables (``compact-*``, an independent
+    route)."""
     nus = np.linspace(-12.0, 12.0, min(nu_points, 49))
     config = ScatteringConfig.from_separation(217.3, direction=(0.3, -1.1, 0.7))
     power = 4.0 * abs(config.coupling) ** 2
     phase = np.exp(1j * config.phase_difference)
-    checks = {"fixed-config-ladder": 0.0, "fixed-config-crossed": 0.0,
-              "fixed-config-elastic-ladder": 0.0,
-              "fixed-config-elastic-crossed": 0.0}
+    checks = dict.fromkeys(
+        ("fixed-config-ladder", "fixed-config-crossed",
+         "fixed-config-elastic-ladder", "fixed-config-elastic-crossed",
+         "compact-ladder", "compact-crossed",
+         "compact-elastic-ladder", "compact-elastic-crossed"), 0.0)
+
+    def per_power(density, weight) -> SpectralFunctionGrid:
+        return SpectralFunctionGrid(nus, np.real(2.0 * density / power) / np.pi,
+                                    float(np.real(2.0 * weight / power)))
+
     for drive in (AtomDriveParams(rabi=2.0, delta=0.0),
                   AtomDriveParams(rabi=1.3, delta=0.8)):
         spec = fixed_config_spectrum(assemble(config, drive), nus)
-        lad = np.real(2.0 * select_surviving(
-            spec.autocorrelation, "ladder")[LADDER_MONOMIAL] / power) / np.pi
-        cro = np.real(2.0 * select_surviving(
-            spec.exchange, "crossed", phase)[CROSSED_MONOMIAL] / power) / np.pi
-        el_lad = np.real(2.0 * select_surviving(
-            spec.elastic_autocorrelation, "ladder")[LADDER_MONOMIAL] / power)
-        el_cro = np.real(2.0 * select_surviving(
-            spec.elastic_exchange, "crossed", phase)[CROSSED_MONOMIAL] / power)
-        ref_lad = inelastic_ladder(drive, nus=nus).values
-        ref_cro = inelastic_crossed(drive, nus=nus).values
-        checks["fixed-config-ladder"] = max(
-            checks["fixed-config-ladder"],
-            float(np.max(np.abs(lad - ref_lad)) / np.max(np.abs(ref_lad))))
-        checks["fixed-config-crossed"] = max(
-            checks["fixed-config-crossed"],
-            float(np.max(np.abs(cro - ref_cro)) / np.max(np.abs(ref_cro))))
-        checks["fixed-config-elastic-ladder"] = max(
-            checks["fixed-config-elastic-ladder"],
-            abs(el_lad - elastic_ladder(drive)) / abs(elastic_ladder(drive)))
-        checks["fixed-config-elastic-crossed"] = max(
-            checks["fixed-config-elastic-crossed"],
-            abs(el_cro - elastic_crossed(drive)) / abs(elastic_crossed(drive)))
+        geometry_ladder = per_power(
+            select_surviving(spec.autocorrelation, "ladder")[LADDER_MONOMIAL],
+            select_surviving(spec.elastic_autocorrelation, "ladder")[LADDER_MONOMIAL])
+        geometry_crossed = per_power(
+            select_surviving(spec.exchange, "crossed", phase)[CROSSED_MONOMIAL],
+            select_surviving(spec.elastic_exchange, "crossed", phase)[CROSSED_MONOMIAL])
+        ladder = inelastic_ladder(drive, nus=nus)
+        crossed = inelastic_crossed(drive, nus=nus)
+        pairs = {
+            "fixed-config-ladder": (geometry_ladder, ladder),
+            "fixed-config-crossed": (geometry_crossed, crossed),
+            "compact-ladder": (ladder, compact_ladder(drive, nus)),
+            "compact-crossed": (crossed, compact_crossed(drive, nus)),
+        }
+        for name, (got, ref) in pairs.items():
+            route, _, channel = name.rpartition("-")
+            density, elastic = _deviations(got, ref)
+            checks[name] = max(checks[name], density)
+            checks[f"{route}-elastic-{channel}"] = max(
+                checks[f"{route}-elastic-{channel}"], elastic)
     return [(name, dev, tolerance) for name, dev in checks.items()]
 
 
@@ -431,8 +448,7 @@ _SWEEP_PLOT = """#!/usr/bin/env python3
 import matplotlib.pyplot as plt
 import numpy as np
 
-data = np.genfromtxt("sweep_summary.csv", delimiter=",", names=True)
-fig, ax = plt.subplots(figsize=(7, 4.5))
+""" + _CSV_TABLE.format(table="sweep_summary.csv") + """fig, ax = plt.subplots(figsize=(7, 4.5))
 for detuning in np.unique(data["detuning"]):
     rows = data[data["detuning"] == detuning]
     order = np.argsort(rows["rabi"])
@@ -467,19 +483,16 @@ def cmd_sweep(rabis, detunings, base: RunConfig) -> list:
         for detuning in detunings:
             cfg = RunConfig(**{**_config_echo(base),
                                "rabi": rabi, "detuning": detuning})
-            columns, sidecar = _evaluate(cfg)
+            result, columns, sidecar = _evaluate(cfg)
             written += _write_spectrum(cfg, _point_name(rabi, detuning),
                                        columns, sidecar)
-            nus = columns["nu"]
             summary["rabi"].append(rabi)
             summary["detuning"].append(detuning)
-            summary["L_el"].append(sidecar["elastic_ladder"])
-            summary["C_el"].append(sidecar["elastic_crossed"])
-            summary["L_total"].append(
-                sidecar["elastic_ladder"] + simpson(columns["L_inel"], x=nus))
-            summary["C_total"].append(
-                sidecar["elastic_crossed"] + simpson(columns["C_inel"], x=nus))
-            summary["enhancement"].append(sidecar["enhancement"])
+            summary["L_el"].append(result.elastic_ladder)
+            summary["C_el"].append(result.elastic_crossed)
+            summary["L_total"].append(result.ladder.total)
+            summary["C_total"].append(result.crossed.total)
+            summary["enhancement"].append(result.enhancement)
     table = os.path.join(base.output, "sweep_summary.csv")
     _write_csv(table, base, summary)
     script = os.path.join(base.output, "sweep_plot.py")

@@ -10,7 +10,7 @@ Two routes to the ensemble average of the double-scattering signal:
 * brute-force sampling — `ConfigSampler` draws random two-atom
   geometries and `monte_carlo_average` / `monte_carlo_spectra` average
   fixed-configuration observables over them, with standard errors, for
-  validating the analytic route.
+  validating the analytic selection.
 
 Averaged spectra are normalized by the window mean of four times the
 squared coupling strength, which puts them on the same scale as the
@@ -119,14 +119,15 @@ class MonteCarloResult:
     samples: int
 
 
-def _reduce(values: np.ndarray, samples: int) -> MonteCarloResult:
+def _reduce(values: np.ndarray, samples: int, scale: float = 1.0) -> MonteCarloResult:
+    """Sample mean and standard error, both divided by ``scale``."""
     mean = values.mean(axis=0)
     if samples > 1:
         spread = np.sqrt(np.sum(np.abs(values - mean) ** 2, axis=0)
                          / (samples - 1) / samples)
     else:
         spread = np.zeros_like(np.abs(mean))
-    return MonteCarloResult(mean=mean, stderr=spread, samples=samples)
+    return MonteCarloResult(mean=mean / scale, stderr=spread / scale, samples=samples)
 
 
 def monte_carlo_average(observable, sampler: ConfigSampler, *,
@@ -138,13 +139,8 @@ def monte_carlo_average(observable, sampler: ConfigSampler, *,
     all double-scattering quantities).
     """
     values = np.asarray([observable(config) for config in sampler.configurations()])
-    result = _reduce(values, sampler.samples)
-    if normalize:
-        scale = sampler.coupling_power_mean
-        return MonteCarloResult(mean=result.mean / scale,
-                                stderr=result.stderr / scale,
-                                samples=result.samples)
-    return result
+    scale = sampler.coupling_power_mean if normalize else 1.0
+    return _reduce(values, sampler.samples, scale)
 
 
 @dataclass(frozen=True)
@@ -201,16 +197,10 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
         el_crossed[i] = 2.0 * phase * _tagged_sum(spectra.elastic_exchange)
 
     scale = sampler.coupling_power_mean
-
-    def reduced(values):
-        res = _reduce(values, sampler.samples)
-        return MonteCarloResult(mean=res.mean / scale, stderr=res.stderr / scale,
-                                samples=res.samples)
-
     return DisorderAveragedSpectra(
         nu=nus,
-        ladder=reduced(ladder),
-        crossed=reduced(crossed),
-        elastic_ladder=reduced(el_ladder),
-        elastic_crossed=reduced(el_crossed),
+        ladder=_reduce(ladder, sampler.samples, scale),
+        crossed=_reduce(crossed, sampler.samples, scale),
+        elastic_ladder=_reduce(el_ladder, sampler.samples, scale),
+        elastic_crossed=_reduce(el_crossed, sampler.samples, scale),
     )

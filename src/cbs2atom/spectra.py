@@ -1,4 +1,4 @@
-"""Ensemble-averaged coherent-backscattering spectra in closed form.
+"""Ensemble-averaged coherent-backscattering spectra.
 
 Everything here lives on the common "per coupling power, both atoms"
 scale fixed by the Monte-Carlo conventions of :mod:`cbs2atom.disorder`:
@@ -6,25 +6,29 @@ the elastic weights and inelastic densities are what survives the
 configuration average of the double-scattering signal, divided by the
 window mean of four times the squared coupling strength.
 
-Two independent routes to the inelastic spectra are provided:
+The averaged channels have one production route: the surviving coupling
+monomials of the two-atom spectra (:func:`cbs2atom.twoatom.fixed_config_spectrum`)
+on a single canonical configuration.  Atoms on the x axis with the laser
+along z carry zero laser phases, and the coupling is fixed to ``gamma``.
+By the gauge identity ``M(phase) = U M(0) U^-1`` and because the exchange
+amplitude enters each monomial only as a scalar factor, the surviving
+monomials divided by ``4|T|^2`` are the configuration averages.  The
+route needs no spectral decomposition, so the defective Jordan-point
+drive (``rabi = gamma/2`` on resonance) needs no special treatment.
 
-* ``partitioned`` -- the channel value is split by how many coupling
-  insertions act inside the correlation resolvent versus the initial
-  condition; each piece is a product of single-atom response chains and
-  the frequency integrals are evaluated exactly by residues.
-* ``compact`` -- the channel is folded into convolutions of the
-  frequency-resolved correlation functions of a single pumped atom
-  (the probe-response functions of :mod:`cbs2atom.atom`).
-
-The two must agree to high accuracy; the partitioned route is treated
-as the reference because it matches the brute-force two-atom
-computation monomial by monomial.
+The ``compact_*`` functions are the paper's closed form in single-atom
+observables and serve as an independent test oracle: the channels folded
+into convolutions of the frequency-resolved correlation functions of a
+single pumped atom (the probe-response functions of :mod:`cbs2atom.atom`),
+with the frequency integrals evaluated exactly by residues.  They need
+the spectral projectors and raise :class:`~cbs2atom.linalg.DegenerateSpectrumError`
+at a defective drive.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,26 +45,31 @@ from cbs2atom.atom import (
     p_minus,
     p_plus,
     p2,
-    probe_vectors,
 )
-from cbs2atom.linalg import DegenerateSpectrumError, green
+from cbs2atom.linalg import green
 from cbs2atom.residues import (
     Chain,
     GreenFactor,
-    PoleCollisionError,
     PoleSum,
     expand_chain,
     integrate_pole_sum,
+)
+from cbs2atom.twoatom import (
+    CROSSED_MONOMIAL,
+    LADDER_MONOMIAL,
+    FixedConfigSpectra,
+    ScatteringConfig,
+    assemble,
+    fixed_config_spectrum,
 )
 
 DM = DELTA_MINUS
 DP = DELTA_PLUS
 
-#: relative frequency nudge used to sidestep exact pole coincidences
-COLLISION_NUDGE = 3e-6
 POLE_MERGE_TOL = 1e-10
-#: detuning offset used to step around defective drive generators
-DEFECTIVE_NUDGE = 4e-3
+#: Interatomic distance of the canonical configuration.  Its coupling is
+#: overridden, so the value only has to clear the far-field warning.
+CANONICAL_SEPARATION = 100.0
 
 
 @dataclass(frozen=True)
@@ -181,7 +190,6 @@ class ChainAlgebra:
         self.g0_1, self.g0_2 = g0_vectors(self.system)
         self.b_minus = self.steady[0]
         self.b_plus = self.steady[1]
-        self.probe0 = probe_vectors(self.system, 0.0)
         self._factors: dict = {}
 
     def g(self, z: complex) -> np.ndarray:
@@ -283,25 +291,6 @@ def _algebra(drive: AtomDriveParams) -> ChainAlgebra:
     return ChainAlgebra(drive)
 
 
-def _drive_pair(drive: AtomDriveParams):
-    """Weighted algebras evaluating the drive, stepping around drives
-    whose Bloch generator is (numerically) defective.
-
-    The Jordan-block drive ``rabi = gamma/2`` at resonance, and the
-    near-degenerate weak-drive limit, leave the spectral projectors
-    unusable.  Every averaged observable is smooth in the detuning, so
-    the symmetric pair ``delta +- eps`` restores the value with an
-    O(eps^2) bias far below the evaluation tolerances.
-    """
-    try:
-        return ((1.0, _algebra(drive)),)
-    except DegenerateSpectrumError:
-        eps = DEFECTIVE_NUDGE * drive.gamma
-        return tuple(
-            (0.5, _algebra(replace(drive, delta=drive.delta + sign * eps)))
-            for sign in (+1.0, -1.0))
-
-
 def _chain(ops, seed, index):
     return [(1.0, (Chain(tuple(ops), seed, extract=index),))]
 
@@ -360,136 +349,16 @@ def _elastic_crossed_value(al: ChainAlgebra) -> complex:
     return algebraic + integral
 
 
-def elastic_ladder(drive: AtomDriveParams) -> float:
-    """Elastic (drive-frequency) weight of the background channel."""
-    value = 2.0 * sum(w * _elastic_ladder_value(al) for w, al in _drive_pair(drive))
+def compact_elastic_ladder(drive: AtomDriveParams) -> float:
+    """Closed-form elastic weight of the background channel (test oracle)."""
+    value = 2.0 * _elastic_ladder_value(_algebra(drive))
     return _real_part(value, scale=abs(value))
 
 
-def elastic_crossed(drive: AtomDriveParams) -> float:
-    """Elastic weight of the interference channel at exact backscattering."""
-    value = 2.0 * sum(w * _elastic_crossed_value(al) for w, al in _drive_pair(drive))
+def compact_elastic_crossed(drive: AtomDriveParams) -> float:
+    """Closed-form elastic weight of the interference channel (test oracle)."""
+    value = 2.0 * _elastic_crossed_value(_algebra(drive))
     return _real_part(value, scale=abs(value))
-
-
-# ----------------------------------------------------------------------------
-# partitioned inelastic channels
-# ----------------------------------------------------------------------------
-
-
-def _ladder_channel(al: ChainAlgebra, nu: float) -> complex:
-    s = al.steady
-    gn = al.g(-1j * nu)
-    zn = -1j * nu
-    bb = al.b_minus * al.b_plus
-    pv = al.probe0
-
-    # both couplings act inside the correlation resolvent
-    two_resolvent = (
-        bb * (gn @ (DP @ (gn @ (DM @ (gn @ al.g0_2)))))[0]
-        + bb * (gn @ (DM @ (gn @ (DP @ (gn @ al.g0_2)))))[0]
-        + al.integral(_expand_products(
-            _chain((al.gf(+1),), al.g0_1, 1),
-            _chain((gn, DP, al.gf(-1, zn), DM, gn), al.g0_2, 0)))
-        + al.integral(_expand_products(
-            _chain((al.gf(-1),), al.g0_2, 0),
-            _chain((gn, DM, al.gf(+1, zn), DP, gn), al.g0_2, 0)))
-    )
-
-    # one coupling in the resolvent, one in the initial condition
-    one_each = (
-        bb * (gn @ (DP @ (gn @ pv.minus_2)))[0]
-        + bb * (gn @ (DM @ (gn @ pv.plus_2)))[0]
-        + al.integral(_expand_products(
-            _chain((al.gf(+1),), al.g0_1, 1),
-            al.probe_minus(2, -1).apply(gn, DP, al.gf(-1, zn)).component(0)))
-        + al.integral(_expand_products(
-            _chain((al.gf(-1),), al.g0_2, 0),
-            al.probe_plus(2, +1).apply(gn, DM, al.gf(+1, zn)).component(0)))
-        + (gn @ (DP @ s))[0] * al.integral(_expand_products(
-            _chain((gn, al.gf(+1)), al.g0_1, 1),
-            _chain((al.gf(-1), DM), s, 1)))
-        + (gn @ (DM @ s))[0] * al.integral(_expand_products(
-            _chain((gn, al.gf(-1)), al.g0_2, 0),
-            _chain((al.gf(+1), DP), s, 1)))
-    )
-
-    # both couplings act inside the initial condition
-    both_initial = (
-        bb * (gn @ pv.second_2)[0]
-        + al.integral(_expand_products(
-            _chain((al.gf(-1),), al.g0_2, 0),
-            al.probe_second().apply(gn).component(0)))
-        + al.integral(_expand_products(
-            _chain((al.gf(+1),), al.g0_1, 1),
-            al.probe_second().apply(gn).component(0)))
-        + al.integral(_expand_products(
-            _chain((al.gf(-1),), al.g0_2, 0),
-            _chain((gn, al.gf(-1), DM), s, 0),
-            _chain((al.gf(+1), DP), s, 1)))
-        + al.integral(_expand_products(
-            _chain((al.gf(-1),), al.g0_2, 0),
-            _chain((gn, al.gf(+1), DP), s, 0),
-            _chain((al.gf(-1), DM), s, 1)))
-        + al.integral(_expand_products(
-            _chain((al.gf(+1),), al.g0_1, 1),
-            _chain((gn, al.gf(+1), DP), s, 0),
-            _chain((al.gf(-1), DM), s, 1)))
-        + al.integral(_expand_products(
-            _chain((al.gf(+1),), al.g0_1, 1),
-            _chain((gn, al.gf(-1), DM), s, 0),
-            _chain((al.gf(+1), DP), s, 1)))
-    )
-    return two_resolvent + one_each + both_initial
-
-
-def _crossed_channel(al: ChainAlgebra, nu: float) -> complex:
-    s = al.steady
-    gn = al.g(-1j * nu)
-    zn = -1j * nu
-    pv = al.probe0
-
-    two_resolvent = (
-        al.b_plus * (gn @ (DM @ s))[0] * (gn @ (DP @ (gn @ al.g0_2)))[0]
-        + al.integral(_expand_products(
-            _chain((gn, DM, al.gf(-1)), al.g0_2, 0),
-            _chain((al.gf(+1, zn), DP, gn), al.g0_2, 0)))
-    )
-
-    one_each = (
-        al.b_plus * (gn @ (DM @ s))[0] * (gn @ pv.plus_2)[0]
-        + al.integral(_expand_products(
-            _chain((gn, DM, al.gf(-1)), al.g0_2, 0),
-            al.probe_plus(2, +1).apply(al.gf(+1, zn)).component(0)))
-        + al.b_minus * al.integral(_expand_products(
-            _chain((gn, DM, gn, al.gf(-1)), al.g0_2, 0),
-            _chain((al.gf(+1), DP), s, 1)))
-    )
-
-    both_initial = (
-        al.b_plus * al.integral(_expand_products(
-            _chain((gn, al.gf(-1), DM), s, 0),
-            [(1.0, (Chain((al.gf(+1),), pv.plus_1, extract=1),))]))
-        + al.b_minus * al.integral(_expand_products(
-            _chain((gn, al.gf(-1)), pv.minus_2, 0),
-            _chain((al.gf(+1), DP), s, 1)))
-        + al.b_minus * al.integral(_expand_products(
-            _chain((gn, al.gf(+1, 0.0, "w2"), DM, al.gf(-1)), al.g0_2, 0),
-            _chain((al.gf(-1, 0.0, "w2"), al.gf(+1), DP), s, 1)), ("w2", "w1"))
-        + al.integral(_expand_products(
-            al.probe_plus(1, +1).apply(al.gf(-1, 0.0, "w2")).component(1),
-            _chain((gn, al.gf(+1, 0.0, "w2"), DM, al.gf(-1)), al.g0_2, 0)),
-            ("w2", "w1"))
-        + al.integral(_expand_products(
-            al.probe_minus(2, -1).apply(gn, al.gf(+1, 0.0, "w2")).component(0),
-            _chain((al.gf(-1, 0.0, "w2"), DP, al.gf(+1)), al.g0_1, 1)),
-            ("w2", "w1"))
-        + al.b_plus * al.integral(_expand_products(
-            _chain((al.gf(-1, 0.0, "w2"), DP, al.gf(+1)), al.g0_1, 1),
-            _chain((gn, al.gf(+1, 0.0, "w2"), al.gf(-1), DM), s, 0)),
-            ("w2", "w1"))
-    )
-    return two_resolvent + one_each + both_initial
 
 
 def _merged_bit_noise(ps: PoleSum, tol: float) -> PoleSum:
@@ -518,36 +387,6 @@ def _merged_bit_noise(ps: PoleSum, tol: float) -> PoleSum:
             key=lambda entry: (entry[0], entry[1].real, entry[1].imag)))
         terms[snapped] = terms.get(snapped, 0.0) + coeff
     return PoleSum(terms)
-
-
-def _with_collision_nudge(fn, nu: float, gamma: float):
-    """Evaluate at ``nu``; average symmetric neighbours when the residue
-    machinery reports an exact pole coincidence at a resonant frequency."""
-    try:
-        return fn(nu)
-    except (PoleCollisionError, DegenerateSpectrumError):
-        eps = COLLISION_NUDGE * gamma
-        return 0.5 * (fn(nu + eps) + fn(nu - eps))
-
-
-def ladder_channel(drive: AtomDriveParams, nu: float) -> complex:
-    """Complex Laplace-image value of the averaged background channel.
-
-    This is the surviving-monomial content of the fixed-configuration
-    autocorrelation channel per coupling power (single detection atom,
-    no reality projection); the physical density follows by Re/pi and
-    the two-atom factor.
-    """
-    return sum(
-        w * _with_collision_nudge(lambda v: _ladder_channel(al, v), nu, al.gamma)
-        for w, al in _drive_pair(drive))
-
-
-def crossed_channel(drive: AtomDriveParams, nu: float) -> complex:
-    """Complex Laplace-image value of the averaged interference channel."""
-    return sum(
-        w * _with_collision_nudge(lambda v: _crossed_channel(al, v), nu, al.gamma)
-        for w, al in _drive_pair(drive))
 
 
 # ----------------------------------------------------------------------------
@@ -606,15 +445,7 @@ def _p_plus_terms(al: ChainAlgebra, nu: float, reflected: bool):
     )
 
 
-def _ladder_values(al: ChainAlgebra, nus: np.ndarray, method: str) -> np.ndarray:
-    if method == "partitioned":
-        values = [
-            _with_collision_nudge(lambda v: _ladder_channel(al, v), nu, al.gamma)
-            for nu in nus]
-        return 2.0 / np.pi * np.real(np.array(values))
-    if method != "compact":
-        raise ValueError(f"unknown method {method!r}")
-
+def _ladder_values(al: ChainAlgebra, nus: np.ndarray) -> np.ndarray:
     p0_ps = _p0_pole_sum(al)
     system = al.system
 
@@ -627,18 +458,10 @@ def _ladder_values(al: ChainAlgebra, nus: np.ndarray, method: str) -> np.ndarray
             abs(al.dsigma(-1, 1j * nu)[1]) ** 2 + abs(al.dsigma(+1, 1j * nu)[1]) ** 2)
         return 2.0 * float(np.real(convolution + pump_elastic + direct))
 
-    return np.array([_with_collision_nudge(one, nu, al.gamma) for nu in nus])
+    return np.array([one(nu) for nu in nus])
 
 
-def _crossed_values(al: ChainAlgebra, nus: np.ndarray, method: str) -> np.ndarray:
-    if method == "partitioned":
-        values = [
-            _with_collision_nudge(lambda v: _crossed_channel(al, v), nu, al.gamma)
-            for nu in nus]
-        return 2.0 / np.pi * np.real(np.array(values))
-    if method != "compact":
-        raise ValueError(f"unknown method {method!r}")
-
+def _crossed_values(al: ChainAlgebra, nus: np.ndarray) -> np.ndarray:
     system = al.system
 
     def one(nu: float) -> float:
@@ -653,11 +476,74 @@ def _crossed_values(al: ChainAlgebra, nus: np.ndarray, method: str) -> np.ndarra
         ) / (2 * np.pi)
         return 2.0 * float(np.real(convolution / (2 * np.pi) + edge))
 
-    return np.array([_with_collision_nudge(one, nu, al.gamma) for nu in nus])
+    return np.array([one(nu) for nu in nus])
 
 
-def inelastic_ladder(drive: AtomDriveParams, nus=None,
-                     method: str = "compact") -> SpectralFunctionGrid:
+def compact_ladder(drive: AtomDriveParams, nus) -> SpectralFunctionGrid:
+    """Closed-form background channel on a frequency grid (test oracle)."""
+    nus = np.asarray(nus, dtype=float)
+    return SpectralFunctionGrid(nu=nus, values=_ladder_values(_algebra(drive), nus),
+                                elastic_weight=compact_elastic_ladder(drive))
+
+
+def compact_crossed(drive: AtomDriveParams, nus) -> SpectralFunctionGrid:
+    """Closed-form interference channel on a frequency grid (test oracle)."""
+    nus = np.asarray(nus, dtype=float)
+    return SpectralFunctionGrid(nu=nus, values=_crossed_values(_algebra(drive), nus),
+                                elastic_weight=compact_elastic_crossed(drive))
+
+
+# ----------------------------------------------------------------------------
+# production route: one canonical configuration
+# ----------------------------------------------------------------------------
+
+
+def _canonical_spectrum(drive: AtomDriveParams, nus=()) -> FixedConfigSpectra:
+    """Order-two spectra of the canonical configuration: atoms on the x
+    axis, laser along z (zero laser phases), coupling ``gamma``."""
+    config = ScatteringConfig.from_separation(
+        CANONICAL_SEPARATION, gamma=drive.gamma,
+        k_hat=(0.0, 0.0, 1.0), direction=(1.0, 0.0, 0.0))
+    return fixed_config_spectrum(assemble(config, drive, coupling=drive.gamma), nus)
+
+
+def _per_power(value, drive: AtomDriveParams):
+    """Both detection atoms, per coupling power ``4|T|^2 = 4 gamma^2``."""
+    return 2.0 * value / (4.0 * drive.gamma ** 2)
+
+
+def _weight(value: complex, drive: AtomDriveParams) -> float:
+    value = _per_power(value, drive)
+    return _real_part(value, scale=abs(value))
+
+
+def _channel(nus: np.ndarray, density: np.ndarray, elastic: complex,
+             drive: AtomDriveParams) -> SpectralFunctionGrid:
+    return SpectralFunctionGrid(nu=nus, values=np.real(_per_power(density, drive)) / np.pi,
+                                elastic_weight=_weight(elastic, drive))
+
+
+def _ladder(spec: FixedConfigSpectra, drive: AtomDriveParams) -> SpectralFunctionGrid:
+    return _channel(spec.nu, spec.autocorrelation[LADDER_MONOMIAL],
+                    spec.elastic_autocorrelation[LADDER_MONOMIAL], drive)
+
+
+def _crossed(spec: FixedConfigSpectra, drive: AtomDriveParams) -> SpectralFunctionGrid:
+    return _channel(spec.nu, spec.exchange[CROSSED_MONOMIAL],
+                    spec.elastic_exchange[CROSSED_MONOMIAL], drive)
+
+
+def elastic_ladder(drive: AtomDriveParams) -> float:
+    """Elastic (drive-frequency) weight of the background channel."""
+    return _weight(_canonical_spectrum(drive).elastic_autocorrelation[LADDER_MONOMIAL], drive)
+
+
+def elastic_crossed(drive: AtomDriveParams) -> float:
+    """Elastic weight of the interference channel at exact backscattering."""
+    return _weight(_canonical_spectrum(drive).elastic_exchange[CROSSED_MONOMIAL], drive)
+
+
+def inelastic_ladder(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     """Inelastic density of the background channel on a frequency grid,
     bundled with the channel's elastic weight.
 
@@ -669,24 +555,15 @@ def inelastic_ladder(drive: AtomDriveParams, nus=None,
     """
     if nus is None:
         nus = default_grid(drive)
-    nus = np.asarray(nus, dtype=float)
-    values = sum(w * _ladder_values(al, nus, method)
-                 for w, al in _drive_pair(drive))
-    return SpectralFunctionGrid(
-        nu=nus, values=values, elastic_weight=elastic_ladder(drive))
+    return _ladder(_canonical_spectrum(drive, nus), drive)
 
 
-def inelastic_crossed(drive: AtomDriveParams, nus=None,
-                      method: str = "compact") -> SpectralFunctionGrid:
+def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     """Inelastic density of the interference channel on a frequency grid,
     bundled with the channel's elastic weight."""
     if nus is None:
         nus = default_grid(drive)
-    nus = np.asarray(nus, dtype=float)
-    values = sum(w * _crossed_values(al, nus, method)
-                 for w, al in _drive_pair(drive))
-    return SpectralFunctionGrid(
-        nu=nus, values=values, elastic_weight=elastic_crossed(drive))
+    return _crossed(_canonical_spectrum(drive, nus), drive)
 
 
 # ----------------------------------------------------------------------------
@@ -713,13 +590,14 @@ def enhancement_factor(result: CbsResult) -> float:
     return _contrast(result.ladder, result.crossed)
 
 
-def cbs_spectra(drive: AtomDriveParams, nus=None, method: str = "compact") -> CbsResult:
-    """Full averaged backscattering signal: both channels plus contrast."""
+def cbs_spectra(drive: AtomDriveParams, nus=None) -> CbsResult:
+    """Full averaged backscattering signal: both channels plus contrast,
+    from one canonical-configuration solve."""
     if drive.rabi == 0.0:
         raise ValueError("undriven atoms scatter nothing; rabi must be nonzero")
     if nus is None:
         nus = default_grid(drive)
-    ladder = inelastic_ladder(drive, nus, method)
-    crossed = inelastic_crossed(drive, nus, method)
+    spec = _canonical_spectrum(drive, nus)
+    ladder, crossed = _ladder(spec, drive), _crossed(spec, drive)
     return CbsResult(drive=drive, ladder=ladder, crossed=crossed,
                      enhancement=_contrast(ladder, crossed))

@@ -19,9 +19,10 @@ and every perturbative quantity in this module is a mapping from the sorted
 tuple of channel tags (the coupling monomial) to its coefficient vector, so
 that configuration averaging downstream reduces to selecting monomials.
 
-All solves here are brute force on the explicit 6/9/15-dimensional blocks;
-the module is the ground truth against which the single-atom closed forms
-are validated.
+All solves here are brute force on the explicit 6/9/15-dimensional blocks.
+:func:`fixed_config_spectrum` on one canonical configuration is the
+production route of the averaged channels in :mod:`cbs2atom.spectra`;
+the single-atom closed forms there are validated against it.
 """
 
 from __future__ import annotations

@@ -1,0 +1,122 @@
+"""Command-line front end: emitted files, exit codes, reproducibility."""
+
+import json
+import runpy
+import sys
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from cbs2atom.atom import AtomDriveParams
+from cbs2atom.cli import main
+from cbs2atom.spectra import cbs_spectra
+
+GRID = ["--nu-min", "-6", "--nu-max", "6", "--nu-points", "7"]
+
+
+def run(argv, capsys):
+    code = main([str(arg) for arg in argv])
+    capsys.readouterr()
+    return code
+
+
+def read_csv(path):
+    with open(path) as handle:
+        lines = [line for line in handle.read().splitlines() if not line.startswith("#")]
+    names = lines[0].split(",")
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]], ndmin=2)
+    return {name: rows[:, i] for i, name in enumerate(names)}
+
+
+def test_spectrum_rerun_is_byte_identical(tmp_path, capsys):
+    # the header echoes the output directory, so both runs write to one
+    argv = ["spectrum", "--rabi", 2, *GRID, "--output", tmp_path]
+    assert run(argv, capsys) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(first) == ["spectrum.csv", "spectrum.json", "spectrum_plot.py"]
+    assert run(argv, capsys) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
+def test_tables_round_trip_to_library_numbers(tmp_path, capsys):
+    drive = AtomDriveParams(rabi=1.3, delta=0.8)
+    result = cbs_spectra(drive, nus=np.linspace(-6.0, 6.0, 7))
+    argv = ["spectrum", "--rabi", 1.3, "--detuning", 0.8, *GRID]
+    assert run([*argv, "--output", tmp_path / "csv"], capsys) == 0
+    assert run([*argv, "--format", "json", "--output", tmp_path / "json"], capsys) == 0
+
+    table = read_csv(tmp_path / "csv" / "spectrum.csv")
+    sidecar = json.loads((tmp_path / "csv" / "spectrum.json").read_text())
+    payload = json.loads((tmp_path / "json" / "spectrum.json").read_text())
+    for columns, summary in ((table, sidecar), (payload["table"], payload)):
+        assert np.array_equal(columns["nu"], result.ladder.nu)
+        assert np.array_equal(columns["L_inel"], result.ladder.values)
+        assert np.array_equal(columns["C_inel"], result.crossed.values)
+        assert summary["elastic_ladder"] == result.elastic_ladder
+        assert summary["elastic_crossed"] == result.elastic_crossed
+        assert summary["enhancement"] == result.enhancement
+
+
+def test_validate_oracle_exit_codes(capsys):
+    assert main(["validate", "oracle", "--nu-points", "9"]) == 0
+    report = capsys.readouterr().out
+    assert "compact-ladder" in report and "fixed-config-ladder" in report
+    assert main(["validate", "oracle", "--nu-points", "9", "--tolerance", "1e-30"]) == 1
+    assert "FAILED" in capsys.readouterr().out
+
+
+def test_zero_drive_exits_with_usage_error(tmp_path, capsys):
+    assert main(["spectrum", "--rabi", "0", "--output", str(tmp_path)]) == 2
+    assert "rabi" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_summary_has_one_row_per_drive(tmp_path, capsys):
+    argv = ["sweep", "--rabi", 0.7, 2, "--detuning", 0, 1, *GRID, "--output", tmp_path]
+    assert run(argv, capsys) == 0
+    summary = read_csv(tmp_path / "sweep_summary.csv")
+    assert list(zip(summary["rabi"], summary["detuning"])) == [
+        (0.7, 0.0), (0.7, 1.0), (2.0, 0.0), (2.0, 1.0)]
+    for i, (rabi, detuning) in enumerate(zip(summary["rabi"], summary["detuning"])):
+        result = cbs_spectra(AtomDriveParams(rabi=rabi, delta=detuning),
+                             nus=np.linspace(-6.0, 6.0, 7))
+        assert summary["L_el"][i] == result.elastic_ladder
+        assert summary["C_total"][i] == result.crossed.total
+        assert summary["enhancement"][i] == result.enhancement
+
+
+@pytest.fixture
+def stub_matplotlib(monkeypatch):
+    """Let the emitted plot scripts run where matplotlib is not installed."""
+    pyplot = mock.MagicMock()
+    pyplot.subplots.return_value = (mock.MagicMock(), mock.MagicMock())
+    package = mock.MagicMock(pyplot=pyplot)
+    monkeypatch.setitem(sys.modules, "matplotlib", package)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return pyplot
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_plot_script_reads_its_table(tmp_path, capsys, monkeypatch,
+                                              stub_matplotlib, fmt):
+    assert run(["spectrum", "--rabi", 2, *GRID, "--format", fmt,
+                "--output", tmp_path], capsys) == 0
+    monkeypatch.chdir(tmp_path)
+    names = runpy.run_path("spectrum_plot.py")
+    result = cbs_spectra(AtomDriveParams(rabi=2.0), nus=np.linspace(-6.0, 6.0, 7))
+    assert np.array_equal(names["nu"], result.ladder.nu)
+    assert np.array_equal(names["ladder"], result.ladder.values)
+    assert np.array_equal(names["crossed"], result.crossed.values)
+    stub_matplotlib.subplots.return_value[0].savefig.assert_called_once()
+
+
+def test_sweep_plot_script_reads_its_table(tmp_path, capsys, monkeypatch, stub_matplotlib):
+    argv = ["sweep", "--rabi", 0.7, 2, "--detuning", 0, 1, *GRID, "--output", tmp_path]
+    assert run(argv, capsys) == 0
+    monkeypatch.chdir(tmp_path)
+    data = runpy.run_path("sweep_plot.py")["data"]
+    summary = read_csv(tmp_path / "sweep_summary.csv")
+    assert np.array_equal(data["rabi"], summary["rabi"])
+    assert np.array_equal(data["enhancement"], summary["enhancement"])
+    assert stub_matplotlib.subplots.return_value[1].plot.call_count == 2
