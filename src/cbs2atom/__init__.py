@@ -14,8 +14,8 @@ Independent routes serve as test oracles:
   residues (the ``compact_*`` functions of :mod:`cbs2atom.spectra`),
 * a bichromatic pump-probe solver for a single driven atom
   (:mod:`cbs2atom.pumpprobe`),
-* Monte-Carlo averages of the two-atom spectra over random geometries
-  (:mod:`cbs2atom.disorder`).
+* Monte-Carlo averages over random geometries of every coupling monomial,
+  which check the selection rule (:mod:`cbs2atom.disorder`).
 """
 
 from cbs2atom.atom import AtomDriveParams, BlochSystem

@@ -364,6 +364,9 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
 
 
 def _suite_physics(tolerance, nu_points: int) -> list:
+    def bound(default: float) -> float:
+        return default if tolerance is None else tolerance
+
     checks = []
 
     # fluorescence normalization: the inelastic integral recovers the
@@ -374,7 +377,7 @@ def _suite_physics(tolerance, nu_points: int) -> list:
     integral = quad(lambda nu: mollow_p0(system, nu), -np.inf, np.inf,
                     limit=400)[0]
     checks.append(("mollow-normalization", abs(integral - variance),
-                   tolerance or 1e-6))
+                   bound(1e-6)))
 
     # triplet peaks at 0 and +-rabi for a well-split strong drive; the
     # grid step is half the natural linewidth, coarse enough not to
@@ -392,16 +395,16 @@ def _suite_physics(tolerance, nu_points: int) -> list:
     # weak-drive interference recovery on the averaged channels
     weak = AtomDriveParams(rabi=1e-3, delta=0.0)
     ratio_dev = abs(elastic_crossed(weak) / elastic_ladder(weak) - 1.0)
-    checks.append(("weak-drive-reciprocity", ratio_dev, tolerance or 1e-4))
+    checks.append(("weak-drive-reciprocity", ratio_dev, bound(1e-4)))
     result = cbs_spectra(weak, nus=np.linspace(-15.0, 15.0, max(nu_points, 201)))
     checks.append(("weak-drive-enhancement",
-                   abs(result.enhancement - 2.0), tolerance or 1e-3))
+                   abs(result.enhancement - 2.0), bound(1e-3)))
     checks.append(("weak-drive-ladder-positivity",
                    max(0.0, -float(np.min(result.ladder.values))),
-                   tolerance or 1e-10))
+                   bound(1e-10)))
     bound_dev = max(0.0, 1.0 - result.enhancement, result.enhancement - 2.0)
     checks.append(("weak-drive-enhancement-bounds",
-                   bound_dev, tolerance or 1e-6))
+                   bound_dev, bound(1e-6)))
     return checks
 
 
@@ -414,10 +417,13 @@ def cmd_validate(suite: str, tolerance=None, nu_points: int = 601,
     defaults = {"sum-rules": 1e-10, "equivalence": 1e-6, "oracle": 1e-8}
     if suite not in runners:
         raise ValueError(f"suite must be one of {SUITES}")
+    if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     if suite == "physics":
         checks = runners[suite](tolerance, nu_points)
     else:
-        checks = runners[suite](tolerance or defaults[suite], nu_points)
+        checks = runners[suite](defaults[suite] if tolerance is None else tolerance,
+                                nu_points)
     failed = None
     for name, deviation, bound in checks:
         ok = deviation <= bound

@@ -7,10 +7,19 @@ Two routes to the ensemble average of the double-scattering signal:
   net distance phase and zero net laser phase survive; `select_surviving`
   filters a tagged term collection down to the surviving monomial of a
   detection channel.
-* brute-force sampling — `ConfigSampler` draws random two-atom
-  geometries and `monte_carlo_average` / `monte_carlo_spectra` average
-  fixed-configuration observables over them, with standard errors, for
-  validating the analytic selection.
+* sampling — `ConfigSampler` draws random two-atom geometries and
+  `monte_carlo_average` / `monte_carlo_spectra` average per-configuration
+  observables over them, with standard errors.  `monte_carlo_spectra`
+  keeps every coupling monomial, so it checks the selection rule
+  independently: the monomials it drops have to average to zero.
+
+`monte_carlo_spectra` solves the two-atom equations once, on the canonical
+configuration of :func:`cbs2atom.twoatom.canonical_configuration`.  By the
+gauge identity ``M(phase) = U M(0) U^-1`` each sampled geometry's monomial
+is the canonical one times a scalar coupling and phase factor, so a
+sample costs scalar arithmetic only.  The identity itself is checked
+elsewhere: against brute-force solves of sampled geometries in the tests,
+and by the ``fixed-config-*`` rows of ``cbs2atom validate oracle``.
 
 Averaged spectra are normalized by the window mean of four times the
 squared coupling strength, which puts them on the same scale as the
@@ -30,6 +39,7 @@ from cbs2atom.twoatom import (
     LADDER_MONOMIAL,
     ScatteringConfig,
     assemble,
+    canonical_configuration,
     fixed_config_spectrum,
 )
 
@@ -161,46 +171,90 @@ class DisorderAveragedSpectra:
     elastic_crossed: MonteCarloResult
 
 
-def _tagged_sum(tagged: dict):
-    total = None
-    for mono, value in tagged.items():
+#: Gauge charge of each coupling channel, in units of the laser phase
+#: difference ``Delta = phase1 - phase2``.  A laser phase ``phi`` on one atom
+#: acts on its (lowering, raising, inversion) means as
+#: ``U = diag(e^{i phi}, e^{-i phi}, 1)``, so the lowering operator of atom j
+#: carries ``e^{i phi_j}`` and the raising operator ``e^{-i phi_j}``.  Channel
+#: "jk" pairs the raising operator of atom j with the lowering operator of
+#: atom k and picks up ``e^{i (phi_k - phi_j)}``: -1 for "12"/"12*", +1 for
+#: "21"/"21*".
+_CHARGE = {"12": -1, "12*": -1, "21": 1, "21*": 1}
+
+#: Charge the exchange component adds to its monomials' charges: it reads
+#: atom 1's lowering operator against atom 2's raising operator.  The
+#: autocorrelation pairs atom 2's own operators and adds none.
+_EXCHANGE_CHARGE = 1
+
+
+def _gauge_weights(monomials, coupling: np.ndarray, phase_difference: np.ndarray,
+                   charge: int) -> np.ndarray:
+    """Per-sample factors mapping unit-coupling canonical monomials onto
+    the sampled geometries: ``T^a conj(T)^b exp(i n Delta)``, one row per
+    sample, one column per monomial."""
+    weights = np.empty((len(coupling), len(monomials)), dtype=complex)
+    for j, mono in enumerate(monomials):
         _validate_monomial(mono)
-        total = value if total is None else total + value
-    if total is None:
-        raise BookkeepingError("no tagged terms to average")
-    return total
+        n = charge + sum(_CHARGE[tag] for tag in mono)
+        weights[:, j] = np.exp(1j * n * phase_difference)
+        for tag in mono:
+            weights[:, j] *= np.conj(coupling) if tag.endswith("*") else coupling
+    return weights
+
+
+def _reduce_monomials(weights: np.ndarray, coefficients: np.ndarray,
+                      scale: float) -> MonteCarloResult:
+    """`_reduce` of the sample values ``weights @ coefficients`` without
+    forming them: the mean is ``mean(weights) @ coefficients`` and the
+    variance follows from the monomials' k x k weight covariance."""
+    samples = len(weights)
+    mean = weights.mean(axis=0)
+    centred = weights - mean
+    covariance = centred.T @ centred.conj() / (samples - 1)
+    variance = np.real(np.einsum("m...,mn,n...->...", coefficients, covariance,
+                                 coefficients.conj())) / samples
+    spread = np.sqrt(np.maximum(variance, 0.0))
+    return MonteCarloResult(mean=mean @ coefficients / scale, stderr=spread / scale,
+                            samples=samples)
 
 
 def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
                         nus) -> DisorderAveragedSpectra:
     """Average the full fixed-configuration order-two spectra over geometry.
 
-    For every sampled configuration the tagged second-order spectra are
-    evaluated exactly and summed over all six degree-two coupling
-    monomials.  No selection by monomial type is applied — the
-    surviving-term prediction is exactly what this estimator validates:
-    the monomials carrying net distance or laser phases average to zero
-    here, at the cost of dominating the sample variance.
+    Every sample sums all degree-two coupling monomials.  No selection by
+    monomial type is applied — the surviving-term prediction is exactly
+    what this estimator validates: the monomials carrying net distance or
+    laser phases average to zero here, at the cost of dominating the
+    sample variance.
+
+    The two-atom spectra are solved once, on the canonical configuration
+    with unit coupling; each sample then weights the canonical monomials
+    by its exchange amplitude and laser phase difference (the gauge
+    identity, see the module docstring).  Mean and standard error are
+    reduced in monomial space, so no per-sample spectrum is formed.
     """
     nus = np.asarray(nus, dtype=float)
-    ladder = np.zeros((sampler.samples, len(nus)), dtype=complex)
-    crossed = np.zeros((sampler.samples, len(nus)), dtype=complex)
-    el_ladder = np.zeros(sampler.samples, dtype=complex)
-    el_crossed = np.zeros(sampler.samples, dtype=complex)
-    for i, config in enumerate(sampler.configurations()):
-        gen = assemble(config, drive)
-        spectra = fixed_config_spectrum(gen, nus)
-        phase = np.exp(1j * config.phase_difference)
-        ladder[i] = 2.0 * _tagged_sum(spectra.autocorrelation)
-        crossed[i] = 2.0 * phase * _tagged_sum(spectra.exchange)
-        el_ladder[i] = 2.0 * _tagged_sum(spectra.elastic_autocorrelation)
-        el_crossed[i] = 2.0 * phase * _tagged_sum(spectra.elastic_exchange)
-
+    canonical = fixed_config_spectrum(
+        assemble(canonical_configuration(sampler.gamma), drive, coupling=1.0), nus)
+    geometry = np.array([(config.coupling, config.phase_difference)
+                         for config in sampler.configurations()])
+    coupling, phase_difference = geometry[:, 0], geometry[:, 1].real
     scale = sampler.coupling_power_mean
+    # the crossed channel's backscattering phase e^{i Delta} adds one more
+    crossed_charge = _EXCHANGE_CHARGE + 1
+
+    def average(tagged: dict, charge: int) -> MonteCarloResult:
+        if not tagged:
+            raise BookkeepingError("no tagged terms to average")
+        monomials = list(tagged)
+        weights = 2.0 * _gauge_weights(monomials, coupling, phase_difference, charge)
+        return _reduce_monomials(weights, np.array([tagged[m] for m in monomials]), scale)
+
     return DisorderAveragedSpectra(
         nu=nus,
-        ladder=_reduce(ladder, sampler.samples, scale),
-        crossed=_reduce(crossed, sampler.samples, scale),
-        elastic_ladder=_reduce(el_ladder, sampler.samples, scale),
-        elastic_crossed=_reduce(el_crossed, sampler.samples, scale),
+        ladder=average(canonical.autocorrelation, 0),
+        crossed=average(canonical.exchange, crossed_charge),
+        elastic_ladder=average(canonical.elastic_autocorrelation, 0),
+        elastic_crossed=average(canonical.elastic_exchange, crossed_charge),
     )

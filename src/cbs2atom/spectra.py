@@ -58,8 +58,8 @@ from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
     FixedConfigSpectra,
-    ScatteringConfig,
     assemble,
+    canonical_configuration,
     fixed_config_spectrum,
 )
 
@@ -67,9 +67,6 @@ DM = DELTA_MINUS
 DP = DELTA_PLUS
 
 POLE_MERGE_TOL = 1e-10
-#: Interatomic distance of the canonical configuration.  Its coupling is
-#: overridden, so the value only has to clear the far-field warning.
-CANONICAL_SEPARATION = 100.0
 
 
 @dataclass(frozen=True)
@@ -499,11 +496,8 @@ def compact_crossed(drive: AtomDriveParams, nus) -> SpectralFunctionGrid:
 
 
 def _canonical_spectrum(drive: AtomDriveParams, nus=()) -> FixedConfigSpectra:
-    """Order-two spectra of the canonical configuration: atoms on the x
-    axis, laser along z (zero laser phases), coupling ``gamma``."""
-    config = ScatteringConfig.from_separation(
-        CANONICAL_SEPARATION, gamma=drive.gamma,
-        k_hat=(0.0, 0.0, 1.0), direction=(1.0, 0.0, 0.0))
+    """Order-two spectra of the canonical configuration with coupling ``gamma``."""
+    config = canonical_configuration(drive.gamma)
     return fixed_config_spectrum(assemble(config, drive, coupling=drive.gamma), nus)
 
 

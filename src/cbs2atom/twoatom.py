@@ -20,9 +20,11 @@ tuple of channel tags (the coupling monomial) to its coefficient vector, so
 that configuration averaging downstream reduces to selecting monomials.
 
 All solves here are brute force on the explicit 6/9/15-dimensional blocks.
-:func:`fixed_config_spectrum` on one canonical configuration is the
-production route of the averaged channels in :mod:`cbs2atom.spectra`;
-the single-atom closed forms there are validated against it.
+:func:`fixed_config_spectrum` on one canonical configuration
+(:func:`canonical_configuration`) is the production route of the averaged
+channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
+average in :mod:`cbs2atom.disorder`; the single-atom closed forms in
+:mod:`cbs2atom.spectra` are validated against it.
 """
 
 from __future__ import annotations
@@ -178,6 +180,22 @@ class ScatteringConfig:
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
         return cls(r1=origin, r2=origin + (x / norm) * step, k_hat=np.asarray(k_hat, dtype=float), gamma=gamma)
+
+
+#: Interatomic distance of the canonical configuration.  Its coupling is
+#: overridden, so the value only has to clear the far-field warning.
+CANONICAL_SEPARATION = 100.0
+
+
+def canonical_configuration(gamma: float = 1.0) -> ScatteringConfig:
+    """Atoms on the x axis with the laser along z: both laser phases vanish.
+
+    By the gauge identity ``M(phase) = U M(0) U^-1`` every other geometry's
+    coupling monomials are this one's times scalar coupling and phase
+    factors, so callers override its coupling in :func:`assemble`.
+    """
+    return ScatteringConfig.from_separation(
+        CANONICAL_SEPARATION, gamma=gamma, k_hat=(0.0, 0.0, 1.0), direction=(1.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

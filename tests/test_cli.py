@@ -66,6 +66,43 @@ def test_validate_oracle_exit_codes(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+def test_zero_tolerance_is_applied_not_replaced_by_the_default(capsys):
+    # every sum-rule deviation is positive rounding noise, so bound 0 fails
+    assert main(["validate", "sum-rules", "--tolerance", "0"]) == 1
+    report = capsys.readouterr().out
+    assert "bound 0.000e+00" in report and "bound 1.000e-10" not in report
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_invalid_tolerance_exits_with_usage_error(capsys, tolerance):
+    assert main(["validate", "sum-rules", "--tolerance", tolerance]) == 2
+    captured = capsys.readouterr()
+    assert "tolerance" in captured.err and captured.out == ""
+
+
+def test_oracle_spectrum_agrees_with_production_and_reruns_identically(tmp_path, capsys):
+    # default --samples (10k); the header echoes the output directory,
+    # so both runs write to one
+    argv = ["spectrum", "--rabi", 2, "--method", "oracle", "--seed", 5, *GRID,
+            "--output", tmp_path]
+    assert run(argv, capsys) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    table = read_csv(tmp_path / "spectrum.csv")
+    sidecar = json.loads((tmp_path / "spectrum.json").read_text())
+    assert sidecar["parameters"]["samples"] == 10_000
+    result = cbs_spectra(AtomDriveParams(rabi=2.0), nus=np.linspace(-6.0, 6.0, 7))
+    for column, channel in (("L_inel", result.ladder), ("C_inel", result.crossed)):
+        error = table[column + "_err"]
+        assert np.all(error > 0)
+        assert np.all(np.abs(table[column] - channel.values) <= 5 * error), column
+    for name, weight in (("elastic_ladder", result.elastic_ladder),
+                         ("elastic_crossed", result.elastic_crossed)):
+        error = sidecar[name + "_stderr"]
+        assert error > 0 and abs(sidecar[name] - weight) <= 5 * error, name
+    assert run(argv, capsys) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
 def test_zero_drive_exits_with_usage_error(tmp_path, capsys):
     assert main(["spectrum", "--rabi", "0", "--output", str(tmp_path)]) == 2
     assert "rabi" in capsys.readouterr().err

@@ -5,20 +5,31 @@ import pytest
 
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import (
+    _EXCHANGE_CHARGE,
     BookkeepingError,
     ConfigSampler,
+    _gauge_weights,
+    _reduce,
     monte_carlo_average,
     monte_carlo_spectra,
     select_surviving,
 )
+from cbs2atom.spectra import cbs_spectra
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
     assemble,
+    canonical_configuration,
     fixed_config_spectrum,
 )
 
 DRIVE = AtomDriveParams(rabi=2.0, delta=0.0)
+#: rabi = gamma/2 on resonance: the single-atom generator is defective
+JORDAN = AtomDriveParams(rabi=0.5, delta=0.0)
+
+#: observable of ``FixedConfigSpectra`` and the gauge charge it adds
+OBSERVABLES = (("autocorrelation", 0), ("exchange", _EXCHANGE_CHARGE),
+               ("elastic_autocorrelation", 0), ("elastic_exchange", _EXCHANGE_CHARGE))
 
 
 def small_sampler(seed=3, samples=1000):
@@ -205,3 +216,90 @@ def test_phased_monomials_carry_the_sample_variance():
     tight = monte_carlo_average(filtered, small_sampler(seed=7))
     assert tight.stderr < full.ladder.stderr[0] / 100
     assert abs(tight.mean - full.ladder.mean[0]) <= 3 * full.ladder.stderr[0]
+
+
+# ---- gauge factorisation of the sampled spectra ----
+
+
+def canonical_spectrum(drive, nus):
+    return fixed_config_spectrum(
+        assemble(canonical_configuration(drive.gamma), drive, coupling=1.0), nus)
+
+
+def sampled_geometry(sampler):
+    configs = list(sampler.configurations())
+    return (configs, np.array([c.coupling for c in configs]),
+            np.array([c.phase_difference for c in configs]))
+
+
+@pytest.mark.parametrize("drive", [DRIVE, AtomDriveParams(rabi=1.3, delta=0.8), JORDAN],
+                         ids=["rabi2", "rabi1.3-det0.8", "jordan"])
+def test_factorised_samples_match_brute_force_solves(drive):
+    # the gauge identity, checked without it: each of 20 sampled
+    # geometries is assembled and solved on its own, and every monomial
+    # must equal the canonical one times T^a conj(T)^b exp(i n Delta);
+    # the bound covers rounding in two independent 15-dimensional solves
+    nus = np.array([-3.0, 0.0, 1.7])
+    configs, coupling, delta = sampled_geometry(small_sampler(seed=13))
+    configs, coupling, delta = configs[:20], coupling[:20], delta[:20]
+    canonical = canonical_spectrum(drive, nus)
+    for i, config in enumerate(configs):
+        brute = fixed_config_spectrum(assemble(config, drive), nus)
+        for name, charge in OBSERVABLES:
+            expected, unit = getattr(brute, name), getattr(canonical, name)
+            assert set(expected) == set(unit), name
+            monomials = list(unit)
+            weights = _gauge_weights(monomials, coupling[i:i + 1], delta[i:i + 1], charge)[0]
+            for weight, mono in zip(weights, monomials):
+                # relative to the monomial's own peak: the structurally
+                # vanishing monomials must vanish exactly on both sides
+                deviation = np.max(np.abs(weight * unit[mono] - expected[mono]))
+                assert deviation <= 1e-12 * np.max(np.abs(expected[mono])), (i, name, mono)
+
+
+def test_monomial_space_reduction_matches_materialised_samples():
+    # the per-sample spectra of the parent estimator, materialised from
+    # the (brute-force checked) factorised monomials and reduced sample
+    # by sample, against the reduction in monomial space
+    nus = np.array([0.0, 1.7, 4.0])
+    sampler = small_sampler(seed=7)
+    averaged = monte_carlo_spectra(DRIVE, sampler, nus)
+    _, coupling, delta = sampled_geometry(sampler)
+    canonical = canonical_spectrum(DRIVE, nus)
+    phase = np.exp(1j * delta)
+    fields = {"autocorrelation": averaged.ladder, "exchange": averaged.crossed,
+              "elastic_autocorrelation": averaged.elastic_ladder,
+              "elastic_exchange": averaged.elastic_crossed}
+    for name, charge in OBSERVABLES:
+        tagged = getattr(canonical, name)
+        monomials = list(tagged)
+        values = _gauge_weights(monomials, coupling, delta, charge) @ np.array(
+            [tagged[m] for m in monomials])
+        values = 2.0 * (values if charge == 0 else (phase * values.T).T)
+        expected = _reduce(values, sampler.samples, sampler.coupling_power_mean)
+        got = fields[name]
+        assert got.samples == expected.samples
+        assert np.all(np.abs(got.mean - expected.mean) <= 1e-12 * np.abs(expected.mean)), name
+        assert np.all(np.abs(got.stderr - expected.stderr) <= 1e-12 * expected.stderr), name
+
+
+@pytest.mark.parametrize("drive", [DRIVE, JORDAN], ids=["rabi2", "jordan"])
+def test_selection_rule_holds_at_scale(drive):
+    # 2e4 samples against production; at the Jordan point the compact
+    # oracle raises, so this is its independent check there
+    nus = np.array([-4.0, -2.0, 0.0, 0.6, 2.5])
+    averaged = monte_carlo_spectra(drive, small_sampler(seed=17, samples=20_000), nus)
+    result = cbs_spectra(drive, nus=nus)
+    for field, channel in ((averaged.ladder, result.ladder), (averaged.crossed, result.crossed)):
+        floor = 1e-12 * np.max(np.abs(channel.values))
+        deviation = np.abs(np.real(field.mean) / np.pi - channel.values)
+        assert np.all(deviation <= 5 * field.stderr / np.pi + floor)
+    for field, weight in ((averaged.elastic_ladder, result.elastic_ladder),
+                          (averaged.elastic_crossed, result.elastic_crossed)):
+        assert abs(np.real(field.mean) - weight) <= 5 * field.stderr + 1e-12 * abs(weight)
+
+
+def test_sampler_and_drive_must_share_the_decay_rate():
+    sampler = ConfigSampler(samples=1000, gamma=2.0)
+    with pytest.raises(ValueError, match="decay rate"):
+        monte_carlo_spectra(DRIVE, sampler, [0.0])
