@@ -42,6 +42,7 @@ from cbs2atom.atom import (
 from cbs2atom.atom import p2 as closed_form_p2
 from cbs2atom.atom import p_minus as closed_form_p_minus
 from cbs2atom.atom import p_plus as closed_form_p_plus
+from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError
 
 
 class TruncationError(RuntimeError):
@@ -93,6 +94,45 @@ class HarmonicState:
         return weight * self.coefficient(p, q, harmonic)
 
 
+def _resolve(system: BlochSystem, z, vec) -> np.ndarray:
+    """Resolvent ``(z - M)^{-1}`` applied to ``vec``, for arrays of ``z``.
+
+    ``z`` (shape ``S``) and ``vec`` (shape ``S' + (3,)``) broadcast; all
+    resolvents are one stacked dense solve.  A dense solve needs no
+    spectral decomposition, so it is exact at defective (Jordan-point)
+    drives as well.
+    """
+    z = np.asarray(z, dtype=complex)
+    gap = np.min(np.abs(z[..., None] - system.eigenvalues), axis=-1)
+    if np.any(gap < DEGENERACY_TOL * system.params.gamma):
+        raise PoleProximityError(
+            f"z={z.flat[np.argmin(gap)]} too close to an eigenvalue")
+    shifted = z[..., None, None] * np.eye(3) - system.M
+    return np.linalg.solve(shifted, np.asarray(vec)[..., None])[..., 0]
+
+
+def _harmonic_orders(system: BlochSystem, w, max_plus: int,
+                     max_minus: int) -> dict:
+    """:func:`harmonic_solve` for an array of probe detunings ``w``.
+
+    Returns ``{(p, q): vec}`` with ``vec`` the coefficient of the single
+    harmonic ``p - q`` that order populates, shape ``w.shape + (3,)``;
+    order (0, 0) is the steady state, shape ``(3,)``.
+    """
+    orders = {(0, 0): system.steady}
+    for p in range(max_plus + 1):
+        for q in range(max_minus + 1):
+            if p == q == 0:
+                continue
+            source = 0.0
+            if p > 0:
+                source = source + orders[(p - 1, q)] @ DELTA_MINUS.T
+            if q > 0:
+                source = source + orders[(p, q - 1)] @ DELTA_PLUS.T
+            orders[(p, q)] = _resolve(system, -1j * (p - q) * w, source)
+    return orders
+
+
 def harmonic_solve(drive: BichromaticDrive, max_plus: int = 1,
                    max_minus: int = 1) -> HarmonicState:
     """Stationary response order by order in the probe amplitudes.
@@ -101,21 +141,10 @@ def harmonic_solve(drive: BichromaticDrive, max_plus: int = 1,
     driven by the two couplers acting on the orders with one fewer probe
     photon and solved at its own harmonic frequency.
     """
-    system = build(drive.pump)
-    w = drive.probe_detuning
-    coeffs = {(0, 0): {0: system.steady}}
-    for p in range(max_plus + 1):
-        for q in range(max_minus + 1):
-            if p == q == 0:
-                continue
-            n = p - q
-            source = np.zeros(3, dtype=complex)
-            if p > 0:
-                source = source + DELTA_MINUS @ coeffs[(p - 1, q)][n - 1]
-            if q > 0:
-                source = source + DELTA_PLUS @ coeffs[(p, q - 1)][n + 1]
-            coeffs[(p, q)] = {n: system.green(-1j * n * w) @ source}
-    return HarmonicState(drive=drive, coefficients=coeffs)
+    orders = _harmonic_orders(build(drive.pump), drive.probe_detuning,
+                              max_plus, max_minus)
+    return HarmonicState(drive=drive, coefficients={
+        (p, q): {p - q: vec} for (p, q), vec in orders.items()})
 
 
 # ----------------------------------------------------------------------------
@@ -135,7 +164,9 @@ def harmonic_solve(drive: BichromaticDrive, max_plus: int = 1,
 # the periodic state, and the probe couplers are inserted along the
 # evolution interval in every order-compatible sequence.  Each piece then
 # reduces to a chain of pump resolvents whose arguments track the net
-# probe-photon count.
+# probe-photon count.  Every chain runs on whole arrays of (w, w1) pairs;
+# vectors are stacked along leading axes, so a coupler acts as
+# ``vec @ coupler.T``.
 # ----------------------------------------------------------------------------
 
 
@@ -143,54 +174,56 @@ def _insertion_sequences(n_plus: int, n_minus: int):
     return sorted(set(itertools.permutations("+" * n_plus + "-" * n_minus)))
 
 
-def _connected_initial(states: HarmonicState, p: int, q: int,
-                       coupler: np.ndarray, affine: np.ndarray,
-                       weight_index: int) -> np.ndarray:
+def _connected_initial(orders: dict, p: int, q: int, coupler: np.ndarray,
+                       affine: np.ndarray, weight_index: int) -> np.ndarray:
     """Order-(p, q) coefficient of an operator-product initial condition.
 
     The full initial is ``coupler @ state + affine - weight * state``
     with ``weight`` one state component; expanding both state factors in
     probe orders makes the product term a discrete convolution.
     """
-    vec = coupler @ states.coefficient(p, q, p - q)
+    vec = orders[(p, q)] @ coupler.T
     if p == 0 and q == 0:
         vec = vec + affine
     for ap in range(p + 1):
         for bp in range(q + 1):
-            left = states.coefficient(ap, bp, ap - bp)[weight_index]
-            vec = vec - left * states.coefficient(p - ap, q - bp, (p - ap) - (q - bp))
+            left = orders[(ap, bp)][..., weight_index, None]
+            vec = vec - left * orders[(p - ap, q - bp)]
     return vec
 
 
-def _coefficient(system: BlochSystem, states: HarmonicState, w: float,
-                 order: tuple, nu: float) -> complex:
+def _coefficient(system: BlochSystem, orders: dict, w, order: tuple,
+                 nu) -> np.ndarray:
+    """Delta coefficient at probe order ``order`` for broadcast arrays of
+    probe detunings ``w`` and emission frequencies ``nu``; ``orders`` is
+    :func:`_harmonic_orders` at the same ``w``, up to at least ``order``."""
     p, q = order
-    couplers = {"+": DELTA_MINUS, "-": DELTA_PLUS}
+    couplers = {"+": DELTA_MINUS.T, "-": DELTA_PLUS.T}
     steps = {"+": 1, "-": -1}
 
-    total = 0.0 + 0.0j
+    total = 0.0
     for ai in range(p + 1):
         for bi in range(q + 1):
             for seq in _insertion_sequences(p - ai, q - bi):
                 # later-lowering branch: raising acts at the earlier time
-                vec = _connected_initial(states, ai, bi, 1j * DELTA_MINUS, N1, 1)
+                vec = _connected_initial(orders, ai, bi, 1j * DELTA_MINUS, N1, 1)
                 accumulated = ai - bi
-                vec = system.green(-1j * (nu + accumulated * w)) @ vec
+                vec = _resolve(system, -1j * (nu + accumulated * w), vec)
                 for symbol in seq:
-                    vec = couplers[symbol] @ vec
+                    vec = vec @ couplers[symbol]
                     accumulated += steps[symbol]
-                    vec = system.green(-1j * (nu + accumulated * w)) @ vec
-                total += vec[0]
+                    vec = _resolve(system, -1j * (nu + accumulated * w), vec)
+                total = total + vec[..., 0]
 
                 # later-raising branch: lowering acts at the earlier time
-                vec = _connected_initial(states, ai, bi, -1j * DELTA_PLUS, N2, 0)
+                vec = _connected_initial(orders, ai, bi, -1j * DELTA_PLUS, N2, 0)
                 remaining = sum(steps[symbol] for symbol in seq)
-                vec = system.green(1j * (nu + remaining * w)) @ vec
+                vec = _resolve(system, 1j * (nu + remaining * w), vec)
                 for symbol in seq:
-                    vec = couplers[symbol] @ vec
+                    vec = vec @ couplers[symbol]
                     remaining -= steps[symbol]
-                    vec = system.green(1j * (nu + remaining * w)) @ vec
-                total += vec[1]
+                    vec = _resolve(system, 1j * (nu + remaining * w), vec)
+                total = total + vec[..., 1]
     return total
 
 
@@ -206,8 +239,9 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
     if p < 0 or q < 0:
         raise ValueError("probe orders must be nonnegative")
     system = build(drive.pump)
-    states = harmonic_solve(drive, p, q)
-    return _coefficient(system, states, drive.probe_detuning, order, nu)
+    w = drive.probe_detuning
+    orders = _harmonic_orders(system, w, p, q)
+    return complex(_coefficient(system, orders, w, order, nu))
 
 
 def extracted_functions(drive: BichromaticDrive, nus) -> dict:
@@ -219,19 +253,14 @@ def extracted_functions(drive: BichromaticDrive, nus) -> dict:
     """
     nus = np.asarray(nus, dtype=float)
     system = build(drive.pump)
-    states = harmonic_solve(drive, 1, 1)
     w = drive.probe_detuning
-    out = {
-        "p0": np.array([_coefficient(system, states, w, (0, 0), nu)
-                        for nu in nus]) / (2 * np.pi),
-        "plus_probe": np.array([_coefficient(system, states, w, (1, 0), nu)
-                                for nu in nus]),
-        "minus_probe": np.array([_coefficient(system, states, w, (0, 1), nu)
-                                 for nu in nus]),
-        "mixed": np.array([_coefficient(system, states, w, (1, 1), nu)
-                           for nu in nus]),
+    orders = _harmonic_orders(system, w, 1, 1)
+    return {
+        "p0": _coefficient(system, orders, w, (0, 0), nus) / (2 * np.pi),
+        "plus_probe": _coefficient(system, orders, w, (1, 0), nus),
+        "minus_probe": _coefficient(system, orders, w, (0, 1), nus),
+        "mixed": _coefficient(system, orders, w, (1, 1), nus),
     }
-    return out
 
 
 @dataclass(frozen=True)
@@ -311,15 +340,22 @@ def channel_densities(pump: AtomDriveParams, nus, *,
 
     The accuracy is limited by the truncation and spacing of the inner
     frequency grid; the defaults reach a few parts in 1e4 (the slow
-    tails of the interference convolution dominate).  Expect runtimes of
-    roughly a millisecond per (inner x outer) grid point pair.
+    tails of the interference convolution dominate).  Each emission
+    frequency costs 35 stacked 3x3 solves over the inner grid, and
+    memory grows with the inner grid only: at ``rabi = 2`` (401 inner
+    points) that is 13-18 ms of CPU per frequency on one core of a
+    2-core Xeon VM, 0.2 s for 11 frequencies and 9.7 s for 601.
 
     Returns a dict with the evaluation grid and both density arrays.
     """
     nus = np.asarray(nus, dtype=float)
+    if not np.all(np.isfinite(nus)):
+        raise ValueError("emission frequencies nus must be finite")
     gamma = pump.gamma
     if inner_half_width is None:
         inner_half_width = max(25.0 * gamma, abs(pump.rabi) + 15.0 * gamma)
+    if not (np.isfinite(inner_half_width) and inner_half_width > 0):
+        raise ValueError("inner_half_width must be finite and positive")
     if inner_points is None:
         inner_points = 2 * int(round(inner_half_width / (0.125 * gamma))) + 1
     if inner_points < 5 or inner_points % 2 == 0:
@@ -327,53 +363,36 @@ def channel_densities(pump: AtomDriveParams, nus, *,
     us = np.linspace(-inner_half_width, inner_half_width, inner_points)
 
     system = build(pump)
-    solves: dict = {}
+    b_minus, b_plus = system.steady[0], system.steady[1]
+    at_zero = _harmonic_orders(system, 0.0, 1, 1)
+    inner = _harmonic_orders(system, us, 1, 1)
+    p0_inner = _coefficient(system, at_zero, 0.0, (0, 0), us) / (2 * np.pi)
 
-    def states_at(w: float) -> HarmonicState:
-        key = round(float(w), 12)
-        if key not in solves:
-            if len(solves) > 25_000:
-                solves.clear()
-            solves[key] = harmonic_solve(
-                BichromaticDrive(pump=pump, probe_detuning=key), 1, 1)
-        return solves[key]
+    # first-order amplitude responses at the emission frequency
+    d_minus_up = _harmonic_orders(system, -nus, 1, 0)[(1, 0)]
+    at_nu = _harmonic_orders(system, nus, 1, 1)
+    d_minus_down, d_plus_up = at_nu[(1, 0)], at_nu[(0, 1)]
 
-    steady = states_at(0.0).coefficient(0, 0, 0)
-    b_minus, b_plus = steady[0], steady[1]
-
-    def mixed(w: float, nu: float) -> complex:
-        return _coefficient(system, states_at(w), w, (1, 1), nu)
-
-    def counter(w: float, nu: float) -> complex:
-        return _coefficient(system, states_at(w), w, (0, 1), nu)
-
-    def co_rotating_zero_probe(nu: float) -> complex:
-        return _coefficient(system, states_at(0.0), 0.0, (1, 0), nu)
-
-    p0_inner = np.array([_coefficient(system, states_at(0.0), 0.0, (0, 0), u)
-                         for u in us]) / (2 * np.pi)
-
-    ladder = np.empty(len(nus))
-    crossed = np.empty(len(nus))
+    ladder_conv = np.empty(len(nus), dtype=complex)
+    crossed_conv = np.empty(len(nus), dtype=complex)
     for i, nu in enumerate(nus):
-        # first-order amplitude responses at the emission frequency
-        d_minus_up = states_at(-nu).coefficient(1, 0, 1)
-        d_minus_down = states_at(nu).coefficient(1, 0, 1)
-        d_plus_up = states_at(nu).coefficient(0, 1, -1)
+        mixed = _coefficient(system, inner, us, (1, 1), nu)
+        ladder_conv[i] = simpson(p0_inner * mixed, x=us)
 
-        conv = simpson(p0_inner * np.array([mixed(u, nu) for u in us]), x=us)
-        pump_elastic = b_plus * b_minus * mixed(0.0, nu)
-        direct = (_coefficient(system, states_at(0.0), 0.0, (0, 0), nu)
-                  / (2 * np.pi)
-                  * (abs(d_minus_up[1]) ** 2 + abs(d_plus_up[1]) ** 2))
-        ladder[i] = 2.0 * np.real((conv + pump_elastic) / (2 * np.pi) + direct)
+        forward = _coefficient(system, inner, us, (0, 1), nu)
+        ws = nu - us
+        reflected = np.conj(_coefficient(
+            system, _harmonic_orders(system, ws, 0, 1), ws, (0, 1), nu))
+        crossed_conv[i] = simpson(forward * reflected, x=us) / (2 * np.pi)
 
-        forward = np.array([counter(u, nu) for u in us])
-        reflected = np.conj([counter(nu - u, nu) for u in us])
-        conv = simpson(forward * reflected, x=us) / (2 * np.pi)
-        edge = (b_plus * d_minus_down[0] * counter(0.0, nu)
-                + b_minus * d_plus_up[1] * co_rotating_zero_probe(nu))
-        crossed[i] = 2.0 * np.real((conv + edge) / (2 * np.pi))
+    pump_elastic = b_plus * b_minus * _coefficient(system, at_zero, 0.0, (1, 1), nus)
+    direct = (_coefficient(system, at_zero, 0.0, (0, 0), nus) / (2 * np.pi)
+              * (abs(d_minus_up[:, 1]) ** 2 + abs(d_plus_up[:, 1]) ** 2))
+    ladder = 2.0 * np.real((ladder_conv + pump_elastic) / (2 * np.pi) + direct)
+
+    edge = (b_plus * d_minus_down[:, 0] * _coefficient(system, at_zero, 0.0, (0, 1), nus)
+            + b_minus * d_plus_up[:, 1] * _coefficient(system, at_zero, 0.0, (1, 0), nus))
+    crossed = 2.0 * np.real((crossed_conv + edge) / (2 * np.pi))
     return {"nu": nus, "ladder": ladder, "crossed": crossed}
 
 

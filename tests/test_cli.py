@@ -103,6 +103,27 @@ def test_oracle_spectrum_agrees_with_production_and_reruns_identically(tmp_path,
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
 
 
+def test_pump_probe_spectrum_agrees_with_production_and_reruns_identically(tmp_path,
+                                                                          capsys):
+    # the header echoes the output directory, so both runs write to one
+    argv = ["spectrum", "--rabi", 2, "--method", "pump-probe", "--nu-points", 3,
+            "--output", tmp_path]
+    assert run(argv, capsys) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    table = read_csv(tmp_path / "spectrum.csv")
+    sidecar = json.loads((tmp_path / "spectrum.json").read_text())
+    result = cbs_spectra(AtomDriveParams(rabi=2.0), nus=np.linspace(-15.0, 15.0, 3))
+    assert np.array_equal(table["nu"], result.ladder.nu)
+    # on the channel signal scale, within the pump-probe accuracy class
+    for column, name, channel in (("L_inel", "elastic_ladder", result.ladder),
+                                  ("C_inel", "elastic_crossed", result.crossed)):
+        scale = np.max(np.abs(channel.values)) + abs(channel.elastic_weight)
+        assert np.max(np.abs(table[column] - channel.values)) <= 1e-3 * scale, column
+        assert abs(sidecar[name] - channel.elastic_weight) <= 1e-3 * scale, name
+    assert run(argv, capsys) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
 def test_zero_drive_exits_with_usage_error(tmp_path, capsys):
     assert main(["spectrum", "--rabi", "0", "--output", str(tmp_path)]) == 2
     assert "rabi" in capsys.readouterr().err

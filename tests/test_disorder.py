@@ -202,18 +202,17 @@ def test_monte_carlo_spectra_match_analytic_selection():
 def test_phased_monomials_carry_the_sample_variance():
     # averaging only the surviving monomial gives a configuration-free
     # estimator; the error bars of the full estimator come entirely from
-    # the phased monomials that average to zero
+    # the phased monomials that average to zero.  The filtered estimator
+    # weights the canonical monomial per sample, as monte_carlo_spectra
+    # does (the factorisation is checked against brute-force solves below)
     nus = np.array([0.5])
-    full = monte_carlo_spectra(DRIVE, small_sampler(seed=7), nus)
-
-    def filtered(config):
-        gen = assemble(config, DRIVE)
-        spec = fixed_config_spectrum(gen, nus)
-        power = 4.0 * abs(config.coupling) ** 2
-        kept = select_surviving(spec.autocorrelation, "ladder")[LADDER_MONOMIAL]
-        return 2.0 * kept[0] / power
-
-    tight = monte_carlo_average(filtered, small_sampler(seed=7))
+    sampler = small_sampler(seed=7)
+    full = monte_carlo_spectra(DRIVE, sampler, nus)
+    _, coupling, delta = sampled_geometry(sampler)
+    kept = canonical_spectrum(DRIVE, nus).autocorrelation[LADDER_MONOMIAL][0]
+    weight = _gauge_weights([LADDER_MONOMIAL], coupling, delta, 0)[:, 0]
+    filtered = 2.0 * weight * kept / (4.0 * np.abs(coupling) ** 2)
+    tight = _reduce(filtered, sampler.samples)
     assert tight.stderr < full.ladder.stderr[0] / 100
     assert abs(tight.mean - full.ladder.mean[0]) <= 3 * full.ladder.stderr[0]
 

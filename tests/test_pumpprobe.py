@@ -15,9 +15,12 @@ from cbs2atom.atom import (
     p_minus,
     p_plus,
 )
+from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError
 from cbs2atom.pumpprobe import (
     BichromaticDrive,
     TruncationError,
+    _resolve,
+    channel_densities,
     correlation_coefficient,
     equivalence_report,
     extracted_functions,
@@ -26,6 +29,7 @@ from cbs2atom.pumpprobe import (
     periodic_state,
     time_domain_coefficient,
 )
+from cbs2atom.spectra import cbs_spectra
 
 PUMP = AtomDriveParams(rabi=2.0, delta=0.5)
 
@@ -166,6 +170,75 @@ def test_inelastic_density_symmetric_under_joint_reflection():
     direct = extracted_functions(make_drive(delta=1.7), nus)["p0"]
     mirrored = extracted_functions(make_drive(delta=-1.7), -nus)["p0"]
     assert np.allclose(direct, mirrored, rtol=0, atol=1e-14)
+
+
+# ---- batched resolvent ----
+
+
+def test_resolvent_guard_covers_every_batch_element():
+    system = build(PUMP)
+    vec = np.ones(3, dtype=complex)
+    pole = system.eigenvalues[1]
+    z = np.array([0.3j, -2.0j, pole + 0.5 * DEGENERACY_TOL])
+    with pytest.raises(PoleProximityError):
+        _resolve(system, z, vec)
+    far = z[:2]
+    got = _resolve(system, far, vec)
+    for zi, row in zip(far, got):
+        assert np.allclose(row, np.linalg.solve(zi * np.eye(3) - system.M, vec),
+                           rtol=0, atol=1e-14)
+
+
+def test_resolvent_guard_scales_with_the_decay_rate():
+    # a pump at gamma = 2: the guard radius is DEGENERACY_TOL * gamma
+    system = build(AtomDriveParams(rabi=4.0, delta=1.0, gamma=2.0))
+    pole = system.eigenvalues[0]
+    with pytest.raises(PoleProximityError):
+        _resolve(system, pole + 1.5 * DEGENERACY_TOL, np.ones(3))
+    _resolve(system, pole + 3.0 * DEGENERACY_TOL, np.ones(3))
+
+
+# ---- averaged channels from the extracted correlations ----
+
+#: rabi = gamma/2 on resonance: the single-atom generator is defective
+JORDAN = AtomDriveParams(rabi=0.5, delta=0.0)
+NUS_CHANNELS = np.linspace(-6.0, 6.0, 5)
+
+
+@pytest.mark.parametrize("pump", [AtomDriveParams(rabi=2.0), JORDAN],
+                         ids=["rabi2", "jordan"])
+def test_channel_densities_match_production_channels(pump):
+    # on the channel signal scale (peak density times the decay rate plus
+    # the elastic weight), within the documented inner-grid accuracy
+    got = channel_densities(pump, NUS_CHANNELS)
+    result = cbs_spectra(pump, nus=NUS_CHANNELS)
+    assert np.array_equal(got["nu"], NUS_CHANNELS)
+    for name, channel in (("ladder", result.ladder), ("crossed", result.crossed)):
+        scale = np.max(np.abs(channel.values)) + abs(channel.elastic_weight)
+        assert np.max(np.abs(got[name] - channel.values)) <= 1e-3 * scale, name
+
+
+def test_channel_densities_do_not_mix_emission_frequencies():
+    pump = AtomDriveParams(rabi=1.3, delta=0.8)
+    grid = channel_densities(pump, NUS_CHANNELS)
+    alone = channel_densities(pump, NUS_CHANNELS[3:4])
+    for name in ("ladder", "crossed"):
+        scale = np.max(np.abs(grid[name]))
+        assert abs(alone[name][0] - grid[name][3]) <= 1e-14 * scale, name
+
+
+@pytest.mark.parametrize("width", [-25.0, 0.0, float("nan"), float("inf")])
+def test_channel_densities_reject_bad_inner_width(width):
+    # a negative width would reverse the inner grid and flip the sign of
+    # both convolutions
+    with pytest.raises(ValueError, match="inner_half_width"):
+        channel_densities(PUMP, [0.3], inner_half_width=width, inner_points=201)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_channel_densities_reject_nonfinite_frequencies(bad):
+    with pytest.raises(ValueError, match="finite"):
+        channel_densities(PUMP, [0.3, bad], inner_points=5)
 
 
 # ---- nonperturbative harmonic lattice ----
