@@ -14,15 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from cbs2atom.linalg import (
-    DEGENERACY_TOL,
-    DegenerateSpectrumError,
-    PoleProximityError,
-    SpectralDecomposition,
-    eigen_decompose,
-    green,
-    green_direct,
-)
+from cbs2atom.linalg import SpectralDecomposition, eigen_decompose, resolve
 
 #: Couplers of the Bloch vector to a weak perturbation of the drive:
 #: ``DELTA_MINUS`` multiplies the co-rotating probe amplitude, ``DELTA_PLUS``
@@ -111,13 +103,6 @@ class BlochSystem:
         return eigen_decompose(self.M, gamma=self.params.gamma)
 
     @cached_property
-    def _decomp_or_none(self) -> SpectralDecomposition | None:
-        try:
-            return self.decomp
-        except DegenerateSpectrumError:
-            return None
-
-    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Generator eigenvalues (available even at degenerate points)."""
         return np.linalg.eigvals(self.M)
@@ -127,20 +112,14 @@ class BlochSystem:
         """Stationary Bloch vector, the solution of ``M s + L = 0``."""
         return np.linalg.solve(self.M, -self.L)
 
-    def green(self, z: complex) -> np.ndarray:
-        """Resolvent ``(z - M)^{-1}``.
+    def green(self, z) -> np.ndarray:
+        """Resolvent ``(z - M)^{-1}`` for a scalar or an array of ``z``.
 
-        Uses the spectral decomposition when one exists; at (numerically)
-        defective parameter points — where the resolvent itself is still
-        perfectly regular away from the spectrum — it falls back to a dense
-        solve.
+        One stacked dense solve (shape ``z.shape + (3, 3)``), so it is
+        exact at defective (Jordan-point) drives too, where :attr:`decomp`
+        raises.
         """
-        if np.min(np.abs(z - self.eigenvalues)) < DEGENERACY_TOL * self.params.gamma:
-            raise PoleProximityError(f"z={z} too close to an eigenvalue")
-        dec = self._decomp_or_none
-        if dec is not None:
-            return green(dec, z)
-        return green_direct(self.M, z)
+        return resolve(self.M, z, np.eye(3), self.eigenvalues, self.params.gamma)
 
 
 def build(params: AtomDriveParams) -> BlochSystem:

@@ -77,6 +77,8 @@ class RunConfig:
             raise ValueError("rabi must be positive (zero drive emits nothing)")
         if not np.isfinite(self.detuning):
             raise ValueError("detuning must be finite")
+        if not (np.isfinite(self.nu_min) and np.isfinite(self.nu_max)):
+            raise ValueError("nu_min and nu_max must be finite")
         if not self.nu_min < self.nu_max:
             raise ValueError("need nu_min < nu_max")
         if self.nu_points < 3:

@@ -94,8 +94,8 @@ class ConfigSampler:
     gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.x_start < 50.0:
-            raise ValueError("distance window must start at x >= 50")
+        if not (np.isfinite(self.x_start) and self.x_start >= 50.0):
+            raise ValueError("distance window must start at a finite x >= 50")
         if int(self.periods) != self.periods or self.periods < 8:
             raise ValueError("need at least 8 whole distance periods")
         if self.samples < 1_000:

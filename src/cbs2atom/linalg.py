@@ -1,9 +1,15 @@
-"""Dense complex linear algebra for 3x3 Bloch generators.
+"""Dense complex linear algebra for the Bloch generators.
 
-Everything downstream (Green matrices, residue integrals, the 15-dimensional
-two-atom generator) is built from the spectral decomposition of a 3x3 drift
-matrix into eigenvalues and rank-one spectral projectors.  All values are
-immutable and all functions are pure.
+:func:`resolve` is the one dense resolvent: ``(z - M)^{-1} B`` for a whole
+array of ``z`` as one stacked solve, guarded against poles.  It needs no
+spectral decomposition, so it stays exact at defective (Jordan-point)
+generators; every production route (single-atom and two-atom Green
+matrices, the pump-probe chains) goes through it.
+
+The spectral decomposition of a 3x3 drift matrix into eigenvalues and
+rank-one projectors, and the projector-sum resolvent :func:`green`, serve
+the residue integrator and the closed-form oracle built on it.  All values
+are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -149,14 +155,31 @@ def green(decomp: SpectralDecomposition, z: complex) -> np.ndarray:
     return np.einsum("k,kij->ij", 1.0 / (z - decomp.eigenvalues), decomp.projectors)
 
 
-def green_direct(M: np.ndarray, z: complex) -> np.ndarray:
-    """Resolvent ``(z - M)^{-1}`` by dense solve (decomposition-free oracle).
+def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray,
+            gamma: float = 1.0) -> np.ndarray:
+    """``(z - M)^{-1} rhs`` for an array of ``z``, as one stacked dense solve.
 
-    Unlike :func:`green` this also works at degenerate parameter points; it
-    is used for cross-checks and for code paths that never touch residues.
+    ``z`` has shape ``S``; ``rhs`` is an ``(n, k)`` matrix or a stack of
+    them that broadcasts against ``S``.  Pass the identity for the
+    resolvent itself and ``vec[..., None]`` for vectors.  ``eigenvalues``
+    is the spectrum of ``M``, which sets the poles.
+
+    Raises
+    ------
+    ValueError
+        If an element of ``z`` is not finite.
+    PoleProximityError
+        If an element of ``z`` is within ``DEGENERACY_TOL * gamma`` of an
+        eigenvalue.
     """
-    M = np.asarray(M, dtype=complex)
-    return np.linalg.solve(z * np.eye(M.shape[0]) - M, np.eye(M.shape[0], dtype=complex))
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("resolvent argument z must be finite")
+    gap = np.min(np.abs(z[..., None] - eigenvalues), axis=-1)
+    if np.any(gap < DEGENERACY_TOL * gamma):
+        raise PoleProximityError(
+            f"z={z.flat[np.argmin(gap)]} within {np.min(gap):.3e} of an eigenvalue")
+    return np.linalg.solve(z[..., None, None] * np.eye(len(M)) - M, rhs)
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from cbs2atom.atom import (
 from cbs2atom.atom import p2 as closed_form_p2
 from cbs2atom.atom import p_minus as closed_form_p_minus
 from cbs2atom.atom import p_plus as closed_form_p_plus
-from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError
+from cbs2atom.linalg import resolve
 
 
 class TruncationError(RuntimeError):
@@ -94,23 +94,6 @@ class HarmonicState:
         return weight * self.coefficient(p, q, harmonic)
 
 
-def _resolve(system: BlochSystem, z, vec) -> np.ndarray:
-    """Resolvent ``(z - M)^{-1}`` applied to ``vec``, for arrays of ``z``.
-
-    ``z`` (shape ``S``) and ``vec`` (shape ``S' + (3,)``) broadcast; all
-    resolvents are one stacked dense solve.  A dense solve needs no
-    spectral decomposition, so it is exact at defective (Jordan-point)
-    drives as well.
-    """
-    z = np.asarray(z, dtype=complex)
-    gap = np.min(np.abs(z[..., None] - system.eigenvalues), axis=-1)
-    if np.any(gap < DEGENERACY_TOL * system.params.gamma):
-        raise PoleProximityError(
-            f"z={z.flat[np.argmin(gap)]} too close to an eigenvalue")
-    shifted = z[..., None, None] * np.eye(3) - system.M
-    return np.linalg.solve(shifted, np.asarray(vec)[..., None])[..., 0]
-
-
 def _harmonic_orders(system: BlochSystem, w, max_plus: int,
                      max_minus: int) -> dict:
     """:func:`harmonic_solve` for an array of probe detunings ``w``.
@@ -129,7 +112,8 @@ def _harmonic_orders(system: BlochSystem, w, max_plus: int,
                 source = source + orders[(p - 1, q)] @ DELTA_MINUS.T
             if q > 0:
                 source = source + orders[(p, q - 1)] @ DELTA_PLUS.T
-            orders[(p, q)] = _resolve(system, -1j * (p - q) * w, source)
+            orders[(p, q)] = resolve(system.M, -1j * (p - q) * w, source[..., None],
+                                     system.eigenvalues, system.params.gamma)[..., 0]
     return orders
 
 
@@ -200,6 +184,7 @@ def _coefficient(system: BlochSystem, orders: dict, w, order: tuple,
     p, q = order
     couplers = {"+": DELTA_MINUS.T, "-": DELTA_PLUS.T}
     steps = {"+": 1, "-": -1}
+    M, args = system.M, (system.eigenvalues, system.params.gamma)
 
     total = 0.0
     for ai in range(p + 1):
@@ -208,21 +193,21 @@ def _coefficient(system: BlochSystem, orders: dict, w, order: tuple,
                 # later-lowering branch: raising acts at the earlier time
                 vec = _connected_initial(orders, ai, bi, 1j * DELTA_MINUS, N1, 1)
                 accumulated = ai - bi
-                vec = _resolve(system, -1j * (nu + accumulated * w), vec)
+                vec = resolve(M, -1j * (nu + accumulated * w), vec[..., None], *args)[..., 0]
                 for symbol in seq:
                     vec = vec @ couplers[symbol]
                     accumulated += steps[symbol]
-                    vec = _resolve(system, -1j * (nu + accumulated * w), vec)
+                    vec = resolve(M, -1j * (nu + accumulated * w), vec[..., None], *args)[..., 0]
                 total = total + vec[..., 0]
 
                 # later-raising branch: lowering acts at the earlier time
                 vec = _connected_initial(orders, ai, bi, -1j * DELTA_PLUS, N2, 0)
                 remaining = sum(steps[symbol] for symbol in seq)
-                vec = _resolve(system, 1j * (nu + remaining * w), vec)
+                vec = resolve(M, 1j * (nu + remaining * w), vec[..., None], *args)[..., 0]
                 for symbol in seq:
                     vec = vec @ couplers[symbol]
                     remaining -= steps[symbol]
-                    vec = _resolve(system, 1j * (nu + remaining * w), vec)
+                    vec = resolve(M, 1j * (nu + remaining * w), vec[..., None], *args)[..., 0]
                 total = total + vec[..., 1]
     return total
 

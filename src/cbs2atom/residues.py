@@ -41,7 +41,7 @@ from cbs2atom.linalg import (
     DegenerateSpectrumError,
     SpectralDecomposition,
     green,
-    green_direct,
+    resolve,
 )
 
 __all__ = [
@@ -254,7 +254,8 @@ def chain_value(chain: Chain, values: Mapping[str, float]):
     for op in reversed(chain.ops):
         if isinstance(op, GreenFactor):
             z = op.offset + op.sign * 1j * values[op.var]
-            state = green_direct(op.decomp.matrix, z) @ state
+            dec = op.decomp
+            state = resolve(dec.matrix, z, np.eye(len(state)), dec.eigenvalues, dec.gamma) @ state
         else:
             state = np.asarray(op, dtype=complex) @ state
     if chain.extract is not None:

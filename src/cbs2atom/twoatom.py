@@ -19,7 +19,8 @@ and every perturbative quantity in this module is a mapping from the sorted
 tuple of channel tags (the coupling monomial) to its coefficient vector, so
 that configuration averaging downstream reduces to selecting monomials.
 
-All solves here are brute force on the explicit 6/9/15-dimensional blocks.
+All solves here are brute force on the explicit 6/9/15-dimensional blocks,
+as stacked dense solves over whole frequency grids (:func:`resolvent_apply`).
 :func:`fixed_config_spectrum` on one canonical configuration
 (:func:`canonical_configuration`) is the production route of the averaged
 channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
@@ -45,7 +46,7 @@ from cbs2atom.atom import (
     build,
     g0_vectors,
 )
-from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError
+from cbs2atom.linalg import resolve
 from cbs2atom.residues import (
     Chain,
     GreenFactor,
@@ -71,7 +72,8 @@ _E1 = np.array([1.0, 0.0, 0.0])
 _E2 = np.array([0.0, 1.0, 0.0])
 
 #: A tagged vector maps a coupling monomial (sorted tuple of channel tags)
-#: to a complex coefficient vector; the represented quantity is the sum of
+#: to a complex coefficient vector, or a stack of them along leading axes
+#: (one per frequency); the represented quantity is the sum of
 #: ``amplitude(monomial) * vector`` over all entries.
 TaggedVector = dict
 
@@ -94,19 +96,6 @@ def _tagged_add(into: TaggedVector, key: tuple, value: np.ndarray) -> None:
         into[key] = into[key] + value
     else:
         into[key] = value
-
-
-def _map_tagged(matrix: np.ndarray, tagged: TaggedVector) -> TaggedVector:
-    return {key: matrix @ vec for key, vec in tagged.items()}
-
-
-def _couple_tagged(blocks, tagged: TaggedVector) -> TaggedVector:
-    """Apply one tagged family of coupling blocks, extending each monomial."""
-    out: TaggedVector = {}
-    for tag, matrix in blocks.items():
-        for mono, vec in tagged.items():
-            _tagged_add(out, merge_monomials(mono, (tag,)), matrix @ vec)
-    return out
 
 
 @dataclass(frozen=True)
@@ -320,19 +309,24 @@ class TwoAtomGenerator:
         e2 = self.atom2.eigenvalues
         return np.add.outer(e1, e2).ravel()
 
-    def single_green(self, z: complex = 0.0) -> np.ndarray:
-        """6x6 resolvent ``(z - M_bloch)^{-1}``, block-diagonal per atom."""
-        out = np.zeros((6, 6), dtype=complex)
-        out[:3, :3] = self.atom2.green(z)
-        out[3:, 3:] = self.atom1.green(z)
+    def single_green(self, z=0.0) -> np.ndarray:
+        """6x6 resolvent ``(z - M_bloch)^{-1}``, block-diagonal per atom.
+
+        ``z`` may be an array; the result has shape ``z.shape + (6, 6)``.
+        """
+        z = np.asarray(z, dtype=complex)
+        out = np.zeros(z.shape + (6, 6), dtype=complex)
+        out[..., :3, :3] = self.atom2.green(z)
+        out[..., 3:, 3:] = self.atom1.green(z)
         return out
 
-    def pair_green(self, z: complex = 0.0) -> np.ndarray:
-        """9x9 resolvent ``(z - M_corr)^{-1}`` by dense solve."""
-        gap = np.min(np.abs(z - self.correlation_eigenvalues))
-        if gap < DEGENERACY_TOL * self.config.gamma:
-            raise PoleProximityError(f"z={z} too close to a correlation eigenvalue")
-        return np.linalg.solve(z * np.eye(9) - self.correlation_block, np.eye(9, dtype=complex))
+    def pair_green(self, z=0.0) -> np.ndarray:
+        """9x9 resolvent ``(z - M_corr)^{-1}`` by one stacked dense solve.
+
+        ``z`` may be an array; the result has shape ``z.shape + (9, 9)``.
+        """
+        return resolve(self.correlation_block, z, np.eye(9), self.correlation_eigenvalues,
+                       self.config.gamma)
 
 
 def assemble(config: ScatteringConfig, drive: AtomDriveParams,
@@ -411,27 +405,18 @@ class OrderedSolution:
 def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2) -> OrderedSolution:
     """Expand the stationary state in powers of the exchange coupling.
 
-    Realizes the block recurrences: each new Bloch order is driven by the
-    previous correlation order through the pair-to-single blocks, and each
-    new correlation order collects the single-to-pair and pair-to-pair
+    The stationary state solves ``(A + V) Q + drive = 0``, so it is the
+    zero-frequency resolvent applied to the drive and its orders are
+    :func:`resolvent_apply` at ``z = 0``: each new Bloch order is driven by
+    the previous correlation order through the pair-to-single blocks, and
+    each new correlation order collects the single-to-pair and pair-to-pair
     feeds plus the same-order Bloch feed-through.
     """
-    g_single = gen.single_green(0.0)
-    g_pair = gen.pair_green(0.0)
-
-    x0 = np.concatenate([gen.atom2.steady, gen.atom1.steady])
-    bloch = [{(): x0}]
-    correlation = [{(): g_pair @ (gen.correlation_feed @ x0)}]
-    for _ in range(max_order):
-        xn = _map_tagged(g_single, _couple_tagged(gen.pair_to_single, correlation[-1]))
-        source = _couple_tagged(gen.single_to_pair, bloch[-1])
-        for mono, vec in _couple_tagged(gen.pair_to_pair, correlation[-1]).items():
-            _tagged_add(source, mono, vec)
-        for mono, vec in xn.items():
-            _tagged_add(source, mono, gen.correlation_feed @ vec)
-        bloch.append(xn)
-        correlation.append(_map_tagged(g_pair, source))
-    return OrderedSolution(bloch=tuple(bloch), correlation=tuple(correlation))
+    levels = resolvent_apply(gen, 0.0, {(): gen.drive}, max_order)
+    return OrderedSolution(
+        bloch=tuple({mono: vec[:6] for mono, vec in level.items()} for level in levels),
+        correlation=tuple({mono: vec[6:] for mono, vec in level.items()} for level in levels),
+    )
 
 
 # -- regression initial conditions ---------------------------------------------
@@ -488,40 +473,52 @@ def regression_initial_exact(gen: TwoAtomGenerator, steady: np.ndarray) -> np.nd
 # -- resolvent expansion -------------------------------------------------------
 
 
-def resolvent_apply(gen: TwoAtomGenerator, z: complex, seed: TaggedVector,
+def _resolve(gen: TwoAtomGenerator, greens: tuple, tagged: TaggedVector) -> TaggedVector:
+    """Apply the block-triangular drift resolvent to stacked 15-vectors.
+
+    ``greens`` is ``(single_green(z), pair_green(z))``; the Bloch block is
+    resolved first and feeds the correlation block.
+    """
+    g_single, g_pair = greens
+    out: TaggedVector = {}
+    for mono, vec in tagged.items():
+        x_part = (g_single @ vec[..., :6, None])[..., 0]
+        y_part = (g_pair @ (x_part @ gen.correlation_feed.T + vec[..., 6:])[..., None])[..., 0]
+        out[mono] = np.concatenate([x_part, y_part], axis=-1)
+    return out
+
+
+def _couple(gen: TwoAtomGenerator, tagged: TaggedVector) -> TaggedVector:
+    """One insertion of the coupling ``V``, extending each monomial by its tag."""
+    out: TaggedVector = {}
+    for tag in COUPLING_TAGS:
+        c_block = gen.pair_to_single[tag]
+        h_block = gen.single_to_pair[tag]
+        x_block = gen.pair_to_pair[tag]
+        for mono, vec in tagged.items():
+            x_part, y_part = vec[..., :6], vec[..., 6:]
+            entry = np.concatenate([y_part @ c_block.T, x_part @ h_block.T + y_part @ x_block.T],
+                                   axis=-1)
+            _tagged_add(out, merge_monomials(mono, (tag,)), entry)
+    return out
+
+
+def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
                     max_order: int = 2) -> list:
     """Apply the order-by-order resolvent of ``z - A - V`` to a tagged seed.
 
     Returns ``[R0 seed, R1 seed, ..., Rmax seed]`` where the order-n term
     carries n extra coupling insertions.  The zeroth order solves the
     block-triangular drift alone; each further order routes the previous
-    result once through the coupling blocks and resolves again.
+    result once through the coupling blocks and resolves again.  ``z`` may
+    be an array of shape ``S`` and the seed's vectors stacked along leading
+    axes that broadcast against ``S``; the drift resolvents are formed once,
+    as stacked inverses, and every level has shape ``S + (15,)``.
     """
-    g_single = gen.single_green(z)
-    g_pair = gen.pair_green(z)
-
-    def resolve(tagged: TaggedVector) -> TaggedVector:
-        out: TaggedVector = {}
-        for mono, vec in tagged.items():
-            x_part = g_single @ vec[:6]
-            y_part = g_pair @ (gen.correlation_feed @ x_part + vec[6:])
-            out[mono] = np.concatenate([x_part, y_part])
-        return out
-
-    def couple(tagged: TaggedVector) -> TaggedVector:
-        out: TaggedVector = {}
-        for tag in COUPLING_TAGS:
-            c_block = gen.pair_to_single[tag]
-            h_block = gen.single_to_pair[tag]
-            x_block = gen.pair_to_pair[tag]
-            for mono, vec in tagged.items():
-                entry = np.concatenate([c_block @ vec[6:], h_block @ vec[:6] + x_block @ vec[6:]])
-                _tagged_add(out, merge_monomials(mono, (tag,)), entry)
-        return out
-
-    levels = [resolve(seed)]
+    greens = (gen.single_green(z), gen.pair_green(z))
+    levels = [_resolve(gen, greens, seed)]
     for _ in range(max_order):
-        levels.append(resolve(couple(levels[-1])))
+        levels.append(_resolve(gen, greens, _couple(gen, levels[-1])))
     return levels
 
 
@@ -535,60 +532,43 @@ class FixedConfigSpectra:
     ``autocorrelation`` is the Laplace-transformed connected correlation
     of atom 2's raising and lowering operators (component 1 of the
     15-vector), ``exchange`` the cross-atom component (component 4,
-    without the interference phase factor).  ``*_parts[k]`` isolates the
-    contribution with k coupling insertions in the resolvent and 2-k in
-    the initial condition; the merged accessors sum them.  Elastic weights
-    are products of stationary means of total coupling order two.
+    without the interference phase factor); both map coupling monomials
+    to arrays on the grid ``nu``.  Elastic weights are products of
+    stationary means of total coupling order two.
     """
 
     nu: np.ndarray
-    autocorrelation_parts: tuple
-    exchange_parts: tuple
+    autocorrelation: dict
+    exchange: dict
     elastic_autocorrelation: dict
     elastic_exchange: dict
-
-    def _merged(self, parts) -> dict:
-        out: dict = {}
-        for part in parts:
-            for mono, arr in part.items():
-                if mono in out:
-                    out[mono] = out[mono] + arr
-                else:
-                    out[mono] = arr.copy()
-        return out
-
-    @property
-    def autocorrelation(self) -> dict:
-        return self._merged(self.autocorrelation_parts)
-
-    @property
-    def exchange(self) -> dict:
-        return self._merged(self.exchange_parts)
 
 
 def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
     """Second-order inelastic correlation spectra and elastic weights.
 
-    At every frequency on the grid the Laplace image of the connected
-    correlation is assembled from the three resolvent/initial-condition
-    splittings; all results stay tagged by coupling monomial (every
+    The Laplace image of the connected correlation at order two is
+    ``sum_k R (V R)^k i_(2-k)`` with ``i_n`` the order-n regression initial
+    condition and ``R`` the drift resolvent at ``z = -i nu``.  It is
+    evaluated nested, ``R (i_2 + V R (i_1 + V R i_0))``, on the whole grid
+    at once: the stacked inverses are formed once and applied in three
+    batched resolves.  All results stay tagged by coupling monomial (every
     surviving monomial has total degree two).
     """
     nus = np.asarray(nus, dtype=float)
+    if not np.all(np.isfinite(nus)):
+        raise ValueError("frequencies nus must be finite")
     orders = perturbative_orders(gen, 2)
     inits = regression_initials(gen, orders)
 
-    auto_parts = tuple({} for _ in range(3))
-    exch_parts = tuple({} for _ in range(3))
-    for i, nu in enumerate(nus):
-        z = -1j * nu
-        for k in range(3):
-            top = resolvent_apply(gen, z, inits[2 - k], max_order=k)[k]
-            for mono, vec in top.items():
-                for store, idx in ((auto_parts[k], 0), (exch_parts[k], 3)):
-                    if mono not in store:
-                        store[mono] = np.zeros(len(nus), dtype=complex)
-                    store[mono][i] += vec[idx]
+    z = -1j * nus
+    greens = (gen.single_green(z), gen.pair_green(z))
+    nested: TaggedVector = {}
+    for init in inits:
+        source = _couple(gen, nested)
+        for mono, vec in init.items():
+            _tagged_add(source, mono, vec)
+        nested = _resolve(gen, greens, source)
 
     elastic_auto: dict = {}
     elastic_exch: dict = {}
@@ -600,8 +580,8 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
                 _tagged_add(elastic_exch, key, xp[1] * xq[3])
     return FixedConfigSpectra(
         nu=nus,
-        autocorrelation_parts=auto_parts,
-        exchange_parts=exch_parts,
+        autocorrelation={mono: vec[..., 0] for mono, vec in nested.items()},
+        exchange={mono: vec[..., 3] for mono, vec in nested.items()},
         elastic_autocorrelation=elastic_auto,
         elastic_exchange=elastic_exch,
     )

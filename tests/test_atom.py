@@ -8,7 +8,7 @@ from scipy.integrate import quad, solve_ivp
 
 from cbs2atom import atom
 from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS, conj_swap
-from cbs2atom.linalg import green_direct
+from cbs2atom.linalg import DegenerateSpectrumError, green
 
 
 def make(rabi, delta=0.0, gamma=1.0, phase=0.0):
@@ -221,12 +221,26 @@ def test_first_order_response_dual_solve_paths():
     sys = make(2.0)
     for sign in (+1, -1):
         chain = atom.delta_sigma_first(sys, sign, 0.8)
-        dense = green_direct(sys.M, sign * 0.8j) @ (
+        dense = green(sys.decomp, sign * 0.8j) @ (
             (DELTA_PLUS if sign == 1 else DELTA_MINUS) @ sys.steady
         )
         assert np.allclose(chain, dense, atol=1e-11)
     with pytest.raises(ValueError):
         atom.delta_sigma_first(sys, 0, 1.0)
+
+
+def test_green_at_the_jordan_point_stacks_the_inverses():
+    # rabi = gamma/2 on resonance: the generator is defective, so there is no
+    # spectral decomposition, but the resolvent is regular off the spectrum
+    sys = make(0.5)
+    with pytest.raises(DegenerateSpectrumError):
+        sys.decomp
+    zs = np.array([0.0, -0.7j, 2.3j, 0.4 + 1.0j])
+    stacked = sys.green(zs)
+    assert stacked.shape == (4, 3, 3)
+    for z, g in zip(zs, stacked):
+        assert np.allclose((z * np.eye(3) - sys.M) @ g, np.eye(3), rtol=0, atol=1e-14)
+        assert np.allclose(g, sys.green(z), rtol=0, atol=1e-15)
 
 
 def test_second_order_response_undriven_routes_through_inversion():

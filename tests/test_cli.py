@@ -130,6 +130,24 @@ def test_zero_drive_exits_with_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf"])
+def test_non_finite_window_start_exits_with_usage_error(tmp_path, capsys, x0):
+    argv = ["spectrum", "--rabi", "2", "--method", "oracle", "--x0", x0, *GRID,
+            "--output", str(tmp_path)]
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", ["analytic", "oracle"])
+@pytest.mark.parametrize("bound", ["--nu-min=-inf", "--nu-max=inf", "--nu-max=nan"])
+def test_non_finite_grid_exits_with_usage_error(tmp_path, capsys, method, bound):
+    argv = ["spectrum", "--rabi", "2", "--method", method, bound, "--output", str(tmp_path)]
+    assert main(argv) == 2
+    assert "nu_min and nu_max must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_summary_has_one_row_per_drive(tmp_path, capsys):
     argv = ["sweep", "--rabi", 0.7, 2, "--detuning", 0, 1, *GRID, "--output", tmp_path]
     assert run(argv, capsys) == 0

@@ -103,6 +103,13 @@ def test_sampler_validates_window_and_size():
         ConfigSampler(samples=10)
 
 
+@pytest.mark.parametrize("x_start", [np.nan, np.inf, -np.inf])
+def test_sampler_rejects_a_non_finite_window_start(x_start):
+    # nan < 50 is False, so an ordered comparison alone lets nan through
+    with pytest.raises(ValueError, match="finite"):
+        ConfigSampler(x_start=x_start)
+
+
 def test_sampler_draws_inside_window_with_isotropic_orientations():
     sampler = small_sampler(seed=5)
     seps = []

@@ -10,9 +10,10 @@ from cbs2atom.linalg import (
     DegenerateSpectrumError,
     PoleProximityError,
     eigen_decompose,
+    DEGENERACY_TOL,
     green,
-    green_direct,
     kron,
+    resolve,
 )
 
 
@@ -77,7 +78,8 @@ def test_non_finite_input_rejected():
 
 def test_resolvent_at_zero_is_inverse_of_undriven_generator():
     # Decomposition-free path: valid even at the degenerate point rabi=delta=0.
-    G = green_direct(bloch_matrix(0.0, 0.0), 0.0)
+    M = bloch_matrix(0.0, 0.0)
+    G = resolve(M, 0.0, np.eye(3), np.linalg.eigvals(M))
     assert np.allclose(G, np.diag([1.0, 1.0, 0.5]), atol=1e-14)
 
 
@@ -88,7 +90,7 @@ def test_resolvent_matches_dense_solve():
         dec = eigen_decompose(M)
         z = 1j * rng.uniform(-50.0, 50.0)
         Gp = green(dec, z)
-        Gd = green_direct(M, z)
+        Gd = resolve(M, z, np.eye(3), dec.eigenvalues)
         assert np.max(np.abs(Gp - Gd)) <= 1e-11 * max(1.0, np.max(np.abs(Gd)))
 
 
@@ -102,6 +104,51 @@ def test_resolvent_pole_proximity_rejected():
     dec = eigen_decompose(bloch_matrix(2.0, 1.0))
     with pytest.raises(PoleProximityError):
         green(dec, dec.eigenvalues[0] + 1e-10)
+
+
+def test_resolve_guard_covers_every_batch_element():
+    M = bloch_matrix(2.0, 0.5)
+    poles = np.linalg.eigvals(M)
+    vec = np.ones(3, dtype=complex)
+    z = np.array([0.3j, -2.0j, poles[1] + 0.5 * DEGENERACY_TOL])
+    with pytest.raises(PoleProximityError):
+        resolve(M, z, vec[..., None], poles)
+    far = z[:2]
+    got = resolve(M, far, vec[..., None], poles)[..., 0]
+    for zi, row in zip(far, got):
+        assert np.allclose(row, np.linalg.solve(zi * np.eye(3) - M, vec),
+                           rtol=0, atol=1e-14)
+
+
+def test_resolve_guard_scales_with_the_decay_rate():
+    # a generator at gamma = 2: the guard radius is DEGENERACY_TOL * gamma
+    M = bloch_matrix(4.0, 1.0, gamma=2.0)
+    poles = np.linalg.eigvals(M)
+    with pytest.raises(PoleProximityError):
+        resolve(M, poles[0] + 1.5 * DEGENERACY_TOL, np.ones((3, 1)), poles, gamma=2.0)
+    resolve(M, poles[0] + 3.0 * DEGENERACY_TOL, np.ones((3, 1)), poles, gamma=2.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_resolve_rejects_non_finite_arguments(bad):
+    # a nan compares False against the guard radius, so it is caught first
+    M = bloch_matrix(2.0, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        resolve(M, np.array([0.5j, bad]), np.eye(3), np.linalg.eigvals(M))
+
+
+def test_resolve_stacks_matrix_and_vector_right_hand_sides():
+    M = bloch_matrix(1.3, 0.8)
+    poles = np.linalg.eigvals(M)
+    z = np.array([[0.0, -1.1j], [2.5j, 0.4 - 3.0j]])
+    inverse = resolve(M, z, np.eye(3), poles)
+    assert inverse.shape == (2, 2, 3, 3)
+    vecs = np.arange(12.0).reshape(2, 2, 3) + 1j
+    applied = resolve(M, z, vecs[..., None], poles)[..., 0]
+    for idx in np.ndindex(z.shape):
+        want = np.linalg.inv(z[idx] * np.eye(3) - M)
+        assert np.allclose(inverse[idx], want, rtol=0, atol=1e-14)
+        assert np.allclose(applied[idx], want @ vecs[idx], rtol=0, atol=1e-13)
 
 
 def test_kron_identity_and_flat_index():

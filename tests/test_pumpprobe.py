@@ -15,11 +15,9 @@ from cbs2atom.atom import (
     p_minus,
     p_plus,
 )
-from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError
 from cbs2atom.pumpprobe import (
     BichromaticDrive,
     TruncationError,
-    _resolve,
     channel_densities,
     correlation_coefficient,
     equivalence_report,
@@ -170,32 +168,6 @@ def test_inelastic_density_symmetric_under_joint_reflection():
     direct = extracted_functions(make_drive(delta=1.7), nus)["p0"]
     mirrored = extracted_functions(make_drive(delta=-1.7), -nus)["p0"]
     assert np.allclose(direct, mirrored, rtol=0, atol=1e-14)
-
-
-# ---- batched resolvent ----
-
-
-def test_resolvent_guard_covers_every_batch_element():
-    system = build(PUMP)
-    vec = np.ones(3, dtype=complex)
-    pole = system.eigenvalues[1]
-    z = np.array([0.3j, -2.0j, pole + 0.5 * DEGENERACY_TOL])
-    with pytest.raises(PoleProximityError):
-        _resolve(system, z, vec)
-    far = z[:2]
-    got = _resolve(system, far, vec)
-    for zi, row in zip(far, got):
-        assert np.allclose(row, np.linalg.solve(zi * np.eye(3) - system.M, vec),
-                           rtol=0, atol=1e-14)
-
-
-def test_resolvent_guard_scales_with_the_decay_rate():
-    # a pump at gamma = 2: the guard radius is DEGENERACY_TOL * gamma
-    system = build(AtomDriveParams(rabi=4.0, delta=1.0, gamma=2.0))
-    pole = system.eigenvalues[0]
-    with pytest.raises(PoleProximityError):
-        _resolve(system, pole + 1.5 * DEGENERACY_TOL, np.ones(3))
-    _resolve(system, pole + 3.0 * DEGENERACY_TOL, np.ones(3))
 
 
 # ---- averaged channels from the extracted correlations ----

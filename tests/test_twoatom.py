@@ -238,6 +238,16 @@ def test_single_and_pair_green_invert_their_blocks():
     assert np.allclose((z * np.eye(9) - gen.correlation_block) @ gp, np.eye(9), atol=1e-12)
 
 
+def test_greens_stack_over_an_array_of_z():
+    gen = make_gen(rabi=0.5, delta=0.0)
+    zs = np.array([0.0, -0.8j, 2.1j])
+    singles, pairs = gen.single_green(zs), gen.pair_green(zs)
+    assert singles.shape == (3, 6, 6) and pairs.shape == (3, 9, 9)
+    for z, gs, gp in zip(zs, singles, pairs):
+        assert np.allclose(gs, gen.single_green(z), rtol=0, atol=1e-15)
+        assert np.allclose(gp, gen.pair_green(z), rtol=0, atol=1e-15)
+
+
 def test_pair_green_guards_pole_proximity():
     gen = make_gen()
     with pytest.raises(PoleProximityError):
@@ -583,18 +593,43 @@ def test_spectrum_matches_time_domain_regression():
             assert abs(direct[comp] - order_sum[comp]) < abs(gen.coupling) ** 3
 
 
-def test_spectrum_parts_sum_and_split_by_resolvent_order():
-    gen = make_gen()
-    nus = np.array([-1.0, 0.5])
+@pytest.mark.parametrize("rabi, delta", [(2.0, 0.5), (0.5, 0.0)], ids=["generic", "jordan"])
+def test_nested_spectrum_equals_the_explicit_order_sum(rabi, delta):
+    """``R (i2 + V R (i1 + V R i0))`` on the grid against the sum over k of
+    ``R (V R)^k i_(2-k)`` solved one frequency at a time."""
+    gen = make_gen(rabi=rabi, delta=delta)
+    nus = np.array([-2.3, 0.0, 1.7])
     spec = ta.fixed_config_spectrum(gen, nus)
-    total = np.zeros(len(nus), dtype=complex)
-    for arr in spec.autocorrelation.values():
-        total += arr
-    rebuilt = np.zeros(len(nus), dtype=complex)
-    for part in spec.autocorrelation_parts:
-        for arr in part.values():
-            rebuilt += arr
-    assert np.allclose(total, rebuilt, atol=1e-18)
+    inits = ta.regression_initials(gen, ta.perturbative_orders(gen, 2))
+    for i, nu in enumerate(nus):
+        explicit: dict = {}
+        for k in range(3):
+            for mono, vec in ta.resolvent_apply(gen, -1j * nu, inits[2 - k], k)[k].items():
+                explicit[mono] = explicit.get(mono, 0.0) + vec
+        assert set(explicit) == set(spec.autocorrelation) == set(spec.exchange)
+        scale = max(np.max(np.abs(vec)) for vec in explicit.values())
+        for mono, vec in explicit.items():
+            assert abs(spec.autocorrelation[mono][i] - vec[0]) < 1e-13 * scale
+            assert abs(spec.exchange[mono][i] - vec[3]) < 1e-13 * scale
+
+
+def test_spectrum_frequencies_alone_match_the_full_grid():
+    gen = make_gen()
+    grid = np.linspace(-15.0, 15.0, 601)
+    full = ta.fixed_config_spectrum(gen, grid)
+    for i in (0, 137, 300, 451, 600):
+        alone = ta.fixed_config_spectrum(gen, grid[i:i + 1])
+        for store, ref in ((alone.autocorrelation, full.autocorrelation),
+                           (alone.exchange, full.exchange)):
+            scale = max(np.max(np.abs(arr)) for arr in ref.values())
+            for mono, arr in store.items():
+                assert abs(arr[0] - ref[mono][i]) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spectrum_rejects_non_finite_frequencies(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ta.fixed_config_spectrum(make_gen(), [0.0, bad])
 
 
 # ------------------------------------------------------------------ intensity
