@@ -11,7 +11,8 @@ configuration (:mod:`cbs2atom.spectra`, built on :mod:`cbs2atom.twoatom`).
 Independent routes serve as test oracles:
 
 * the closed form in single-atom observables, with frequency integrals by
-  residues (the ``compact_*`` functions of :mod:`cbs2atom.spectra`),
+  residues (the ``compact_*`` functions of :mod:`cbs2atom.residues`, which
+  no production module imports),
 * a bichromatic pump-probe solver for a single driven atom
   (:mod:`cbs2atom.pumpprobe`),
 * Monte-Carlo averages over random geometries of every coupling monomial,

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 import cbs2atom
 from cbs2atom.atom import AtomDriveParams, build, mollow_p0, steady_state
@@ -26,18 +25,15 @@ from cbs2atom.residues import (
     check_sum_rule_I,
     check_sum_rule_II,
     check_sum_rule_III,
+    compact_crossed,
+    compact_ladder,
 )
 from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
-    _contrast,
     cbs_spectra,
-    compact_crossed,
-    compact_ladder,
     elastic_crossed,
     elastic_ladder,
-    inelastic_crossed,
-    inelastic_ladder,
 )
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
@@ -195,12 +191,6 @@ def _plot_script(table: str, sidecar: str, png: str) -> str:
 # ----------------------------------------------------------------------------
 
 
-def _result(drive: AtomDriveParams, ladder: SpectralFunctionGrid,
-            crossed: SpectralFunctionGrid) -> CbsResult:
-    return CbsResult(drive=drive, ladder=ladder, crossed=crossed,
-                     enhancement=_contrast(ladder, crossed))
-
-
 def _evaluate(cfg: RunConfig) -> tuple:
     """Averaged signal, table columns and sidecar summary of one
     configuration."""
@@ -211,14 +201,14 @@ def _evaluate(cfg: RunConfig) -> tuple:
         result = cbs_spectra(drive, nus=nus)
     elif cfg.method == "pump-probe":
         got = channel_densities(drive, nus)
-        result = _result(drive,
-                         SpectralFunctionGrid(nus, got["ladder"], elastic_ladder(drive)),
-                         SpectralFunctionGrid(nus, got["crossed"], elastic_crossed(drive)))
+        result = CbsResult(drive,
+                           SpectralFunctionGrid(nus, got["ladder"], elastic_ladder(drive)),
+                           SpectralFunctionGrid(nus, got["crossed"], elastic_crossed(drive)))
     else:
         sampler = ConfigSampler(x_start=cfg.x0, periods=cfg.periods,
                                 samples=cfg.samples, seed=cfg.seed)
         averaged = monte_carlo_spectra(drive, sampler, nus)
-        result = _result(
+        result = CbsResult(
             drive,
             SpectralFunctionGrid(nus, np.real(averaged.ladder.mean) / np.pi,
                                  float(np.real(averaged.elastic_ladder.mean))),
@@ -348,13 +338,12 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
         geometry_crossed = per_power(
             select_surviving(spec.exchange, "crossed", phase)[CROSSED_MONOMIAL],
             select_surviving(spec.elastic_exchange, "crossed", phase)[CROSSED_MONOMIAL])
-        ladder = inelastic_ladder(drive, nus=nus)
-        crossed = inelastic_crossed(drive, nus=nus)
+        result = cbs_spectra(drive, nus=nus)
         pairs = {
-            "fixed-config-ladder": (geometry_ladder, ladder),
-            "fixed-config-crossed": (geometry_crossed, crossed),
-            "compact-ladder": (ladder, compact_ladder(drive, nus)),
-            "compact-crossed": (crossed, compact_crossed(drive, nus)),
+            "fixed-config-ladder": (geometry_ladder, result.ladder),
+            "fixed-config-crossed": (geometry_crossed, result.crossed),
+            "compact-ladder": (result.ladder, compact_ladder(drive, nus)),
+            "compact-crossed": (result.crossed, compact_crossed(drive, nus)),
         }
         for name, (got, ref) in pairs.items():
             route, _, channel = name.rpartition("-")
@@ -366,6 +355,8 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
 
 
 def _suite_physics(tolerance, nu_points: int) -> list:
+    from scipy.integrate import quad
+
     def bound(default: float) -> float:
         return default if tolerance is None else tolerance
 

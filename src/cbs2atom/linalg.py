@@ -180,14 +180,3 @@ def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray,
         raise PoleProximityError(
             f"z={z.flat[np.argmin(gap)]} within {np.min(gap):.3e} of an eigenvalue")
     return np.linalg.solve(z[..., None, None] * np.eye(len(M)) - M, rhs)
-
-
-def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Tensor (Kronecker) product with row-major flat indexing.
-
-    For 3-vectors the component ``(a)_i (b)_j`` sits at flat index
-    ``3*i + j`` (0-based); for matrices ``kron(A, B) @ kron(a, b)`` equals
-    ``kron(A @ a, B @ b)``.  This is numpy's native convention; the wrapper
-    exists to pin it down in one documented place.
-    """
-    return np.kron(np.asarray(A), np.asarray(B))

@@ -27,7 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from cbs2atom.atom import (
     DELTA_MINUS,
@@ -43,6 +42,7 @@ from cbs2atom.atom import p2 as closed_form_p2
 from cbs2atom.atom import p_minus as closed_form_p_minus
 from cbs2atom.atom import p_plus as closed_form_p_plus
 from cbs2atom.linalg import resolve
+from cbs2atom.spectra import simpson
 
 
 class TruncationError(RuntimeError):
@@ -70,37 +70,18 @@ class BichromaticDrive:
         return max(abs(self.v_plus), abs(self.v_minus)) <= 1e-2 * scale
 
 
-@dataclass(frozen=True, eq=False)
-class HarmonicState:
-    """Stationary state split by probe order (p, q) and harmonic index.
+def harmonic_orders(system: BlochSystem, w, max_plus: int = 1,
+                    max_minus: int = 1) -> dict:
+    """Stationary response order by order in the probe amplitudes.
 
-    ``coefficients[(p, q)]`` maps harmonic ``n`` (time dependence
-    ``exp(-i n w t)``) to the Taylor coefficient of ``v_plus**p *
-    v_minus**q``.  Each pure order populates the single harmonic
-    ``n = p - q``: every plus-probe photon shifts the frequency one step
-    down, every minus-probe photon one step up.
-    """
-
-    drive: BichromaticDrive
-    coefficients: dict
-
-    def coefficient(self, p: int, q: int, harmonic: int) -> np.ndarray:
-        return self.coefficients.get((p, q), {}).get(
-            harmonic, np.zeros(3, dtype=complex))
-
-    def contribution(self, p: int, q: int, harmonic: int) -> np.ndarray:
-        """Coefficient weighted by the drive's probe amplitudes."""
-        weight = self.drive.v_plus ** p * self.drive.v_minus ** q
-        return weight * self.coefficient(p, q, harmonic)
-
-
-def _harmonic_orders(system: BlochSystem, w, max_plus: int,
-                     max_minus: int) -> dict:
-    """:func:`harmonic_solve` for an array of probe detunings ``w``.
-
-    Returns ``{(p, q): vec}`` with ``vec`` the coefficient of the single
-    harmonic ``p - q`` that order populates, shape ``w.shape + (3,)``;
-    order (0, 0) is the steady state, shape ``(3,)``.
+    Returns ``{(p, q): vec}``: the Taylor coefficient of ``v_plus**p *
+    v_minus**q``, which populates the single harmonic ``n = p - q`` (time
+    dependence ``exp(-i n w t)``): every plus-probe photon shifts the
+    frequency one step down, every minus-probe photon one step up.  Order
+    (0, 0) is the pump-only steady state, shape ``(3,)``; each higher order
+    is driven by the two couplers acting on the orders with one fewer probe
+    photon and solved at its own harmonic frequency, for the whole array of
+    probe detunings ``w`` at once, shape ``w.shape + (3,)``.
     """
     orders = {(0, 0): system.steady}
     for p in range(max_plus + 1):
@@ -115,20 +96,6 @@ def _harmonic_orders(system: BlochSystem, w, max_plus: int,
             orders[(p, q)] = resolve(system.M, -1j * (p - q) * w, source[..., None],
                                      system.eigenvalues, system.params.gamma)[..., 0]
     return orders
-
-
-def harmonic_solve(drive: BichromaticDrive, max_plus: int = 1,
-                   max_minus: int = 1) -> HarmonicState:
-    """Stationary response order by order in the probe amplitudes.
-
-    Order (0, 0) is the pump-only steady state; each higher order is
-    driven by the two couplers acting on the orders with one fewer probe
-    photon and solved at its own harmonic frequency.
-    """
-    orders = _harmonic_orders(build(drive.pump), drive.probe_detuning,
-                              max_plus, max_minus)
-    return HarmonicState(drive=drive, coefficients={
-        (p, q): {p - q: vec} for (p, q), vec in orders.items()})
 
 
 # ----------------------------------------------------------------------------
@@ -180,7 +147,7 @@ def _coefficient(system: BlochSystem, orders: dict, w, order: tuple,
                  nu) -> np.ndarray:
     """Delta coefficient at probe order ``order`` for broadcast arrays of
     probe detunings ``w`` and emission frequencies ``nu``; ``orders`` is
-    :func:`_harmonic_orders` at the same ``w``, up to at least ``order``."""
+    :func:`harmonic_orders` at the same ``w``, up to at least ``order``."""
     p, q = order
     couplers = {"+": DELTA_MINUS.T, "-": DELTA_PLUS.T}
     steps = {"+": 1, "-": -1}
@@ -225,7 +192,7 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
         raise ValueError("probe orders must be nonnegative")
     system = build(drive.pump)
     w = drive.probe_detuning
-    orders = _harmonic_orders(system, w, p, q)
+    orders = harmonic_orders(system, w, p, q)
     return complex(_coefficient(system, orders, w, order, nu))
 
 
@@ -239,7 +206,7 @@ def extracted_functions(drive: BichromaticDrive, nus) -> dict:
     nus = np.asarray(nus, dtype=float)
     system = build(drive.pump)
     w = drive.probe_detuning
-    orders = _harmonic_orders(system, w, 1, 1)
+    orders = harmonic_orders(system, w, 1, 1)
     return {
         "p0": _coefficient(system, orders, w, (0, 0), nus) / (2 * np.pi),
         "plus_probe": _coefficient(system, orders, w, (1, 0), nus),
@@ -349,26 +316,26 @@ def channel_densities(pump: AtomDriveParams, nus, *,
 
     system = build(pump)
     b_minus, b_plus = system.steady[0], system.steady[1]
-    at_zero = _harmonic_orders(system, 0.0, 1, 1)
-    inner = _harmonic_orders(system, us, 1, 1)
+    at_zero = harmonic_orders(system, 0.0, 1, 1)
+    inner = harmonic_orders(system, us, 1, 1)
     p0_inner = _coefficient(system, at_zero, 0.0, (0, 0), us) / (2 * np.pi)
 
     # first-order amplitude responses at the emission frequency
-    d_minus_up = _harmonic_orders(system, -nus, 1, 0)[(1, 0)]
-    at_nu = _harmonic_orders(system, nus, 1, 1)
+    d_minus_up = harmonic_orders(system, -nus, 1, 0)[(1, 0)]
+    at_nu = harmonic_orders(system, nus, 1, 1)
     d_minus_down, d_plus_up = at_nu[(1, 0)], at_nu[(0, 1)]
 
     ladder_conv = np.empty(len(nus), dtype=complex)
     crossed_conv = np.empty(len(nus), dtype=complex)
     for i, nu in enumerate(nus):
         mixed = _coefficient(system, inner, us, (1, 1), nu)
-        ladder_conv[i] = simpson(p0_inner * mixed, x=us)
+        ladder_conv[i] = simpson(p0_inner * mixed, us)
 
         forward = _coefficient(system, inner, us, (0, 1), nu)
         ws = nu - us
         reflected = np.conj(_coefficient(
-            system, _harmonic_orders(system, ws, 0, 1), ws, (0, 1), nu))
-        crossed_conv[i] = simpson(forward * reflected, x=us) / (2 * np.pi)
+            system, harmonic_orders(system, ws, 0, 1), ws, (0, 1), nu))
+        crossed_conv[i] = simpson(forward * reflected, us) / (2 * np.pi)
 
     pump_elastic = b_plus * b_minus * _coefficient(system, at_zero, 0.0, (1, 1), nus)
     direct = (_coefficient(system, at_zero, 0.0, (0, 0), nus) / (2 * np.pi)
@@ -446,6 +413,8 @@ def time_domain_coefficient(drive: BichromaticDrive, channel: int, nus, *,
     by Simpson quadrature.  Slow by design — shares no algebra with the
     perturbative extraction it validates.
     """
+    from scipy.integrate import solve_ivp
+
     nus = np.asarray(nus, dtype=float)
     system = build(drive.pump)
     w = drive.probe_detuning

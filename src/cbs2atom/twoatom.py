@@ -24,8 +24,10 @@ as stacked dense solves over whole frequency grids (:func:`resolvent_apply`).
 :func:`fixed_config_spectrum` on one canonical configuration
 (:func:`canonical_configuration`) is the production route of the averaged
 channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
-average in :mod:`cbs2atom.disorder`; the single-atom closed forms in
-:mod:`cbs2atom.spectra` are validated against it.
+average in :mod:`cbs2atom.disorder`.  The printed closed-form
+transcriptions of the first orders and the frequency-integral
+representation of the pair resolvent, which check these recurrences, live
+with the residue algebra in :mod:`cbs2atom.residues`.
 """
 
 from __future__ import annotations
@@ -44,18 +46,8 @@ from cbs2atom.atom import (
     AtomDriveParams,
     BlochSystem,
     build,
-    g0_vectors,
 )
 from cbs2atom.linalg import resolve
-from cbs2atom.residues import (
-    Chain,
-    GreenFactor,
-    embed_first_slot,
-    embed_second_slot,
-    expand_chain,
-    integrate_chains,
-    integrate_pole_sum,
-)
 
 #: The four coupling channels: "jk" transfers excitation via the raising
 #: operator of atom j and the lowering operator of atom k; a trailing "*"
@@ -200,16 +192,6 @@ class TwoAtomGenerator:
     atom1: BlochSystem
     atom2: BlochSystem
     coupling: complex
-
-    def amplitude(self, tag: str) -> complex:
-        """Coupling amplitude of one channel: ``T`` or its conjugate."""
-        return np.conj(self.coupling) if tag.endswith("*") else self.coupling
-
-    def monomial_amplitude(self, monomial: tuple) -> complex:
-        out = 1.0 + 0.0j
-        for tag in monomial:
-            out *= self.amplitude(tag)
-        return out
 
     # -- drift / drive blocks -------------------------------------------------
 
@@ -618,154 +600,4 @@ def double_scattering_intensity(gen: TwoAtomGenerator, direction,
         _tagged_add(out, mono, 0.5 * (vec[2] + vec[5]))
     for mono, vec in orders.correlation[2].items():
         _tagged_add(out, mono, vec[3] * phase + vec[1] * np.conj(phase))
-    return out
-
-
-# -- explicit closed-form transcriptions (oracles for the recurrences) ---------
-
-
-def _pair_integral(system_one: BlochSystem, system_two: BlochSystem,
-                   sign_one: int, sign_two: int, seed: np.ndarray) -> np.ndarray:
-    """Residue-evaluated ``integral dw/2pi G1(s1*i*w) (x) G2(s2*i*w)`` on a seed."""
-    ops = (
-        GreenFactor(embed_first_slot(system_one.decomp), sign_one),
-        GreenFactor(embed_second_slot(system_two.decomp), sign_two),
-    )
-    ps = expand_chain(Chain(ops=ops, seed=seed))
-    return np.asarray(
-        integrate_pole_sum(ps, "w1", gamma=system_one.params.gamma).constant()
-    )
-
-
-def pair_resolvent_integral(gen: TwoAtomGenerator, z: complex = 0.0,
-                            orientation: int = +1) -> np.ndarray:
-    """Pair-correlation resolvent via the frequency-integral representation.
-
-    Splits ``(z - M_corr)^{-1}`` into a line integral over single-atom
-    resolvents at ``z/2 +- i w``; ``orientation`` selects which slot gets
-    the upper sign (both choices must agree).  Cross-validates
-    :meth:`TwoAtomGenerator.pair_green`.
-    """
-    if abs(complex(z).real) > 1e-12:
-        raise ValueError("integral representation requires an imaginary argument")
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    half = complex(z) / 2.0
-    ops = (
-        GreenFactor(embed_first_slot(gen.atom1.decomp), orientation, half),
-        GreenFactor(embed_second_slot(gen.atom2.decomp), -orientation, half),
-    )
-    ps = expand_chain(Chain(ops=ops))
-    return np.asarray(integrate_pole_sum(ps, "w1", gamma=gen.config.gamma).constant())
-
-
-def single_first_order_explicit(gen: TwoAtomGenerator) -> tuple:
-    """First-order Bloch corrections as the printed two-term chains.
-
-    Returns tagged 3-vectors ``(atom2_part, atom1_part)``: each atom is
-    pushed by the field scattered from the other's stationary coherence,
-    once co-rotating and once counter-rotating.
-    """
-    t = gen.coupling
-    tc = np.conj(t)
-    s1, s2 = gen.atom1.steady, gen.atom2.steady
-    g1, g2 = gen.atom1.green(0.0), gen.atom2.green(0.0)
-    atom2_part = {
-        ("12",): 2j * t * s1[1] * (g2 @ (DELTA_PLUS @ s2)),
-        ("21*",): -2j * tc * s1[0] * (g2 @ (DELTA_MINUS @ s2)),
-    }
-    atom1_part = {
-        ("21",): 2j * t * s2[1] * (g1 @ (DELTA_PLUS @ s1)),
-        ("12*",): -2j * tc * s2[0] * (g1 @ (DELTA_MINUS @ s1)),
-    }
-    return atom2_part, atom1_part
-
-
-def pair_first_order_explicit(gen: TwoAtomGenerator,
-                              printed_final_term: bool = False) -> TaggedVector:
-    """First-order pair correlations as the printed eight-term expression.
-
-    Four algebraic terms (stationary coherence times first-order response)
-    plus four frequency integrals over opposite-sign resolvent pairs.  The
-    eighth term appears in its source with the second resolvent argument
-    at the same sign as the first, which closes the contour away from all
-    poles and yields exactly zero; ``printed_final_term=True`` reproduces
-    that literal reading, the default restores the opposite-sign pairing
-    that matches the recurrences.
-    """
-    t = gen.coupling
-    tc = np.conj(t)
-    a1, a2 = gen.atom1, gen.atom2
-    s1, s2 = a1.steady, a2.steady
-    g1, g2 = a1.green(0.0), a2.green(0.0)
-    g0_first_1, g0_second_1 = g0_vectors(a1)
-    g0_first_2, g0_second_2 = g0_vectors(a2)
-
-    out: TaggedVector = {}
-    _tagged_add(out, ("21*",), -2j * tc * s1[0] * np.kron(s1, g2 @ (DELTA_MINUS @ s2)))
-    _tagged_add(out, ("12",), 2j * t * s1[1] * np.kron(s1, g2 @ (DELTA_PLUS @ s2)))
-    _tagged_add(out, ("21",), 2j * t * s2[1] * np.kron(g1 @ (DELTA_PLUS @ s1), s2))
-    _tagged_add(out, ("12*",), -2j * tc * s2[0] * np.kron(g1 @ (DELTA_MINUS @ s1), s2))
-
-    _tagged_add(out, ("21*",),
-                -2j * tc * _pair_integral(a1, a2, +1, -1, np.kron(g0_first_1, DELTA_MINUS @ s2)))
-    _tagged_add(out, ("12",),
-                2j * t * _pair_integral(a1, a2, -1, +1, np.kron(g0_second_1, DELTA_PLUS @ s2)))
-    _tagged_add(out, ("21",),
-                2j * t * _pair_integral(a1, a2, +1, -1, np.kron(DELTA_PLUS @ s1, g0_second_2)))
-    final_sign = -1 if printed_final_term else +1
-    _tagged_add(out, ("12*",),
-                -2j * tc * _pair_integral(a1, a2, -1, final_sign, np.kron(DELTA_MINUS @ s1, g0_first_2)))
-    return out
-
-
-def single_second_order_explicit(gen: TwoAtomGenerator) -> TaggedVector:
-    """Squared-magnitude part of the second-order atom-2 Bloch correction.
-
-    The printed eight terms: four products of stationary factors with
-    double-response chains, four frequency integrals pairing a first-atom
-    spectral factor with a second-atom response chain.  Monomials with two
-    equal tags (squared amplitudes) are not part of this transcription.
-    """
-    t = gen.coupling
-    tt = t * np.conj(t)
-    a1, a2 = gen.atom1, gen.atom2
-    d1, d2 = a1.decomp, a2.decomp
-    gamma = gen.config.gamma
-    s1, s2 = a1.steady, a2.steady
-    g1, g2 = a1.green(0.0), a2.green(0.0)
-    g0_first_1, g0_second_1 = g0_vectors(a1)
-    g0_first_2, g0_second_2 = g0_vectors(a2)
-
-    out: TaggedVector = {}
-    _tagged_add(out, LADDER_MONOMIAL,
-                4.0 * tt * s1[1] * s1[0] * (g2 @ (DELTA_MINUS @ (g2 @ (DELTA_PLUS @ s2)))))
-    _tagged_add(out, LADDER_MONOMIAL,
-                4.0 * tt * s1[1] * s1[0] * (g2 @ (DELTA_PLUS @ (g2 @ (DELTA_MINUS @ s2)))))
-    _tagged_add(out, CROSSED_MONOMIAL,
-                4.0 * tt * s2[0] * (g1 @ (DELTA_MINUS @ s1))[1] * (g2 @ (DELTA_PLUS @ s2)))
-    _tagged_add(out, ("21", "21*"),
-                4.0 * tt * s2[1] * (g1 @ (DELTA_PLUS @ s1))[0] * (g2 @ (DELTA_MINUS @ s2)))
-
-    def paired(mono, scalar_chain, vector_ops, vector_seed):
-        value = np.array([
-            integrate_chains(
-                [scalar_chain, Chain(ops=vector_ops, seed=vector_seed, extract=comp)],
-                ("w1",), gamma=gamma)
-            for comp in range(3)
-        ])
-        _tagged_add(out, mono, 4.0 * tt * value)
-
-    paired(LADDER_MONOMIAL,
-           Chain(ops=(GreenFactor(d1, -1),), seed=g0_second_1, extract=0),
-           (g2, DELTA_MINUS, GreenFactor(d2, +1), DELTA_PLUS), s2)
-    paired(LADDER_MONOMIAL,
-           Chain(ops=(GreenFactor(d1, +1),), seed=g0_first_1, extract=1),
-           (g2, DELTA_PLUS, GreenFactor(d2, -1), DELTA_MINUS), s2)
-    paired(CROSSED_MONOMIAL,
-           Chain(ops=(GreenFactor(d1, +1), DELTA_MINUS), seed=s1, extract=1),
-           (g2, DELTA_PLUS, GreenFactor(d2, -1)), g0_first_2)
-    paired(("21", "21*"),
-           Chain(ops=(GreenFactor(d1, +1), DELTA_PLUS), seed=s1, extract=0),
-           (g2, DELTA_MINUS, GreenFactor(d2, -1)), g0_second_2)
     return out

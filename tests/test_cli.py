@@ -1,13 +1,16 @@
 """Command-line front end: emitted files, exit codes, reproducibility."""
 
 import json
+import os
 import runpy
+import subprocess
 import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import cbs2atom
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.cli import main
 from cbs2atom.spectra import cbs_spectra
@@ -196,3 +199,34 @@ def test_sweep_plot_script_reads_its_table(tmp_path, capsys, monkeypatch, stub_m
     assert np.array_equal(data["rabi"], summary["rabi"])
     assert np.array_equal(data["enhancement"], summary["enhancement"])
     assert stub_matplotlib.subplots.return_value[1].plot.call_count == 2
+
+
+_IMPORT_GRAPH = """
+import sys
+
+import cbs2atom.disorder, cbs2atom.pumpprobe, cbs2atom.spectra, cbs2atom.twoatom
+assert "cbs2atom.residues" not in sys.modules, "a production module imports residues"
+
+from cbs2atom.cli import main
+
+out = sys.argv[1]
+grid = ["--nu-min", "-6", "--nu-max", "6", "--nu-points", "5"]
+for argv in (["spectrum", "--rabi", "2", *grid],
+             ["spectrum", "--rabi", "2", "--method", "oracle", "--samples", "1000", *grid],
+             ["spectrum", "--rabi", "2", "--method", "pump-probe", "--nu-points", "3"],
+             ["sweep", "--rabi", "0.7", "2", *grid]):
+    assert main([*argv, "--output", out]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_routes_import_no_scipy(tmp_path):
+    # a fresh interpreter: the production modules leave the residue oracle
+    # unloaded, and no spectrum or sweep route loads any scipy module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cbs2atom.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep_summary.csv").exists()

@@ -12,7 +12,6 @@ from cbs2atom.linalg import (
     eigen_decompose,
     DEGENERACY_TOL,
     green,
-    kron,
     resolve,
 )
 
@@ -152,10 +151,12 @@ def test_resolve_stacks_matrix_and_vector_right_hand_sides():
 
 
 def test_kron_identity_and_flat_index():
-    assert np.array_equal(kron(np.eye(3), np.eye(3)), np.eye(9))
+    # the two-atom basis relies on numpy's row-major Kronecker layout:
+    # component a_i b_j of a pair vector sits at flat index 3*i + j
+    assert np.array_equal(np.kron(np.eye(3), np.eye(3)), np.eye(9))
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([10.0, 20.0, 30.0])
-    prod = kron(a, b)
+    prod = np.kron(a, b)
     for i in range(3):
         for j in range(3):
             assert prod[3 * i + j] == a[i] * b[j]
@@ -167,7 +168,7 @@ def test_kron_sum_eigenvalues_add():
     M2 = bloch_matrix(rng.uniform(0.5, 5.0), rng.uniform(-2, 2))
     lam1 = eigen_decompose(M1).eigenvalues
     lam2 = eigen_decompose(M2).eigenvalues
-    big = kron(M1, np.eye(3)) + kron(np.eye(3), M2)
+    big = np.kron(M1, np.eye(3)) + np.kron(np.eye(3), M2)
     got = list(np.linalg.eigvals(big))
     for want in (l1 + l2 for l1 in lam1 for l2 in lam2):
         nearest = min(range(len(got)), key=lambda i: abs(got[i] - want))

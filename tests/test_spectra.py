@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson as scipy_simpson
 
-from cbs2atom import spectra
+from cbs2atom import residues, spectra
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import select_surviving
 from cbs2atom.linalg import DegenerateSpectrumError
@@ -75,16 +76,35 @@ def test_grid_rejects_nonfinite_entries():
     b=st.floats(-2.0, 2.0),
     c=st.floats(-2.0, 2.0),
     half=st.floats(0.5, 10.0),
-    points=st.integers(2, 40),
+    points=st.integers(3, 81),
+    warp=st.floats(0.0, 0.9),
 )
-def test_grid_integral_is_exact_for_parabolas(a, b, c, half, points):
-    # composite Simpson on an odd-count uniform grid integrates quadratics
-    # exactly, so the container's integral can be pinned in closed form
-    nu = np.linspace(-half, half, 2 * points + 1)
+def test_grid_integral_is_exact_for_parabolas(a, b, c, half, points, warp):
+    # composite Simpson integrates quadratics exactly on odd and even point
+    # counts (Cartwright's last interval) and on non-uniform grids, so the
+    # container's integral can be pinned in closed form; ``warp`` bends a
+    # uniform grid monotonically into an uneven one
+    u = np.linspace(-1.0, 1.0, points)
+    nu = half * (u + warp * (u**3 - u) / 2.0)
     grid = SpectralFunctionGrid(nu, a * nu**2 + b * nu + c, elastic_weight=0.25)
     exact = 2.0 * a * half**3 / 3.0 + 2.0 * c * half
     assert abs(grid.integrated() - exact) < 1e-10 * (1.0 + abs(exact))
     assert abs(grid.total - exact - 0.25) < 1e-10 * (1.0 + abs(exact))
+
+
+@pytest.mark.parametrize("points", [3, 4, 9, 22, 600, 601])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_simpson_matches_scipy(points, uniform):
+    # the production Simpson follows scipy's rule, Cartwright's correction
+    # on an even point count included, on real and complex samples
+    rng = np.random.default_rng(points)
+    nu = np.linspace(-15.0, 15.0, points)
+    if not uniform:
+        nu = np.sort(rng.uniform(-15.0, 15.0, points))
+    real = np.cos(nu) / (1.0 + nu**2) + rng.standard_normal(points)
+    for y in (real, real + 1j * rng.standard_normal(points)):
+        want = scipy_simpson(y, x=nu)
+        assert abs(spectra.simpson(y, nu) - want) <= 1e-14 * abs(want)
 
 
 def test_default_grid_tracks_drive_strength():
@@ -181,8 +201,8 @@ def test_production_matches_compact_oracle():
     for d in [drive(2.0), drive(0.9, 1.1), drive(20.0), drive(50.0, 3.0)]:
         nus = default_grid(d, points=41)
         result = cbs_spectra(d, nus=nus)
-        for got, oracle in [(result.ladder, spectra.compact_ladder(d, nus)),
-                            (result.crossed, spectra.compact_crossed(d, nus))]:
+        for got, oracle in [(result.ladder, residues.compact_ladder(d, nus)),
+                            (result.crossed, residues.compact_crossed(d, nus))]:
             scale = np.max(np.abs(oracle.values))
             assert np.max(np.abs(got.values - oracle.values)) < bound * scale
             assert abs(got.elastic_weight - oracle.elastic_weight) < bound * abs(
@@ -224,7 +244,7 @@ def test_jordan_block_drive_is_healed():
     # the production route solves the two-atom equations directly and
     # stays exact and smooth in the detuning
     with pytest.raises(DegenerateSpectrumError):
-        spectra.compact_elastic_ladder(drive(0.5))
+        residues.compact_elastic_ladder(drive(0.5))
     lad = spectra.elastic_ladder(drive(0.5))
     assert abs(lad - 0.007209981917089566) < 1e-12
     for delta in (1e-4, -1e-4):
@@ -257,18 +277,19 @@ def test_cbs_spectra_assembles_channels():
     assert np.array_equal(result.crossed.nu, nus)
     assert result.elastic_ladder == spectra.elastic_ladder(d)
     assert result.elastic_crossed == spectra.elastic_crossed(d)
-    expected = 1.0 + result.crossed.total / result.ladder.total
-    assert result.enhancement == expected
-    assert spectra.enhancement_factor(result) == expected
+    assert result.enhancement == 1.0 + result.crossed.total / result.ladder.total
 
 
 def test_enhancement_convention_on_synthetic_channels():
+    # total backward signal over background, from both channels' weights
     nu = np.array([-1.0, 0.0, 1.0])
-    ladder = SpectralFunctionGrid(nu, np.zeros(3), elastic_weight=0.2)
+    ladder = SpectralFunctionGrid(nu, np.array([0.0, 0.3, 0.0]), elastic_weight=0.2)
     crossed = SpectralFunctionGrid(nu, np.zeros(3), elastic_weight=0.1)
-    result = CbsResult(drive=drive(1.0), ladder=ladder, crossed=crossed,
-                       enhancement=1.5)
-    assert spectra.enhancement_factor(result) == 1.5
+    result = CbsResult(drive=drive(1.0), ladder=ladder, crossed=crossed)
+    assert result.enhancement == 1.0 + 0.1 / 0.6
+    empty = SpectralFunctionGrid(nu, np.zeros(3), elastic_weight=0.0)
+    with pytest.raises(ValueError, match="background channel is empty"):
+        CbsResult(drive=drive(1.0), ladder=empty, crossed=crossed)
 
 
 def test_zero_drive_rejected():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson, solve_ivp
 
+from cbs2atom import residues
 from cbs2atom import twoatom as ta
 from cbs2atom.atom import (
     DELTA_MINUS,
@@ -259,16 +260,16 @@ def test_pair_green_integral_representation(z):
     gen = make_gen()
     direct = gen.pair_green(z)
     for orientation in (+1, -1):
-        integ = ta.pair_resolvent_integral(gen, z, orientation)
+        integ = residues.pair_resolvent_integral(gen, z, orientation)
         assert np.max(np.abs(integ - direct)) < 1e-10
 
 
 def test_pair_green_integral_rejects_bad_arguments():
     gen = make_gen()
     with pytest.raises(ValueError):
-        ta.pair_resolvent_integral(gen, 0.5)
+        residues.pair_resolvent_integral(gen, 0.5)
     with pytest.raises(ValueError):
-        ta.pair_resolvent_integral(gen, 0.0, orientation=3)
+        residues.pair_resolvent_integral(gen, 0.0, orientation=3)
 
 
 # -------------------------------------------------------------- steady state
@@ -363,7 +364,7 @@ def test_orders_scale_as_coupling_power(seed):
 def test_first_order_single_atom_closed_forms():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 1)
-    atom2_part, atom1_part = ta.single_first_order_explicit(gen)
+    atom2_part, atom1_part = residues.single_first_order_explicit(gen)
     for mono, vec in atom2_part.items():
         assert np.allclose(orders.bloch[1][mono][:3], vec, atol=1e-15)
         assert np.max(np.abs(orders.bloch[1][mono][3:])) < 1e-18
@@ -375,7 +376,7 @@ def test_first_order_single_atom_closed_forms():
 def test_first_order_pair_closed_forms():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 1)
-    explicit = ta.pair_first_order_explicit(gen)
+    explicit = residues.pair_first_order_explicit(gen)
     for mono, vec in explicit.items():
         scale = np.max(np.abs(vec))
         assert np.max(np.abs(orders.correlation[1][mono] - vec)) < 1e-12 * scale
@@ -390,8 +391,8 @@ def test_first_order_pair_printed_final_term_is_inconsistent():
     """
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 1)
-    printed = ta.pair_first_order_explicit(gen, printed_final_term=True)
-    corrected = ta.pair_first_order_explicit(gen)
+    printed = residues.pair_first_order_explicit(gen, printed_final_term=True)
+    corrected = residues.pair_first_order_explicit(gen)
     mono = ("12*",)
     scale = np.max(np.abs(orders.correlation[1][mono]))
     assert np.max(np.abs(printed[mono] - orders.correlation[1][mono])) > 0.1 * scale
@@ -403,7 +404,7 @@ def test_first_order_pair_printed_final_term_is_inconsistent():
 def test_second_order_single_atom_closed_forms():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 2)
-    explicit = ta.single_second_order_explicit(gen)
+    explicit = residues.single_second_order_explicit(gen)
     assert set(explicit) == {("12", "21*"), ("12", "12*"), ("21", "21*")}
     for mono, vec in explicit.items():
         recurrence = orders.bloch[2][mono][:3]
@@ -417,10 +418,10 @@ def test_second_order_closed_forms_across_parameter_draws():
                        delta=rng.uniform(-2.5, 2.5),
                        direction=tuple(rng.normal(size=3)))
         orders = ta.perturbative_orders(gen, 2)
-        for mono, vec in ta.single_second_order_explicit(gen).items():
+        for mono, vec in residues.single_second_order_explicit(gen).items():
             recurrence = orders.bloch[2][mono][:3]
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
-        for mono, vec in ta.pair_first_order_explicit(gen).items():
+        for mono, vec in residues.pair_first_order_explicit(gen).items():
             recurrence = orders.correlation[1][mono]
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
@@ -431,7 +432,7 @@ def test_degenerate_drive_still_solves_but_blocks_explicit_chains():
     orders = ta.perturbative_orders(gen, 2)
     assert np.isfinite(ta.tagged_total(orders.bloch[2], 6)).all()
     with pytest.raises(DegenerateSpectrumError):
-        ta.single_second_order_explicit(gen)
+        residues.single_second_order_explicit(gen)
 
 
 # ------------------------------------------------- regression initial values
