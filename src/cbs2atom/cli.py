@@ -21,13 +21,6 @@ from cbs2atom.atom import AtomDriveParams, build, mollow_p0, steady_state
 from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.linalg import DegenerateSpectrumError
 from cbs2atom.pumpprobe import channel_densities, equivalence_report
-from cbs2atom.residues import (
-    check_sum_rule_I,
-    check_sum_rule_II,
-    check_sum_rule_III,
-    compact_crossed,
-    compact_ladder,
-)
 from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
@@ -277,6 +270,8 @@ def _drawn_system(rng):
 
 
 def _suite_sum_rules(tolerance: float, nu_points: int) -> list:
+    from cbs2atom.residues import check_sum_rule_I, check_sum_rule_II, check_sum_rule_III
+
     rng = np.random.default_rng(2024)
     worst = {"sum-rule-I": 0.0, "sum-rule-II": 0.0, "sum-rule-III": 0.0}
     for _ in range(20):
@@ -315,6 +310,8 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
     the gauge identity behind the canonical configuration) and against the
     closed form in single-atom observables (``compact-*``, an independent
     route)."""
+    from cbs2atom.residues import compact_crossed, compact_ladder
+
     nus = np.linspace(-12.0, 12.0, min(nu_points, 49))
     config = ScatteringConfig.from_separation(217.3, direction=(0.3, -1.1, 0.7))
     power = 4.0 * abs(config.coupling) ** 2

@@ -16,10 +16,12 @@ Two routes to the ensemble average of the double-scattering signal:
 `monte_carlo_spectra` solves the two-atom equations once, on the canonical
 configuration of :func:`cbs2atom.twoatom.canonical_configuration`.  By the
 gauge identity ``M(phase) = U M(0) U^-1`` each sampled geometry's monomial
-is the canonical one times a scalar coupling and phase factor, so a
-sample costs scalar arithmetic only.  The identity itself is checked
-elsewhere: against brute-force solves of sampled geometries in the tests,
-and by the ``fixed-config-*`` rows of ``cbs2atom validate oracle``.
+is the canonical one times a scalar coupling and phase factor.  The
+sampler draws all geometries as arrays (`ConfigSampler.geometry`), so the
+samples cost array arithmetic over those factors, with no per-sample
+object.  The identity itself is checked elsewhere: against brute-force
+solves of sampled geometries in the tests, and by the ``fixed-config-*``
+rows of ``cbs2atom validate oracle``.
 
 Averaged spectra are normalized by the window mean of four times the
 squared coupling strength, which puts them on the same scale as the
@@ -40,6 +42,7 @@ from cbs2atom.twoatom import (
     ScatteringConfig,
     assemble,
     canonical_configuration,
+    exchange_coupling,
     fixed_config_spectrum,
 )
 
@@ -78,6 +81,28 @@ def select_surviving(tagged, channel: str, backscatter_phase: complex = 1.0) -> 
 
 
 @dataclass(frozen=True)
+class SampledGeometry:
+    """Sampled two-atom geometries as arrays: atom 1 at the origin, atom 2
+    at ``separation * direction``, the laser along z.  The array
+    counterpart of :class:`cbs2atom.twoatom.ScatteringConfig`."""
+
+    separation: np.ndarray
+    direction: np.ndarray
+    gamma: float
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """Exchange amplitude of every sample, see
+        :func:`cbs2atom.twoatom.exchange_coupling`."""
+        return exchange_coupling(self.separation, self.gamma)
+
+    @property
+    def phase_difference(self) -> np.ndarray:
+        """Laser phase mismatch ``k_hat . (r1 - r2) = -x d_z`` of every sample."""
+        return -self.separation * self.direction[:, 2]
+
+
+@dataclass(frozen=True)
 class ConfigSampler:
     """Random two-atom geometries: distance window plus isotropic orientation.
 
@@ -100,6 +125,8 @@ class ConfigSampler:
             raise ValueError("need at least 8 whole distance periods")
         if self.samples < 1_000:
             raise ValueError("need at least 1000 samples")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be finite and positive")
 
     @property
     def x_stop(self) -> float:
@@ -111,15 +138,26 @@ class ConfigSampler:
         width = self.x_stop - self.x_start
         return 9.0 * self.gamma ** 2 * (1.0 / self.x_start - 1.0 / self.x_stop) / width
 
+    def geometry(self, rng: np.random.Generator | None = None) -> SampledGeometry:
+        """Draw every sample at once: first all separations, then all
+        directions (normalised; a row shorter than 1e-8 is redrawn).
+        ``rng`` defaults to a generator seeded with ``seed``."""
+        rng = np.random.default_rng(self.seed) if rng is None else rng
+        separation = rng.uniform(self.x_start, self.x_stop, self.samples)
+        direction = rng.standard_normal((self.samples, 3))
+        norm = np.linalg.norm(direction, axis=1)
+        short = np.flatnonzero(norm < 1e-8)
+        while short.size:
+            direction[short] = rng.standard_normal((short.size, 3))
+            norm[short] = np.linalg.norm(direction[short], axis=1)
+            short = short[norm[short] < 1e-8]
+        return SampledGeometry(separation, direction / norm[:, None], self.gamma)
+
     def configurations(self):
-        rng = np.random.default_rng(self.seed)
-        for _ in range(self.samples):
-            x = rng.uniform(self.x_start, self.x_stop)
-            direction = rng.standard_normal(3)
-            while np.linalg.norm(direction) < 1e-8:
-                direction = rng.standard_normal(3)
-            yield ScatteringConfig.from_separation(
-                x, gamma=self.gamma, direction=direction)
+        """The samples of :meth:`geometry`, one `ScatteringConfig` each."""
+        geometry = self.geometry()
+        for x, direction in zip(geometry.separation, geometry.direction):
+            yield ScatteringConfig.from_separation(x, gamma=self.gamma, direction=direction)
 
 
 @dataclass(frozen=True)
@@ -192,14 +230,19 @@ def _gauge_weights(monomials, coupling: np.ndarray, phase_difference: np.ndarray
     """Per-sample factors mapping unit-coupling canonical monomials onto
     the sampled geometries: ``T^a conj(T)^b exp(i n Delta)``, one row per
     sample, one column per monomial."""
-    weights = np.empty((len(coupling), len(monomials)), dtype=complex)
-    for j, mono in enumerate(monomials):
+    factor = {False: coupling, True: np.conj(coupling)}
+    phase = {}
+    columns = []
+    for mono in monomials:
         _validate_monomial(mono)
         n = charge + sum(_CHARGE[tag] for tag in mono)
-        weights[:, j] = np.exp(1j * n * phase_difference)
+        if n not in phase:
+            phase[n] = np.exp(1j * n * phase_difference)
+        column = phase[n]
         for tag in mono:
-            weights[:, j] *= np.conj(coupling) if tag.endswith("*") else coupling
-    return weights
+            column = column * factor[tag.endswith("*")]
+        columns.append(column)
+    return np.stack(columns, axis=1)
 
 
 def _reduce_monomials(weights: np.ndarray, coefficients: np.ndarray,
@@ -229,32 +272,38 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     sample variance.
 
     The two-atom spectra are solved once, on the canonical configuration
-    with unit coupling; each sample then weights the canonical monomials
-    by its exchange amplitude and laser phase difference (the gauge
-    identity, see the module docstring).  Mean and standard error are
-    reduced in monomial space, so no per-sample spectrum is formed.
+    with unit coupling; the samples then weight the canonical monomials
+    by their exchange amplitudes and laser phase differences (the gauge
+    identity, see the module docstring), as arrays over all samples.
+    Mean and standard error are reduced in monomial space, so no
+    per-sample spectrum is formed.  A spectrum and its elastic weight
+    share monomials and gauge charge, so they share one weight matrix and
+    one reduction, the elastic weight as one more coefficient column.
     """
     nus = np.asarray(nus, dtype=float)
     canonical = fixed_config_spectrum(
         assemble(canonical_configuration(sampler.gamma), drive, coupling=1.0), nus)
-    geometry = np.array([(config.coupling, config.phase_difference)
-                         for config in sampler.configurations()])
-    coupling, phase_difference = geometry[:, 0], geometry[:, 1].real
+    geometry = sampler.geometry()
+    coupling, phase_difference = geometry.coupling, geometry.phase_difference
     scale = sampler.coupling_power_mean
     # the crossed channel's backscattering phase e^{i Delta} adds one more
     crossed_charge = _EXCHANGE_CHARGE + 1
 
-    def average(tagged: dict, charge: int) -> MonteCarloResult:
-        if not tagged:
-            raise BookkeepingError("no tagged terms to average")
-        monomials = list(tagged)
+    def average(spectrum: dict, elastic: dict, charge: int) -> tuple:
+        monomials = list(spectrum)
+        if not monomials or set(elastic) != set(monomials):
+            raise BookkeepingError("a spectrum and its elastic weight need the same "
+                                   "nonempty set of monomials")
+        coefficients = np.array([np.append(spectrum[m], elastic[m]) for m in monomials])
         weights = 2.0 * _gauge_weights(monomials, coupling, phase_difference, charge)
-        return _reduce_monomials(weights, np.array([tagged[m] for m in monomials]), scale)
+        both = _reduce_monomials(weights, coefficients, scale)
+        return (MonteCarloResult(both.mean[:-1], both.stderr[:-1], both.samples),
+                MonteCarloResult(both.mean[-1], both.stderr[-1], both.samples))
 
-    return DisorderAveragedSpectra(
-        nu=nus,
-        ladder=average(canonical.autocorrelation, 0),
-        crossed=average(canonical.exchange, crossed_charge),
-        elastic_ladder=average(canonical.elastic_autocorrelation, 0),
-        elastic_crossed=average(canonical.elastic_exchange, crossed_charge),
-    )
+    ladder, elastic_ladder = average(
+        canonical.autocorrelation, canonical.elastic_autocorrelation, 0)
+    crossed, elastic_crossed = average(
+        canonical.exchange, canonical.elastic_exchange, crossed_charge)
+    return DisorderAveragedSpectra(nu=nus, ladder=ladder, crossed=crossed,
+                                   elastic_ladder=elastic_ladder,
+                                   elastic_crossed=elastic_crossed)

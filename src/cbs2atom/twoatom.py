@@ -90,6 +90,12 @@ def _tagged_add(into: TaggedVector, key: tuple, value: np.ndarray) -> None:
         into[key] = value
 
 
+def exchange_coupling(x, gamma: float = 1.0):
+    """Far-field exchange amplitude ``T = 1.5j * gamma * exp(-1j*x) / x`` at
+    separation ``x`` (a scalar or an array of separations)."""
+    return 1.5j * gamma * np.exp(-1j * x) / x
+
+
 @dataclass(frozen=True)
 class ScatteringConfig:
     """Geometry of one fixed two-atom configuration.
@@ -131,9 +137,8 @@ class ScatteringConfig:
 
     @property
     def coupling(self) -> complex:
-        """Far-field exchange amplitude ``1.5j * gamma * exp(-1j*x) / x``."""
-        x = self.separation
-        return 1.5j * self.gamma * np.exp(-1j * x) / x
+        """Far-field exchange amplitude, see :func:`exchange_coupling`."""
+        return exchange_coupling(self.separation, self.gamma)
 
     @property
     def phase1(self) -> float:

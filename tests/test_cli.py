@@ -216,13 +216,14 @@ for argv in (["spectrum", "--rabi", "2", *grid],
              ["spectrum", "--rabi", "2", "--method", "pump-probe", "--nu-points", "3"],
              ["sweep", "--rabi", "0.7", "2", *grid]):
     assert main([*argv, "--output", out]) == 0, argv
+assert "cbs2atom.residues" not in sys.modules, "a spectrum or sweep route imports residues"
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_cli_routes_import_no_scipy(tmp_path):
-    # a fresh interpreter: the production modules leave the residue oracle
-    # unloaded, and no spectrum or sweep route loads any scipy module
+    # a fresh interpreter: neither the production modules nor a spectrum or
+    # sweep route loads the residue oracle, and no such route loads scipy
     src = os.path.dirname(os.path.dirname(os.path.abspath(cbs2atom.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, str(tmp_path)],

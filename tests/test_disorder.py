@@ -124,9 +124,56 @@ def test_sampler_draws_inside_window_with_isotropic_orientations():
     assert np.max(np.abs(mean_dir / len(seps))) < 5 / np.sqrt(len(seps))
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+def test_sampler_rejects_a_bad_decay_rate(gamma):
+    # checked once per sampler: the array draw builds no ScatteringConfig
+    with pytest.raises(ValueError, match="gamma"):
+        ConfigSampler(gamma=gamma)
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_geometry_arrays_match_the_sampled_configurations(seed):
+    sampler = ConfigSampler(samples=1000, seed=seed, gamma=2.0)
+    geometry = sampler.geometry()
+    configs = list(sampler.configurations())
+    coupling = np.array([c.coupling for c in configs])
+    phase_difference = np.array([c.phase_difference for c in configs])
+    assert geometry.separation.shape == (1000,) and geometry.direction.shape == (1000, 3)
+    assert np.all(np.abs(geometry.coupling - coupling) <= 1e-12 * np.abs(coupling))
+    assert np.all(np.abs(geometry.phase_difference - phase_difference)
+                  <= 1e-12 * np.abs(phase_difference))
+
+
+class _ZeroRowGenerator:
+    """Draws like ``default_rng(0)``, but the first direction block has a
+    zero row 5."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.direction_shapes = []
+
+    def uniform(self, low, high, size):
+        return self.rng.uniform(low, high, size)
+
+    def standard_normal(self, shape):
+        self.direction_shapes.append(shape)
+        block = self.rng.standard_normal(shape)
+        if len(self.direction_shapes) == 1:
+            block[5] = 0.0
+        return block
+
+
+def test_geometry_redraws_a_vanishing_direction():
+    stub = _ZeroRowGenerator()
+    direction = small_sampler().geometry(stub).direction
+    assert stub.direction_shapes == [(1000, 3), (1, 3)]
+    assert np.linalg.norm(direction[5]) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.linalg.norm(direction, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
 def test_sampler_is_deterministic_given_seed():
-    a = [c.r1 for c in small_sampler(seed=9).configurations()]
-    b = [c.r1 for c in small_sampler(seed=9).configurations()]
+    a = [c.r2 for c in small_sampler(seed=9).configurations()]
+    b = [c.r2 for c in small_sampler(seed=9).configurations()]
     assert np.array_equal(np.array(a), np.array(b))
 
 
