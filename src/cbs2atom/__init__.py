@@ -10,9 +10,10 @@ monomials of the two-atom master equation on a single canonical
 configuration (:mod:`cbs2atom.spectra`, built on :mod:`cbs2atom.twoatom`).
 Independent routes serve as test oracles:
 
-* the closed form in single-atom observables, with frequency integrals by
-  residues (the ``compact_*`` functions of :mod:`cbs2atom.residues`, which
-  no production module imports),
+* the closed form in single-atom observables, its frequency convolutions
+  evaluated by one tan-mapped midpoint rule over stacked resolvents, so it
+  holds at the Jordan point too (the ``compact_*`` functions of
+  :mod:`cbs2atom.residues`, which no production module imports),
 * a bichromatic pump-probe solver for a single driven atom
   (:mod:`cbs2atom.pumpprobe`),
 * Monte-Carlo averages over random geometries of every coupling monomial,

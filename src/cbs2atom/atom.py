@@ -5,6 +5,12 @@ spectral correlation functions of resonance fluorescence: the inelastic
 spectrum (Mollow triplet), the first-order probe-scattering amplitudes and
 the probe-intensity response.  All frequencies are measured from the laser
 frequency, in units of the decay rate ``gamma``.
+
+Every resolvent is a stacked dense solve (:func:`cbs2atom.linalg.resolve`),
+so the closed forms take whole arrays of frequencies and stay exact at the
+defective Jordan-point drive (``rabi = gamma/2`` on resonance).  The
+``compact_*`` oracle of :mod:`cbs2atom.residues` integrates them over the
+probe frequency by quadrature.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from cbs2atom.linalg import SpectralDecomposition, eigen_decompose, resolve
+from cbs2atom.linalg import resolve
 
 #: Couplers of the Bloch vector to a weak perturbation of the drive:
 #: ``DELTA_MINUS`` multiplies the co-rotating probe amplitude, ``DELTA_PLUS``
@@ -28,9 +34,6 @@ DELTA_PLUS = np.array([[0, 0, 0], [0, 0, 0.5j], [-1j, 0, 0]], dtype=complex)
 N1 = np.array([0.5, 0, 0], dtype=complex)
 N2 = np.array([0, 0.5, 0], dtype=complex)
 
-#: Swap of the two coherence components; ``conj_swap`` is built on it.
-_SWAP = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-
 
 def conj_swap(vec: np.ndarray) -> np.ndarray:
     """Map a Bloch-type vector to its conjugate counterpart.
@@ -40,8 +43,9 @@ def conj_swap(vec: np.ndarray) -> np.ndarray:
     The map is an involution bit for bit (conjugation and a permutation are
     both exact), and it converts each closed-form response chain into its
     mirrored chain (resolvent arguments conjugated, couplers swapped).
+    A stack of vectors is mapped along its last axis.
     """
-    return _SWAP @ np.conj(np.asarray(vec))
+    return np.conj(np.asarray(vec))[..., [1, 0, 2]]
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class AtomDriveParams:
 
 @dataclass(frozen=True)
 class BlochSystem:
-    """Drift generator, drive vector and spectral decomposition of one atom.
+    """Drift generator and drive vector of one atom.
 
     The Bloch vector (lowering, raising, inversion) obeys
     ``d<s>/dt = M @ <s> + L``.
@@ -99,12 +103,8 @@ class BlochSystem:
     L: np.ndarray = field(repr=False)
 
     @cached_property
-    def decomp(self) -> SpectralDecomposition:
-        return eigen_decompose(self.M, gamma=self.params.gamma)
-
-    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Generator eigenvalues (available even at degenerate points)."""
+        """Generator eigenvalues (they set the poles of every resolvent)."""
         return np.linalg.eigvals(self.M)
 
     @cached_property
@@ -116,8 +116,7 @@ class BlochSystem:
         """Resolvent ``(z - M)^{-1}`` for a scalar or an array of ``z``.
 
         One stacked dense solve (shape ``z.shape + (3, 3)``), so it is
-        exact at defective (Jordan-point) drives too, where :attr:`decomp`
-        raises.
+        exact at defective (Jordan-point) drives too.
         """
         return resolve(self.M, z, np.eye(3), self.eigenvalues, self.params.gamma)
 
@@ -157,41 +156,60 @@ def g0_vectors(sys: BlochSystem) -> tuple[np.ndarray, np.ndarray]:
     return g0_1, g0_2
 
 
-def mollow_p0(sys: BlochSystem, nu: float) -> float:
+def _solve(sys: BlochSystem, z, vec) -> np.ndarray:
+    """``(z - M)^{-1} vec`` for an array of ``z`` and a stack of vectors whose
+    leading axes broadcast against it; shape ``broadcast + (3,)``.
+
+    Where the vectors outnumber the arguments (one emission frequency
+    against a whole probe grid), each resolvent is formed once and applied
+    by a product instead of one solve per vector.
+    """
+    z, vec = np.asarray(z, dtype=complex), np.asarray(vec)[..., None]
+    if z.size < np.prod(np.broadcast_shapes(z.shape, vec.shape[:-2]), dtype=int):
+        return (sys.green(z) @ vec)[..., 0]
+    return resolve(sys.M, z, vec, sys.eigenvalues, sys.params.gamma)[..., 0]
+
+
+def mollow_p0(sys: BlochSystem, nu):
     """Inelastic single-atom fluorescence spectrum (Mollow triplet).
 
     Normalized so the integral over all frequencies equals the total
     inelastically scattered intensity
-    ``<sigma^+ sigma^-> - |<sigma^->|^2``.
+    ``<sigma^+ sigma^-> - |<sigma^->|^2``.  ``nu`` may be an array.
     """
     g0_1, g0_2 = g0_vectors(sys)
-    val = (sys.green(-1j * nu) @ g0_2)[0] + (sys.green(1j * nu) @ g0_1)[1]
-    return float(val.real) / (2.0 * np.pi)
+    nu = np.asarray(nu, dtype=float)
+    val = _solve(sys, -1j * nu, g0_2)[..., 0] + _solve(sys, 1j * nu, g0_1)[..., 1]
+    return (np.real(val) / (2.0 * np.pi))[()]
 
 
-def delta_sigma_first(sys: BlochSystem, sign: int, omega: float) -> np.ndarray:
+def delta_sigma_first(sys: BlochSystem, sign: int, omega) -> np.ndarray:
     """First-order steady-state response to a probe sideband.
 
     ``sign=-1`` gives the co-rotating response ``G(-i w) DELTA_MINUS G L``
     (the harmonic oscillating with the probe), ``sign=+1`` the
-    counter-rotating one ``G(+i w) DELTA_PLUS G L``.
+    counter-rotating one ``G(+i w) DELTA_PLUS G L``.  An array of ``omega``
+    gives a stack of vectors.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     coupler = DELTA_PLUS if sign == 1 else DELTA_MINUS
-    return sys.green(sign * 1j * omega) @ (coupler @ sys.steady)
+    return _solve(sys, sign * 1j * np.asarray(omega, dtype=float), coupler @ sys.steady)
 
 
-def delta_sigma_second(sys: BlochSystem, omega: float) -> np.ndarray:
+def _second_response(sys: BlochSystem, dm: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """:func:`delta_sigma_second` from the two first-order responses."""
+    return _solve(sys, 0.0, dm @ DELTA_PLUS.T + dp @ DELTA_MINUS.T)
+
+
+def delta_sigma_second(sys: BlochSystem, omega) -> np.ndarray:
     """Second-order (intensity-like) steady-state probe response.
 
     Sum of the two time orderings of one co-rotating and one
     counter-rotating probe interaction, returned at zero net frequency.
     """
-    g0 = sys.green(0.0)
-    return g0 @ (DELTA_PLUS @ delta_sigma_first(sys, -1, omega)) + g0 @ (
-        DELTA_MINUS @ delta_sigma_first(sys, +1, omega)
-    )
+    return _second_response(sys, delta_sigma_first(sys, -1, omega),
+                            delta_sigma_first(sys, +1, omega))
 
 
 @dataclass(frozen=True)
@@ -201,10 +219,11 @@ class ProbeResponseSet:
     The ``*_2`` vectors belong to the positive-frequency correlation branch,
     the ``*_1`` vectors to the conjugate branch (obtained by
     :func:`conj_swap`).  ``minus``/``plus`` carry one co-/counter-rotating
-    probe interaction, ``second`` carries one of each.
+    probe interaction, ``second`` carries one of each.  For an array of
+    ``nu`` each vector is a stack along the leading axes.
     """
 
-    nu: float
+    nu: float | np.ndarray
     minus_2: np.ndarray
     plus_2: np.ndarray
     second_2: np.ndarray
@@ -213,7 +232,7 @@ class ProbeResponseSet:
     second_1: np.ndarray
 
 
-def probe_vectors(sys: BlochSystem, nu: float) -> ProbeResponseSet:
+def probe_vectors(sys: BlochSystem, nu) -> ProbeResponseSet:
     """All six probe-response vectors at probe detuning ``nu``.
 
     The branch-2 vectors are explicit chains of resolvents, couplers and
@@ -223,16 +242,16 @@ def probe_vectors(sys: BlochSystem, nu: float) -> ProbeResponseSet:
     s = sys.steady
     dm = delta_sigma_first(sys, -1, nu)   # G(-i nu) DELTA_MINUS G L
     dp = delta_sigma_first(sys, +1, nu)   # G(+i nu) DELTA_PLUS  G L
-    ds2 = delta_sigma_second(sys, nu)
+    ds2 = _second_response(sys, dm, dp)
 
-    minus_2 = 1j * (DELTA_MINUS @ dm) - dm * s[1] - s * dm[1]
-    plus_2 = 1j * (DELTA_MINUS @ dp) - dp[1] * s - s[1] * dp
+    minus_2 = 1j * (dm @ DELTA_MINUS.T) - dm * s[1] - s * dm[..., 1, None]
+    plus_2 = 1j * (dp @ DELTA_MINUS.T) - dp[..., 1, None] * s - s[1] * dp
     second_2 = (
-        1j * (DELTA_MINUS @ ds2)
-        - s * ds2[1]
+        1j * (ds2 @ DELTA_MINUS.T)
+        - s * ds2[..., 1, None]
         - s[1] * ds2
-        - dp[1] * dm
-        - dm[1] * dp
+        - dp[..., 1, None] * dm
+        - dm[..., 1, None] * dp
     )
     return ProbeResponseSet(
         nu=nu,
@@ -245,51 +264,57 @@ def probe_vectors(sys: BlochSystem, nu: float) -> ProbeResponseSet:
     )
 
 
-def p_plus(sys: BlochSystem, omega_p: float, nu: float) -> complex:
+# The closed forms below take ``omega_p`` and ``nu`` as arrays that broadcast
+# against each other (a scalar pair gives a scalar).  Terms that share their
+# outer resolvent are summed before it is applied, one solve per resolvent.
+
+
+def p_plus(sys: BlochSystem, omega_p, nu):
     """Amplitude correlation for emission at ``nu`` after absorbing a
     counter-rotating probe photon at ``omega_p``.
 
     Four-term closed form; combines one branch-2 and one branch-1 response
     of the same atom.
     """
+    omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
     g0_1, g0_2 = g0_vectors(sys)
     pv = probe_vectors(sys, omega_p)
-    t1 = (sys.green(1j * nu) @ (DELTA_PLUS @ (sys.green(1j * (nu - omega_p)) @ g0_1)))[1]
-    t2 = (sys.green(1j * nu) @ pv.plus_1)[1]
-    t3 = (sys.green(1j * (omega_p - nu)) @ (DELTA_PLUS @ (sys.green(-1j * nu) @ g0_2)))[0]
-    t4 = (sys.green(1j * (omega_p - nu)) @ pv.plus_2)[0]
-    return complex(t1 + t2 + t3 + t4)
+    t12 = _solve(sys, 1j * nu,
+                 _solve(sys, 1j * (nu - omega_p), g0_1) @ DELTA_PLUS.T + pv.plus_1)[..., 1]
+    t34 = _solve(sys, 1j * (omega_p - nu),
+                 _solve(sys, -1j * nu, g0_2) @ DELTA_PLUS.T + pv.plus_2)[..., 0]
+    return (t12 + t34)[()]
 
 
-def p_minus(sys: BlochSystem, omega_p: float, nu: float) -> complex:
+def p_minus(sys: BlochSystem, omega_p, nu):
     """Amplitude correlation for emission at ``nu`` after absorbing a
     co-rotating probe photon at ``omega_p``.
 
     Equals ``conj(p_plus(sys, omega_p, nu))`` — same arguments; asserted by
     tests rather than implemented through it.
     """
+    omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
     g0_1, g0_2 = g0_vectors(sys)
     pv = probe_vectors(sys, omega_p)
-    t1 = (sys.green(-1j * nu) @ (DELTA_MINUS @ (sys.green(1j * (omega_p - nu)) @ g0_2)))[0]
-    t2 = (sys.green(-1j * nu) @ pv.minus_2)[0]
-    t3 = (sys.green(1j * (nu - omega_p)) @ (DELTA_MINUS @ (sys.green(1j * nu) @ g0_1)))[1]
-    t4 = (sys.green(1j * (nu - omega_p)) @ pv.minus_1)[1]
-    return complex(t1 + t2 + t3 + t4)
+    t12 = _solve(sys, -1j * nu,
+                 _solve(sys, 1j * (omega_p - nu), g0_2) @ DELTA_MINUS.T + pv.minus_2)[..., 0]
+    t34 = _solve(sys, 1j * (nu - omega_p),
+                 _solve(sys, 1j * nu, g0_1) @ DELTA_MINUS.T + pv.minus_1)[..., 1]
+    return (t12 + t34)[()]
 
 
-def p2(sys: BlochSystem, omega_p: float, nu: float) -> float:
+def p2(sys: BlochSystem, omega_p, nu):
     """Spectral redistribution cross-section of a weak probe at ``omega_p``:
     the second-order (one co- plus one counter-rotating interaction)
     correction to the emission spectrum at ``nu``.
     """
+    omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
     g0_1, g0_2 = g0_vectors(sys)
     pv = probe_vectors(sys, omega_p)
-    gm = sys.green(-1j * nu)
+    emitted = _solve(sys, -1j * nu, g0_2)
     inner = (
         pv.second_2
-        + DELTA_MINUS @ (sys.green(1j * (omega_p - nu)) @ (DELTA_PLUS @ (gm @ g0_2)))
-        + DELTA_MINUS @ (sys.green(1j * (omega_p - nu)) @ pv.plus_2)
-        + DELTA_PLUS @ (sys.green(-1j * (nu + omega_p)) @ (DELTA_MINUS @ (gm @ g0_2)))
-        + DELTA_PLUS @ (sys.green(-1j * (nu + omega_p)) @ pv.minus_2)
+        + _solve(sys, 1j * (omega_p - nu), emitted @ DELTA_PLUS.T + pv.plus_2) @ DELTA_MINUS.T
+        + _solve(sys, -1j * (nu + omega_p), emitted @ DELTA_MINUS.T + pv.minus_2) @ DELTA_PLUS.T
     )
-    return float(2.0 * ((gm @ inner)[0]).real)
+    return (2.0 * np.real(_solve(sys, -1j * nu, inner)[..., 0]))[()]

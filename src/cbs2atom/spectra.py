@@ -16,9 +16,10 @@ monomials divided by ``4|T|^2`` are the configuration averages.  The
 route needs no spectral decomposition, so the defective Jordan-point
 drive (``rabi = gamma/2`` on resonance) needs no special treatment.
 
-The paper's closed form in single-atom observables, evaluated by
-residues, is an independent test oracle and lives in
-:mod:`cbs2atom.residues` (``compact_*``); nothing here imports it.
+The paper's closed form in single-atom observables, its convolutions
+evaluated by quadrature, is an independent test oracle that also holds at
+the Jordan point; it lives in :mod:`cbs2atom.residues` (``compact_*``) and
+nothing here imports it.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
 average in :mod:`cbs2atom.disorder`.  The printed closed-form
 transcriptions of the first orders and the frequency-integral
 representation of the pair resolvent, which check these recurrences, live
-with the residue algebra in :mod:`cbs2atom.residues`.
+with the quadrature oracles in :mod:`cbs2atom.residues`.
 """
 
 from __future__ import annotations
@@ -116,11 +116,13 @@ class ScatteringConfig:
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, vec)
         if abs(np.linalg.norm(self.k_hat) - 1.0) > 1e-9:
             raise ValueError("k_hat must be a unit vector")
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be finite and positive")
         if self.separation <= 0.0:
             raise ValueError("atoms must sit at distinct positions")
         if self.separation < 10.0:

@@ -8,7 +8,6 @@ from scipy.integrate import quad, solve_ivp
 
 from cbs2atom import atom
 from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS, conj_swap
-from cbs2atom.linalg import DegenerateSpectrumError, green
 
 
 def make(rabi, delta=0.0, gamma=1.0, phase=0.0):
@@ -22,7 +21,7 @@ def test_generator_entries_undriven():
     sys = make(0.0, delta=0.7)
     assert np.allclose(sys.M, np.diag([-1 + 0.7j, -1 - 0.7j, -2]), atol=1e-15)
     assert np.allclose(
-        np.sort_complex(sys.decomp.eigenvalues),
+        np.sort_complex(sys.eigenvalues),
         np.sort_complex([-1 + 0.7j, -1 - 0.7j, -2]),
         atol=1e-12,
     )
@@ -156,7 +155,7 @@ def test_mollow_sideband_positions_strong_drive():
     peaks = grid[
         [i for i in range(1, len(grid) - 1) if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]]
     ]
-    mode_freqs = sorted(lam.imag for lam in sys.decomp.eigenvalues)
+    mode_freqs = sorted(lam.imag for lam in sys.eigenvalues)
     assert len(peaks) == 3
     for peak, mode, nominal in zip(sorted(peaks), mode_freqs, (-10.0, 0.0, 10.0)):
         assert abs(peak - mode) <= step
@@ -221,7 +220,7 @@ def test_first_order_response_dual_solve_paths():
     sys = make(2.0)
     for sign in (+1, -1):
         chain = atom.delta_sigma_first(sys, sign, 0.8)
-        dense = green(sys.decomp, sign * 0.8j) @ (
+        dense = np.linalg.inv(sign * 0.8j * np.eye(3) - sys.M) @ (
             (DELTA_PLUS if sign == 1 else DELTA_MINUS) @ sys.steady
         )
         assert np.allclose(chain, dense, atol=1e-11)
@@ -230,11 +229,12 @@ def test_first_order_response_dual_solve_paths():
 
 
 def test_green_at_the_jordan_point_stacks_the_inverses():
-    # rabi = gamma/2 on resonance: the generator is defective, so there is no
-    # spectral decomposition, but the resolvent is regular off the spectrum
+    # rabi = gamma/2 on resonance: the generator is defective (a double
+    # eigenvalue -3/2 with one eigenvector), but the resolvent is regular
+    # off the spectrum
     sys = make(0.5)
-    with pytest.raises(DegenerateSpectrumError):
-        sys.decomp
+    assert np.max(np.abs(sys.eigenvalues + 1.5)) > 0.4
+    assert np.sort(np.abs(sys.eigenvalues + 1.5))[1] < 1e-7
     zs = np.array([0.0, -0.7j, 2.3j, 0.4 + 1.0j])
     stacked = sys.green(zs)
     assert stacked.shape == (4, 3, 3)
@@ -277,6 +277,35 @@ def test_probe_vectors_branch1_matches_explicit_chain():
     dm = sys.green(-1j * nu) @ (DELTA_MINUS @ s)
     explicit_minus_1 = -1j * (DELTA_PLUS @ dm) - dm[0] * s - s[0] * dm
     assert np.allclose(pv.minus_1, explicit_minus_1, atol=1e-14)
+
+
+def test_closed_forms_broadcast_over_frequency_arrays():
+    # arrays of probe and emission frequencies broadcast against each other
+    # and equal the closed forms taken point by point; scalars stay scalars
+    sys = make(1.3, delta=0.8)
+    omega_p = np.array([-2.5, 0.0, 0.7])[:, None]
+    nu = np.array([-1.1, 0.4, 3.0, 6.2])
+    for fn in (atom.p_plus, atom.p_minus, atom.p2):
+        grid = fn(sys, omega_p, nu)
+        assert grid.shape == (3, 4)
+        for i, w in enumerate(omega_p[:, 0]):
+            for j, n in enumerate(nu):
+                point = fn(sys, w, n)
+                assert np.ndim(point) == 0
+                assert abs(grid[i, j] - point) < 1e-15 * max(1.0, abs(point))
+    assert np.ndim(atom.mollow_p0(sys, 0.3)) == 0
+    assert np.array_equal(atom.mollow_p0(sys, nu), [atom.mollow_p0(sys, n) for n in nu])
+    pv = atom.probe_vectors(sys, nu)
+    for j, n in enumerate(nu):
+        single = atom.probe_vectors(sys, n)
+        for name in ("minus_2", "plus_2", "second_2", "minus_1", "plus_1", "second_1"):
+            assert np.allclose(getattr(pv, name)[j], getattr(single, name), rtol=0, atol=1e-15)
+    for sign in (+1, -1):
+        stacked = atom.delta_sigma_first(sys, sign, nu)
+        assert stacked.shape == (4, 3)
+        assert np.array_equal(stacked[2], atom.delta_sigma_first(sys, sign, nu[2]))
+    assert np.allclose(atom.delta_sigma_second(sys, nu)[1],
+                       atom.delta_sigma_second(sys, nu[1]), rtol=0, atol=1e-15)
 
 
 def test_conjugate_swap_is_bitwise_involution():

@@ -69,6 +69,15 @@ def test_validate_oracle_exit_codes(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["sum-rules"], ["physics"],
+                                  ["equivalence", "--nu-points", "61"]],
+                         ids=["sum-rules", "physics", "equivalence"])
+def test_validate_suites_pass_at_their_default_bounds(capsys, argv):
+    assert main(["validate", *argv]) == 0
+    report = capsys.readouterr().out
+    assert "OK:" in report and "FAIL" not in report
+
+
 def test_zero_tolerance_is_applied_not_replaced_by_the_default(capsys):
     # every sum-rule deviation is positive rounding noise, so bound 0 fails
     assert main(["validate", "sum-rules", "--tolerance", "0"]) == 1

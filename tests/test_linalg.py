@@ -1,19 +1,10 @@
-"""Spectral decomposition, resolvents and tensor products."""
+"""Generator eigenvalues, the guarded resolvent and tensor products."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cbs2atom import atom
-from cbs2atom.linalg import (
-    DegenerateSpectrumError,
-    PoleProximityError,
-    eigen_decompose,
-    DEGENERACY_TOL,
-    green,
-    resolve,
-)
+from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError, resolve
 
 
 def bloch_matrix(rabi, delta, gamma=1.0, phase=0.0):
@@ -28,51 +19,15 @@ def characteristic_cubic(z, rabi, delta, gamma=1.0):
 
 
 def test_eigenvalues_undriven_atom():
-    dec = eigen_decompose(bloch_matrix(0.0, 0.5))
+    lam = np.linalg.eigvals(bloch_matrix(0.0, 0.5))
     expected = np.sort_complex([-1 + 0.5j, -1 - 0.5j, -2])
-    assert np.allclose(np.sort_complex(dec.eigenvalues), expected, atol=1e-12)
+    assert np.allclose(np.sort_complex(lam), expected, atol=1e-12)
 
 
 def test_eigenvalues_solve_characteristic_cubic():
-    dec = eigen_decompose(bloch_matrix(1.3, 0.7))
-    for lam in dec.eigenvalues:
-        assert abs(characteristic_cubic(lam, 1.3, 0.7)) < 1e-10
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    rabi=st.floats(0.1, 12.0),
-    delta=st.floats(-5.0, 5.0),
-)
-def test_projector_identities(rabi, delta):
-    M = bloch_matrix(rabi, delta)
-    try:
-        dec = eigen_decompose(M)
-    except DegenerateSpectrumError:
-        return
-    P = dec.projectors
-    assert np.max(np.abs(P.sum(axis=0) - np.eye(3))) < 1e-12
-    for k in range(3):
-        for q in range(3):
-            expect = P[k] if k == q else 0.0
-            assert np.max(np.abs(P[k] @ P[q] - expect)) < 1e-10
-    assert np.max(np.abs(dec.matrix - M)) < 1e-10
-    assert np.all(dec.eigenvalues.real < 0)
-
-
-def test_degenerate_spectrum_rejected():
-    # At rabi=0, delta=0 two eigenvalues coincide exactly.
-    with pytest.raises(DegenerateSpectrumError):
-        eigen_decompose(bloch_matrix(0.0, 0.0))
-    with pytest.raises(DegenerateSpectrumError):
-        eigen_decompose(bloch_matrix(0.0, 4e-10))
-
-
-def test_non_finite_input_rejected():
-    M = bloch_matrix(1.0, 0.0)
-    M[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        eigen_decompose(M)
+    lam = atom.build(atom.AtomDriveParams(rabi=1.3, delta=0.7)).eigenvalues
+    for root in lam:
+        assert abs(characteristic_cubic(root, 1.3, 0.7)) < 1e-10
 
 
 def test_resolvent_at_zero_is_inverse_of_undriven_generator():
@@ -86,23 +41,23 @@ def test_resolvent_matches_dense_solve():
     rng = np.random.default_rng(7)
     for _ in range(100):
         M = bloch_matrix(rng.uniform(0.2, 8.0), rng.uniform(-4.0, 4.0))
-        dec = eigen_decompose(M)
         z = 1j * rng.uniform(-50.0, 50.0)
-        Gp = green(dec, z)
-        Gd = resolve(M, z, np.eye(3), dec.eigenvalues)
-        assert np.max(np.abs(Gp - Gd)) <= 1e-11 * max(1.0, np.max(np.abs(Gd)))
+        Gi = np.linalg.inv(z * np.eye(3) - M)
+        Gd = resolve(M, z, np.eye(3), np.linalg.eigvals(M))
+        assert np.max(np.abs(Gi - Gd)) <= 1e-11 * max(1.0, np.max(np.abs(Gd)))
 
 
 def test_resolvent_inverts_generator():
     M = bloch_matrix(2.0, 1.0)
-    G0 = green(eigen_decompose(M), 0.0)
+    G0 = resolve(M, 0.0, np.eye(3), np.linalg.eigvals(M))
     assert np.max(np.abs(G0 @ (-M) - np.eye(3))) < 1e-11
 
 
 def test_resolvent_pole_proximity_rejected():
-    dec = eigen_decompose(bloch_matrix(2.0, 1.0))
+    M = bloch_matrix(2.0, 1.0)
+    poles = np.linalg.eigvals(M)
     with pytest.raises(PoleProximityError):
-        green(dec, dec.eigenvalues[0] + 1e-10)
+        resolve(M, poles[0] + 1e-10, np.eye(3), poles)
 
 
 def test_resolve_guard_covers_every_batch_element():
@@ -166,8 +121,8 @@ def test_kron_sum_eigenvalues_add():
     rng = np.random.default_rng(3)
     M1 = bloch_matrix(rng.uniform(0.5, 5.0), rng.uniform(-2, 2))
     M2 = bloch_matrix(rng.uniform(0.5, 5.0), rng.uniform(-2, 2))
-    lam1 = eigen_decompose(M1).eigenvalues
-    lam2 = eigen_decompose(M2).eigenvalues
+    lam1 = np.linalg.eigvals(M1)
+    lam2 = np.linalg.eigvals(M2)
     big = np.kron(M1, np.eye(3)) + np.kron(np.eye(3), M2)
     got = list(np.linalg.eigvals(big))
     for want in (l1 + l2 for l1 in lam1 for l2 in lam2):

@@ -9,7 +9,6 @@ from scipy.integrate import simpson as scipy_simpson
 from cbs2atom import residues, spectra
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import select_surviving
-from cbs2atom.linalg import DegenerateSpectrumError
 from cbs2atom.spectra import CbsResult, SpectralFunctionGrid, cbs_spectra, default_grid
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
@@ -194,11 +193,13 @@ def test_selected_content_is_geometry_independent_here_too():
 
 def test_production_matches_compact_oracle():
     # the canonical-configuration route against the closed form in
-    # single-atom observables; measured agreement is <= 8.3e-15 of the
-    # channel peak on the densities and <= 3.8e-15 relative on the weights,
-    # so the bound 1e-12 leaves a wide margin yet catches any wrong term
+    # single-atom observables, integrated by the tan-mapped midpoint rule;
+    # measured agreement is <= 2.2e-14 of the channel peak on the densities
+    # and relative on the weights, so the bound 1e-12 leaves a wide margin
+    # yet catches any wrong term.  The Jordan point needs no special case.
     bound = 1e-12
-    for d in [drive(2.0), drive(0.9, 1.1), drive(20.0), drive(50.0, 3.0)]:
+    for d in [drive(2.0), drive(0.9, 1.1), drive(20.0), drive(50.0, 3.0),
+              drive(1.3, 0.8), drive(0.5)]:
         nus = default_grid(d, points=41)
         result = cbs_spectra(d, nus=nus)
         for got, oracle in [(result.ladder, residues.compact_ladder(d, nus)),
@@ -207,6 +208,50 @@ def test_production_matches_compact_oracle():
             assert np.max(np.abs(got.values - oracle.values)) < bound * scale
             assert abs(got.elastic_weight - oracle.elastic_weight) < bound * abs(
                 oracle.elastic_weight)
+
+
+@pytest.mark.parametrize("rabi, delta", [(2.0, 0.0), (20.0, 0.0), (50.0, 3.0), (0.5, 0.0)],
+                         ids=["rabi2", "rabi20", "rabi50-det3", "jordan"])
+def test_compact_oracle_is_converged_in_the_node_count(rabi, delta, monkeypatch):
+    # doubling every node count of the quadrature moves no closed-form value
+    # by more than 1e-13 of its channel peak
+    d = drive(rabi, delta)
+    nus = default_grid(d, points=21)
+    base = [residues.compact_ladder(d, nus), residues.compact_crossed(d, nus)]
+    count = residues._node_count
+    monkeypatch.setattr(residues, "_node_count", lambda depth: 2 * count(depth))
+    doubled = [residues.compact_ladder(d, nus), residues.compact_crossed(d, nus)]
+    for got, ref in zip(doubled, base):
+        assert np.max(np.abs(got.values - ref.values)) < 1e-13 * np.max(np.abs(ref.values))
+        assert abs(got.elastic_weight - ref.elastic_weight) < 1e-13 * abs(ref.elastic_weight)
+
+
+def _assert_matches_compact(d):
+    nus = default_grid(d, points=9)
+    result = cbs_spectra(d, nus=nus)
+    for got, oracle in [(result.ladder, residues.compact_ladder(d, nus)),
+                        (result.crossed, residues.compact_crossed(d, nus))]:
+        assert np.max(np.abs(got.values - oracle.values)) < 1e-12 * np.max(np.abs(oracle.values))
+        assert abs(got.elastic_weight - oracle.elastic_weight) < 1e-12 * abs(oracle.elastic_weight)
+
+
+# Drive-plane property tests against the closed form.  Drives with
+# rabi/|delta| below ~0.5 are left out: there production loses digits to
+# low saturation and differs from both closed-form routes (residues and
+# quadrature, which agree within 1e-14) by 8.9e-12 (ladder) and 2.9e-11
+# (crossed) at (2, 20) and by 1.4e-11 at (1, 10); see ROADMAP item 2.
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(rabi=st.floats(0.3, 20.0), ratio=st.floats(-1.0, 1.0))
+def test_production_matches_compact_over_the_drive_plane(rabi, ratio):
+    _assert_matches_compact(drive(rabi, ratio * rabi))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(rabi=st.floats(0.5 - 1e-6, 0.5 + 1e-6))
+def test_production_matches_compact_around_the_jordan_point(rabi):
+    _assert_matches_compact(drive(rabi))
 
 
 # -------------------------------------------------------- density symmetries
@@ -240,21 +285,24 @@ def test_strong_drive_background_dips_negative():
 
 def test_jordan_block_drive_is_healed():
     # rabi = gamma/2 on resonance makes the single-atom generator
-    # defective: the closed form has no spectral projectors there, while
-    # the production route solves the two-atom equations directly and
-    # stays exact and smooth in the detuning
-    with pytest.raises(DegenerateSpectrumError):
-        residues.compact_elastic_ladder(drive(0.5))
+    # defective; neither the production route (the two-atom equations,
+    # solved directly) nor the closed form (integrated by quadrature over
+    # stacked resolvents) needs its eigenbasis, so both stay exact there
+    # and production stays smooth in the detuning
     lad = spectra.elastic_ladder(drive(0.5))
     assert abs(lad - 0.007209981917089566) < 1e-12
+    assert abs(residues.compact_elastic_ladder(drive(0.5)) - lad) < 1e-12 * abs(lad)
     for delta in (1e-4, -1e-4):
         # the weight is even in the detuning: only its O(delta^2)
         # curvature shows, 1.4e-9 relative at this step
         neighbour = spectra.elastic_ladder(drive(0.5, delta))
         assert abs(lad - neighbour) < 1e-8 * abs(lad)
-    g = spectra.inelastic_ladder(drive(0.5), nus=np.array([-0.7, 0.0, 0.7]))
+    nus = np.array([-0.7, 0.0, 0.7])
+    g = spectra.inelastic_ladder(drive(0.5), nus=nus)
     assert np.all(np.isfinite(g.values))
     assert abs(g.values[0] - g.values[2]) < 1e-10
+    oracle = residues.compact_ladder(drive(0.5), nus).values
+    assert np.max(np.abs(g.values - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
 
 def test_weak_degenerate_drive_is_healed():

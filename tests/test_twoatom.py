@@ -18,7 +18,7 @@ from cbs2atom.atom import (
     g0_vectors,
     mollow_p0,
 )
-from cbs2atom.linalg import DegenerateSpectrumError, PoleProximityError
+from cbs2atom.linalg import PoleProximityError
 
 DRIVE = AtomDriveParams(rabi=2.0, delta=0.5)
 
@@ -53,6 +53,20 @@ def test_config_rejects_bad_geometry():
         ta.ScatteringConfig(r1=np.zeros(3), r2=np.array([100.0, 0, 0]), gamma=0.0)
     with pytest.raises(ValueError):
         ta.ScatteringConfig(r1=np.zeros(4), r2=np.zeros(4))
+
+
+def test_config_rejects_non_finite_geometry():
+    # an infinite decay rate made the coupling nan+nanj, and a nan position
+    # or direction slipped past the distinct-positions and unit-vector checks
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        ta.ScatteringConfig.from_separation(100.0, gamma=np.inf)
+    with pytest.raises(ValueError, match="r2 must be finite"):
+        ta.ScatteringConfig.from_separation(np.nan)
+    with pytest.raises(ValueError, match="r1 must be finite"):
+        ta.ScatteringConfig(r1=np.array([0.0, np.inf, 0.0]), r2=np.array([100.0, 0, 0]))
+    with pytest.raises(ValueError, match="k_hat must be finite"):
+        ta.ScatteringConfig(r1=np.zeros(3), r2=np.array([100.0, 0, 0]),
+                            k_hat=(np.nan, 0.0, 1.0))
 
 
 def test_config_warns_when_atoms_close():
@@ -426,13 +440,18 @@ def test_second_order_closed_forms_across_parameter_draws():
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
 
-def test_degenerate_drive_still_solves_but_blocks_explicit_chains():
-    # critically damped point: defective generator, no spectral decomposition
+def test_degenerate_drive_still_solves_and_matches_explicit_chains():
+    # critically damped point: a defective generator without an eigenbasis;
+    # the recurrences and the quadrature of the printed chains need none
     gen = make_gen(rabi=0.5, delta=0.0)
     orders = ta.perturbative_orders(gen, 2)
     assert np.isfinite(ta.tagged_total(orders.bloch[2], 6)).all()
-    with pytest.raises(DegenerateSpectrumError):
-        residues.single_second_order_explicit(gen)
+    for mono, vec in residues.single_second_order_explicit(gen).items():
+        recurrence = orders.bloch[2][mono][:3]
+        assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
+    for mono, vec in residues.pair_first_order_explicit(gen).items():
+        recurrence = orders.correlation[1][mono]
+        assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
 
 # ------------------------------------------------- regression initial values
