@@ -1,11 +1,18 @@
 """Tests for the bichromatic pump-probe solver and correlation extraction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbs2atom import atom, linalg, pumpprobe
 from cbs2atom.atom import (
+    DELTA_MINUS,
+    DELTA_PLUS,
+    N1,
+    N2,
     AtomDriveParams,
     build,
     delta_sigma_first,
@@ -27,6 +34,7 @@ from cbs2atom.pumpprobe import (
     periodic_state,
     time_domain_coefficient,
 )
+from cbs2atom.linalg import resolve
 from cbs2atom.spectra import cbs_spectra
 
 PUMP = AtomDriveParams(rabi=2.0, delta=0.5)
@@ -46,6 +54,11 @@ def test_drive_rejects_nonfinite_probe():
         BichromaticDrive(pump=PUMP, probe_detuning=float("nan"))
     with pytest.raises(ValueError):
         BichromaticDrive(pump=PUMP, probe_detuning=1.0, v_plus=float("inf"))
+
+
+def test_drive_rejects_complex_probe_detuning():
+    with pytest.raises(ValueError, match="real"):
+        BichromaticDrive(pump=AtomDriveParams(rabi=2.0), probe_detuning=1 + 1j)
 
 
 def test_perturbative_flag_tracks_amplitude_ratio():
@@ -102,6 +115,59 @@ def test_probe_derivatives_match_response_chains(rabi, delta, w):
         assert abs(c10 - p_minus(system, w, nu + w)) < 1e-12
         assert abs(c01 - p_plus(system, w, nu)) < 1e-12
         assert abs(c11 - p2(system, w, nu)) < 1e-12
+
+
+def chain_reference(pump, w, order, nu):
+    """Delta coefficient transcribed chain by chain, one dense solve per
+    chain step."""
+    system = build(pump)
+    orders = harmonic_orders(system, w, *order)
+    couplers = {"+": DELTA_MINUS, "-": DELTA_PLUS}
+    steps = {"+": 1, "-": -1}
+
+    def solve(vec, z):
+        return resolve(system.M, z, vec[:, None], system.eigenvalues)[:, 0]
+
+    def initial(a, b, coupler, affine, index):
+        vec = coupler @ orders[(a, b)] + (affine if a == b == 0 else 0.0)
+        for ap in range(a + 1):
+            for bp in range(b + 1):
+                vec = vec - orders[(ap, bp)][index] * orders[(a - ap, b - bp)]
+        return vec
+
+    p, q = order
+    total = 0j
+    for a in range(p + 1):
+        for b in range(q + 1):
+            for seq in set(itertools.permutations("+" * (p - a) + "-" * (q - b))):
+                k = a - b
+                vec = solve(initial(a, b, 1j * DELTA_MINUS, N1, 1), -1j * (nu + k * w))
+                for symbol in seq:
+                    k += steps[symbol]
+                    vec = solve(couplers[symbol] @ vec, -1j * (nu + k * w))
+                total += vec[0]
+                k = sum(steps[symbol] for symbol in seq)
+                vec = solve(initial(a, b, -1j * DELTA_PLUS, N2, 0), 1j * (nu + k * w))
+                for symbol in seq:
+                    k -= steps[symbol]
+                    vec = solve(couplers[symbol] @ vec, 1j * (nu + k * w))
+                total += vec[1]
+    return total
+
+
+@pytest.mark.parametrize("rabi,delta", [(2.0, 0.0), (1.3, 0.8), (0.5, 0.0)],
+                         ids=["rabi2", "detuned", "jordan"])
+@pytest.mark.parametrize("order", [(1, 1), (0, 1)])
+def test_shared_inverses_match_per_step_solves(rabi, delta, order):
+    # each resolvent argument inverted once and shared by every chain
+    # reproduces one solve per chain step
+    pump = AtomDriveParams(rabi=rabi, delta=delta)
+    for w in (1.3, -2.0):
+        drive = BichromaticDrive(pump=pump, probe_detuning=w)
+        for nu in (-3.1, 0.0, 0.7, 4.2):
+            ref = chain_reference(pump, w, order, nu)
+            got = correlation_coefficient(drive, order, nu)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (w, nu)
 
 
 def test_channel_pairing_is_not_the_naive_one():
@@ -176,6 +242,41 @@ def test_channel_densities_do_not_mix_emission_frequencies():
     for name in ("ladder", "crossed"):
         scale = np.max(np.abs(grid[name]))
         assert abs(alone[name][0] - grid[name][3]) <= 1e-14 * scale, name
+
+
+def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
+    # per emission frequency: the mixed coefficient needs 6 inverses (two
+    # time orderings times net photon shifts -1, 0, 1), the forward and the
+    # reflected one-probe coefficients 4 each, and the reflected harmonic
+    # order 1; one solve per chain step would take 35
+    calls = []
+    original = linalg.resolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (linalg, atom, pumpprobe):
+        monkeypatch.setattr(module, "resolve", counting, raising=False)
+    counts = []
+    for nus in ([0.3], [0.3, 1.1]):
+        calls.clear()
+        channel_densities(AtomDriveParams(rabi=2.0), nus)
+        counts.append(len(calls))
+    assert counts[1] - counts[0] <= 15
+    assert counts[0] <= 45
+
+
+@pytest.mark.parametrize("nus", [0.3, [[0.3, 1.1]]], ids=["scalar", "2d"])
+def test_channel_densities_reject_non_vector_frequencies(nus):
+    with pytest.raises(ValueError, match="1-D"):
+        channel_densities(PUMP, nus, inner_points=5)
+
+
+@pytest.mark.parametrize("count", [401.0, "401"])
+def test_channel_densities_reject_non_integer_inner_points(count):
+    with pytest.raises(ValueError, match="inner_points must be an integer"):
+        channel_densities(PUMP, [0.3], inner_points=count)
 
 
 @pytest.mark.parametrize("width", [-25.0, 0.0, float("nan"), float("inf")])
