@@ -402,6 +402,8 @@ def cmd_validate(suite: str, tolerance=None, nu_points: int = 601,
         raise ValueError(f"suite must be one of {SUITES}")
     if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
+    if nu_points < 3:
+        raise ValueError("need at least 3 frequency points")
     if suite == "physics":
         checks = runners[suite](tolerance, nu_points)
     else:
@@ -463,25 +465,35 @@ def cmd_sweep(rabis, detunings, base: RunConfig) -> list:
     detunings = list(detunings) or [0.0]
     if not rabis:
         raise ValueError("sweep needs at least one rabi value")
+    # every point is checked before anything is written, so a bad point or
+    # two points that would write the same files leave the output untouched
+    points = {}
+    for rabi in rabis:
+        for detuning in detunings:
+            cfg = RunConfig(**{**_config_echo(base),
+                               "rabi": rabi, "detuning": detuning})
+            name = _point_name(rabi, detuning)
+            if name in points:
+                other = points[name]
+                raise ValueError(
+                    f"sweep points (rabi {other.rabi!r}, detuning {other.detuning!r}) and "
+                    f"(rabi {rabi!r}, detuning {detuning!r}) would both write {name}.*")
+            points[name] = cfg
     os.makedirs(base.output, exist_ok=True)
     written = []
     summary = {name: [] for name in
                ("rabi", "detuning", "L_el", "C_el", "L_total", "C_total",
                 "enhancement")}
-    for rabi in rabis:
-        for detuning in detunings:
-            cfg = RunConfig(**{**_config_echo(base),
-                               "rabi": rabi, "detuning": detuning})
-            result, columns, sidecar = _evaluate(cfg)
-            written += _write_spectrum(cfg, _point_name(rabi, detuning),
-                                       columns, sidecar)
-            summary["rabi"].append(rabi)
-            summary["detuning"].append(detuning)
-            summary["L_el"].append(result.elastic_ladder)
-            summary["C_el"].append(result.elastic_crossed)
-            summary["L_total"].append(result.ladder.total)
-            summary["C_total"].append(result.crossed.total)
-            summary["enhancement"].append(result.enhancement)
+    for name, cfg in points.items():
+        result, columns, sidecar = _evaluate(cfg)
+        written += _write_spectrum(cfg, name, columns, sidecar)
+        summary["rabi"].append(cfg.rabi)
+        summary["detuning"].append(cfg.detuning)
+        summary["L_el"].append(result.elastic_ladder)
+        summary["C_el"].append(result.elastic_crossed)
+        summary["L_total"].append(result.ladder.total)
+        summary["C_total"].append(result.crossed.total)
+        summary["enhancement"].append(result.enhancement)
     table = os.path.join(base.output, "sweep_summary.csv")
     _write_csv(table, base, summary)
     script = os.path.join(base.output, "sweep_plot.py")

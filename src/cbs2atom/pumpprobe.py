@@ -92,7 +92,17 @@ def harmonic_orders(system: BlochSystem, w, max_plus: int = 1,
     ``p == q`` sit on the static harmonic, whose one resolvent serves every
     ``w``.
     """
-    orders = {(0, 0): system.steady}
+    harmonics = {p - q for p in range(max_plus + 1) for q in range(max_minus + 1)
+                 if p or q}
+    greens = {n: system.green(-1j * n * w if n else 0.0) for n in harmonics}
+    return _harmonic_orders(system.steady, greens, max_plus, max_minus)
+
+
+def _harmonic_orders(steady: np.ndarray, greens: dict, max_plus: int,
+                     max_minus: int) -> dict:
+    """:func:`harmonic_orders` from given resolvents: ``greens[n]`` is
+    ``G(-i n w)``, for every harmonic ``n`` the orders populate."""
+    orders = {(0, 0): steady}
     for p in range(max_plus + 1):
         for q in range(max_minus + 1):
             if p == q == 0:
@@ -102,8 +112,7 @@ def harmonic_orders(system: BlochSystem, w, max_plus: int = 1,
                 source = source + orders[(p - 1, q)] @ DELTA_MINUS.T
             if q > 0:
                 source = source + orders[(p, q - 1)] @ DELTA_PLUS.T
-            z = -1j * (p - q) * w if p != q else 0.0
-            orders[(p, q)] = _apply(system.green(z), source)
+            orders[(p, q)] = _apply(greens[p - q], source)
     return orders
 
 
@@ -127,13 +136,14 @@ def harmonic_orders(system: BlochSystem, w, max_plus: int = 1,
 # probe-photon count k: (-+ i (w1 + k w) - M)^{-1} for the two time
 # orderings.  Every chain runs on whole arrays of (w, w1) pairs; vectors
 # are stacked along leading axes, so a coupler acts as ``vec @ coupler.T``.
-# A chain only ever shifts by k in {-1, 0, 1}, so one coefficient needs at
-# most six distinct resolvents, however many chains and steps it has:
-# each is inverted once per call and applied to the chain vectors by a
-# stacked matrix product.  At k = 0 the argument is the emission frequency
-# alone, one matrix rather than one per probe detuning.  Both orderings
-# are inverted directly, not one derived from the other by a symmetry, so
-# the extraction shares no symmetry with the closed forms it checks.
+# The resolvents come from the caller as a memo keyed by (sign, k), each
+# applied to the chain vectors by a stacked matrix product: one
+# coefficient needs at most one inverse per key, and a caller that
+# evaluates several coefficients, or the same argument on several
+# supports, forms each distinct argument once and shares it.  Both
+# orderings are inverted directly, not one derived from the other by a
+# symmetry, so the extraction shares no symmetry with the closed forms it
+# checks.
 # ----------------------------------------------------------------------------
 
 
@@ -159,41 +169,51 @@ def _connected_initial(orders: dict, p: int, q: int, coupler: np.ndarray,
     return vec
 
 
-def _coefficient(system: BlochSystem, orders: dict, w, order: tuple,
-                 nu) -> np.ndarray:
-    """Delta coefficient at probe order ``order`` for broadcast arrays of
-    probe detunings ``w`` and emission frequencies ``nu``; ``orders`` is
-    :func:`harmonic_orders` at the same ``w``, up to at least ``order``."""
+def _connected_initials(orders: dict, p: int, q: int) -> dict:
+    """The chains' initial vectors at every order up to ``(p, q)``:
+    ``{(a, b): (later_lowering, later_raising)}``."""
+    return {(a, b): (_connected_initial(orders, a, b, 1j * DELTA_MINUS, N1, 1),
+                     _connected_initial(orders, a, b, -1j * DELTA_PLUS, N2, 0))
+            for a in range(p + 1) for b in range(q + 1)}
+
+
+def _chain_inverses(system: BlochSystem, w, nu, shifts) -> dict:
+    """The resolvent memo of :func:`_coefficient`: ``G(sign*i*(nu + k*w))``
+    for both time orderings and every net photon shift ``k`` in ``shifts``."""
+    return {(sign, k): system.green(sign * 1j * (nu + k * w if k else nu))
+            for sign in (-1, 1) for k in shifts}
+
+
+def _coefficient(initials: dict, order: tuple, inverses: dict) -> np.ndarray:
+    """Delta coefficient at probe order ``order``.
+
+    ``initials`` is :func:`_connected_initials` up to at least ``order``
+    and ``inverses[sign, k]`` is ``G(sign*i*(nu + k*w))`` at the same
+    probe detunings ``w``, for every net photon shift ``k`` from ``-q`` to
+    ``p``; the result broadcasts over their shapes.
+    """
     p, q = order
     couplers = {"+": DELTA_MINUS.T, "-": DELTA_PLUS.T}
     steps = {"+": 1, "-": -1}
-    inverses = {}
-
-    def propagate(vec, sign, k):
-        if (sign, k) not in inverses:
-            inverses[sign, k] = system.green(sign * 1j * (nu + k * w if k else nu))
-        return _apply(inverses[sign, k], vec)
-
     total = 0.0
     for ai in range(p + 1):
         for bi in range(q + 1):
+            later_lowering, later_raising = initials[ai, bi]
             for seq in _insertion_sequences(p - ai, q - bi):
                 # later-lowering branch: raising acts at the earlier time
-                vec = _connected_initial(orders, ai, bi, 1j * DELTA_MINUS, N1, 1)
                 accumulated = ai - bi
-                vec = propagate(vec, -1, accumulated)
+                vec = _apply(inverses[-1, accumulated], later_lowering)
                 for symbol in seq:
                     accumulated += steps[symbol]
-                    vec = propagate(vec @ couplers[symbol], -1, accumulated)
+                    vec = _apply(inverses[-1, accumulated], vec @ couplers[symbol])
                 total = total + vec[..., 0]
 
                 # later-raising branch: lowering acts at the earlier time
-                vec = _connected_initial(orders, ai, bi, -1j * DELTA_PLUS, N2, 0)
                 remaining = sum(steps[symbol] for symbol in seq)
-                vec = propagate(vec, 1, remaining)
+                vec = _apply(inverses[1, remaining], later_raising)
                 for symbol in seq:
                     remaining -= steps[symbol]
-                    vec = propagate(vec @ couplers[symbol], 1, remaining)
+                    vec = _apply(inverses[1, remaining], vec @ couplers[symbol])
                 total = total + vec[..., 1]
     return total
 
@@ -212,7 +232,8 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
     system = build(drive.pump)
     w = drive.probe_detuning
     orders = harmonic_orders(system, w, p, q)
-    return complex(_coefficient(system, orders, w, order, nu))
+    inverses = _chain_inverses(system, w, nu, range(-q, p + 1))
+    return complex(_coefficient(_connected_initials(orders, p, q), order, inverses))
 
 
 def extracted_functions(drive: BichromaticDrive, nus) -> dict:
@@ -220,17 +241,19 @@ def extracted_functions(drive: BichromaticDrive, nus) -> dict:
 
     Returns the zero-probe spectral density (per unit angular frequency,
     hence the 2-pi division) and the three derivative coefficients, all
-    as functions of the emission frequency ``w1``.
+    as functions of the emission frequency ``w1``.  The four share one
+    resolvent memo, six inverses stacked over the grid.
     """
     nus = np.asarray(nus, dtype=float)
     system = build(drive.pump)
     w = drive.probe_detuning
-    orders = harmonic_orders(system, w, 1, 1)
+    initials = _connected_initials(harmonic_orders(system, w, 1, 1), 1, 1)
+    inverses = _chain_inverses(system, w, nus, (-1, 0, 1))
     return {
-        "p0": _coefficient(system, orders, w, (0, 0), nus) / (2 * np.pi),
-        "plus_probe": _coefficient(system, orders, w, (1, 0), nus),
-        "minus_probe": _coefficient(system, orders, w, (0, 1), nus),
-        "mixed": _coefficient(system, orders, w, (1, 1), nus),
+        "p0": _coefficient(initials, (0, 0), inverses) / (2 * np.pi),
+        "plus_probe": _coefficient(initials, (1, 0), inverses),
+        "minus_probe": _coefficient(initials, (0, 1), inverses),
+        "mixed": _coefficient(initials, (1, 1), inverses),
     }
 
 
@@ -343,35 +366,55 @@ def channel_densities(pump: AtomDriveParams, nus, *,
     us = np.linspace(-inner_half_width, inner_half_width, inner_points)
 
     system = build(pump)
-    b_minus, b_plus = system.steady[0], system.steady[1]
-    at_zero = harmonic_orders(system, 0.0, 1, 1)
-    inner = harmonic_orders(system, us, 1, 1)
-    p0_inner = _coefficient(system, at_zero, 0.0, (0, 0), us) / (2 * np.pi)
+    steady = system.steady
+    b_minus, b_plus = steady[0], steady[1]
+    # every inverse that does not depend on the emission frequency, or on
+    # it alone, is formed once: G(0), G(+-i u) over the inner grid and
+    # G(+-i nu) over the output grid
+    static = system.green(0.0)
+    at_u = {sign: system.green(sign * 1j * us) for sign in (-1, 1)}
+    at_nu = {sign: system.green(sign * 1j * nus) for sign in (-1, 1)}
+
+    # at zero probe detuning every harmonic is static and every photon
+    # shift of a chain leaves its argument at the emission frequency
+    zero = _connected_initials(
+        _harmonic_orders(steady, {n: static for n in (-1, 0, 1)}, 1, 1), 1, 1)
+    zero_inverses = {(sign, k): at_nu[sign] for sign in (-1, 1) for k in (-1, 0, 1)}
+    inner = _connected_initials(
+        _harmonic_orders(steady, {-1: at_u[1], 0: static, 1: at_u[-1]}, 1, 1), 1, 1)
+    p0_inner = (_coefficient(zero, (0, 0), {(-1, 0): at_u[-1], (1, 0): at_u[1]})
+                / (2 * np.pi))
 
     # first-order amplitude responses at the emission frequency
-    d_minus_up = harmonic_orders(system, -nus, 1, 0)[(1, 0)]
-    at_nu = harmonic_orders(system, nus, 1, 1)
-    d_minus_down, d_plus_up = at_nu[(1, 0)], at_nu[(0, 1)]
+    d_minus_up = _harmonic_orders(steady, {1: at_nu[1]}, 1, 0)[(1, 0)]
+    at_emission = _harmonic_orders(steady, {-1: at_nu[1], 0: static, 1: at_nu[-1]}, 1, 1)
+    d_minus_down, d_plus_up = at_emission[(1, 0)], at_emission[(0, 1)]
 
     ladder_conv = np.empty(len(nus), dtype=complex)
     crossed_conv = np.empty(len(nus), dtype=complex)
     for i, nu in enumerate(nus):
-        mixed = _coefficient(system, inner, us, (1, 1), nu)
+        unshifted = {(-1, 0): at_nu[-1][i], (1, 0): at_nu[1][i]}
+        inverses = {**unshifted, **_chain_inverses(system, us, nu, (-1, 1))}
+        mixed = _coefficient(inner, (1, 1), inverses)
         ladder_conv[i] = simpson(p0_inner * mixed, us)
 
-        forward = _coefficient(system, inner, us, (0, 1), nu)
-        ws = nu - us
+        forward = _coefficient(inner, (0, 1), inverses)
+        # the reflected factor runs at probe detunings nu - u: its harmonic
+        # order solves at i(nu - u), the mixed chains' (+1, -1) argument,
+        # and its one-photon arguments +-i(nu - (nu - u)) are +-i u
+        reflected_orders = _harmonic_orders(steady, {-1: inverses[1, -1]}, 0, 1)
         reflected = np.conj(_coefficient(
-            system, harmonic_orders(system, ws, 0, 1), ws, (0, 1), nu))
+            _connected_initials(reflected_orders, 0, 1), (0, 1),
+            {**unshifted, (-1, -1): at_u[-1], (1, -1): at_u[1]}))
         crossed_conv[i] = simpson(forward * reflected, us) / (2 * np.pi)
 
-    pump_elastic = b_plus * b_minus * _coefficient(system, at_zero, 0.0, (1, 1), nus)
-    direct = (_coefficient(system, at_zero, 0.0, (0, 0), nus) / (2 * np.pi)
+    pump_elastic = b_plus * b_minus * _coefficient(zero, (1, 1), zero_inverses)
+    direct = (_coefficient(zero, (0, 0), zero_inverses) / (2 * np.pi)
               * (abs(d_minus_up[:, 1]) ** 2 + abs(d_plus_up[:, 1]) ** 2))
     ladder = 2.0 * np.real((ladder_conv + pump_elastic) / (2 * np.pi) + direct)
 
-    edge = (b_plus * d_minus_down[:, 0] * _coefficient(system, at_zero, 0.0, (0, 1), nus)
-            + b_minus * d_plus_up[:, 1] * _coefficient(system, at_zero, 0.0, (1, 0), nus))
+    edge = (b_plus * d_minus_down[:, 0] * _coefficient(zero, (0, 1), zero_inverses)
+            + b_minus * d_plus_up[:, 1] * _coefficient(zero, (1, 0), zero_inverses))
     crossed = 2.0 * np.real((crossed_conv + edge) / (2 * np.pi))
     return {"nu": nus, "ladder": ladder, "crossed": crossed}
 

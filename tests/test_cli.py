@@ -174,6 +174,25 @@ def test_sweep_summary_has_one_row_per_drive(tmp_path, capsys):
         assert summary["enhancement"][i] == result.enhancement
 
 
+@pytest.mark.parametrize("rabis", [["2", "2.0000000001"], ["2", "-1"]],
+                         ids=["name-collision", "bad-point"])
+def test_sweep_checks_every_point_before_writing(tmp_path, capsys, rabis):
+    # 2 and 2.0000000001 both format as sweep_r2_d0; a later bad drive
+    # must not leave the earlier points' files behind
+    output = tmp_path / "out"
+    assert main(["sweep", "--rabi", *rabis, *GRID, "--output", str(output)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-3", "2"])
+def test_validate_rejects_fewer_than_three_frequency_points(capsys, points):
+    assert main(["validate", "equivalence", "--nu-points", points]) == 2
+    captured = capsys.readouterr()
+    assert "need at least 3 frequency points" in captured.err and captured.out == ""
+
+
 @pytest.fixture
 def stub_matplotlib(monkeypatch):
     """Let the emitted plot scripts run where matplotlib is not installed."""

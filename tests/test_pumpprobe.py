@@ -35,7 +35,7 @@ from cbs2atom.pumpprobe import (
     time_domain_coefficient,
 )
 from cbs2atom.linalg import resolve
-from cbs2atom.spectra import cbs_spectra
+from cbs2atom.spectra import cbs_spectra, simpson
 
 PUMP = AtomDriveParams(rabi=2.0, delta=0.5)
 
@@ -245,10 +245,10 @@ def test_channel_densities_do_not_mix_emission_frequencies():
 
 
 def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
-    # per emission frequency: the mixed coefficient needs 6 inverses (two
-    # time orderings times net photon shifts -1, 0, 1), the forward and the
-    # reflected one-probe coefficients 4 each, and the reflected harmonic
-    # order 1; one solve per chain step would take 35
+    # per emission frequency only +-i(nu + u) and +-i(nu - u) are new, one
+    # stack each over the inner grid; set-up forms G(0), G(+-i u) and
+    # G(+-i nu) over the output grid once.  One inverse per argument and
+    # coefficient would take 15 per frequency, one solve per chain step 35
     calls = []
     original = linalg.resolve
 
@@ -263,8 +263,52 @@ def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
         calls.clear()
         channel_densities(AtomDriveParams(rabi=2.0), nus)
         counts.append(len(calls))
-    assert counts[1] - counts[0] <= 15
-    assert counts[0] <= 45
+    assert counts[1] - counts[0] <= 4
+    assert counts[0] <= 5 + 4
+
+
+def densities_reference(pump, nus, half_width, points):
+    """`channel_densities` transcribed one inner point at a time, every
+    factor from the public `correlation_coefficient` and `harmonic_orders`."""
+    system = build(pump)
+    b_minus, b_plus = system.steady[0], system.steady[1]
+    us = np.linspace(-half_width, half_width, points)
+
+    def coefficient(w, order, nu):
+        drive = BichromaticDrive(pump=pump, probe_detuning=w)
+        return correlation_coefficient(drive, order, nu)
+
+    p0 = np.array([coefficient(0.0, (0, 0), u) for u in us]) / (2 * np.pi)
+    ladder, crossed = [], []
+    for nu in nus:
+        mixed = np.array([coefficient(u, (1, 1), nu) for u in us])
+        forward = np.array([coefficient(u, (0, 1), nu) for u in us])
+        reflected = np.conj([coefficient(nu - u, (0, 1), nu) for u in us])
+        d_minus_up = harmonic_orders(system, -nu, 1, 0)[(1, 0)]
+        at_nu = harmonic_orders(system, nu, 1, 1)
+        d_minus_down, d_plus_up = at_nu[(1, 0)], at_nu[(0, 1)]
+        direct = (coefficient(0.0, (0, 0), nu) / (2 * np.pi)
+                  * (abs(d_minus_up[1]) ** 2 + abs(d_plus_up[1]) ** 2))
+        pump_elastic = b_plus * b_minus * coefficient(0.0, (1, 1), nu)
+        ladder.append(2.0 * np.real(
+            (simpson(p0 * mixed, us) + pump_elastic) / (2 * np.pi) + direct))
+        edge = (b_plus * d_minus_down[0] * coefficient(0.0, (0, 1), nu)
+                + b_minus * d_plus_up[1] * coefficient(0.0, (1, 0), nu))
+        crossed.append(2.0 * np.real(
+            (simpson(forward * reflected, us) / (2 * np.pi) + edge) / (2 * np.pi)))
+    return {"ladder": np.array(ladder), "crossed": np.array(crossed)}
+
+
+@pytest.mark.parametrize("pump", [AtomDriveParams(rabi=2.0), JORDAN],
+                         ids=["rabi2", "jordan"])
+def test_channel_densities_match_per_point_transcription(pump):
+    # off the inner lattice, so nu - (nu - u) differs from u by rounding
+    nus = 0.013 + 0.05 * np.array([-97, -20, 0, 7, 51])
+    got = channel_densities(pump, nus, inner_half_width=25.0, inner_points=41)
+    ref = densities_reference(pump, nus, 25.0, 41)
+    for name in ("ladder", "crossed"):
+        scale = np.max(np.abs(ref[name]))
+        assert np.max(np.abs(got[name] - ref[name])) <= 1e-12 * scale, name
 
 
 @pytest.mark.parametrize("nus", [0.3, [[0.3, 1.1]]], ids=["scalar", "2d"])
