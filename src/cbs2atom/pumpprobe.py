@@ -334,14 +334,17 @@ def channel_densities(pump: AtomDriveParams, nus, *,
 
     The accuracy is limited by the truncation and spacing of the inner
     frequency grid; the defaults reach a few parts in 1e4 (the slow
-    tails of the interference convolution dominate).  Each emission
-    frequency costs 15 resolvent inversions, one per distinct argument of
-    its three chain coefficients plus one harmonic order: 9 stacked over
-    the inner grid and 6 single 3x3 ones at the emission frequency itself.
-    Memory grows with the inner grid only: at ``rabi = 2`` (401 inner
-    points) that is 8-9 ms of CPU per frequency on one core of a 2-core
-    Xeon VM (15-17 ms with one solve per chain step), about 0.1 s for 11
-    frequencies and 5.3 s for 601.
+    tails of the interference convolution dominate).  Each distinct
+    resolvent argument is inverted once per call: ``G(0)``, ``G(+-i u)``
+    over the inner grid and ``G(+-i nu)`` over the output grid in set-up,
+    then 4 inversions per emission frequency, ``G(+-i(nu + u))`` and
+    ``G(+-i(nu - u))`` stacked over the inner grid, which the mixed and
+    forward coefficients and the reflected harmonic order share.  Memory grows
+    with the inner grid, and with the output grid only by the two
+    ``G(+-i nu)`` stacks: at ``rabi = 2`` (401 inner points) that is about
+    4 ms of CPU per frequency on one core of a 2-core Xeon VM (7-8 ms with
+    one inverse per argument and coefficient), about 0.05 s for 11
+    frequencies and 2.3-3.1 s for 601.
 
     Returns a dict with the evaluation grid and both density arrays.
     """
