@@ -137,11 +137,6 @@ def build(params: AtomDriveParams) -> BlochSystem:
     return BlochSystem(params=params, M=M, L=L)
 
 
-def steady_state(sys: BlochSystem) -> np.ndarray:
-    """Stationary Bloch vector of the driven atom."""
-    return sys.steady
-
-
 def g0_vectors(sys: BlochSystem) -> tuple[np.ndarray, np.ndarray]:
     """Connected initial conditions of the two dipole correlation functions.
 

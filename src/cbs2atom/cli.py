@@ -12,12 +12,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 import cbs2atom
-from cbs2atom.atom import AtomDriveParams, build, mollow_p0, steady_state
+from cbs2atom.atom import AtomDriveParams, build, mollow_p0
 from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.pumpprobe import channel_densities, equivalence_report
 from cbs2atom.spectra import (
@@ -355,7 +355,7 @@ def _suite_physics(tolerance, nu_points: int) -> list:
     # fluorescence normalization: the inelastic integral recovers the
     # steady dipole variance (2/9 at rabi=2 on resonance)
     system = build(AtomDriveParams(rabi=2.0, delta=0.0))
-    steady = steady_state(system)
+    steady = system.steady
     variance = float(np.real((1.0 + steady[2]) / 2.0 - steady[1] * steady[0]))
     integral = quad(lambda nu: mollow_p0(system, nu), -np.inf, np.inf,
                     limit=400)[0]
@@ -462,16 +462,16 @@ def cmd_sweep(rabis, detunings, base: RunConfig) -> list:
     and summary rows are deterministic.
     """
     rabis = list(rabis)
-    detunings = list(detunings) or [0.0]
+    detunings = list(detunings) or [RunConfig.detuning]
     if not rabis:
         raise ValueError("sweep needs at least one rabi value")
-    # every point is checked before anything is written, so a bad point or
-    # two points that would write the same files leave the output untouched
+    # every point is evaluated before anything is written, so a bad point,
+    # a point whose channels cannot be formed, or two points that would
+    # write the same files leave the output untouched
     points = {}
     for rabi in rabis:
         for detuning in detunings:
-            cfg = RunConfig(**{**_config_echo(base),
-                               "rabi": rabi, "detuning": detuning})
+            cfg = replace(base, rabi=rabi, detuning=detuning)
             name = _point_name(rabi, detuning)
             if name in points:
                 other = points[name]
@@ -479,13 +479,13 @@ def cmd_sweep(rabis, detunings, base: RunConfig) -> list:
                     f"sweep points (rabi {other.rabi!r}, detuning {other.detuning!r}) and "
                     f"(rabi {rabi!r}, detuning {detuning!r}) would both write {name}.*")
             points[name] = cfg
+    evaluated = {name: (cfg, *_evaluate(cfg)) for name, cfg in points.items()}
     os.makedirs(base.output, exist_ok=True)
     written = []
     summary = {name: [] for name in
                ("rabi", "detuning", "L_el", "C_el", "L_total", "C_total",
                 "enhancement")}
-    for name, cfg in points.items():
-        result, columns, sidecar = _evaluate(cfg)
+    for name, (cfg, result, columns, sidecar) in evaluated.items():
         written += _write_spectrum(cfg, name, columns, sidecar)
         summary["rabi"].append(cfg.rabi)
         summary["detuning"].append(cfg.detuning)
@@ -511,27 +511,28 @@ def _add_config_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
     if sweep:
         parser.add_argument("--rabi", type=float, nargs="+", required=True,
                             help="Rabi frequencies to sweep (decay-rate units)")
-        parser.add_argument("--detuning", type=float, nargs="*", default=[0.0],
+        parser.add_argument("--detuning", type=float, nargs="*",
+                            default=[RunConfig.detuning],
                             help="laser detunings to sweep")
     else:
         parser.add_argument("--rabi", type=float, required=True,
                             help="Rabi frequency (decay-rate units)")
-        parser.add_argument("--detuning", type=float, default=0.0,
+        parser.add_argument("--detuning", type=float, default=RunConfig.detuning,
                             help="laser detuning from the atomic line")
-    parser.add_argument("--nu-min", type=float, default=-15.0)
-    parser.add_argument("--nu-max", type=float, default=15.0)
-    parser.add_argument("--nu-points", type=int, default=601)
-    parser.add_argument("--method", choices=METHODS, default="analytic")
-    parser.add_argument("--x0", type=float, default=200.0,
+    parser.add_argument("--nu-min", type=float, default=RunConfig.nu_min)
+    parser.add_argument("--nu-max", type=float, default=RunConfig.nu_max)
+    parser.add_argument("--nu-points", type=int, default=RunConfig.nu_points)
+    parser.add_argument("--method", choices=METHODS, default=RunConfig.method)
+    parser.add_argument("--x0", type=float, default=RunConfig.x0,
                         help="start of the oracle's interatomic-distance window")
-    parser.add_argument("--periods", type=int, default=8,
+    parser.add_argument("--periods", type=int, default=RunConfig.periods,
                         help="whole distance-phase periods in the window")
-    parser.add_argument("--samples", type=int, default=10_000,
+    parser.add_argument("--samples", type=int, default=RunConfig.samples,
                         help="oracle sample count")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--output", default=".",
+    parser.add_argument("--seed", type=int, default=RunConfig.seed)
+    parser.add_argument("--output", default=RunConfig.output,
                         help="directory for the emitted files")
-    parser.add_argument("--format", choices=FORMATS, default="csv")
+    parser.add_argument("--format", choices=FORMATS, default=RunConfig.format)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -556,25 +557,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, rabi: float, detuning: float) -> RunConfig:
-    return RunConfig(rabi=rabi, detuning=detuning, nu_min=args.nu_min,
-                     nu_max=args.nu_max, nu_points=args.nu_points,
-                     method=args.method, x0=args.x0, periods=args.periods,
-                     samples=args.samples, seed=args.seed,
-                     output=args.output, format=args.format)
+def _config_from_args(args, **overrides) -> RunConfig:
+    """The run configuration of parsed flags, with some fields overridden."""
+    values = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
+    return RunConfig(**{**values, **overrides})
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "spectrum":
-            written = cmd_spectrum(_config_from_args(args, args.rabi, args.detuning))
+            written = cmd_spectrum(_config_from_args(args))
         elif args.command == "validate":
             return cmd_validate(args.suite, args.tolerance, args.nu_points)
         else:
-            base = _config_from_args(args, args.rabi[0], args.detuning[0]
-                                     if args.detuning else 0.0)
-            written = cmd_sweep(args.rabi, args.detuning, base)
+            detunings = args.detuning or [RunConfig.detuning]
+            base = _config_from_args(args, rabi=args.rabi[0], detuning=detunings[0])
+            written = cmd_sweep(args.rabi, detunings, base)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

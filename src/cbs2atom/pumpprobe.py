@@ -65,12 +65,6 @@ class BichromaticDrive:
         if complex(self.probe_detuning).imag != 0:
             raise ValueError("probe_detuning must be real")
 
-    @property
-    def is_perturbative(self) -> bool:
-        """Probe amplitudes small enough for derivative extraction."""
-        scale = max(self.pump.rabi, self.pump.gamma)
-        return max(abs(self.v_plus), abs(self.v_minus)) <= 1e-2 * scale
-
 
 def _apply(green: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """A resolvent, or a stack of them, applied to a stack of vectors."""
@@ -288,8 +282,9 @@ def equivalence_report(rabis=(0.5, 2.0, 5.0), deltas=(0.0, 1.0, 3.0),
     built from ``p_minus`` evaluated at emission frequency ``nu +
     probe_detuning`` (its natural support line), the minus-probe
     derivative reproduces ``p_plus`` at ``nu``, and the mixed derivative
-    reproduces ``p2``.  The zero-probe channel is compared against the
-    single-atom inelastic density.
+    reproduces ``p2``.  The zero-probe channel, which does not depend on
+    the probe detuning, is compared against the single-atom inelastic
+    density at every probe detuning of the loop.
     """
     if nus is None:
         nus = np.linspace(-15.0, 15.0, 601)
@@ -300,13 +295,11 @@ def equivalence_report(rabis=(0.5, 2.0, 5.0), deltas=(0.0, 1.0, 3.0),
             pump = AtomDriveParams(rabi=rabi, delta=delta, gamma=gamma)
             system = build(pump)
             p0_ref = mollow_p0(system, nus)
-            dev_plus = dev_minus = dev_mixed = 0.0
-            drive0 = BichromaticDrive(pump=pump, probe_detuning=0.0)
-            got = extracted_functions(drive0, nus)
-            dev_p0 = _max_relative(np.real(got["p0"]), p0_ref)
+            dev_p0 = dev_plus = dev_minus = dev_mixed = 0.0
             for w in probe_detunings:
                 drive = BichromaticDrive(pump=pump, probe_detuning=w)
                 got = extracted_functions(drive, nus)
+                dev_p0 = max(dev_p0, _max_relative(np.real(got["p0"]), p0_ref))
                 ref_plus = closed_form_p_minus(system, w, nus + w)
                 ref_minus = closed_form_p_plus(system, w, nus)
                 ref_mixed = closed_form_p2(system, w, nus)

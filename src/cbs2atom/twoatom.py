@@ -347,51 +347,7 @@ def exact_steady_state(gen: TwoAtomGenerator) -> np.ndarray:
     return state
 
 
-@dataclass(frozen=True)
-class OrderedSolution:
-    """Stationary solution split by coupling order and monomial.
-
-    ``bloch[n]`` holds the order-n single-atom block (6-vectors),
-    ``correlation[n]`` the order-n pair block (9-vectors); both are tagged
-    vectors keyed by coupling monomials of degree exactly n.
-    """
-
-    bloch: tuple
-    correlation: tuple
-
-    @property
-    def max_order(self) -> int:
-        return len(self.bloch) - 1
-
-    def bloch_total(self, order: int) -> np.ndarray:
-        return tagged_total(self.bloch[order], 6)
-
-    def correlation_total(self, order: int) -> np.ndarray:
-        return tagged_total(self.correlation[order], 9)
-
-    def full_order(self, order: int) -> TaggedVector:
-        """Order-n 15-vectors, merging the Bloch and correlation blocks."""
-        out: TaggedVector = {}
-        for mono, vec in self.bloch[order].items():
-            entry = np.zeros(15, dtype=complex)
-            entry[:6] = vec
-            _tagged_add(out, mono, entry)
-        for mono, vec in self.correlation[order].items():
-            entry = np.zeros(15, dtype=complex)
-            entry[6:] = vec
-            _tagged_add(out, mono, entry)
-        return out
-
-    def truncated_state(self) -> np.ndarray:
-        """Plain 15-vector summed over all computed orders."""
-        out = np.zeros(15, dtype=complex)
-        for n in range(self.max_order + 1):
-            out[:6] += self.bloch_total(n)
-            out[6:] += self.correlation_total(n)
-        return out
-
-
-def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2) -> OrderedSolution:
+def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2) -> list:
     """Expand the stationary state in powers of the exchange coupling.
 
     The stationary state solves ``(A + V) Q + drive = 0``, so it is the
@@ -400,19 +356,31 @@ def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2) -> OrderedSol
     the previous correlation order through the pair-to-single blocks, and
     each new correlation order collects the single-to-pair and pair-to-pair
     feeds plus the same-order Bloch feed-through.
+
+    Returns ``[Q0, Q1, ..., Qmax]``: ``Qn`` is a tagged 15-vector keyed by
+    every coupling monomial of degree exactly n, Bloch block in ``[:6]``
+    and correlation block in ``[6:]``.
     """
-    levels = resolvent_apply(gen, 0.0, {(): gen.drive}, max_order)
-    return OrderedSolution(
-        bloch=tuple({mono: vec[:6] for mono, vec in level.items()} for level in levels),
-        correlation=tuple({mono: vec[6:] for mono, vec in level.items()} for level in levels),
-    )
+    return resolvent_apply(gen, 0.0, {(): gen.drive}, max_order)
+
+
+def _mean_splittings(orders: list, n: int):
+    """Order-n mean-product splittings: yields ``(monomial, <sigma_2^+>^(p),
+    <Q>^(n-p))`` over every p and pair of monomials.  The caller multiplies,
+    because a complex product over an array can round differently in the
+    last digit from the scalar product of the components it needs.
+    """
+    for p in range(n + 1):
+        for mono_p, xp in orders[p].items():
+            for mono_q, qvec in orders[n - p].items():
+                yield merge_monomials(mono_p, mono_q), xp[1], qvec
 
 
 # -- regression initial conditions ---------------------------------------------
 
 
-def _raising_product(bloch_part: np.ndarray, corr_part: np.ndarray, include_unit: bool) -> np.ndarray:
-    """15-vector of ``<sigma_2^+ Q>`` built from one (x, y) order pair.
+def _raising_product(vec: np.ndarray, include_unit: bool) -> np.ndarray:
+    """15-vector of ``<sigma_2^+ Q>`` built from one 15-vector ``Q``.
 
     Multiplying the basis by the raising operator of atom 2 routes every
     component through the same 3x3 coupler; the operator-identity pieces
@@ -420,43 +388,35 @@ def _raising_product(bloch_part: np.ndarray, corr_part: np.ndarray, include_unit
     enters (the zeroth order and the atom-1 block).
     """
     out = np.zeros(15, dtype=complex)
-    out[:3] = 1j * (DELTA_MINUS @ bloch_part[:3])
+    out[:3] = 1j * (DELTA_MINUS @ vec[:3])
     if include_unit:
         out[:3] += N1
-    out[3:6] = corr_part[[1, 4, 7]]
-    out[6:] = np.kron(np.eye(3), 1j * DELTA_MINUS) @ corr_part + np.kron(bloch_part[3:], N1)
+    out[3:6] = vec[[7, 10, 13]]
+    out[6:] = np.kron(np.eye(3), 1j * DELTA_MINUS) @ vec[6:] + np.kron(vec[3:6], N1)
     return out
 
 
-def regression_initials(gen: TwoAtomGenerator, orders: OrderedSolution) -> tuple:
+def regression_initials(orders: list) -> tuple:
     """Connected initial conditions of the dipole correlation, per order.
 
+    ``orders`` are the tagged 15-vectors of :func:`perturbative_orders`.
     Returns one tagged 15-vector per order n: the operator product
     ``<sigma_2^+ Q>`` at order n minus all mean-product splittings
     ``<sigma_2^+>^(p) <Q>^(q)`` with p + q = n.
     """
     out = []
-    for n in range(orders.max_order + 1):
-        tagged: TaggedVector = {}
-        monos = set(orders.bloch[n]) | set(orders.correlation[n])
-        for mono in monos:
-            xg = orders.bloch[n].get(mono, np.zeros(6, dtype=complex))
-            yg = orders.correlation[n].get(mono, np.zeros(9, dtype=complex))
-            _tagged_add(tagged, mono, _raising_product(xg, yg, include_unit=(n == 0)))
-        for p in range(n + 1):
-            full_q = orders.full_order(n - p)
-            for mono_p, xp in orders.bloch[p].items():
-                amp = xp[1]
-                for mono_q, qvec in full_q.items():
-                    _tagged_add(tagged, merge_monomials(mono_p, mono_q), -amp * qvec)
+    for n, level in enumerate(orders):
+        tagged: TaggedVector = {mono: _raising_product(vec, include_unit=(n == 0))
+                                for mono, vec in level.items()}
+        for key, amp, qvec in _mean_splittings(orders, n):
+            _tagged_add(tagged, key, -amp * qvec)
         out.append(tagged)
     return tuple(out)
 
 
-def regression_initial_exact(gen: TwoAtomGenerator, steady: np.ndarray) -> np.ndarray:
+def regression_initial_exact(steady: np.ndarray) -> np.ndarray:
     """Nonperturbative connected initial condition from a full steady state."""
-    product = _raising_product(steady[:6], steady[6:], include_unit=True)
-    return product - steady[1] * steady
+    return _raising_product(steady, include_unit=True) - steady[1] * steady
 
 
 # -- resolvent expansion -------------------------------------------------------
@@ -548,7 +508,7 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
     if not np.all(np.isfinite(nus)):
         raise ValueError("frequencies nus must be finite")
     orders = perturbative_orders(gen, 2)
-    inits = regression_initials(gen, orders)
+    inits = regression_initials(orders)
 
     z = -1j * nus
     greens = (gen.single_green(z), gen.pair_green(z))
@@ -561,12 +521,9 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
 
     elastic_auto: dict = {}
     elastic_exch: dict = {}
-    for n in range(3):
-        for mono_p, xp in orders.bloch[n].items():
-            for mono_q, xq in orders.bloch[2 - n].items():
-                key = merge_monomials(mono_p, mono_q)
-                _tagged_add(elastic_auto, key, xp[1] * xq[0])
-                _tagged_add(elastic_exch, key, xp[1] * xq[3])
+    for key, amp, qvec in _mean_splittings(orders, 2):
+        _tagged_add(elastic_auto, key, amp * qvec[0])
+        _tagged_add(elastic_exch, key, amp * qvec[3])
     return FixedConfigSpectra(
         nu=nus,
         autocorrelation={mono: vec[..., 0] for mono, vec in nested.items()},
@@ -593,7 +550,7 @@ def intensity(gen: TwoAtomGenerator, direction) -> float:
 
 
 def double_scattering_intensity(gen: TwoAtomGenerator, direction,
-                                orders: OrderedSolution) -> dict:
+                                orders: list) -> dict:
     """Coupling-order-two part of the intensity, tagged by monomial.
 
     The population terms lose their constant offsets at nonzero order, so
@@ -602,9 +559,5 @@ def double_scattering_intensity(gen: TwoAtomGenerator, direction,
     """
     direction = np.asarray(direction, dtype=float)
     phase = np.exp(1j * direction @ (gen.config.r1 - gen.config.r2))
-    out: dict = {}
-    for mono, vec in orders.bloch[2].items():
-        _tagged_add(out, mono, 0.5 * (vec[2] + vec[5]))
-    for mono, vec in orders.correlation[2].items():
-        _tagged_add(out, mono, vec[3] * phase + vec[1] * np.conj(phase))
-    return out
+    return {mono: 0.5 * (vec[2] + vec[5]) + (vec[9] * phase + vec[7] * np.conj(phase))
+            for mono, vec in orders[2].items()}

@@ -49,11 +49,11 @@ def test_invalid_params_rejected():
 
 
 def test_steady_state_ground_state_when_undriven():
-    assert np.allclose(atom.steady_state(make(0.0, delta=0.3)), [0, 0, -1], atol=1e-15)
+    assert np.allclose(make(0.0, delta=0.3).steady, [0, 0, -1], atol=1e-15)
 
 
 def test_steady_state_resonant_strong_drive():
-    s = atom.steady_state(make(2.0))
+    s = make(2.0).steady
     assert np.allclose(s, [1j / 3, -1j / 3, -1.0 / 3], atol=1e-12)
     assert abs((1 + s[2].real) / 2 - 1.0 / 3) < 1e-12
 
@@ -74,7 +74,7 @@ def test_steady_state_matches_long_time_integration():
 @settings(max_examples=60, deadline=None)
 @given(rabi=st.floats(0.0, 20.0), delta=st.floats(-8.0, 8.0))
 def test_steady_state_saturation_and_conjugacy(rabi, delta):
-    s = atom.steady_state(make(rabi, delta=delta))
+    s = make(rabi, delta=delta).steady
     population = (1 + s[2].real) / 2
     assert population <= 0.5 + 1e-12
     assert population >= -1e-12
@@ -82,8 +82,8 @@ def test_steady_state_saturation_and_conjugacy(rabi, delta):
 
 
 def test_steady_state_phase_rotates_coherences():
-    s0 = atom.steady_state(make(2.0, delta=0.5))
-    sp = atom.steady_state(make(2.0, delta=0.5, phase=0.9))
+    s0 = make(2.0, delta=0.5).steady
+    sp = make(2.0, delta=0.5, phase=0.9).steady
     assert np.allclose(
         sp, [s0[0] * np.exp(0.9j), s0[1] * np.exp(-0.9j), s0[2]], atol=1e-12
     )

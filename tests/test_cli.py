@@ -12,7 +12,7 @@ import pytest
 
 import cbs2atom
 from cbs2atom.atom import AtomDriveParams
-from cbs2atom.cli import main
+from cbs2atom.cli import RunConfig, _build_parser, _config_from_args, main
 from cbs2atom.spectra import cbs_spectra
 
 GRID = ["--nu-min", "-6", "--nu-max", "6", "--nu-points", "7"]
@@ -174,16 +174,22 @@ def test_sweep_summary_has_one_row_per_drive(tmp_path, capsys):
         assert summary["enhancement"][i] == result.enhancement
 
 
-@pytest.mark.parametrize("rabis", [["2", "2.0000000001"], ["2", "-1"]],
-                         ids=["name-collision", "bad-point"])
+@pytest.mark.parametrize("rabis", [["2", "2.0000000001"], ["2", "-1"], ["2", "1e-300"]],
+                         ids=["name-collision", "bad-point", "empty-channel"])
 def test_sweep_checks_every_point_before_writing(tmp_path, capsys, rabis):
-    # 2 and 2.0000000001 both format as sweep_r2_d0; a later bad drive
-    # must not leave the earlier points' files behind
+    # 2 and 2.0000000001 both format as sweep_r2_d0; a later bad drive, or
+    # one that passes the option checks but whose background channel is
+    # empty, must not leave the earlier points' files behind
     output = tmp_path / "out"
     assert main(["sweep", "--rabi", *rabis, *GRID, "--output", str(output)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert not output.exists()
+
+
+def test_flag_defaults_are_the_run_config_defaults():
+    args = _build_parser().parse_args(["spectrum", "--rabi", "2"])
+    assert _config_from_args(args) == RunConfig(rabi=2.0)
 
 
 @pytest.mark.parametrize("points", ["0", "-3", "2"])

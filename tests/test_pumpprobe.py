@@ -61,11 +61,6 @@ def test_drive_rejects_complex_probe_detuning():
         BichromaticDrive(pump=AtomDriveParams(rabi=2.0), probe_detuning=1 + 1j)
 
 
-def test_perturbative_flag_tracks_amplitude_ratio():
-    assert make_drive(v_plus=1e-3).is_perturbative
-    assert not make_drive(v_plus=0.5).is_perturbative
-
-
 def test_zeroth_order_is_pump_steady_state():
     orders = harmonic_orders(build(PUMP), 1.3)
     assert np.allclose(orders[(0, 0)], build(PUMP).steady, rtol=0, atol=1e-14)
@@ -206,6 +201,30 @@ def test_equivalence_report_small_grid():
     assert len(rows) == 4
     for row in rows:
         assert row.worst < 1e-6
+
+
+def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
+    # the zero-probe channel is read off the probe-detuning loop, with no
+    # extra extraction at probe detuning 0, and equals that extraction
+    calls = []
+    original = pumpprobe.extracted_functions
+
+    def counting(drive, nus):
+        calls.append(drive.probe_detuning)
+        return original(drive, nus)
+
+    monkeypatch.setattr(pumpprobe, "extracted_functions", counting)
+    nus = np.linspace(-15.0, 15.0, 61)
+    rabis, deltas, probe_detunings = (0.5, 2.0), (0.0, 1.0), (-5.0, 0.0, 3.0)
+    rows = equivalence_report(rabis=rabis, deltas=deltas, nus=nus,
+                              probe_detunings=probe_detunings)
+    assert calls == list(probe_detunings) * (len(rabis) * len(deltas))
+    for row in rows:
+        pump = AtomDriveParams(rabi=row.rabi, delta=row.delta)
+        at_zero = original(BichromaticDrive(pump=pump, probe_detuning=0.0), nus)["p0"]
+        reference = mollow_p0(build(pump), nus)
+        assert row.dev_p0 == (np.max(np.abs(np.real(at_zero) - reference))
+                              / np.max(np.abs(reference)))
 
 
 def test_inelastic_density_symmetric_under_joint_reflection():

@@ -333,8 +333,8 @@ def test_truncation_remainder_scales_with_coupling_cubed():
     devs, strengths = [], []
     for x in (32 * np.pi, 320 * np.pi, 3200 * np.pi):
         gen = make_gen(x=x, delta=0.0)
-        dev = np.linalg.norm(ta.exact_steady_state(gen)
-                             - ta.perturbative_orders(gen, 2).truncated_state())
+        truncated = sum(ta.tagged_total(lvl, 15) for lvl in ta.perturbative_orders(gen, 2))
+        dev = np.linalg.norm(ta.exact_steady_state(gen) - truncated)
         devs.append(dev)
         strengths.append(abs(gen.coupling))
     slopes = np.diff(np.log(devs)) / np.diff(np.log(strengths))
@@ -347,17 +347,16 @@ def test_truncation_remainder_scales_with_coupling_cubed():
 def test_order_zero_correlations_factorize():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 2)
-    assert np.allclose(orders.bloch_total(0),
+    assert np.allclose(ta.tagged_total(orders[0], 15)[:6],
                        np.concatenate([gen.atom2.steady, gen.atom1.steady]), atol=1e-14)
-    assert np.allclose(orders.correlation_total(0),
+    assert np.allclose(ta.tagged_total(orders[0], 15)[6:],
                        np.kron(gen.atom1.steady, gen.atom2.steady), atol=1e-14)
 
 
 def test_orders_carry_exact_monomial_degrees():
     orders = ta.perturbative_orders(make_gen(), 2)
     for n in range(3):
-        for store in (orders.bloch[n], orders.correlation[n]):
-            assert all(len(mono) == n for mono in store)
+        assert all(len(mono) == n for mono in orders[n])
 
 
 @settings(max_examples=15, deadline=None)
@@ -369,10 +368,8 @@ def test_orders_scale_as_coupling_power(seed):
     base = ta.perturbative_orders(ta.assemble(cfg, drive), 2)
     scaled = ta.perturbative_orders(ta.assemble(cfg, drive, coupling=2.0 * cfg.coupling), 2)
     for n in range(3):
-        for mono, vec in base.bloch[n].items():
-            assert np.allclose(scaled.bloch[n][mono], 2.0 ** n * vec, rtol=1e-13, atol=1e-18)
-        for mono, vec in base.correlation[n].items():
-            assert np.allclose(scaled.correlation[n][mono], 2.0 ** n * vec, rtol=1e-13, atol=1e-18)
+        for mono, vec in base[n].items():
+            assert np.allclose(scaled[n][mono], 2.0 ** n * vec, rtol=1e-13, atol=1e-18)
 
 
 def test_first_order_single_atom_closed_forms():
@@ -380,11 +377,11 @@ def test_first_order_single_atom_closed_forms():
     orders = ta.perturbative_orders(gen, 1)
     atom2_part, atom1_part = residues.single_first_order_explicit(gen)
     for mono, vec in atom2_part.items():
-        assert np.allclose(orders.bloch[1][mono][:3], vec, atol=1e-15)
-        assert np.max(np.abs(orders.bloch[1][mono][3:])) < 1e-18
+        assert np.allclose(orders[1][mono][:3], vec, atol=1e-15)
+        assert np.max(np.abs(orders[1][mono][3:6])) < 1e-18
     for mono, vec in atom1_part.items():
-        assert np.allclose(orders.bloch[1][mono][3:], vec, atol=1e-15)
-        assert np.max(np.abs(orders.bloch[1][mono][:3])) < 1e-18
+        assert np.allclose(orders[1][mono][3:6], vec, atol=1e-15)
+        assert np.max(np.abs(orders[1][mono][:3])) < 1e-18
 
 
 def test_first_order_pair_closed_forms():
@@ -393,7 +390,7 @@ def test_first_order_pair_closed_forms():
     explicit = residues.pair_first_order_explicit(gen)
     for mono, vec in explicit.items():
         scale = np.max(np.abs(vec))
-        assert np.max(np.abs(orders.correlation[1][mono] - vec)) < 1e-12 * scale
+        assert np.max(np.abs(orders[1][mono][6:] - vec)) < 1e-12 * scale
 
 
 def test_first_order_pair_printed_final_term_is_inconsistent():
@@ -408,9 +405,9 @@ def test_first_order_pair_printed_final_term_is_inconsistent():
     printed = residues.pair_first_order_explicit(gen, printed_final_term=True)
     corrected = residues.pair_first_order_explicit(gen)
     mono = ("12*",)
-    scale = np.max(np.abs(orders.correlation[1][mono]))
-    assert np.max(np.abs(printed[mono] - orders.correlation[1][mono])) > 0.1 * scale
-    assert np.max(np.abs(corrected[mono] - orders.correlation[1][mono])) < 1e-12 * scale
+    scale = np.max(np.abs(orders[1][mono][6:]))
+    assert np.max(np.abs(printed[mono] - orders[1][mono][6:])) > 0.1 * scale
+    assert np.max(np.abs(corrected[mono] - orders[1][mono][6:])) < 1e-12 * scale
     for other in (("12",), ("21",), ("21*",)):
         assert np.allclose(printed[other], corrected[other], atol=1e-18)
 
@@ -421,7 +418,7 @@ def test_second_order_single_atom_closed_forms():
     explicit = residues.single_second_order_explicit(gen)
     assert set(explicit) == {("12", "21*"), ("12", "12*"), ("21", "21*")}
     for mono, vec in explicit.items():
-        recurrence = orders.bloch[2][mono][:3]
+        recurrence = orders[2][mono][:3]
         assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
 
@@ -433,10 +430,10 @@ def test_second_order_closed_forms_across_parameter_draws():
                        direction=tuple(rng.normal(size=3)))
         orders = ta.perturbative_orders(gen, 2)
         for mono, vec in residues.single_second_order_explicit(gen).items():
-            recurrence = orders.bloch[2][mono][:3]
+            recurrence = orders[2][mono][:3]
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
         for mono, vec in residues.pair_first_order_explicit(gen).items():
-            recurrence = orders.correlation[1][mono]
+            recurrence = orders[1][mono][6:]
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
 
@@ -445,12 +442,12 @@ def test_degenerate_drive_still_solves_and_matches_explicit_chains():
     # the recurrences and the quadrature of the printed chains need none
     gen = make_gen(rabi=0.5, delta=0.0)
     orders = ta.perturbative_orders(gen, 2)
-    assert np.isfinite(ta.tagged_total(orders.bloch[2], 6)).all()
+    assert np.isfinite(ta.tagged_total(orders[2], 15)[:6]).all()
     for mono, vec in residues.single_second_order_explicit(gen).items():
-        recurrence = orders.bloch[2][mono][:3]
+        recurrence = orders[2][mono][:3]
         assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
     for mono, vec in residues.pair_first_order_explicit(gen).items():
-        recurrence = orders.correlation[1][mono]
+        recurrence = orders[1][mono][6:]
         assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
 
@@ -460,7 +457,7 @@ def test_degenerate_drive_still_solves_and_matches_explicit_chains():
 def test_initial_condition_order_zero_structure():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 2)
-    inits = ta.regression_initials(gen, orders)
+    inits = ta.regression_initials(orders)
     _, connected = g0_vectors(gen.atom2)
     expect = np.concatenate([connected, np.zeros(3), np.kron(gen.atom1.steady, connected)])
     assert np.allclose(inits[0][()], expect, atol=1e-14)
@@ -469,7 +466,7 @@ def test_initial_condition_order_zero_structure():
 def test_initial_conditions_vanish_undriven():
     gen = make_gen(rabi=0.0, delta=0.3)
     orders = ta.perturbative_orders(gen, 2)
-    for n, tagged in enumerate(ta.regression_initials(gen, orders)):
+    for n, tagged in enumerate(ta.regression_initials(orders)):
         for vec in tagged.values():
             assert np.max(np.abs(vec)) < 1e-15, f"order {n}"
 
@@ -479,11 +476,11 @@ def test_initial_condition_first_order_matches_finite_difference():
 
     def exact_initial(scale):
         gen = ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling)
-        return ta.regression_initial_exact(gen, ta.exact_steady_state(gen))
+        return ta.regression_initial_exact(ta.exact_steady_state(gen))
 
     gen = ta.assemble(cfg, DRIVE)
     orders = ta.perturbative_orders(gen, 2)
-    first = ta.tagged_total(ta.regression_initials(gen, orders)[1], 15)
+    first = ta.tagged_total(ta.regression_initials(orders)[1], 15)
     step = 1e-4
     fd = (exact_initial(step) - exact_initial(-step)) / (2.0 * step)
     assert np.linalg.norm(fd - first) < 1e-6 * np.linalg.norm(first)
@@ -493,9 +490,9 @@ def test_initial_conditions_sum_to_exact_within_cubic_remainder():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 2)
     summed = np.zeros(15, dtype=complex)
-    for tagged in ta.regression_initials(gen, orders):
+    for tagged in ta.regression_initials(orders):
         summed += ta.tagged_total(tagged, 15)
-    exact = ta.regression_initial_exact(gen, ta.exact_steady_state(gen))
+    exact = ta.regression_initial_exact(ta.exact_steady_state(gen))
     assert np.linalg.norm(exact - summed) < abs(gen.coupling) ** 3
 
 
@@ -548,7 +545,7 @@ def test_order_zero_channel_reproduces_single_atom_spectrum():
     gen = make_gen(phase=0.4)
     origin = build(AtomDriveParams(rabi=2.0, delta=0.5, phase=0.4))
     orders = ta.perturbative_orders(gen, 2)
-    inits = ta.regression_initials(gen, orders)
+    inits = ta.regression_initials(orders)
     for nu in (-2.4, 0.3, 1.9):
         level0 = ta.resolvent_apply(gen, -1j * nu, inits[0], 0)[0]
         value = np.real(level0[()][0]) / np.pi
@@ -591,7 +588,7 @@ def test_spectrum_matches_time_domain_regression():
     order-summed resolvent output, chained through the dense solve."""
     gen = make_gen()
     full = full_matrix(gen)
-    init = ta.regression_initial_exact(gen, ta.exact_steady_state(gen))
+    init = ta.regression_initial_exact(ta.exact_steady_state(gen))
     tmax, dt = 42.0, 0.004
     ts = np.arange(0.0, tmax + dt / 2, dt)
     sol = solve_ivp(lambda t, y: full @ y, (0.0, tmax), init, t_eval=ts,
@@ -599,7 +596,7 @@ def test_spectrum_matches_time_domain_regression():
     assert sol.success
 
     orders = ta.perturbative_orders(gen, 2)
-    inits = ta.regression_initials(gen, orders)
+    inits = ta.regression_initials(orders)
     for nu in (0.0, 2.0):
         z = -1j * nu
         direct = np.linalg.solve(z * np.eye(15) - full, init)
@@ -620,7 +617,7 @@ def test_nested_spectrum_equals_the_explicit_order_sum(rabi, delta):
     gen = make_gen(rabi=rabi, delta=delta)
     nus = np.array([-2.3, 0.0, 1.7])
     spec = ta.fixed_config_spectrum(gen, nus)
-    inits = ta.regression_initials(gen, ta.perturbative_orders(gen, 2))
+    inits = ta.regression_initials(ta.perturbative_orders(gen, 2))
     for i, nu in enumerate(nus):
         explicit: dict = {}
         for k in range(3):
@@ -696,8 +693,8 @@ def test_backscatter_detection_phase_cancels_interference_channel():
         cfg = ta.ScatteringConfig(r1=r1, r2=np.zeros(3))
         gen = ta.assemble(cfg, DRIVE, coupling=1.5j / x)
         orders = ta.perturbative_orders(gen, 2)
-        cross_vals.append(orders.correlation[2][ta.CROSSED_MONOMIAL][1])
-        vec = orders.bloch[2][ta.LADDER_MONOMIAL]
+        cross_vals.append(orders[2][ta.CROSSED_MONOMIAL][7])
+        vec = orders[2][ta.LADDER_MONOMIAL]
         ladder_pops.append(0.5 * (vec[2] + vec[5]))
         assert abs(cfg.phase_difference - dphi) < 1e-12
     cross_vals = np.array(cross_vals)
