@@ -147,9 +147,11 @@ def _real_part(value: complex, scale: float = 1.0) -> float:
 
 
 def _canonical_spectrum(drive: AtomDriveParams, nus=()) -> FixedConfigSpectra:
-    """Order-two spectra of the canonical configuration with coupling ``gamma``."""
+    """Order-two spectra of the canonical configuration with coupling
+    ``gamma``, in the two surviving monomials only."""
     config = canonical_configuration(drive.gamma)
-    return fixed_config_spectrum(assemble(config, drive, coupling=drive.gamma), nus)
+    return fixed_config_spectrum(assemble(config, drive, coupling=drive.gamma), nus,
+                                 (LADDER_MONOMIAL, CROSSED_MONOMIAL))
 
 
 def _per_power(value, drive: AtomDriveParams):
@@ -178,14 +180,22 @@ def _crossed(spec: FixedConfigSpectra, drive: AtomDriveParams) -> SpectralFuncti
                     spec.elastic_exchange[CROSSED_MONOMIAL], drive)
 
 
+def elastic_weights(drive: AtomDriveParams) -> tuple:
+    """Elastic (drive-frequency) weights of the background and of the
+    interference channel at exact backscattering, from one solve."""
+    spec = _canonical_spectrum(drive)
+    return (_weight(spec.elastic_autocorrelation[LADDER_MONOMIAL], drive),
+            _weight(spec.elastic_exchange[CROSSED_MONOMIAL], drive))
+
+
 def elastic_ladder(drive: AtomDriveParams) -> float:
     """Elastic (drive-frequency) weight of the background channel."""
-    return _weight(_canonical_spectrum(drive).elastic_autocorrelation[LADDER_MONOMIAL], drive)
+    return elastic_weights(drive)[0]
 
 
 def elastic_crossed(drive: AtomDriveParams) -> float:
     """Elastic weight of the interference channel at exact backscattering."""
-    return _weight(_canonical_spectrum(drive).elastic_exchange[CROSSED_MONOMIAL], drive)
+    return elastic_weights(drive)[1]
 
 
 def inelastic_ladder(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:

@@ -24,7 +24,12 @@ as stacked dense solves over whole frequency grids (:func:`resolvent_apply`).
 :func:`fixed_config_spectrum` on one canonical configuration
 (:func:`canonical_configuration`) is the production route of the averaged
 channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
-average in :mod:`cbs2atom.disorder`.  The printed closed-form
+average in :mod:`cbs2atom.disorder`.  The Monte-Carlo average weights every
+degree-two monomial, so it expands them all (1 + 4 + 10 monomials per
+order); production reads only the two surviving ones and expands only
+their divisors (1 + 3 + 2).  Both read components 0 and 3 of the spectra,
+which lie in the single-atom block, so the last resolve of the spectra
+skips the pair correlations.  The printed closed-form
 transcriptions of the first orders and the frequency-integral
 representation of the pair resolvent, which check these recurrences, live
 with the quadrature oracles in :mod:`cbs2atom.residues`.
@@ -35,6 +40,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -60,8 +66,23 @@ COUPLING_TAGS = ("12", "12*", "21", "21*")
 LADDER_MONOMIAL = ("12", "21*")
 CROSSED_MONOMIAL = ("12", "12*")
 
+#: Every coupling monomial of degree two, the full second-order content.
+DEGREE_TWO_MONOMIALS = tuple(combinations_with_replacement(COUPLING_TAGS, 2))
+
 _E1 = np.array([1.0, 0.0, 0.0])
 _E2 = np.array([0.0, 1.0, 0.0])
+
+# Operator factors of the tagged coupling blocks, without the amplitude: they
+# are the same for every generator, so they are built once.
+_PAIR_TO_SINGLE = {"12": np.kron(_E2, DELTA_PLUS), "21": np.kron(DELTA_PLUS, _E2),
+                   "12*": np.kron(DELTA_MINUS, _E1), "21*": np.kron(_E1, DELTA_MINUS)}
+_SINGLE_TO_PAIR = {"12": np.kron(N1.reshape(3, 1), DELTA_PLUS),
+                   "21": np.kron(DELTA_PLUS, N1.reshape(3, 1)),
+                   "12*": np.kron(DELTA_MINUS, N2.reshape(3, 1)),
+                   "21*": np.kron(N2.reshape(3, 1), DELTA_MINUS)}
+_LOWER_RAISE = np.kron(DELTA_MINUS, DELTA_PLUS)
+_RAISE_LOWER = np.kron(DELTA_PLUS, DELTA_MINUS)
+_RAISING_COUPLER = np.kron(np.eye(3), 1j * DELTA_MINUS)
 
 #: A tagged vector maps a coupling monomial (sorted tuple of channel tags)
 #: to a complex coefficient vector, or a stack of them along leading axes
@@ -73,6 +94,13 @@ TaggedVector = dict
 def merge_monomials(a: tuple, b: tuple) -> tuple:
     """Combine two coupling monomials into one sorted key."""
     return tuple(sorted(a + b))
+
+
+def _divisors(monomials) -> frozenset:
+    """Every coupling monomial dividing one of ``monomials``, ``()`` included:
+    the products an expansion must form to reach them."""
+    return frozenset(sub for mono in monomials for k in range(len(mono) + 1)
+                     for sub in combinations(sorted(mono), k))
 
 
 def tagged_total(tagged: TaggedVector, dim: int) -> np.ndarray:
@@ -249,10 +277,10 @@ class TwoAtomGenerator:
         t = self.coupling
         tc = np.conj(t)
         blocks = {tag: np.zeros((6, 9), dtype=complex) for tag in COUPLING_TAGS}
-        blocks["12"][:3] = 2j * t * np.kron(_E2, DELTA_PLUS)
-        blocks["21"][3:] = 2j * t * np.kron(DELTA_PLUS, _E2)
-        blocks["12*"][3:] = -2j * tc * np.kron(DELTA_MINUS, _E1)
-        blocks["21*"][:3] = -2j * tc * np.kron(_E1, DELTA_MINUS)
+        blocks["12"][:3] = 2j * t * _PAIR_TO_SINGLE["12"]
+        blocks["21"][3:] = 2j * t * _PAIR_TO_SINGLE["21"]
+        blocks["12*"][3:] = -2j * tc * _PAIR_TO_SINGLE["12*"]
+        blocks["21*"][:3] = -2j * tc * _PAIR_TO_SINGLE["21*"]
         return blocks
 
     @cached_property
@@ -261,10 +289,10 @@ class TwoAtomGenerator:
         t = self.coupling
         tc = np.conj(t)
         blocks = {tag: np.zeros((9, 6), dtype=complex) for tag in COUPLING_TAGS}
-        blocks["12"][:, :3] = 2j * t * np.kron(N1.reshape(3, 1), DELTA_PLUS)
-        blocks["21"][:, 3:] = 2j * t * np.kron(DELTA_PLUS, N1.reshape(3, 1))
-        blocks["12*"][:, 3:] = -2j * tc * np.kron(DELTA_MINUS, N2.reshape(3, 1))
-        blocks["21*"][:, :3] = -2j * tc * np.kron(N2.reshape(3, 1), DELTA_MINUS)
+        blocks["12"][:, :3] = 2j * t * _SINGLE_TO_PAIR["12"]
+        blocks["21"][:, 3:] = 2j * t * _SINGLE_TO_PAIR["21"]
+        blocks["12*"][:, 3:] = -2j * tc * _SINGLE_TO_PAIR["12*"]
+        blocks["21*"][:, :3] = -2j * tc * _SINGLE_TO_PAIR["21*"]
         return blocks
 
     @cached_property
@@ -273,10 +301,10 @@ class TwoAtomGenerator:
         t = self.coupling
         tc = np.conj(t)
         return {
-            "12": -2.0 * t * np.kron(DELTA_MINUS, DELTA_PLUS),
-            "21": -2.0 * t * np.kron(DELTA_PLUS, DELTA_MINUS),
-            "12*": -2.0 * tc * np.kron(DELTA_MINUS, DELTA_PLUS),
-            "21*": -2.0 * tc * np.kron(DELTA_PLUS, DELTA_MINUS),
+            "12": -2.0 * t * _LOWER_RAISE,
+            "21": -2.0 * t * _RAISE_LOWER,
+            "12*": -2.0 * tc * _LOWER_RAISE,
+            "21*": -2.0 * tc * _RAISE_LOWER,
         }
 
     @cached_property
@@ -347,7 +375,8 @@ def exact_steady_state(gen: TwoAtomGenerator) -> np.ndarray:
     return state
 
 
-def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2) -> list:
+def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2,
+                        monomials=None) -> list:
     """Expand the stationary state in powers of the exchange coupling.
 
     The stationary state solves ``(A + V) Q + drive = 0``, so it is the
@@ -359,21 +388,26 @@ def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2) -> list:
 
     Returns ``[Q0, Q1, ..., Qmax]``: ``Qn`` is a tagged 15-vector keyed by
     every coupling monomial of degree exactly n, Bloch block in ``[:6]``
-    and correlation block in ``[6:]``.
+    and correlation block in ``[6:]``.  Given ``monomials``, only their
+    divisors are kept (see :func:`resolvent_apply`).
     """
-    return resolvent_apply(gen, 0.0, {(): gen.drive}, max_order)
+    return resolvent_apply(gen, 0.0, {(): gen.drive}, max_order, monomials)
 
 
 def _mean_splittings(orders: list, n: int):
     """Order-n mean-product splittings: yields ``(monomial, <sigma_2^+>^(p),
-    <Q>^(n-p))`` over every p and pair of monomials.  The caller multiplies,
-    because a complex product over an array can round differently in the
-    last digit from the scalar product of the components it needs.
+    <Q>^(n-p))`` over every p and pair of monomials whose product is a
+    monomial of ``orders[n]`` (all of them, unless the orders were pruned).
+    The caller multiplies, because a complex product over an array can round
+    differently in the last digit from the scalar product of the components
+    it needs.
     """
     for p in range(n + 1):
         for mono_p, xp in orders[p].items():
             for mono_q, qvec in orders[n - p].items():
-                yield merge_monomials(mono_p, mono_q), xp[1], qvec
+                key = merge_monomials(mono_p, mono_q)
+                if key in orders[n]:
+                    yield key, xp[1], qvec
 
 
 # -- regression initial conditions ---------------------------------------------
@@ -392,7 +426,7 @@ def _raising_product(vec: np.ndarray, include_unit: bool) -> np.ndarray:
     if include_unit:
         out[:3] += N1
     out[3:6] = vec[[7, 10, 13]]
-    out[6:] = np.kron(np.eye(3), 1j * DELTA_MINUS) @ vec[6:] + np.kron(vec[3:6], N1)
+    out[6:] = _RAISING_COUPLER @ vec[6:] + np.outer(vec[3:6], N1).ravel()
     return out
 
 
@@ -422,38 +456,50 @@ def regression_initial_exact(steady: np.ndarray) -> np.ndarray:
 # -- resolvent expansion -------------------------------------------------------
 
 
-def _resolve(gen: TwoAtomGenerator, greens: tuple, tagged: TaggedVector) -> TaggedVector:
+def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, g_pair: np.ndarray | None,
+             tagged: TaggedVector) -> TaggedVector:
     """Apply the block-triangular drift resolvent to stacked 15-vectors.
 
-    ``greens`` is ``(single_green(z), pair_green(z))``; the Bloch block is
-    resolved first and feeds the correlation block.
+    ``g_single`` and ``g_pair`` are ``single_green(z)`` and
+    ``pair_green(z)``; the Bloch block is resolved first and feeds the
+    correlation block.  With ``g_pair=None`` only the Bloch block is
+    resolved and the result holds 6-vectors.
     """
-    g_single, g_pair = greens
     out: TaggedVector = {}
     for mono, vec in tagged.items():
         x_part = (g_single @ vec[..., :6, None])[..., 0]
+        if g_pair is None:
+            out[mono] = x_part
+            continue
         y_part = (g_pair @ (x_part @ gen.correlation_feed.T + vec[..., 6:])[..., None])[..., 0]
         out[mono] = np.concatenate([x_part, y_part], axis=-1)
     return out
 
 
-def _couple(gen: TwoAtomGenerator, tagged: TaggedVector) -> TaggedVector:
-    """One insertion of the coupling ``V``, extending each monomial by its tag."""
+def _couple(gen: TwoAtomGenerator, tagged: TaggedVector, keep=None) -> TaggedVector:
+    """One insertion of the coupling ``V``, extending each monomial by its tag.
+
+    Only products whose monomial is in ``keep`` are formed (every one if
+    ``keep`` is None).
+    """
     out: TaggedVector = {}
     for tag in COUPLING_TAGS:
         c_block = gen.pair_to_single[tag]
         h_block = gen.single_to_pair[tag]
         x_block = gen.pair_to_pair[tag]
         for mono, vec in tagged.items():
+            key = merge_monomials(mono, (tag,))
+            if keep is not None and key not in keep:
+                continue
             x_part, y_part = vec[..., :6], vec[..., 6:]
             entry = np.concatenate([y_part @ c_block.T, x_part @ h_block.T + y_part @ x_block.T],
                                    axis=-1)
-            _tagged_add(out, merge_monomials(mono, (tag,)), entry)
+            _tagged_add(out, key, entry)
     return out
 
 
 def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
-                    max_order: int = 2) -> list:
+                    max_order: int = 2, monomials=None) -> list:
     """Apply the order-by-order resolvent of ``z - A - V`` to a tagged seed.
 
     Returns ``[R0 seed, R1 seed, ..., Rmax seed]`` where the order-n term
@@ -463,11 +509,16 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     be an array of shape ``S`` and the seed's vectors stacked along leading
     axes that broadcast against ``S``; the drift resolvents are formed once,
     as stacked inverses, and every level has shape ``S + (15,)``.
+
+    ``monomials`` names the coupling monomials the caller reads: the
+    coupling insertions then form only products dividing one of them
+    (:func:`_divisors`).  ``None`` forms every product.
     """
-    greens = (gen.single_green(z), gen.pair_green(z))
-    levels = [_resolve(gen, greens, seed)]
+    keep = None if monomials is None else _divisors(monomials)
+    g_single, g_pair = gen.single_green(z), gen.pair_green(z)
+    levels = [_resolve(gen, g_single, g_pair, seed)]
     for _ in range(max_order):
-        levels.append(_resolve(gen, greens, _couple(gen, levels[-1])))
+        levels.append(_resolve(gen, g_single, g_pair, _couple(gen, levels[-1], keep)))
     return levels
 
 
@@ -479,8 +530,8 @@ class FixedConfigSpectra:
     """Order-two dipole-correlation spectra of one fixed configuration.
 
     ``autocorrelation`` is the Laplace-transformed connected correlation
-    of atom 2's raising and lowering operators (component 1 of the
-    15-vector), ``exchange`` the cross-atom component (component 4,
+    of atom 2's raising and lowering operators (component 0 of the
+    15-vector), ``exchange`` the cross-atom component (component 3,
     without the interference phase factor); both map coupling monomials
     to arrays on the grid ``nu``.  Elastic weights are products of
     stationary means of total coupling order two.
@@ -493,7 +544,8 @@ class FixedConfigSpectra:
     elastic_exchange: dict
 
 
-def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
+def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
+                          monomials=DEGREE_TWO_MONOMIALS) -> FixedConfigSpectra:
     """Second-order inelastic correlation spectra and elastic weights.
 
     The Laplace image of the connected correlation at order two is
@@ -501,23 +553,33 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
     condition and ``R`` the drift resolvent at ``z = -i nu``.  It is
     evaluated nested, ``R (i_2 + V R (i_1 + V R i_0))``, on the whole grid
     at once: the stacked inverses are formed once and applied in three
-    batched resolves.  All results stay tagged by coupling monomial (every
-    surviving monomial has total degree two).
+    batched resolves.  The results read only components 0 and 3, both in
+    the Bloch block, so the last resolve skips the correlation block.
+
+    ``monomials`` are the degree-two coupling monomials returned, by
+    default all of them.  The stationary orders, the regression initials,
+    the nested resolves and the elastic splittings then carry only the
+    divisors of these monomials: for the two that survive the
+    configuration average, ``()``, ``12``, ``12*``, ``21*`` and the two
+    themselves.
     """
     nus = np.asarray(nus, dtype=float)
     if not np.all(np.isfinite(nus)):
         raise ValueError("frequencies nus must be finite")
-    orders = perturbative_orders(gen, 2)
+    if not set(monomials) <= set(DEGREE_TWO_MONOMIALS):
+        raise ValueError("monomials must be sorted degree-two coupling monomials")
+    keep = _divisors(monomials)
+    orders = perturbative_orders(gen, 2, monomials)
     inits = regression_initials(orders)
 
     z = -1j * nus
-    greens = (gen.single_green(z), gen.pair_green(z))
+    g_single, g_pair = gen.single_green(z), gen.pair_green(z)
     nested: TaggedVector = {}
-    for init in inits:
-        source = _couple(gen, nested)
+    for n, init in enumerate(inits):
+        source = _couple(gen, nested, keep)
         for mono, vec in init.items():
             _tagged_add(source, mono, vec)
-        nested = _resolve(gen, greens, source)
+        nested = _resolve(gen, g_single, g_pair if n < 2 else None, source)
 
     elastic_auto: dict = {}
     elastic_exch: dict = {}

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
-from cbs2atom import residues, spectra
+from cbs2atom import residues, spectra, twoatom
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import select_surviving
 from cbs2atom.spectra import CbsResult, SpectralFunctionGrid, cbs_spectra, default_grid
@@ -15,6 +15,7 @@ from cbs2atom.twoatom import (
     LADDER_MONOMIAL,
     ScatteringConfig,
     assemble,
+    canonical_configuration,
     fixed_config_spectrum,
 )
 
@@ -186,6 +187,48 @@ def test_selected_content_is_geometry_independent_here_too():
         ScatteringConfig.from_separation(305.2, direction=(-1.0, 0.2, 2.0)), d, nus)
     for u, v in zip(one, two):
         assert np.max(np.abs(np.asarray(u) - np.asarray(v))) < 1e-12
+
+
+@pytest.mark.parametrize("rabi, delta", [(2.0, 0.0), (1.3, 0.8), (0.5, 0.0), (20.0, 1.5),
+                                         (50.0, 3.0), (0.001, 1.5)])
+def test_production_equals_the_full_evaluation(rabi, delta):
+    # production forms only the divisors of the two surviving monomials;
+    # every number it returns is formed as in the all-monomial expansion
+    d = drive(rabi, delta)
+    nus = default_grid(d, 61)
+    pruned = spectra._canonical_spectrum(d, nus)
+    full = fixed_config_spectrum(
+        assemble(canonical_configuration(d.gamma), d, coupling=d.gamma), nus)
+    assert set(pruned.autocorrelation) == {LADDER_MONOMIAL, CROSSED_MONOMIAL}
+    for name, mono in (("autocorrelation", LADDER_MONOMIAL), ("exchange", CROSSED_MONOMIAL),
+                       ("elastic_autocorrelation", LADDER_MONOMIAL),
+                       ("elastic_exchange", CROSSED_MONOMIAL)):
+        assert np.array_equal(getattr(pruned, name)[mono], getattr(full, name)[mono]), name
+
+
+def test_production_resolves_only_the_surviving_monomials(monkeypatch):
+    # per nested level: the seed, the three first-order divisors, the two
+    # surviving monomials; the last level resolves the Bloch block alone
+    calls = []
+    resolve = twoatom._resolve
+
+    def spy(gen, g_single, g_pair, tagged):
+        calls.append((g_single.ndim, set(tagged), g_pair is not None))
+        return resolve(gen, g_single, g_pair, tagged)
+
+    monkeypatch.setattr(twoatom, "_resolve", spy)
+    spectra._canonical_spectrum(drive(2.0), np.linspace(-5.0, 5.0, 7))
+    levels = [{()}, {("12",), ("12*",), ("21*",)}, {LADDER_MONOMIAL, CROSSED_MONOMIAL}]
+    stationary = [(2, level, True) for level in levels]
+    nested = [(3, level, pair) for level, pair in zip(levels, (True, True, False))]
+    assert calls == stationary + nested
+
+
+def test_fixed_config_spectrum_rejects_other_monomials():
+    gen = assemble(canonical_configuration(), drive(2.0), coupling=1.0)
+    for bad in ((("12",),), (("21*", "12"),), (("12", "12", "21"),)):
+        with pytest.raises(ValueError):
+            fixed_config_spectrum(gen, [0.0], bad)
 
 
 # ------------------------------------------- production against the oracle
