@@ -96,11 +96,9 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _header_lines(cfg: RunConfig) -> list:
-    lines = ["# cbs2atom spectrum table",
-             f"# version={cbs2atom.__version__}"]
-    for field in fields(RunConfig):
-        lines.append(f"# {field.name}={getattr(cfg, field.name)}")
+def _header_lines(title: str, parameters: dict) -> list:
+    lines = [f"# cbs2atom {title}", f"# version={cbs2atom.__version__}"]
+    lines += [f"# {name}={value}" for name, value in parameters.items()]
     return lines
 
 
@@ -109,11 +107,10 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_csv(path: str, cfg: RunConfig, columns: dict) -> None:
+def _write_csv(path: str, header: list, columns: dict) -> None:
     names = list(columns)
     rows = len(next(iter(columns.values())))
-    lines = _header_lines(cfg)
-    lines.append(",".join(names))
+    lines = [*header, ",".join(names)]
     for i in range(rows):
         lines.append(",".join(_fmt(columns[name][i]) for name in names))
     _write_text(path, "\n".join(lines) + "\n")
@@ -227,7 +224,7 @@ def _write_spectrum(cfg: RunConfig, basename: str, columns: dict,
     if cfg.format == "csv":
         table = os.path.join(cfg.output, basename + ".csv")
         sidecar = os.path.join(cfg.output, basename + ".json")
-        _write_csv(table, cfg, columns)
+        _write_csv(table, _header_lines("spectrum table", _config_echo(cfg)), columns)
         _write_json(sidecar, payload)
         written += [table, sidecar]
     else:
@@ -496,7 +493,8 @@ def cmd_sweep(rabis, detunings, base: RunConfig) -> list:
         summary["C_total"].append(result.crossed.total)
         summary["enhancement"].append(result.enhancement)
     table = os.path.join(base.output, "sweep_summary.csv")
-    _write_csv(table, base, summary)
+    swept = {**_config_echo(base), "rabi": rabis, "detuning": detunings}
+    _write_csv(table, _header_lines("sweep summary", swept), summary)
     script = os.path.join(base.output, "sweep_plot.py")
     _write_text(script, _SWEEP_PLOT)
     written += [table, script]

@@ -127,6 +127,13 @@ class ConfigSampler:
             raise ValueError("need at least 1000 samples")
         if not (np.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be finite and positive")
+        # far out, x_start + 2 pi periods rounds to the float spacing: the
+        # window shrinks or vanishes and the separations are quantised
+        width = 2.0 * np.pi * self.periods
+        if not abs(self.x_stop - self.x_start - width) <= 1e-9 * width:
+            raise ValueError(
+                f"distance window at x_start={self.x_start:g} is not resolvable in finite "
+                f"precision: its width rounds to {self.x_stop - self.x_start:g}, not {width:g}")
 
     @property
     def x_stop(self) -> float:

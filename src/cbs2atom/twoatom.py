@@ -19,8 +19,12 @@ and every perturbative quantity in this module is a mapping from the sorted
 tuple of channel tags (the coupling monomial) to its coefficient vector, so
 that configuration averaging downstream reduces to selecting monomials.
 
-All solves here are brute force on the explicit 6/9/15-dimensional blocks,
-as stacked dense solves over whole frequency grids (:func:`resolvent_apply`).
+The generator (:class:`TwoAtomGenerator`) has one format: the 15x15 drift
+``A`` and one 15x15 coupling operator per channel, which sum to ``V``.  All
+solves here are brute force, as stacked dense solves over whole frequency
+grids (:func:`resolvent_apply`): the block-triangular drift is resolved
+through its single-atom and pair blocks, and each coupling insertion is one
+product with one channel's operator.
 :func:`fixed_config_spectrum` on one canonical configuration
 (:func:`canonical_configuration`) is the production route of the averaged
 channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
@@ -38,7 +42,7 @@ with the quadrature oracles in :mod:`cbs2atom.residues`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
@@ -72,22 +76,44 @@ DEGREE_TWO_MONOMIALS = tuple(combinations_with_replacement(COUPLING_TAGS, 2))
 _E1 = np.array([1.0, 0.0, 0.0])
 _E2 = np.array([0.0, 1.0, 0.0])
 
-# Operator factors of the tagged coupling blocks, without the amplitude: they
-# are the same for every generator, so they are built once.
-_PAIR_TO_SINGLE = {"12": np.kron(_E2, DELTA_PLUS), "21": np.kron(DELTA_PLUS, _E2),
-                   "12*": np.kron(DELTA_MINUS, _E1), "21*": np.kron(_E1, DELTA_MINUS)}
-_SINGLE_TO_PAIR = {"12": np.kron(N1.reshape(3, 1), DELTA_PLUS),
-                   "21": np.kron(DELTA_PLUS, N1.reshape(3, 1)),
-                   "12*": np.kron(DELTA_MINUS, N2.reshape(3, 1)),
-                   "21*": np.kron(N2.reshape(3, 1), DELTA_MINUS)}
-_LOWER_RAISE = np.kron(DELTA_MINUS, DELTA_PLUS)
-_RAISE_LOWER = np.kron(DELTA_PLUS, DELTA_MINUS)
+
+def _channel_factor(atom: slice, to_single: np.ndarray, to_pair: np.ndarray,
+                    within_pair: np.ndarray) -> np.ndarray:
+    """15x15 operator factor of one coupling channel: the pair correlations
+    feed the Bloch block of one ``atom`` (rows 0:3 are atom 2, 3:6 atom 1),
+    that atom's means source the pair correlations, and the pair
+    correlations couple among themselves."""
+    out = np.zeros((15, 15), dtype=complex)
+    out[atom, 6:] = to_single
+    out[6:, atom] = to_pair
+    out[6:, 6:] = within_pair
+    return out
+
+
+# Operator factors of the coupling channels, without the amplitude (``T``, or
+# its conjugate for a starred tag): they are the same for every generator, so
+# they are built once.
+_CHANNELS = {
+    "12": _channel_factor(slice(0, 3), 2j * np.kron(_E2, DELTA_PLUS),
+                          2j * np.kron(N1.reshape(3, 1), DELTA_PLUS),
+                          -2.0 * np.kron(DELTA_MINUS, DELTA_PLUS)),
+    "12*": _channel_factor(slice(3, 6), -2j * np.kron(DELTA_MINUS, _E1),
+                           -2j * np.kron(DELTA_MINUS, N2.reshape(3, 1)),
+                           -2.0 * np.kron(DELTA_MINUS, DELTA_PLUS)),
+    "21": _channel_factor(slice(3, 6), 2j * np.kron(DELTA_PLUS, _E2),
+                          2j * np.kron(DELTA_PLUS, N1.reshape(3, 1)),
+                          -2.0 * np.kron(DELTA_PLUS, DELTA_MINUS)),
+    "21*": _channel_factor(slice(0, 3), -2j * np.kron(_E1, DELTA_MINUS),
+                           -2j * np.kron(N2.reshape(3, 1), DELTA_MINUS),
+                           -2.0 * np.kron(DELTA_PLUS, DELTA_MINUS)),
+}
 _RAISING_COUPLER = np.kron(np.eye(3), 1j * DELTA_MINUS)
 
 #: A tagged vector maps a coupling monomial (sorted tuple of channel tags)
 #: to a complex coefficient vector, or a stack of them along leading axes
-#: (one per frequency); the represented quantity is the sum of
-#: ``amplitude(monomial) * vector`` over all entries.
+#: (one per frequency).  Each vector already carries its coupling amplitude,
+#: so the represented quantity is the plain sum of the entries
+#: (:func:`tagged_total`).
 TaggedVector = dict
 
 
@@ -216,9 +242,9 @@ def canonical_configuration(gamma: float = 1.0) -> ScatteringConfig:
 
 @dataclass(frozen=True, eq=False)
 class TwoAtomGenerator:
-    """Assembled drift, drive and tagged coupling blocks of the 15-system.
+    """Assembled drift, drive and tagged coupling channels of the 15-system.
 
-    Immutable after construction; all derived blocks are cached.  The
+    Immutable after construction; the drift and channels are cached.  The
     single-atom (6) block is ordered atom 2 first, matching the layout of
     the 15-vector documented in the module docstring.
     """
@@ -228,28 +254,19 @@ class TwoAtomGenerator:
     atom2: BlochSystem
     coupling: complex
 
-    # -- drift / drive blocks -------------------------------------------------
-
     @cached_property
-    def bloch_block(self) -> np.ndarray:
-        """6x6 uncoupled part: direct sum of the two Bloch generators."""
-        out = np.zeros((6, 6), dtype=complex)
-        out[:3, :3] = self.atom2.M
-        out[3:, 3:] = self.atom1.M
-        return out
-
-    @cached_property
-    def correlation_block(self) -> np.ndarray:
-        """9x9 drift of the pair correlations: Kronecker sum of the generators."""
+    def drift(self) -> np.ndarray:
+        """15x15 drift (coupling excluded).  It is block-triangular: the
+        direct sum of the two Bloch generators on the single-atom block, the
+        single-atom means feeding the pair block, and the Kronecker sum of
+        the generators on the pair block."""
         eye = np.eye(3)
-        return np.kron(self.atom1.M, eye) + np.kron(eye, self.atom2.M)
-
-    @cached_property
-    def correlation_feed(self) -> np.ndarray:
-        """9x6 coupling of the single-atom means into the correlation block."""
-        out = np.zeros((9, 6), dtype=complex)
-        out[:, :3] = np.kron(self.atom1.L.reshape(3, 1), np.eye(3))
-        out[:, 3:] = np.kron(np.eye(3), self.atom2.L.reshape(3, 1))
+        out = np.zeros((15, 15), dtype=complex)
+        out[:3, :3] = self.atom2.M
+        out[3:6, 3:6] = self.atom1.M
+        out[6:, :3] = np.kron(self.atom1.L.reshape(3, 1), eye)
+        out[6:, 3:6] = np.kron(eye, self.atom2.L.reshape(3, 1))
+        out[6:, 6:] = np.kron(self.atom1.M, eye) + np.kron(eye, self.atom2.M)
         return out
 
     @cached_property
@@ -261,61 +278,13 @@ class TwoAtomGenerator:
         return out
 
     @cached_property
-    def dense_drift(self) -> np.ndarray:
-        """Full 15x15 drift matrix (coupling excluded)."""
-        out = np.zeros((15, 15), dtype=complex)
-        out[:6, :6] = self.bloch_block
-        out[6:, :6] = self.correlation_feed
-        out[6:, 6:] = self.correlation_block
-        return out
-
-    # -- tagged coupling blocks ----------------------------------------------
-
-    @cached_property
-    def pair_to_single(self) -> dict:
-        """6x9 blocks feeding pair correlations back into the Bloch equations."""
+    def channels(self) -> dict:
+        """15x15 coupling operator of each channel tag: its amplitude, ``T``
+        or ``conj(T)`` for a starred tag, times the channel's operator
+        factor.  The coupling ``V`` is their sum."""
         t = self.coupling
-        tc = np.conj(t)
-        blocks = {tag: np.zeros((6, 9), dtype=complex) for tag in COUPLING_TAGS}
-        blocks["12"][:3] = 2j * t * _PAIR_TO_SINGLE["12"]
-        blocks["21"][3:] = 2j * t * _PAIR_TO_SINGLE["21"]
-        blocks["12*"][3:] = -2j * tc * _PAIR_TO_SINGLE["12*"]
-        blocks["21*"][:3] = -2j * tc * _PAIR_TO_SINGLE["21*"]
-        return blocks
-
-    @cached_property
-    def single_to_pair(self) -> dict:
-        """9x6 blocks sourcing pair correlations from the single-atom means."""
-        t = self.coupling
-        tc = np.conj(t)
-        blocks = {tag: np.zeros((9, 6), dtype=complex) for tag in COUPLING_TAGS}
-        blocks["12"][:, :3] = 2j * t * _SINGLE_TO_PAIR["12"]
-        blocks["21"][:, 3:] = 2j * t * _SINGLE_TO_PAIR["21"]
-        blocks["12*"][:, 3:] = -2j * tc * _SINGLE_TO_PAIR["12*"]
-        blocks["21*"][:, :3] = -2j * tc * _SINGLE_TO_PAIR["21*"]
-        return blocks
-
-    @cached_property
-    def pair_to_pair(self) -> dict:
-        """9x9 blocks coupling the pair correlations among themselves."""
-        t = self.coupling
-        tc = np.conj(t)
-        return {
-            "12": -2.0 * t * _LOWER_RAISE,
-            "21": -2.0 * t * _RAISE_LOWER,
-            "12*": -2.0 * tc * _LOWER_RAISE,
-            "21*": -2.0 * tc * _RAISE_LOWER,
-        }
-
-    @cached_property
-    def dense_coupling(self) -> np.ndarray:
-        """Debug path: the summed coupling assembled as a dense 15x15 matrix."""
-        out = np.zeros((15, 15), dtype=complex)
-        for tag in COUPLING_TAGS:
-            out[:6, 6:] += self.pair_to_single[tag]
-            out[6:, :6] += self.single_to_pair[tag]
-            out[6:, 6:] += self.pair_to_pair[tag]
-        return out
+        return {tag: (np.conj(t) if tag.endswith("*") else t) * _CHANNELS[tag]
+                for tag in COUPLING_TAGS}
 
     # -- resolvents -----------------------------------------------------------
 
@@ -327,14 +296,16 @@ class TwoAtomGenerator:
         return np.add.outer(e1, e2).ravel()
 
     def single_green(self, z=0.0) -> np.ndarray:
-        """6x6 resolvent ``(z - M_bloch)^{-1}``, block-diagonal per atom.
+        """6x6 resolvent ``(z - M_bloch)^{-1}``, block-diagonal per atom;
+        one inverse serves both blocks when the atoms share their system.
 
         ``z`` may be an array; the result has shape ``z.shape + (6, 6)``.
         """
         z = np.asarray(z, dtype=complex)
         out = np.zeros(z.shape + (6, 6), dtype=complex)
-        out[..., :3, :3] = self.atom2.green(z)
-        out[..., 3:, 3:] = self.atom1.green(z)
+        green1 = self.atom1.green(z)
+        out[..., 3:, 3:] = green1
+        out[..., :3, :3] = green1 if self.atom2 is self.atom1 else self.atom2.green(z)
         return out
 
     def pair_green(self, z=0.0) -> np.ndarray:
@@ -342,7 +313,7 @@ class TwoAtomGenerator:
 
         ``z`` may be an array; the result has shape ``z.shape + (9, 9)``.
         """
-        return resolve(self.correlation_block, z, np.eye(9), self.correlation_eigenvalues,
+        return resolve(self.drift[6:, 6:], z, np.eye(9), self.correlation_eigenvalues,
                        self.config.gamma)
 
 
@@ -357,17 +328,16 @@ def assemble(config: ScatteringConfig, drive: AtomDriveParams,
     """
     if abs(drive.gamma - config.gamma) > 1e-12 * config.gamma:
         raise ValueError("drive and configuration disagree on the decay rate")
-    atom1 = build(AtomDriveParams(rabi=drive.rabi, delta=drive.delta, gamma=drive.gamma,
-                                  phase=drive.phase + config.phase1))
-    atom2 = build(AtomDriveParams(rabi=drive.rabi, delta=drive.delta, gamma=drive.gamma,
-                                  phase=drive.phase + config.phase2))
+    atom1 = build(replace(drive, phase=drive.phase + config.phase1))
+    atom2 = (atom1 if config.phase2 == config.phase1
+             else build(replace(drive, phase=drive.phase + config.phase2)))
     t = config.coupling if coupling is None else complex(coupling)
     return TwoAtomGenerator(config=config, atom1=atom1, atom2=atom2, coupling=t)
 
 
 def exact_steady_state(gen: TwoAtomGenerator) -> np.ndarray:
     """Nonperturbative stationary 15-vector ``-(A+V)^{-1} drive``."""
-    full = gen.dense_drift + gen.dense_coupling
+    full = gen.drift + sum(gen.channels.values())
     state = np.linalg.solve(full, -gen.drive)
     residual = np.linalg.norm(full @ state + gen.drive)
     if residual > 1e-11 * (1.0 + np.linalg.norm(gen.drive)):
@@ -381,10 +351,10 @@ def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2,
 
     The stationary state solves ``(A + V) Q + drive = 0``, so it is the
     zero-frequency resolvent applied to the drive and its orders are
-    :func:`resolvent_apply` at ``z = 0``: each new Bloch order is driven by
-    the previous correlation order through the pair-to-single blocks, and
-    each new correlation order collects the single-to-pair and pair-to-pair
-    feeds plus the same-order Bloch feed-through.
+    :func:`resolvent_apply` at ``z = 0``: each new order is the previous
+    one passed once through every coupling channel, one product with the
+    channel's 15x15 operator, and resolved by the drift, whose Bloch block
+    is solved first and feeds the correlation block.
 
     Returns ``[Q0, Q1, ..., Qmax]``: ``Qn`` is a tagged 15-vector keyed by
     every coupling monomial of degree exactly n, Bloch block in ``[:6]``
@@ -471,30 +441,24 @@ def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, g_pair: np.ndarray | N
         if g_pair is None:
             out[mono] = x_part
             continue
-        y_part = (g_pair @ (x_part @ gen.correlation_feed.T + vec[..., 6:])[..., None])[..., 0]
+        y_part = (g_pair @ (x_part @ gen.drift[6:, :6].T + vec[..., 6:])[..., None])[..., 0]
         out[mono] = np.concatenate([x_part, y_part], axis=-1)
     return out
 
 
 def _couple(gen: TwoAtomGenerator, tagged: TaggedVector, keep=None) -> TaggedVector:
-    """One insertion of the coupling ``V``, extending each monomial by its tag.
+    """One insertion of the coupling ``V``: every tagged vector times every
+    channel's 15x15 operator, the monomial extended by the channel's tag.
 
     Only products whose monomial is in ``keep`` are formed (every one if
     ``keep`` is None).
     """
     out: TaggedVector = {}
-    for tag in COUPLING_TAGS:
-        c_block = gen.pair_to_single[tag]
-        h_block = gen.single_to_pair[tag]
-        x_block = gen.pair_to_pair[tag]
+    for tag, channel in gen.channels.items():
         for mono, vec in tagged.items():
             key = merge_monomials(mono, (tag,))
-            if keep is not None and key not in keep:
-                continue
-            x_part, y_part = vec[..., :6], vec[..., 6:]
-            entry = np.concatenate([y_part @ c_block.T, x_part @ h_block.T + y_part @ x_block.T],
-                                   axis=-1)
-            _tagged_add(out, key, entry)
+            if keep is None or key in keep:
+                _tagged_add(out, key, vec @ channel.T)
     return out
 
 
@@ -505,7 +469,7 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     Returns ``[R0 seed, R1 seed, ..., Rmax seed]`` where the order-n term
     carries n extra coupling insertions.  The zeroth order solves the
     block-triangular drift alone; each further order routes the previous
-    result once through the coupling blocks and resolves again.  ``z`` may
+    result once through the coupling channels and resolves again.  ``z`` may
     be an array of shape ``S`` and the seed's vectors stacked along leading
     axes that broadcast against ``S``; the drift resolvents are formed once,
     as stacked inverses, and every level has shape ``S + (15,)``.

@@ -143,7 +143,7 @@ def test_zero_drive_exits_with_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("x0", ["nan", "inf"])
+@pytest.mark.parametrize("x0", ["nan", "inf", "1e17", "1e300"])
 def test_non_finite_window_start_exits_with_usage_error(tmp_path, capsys, x0):
     argv = ["spectrum", "--rabi", "2", "--method", "oracle", "--x0", x0, *GRID,
             "--output", str(tmp_path)]
@@ -173,6 +173,20 @@ def test_sweep_summary_has_one_row_per_drive(tmp_path, capsys):
         assert summary["L_el"][i] == result.elastic_ladder
         assert summary["C_total"][i] == result.crossed.total
         assert summary["enhancement"][i] == result.enhancement
+
+
+def test_sweep_summary_header_lists_every_drive(tmp_path, capsys):
+    # the per-point headers echo one drive each; the summary names itself
+    # and lists every swept value, not the first point's
+    argv = ["sweep", "--rabi", 0.5, 2, "--detuning", 0, 1.5, *GRID, "--output", tmp_path]
+    assert run(argv, capsys) == 0
+    header = [line for line in (tmp_path / "sweep_summary.csv").read_text().splitlines()
+              if line.startswith("#")]
+    assert header[0] == "# cbs2atom sweep summary"
+    assert "# rabi=[0.5, 2.0]" in header and "# detuning=[0.0, 1.5]" in header
+    point = (tmp_path / "sweep_r2_d1p5.csv").read_text().splitlines()
+    assert point[0] == "# cbs2atom spectrum table"
+    assert "# rabi=2.0" in point and "# detuning=1.5" in point
 
 
 @pytest.mark.parametrize("rabis", [["2", "2.0000000001"], ["2", "-1"], ["2", "1e-300"]],

@@ -103,9 +103,10 @@ def test_sampler_validates_window_and_size():
         ConfigSampler(samples=10)
 
 
-@pytest.mark.parametrize("x_start", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("x_start", [np.nan, np.inf, -np.inf, 1e17, 1e300])
 def test_sampler_rejects_a_non_finite_window_start(x_start):
-    # nan < 50 is False, so an ordered comparison alone lets nan through
+    # nan < 50 is False, so an ordered comparison alone lets nan through;
+    # at 1e17 the window width rounds to 48 and at 1e300 to 0
     with pytest.raises(ValueError, match="finite"):
         ConfigSampler(x_start=x_start)
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
-from cbs2atom import residues, spectra, twoatom
+from cbs2atom import atom, linalg, residues, spectra, twoatom
 from cbs2atom.atom import AtomDriveParams
-from cbs2atom.disorder import select_surviving
+from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.spectra import CbsResult, SpectralFunctionGrid, cbs_spectra, default_grid
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
@@ -222,6 +222,27 @@ def test_production_resolves_only_the_surviving_monomials(monkeypatch):
     stationary = [(2, level, True) for level in levels]
     nested = [(3, level, pair) for level, pair in zip(levels, (True, True, False))]
     assert calls == stationary + nested
+
+
+def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
+    # both laser phases of the canonical configuration are 0, so the atoms
+    # share one Bloch system: one single-atom and one pair inverse at z = 0
+    # and on the grid; two single-atom inverses each would take 6
+    calls = []
+    original = linalg.resolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (linalg, atom, twoatom):
+        monkeypatch.setattr(module, "resolve", counting)
+    nus = np.linspace(-5.0, 5.0, 7)
+    cbs_spectra(drive(2.0), nus=nus)
+    assert len(calls) == 4
+    calls.clear()
+    monte_carlo_spectra(drive(2.0), ConfigSampler(samples=1000, seed=3), nus)
+    assert len(calls) == 4
 
 
 def test_fixed_config_spectrum_rejects_other_monomials():

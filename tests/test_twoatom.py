@@ -31,7 +31,7 @@ def make_gen(x=1000.0, rabi=2.0, delta=0.5, direction=(0.6, 0.8, 0.0), coupling=
 
 
 def full_matrix(gen):
-    return gen.dense_drift + gen.dense_coupling
+    return gen.drift + sum(gen.channels.values())
 
 
 # -------------------------------------------------------------- configuration
@@ -136,33 +136,37 @@ def test_coupling_block_identities_on_product_probes(seed):
         "21*": np.kron(N2, -2j * tc * (DELTA_MINUS @ a2)),
     }
     for tag in ta.COUPLING_TAGS:
-        assert np.allclose(gen.pair_to_single[tag] @ pair, corner_expect[tag], atol=1e-12)
-        assert np.allclose(gen.pair_to_pair[tag] @ pair, cross_expect[tag], atol=1e-12)
-        assert np.allclose(gen.single_to_pair[tag] @ single, hook_expect[tag], atol=1e-12)
+        channel = gen.channels[tag]
+        assert np.allclose(channel[:6, 6:] @ pair, corner_expect[tag], atol=1e-12)
+        assert np.allclose(channel[6:, 6:] @ pair, cross_expect[tag], atol=1e-12)
+        assert np.allclose(channel[6:, :6] @ single, hook_expect[tag], atol=1e-12)
+        # no channel couples the single-atom means among themselves
+        assert np.max(np.abs(channel[:6, :6])) == 0.0
 
 
 def test_coupling_blocks_conjugate_amplitude_structure():
     gen = make_gen()
     ratio = np.conj(gen.coupling) / gen.coupling
-    assert np.allclose(gen.pair_to_pair["12*"], ratio * gen.pair_to_pair["12"], atol=1e-18)
-    assert np.allclose(gen.pair_to_pair["21*"], ratio * gen.pair_to_pair["21"], atol=1e-18)
+    channels = gen.channels
+    assert np.allclose(channels["12*"][6:, 6:], ratio * channels["12"][6:, 6:], atol=1e-18)
+    assert np.allclose(channels["21*"][6:, 6:], ratio * channels["21"][6:, 6:], atol=1e-18)
 
 
 def test_coupling_override_decouples():
     gen = make_gen(coupling=0.0)
-    assert np.max(np.abs(gen.dense_coupling)) == 0.0
+    assert np.max(np.abs(sum(gen.channels.values()))) == 0.0
     for tag in ta.COUPLING_TAGS:
-        assert np.max(np.abs(gen.pair_to_single[tag])) == 0.0
+        assert np.max(np.abs(gen.channels[tag][:6, 6:])) == 0.0
 
 
 def test_drift_block_structure():
     gen = make_gen()
-    assert np.allclose(gen.dense_drift[:3, :3], gen.atom2.M, atol=1e-15)
-    assert np.allclose(gen.dense_drift[3:6, 3:6], gen.atom1.M, atol=1e-15)
-    assert np.max(np.abs(gen.dense_drift[:6, 6:])) == 0.0
+    assert np.allclose(gen.drift[:3, :3], gen.atom2.M, atol=1e-15)
+    assert np.allclose(gen.drift[3:6, 3:6], gen.atom1.M, atol=1e-15)
+    assert np.max(np.abs(gen.drift[:6, 6:])) == 0.0
     # pair-block eigenvalues are all sums of one eigenvalue per atom
     # (rounded before sorting: ties in the real part break on imaginary noise)
-    direct = np.sort_complex(np.round(np.linalg.eigvals(gen.correlation_block), 10))
+    direct = np.sort_complex(np.round(np.linalg.eigvals(gen.drift[6:, 6:]), 10))
     summed = np.sort_complex(np.round(gen.correlation_eigenvalues, 10))
     assert np.allclose(direct, summed, atol=1e-9)
     # drive: only the two inversion slots are fed
@@ -237,7 +241,7 @@ def test_generator_matches_operator_algebra_up_to_coupling_sign():
     assert np.max(np.abs(A_plus - full_matrix(gen))) > 1e-3
     # the uncoupled parts agree identically
     A0, L0 = operator_master_equation(gen, 0.0)
-    assert np.max(np.abs(A0 - gen.dense_drift)) < 1e-13
+    assert np.max(np.abs(A0 - gen.drift)) < 1e-13
     assert np.max(np.abs(L0 - gen.drive)) < 1e-14
 
 
@@ -248,9 +252,9 @@ def test_single_and_pair_green_invert_their_blocks():
     gen = make_gen()
     z = -0.8j
     gs = gen.single_green(z)
-    assert np.allclose((z * np.eye(6) - gen.bloch_block) @ gs, np.eye(6), atol=1e-12)
+    assert np.allclose((z * np.eye(6) - gen.drift[:6, :6]) @ gs, np.eye(6), atol=1e-12)
     gp = gen.pair_green(z)
-    assert np.allclose((z * np.eye(9) - gen.correlation_block) @ gp, np.eye(9), atol=1e-12)
+    assert np.allclose((z * np.eye(9) - gen.drift[6:, 6:]) @ gp, np.eye(9), atol=1e-12)
 
 
 def test_greens_stack_over_an_array_of_z():
@@ -505,7 +509,7 @@ def test_resolvent_order_zero_matches_drift_solve():
     seed = {(): rng.normal(size=15) + 1j * rng.normal(size=15)}
     z = -0.9j
     level0 = ta.resolvent_apply(gen, z, seed, max_order=0)[0][()]
-    direct = np.linalg.solve(z * np.eye(15) - gen.dense_drift, seed[()])
+    direct = np.linalg.solve(z * np.eye(15) - gen.drift, seed[()])
     assert np.allclose(level0, direct, atol=1e-12)
 
 
