@@ -6,11 +6,13 @@ spectrum (Mollow triplet), the first-order probe-scattering amplitudes and
 the probe-intensity response.  All frequencies are measured from the laser
 frequency, in units of the decay rate ``gamma``.
 
-Every resolvent is a stacked dense solve (:func:`cbs2atom.linalg.resolve`),
-so the closed forms take whole arrays of frequencies and stay exact at the
-defective Jordan-point drive (``rabi = gamma/2`` on resonance).  The
-``compact_*`` oracle of :mod:`cbs2atom.residues` integrates them over the
-probe frequency by quadrature.
+Every resolvent is the closed-form 3x3 inverse of
+:func:`cbs2atom.linalg.inverse3` over a whole stack of arguments, applied to
+its vectors by one product, so the closed forms take whole arrays of
+frequencies and stay exact at the defective Jordan-point drive
+(``rabi = gamma/2`` on resonance).  The ``compact_*`` oracle of
+:mod:`cbs2atom.residues` integrates them over the probe frequency by
+quadrature.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from cbs2atom.linalg import resolve
+from cbs2atom.linalg import inverse3
 
 #: Couplers of the Bloch vector to a weak perturbation of the drive:
 #: ``DELTA_MINUS`` multiplies the co-rotating probe amplitude, ``DELTA_PLUS``
@@ -115,10 +117,11 @@ class BlochSystem:
     def green(self, z) -> np.ndarray:
         """Resolvent ``(z - M)^{-1}`` for a scalar or an array of ``z``.
 
-        One stacked dense solve (shape ``z.shape + (3, 3)``), so it is
-        exact at defective (Jordan-point) drives too.
+        Cofactors over determinant, elementwise over the stack (shape
+        ``z.shape + (3, 3)``; :func:`cbs2atom.linalg.inverse3`), so it needs
+        no eigenvectors and is exact at defective (Jordan-point) drives too.
         """
-        return resolve(self.M, z, np.eye(3), self.eigenvalues, self.params.gamma)
+        return inverse3(self.M, z, self.eigenvalues, self.params.gamma)
 
 
 def build(params: AtomDriveParams) -> BlochSystem:
@@ -153,16 +156,8 @@ def g0_vectors(sys: BlochSystem) -> tuple[np.ndarray, np.ndarray]:
 
 def _solve(sys: BlochSystem, z, vec) -> np.ndarray:
     """``(z - M)^{-1} vec`` for an array of ``z`` and a stack of vectors whose
-    leading axes broadcast against it; shape ``broadcast + (3,)``.
-
-    Where the vectors outnumber the arguments (one emission frequency
-    against a whole probe grid), each resolvent is formed once and applied
-    by a product instead of one solve per vector.
-    """
-    z, vec = np.asarray(z, dtype=complex), np.asarray(vec)[..., None]
-    if z.size < np.prod(np.broadcast_shapes(z.shape, vec.shape[:-2]), dtype=int):
-        return (sys.green(z) @ vec)[..., 0]
-    return resolve(sys.M, z, vec, sys.eigenvalues, sys.params.gamma)[..., 0]
+    leading axes broadcast against it; shape ``broadcast + (3,)``."""
+    return np.einsum("...ij,...j->...i", sys.green(z), vec)
 
 
 def mollow_p0(sys: BlochSystem, nu):
@@ -261,7 +256,7 @@ def probe_vectors(sys: BlochSystem, nu) -> ProbeResponseSet:
 
 # The closed forms below take ``omega_p`` and ``nu`` as arrays that broadcast
 # against each other (a scalar pair gives a scalar).  Terms that share their
-# outer resolvent are summed before it is applied, one solve per resolvent.
+# outer resolvent are summed before it is applied, one inverse per resolvent.
 
 
 def p_plus(sys: BlochSystem, omega_p, nu):

@@ -1,11 +1,18 @@
 """Dense complex linear algebra for the Bloch generators.
 
-:func:`resolve` is the one dense resolvent: ``(z - M)^{-1} B`` for a whole
-array of ``z`` as one stacked solve, guarded against poles.  It needs no
-spectral decomposition, so it stays exact at defective (Jordan-point)
-generators.  Every route goes through it: the single-atom and two-atom
-Green matrices of production, the pump-probe chains, and the quadrature
-oracles of :mod:`cbs2atom.residues`.
+Two guarded resolvents, both free of any spectral decomposition, so they
+stay exact at defective (Jordan-point) generators:
+
+- :func:`inverse3` forms the 3x3 single-atom resolvent ``(z - M)^{-1}`` in
+  closed form, cofactors over determinant, for a whole array of ``z``.
+  Every single-atom route goes through it
+  (:meth:`cbs2atom.atom.BlochSystem.green`): the Bloch block of the
+  production spectra, the pump-probe chains and the quadrature oracles of
+  :mod:`cbs2atom.residues`.
+- :func:`resolve` computes ``(z - M)^{-1} B`` for any size as one stacked
+  dense solve; the 9x9 pair-correlation resolvent uses it.
+
+Both reject non-finite arguments and arguments on a pole alike.
 """
 
 from __future__ import annotations
@@ -16,9 +23,58 @@ import numpy as np
 #: eigenvalue are rejected as sitting on a pole.
 DEGENERACY_TOL = 1e-9
 
+# cyclic successors of the row/column indices 0, 1, 2: the cofactor of
+# entry (i, j) of a 3x3 matrix is the 2x2 determinant of rows
+# (i+1, i+2) and columns (j+1, j+2), taken mod 3
+_NEXT = [1, 2, 0]
+_AFTER = [2, 0, 1]
+
 
 class PoleProximityError(ValueError):
     """Raised when a resolvent is evaluated too close to an eigenvalue."""
+
+
+def _guarded(z, eigenvalues: np.ndarray, gamma: float) -> np.ndarray:
+    """``z`` as a complex array, once every element is finite and at least
+    ``DEGENERACY_TOL * gamma`` from every eigenvalue."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("resolvent argument z must be finite")
+    gap = np.abs(z[..., None] - eigenvalues)
+    if (gap < DEGENERACY_TOL * gamma).any():
+        gap = np.min(gap, axis=-1)
+        raise PoleProximityError(
+            f"z={z.flat[np.argmin(gap)]} within {np.min(gap):.3e} of an eigenvalue")
+    return z
+
+
+def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray,
+             gamma: float = 1.0) -> np.ndarray:
+    """``(z - M)^{-1}`` of a 3x3 ``M`` for an array of ``z``, in closed form.
+
+    With ``A = z - M`` the inverse is the transposed cofactor matrix over
+    ``det A``, the determinant expanded along the first row of ``A``, all
+    of it elementwise over the ``z`` stack (shape ``z.shape + (3, 3)``).
+    The determinant comes from the entries of ``A``, not from
+    ``prod(z - eigenvalues)``, so a drive too weak to register in double
+    precision leaves the undriven inverse exactly as it is.
+    ``eigenvalues`` is the spectrum of ``M``, which sets the poles.
+
+    Raises
+    ------
+    ValueError
+        If an element of ``z`` is not finite.
+    PoleProximityError
+        If an element of ``z`` is within ``DEGENERACY_TOL * gamma`` of an
+        eigenvalue.
+    """
+    z = _guarded(z, eigenvalues, gamma)
+    A = z[..., None, None] * np.eye(3) - M
+    rows_next, rows_after = A.take(_NEXT, axis=-2), A.take(_AFTER, axis=-2)
+    cofactor = (rows_next.take(_NEXT, axis=-1) * rows_after.take(_AFTER, axis=-1)
+                - rows_next.take(_AFTER, axis=-1) * rows_after.take(_NEXT, axis=-1))
+    det = np.einsum("...j,...j->...", A[..., 0, :], cofactor[..., 0, :])
+    return np.swapaxes(cofactor, -1, -2) / det[..., None, None]
 
 
 def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray,
@@ -38,11 +94,5 @@ def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray,
         If an element of ``z`` is within ``DEGENERACY_TOL * gamma`` of an
         eigenvalue.
     """
-    z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("resolvent argument z must be finite")
-    gap = np.min(np.abs(z[..., None] - eigenvalues), axis=-1)
-    if np.any(gap < DEGENERACY_TOL * gamma):
-        raise PoleProximityError(
-            f"z={z.flat[np.argmin(gap)]} within {np.min(gap):.3e} of an eigenvalue")
+    z = _guarded(z, eigenvalues, gamma)
     return np.linalg.solve(z[..., None, None] * np.eye(len(M)) - M, rhs)

@@ -341,9 +341,8 @@ def channel_densities(pump: AtomDriveParams, nus, *,
     forward coefficients and the reflected harmonic order share.  Memory grows
     with the inner grid, and with the output grid only by the two
     ``G(+-i nu)`` stacks: at ``rabi = 2`` (401 inner points) that is about
-    4 ms of CPU per frequency on one core of a 2-core Xeon VM (7-8 ms with
-    one inverse per argument and coefficient), about 0.05 s for 11
-    frequencies and 2.3-3.1 s for 601.
+    2 ms of CPU per frequency on one core of a 2-core Xeon VM, about 0.02 s
+    for 11 frequencies and 1.1-1.3 s for 601.
 
     Returns a dict with the evaluation grid and both density arrays.
     """

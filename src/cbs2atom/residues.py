@@ -10,7 +10,8 @@ analytic periodic function of ``theta``, so the rule converges
 geometrically, at a rate set by the pole that lands nearest the real
 ``theta`` axis.  The scale is ``c = max(gamma, Omega')`` with ``Omega'``
 the generalised Rabi frequency, and the node count follows from the
-poles (:func:`line_rule`).  Each Green matrix is one stacked dense solve
+poles (:func:`line_rule`).  Each Green matrix is the closed-form 3x3
+inverse over the whole node stack
 (:meth:`~cbs2atom.atom.BlochSystem.green`), so the rule needs no spectral
 decomposition and holds at the defective Jordan-point drive
 (``rabi = gamma/2`` on resonance) as anywhere else.

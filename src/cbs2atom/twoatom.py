@@ -21,10 +21,11 @@ that configuration averaging downstream reduces to selecting monomials.
 
 The generator (:class:`TwoAtomGenerator`) has one format: the 15x15 drift
 ``A`` and one 15x15 coupling operator per channel, which sum to ``V``.  All
-solves here are brute force, as stacked dense solves over whole frequency
-grids (:func:`resolvent_apply`): the block-triangular drift is resolved
-through its single-atom and pair blocks, and each coupling insertion is one
-product with one channel's operator.
+solves here are brute force, stacked over whole frequency grids
+(:func:`resolvent_apply`): the block-triangular drift is resolved through
+its single-atom blocks (closed-form 3x3 inverses) and its pair block (one
+stacked dense solve), and each coupling insertion is one product with one
+channel's operator.
 :func:`fixed_config_spectrum` on one canonical configuration
 (:func:`canonical_configuration`) is the production route of the averaged
 channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo

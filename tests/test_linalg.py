@@ -1,10 +1,12 @@
-"""Generator eigenvalues, the guarded resolvent and tensor products."""
+"""Generator eigenvalues, the guarded resolvents and tensor products."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbs2atom import atom
-from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError, resolve
+from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError, inverse3, resolve
 
 
 def bloch_matrix(rabi, delta, gamma=1.0, phase=0.0):
@@ -103,6 +105,76 @@ def test_resolve_stacks_matrix_and_vector_right_hand_sides():
         want = np.linalg.inv(z[idx] * np.eye(3) - M)
         assert np.allclose(inverse[idx], want, rtol=0, atol=1e-14)
         assert np.allclose(applied[idx], want @ vecs[idx], rtol=0, atol=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_rabi=st.floats(-4.0, np.log10(50.0)),
+    delta=st.floats(-20.0, 20.0),
+    gamma=st.floats(0.25, 4.0).filter(lambda g: g != 1.0),
+    log_size=st.floats(np.log10(2 * DEGENERACY_TOL), 6.0),
+    angle=st.one_of(st.sampled_from([-0.5 * np.pi, 0.5 * np.pi]),
+                    st.floats(-0.5 * np.pi, 0.5 * np.pi)),
+)
+def test_closed_form_inverse_matches_dense_solve(log_rabi, delta, gamma, log_size, angle):
+    # every pole lies at least gamma left of the imaginary axis, so the
+    # closed right half-plane is well conditioned; |z| runs from twice the
+    # guard radius to 1e6, on the imaginary axis and off it
+    params = atom.AtomDriveParams(rabi=10.0**log_rabi, delta=delta, gamma=gamma)
+    system = atom.build(params)
+    z = gamma * 10.0**log_size * np.exp(1j * angle)
+    got = inverse3(system.M, z, system.eigenvalues, gamma)
+    want = np.linalg.solve(z * np.eye(3) - system.M, np.eye(3))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(want, 2)
+
+
+def test_closed_form_inverse_at_the_jordan_point():
+    # rabi = gamma/2 on resonance: a defective generator, whose inverse the
+    # cofactors still form without an eigenbasis
+    M = bloch_matrix(0.5, 0.0)
+    poles = np.linalg.eigvals(M)
+    zs = np.array([0.0, -0.7j, 2.3j, 0.4 + 1.0j, -1.5 + 0.25j, 1e6j])
+    stacked = inverse3(M, zs, poles)
+    assert stacked.shape == (6, 3, 3)
+    for z, g in zip(zs, stacked):
+        assert np.max(np.abs((z * np.eye(3) - M) @ g - np.eye(3))) <= 1e-14
+
+
+def test_closed_form_inverse_keeps_an_unregistered_drive_undriven():
+    # a Rabi amplitude of 1e-300 enters only through products that
+    # underflow to 0, so the diagonal is the undriven one bit for bit (an
+    # empty background channel at such a drive relies on it); a determinant
+    # taken as prod(z - eigenvalues) misses this by an ulp
+    zs = np.array([0.0, 0.7j, -2.1j, 0.3 + 0.1j])
+    for delta in (0.0, 0.3, 1.5):
+        weak, undriven = bloch_matrix(1e-300, delta), bloch_matrix(0.0, delta)
+        got = inverse3(weak, zs, np.linalg.eigvals(weak))
+        want = inverse3(undriven, zs, np.linalg.eigvals(undriven))
+        assert np.array_equal(np.diagonal(got, axis1=-2, axis2=-1),
+                              np.diagonal(want, axis1=-2, axis2=-1))
+        assert np.max(np.abs(got - want)) < 1e-299
+
+
+def test_closed_form_inverse_guards_like_the_dense_solve():
+    M = bloch_matrix(2.0, 0.5, gamma=2.0)
+    poles = np.linalg.eigvals(M)
+    near = np.array([0.3j, -2.0j, poles[1] + 1.5 * DEGENERACY_TOL])
+
+    def dense(M, z, poles, gamma):
+        return resolve(M, z, np.eye(3), poles, gamma)
+
+    for kernel in (inverse3, dense):
+        with pytest.raises(PoleProximityError):
+            kernel(M, poles[0], poles, 2.0)
+        with pytest.raises(PoleProximityError):
+            kernel(M, near, poles, 2.0)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                kernel(M, bad, poles, 2.0)
+            with pytest.raises(ValueError, match="finite"):
+                kernel(M, np.array([[0.5j, -1.0j], [bad, 2.0j]]), poles, 2.0)
+    assert inverse3(M, near[:2], poles, 2.0).shape == (2, 3, 3)
+    assert inverse3(M, poles[1] + 3.0 * DEGENERACY_TOL, poles, 2.0).shape == (3, 3)
 
 
 def test_kron_identity_and_flat_index():

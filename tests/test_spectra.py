@@ -226,23 +226,28 @@ def test_production_resolves_only_the_surviving_monomials(monkeypatch):
 
 def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
     # both laser phases of the canonical configuration are 0, so the atoms
-    # share one Bloch system: one single-atom and one pair inverse at z = 0
-    # and on the grid; two single-atom inverses each would take 6
-    calls = []
-    original = linalg.resolve
+    # share one Bloch system: one single-atom (closed-form 3x3) and one pair
+    # (dense 9x9) inverse at z = 0 and on the grid; two single-atom
+    # inverses each would take 6
+    calls = {"bloch": 0, "pair": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(kind, original):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return original(*args, **kwargs)
+        return wrapped
 
+    bloch = counting("bloch", linalg.inverse3)
+    pair = counting("pair", linalg.resolve)
     for module in (linalg, atom, twoatom):
-        monkeypatch.setattr(module, "resolve", counting)
+        monkeypatch.setattr(module, "inverse3", bloch, raising=False)
+        monkeypatch.setattr(module, "resolve", pair, raising=False)
     nus = np.linspace(-5.0, 5.0, 7)
     cbs_spectra(drive(2.0), nus=nus)
-    assert len(calls) == 4
-    calls.clear()
+    assert calls == {"bloch": 2, "pair": 2}
+    calls.update(bloch=0, pair=0)
     monte_carlo_spectra(drive(2.0), ConfigSampler(samples=1000, seed=3), nus)
-    assert len(calls) == 4
+    assert calls == {"bloch": 2, "pair": 2}
 
 
 def test_fixed_config_spectrum_rejects_other_monomials():
