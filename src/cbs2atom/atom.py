@@ -154,10 +154,15 @@ def g0_vectors(sys: BlochSystem) -> tuple[np.ndarray, np.ndarray]:
     return g0_1, g0_2
 
 
+def _apply(green: np.ndarray, vec) -> np.ndarray:
+    """A stack of resolvents applied to a stack of vectors whose leading axes
+    broadcast against it; shape ``broadcast + (3,)``."""
+    return np.einsum("...ij,...j->...i", green, vec)
+
+
 def _solve(sys: BlochSystem, z, vec) -> np.ndarray:
-    """``(z - M)^{-1} vec`` for an array of ``z`` and a stack of vectors whose
-    leading axes broadcast against it; shape ``broadcast + (3,)``."""
-    return np.einsum("...ij,...j->...i", sys.green(z), vec)
+    """``(z - M)^{-1} vec`` for an array of ``z`` (:func:`_apply`)."""
+    return _apply(sys.green(z), vec)
 
 
 def mollow_p0(sys: BlochSystem, nu):
@@ -301,10 +306,11 @@ def p2(sys: BlochSystem, omega_p, nu):
     omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
     g0_1, g0_2 = g0_vectors(sys)
     pv = probe_vectors(sys, omega_p)
-    emitted = _solve(sys, -1j * nu, g0_2)
+    emission = sys.green(-1j * nu)
+    emitted = _apply(emission, g0_2)
     inner = (
         pv.second_2
         + _solve(sys, 1j * (omega_p - nu), emitted @ DELTA_PLUS.T + pv.plus_2) @ DELTA_MINUS.T
         + _solve(sys, -1j * (nu + omega_p), emitted @ DELTA_MINUS.T + pv.minus_2) @ DELTA_PLUS.T
     )
-    return (2.0 * np.real(_solve(sys, -1j * nu, inner)[..., 0]))[()]
+    return (2.0 * np.real(_apply(emission, inner)[..., 0]))[()]

@@ -91,11 +91,6 @@ class RunConfig:
 # ----------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    """17 significant digits: lossless float round trip, '.' decimal."""
-    return "%.17g" % float(x)
-
-
 def _header_lines(title: str, parameters: dict) -> list:
     lines = [f"# cbs2atom {title}", f"# version={cbs2atom.__version__}"]
     lines += [f"# {name}={value}" for name, value in parameters.items()]
@@ -108,12 +103,13 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list, columns: dict) -> None:
+    """Every cell as ``%.17g`` (lossless float round trip, '.' decimal), by
+    one row template applied once to the whole table."""
     names = list(columns)
-    rows = len(next(iter(columns.values())))
-    lines = [*header, ",".join(names)]
-    for i in range(rows):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
-    _write_text(path, "\n".join(lines) + "\n")
+    cells = np.column_stack([np.asarray(columns[name], dtype=float) for name in names])
+    row = ",".join(["%.17g"] * len(names)) + "\n"
+    body = (row * len(cells)) % tuple(cells.ravel().tolist())
+    _write_text(path, "\n".join([*header, ",".join(names)]) + "\n" + body)
 
 
 def _write_json(path: str, payload: dict) -> None:

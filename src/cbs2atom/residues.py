@@ -3,14 +3,18 @@
 Every integral here runs over a real frequency ``u`` of products of Green
 matrices ``G(a + s*i*u)`` (``a`` imaginary, ``s = +-1``) and constant
 insertions, and decays at least like ``1/u**2``.  One rule evaluates them
-all: the map ``u = c*tan(theta/2)`` takes the real line onto
+all: the map ``u = m + c*tan(theta/2)`` takes the real line onto
 ``(-pi, pi)`` and the midpoint rule in ``theta`` sums the mapped
 integrand.  A rational integrand that decays like ``1/u**2`` maps onto an
 analytic periodic function of ``theta``, so the rule converges
 geometrically, at a rate set by the pole that lands nearest the real
-``theta`` axis.  The scale is ``c = max(gamma, Omega')`` with ``Omega'``
-the generalised Rabi frequency, and the node count follows from the
-poles (:func:`line_rule`).  Each Green matrix is the closed-form 3x3
+``theta`` axis.  The integrand's poles place the map (:func:`line_rule`):
+the centre ``m`` is the midpoint of their real parts, the scale ``c`` the
+larger of half their real spread and their smallest distance from the
+real axis, and the node count follows.  Each caller passes exactly the
+poles of its integrand, so a convolution whose pole clusters sit at ``0``
+and at an emission frequency ``nu`` far out needs a node count linear in
+``nu``, not quadratic.  Each Green matrix is the closed-form 3x3
 inverse over the whole node stack
 (:meth:`~cbs2atom.atom.BlochSystem.green`), so the rule needs no spectral
 decomposition and holds at the defective Jordan-point drive
@@ -97,13 +101,18 @@ def _node_count(depth: float) -> int:
     return math.ceil(_E_FOLDS / depth)
 
 
-def line_rule(poles, scale: float) -> tuple[np.ndarray, np.ndarray]:
+def line_rule(poles) -> tuple[np.ndarray, np.ndarray]:
     """Nodes ``u`` and weights of ``integral du/2pi`` over the real line.
 
     ``poles`` are the integrand's poles in the complex ``u`` plane (none
-    on the real axis) and ``scale`` is the map's ``c``.  A pole at ``w``
-    sits at ``2*arctan(w/c)`` after the map; the one nearest the real axis
-    sets the node count.  The weights carry the Jacobian
+    on the real axis); they place the map ``u = m + c*tan(theta/2)``.  The
+    centre ``m`` is the midpoint of their real parts and the scale ``c``
+    the larger of half their real spread and their smallest ``|Im|``: the
+    outermost clusters map to about ``theta = +-pi/2``, and poles that
+    share one real part still get a scale of their own distance from the
+    axis.  A pole at ``w`` sits
+    at ``2*arctan((w - m)/c)`` after the map; the one nearest the real
+    axis sets the node count.  The weights carry the Jacobian
     ``c/2 * sec(theta/2)**2`` and the ``1/2pi`` measure.
 
     Raises
@@ -112,19 +121,21 @@ def line_rule(poles, scale: float) -> tuple[np.ndarray, np.ndarray]:
         If the rule would need more than ``2**17`` nodes, e.g. because a
         pole lies on the real axis, where the integral does not exist.
     """
-    depth = float(np.min(np.abs(np.imag(2.0 * np.arctan(np.asarray(poles) / scale)))))
+    poles = np.asarray(poles)
+    low, high = np.min(poles.real), np.max(poles.real)
+    centre = 0.5 * (low + high)
+    scale = max(0.5 * (high - low), np.min(np.abs(poles.imag)))
+    # a pole at exactly m +- i*c maps to theta = +-i*inf, where it costs
+    # nothing; a zero scale (a pole on the axis, no spread) maps to nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mapped = np.arctan((poles - centre) / scale)
+    depth = 2.0 * float(np.min(np.abs(mapped.imag)))
     if not depth * _MAX_NODES > _E_FOLDS:
         raise ValueError(f"a pole lies {depth:.2e} from the real axis after the map; "
                          f"the rule would need more than {_MAX_NODES} nodes")
     count = _node_count(depth)
     half = 0.5 * np.pi * ((2.0 * np.arange(count) + 1.0) / count - 1.0)
-    return scale * np.tan(half), scale / (2.0 * count * np.cos(half) ** 2)
-
-
-def _scale(*systems: BlochSystem) -> float:
-    """``max(gamma, Omega')`` over the systems of one integrand."""
-    return max(max(s.params.gamma, math.hypot(s.params.rabi, s.params.delta))
-               for s in systems)
+    return centre + scale * np.tan(half), scale / (2.0 * count * np.cos(half) ** 2)
 
 
 def _poles(system: BlochSystem, sign: int, offset: complex = 0.0) -> np.ndarray:
@@ -132,9 +143,10 @@ def _poles(system: BlochSystem, sign: int, offset: complex = 0.0) -> np.ndarray:
     return -1j * sign * (system.eigenvalues - offset)
 
 
-def _both_signs(system: BlochSystem, offsets=(0.0,)) -> np.ndarray:
-    """Poles of ``G(a +- i*u)`` for every offset ``a``."""
-    return np.concatenate([_poles(system, sign, a) for sign in (+1, -1) for a in offsets])
+def _clusters(system: BlochSystem, centres=(0.0,)) -> np.ndarray:
+    """Poles in ``u`` of ``G(+-i(u - c))`` for every real centre ``c``."""
+    return np.concatenate([c + sign * 1j * system.eigenvalues
+                           for c in centres for sign in (+1, -1)])
 
 
 def quadrature_line_integral(
@@ -204,8 +216,7 @@ def check_sum_rule_I(system_one, system_two, z: complex, rng=None) -> float:
 
     half = complex(z) / 2.0
     u, weights = line_rule(np.concatenate([_poles(system_one, +1, half),
-                                           _poles(system_two, -1, half)]),
-                           _scale(system_one, system_two))
+                                           _poles(system_two, -1, half)]))
     left = a_ins @ _first_slot(system_one.green(half + 1j * u))
     right = _second_slot(system_two.green(half - 1j * u))
     lines = left @ b_ins @ right @ g2_z @ c_ins + left @ g1_zero @ b_ins @ right @ c_ins
@@ -230,14 +241,13 @@ def check_sum_rule_II(system_one, system_two, omega: float, rng=None) -> float:
     """
     rng = np.random.default_rng(rng)
     a_ins, b_ins, c_ins, d_ins = (_random_insertion(rng, 9) for _ in range(4))
-    scale = _scale(system_one, system_two)
     shift = -0.5j * omega
 
     v, inner_weights = line_rule(np.concatenate([_poles(system_one, +1, shift),
-                                                 _poles(system_two, -1, shift)]), scale)
+                                                 _poles(system_two, -1, shift)]))
     outer = np.concatenate([_poles(system_one, +1), _poles(system_two, -1),
                             _poles(system_two, -1, -1j * omega)])
-    u, weights = line_rule(outer, scale)
+    u, weights = line_rule(outer)
     g1_up = _first_slot(system_one.green(1j * u))
     g2_down = _second_slot(system_two.green(-1j * u))
 
@@ -273,7 +283,7 @@ def check_sum_rule_III(system, z1: complex, z2: complex, rng=None) -> float:
     g_z1 = system.green(z1)
     g_z2 = system.green(z2)
 
-    u, weights = line_rule(_both_signs(system), _scale(system))
+    u, weights = line_rule(_clusters(system))
     up, down = system.green(1j * u), system.green(-1j * u)
     lines = a_ins @ g_z1 @ up @ b_ins @ down @ c_ins + a_ins @ up @ b_ins @ g_z2 @ down @ c_ins
     lhs = np.einsum("k,kij->ij", weights, lines)
@@ -299,7 +309,7 @@ def _elastic_ladder_value(system: BlochSystem) -> complex:
     )
 
     # pump fluctuation spectrum times the intensity-like second response
-    u, weights = line_rule(_both_signs(system), _scale(system))
+    u, weights = line_rule(_clusters(system))
     second = delta_sigma_second(system, u)
     fluctuation = 2.0 * np.pi * mollow_p0(system, u)
     integral = weights @ (fluctuation * (b_minus * second[:, 1] + b_plus * second[:, 0]))
@@ -317,7 +327,7 @@ def _elastic_crossed_value(system: BlochSystem) -> complex:
         + b_minus * b_minus * d_minus0[1] * d_plus0[1]
     )
 
-    u, weights = line_rule(_both_signs(system), _scale(system))
+    u, weights = line_rule(_clusters(system))
     g0 = system.green(0.0)
     term_a = (delta_sigma_first(system, -1, u)[:, 1]
               * (system.green(1j * u) @ g0_1 @ DELTA_PLUS.T @ g0.T)[:, 1])
@@ -338,12 +348,6 @@ def compact_elastic_crossed(drive: AtomDriveParams) -> float:
     return _real_part(value, scale=abs(value))
 
 
-def _emission_rule(system: BlochSystem, nu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rule over the probe frequency for one emission frequency ``nu``: the
-    closed forms hold resolvents at ``+-i u`` and ``+-i (u - nu)``."""
-    return line_rule(_both_signs(system, (0.0, 1j * nu, -1j * nu)), _scale(system))
-
-
 def _ladder_values(system: BlochSystem, nus: np.ndarray) -> np.ndarray:
     """Pump fluorescence convolved with the two-probe redistribution
     correlation, plus the elastic pump line and the directly scattered
@@ -351,7 +355,8 @@ def _ladder_values(system: BlochSystem, nus: np.ndarray) -> np.ndarray:
     b_minus, b_plus = system.steady[0], system.steady[1]
     convolution = np.empty(len(nus))
     for i, nu in enumerate(nus):
-        u, weights = _emission_rule(system, nu)
+        # p0 holds G(+-i u); p2 holds those and G(i(u - nu)), G(-i(u + nu))
+        u, weights = line_rule(_clusters(system, (0.0, nu, -nu)))
         convolution[i] = (weights * mollow_p0(system, u)) @ p2(system, u, nu)
     pump_elastic = b_plus * b_minus * p2(system, 0.0, nus) / (2 * np.pi)
     direct = mollow_p0(system, nus) * (abs(delta_sigma_first(system, -1, -nus)[:, 1]) ** 2
@@ -366,7 +371,8 @@ def _crossed_values(system: BlochSystem, nus: np.ndarray) -> np.ndarray:
     b_minus, b_plus = system.steady[0], system.steady[1]
     convolution = np.empty(len(nus), dtype=complex)
     for i, nu in enumerate(nus):
-        u, weights = _emission_rule(system, nu)
+        # both factors hold only G(+-i u) and G(+-i(u - nu))
+        u, weights = line_rule(_clusters(system, (0.0, nu)))
         convolution[i] = weights @ (p_plus(system, u, nu) * p_minus(system, nu - u, nu))
     edge = (b_plus * delta_sigma_first(system, -1, nus)[:, 0] * p_plus(system, 0.0, nus)
             + b_minus * delta_sigma_first(system, +1, nus)[:, 1] * p_minus(system, 0.0, nus))
@@ -394,8 +400,7 @@ def _pair_integral(system_one: BlochSystem, system_two: BlochSystem,
                    sign_one: int, sign_two: int, offset: complex = 0.0) -> np.ndarray:
     """``integral dw/2pi G1(offset + s1*i*w) (x) G2(offset + s2*i*w)``, 9x9."""
     u, weights = line_rule(np.concatenate([_poles(system_one, sign_one, offset),
-                                           _poles(system_two, sign_two, offset)]),
-                           _scale(system_one, system_two))
+                                           _poles(system_two, sign_two, offset)]))
     pair = (_first_slot(system_one.green(offset + sign_one * 1j * u))
             @ _second_slot(system_two.green(offset + sign_two * 1j * u)))
     return np.einsum("k,kij->ij", weights, pair)
@@ -505,8 +510,7 @@ def single_second_order_explicit(gen: TwoAtomGenerator) -> TaggedVector:
 
     # a first-atom spectral factor times a second-atom response chain,
     # both on the nodes of one rule; vectors act as ``vec @ matrix.T``
-    u, weights = line_rule(np.concatenate([_both_signs(a1), _both_signs(a2)]),
-                           _scale(a1, a2))
+    u, weights = line_rule(np.concatenate([_clusters(a1), _clusters(a2)]))
     up1, down1 = a1.green(1j * u), a1.green(-1j * u)
     up2, down2 = a2.green(1j * u), a2.green(-1j * u)
     paired = (

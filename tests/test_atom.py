@@ -8,6 +8,7 @@ from scipy.integrate import quad, solve_ivp
 
 from cbs2atom import atom
 from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS, conj_swap
+from cbs2atom.linalg import inverse3
 
 
 def make(rabi, delta=0.0, gamma=1.0, phase=0.0):
@@ -277,6 +278,23 @@ def test_probe_vectors_branch1_matches_explicit_chain():
     dm = sys.green(-1j * nu) @ (DELTA_MINUS @ s)
     explicit_minus_1 = -1j * (DELTA_PLUS @ dm) - dm[0] * s - s[0] * dm
     assert np.allclose(pv.minus_1, explicit_minus_1, atol=1e-14)
+
+
+@pytest.mark.parametrize("omega_p, nu", [(0.7, -1.3), (np.linspace(-5, 5, 31), 0.4)],
+                         ids=["scalar", "array"])
+def test_p2_inverts_each_resolvent_once(omega_p, nu, monkeypatch):
+    # G(0) and G(+-i w) for the probe vectors, then G(-i nu), G(i(w - nu))
+    # and G(-i(nu + w)): the emission resolvent serves both of its uses
+    sys = make(1.3, delta=0.8)
+    calls = []
+
+    def counting(M, z, *args):
+        calls.append(z)
+        return inverse3(M, z, *args)
+
+    monkeypatch.setattr(atom, "inverse3", counting)
+    atom.p2(sys, omega_p, nu)
+    assert len(calls) == 6
 
 
 def test_closed_forms_broadcast_over_frequency_arrays():

@@ -61,6 +61,19 @@ def test_tables_round_trip_to_library_numbers(tmp_path, capsys):
         assert summary["enhancement"] == result.enhancement
 
 
+def test_table_cells_are_the_17_digit_library_values(tmp_path, capsys):
+    # every cell is exactly "%.17g" of the library's number, row by row in
+    # column order
+    result = cbs_spectra(AtomDriveParams(rabi=1.3, delta=0.8), nus=np.linspace(-6.0, 6.0, 7))
+    assert run(["spectrum", "--rabi", 1.3, "--detuning", 0.8, *GRID, "--output", tmp_path],
+               capsys) == 0
+    lines = [line for line in (tmp_path / "spectrum.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == "nu,L_inel,C_inel"
+    expected = zip(result.ladder.nu, result.ladder.values, result.crossed.values)
+    assert lines[1:] == [",".join("%.17g" % x for x in row) for row in expected]
+
+
 def test_validate_oracle_exit_codes(capsys):
     assert main(["validate", "oracle", "--nu-points", "9"]) == 0
     report = capsys.readouterr().out

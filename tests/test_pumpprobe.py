@@ -292,12 +292,15 @@ def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
     assert counts[0] <= 5 + 4
 
 
-def densities_reference(pump, nus, half_width, points):
+def densities_reference(pump, nus):
     """`channel_densities` transcribed one inner point at a time, every
-    factor from the public `correlation_coefficient` and `harmonic_orders`."""
+    factor from the public `correlation_coefficient` and `harmonic_orders`,
+    on its inner grid: step gamma/8 out to max(25 gamma, rabi + 15 gamma)."""
     system = build(pump)
     b_minus, b_plus = system.steady[0], system.steady[1]
-    us = np.linspace(-half_width, half_width, points)
+    step = pump.gamma / 8.0
+    half_width = max(25.0 * pump.gamma, pump.rabi + 15.0 * pump.gamma)
+    us = np.linspace(-half_width, half_width, 2 * round(half_width / step) + 1)
 
     def coefficient(w, order, nu):
         drive = BichromaticDrive(pump=pump, probe_detuning=w)
@@ -329,8 +332,8 @@ def densities_reference(pump, nus, half_width, points):
 def test_channel_densities_match_per_point_transcription(pump):
     # off the inner lattice, so nu - (nu - u) differs from u by rounding
     nus = 0.013 + 0.05 * np.array([-97, -20, 0, 7, 51])
-    got = channel_densities(pump, nus, inner_half_width=25.0, inner_points=41)
-    ref = densities_reference(pump, nus, 25.0, 41)
+    got = channel_densities(pump, nus)
+    ref = densities_reference(pump, nus)
     for name in ("ladder", "crossed"):
         scale = np.max(np.abs(ref[name]))
         assert np.max(np.abs(got[name] - ref[name])) <= 1e-12 * scale, name
@@ -339,27 +342,13 @@ def test_channel_densities_match_per_point_transcription(pump):
 @pytest.mark.parametrize("nus", [0.3, [[0.3, 1.1]]], ids=["scalar", "2d"])
 def test_channel_densities_reject_non_vector_frequencies(nus):
     with pytest.raises(ValueError, match="1-D"):
-        channel_densities(PUMP, nus, inner_points=5)
-
-
-@pytest.mark.parametrize("count", [401.0, "401"])
-def test_channel_densities_reject_non_integer_inner_points(count):
-    with pytest.raises(ValueError, match="inner_points must be an integer"):
-        channel_densities(PUMP, [0.3], inner_points=count)
-
-
-@pytest.mark.parametrize("width", [-25.0, 0.0, float("nan"), float("inf")])
-def test_channel_densities_reject_bad_inner_width(width):
-    # a negative width would reverse the inner grid and flip the sign of
-    # both convolutions
-    with pytest.raises(ValueError, match="inner_half_width"):
-        channel_densities(PUMP, [0.3], inner_half_width=width, inner_points=201)
+        channel_densities(PUMP, nus)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_channel_densities_reject_nonfinite_frequencies(bad):
     with pytest.raises(ValueError, match="finite"):
-        channel_densities(PUMP, [0.3, bad], inner_points=5)
+        channel_densities(PUMP, [0.3, bad])
 
 
 # ---- nonperturbative harmonic lattice ----

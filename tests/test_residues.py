@@ -38,9 +38,9 @@ def down_poles(system, offset=0.0):
     return 1j * (system.eigenvalues - offset)
 
 
-def rule_integral(fn, poles, scale):
+def rule_integral(fn, poles):
     """integral du/2pi fn(u) on the rule's nodes; fn takes the node array."""
-    u, weights = line_rule(np.concatenate([np.ravel(p) for p in poles]), scale)
+    u, weights = line_rule(np.concatenate([np.ravel(p) for p in poles]))
     return np.tensordot(weights, fn(u), axes=(0, 0))
 
 
@@ -54,7 +54,7 @@ def test_pair_integral_matches_textbook_value():
         lam = -abs(rng.normal(1, 0.5)) + 1j * rng.normal(0, 2)
         mu = -abs(rng.normal(1, 0.5)) + 1j * rng.normal(0, 2)
         val = rule_integral(lambda u: 1.0 / ((1j * u - lam) * (-1j * u - mu)),
-                            [-1j * lam, 1j * mu], 1.0)
+                            [-1j * lam, 1j * mu])
         assert abs(val + 1.0 / (lam + mu)) < 1e-12
 
 
@@ -64,8 +64,26 @@ def test_pair_integral_matches_quadrature():
     def fn(u):
         return 1.0 / ((1j * u - lam) * (-1j * u - mu))
 
-    res = rule_integral(fn, [-1j * lam, 1j * mu], 1.0)
+    res = rule_integral(fn, [-1j * lam, 1j * mu])
     assert abs(res - quadrature_line_integral(fn)) < 1e-10
+
+
+@pytest.mark.parametrize("shift", [0.0, 50.0, 500.0])
+@pytest.mark.parametrize("centres", [(0.0, 0.0), (-1.5, 2.0)], ids=["stacked", "spread"])
+def test_shifted_rational_integrand_integrates_exactly(centres, shift):
+    # integral du/2pi 1/(((u - c1)^2 + a^2) ((u - c2)^2 + b^2))
+    #     = (a + b) / (2ab ((c1 - c2)^2 + (a + b)^2)):
+    # the rule follows the poles wherever the shift puts them, and poles
+    # that share one real part (no spread) still give the map a scale
+    a, b = 1.0, 2.0
+    c1, c2 = centres[0] + shift, centres[1] + shift
+
+    def fn(u):
+        return 1.0 / (((u - c1) ** 2 + a ** 2) * ((u - c2) ** 2 + b ** 2))
+
+    val = rule_integral(fn, [[c1 + 1j * a, c1 - 1j * a, c2 + 1j * b, c2 - 1j * b]])
+    exact = (a + b) / (2 * a * b * ((c1 - c2) ** 2 + (a + b) ** 2))
+    assert abs(val - exact) < 1e-13
 
 
 def test_product_resolvent_integral_representation():
@@ -73,7 +91,7 @@ def test_product_resolvent_integral_representation():
     s1, s2 = make(1.3, delta=0.7), make(1.3, delta=0.7, phase=0.9)
     gx = rule_integral(
         lambda u: first_slot(s1.green(1j * u)) @ second_slot(s2.green(-1j * u)),
-        [up_poles(s1), down_poles(s2)], np.hypot(1.3, 0.7))
+        [up_poles(s1), down_poles(s2)])
     m_plus = np.kron(s1.M, np.eye(3)) + np.kron(np.eye(3), s2.M)
     assert np.max(np.abs(gx - np.linalg.inv(-m_plus))) < 1e-12
 
@@ -88,7 +106,7 @@ def test_two_term_reduction_with_empty_insertions():
         first, second = first_slot(s1.green(1j * u)), second_slot(s2.green(-1j * u))
         return first @ second @ g2_zero + first @ g1_zero @ second
 
-    lhs = rule_integral(lines, [up_poles(s1), down_poles(s2)], np.hypot(1.3, 0.7))
+    lhs = rule_integral(lines, [up_poles(s1), down_poles(s2)])
     rhs = np.kron(s1.green(0.0), s2.green(0.0))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -125,12 +143,10 @@ def test_sum_rule_II_against_double_quadrature():
     ]
     omega = 0.8
     shift = -0.5j * omega
-    scale = np.hypot(2.0, 0.6)
     row, col = 4, 7
 
-    v, inner_weights = line_rule(np.concatenate([up_poles(s1, shift), down_poles(s2, shift)]),
-                                 scale)
-    u, weights = line_rule(np.concatenate([up_poles(s1), down_poles(s2)]), scale)
+    v, inner_weights = line_rule(np.concatenate([up_poles(s1, shift), down_poles(s2, shift)]))
+    u, weights = line_rule(np.concatenate([up_poles(s1), down_poles(s2)]))
     left = ins[0][row] @ first_slot(s1.green(shift + 1j * v))          # (l, 9)
     middle = first_slot(s1.green(1j * u)) @ ins[1]                    # (k, 9, 9)
     tail = second_slot(s2.green(shift - 1j * v))                      # (l, 9, 9)
@@ -225,11 +241,11 @@ def test_exact_pole_collisions_integrate_correctly():
         return (s.green(1j * u) @ s.steady)[..., 0]
 
     poles = [up_poles(s), down_poles(s)]
-    res2 = rule_integral(lambda u: c1(u) * c2(u) * c3(u), poles, 2.0)
+    res2 = rule_integral(lambda u: c1(u) * c2(u) * c3(u), poles)
     quad2 = quadrature_line_integral(lambda u: c1(u) * c2(u) * c3(u))
     assert abs(res2 - quad2) < 1e-12 + 1e-10 * abs(quad2)
 
-    res3 = rule_integral(lambda u: c1(u) * c2(u) * c4(u) * c3(u), poles, 2.0)
+    res3 = rule_integral(lambda u: c1(u) * c2(u) * c4(u) * c3(u), poles)
     quad3 = quadrature_line_integral(lambda u: c1(u) * c2(u) * c4(u) * c3(u))
     assert abs(res3 - quad3) < 1e-12 + 1e-10 * abs(quad3)
 
@@ -241,7 +257,7 @@ def test_near_collision_integrates():
     b = a + 3e-10
     c = -1.0 - 0.2j
     val = rule_integral(lambda u: 1.0 / ((1j * u - a) * (1j * u - b) * (-1j * u - c)),
-                        [-1j * a, -1j * b, 1j * c], 1.0)
+                        [-1j * a, -1j * b, 1j * c])
     assert abs(val - 1.0 / ((a + c) * (b + c))) < 1e-12
 
 
@@ -253,7 +269,7 @@ def test_same_half_plane_product_integrates_to_zero():
     def product(u):
         return (s.green(-1j * u) @ g0_2)[..., 0] * (s.green(-1j * u) @ s.steady)[..., 1]
 
-    assert abs(rule_integral(product, [down_poles(s)], 2.0)) < 1e-12
+    assert abs(rule_integral(product, [down_poles(s)])) < 1e-12
     assert abs(quadrature_line_integral(product)) < 1e-12
 
 
@@ -269,7 +285,7 @@ def test_production_like_chain_vs_quadrature():
             response = (shifted @ DELTA_PLUS.T @ g_nu.T)[..., 0]
             return response * (s.green(1j * u) @ g0_1)[..., 1]
 
-        res = rule_integral(product, [down_poles(s, -1j * nu), up_poles(s)], 2.0)
+        res = rule_integral(product, [down_poles(s, -1j * nu), up_poles(s)])
         quad_val = quadrature_line_integral(product)
         assert abs(res - quad_val) < 1e-8 * max(1.0, abs(quad_val))
 
@@ -293,9 +309,8 @@ def test_linearity_of_integration():
     alpha = complex(rng.normal(), rng.normal())
     beta = complex(rng.normal(), rng.normal())
     p1, p2 = [up_poles(s1), down_poles(s1)], [up_poles(s2), down_poles(s2)]
-    c1, c2 = np.hypot(1.1, 0.4), np.hypot(3.0, -1.2)
-    combo = rule_integral(lambda u: alpha * f(u) + beta * g(u), p1 + p2, c2)
-    separate = alpha * rule_integral(f, p1, c1) + beta * rule_integral(g, p2, c2)
+    combo = rule_integral(lambda u: alpha * f(u) + beta * g(u), p1 + p2)
+    separate = alpha * rule_integral(f, p1) + beta * rule_integral(g, p2)
     assert np.max(np.abs(combo - separate)) < 1e-12
 
 
@@ -314,9 +329,8 @@ def test_conjugation_commutes_with_integration():
         c1 = (s.green(0.7j + 1j * u) @ (DELTA_PLUS @ g0 @ atom.conj_swap(g0_2)))[..., 1]
         return c1 * (s.green(-1j * u) @ atom.conj_swap(g0_1))[..., 0]
 
-    scale = np.hypot(2.0, 0.5)
-    v1 = rule_integral(mirrored, [up_poles(s, 0.7j), down_poles(s)], scale)
-    v2 = np.conj(rule_integral(product, [down_poles(s, -0.7j), up_poles(s)], scale))
+    v1 = rule_integral(mirrored, [up_poles(s, 0.7j), down_poles(s)])
+    v2 = np.conj(rule_integral(product, [down_poles(s, -0.7j), up_poles(s)]))
     assert abs(v1 - v2) < 1e-14
 
 
@@ -327,4 +341,7 @@ def test_pole_on_real_axis_rejected():
     # a pole 1e-12 from the axis: the integral does not exist, and the rule
     # would need ~1e13 nodes
     with pytest.raises(ValueError):
-        line_rule([-0.5 + 1e-12j, 1.0 + 0.2j], 1.0)
+        line_rule([-0.5 + 1e-12j, 1.0 + 0.2j])
+    # the same with every pole on one vertical line: no spread, zero floor
+    with pytest.raises(ValueError):
+        line_rule([0.0, 1j, -1j])

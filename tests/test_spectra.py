@@ -295,6 +295,20 @@ def test_compact_oracle_is_converged_in_the_node_count(rabi, delta, monkeypatch)
         assert abs(got.elastic_weight - ref.elastic_weight) < 1e-13 * abs(ref.elastic_weight)
 
 
+def test_compact_oracle_reaches_the_far_tails():
+    # the rule centres itself between the pole clusters at 0 and +-nu, so
+    # an emission frequency ~150 generalised Rabi frequencies out costs a
+    # node count linear in nu; deviations are on the scale of the value at
+    # nu = 0, the largest of the three
+    d = drive(1.3, 0.8)
+    nus = np.array([-190.0, 0.0, 190.0])
+    result = cbs_spectra(d, nus=nus)
+    for got, oracle in [(result.ladder, residues.compact_ladder(d, nus)),
+                        (result.crossed, residues.compact_crossed(d, nus))]:
+        peak = np.max(np.abs(oracle.values))
+        assert np.max(np.abs(got.values - oracle.values)) < 1e-12 * peak
+
+
 def _assert_matches_compact(d):
     nus = default_grid(d, points=9)
     result = cbs_spectra(d, nus=nus)
