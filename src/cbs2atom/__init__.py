@@ -10,12 +10,12 @@ monomials of the two-atom master equation on a single canonical
 configuration (:mod:`cbs2atom.spectra`, built on :mod:`cbs2atom.twoatom`).
 Independent routes serve as test oracles:
 
-* the closed form in single-atom observables, its frequency convolutions
-  evaluated by one tan-mapped midpoint rule over stacked resolvents, so it
-  holds at the Jordan point too (the ``compact_*`` functions of
-  :mod:`cbs2atom.residues`, which no production module imports),
-* a bichromatic pump-probe solver for a single driven atom
-  (:mod:`cbs2atom.pumpprobe`),
+* the closed form in single-atom observables (``compact_*`` in
+  :mod:`cbs2atom.residues`, which no production module imports) and a
+  bichromatic pump-probe solver for one driven atom
+  (:mod:`cbs2atom.pumpprobe`), whose factors feed one exchanged-photon
+  convolution by a self-placing rule over stacked resolvents that holds
+  at the Jordan point too (:mod:`cbs2atom.quadrature`),
 * Monte-Carlo averages over random geometries of every coupling monomial,
   which check the selection rule (:mod:`cbs2atom.disorder`).
 """

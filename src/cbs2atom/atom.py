@@ -155,8 +155,13 @@ def g0_vectors(sys: BlochSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply(green: np.ndarray, vec) -> np.ndarray:
-    """A stack of resolvents applied to a stack of vectors whose leading axes
-    broadcast against it; shape ``broadcast + (3,)``."""
+    """A resolvent, or a stack of them, applied to a stack of vectors whose
+    leading axes broadcast against it; shape ``broadcast + (3,)``.  One
+    resolvent takes a matrix product over a stack, ~3x faster than
+    ``einsum``, which a single vector keeps: a scalar argument gives the
+    same bits as the same argument inside a stack."""
+    if green.ndim == 2 and np.ndim(vec) > 1:
+        return vec @ green.T
     return np.einsum("...ij,...j->...i", green, vec)
 
 
@@ -298,19 +303,23 @@ def p_minus(sys: BlochSystem, omega_p, nu):
     return (t12 + t34)[()]
 
 
-def p2(sys: BlochSystem, omega_p, nu):
-    """Spectral redistribution cross-section of a weak probe at ``omega_p``:
-    the second-order (one co- plus one counter-rotating interaction)
-    correction to the emission spectrum at ``nu``.
-    """
+def p2_sides(sys: BlochSystem, omega_p, nu) -> tuple:
+    """The two parts of :func:`p2`: its terms with poles in ``omega_p`` at
+    ``0`` and ``nu``, and its term with poles at ``0`` and ``-nu``."""
     omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
     g0_1, g0_2 = g0_vectors(sys)
     pv = probe_vectors(sys, omega_p)
     emission = sys.green(-1j * nu)
     emitted = _apply(emission, g0_2)
-    inner = (
-        pv.second_2
-        + _solve(sys, 1j * (omega_p - nu), emitted @ DELTA_PLUS.T + pv.plus_2) @ DELTA_MINUS.T
-        + _solve(sys, -1j * (nu + omega_p), emitted @ DELTA_MINUS.T + pv.minus_2) @ DELTA_PLUS.T
-    )
-    return (2.0 * np.real(_apply(emission, inner)[..., 0]))[()]
+    near = (pv.second_2
+            + _solve(sys, 1j * (omega_p - nu), emitted @ DELTA_PLUS.T + pv.plus_2) @ DELTA_MINUS.T)
+    far = _solve(sys, -1j * (nu + omega_p), emitted @ DELTA_MINUS.T + pv.minus_2) @ DELTA_PLUS.T
+    return tuple((2.0 * np.real(_apply(emission, part)[..., 0]))[()] for part in (near, far))
+
+
+def p2(sys: BlochSystem, omega_p, nu):
+    """Spectral redistribution cross-section of a weak probe at ``omega_p``:
+    the second-order (one co- plus one counter-rotating interaction)
+    correction to the emission spectrum at ``nu``.
+    """
+    return sum(p2_sides(sys, omega_p, nu))

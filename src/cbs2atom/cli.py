@@ -20,6 +20,7 @@ import cbs2atom
 from cbs2atom.atom import AtomDriveParams, build, mollow_p0
 from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.pumpprobe import channel_densities, equivalence_report
+from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
@@ -296,7 +297,7 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
     the gauge identity behind the canonical configuration) and against the
     closed form in single-atom observables (``compact-*``, an independent
     route)."""
-    from cbs2atom.residues import compact_crossed, compact_ladder
+    from cbs2atom.residues import compact_channels
 
     nus = np.linspace(-12.0, 12.0, min(nu_points, 49))
     config = ScatteringConfig.from_separation(217.3, direction=(0.3, -1.1, 0.7))
@@ -322,11 +323,12 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
             select_surviving(spec.exchange, "crossed", phase)[CROSSED_MONOMIAL],
             select_surviving(spec.elastic_exchange, "crossed", phase)[CROSSED_MONOMIAL])
         result = cbs_spectra(drive, nus=nus)
+        compact_ladder, compact_crossed = compact_channels(drive, nus)
         pairs = {
             "fixed-config-ladder": (geometry_ladder, result.ladder),
             "fixed-config-crossed": (geometry_crossed, result.crossed),
-            "compact-ladder": (result.ladder, compact_ladder(drive, nus)),
-            "compact-crossed": (result.crossed, compact_crossed(drive, nus)),
+            "compact-ladder": (result.ladder, compact_ladder),
+            "compact-crossed": (result.crossed, compact_crossed),
         }
         for name, (got, ref) in pairs.items():
             route, _, channel = name.rpartition("-")
@@ -338,20 +340,18 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
 
 
 def _suite_physics(tolerance, nu_points: int) -> list:
-    from scipy.integrate import quad
-
     def bound(default: float) -> float:
         return default if tolerance is None else tolerance
 
     checks = []
 
-    # fluorescence normalization: the inelastic integral recovers the
-    # steady dipole variance (2/9 at rabi=2 on resonance)
+    # fluorescence normalization: the inelastic integral (the rule's weights
+    # carry 1/2pi) recovers the steady dipole variance, 2/9 at rabi=2
     system = build(AtomDriveParams(rabi=2.0, delta=0.0))
     steady = system.steady
     variance = float(np.real((1.0 + steady[2]) / 2.0 - steady[1] * steady[0]))
-    integral = quad(lambda nu: mollow_p0(system, nu), -np.inf, np.inf,
-                    limit=400)[0]
+    nodes, weights = line_rule(pole_clusters(system))
+    integral = 2.0 * np.pi * float(weights @ mollow_p0(system, nodes))
     checks.append(("mollow-normalization", abs(integral - variance),
                    bound(1e-6)))
 

@@ -18,11 +18,13 @@ harmonic hierarchy and the frequency-resolved dipole correlation are
 obtained directly from the time-dependent equations of motion (order by
 order, or nonperturbatively on a truncated harmonic lattice, or by brute
 time integration), never from the closed-form response chains they are
-later compared against.
+later compared against.  Only the convolution that assembles the averaged
+channels from them is shared with the closed form (:mod:`cbs2atom.quadrature`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -35,12 +37,14 @@ from cbs2atom.atom import (
     N2,
     AtomDriveParams,
     BlochSystem,
+    _apply,
     build,
     mollow_p0,
 )
 from cbs2atom.atom import p2 as closed_form_p2
 from cbs2atom.atom import p_minus as closed_form_p_minus
 from cbs2atom.atom import p_plus as closed_form_p_plus
+from cbs2atom.quadrature import exchanged_photon_convolution
 from cbs2atom.spectra import simpson
 
 
@@ -63,17 +67,6 @@ class BichromaticDrive:
                 raise ValueError(f"{name} must be finite")
         if complex(self.probe_detuning).imag != 0:
             raise ValueError("probe_detuning must be real")
-
-
-def _apply(green: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """A resolvent, or a stack of them, applied to a stack of vectors.
-
-    numpy's matmul of matrices by a stack of column vectors is slower than
-    both forms here: about 1.5x for a stack of resolvents, 3x for one.
-    """
-    if green.ndim == 2:
-        return vec @ green.T
-    return np.einsum("...ij,...j->...i", green, vec)
 
 
 def harmonic_orders(system: BlochSystem, w, max_plus: int = 1,
@@ -146,34 +139,27 @@ def _harmonic_orders(steady: np.ndarray, greens: dict, max_plus: int,
 # ----------------------------------------------------------------------------
 
 
-def _insertion_sequences(n_plus: int, n_minus: int):
-    return sorted(set(itertools.permutations("+" * n_plus + "-" * n_minus)))
-
-
-def _connected_initial(orders: dict, p: int, q: int, coupler: np.ndarray,
-                       affine: np.ndarray, weight_index: int) -> np.ndarray:
-    """Order-(p, q) coefficient of an operator-product initial condition.
-
-    The full initial is ``coupler @ state + affine - weight * state``
-    with ``weight`` one state component; expanding both state factors in
-    probe orders makes the product term a discrete convolution.
-    """
-    vec = orders[(p, q)] @ coupler.T
-    if p == 0 and q == 0:
-        vec = vec + affine
-    for ap in range(p + 1):
-        for bp in range(q + 1):
-            left = orders[(ap, bp)][..., weight_index, None]
-            vec = vec - left * orders[(p - ap, q - bp)]
-    return vec
-
-
 def _connected_initials(orders: dict, p: int, q: int) -> dict:
     """The chains' initial vectors at every order up to ``(p, q)``:
-    ``{(a, b): (later_lowering, later_raising)}``."""
-    return {(a, b): (_connected_initial(orders, a, b, 1j * DELTA_MINUS, N1, 1),
-                     _connected_initial(orders, a, b, -1j * DELTA_PLUS, N2, 0))
-            for a in range(p + 1) for b in range(q + 1)}
+    ``{(a, b): (later_lowering, later_raising)}``.
+
+    Each full initial is ``coupler @ state + affine - weight * state`` with
+    ``weight`` one state component; expanding both state factors in probe
+    orders makes the product term a discrete convolution.
+    """
+    initials = {}
+    kinds = ((1j * DELTA_MINUS.T, N1, 1), (-1j * DELTA_PLUS.T, N2, 0))
+    for a, b in itertools.product(range(p + 1), range(q + 1)):
+        pair = []
+        for coupler, affine, weight in kinds:
+            vec = orders[(a, b)] @ coupler
+            if a == b == 0:
+                vec = vec + affine
+            for ap, bp in itertools.product(range(a + 1), range(b + 1)):
+                vec -= orders[(ap, bp)][..., weight, None] * orders[(a - ap, b - bp)]
+            pair.append(vec)
+        initials[a, b] = tuple(pair)
+    return initials
 
 
 def _chain_inverses(system: BlochSystem, w, nu, shifts) -> dict:
@@ -183,37 +169,47 @@ def _chain_inverses(system: BlochSystem, w, nu, shifts) -> dict:
             for sign in (-1, 1) for k in shifts}
 
 
-def _coefficient(initials: dict, order: tuple, inverses: dict) -> np.ndarray:
+@functools.cache
+def _chains(order: tuple) -> tuple:
+    """The chains of the delta coefficient at probe order ``order``: each
+    one's initial order, branch (0 later lowering, 1 later raising; also
+    the component read at the end) and resolvent sign, couplers and net
+    photon shift at each step."""
+    p, q = order
+    couplers = {"+": DELTA_MINUS.T, "-": DELTA_PLUS.T}
+    chains = []
+    for ai in range(p + 1):
+        for bi in range(q + 1):
+            for seq in sorted(set(itertools.permutations("+" * (p - ai) + "-" * (q - bi)))):
+                steps = [1 if symbol == "+" else -1 for symbol in seq]
+                inserted = tuple(couplers[symbol] for symbol in seq)
+                # later lowering (raising acts at the earlier time) starts at
+                # the initial's own shift, later raising runs down to 0
+                lowering = tuple(itertools.accumulate(steps, initial=ai - bi))
+                raising = tuple(sum(steps[j:]) for j in range(len(seq) + 1))
+                chains += [((ai, bi), 0, -1, inserted, lowering),
+                           ((ai, bi), 1, 1, inserted, raising)]
+    return tuple(chains)
+
+
+def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.ndarray:
     """Delta coefficient at probe order ``order``.
 
     ``initials`` is :func:`_connected_initials` up to at least ``order``
     and ``inverses[sign, k]`` is ``G(sign*i*(nu + k*w))`` at the same
     probe detunings ``w``, for every net photon shift ``k`` from ``-q`` to
-    ``p``; the result broadcasts over their shapes.
+    ``p``; the result broadcasts over their shapes.  ``side=+1`` sums only
+    the chains through shift ``+1`` and ``side=-1`` only the others: the
+    two add up to the whole, and neither needs the other's inverses.
     """
-    p, q = order
-    couplers = {"+": DELTA_MINUS.T, "-": DELTA_PLUS.T}
-    steps = {"+": 1, "-": -1}
     total = 0.0
-    for ai in range(p + 1):
-        for bi in range(q + 1):
-            later_lowering, later_raising = initials[ai, bi]
-            for seq in _insertion_sequences(p - ai, q - bi):
-                # later-lowering branch: raising acts at the earlier time
-                accumulated = ai - bi
-                vec = _apply(inverses[-1, accumulated], later_lowering)
-                for symbol in seq:
-                    accumulated += steps[symbol]
-                    vec = _apply(inverses[-1, accumulated], vec @ couplers[symbol])
-                total = total + vec[..., 0]
-
-                # later-raising branch: lowering acts at the earlier time
-                remaining = sum(steps[symbol] for symbol in seq)
-                vec = _apply(inverses[1, remaining], later_raising)
-                for symbol in seq:
-                    remaining -= steps[symbol]
-                    vec = _apply(inverses[1, remaining], vec @ couplers[symbol])
-                total = total + vec[..., 1]
+    for initial, branch, sign, couplers, shifts in _chains(order):
+        if side is not None and (1 in shifts) != (side == 1):
+            continue
+        vec = _apply(inverses[sign, shifts[0]], initials[initial][branch])
+        for coupler, k in zip(couplers, shifts[1:]):
+            vec = _apply(inverses[sign, k], vec @ coupler)
+        total = total + vec[..., branch]
     return total
 
 
@@ -262,7 +258,6 @@ class EquivalenceRow:
 
     rabi: float
     delta: float
-    probe_detuning: float
     dev_p0: float
     dev_plus: float
     dev_minus: float
@@ -311,10 +306,9 @@ def equivalence_report(rabis=(0.5, 2.0, 5.0), deltas=(0.0, 1.0, 3.0),
                 dev_plus = max(dev_plus, _max_relative(got["plus_probe"], ref_plus))
                 dev_minus = max(dev_minus, _max_relative(got["minus_probe"], ref_minus))
                 dev_mixed = max(dev_mixed, _max_relative(got["mixed"], ref_mixed))
-            rows.append(EquivalenceRow(rabi=rabi, delta=delta,
-                                       probe_detuning=float(probe_detunings[-1]),
-                                       dev_p0=dev_p0, dev_plus=dev_plus,
-                                       dev_minus=dev_minus, dev_mixed=dev_mixed))
+            rows.append(EquivalenceRow(rabi=rabi, delta=delta, dev_p0=dev_p0,
+                                       dev_plus=dev_plus, dev_minus=dev_minus,
+                                       dev_mixed=dev_mixed))
     return rows
 
 
@@ -322,27 +316,19 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     """Averaged double-scattering densities assembled from probe extraction.
 
     The background (ladder) and interference (crossed) inelastic
-    densities are frequency convolutions of one atom's emission spectrum
-    with the other atom's probe-response correlations.  Here every factor
-    is taken from the bichromatic solver and the convolution over the
-    exchanged-photon frequency is done by direct quadrature, so the route
-    shares no code with the closed-form channels it cross-checks.
+    densities convolve one atom's emission spectrum with the other atom's
+    probe-response correlations, every factor from the bichromatic solver
+    (:func:`~cbs2atom.quadrature.exchanged_photon_convolution`).  The mixed
+    coefficient's chains through the net photon shift ``+1`` have their
+    poles at ``-nu``, so they run at the mirrored probe detunings ``-u``.
 
-    The convolution runs over a uniform inner grid of exchanged-photon
-    frequencies, step ``gamma/8`` out to ``+-max(25 gamma, rabi + 15
-    gamma)``, integrated by Simpson's rule.  Its truncation and spacing
-    limit the accuracy to a few parts in 1e4 at rabi 2 (the slow tails of
-    the interference convolution dominate) and to a few percent at strong
-    drive, where the ``+-2 Omega'`` features reach past it.  Each distinct
-    resolvent argument is inverted once per call: ``G(0)``, ``G(+-i u)``
-    over the inner grid and ``G(+-i nu)`` over the output grid in set-up,
-    then 4 inversions per emission frequency, ``G(+-i(nu + u))`` and
-    ``G(+-i(nu - u))`` stacked over the inner grid, which the mixed and
-    forward coefficients and the reflected harmonic order share.  Memory grows
-    with the inner grid, and with the output grid only by the two
-    ``G(+-i nu)`` stacks: at ``rabi = 2`` (401 inner points) that is about
-    2 ms of CPU per frequency on one core of a 2-core Xeon VM, about 0.02 s
-    for 11 frequencies and 1.1-1.3 s for 601.
+    Each distinct resolvent argument is inverted once per call: ``G(0)``
+    and ``G(+-i nu)`` over the output grid in set-up, then 2 inversions per
+    emission frequency, ``G(+-i u)`` over its nodes.  They serve ``-u`` too,
+    and, reversed, ``nu - u``: the argument of the chains through shift
+    ``-1`` at ``u`` and of those through ``+1`` at ``-u``.  The reflected
+    factor ``p_minus(nu - u)`` is the conjugate minus-probe coefficient at
+    the reversed nodes.
 
     Returns a dict with the evaluation grid and both density arrays.
     """
@@ -351,18 +337,9 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
         raise ValueError(f"emission frequencies nus must be a 1-D array, got shape {nus.shape}")
     if not np.all(np.isfinite(nus)):
         raise ValueError("emission frequencies nus must be finite")
-    gamma = pump.gamma
-    half_width = max(25.0 * gamma, pump.rabi + 15.0 * gamma)
-    us = np.linspace(-half_width, half_width, 2 * int(round(half_width / (0.125 * gamma))) + 1)
-
     system = build(pump)
     steady = system.steady
-    b_minus, b_plus = steady[0], steady[1]
-    # every inverse that does not depend on the emission frequency, or on
-    # it alone, is formed once: G(0), G(+-i u) over the inner grid and
-    # G(+-i nu) over the output grid
     static = system.green(0.0)
-    at_u = {sign: system.green(sign * 1j * us) for sign in (-1, 1)}
     at_nu = {sign: system.green(sign * 1j * nus) for sign in (-1, 1)}
 
     # at zero probe detuning every harmonic is static and every photon
@@ -370,42 +347,31 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     zero = _connected_initials(
         _harmonic_orders(steady, {n: static for n in (-1, 0, 1)}, 1, 1), 1, 1)
     zero_inverses = {(sign, k): at_nu[sign] for sign in (-1, 1) for k in (-1, 0, 1)}
-    inner = _connected_initials(
-        _harmonic_orders(steady, {-1: at_u[1], 0: static, 1: at_u[-1]}, 1, 1), 1, 1)
-    p0_inner = (_coefficient(zero, (0, 0), {(-1, 0): at_u[-1], (1, 0): at_u[1]})
-                / (2 * np.pi))
+    emission_orders = _harmonic_orders(steady, {-1: at_nu[1], 0: static, 1: at_nu[-1]}, 1, 1)
+    emission = (_coefficient(zero, (0, 0), zero_inverses) / (2 * np.pi),
+                *(_coefficient(zero, order, zero_inverses) for order in ((1, 1), (0, 1), (1, 0))),
+                _harmonic_orders(steady, {1: at_nu[1]}, 1, 0)[(1, 0)],
+                emission_orders[(0, 1)], emission_orders[(1, 0)])
 
-    # first-order amplitude responses at the emission frequency
-    d_minus_up = _harmonic_orders(steady, {1: at_nu[1]}, 1, 0)[(1, 0)]
-    at_emission = _harmonic_orders(steady, {-1: at_nu[1], 0: static, 1: at_nu[-1]}, 1, 1)
-    d_minus_down, d_plus_up = at_emission[(1, 0)], at_emission[(0, 1)]
+    def at_nodes(i, u):
+        n = len(u)
+        up, down = system.green(1j * u), system.green(-1j * u)
+        # the nodes are symmetric about nu/2: G(+-i(nu - u)) is G(+-i u) reversed
+        inverses = {(sign, k): at_nu[sign][i] if k == 0 else (up if sign == 1 else down)[::-1]
+                    for sign in (-1, 1) for k in (-1, 0, 1)}
+        # probe detunings u and then -u, stacked; the order-(0, 0) initials
+        # do not depend on them
+        plus_w, minus_w = np.concatenate([up, down]), np.concatenate([down, up])
+        stacked = _connected_initials(
+            _harmonic_orders(steady, {-1: plus_w, 0: static, 1: minus_w}, 1, 1), 1, 1)
+        near, far = ({key: tuple(vec[part] if vec.ndim > 1 else vec for vec in pair)
+                      for key, pair in stacked.items()} for part in (slice(n), slice(n, None)))
+        forward = _coefficient(near, (0, 1), inverses)
+        return (_coefficient(zero, (0, 0), {(-1, 0): minus_w, (1, 0): plus_w}) / (2 * np.pi),
+                _coefficient(near, (1, 1), inverses, side=-1),
+                _coefficient(far, (1, 1), inverses, side=+1), forward, np.conj(forward))
 
-    ladder_conv = np.empty(len(nus), dtype=complex)
-    crossed_conv = np.empty(len(nus), dtype=complex)
-    for i, nu in enumerate(nus):
-        unshifted = {(-1, 0): at_nu[-1][i], (1, 0): at_nu[1][i]}
-        inverses = {**unshifted, **_chain_inverses(system, us, nu, (-1, 1))}
-        mixed = _coefficient(inner, (1, 1), inverses)
-        ladder_conv[i] = simpson(p0_inner * mixed, us)
-
-        forward = _coefficient(inner, (0, 1), inverses)
-        # the reflected factor runs at probe detunings nu - u: its harmonic
-        # order solves at i(nu - u), the mixed chains' (+1, -1) argument,
-        # and its one-photon arguments +-i(nu - (nu - u)) are +-i u
-        reflected_orders = _harmonic_orders(steady, {-1: inverses[1, -1]}, 0, 1)
-        reflected = np.conj(_coefficient(
-            _connected_initials(reflected_orders, 0, 1), (0, 1),
-            {**unshifted, (-1, -1): at_u[-1], (1, -1): at_u[1]}))
-        crossed_conv[i] = simpson(forward * reflected, us) / (2 * np.pi)
-
-    pump_elastic = b_plus * b_minus * _coefficient(zero, (1, 1), zero_inverses)
-    direct = (_coefficient(zero, (0, 0), zero_inverses) / (2 * np.pi)
-              * (abs(d_minus_up[:, 1]) ** 2 + abs(d_plus_up[:, 1]) ** 2))
-    ladder = 2.0 * np.real((ladder_conv + pump_elastic) / (2 * np.pi) + direct)
-
-    edge = (b_plus * d_minus_down[:, 0] * _coefficient(zero, (0, 1), zero_inverses)
-            + b_minus * d_plus_up[:, 1] * _coefficient(zero, (1, 0), zero_inverses))
-    crossed = 2.0 * np.real((crossed_conv + edge) / (2 * np.pi))
+    ladder, crossed = exchanged_photon_convolution(system, nus, at_nodes, emission)
     return {"nu": nus, "ladder": ladder, "crossed": crossed}
 
 

@@ -1,21 +1,10 @@
-"""Frequency integrals for the test oracles, by one quadrature rule.
+"""Frequency integrals for the test oracles.
 
 Every integral here runs over a real frequency ``u`` of products of Green
 matrices ``G(a + s*i*u)`` (``a`` imaginary, ``s = +-1``) and constant
-insertions, and decays at least like ``1/u**2``.  One rule evaluates them
-all: the map ``u = m + c*tan(theta/2)`` takes the real line onto
-``(-pi, pi)`` and the midpoint rule in ``theta`` sums the mapped
-integrand.  A rational integrand that decays like ``1/u**2`` maps onto an
-analytic periodic function of ``theta``, so the rule converges
-geometrically, at a rate set by the pole that lands nearest the real
-``theta`` axis.  The integrand's poles place the map (:func:`line_rule`):
-the centre ``m`` is the midpoint of their real parts, the scale ``c`` the
-larger of half their real spread and their smallest distance from the
-real axis, and the node count follows.  Each caller passes exactly the
-poles of its integrand, so a convolution whose pole clusters sit at ``0``
-and at an emission frequency ``nu`` far out needs a node count linear in
-``nu``, not quadratic.  Each Green matrix is the closed-form 3x3
-inverse over the whole node stack
+insertions, and is evaluated by the self-placing rule of
+:mod:`cbs2atom.quadrature` over exactly the poles of its integrand.  Each
+Green matrix is the closed-form 3x3 inverse over the whole node stack
 (:meth:`~cbs2atom.atom.BlochSystem.green`), so the rule needs no spectral
 decomposition and holds at the defective Jordan-point drive
 (``rabi = gamma/2`` on resonance) as anywhere else.
@@ -24,10 +13,9 @@ Everything here is a test oracle, so the production modules never import
 it:
 
 * the paper's closed form of the averaged channels in single-atom
-  observables (``compact_*``): convolutions over the exchanged-photon
-  frequency of the single-atom closed forms of :mod:`cbs2atom.atom`
-  (``mollow_p0``, ``p_plus``, ``p_minus``, ``p2``), evaluated on the nodes
-  of the rule one emission frequency at a time;
+  observables (``compact_*``): the exchanged-photon convolution of
+  :mod:`cbs2atom.quadrature` over the single-atom closed forms of
+  :mod:`cbs2atom.atom` (``mollow_p0``, ``p_plus``, ``p_minus``, ``p2``);
 * the reduction identities (``check_sum_rule_*``);
 * the printed first- and second-order transcriptions of the two-atom
   expansion (``*_explicit``) and the frequency-integral representation of
@@ -58,7 +46,9 @@ from cbs2atom.atom import (
     p_minus,
     p_plus,
     p2,
+    p2_sides,
 )
+from cbs2atom.quadrature import exchanged_photon_convolution, line_rule, pole_clusters
 from cbs2atom.spectra import SpectralFunctionGrid, _real_part
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
@@ -69,84 +59,22 @@ from cbs2atom.twoatom import (
 )
 
 __all__ = [
-    "line_rule",
     "quadrature_line_integral",
     "check_sum_rule_I",
     "check_sum_rule_II",
     "check_sum_rule_III",
     "compact_elastic_ladder",
     "compact_elastic_crossed",
-    "compact_ladder",
-    "compact_crossed",
+    "compact_channels",
     "pair_resolvent_integral",
     "single_first_order_explicit",
     "pair_first_order_explicit",
     "single_second_order_explicit",
 ]
 
-#: e-folds of the midpoint rule's geometric error demanded of the pole
-#: nearest the real ``theta`` axis.  Poles near the centre of the map carry
-#: the large residues, so this is more than the ~37 e-folds of double
-#: precision; with it the closed-form channels move by less than 1e-14 of
-#: their peak when the node count doubles.
-_E_FOLDS = 48.0
-
-#: Largest node count of one rule: a pole this close to the real axis (or an
-#: emission frequency this far out) would need stacks of several hundred MB.
-_MAX_NODES = 2 ** 17
-
-
-def _node_count(depth: float) -> int:
-    """Midpoint nodes for a mapped integrand analytic in ``|Im theta| < depth``."""
-    return math.ceil(_E_FOLDS / depth)
-
-
-def line_rule(poles) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes ``u`` and weights of ``integral du/2pi`` over the real line.
-
-    ``poles`` are the integrand's poles in the complex ``u`` plane (none
-    on the real axis); they place the map ``u = m + c*tan(theta/2)``.  The
-    centre ``m`` is the midpoint of their real parts and the scale ``c``
-    the larger of half their real spread and their smallest ``|Im|``: the
-    outermost clusters map to about ``theta = +-pi/2``, and poles that
-    share one real part still get a scale of their own distance from the
-    axis.  A pole at ``w`` sits
-    at ``2*arctan((w - m)/c)`` after the map; the one nearest the real
-    axis sets the node count.  The weights carry the Jacobian
-    ``c/2 * sec(theta/2)**2`` and the ``1/2pi`` measure.
-
-    Raises
-    ------
-    ValueError
-        If the rule would need more than ``2**17`` nodes, e.g. because a
-        pole lies on the real axis, where the integral does not exist.
-    """
-    poles = np.asarray(poles)
-    low, high = np.min(poles.real), np.max(poles.real)
-    centre = 0.5 * (low + high)
-    scale = max(0.5 * (high - low), np.min(np.abs(poles.imag)))
-    # a pole at exactly m +- i*c maps to theta = +-i*inf, where it costs
-    # nothing; a zero scale (a pole on the axis, no spread) maps to nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mapped = np.arctan((poles - centre) / scale)
-    depth = 2.0 * float(np.min(np.abs(mapped.imag)))
-    if not depth * _MAX_NODES > _E_FOLDS:
-        raise ValueError(f"a pole lies {depth:.2e} from the real axis after the map; "
-                         f"the rule would need more than {_MAX_NODES} nodes")
-    count = _node_count(depth)
-    half = 0.5 * np.pi * ((2.0 * np.arange(count) + 1.0) / count - 1.0)
-    return centre + scale * np.tan(half), scale / (2.0 * count * np.cos(half) ** 2)
-
-
 def _poles(system: BlochSystem, sign: int, offset: complex = 0.0) -> np.ndarray:
     """Poles in ``u`` of ``G(offset + sign*i*u)``."""
     return -1j * sign * (system.eigenvalues - offset)
-
-
-def _clusters(system: BlochSystem, centres=(0.0,)) -> np.ndarray:
-    """Poles in ``u`` of ``G(+-i(u - c))`` for every real centre ``c``."""
-    return np.concatenate([c + sign * 1j * system.eigenvalues
-                           for c in centres for sign in (+1, -1)])
 
 
 def quadrature_line_integral(
@@ -283,7 +211,7 @@ def check_sum_rule_III(system, z1: complex, z2: complex, rng=None) -> float:
     g_z1 = system.green(z1)
     g_z2 = system.green(z2)
 
-    u, weights = line_rule(_clusters(system))
+    u, weights = line_rule(pole_clusters(system))
     up, down = system.green(1j * u), system.green(-1j * u)
     lines = a_ins @ g_z1 @ up @ b_ins @ down @ c_ins + a_ins @ up @ b_ins @ g_z2 @ down @ c_ins
     lhs = np.einsum("k,kij->ij", weights, lines)
@@ -309,7 +237,7 @@ def _elastic_ladder_value(system: BlochSystem) -> complex:
     )
 
     # pump fluctuation spectrum times the intensity-like second response
-    u, weights = line_rule(_clusters(system))
+    u, weights = line_rule(pole_clusters(system))
     second = delta_sigma_second(system, u)
     fluctuation = 2.0 * np.pi * mollow_p0(system, u)
     integral = weights @ (fluctuation * (b_minus * second[:, 1] + b_plus * second[:, 0]))
@@ -327,7 +255,7 @@ def _elastic_crossed_value(system: BlochSystem) -> complex:
         + b_minus * b_minus * d_minus0[1] * d_plus0[1]
     )
 
-    u, weights = line_rule(_clusters(system))
+    u, weights = line_rule(pole_clusters(system))
     g0 = system.green(0.0)
     term_a = (delta_sigma_first(system, -1, u)[:, 1]
               * (system.green(1j * u) @ g0_1 @ DELTA_PLUS.T @ g0.T)[:, 1])
@@ -348,49 +276,26 @@ def compact_elastic_crossed(drive: AtomDriveParams) -> float:
     return _real_part(value, scale=abs(value))
 
 
-def _ladder_values(system: BlochSystem, nus: np.ndarray) -> np.ndarray:
-    """Pump fluorescence convolved with the two-probe redistribution
-    correlation, plus the elastic pump line and the directly scattered
-    fluorescence."""
-    b_minus, b_plus = system.steady[0], system.steady[1]
-    convolution = np.empty(len(nus))
-    for i, nu in enumerate(nus):
-        # p0 holds G(+-i u); p2 holds those and G(i(u - nu)), G(-i(u + nu))
-        u, weights = line_rule(_clusters(system, (0.0, nu, -nu)))
-        convolution[i] = (weights * mollow_p0(system, u)) @ p2(system, u, nu)
-    pump_elastic = b_plus * b_minus * p2(system, 0.0, nus) / (2 * np.pi)
-    direct = mollow_p0(system, nus) * (abs(delta_sigma_first(system, -1, -nus)[:, 1]) ** 2
-                                       + abs(delta_sigma_first(system, +1, nus)[:, 1]) ** 2)
-    return 2.0 * np.real(convolution + pump_elastic + direct)
-
-
-def _crossed_values(system: BlochSystem, nus: np.ndarray) -> np.ndarray:
-    """Counter-rotating probe correlation convolved with the co-rotating one
-    at the reflected probe frequency ``nu - u`` (frequency conservation in
-    the interference channel), plus the elastic edge terms."""
-    b_minus, b_plus = system.steady[0], system.steady[1]
-    convolution = np.empty(len(nus), dtype=complex)
-    for i, nu in enumerate(nus):
-        # both factors hold only G(+-i u) and G(+-i(u - nu))
-        u, weights = line_rule(_clusters(system, (0.0, nu)))
-        convolution[i] = weights @ (p_plus(system, u, nu) * p_minus(system, nu - u, nu))
-    edge = (b_plus * delta_sigma_first(system, -1, nus)[:, 0] * p_plus(system, 0.0, nus)
-            + b_minus * delta_sigma_first(system, +1, nus)[:, 1] * p_minus(system, 0.0, nus))
-    return 2.0 * np.real((convolution + edge) / (2 * np.pi))
-
-
-def compact_ladder(drive: AtomDriveParams, nus) -> SpectralFunctionGrid:
-    """Closed-form background channel on a frequency grid (test oracle)."""
+def compact_channels(drive: AtomDriveParams, nus) -> tuple:
+    """Closed-form ladder (background) and crossed (interference) channels
+    on a frequency grid (test oracle): the exchanged-photon convolution of
+    :mod:`cbs2atom.quadrature` over the closed forms of :mod:`cbs2atom.atom`."""
     nus = np.asarray(nus, dtype=float)
-    return SpectralFunctionGrid(nu=nus, values=_ladder_values(build(drive), nus),
-                                elastic_weight=compact_elastic_ladder(drive))
+    system = build(drive)
 
+    def at_nodes(i, u):
+        nu = nus[i]
+        both = np.concatenate([u, -u])
+        near, far = p2_sides(system, both, nu)
+        return (mollow_p0(system, both), near[:len(u)], far[len(u):],
+                p_plus(system, u, nu), p_minus(system, u, nu))
 
-def compact_crossed(drive: AtomDriveParams, nus) -> SpectralFunctionGrid:
-    """Closed-form interference channel on a frequency grid (test oracle)."""
-    nus = np.asarray(nus, dtype=float)
-    return SpectralFunctionGrid(nu=nus, values=_crossed_values(build(drive), nus),
-                                elastic_weight=compact_elastic_crossed(drive))
+    emission = (mollow_p0(system, nus), p2(system, 0.0, nus), p_plus(system, 0.0, nus),
+                p_minus(system, 0.0, nus), delta_sigma_first(system, -1, -nus),
+                delta_sigma_first(system, +1, nus), delta_sigma_first(system, -1, nus))
+    ladder, crossed = exchanged_photon_convolution(system, nus, at_nodes, emission)
+    return (SpectralFunctionGrid(nus, ladder, compact_elastic_ladder(drive)),
+            SpectralFunctionGrid(nus, crossed, compact_elastic_crossed(drive)))
 
 
 # -- explicit closed-form transcriptions (oracles for the recurrences) ---------
@@ -510,7 +415,7 @@ def single_second_order_explicit(gen: TwoAtomGenerator) -> TaggedVector:
 
     # a first-atom spectral factor times a second-atom response chain,
     # both on the nodes of one rule; vectors act as ``vec @ matrix.T``
-    u, weights = line_rule(np.concatenate([_clusters(a1), _clusters(a2)]))
+    u, weights = line_rule(np.concatenate([pole_clusters(a1), pole_clusters(a2)]))
     up1, down1 = a1.green(1j * u), a1.green(-1j * u)
     up2, down2 = a2.green(1j * u), a2.green(-1j * u)
     paired = (

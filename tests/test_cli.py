@@ -139,12 +139,12 @@ def test_pump_probe_spectrum_agrees_with_production_and_reruns_identically(tmp_p
     sidecar = json.loads((tmp_path / "spectrum.json").read_text())
     result = cbs_spectra(AtomDriveParams(rabi=2.0), nus=np.linspace(-15.0, 15.0, 3))
     assert np.array_equal(table["nu"], result.ladder.nu)
-    # densities on the channel signal scale, within the pump-probe accuracy
-    # class; the elastic weights are production's own
+    # densities within 1e-12 of each channel's peak; the elastic weights
+    # are production's own
     for column, name, channel in (("L_inel", "elastic_ladder", result.ladder),
                                   ("C_inel", "elastic_crossed", result.crossed)):
-        scale = np.max(np.abs(channel.values)) + abs(channel.elastic_weight)
-        assert np.max(np.abs(table[column] - channel.values)) <= 1e-3 * scale, column
+        scale = np.max(np.abs(channel.values))
+        assert np.max(np.abs(table[column] - channel.values)) <= 1e-12 * scale, column
         assert sidecar[name] == channel.elastic_weight, name
     assert run(argv, capsys) == 0
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
@@ -268,6 +268,7 @@ import sys
 
 import cbs2atom.disorder, cbs2atom.pumpprobe, cbs2atom.spectra, cbs2atom.twoatom
 assert "cbs2atom.residues" not in sys.modules, "a production module imports residues"
+assert "cbs2atom.quadrature" in sys.modules, "pump-probe convolves without the shared rule"
 
 from cbs2atom.cli import main
 
@@ -278,14 +279,16 @@ for argv in (["spectrum", "--rabi", "2", *grid],
              ["spectrum", "--rabi", "2", "--method", "pump-probe", "--nu-points", "3"],
              ["sweep", "--rabi", "0.7", "2", *grid]):
     assert main([*argv, "--output", out]) == 0, argv
-assert "cbs2atom.residues" not in sys.modules, "a spectrum or sweep route imports residues"
+assert main(["validate", "physics"]) == 0
+assert "cbs2atom.residues" not in sys.modules, "a spectrum, sweep or physics route imports residues"
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_cli_routes_import_no_scipy(tmp_path):
-    # a fresh interpreter: neither the production modules nor a spectrum or
-    # sweep route loads the residue oracle, and no such route loads scipy
+    # a fresh interpreter: neither the production modules nor a spectrum,
+    # sweep or `validate physics` route loads the residue oracle, and no
+    # such route loads scipy; pump-probe loads the shared quadrature
     src = os.path.dirname(os.path.dirname(os.path.abspath(cbs2atom.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, str(tmp_path)],

@@ -35,7 +35,8 @@ from cbs2atom.pumpprobe import (
     time_domain_coefficient,
 )
 from cbs2atom.linalg import resolve
-from cbs2atom.spectra import cbs_spectra, simpson
+from cbs2atom.quadrature import line_rule, pole_clusters
+from cbs2atom.spectra import cbs_spectra, default_grid
 
 PUMP = AtomDriveParams(rabi=2.0, delta=0.5)
 
@@ -241,17 +242,22 @@ JORDAN = AtomDriveParams(rabi=0.5, delta=0.0)
 NUS_CHANNELS = np.linspace(-6.0, 6.0, 5)
 
 
-@pytest.mark.parametrize("pump", [AtomDriveParams(rabi=2.0), JORDAN],
-                         ids=["rabi2", "jordan"])
+@pytest.mark.parametrize("pump", [AtomDriveParams(rabi=2.0), JORDAN,
+                                  AtomDriveParams(rabi=1.3, delta=0.8),
+                                  AtomDriveParams(rabi=20.0, delta=1.5),
+                                  AtomDriveParams(rabi=50.0, delta=3.0)],
+                         ids=["rabi2", "jordan", "rabi1.3-det0.8", "rabi20-det1.5",
+                              "rabi50-det3"])
 def test_channel_densities_match_production_channels(pump):
-    # on the channel signal scale (peak density times the decay rate plus
-    # the elastic weight), within the documented inner-grid accuracy
-    got = channel_densities(pump, NUS_CHANNELS)
-    result = cbs_spectra(pump, nus=NUS_CHANNELS)
-    assert np.array_equal(got["nu"], NUS_CHANNELS)
+    # within 1e-12 of each channel's peak, across the grid that holds the
+    # triplet; measured <= 1.4e-15
+    nus = default_grid(pump, points=61)
+    got = channel_densities(pump, nus)
+    result = cbs_spectra(pump, nus=nus)
+    assert np.array_equal(got["nu"], nus)
     for name, channel in (("ladder", result.ladder), ("crossed", result.crossed)):
-        scale = np.max(np.abs(channel.values)) + abs(channel.elastic_weight)
-        assert np.max(np.abs(got[name] - channel.values)) <= 1e-3 * scale, name
+        scale = np.max(np.abs(channel.values))
+        assert np.max(np.abs(got[name] - channel.values)) <= 1e-12 * scale, name
 
 
 def test_channel_densities_do_not_mix_emission_frequencies():
@@ -264,10 +270,11 @@ def test_channel_densities_do_not_mix_emission_frequencies():
 
 
 def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
-    # per emission frequency only +-i(nu + u) and +-i(nu - u) are new, one
-    # stack each over the inner grid; set-up forms G(0), G(+-i u) and
-    # G(+-i nu) over the output grid once.  One inverse per argument and
-    # coefficient would take 15 per frequency, one solve per chain step 35.
+    # per emission frequency only +-i u on the nodes of its rule are new,
+    # one stack each (+-i(nu - u) is the same stack reversed); set-up forms
+    # G(0) and G(+-i nu) over the output grid once.  One inverse per
+    # argument and coefficient would take 15 per frequency, one solve per
+    # chain step 35.
     # Both resolvent kernels are counted, so the count cannot pass by
     # missing the one the chains use
     calls = []
@@ -293,23 +300,27 @@ def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
 
 
 def densities_reference(pump, nus):
-    """`channel_densities` transcribed one inner point at a time, every
-    factor from the public `correlation_coefficient` and `harmonic_orders`,
-    on its inner grid: step gamma/8 out to max(25 gamma, rabi + 15 gamma)."""
+    """The convolutions of `channel_densities` transcribed one node at a
+    time, every factor from the public `correlation_coefficient` and
+    `harmonic_orders`.  The crossed factors run on the nodes of the rule
+    over the pole clusters at 0 and nu, placed about nu/2 as in
+    `channel_densities`; the whole mixed coefficient, with poles at 0, nu
+    and -nu, on the rule over all three."""
     system = build(pump)
     b_minus, b_plus = system.steady[0], system.steady[1]
-    step = pump.gamma / 8.0
-    half_width = max(25.0 * pump.gamma, pump.rabi + 15.0 * pump.gamma)
-    us = np.linspace(-half_width, half_width, 2 * round(half_width / step) + 1)
 
     def coefficient(w, order, nu):
         drive = BichromaticDrive(pump=pump, probe_detuning=w)
         return correlation_coefficient(drive, order, nu)
 
-    p0 = np.array([coefficient(0.0, (0, 0), u) for u in us]) / (2 * np.pi)
     ladder, crossed = [], []
     for nu in nus:
+        us, weights = line_rule(pole_clusters(system, (0.0, nu, -nu)))
+        p0 = np.array([coefficient(0.0, (0, 0), u) for u in us]) / (2 * np.pi)
         mixed = np.array([coefficient(u, (1, 1), nu) for u in us])
+        convolution = weights @ (p0 * mixed)
+        offsets, weights = line_rule(pole_clusters(system, (-0.5 * nu, 0.5 * nu)))
+        us = 0.5 * nu + offsets
         forward = np.array([coefficient(u, (0, 1), nu) for u in us])
         reflected = np.conj([coefficient(nu - u, (0, 1), nu) for u in us])
         d_minus_up = harmonic_orders(system, -nu, 1, 0)[(1, 0)]
@@ -318,19 +329,18 @@ def densities_reference(pump, nus):
         direct = (coefficient(0.0, (0, 0), nu) / (2 * np.pi)
                   * (abs(d_minus_up[1]) ** 2 + abs(d_plus_up[1]) ** 2))
         pump_elastic = b_plus * b_minus * coefficient(0.0, (1, 1), nu)
-        ladder.append(2.0 * np.real(
-            (simpson(p0 * mixed, us) + pump_elastic) / (2 * np.pi) + direct))
+        ladder.append(2.0 * np.real(convolution + pump_elastic / (2 * np.pi) + direct))
         edge = (b_plus * d_minus_down[0] * coefficient(0.0, (0, 1), nu)
                 + b_minus * d_plus_up[1] * coefficient(0.0, (1, 0), nu))
-        crossed.append(2.0 * np.real(
-            (simpson(forward * reflected, us) / (2 * np.pi) + edge) / (2 * np.pi)))
+        crossed.append(2.0 * np.real((weights @ (forward * reflected) + edge) / (2 * np.pi)))
     return {"ladder": np.array(ladder), "crossed": np.array(crossed)}
 
 
 @pytest.mark.parametrize("pump", [AtomDriveParams(rabi=2.0), JORDAN],
                          ids=["rabi2", "jordan"])
 def test_channel_densities_match_per_point_transcription(pump):
-    # off the inner lattice, so nu - (nu - u) differs from u by rounding
+    # the transcription forms the reflected factor's one-photon arguments
+    # as nu - (nu - u), which differs from u by rounding
     nus = 0.013 + 0.05 * np.array([-97, -20, 0, 7, 51])
     got = channel_densities(pump, nus)
     ref = densities_reference(pump, nus)

@@ -5,11 +5,11 @@ import pytest
 
 from cbs2atom import atom
 from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS
+from cbs2atom.quadrature import line_rule
 from cbs2atom.residues import (
     check_sum_rule_I,
     check_sum_rule_II,
     check_sum_rule_III,
-    line_rule,
     quadrature_line_integral,
 )
 
@@ -335,6 +335,14 @@ def test_conjugation_commutes_with_integration():
 
 
 # ----------------------------------------------------------------- failures
+
+
+def test_symmetric_poles_give_antisymmetric_nodes():
+    # the exchanged-photon convolution pairs each node with its mirror image
+    poles = np.concatenate([up_poles(make(1.3, 0.8), 3.7j), down_poles(make(1.3, 0.8), 3.7j)])
+    u, weights = line_rule(np.concatenate([poles, -poles]))
+    assert np.array_equal(u, -u[::-1])
+    assert np.array_equal(weights, weights[::-1])
 
 
 def test_pole_on_real_axis_rejected():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
-from cbs2atom import atom, linalg, residues, spectra, twoatom
+from cbs2atom import atom, linalg, pumpprobe, quadrature, residues, spectra, twoatom
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.spectra import CbsResult, SpectralFunctionGrid, cbs_spectra, default_grid
@@ -271,8 +271,8 @@ def test_production_matches_compact_oracle():
               drive(1.3, 0.8), drive(0.5)]:
         nus = default_grid(d, points=41)
         result = cbs_spectra(d, nus=nus)
-        for got, oracle in [(result.ladder, residues.compact_ladder(d, nus)),
-                            (result.crossed, residues.compact_crossed(d, nus))]:
+        for got, oracle in zip((result.ladder, result.crossed),
+                               residues.compact_channels(d, nus)):
             scale = np.max(np.abs(oracle.values))
             assert np.max(np.abs(got.values - oracle.values)) < bound * scale
             assert abs(got.elastic_weight - oracle.elastic_weight) < bound * abs(
@@ -282,17 +282,25 @@ def test_production_matches_compact_oracle():
 @pytest.mark.parametrize("rabi, delta", [(2.0, 0.0), (20.0, 0.0), (50.0, 3.0), (0.5, 0.0)],
                          ids=["rabi2", "rabi20", "rabi50-det3", "jordan"])
 def test_compact_oracle_is_converged_in_the_node_count(rabi, delta, monkeypatch):
-    # doubling every node count of the quadrature moves no closed-form value
-    # by more than 1e-13 of its channel peak
+    # doubling every node count of the quadrature moves no closed-form value,
+    # and no pump-probe density, by more than 1e-13 of its channel peak
     d = drive(rabi, delta)
     nus = default_grid(d, points=21)
-    base = [residues.compact_ladder(d, nus), residues.compact_crossed(d, nus)]
-    count = residues._node_count
-    monkeypatch.setattr(residues, "_node_count", lambda depth: 2 * count(depth))
-    doubled = [residues.compact_ladder(d, nus), residues.compact_crossed(d, nus)]
-    for got, ref in zip(doubled, base):
-        assert np.max(np.abs(got.values - ref.values)) < 1e-13 * np.max(np.abs(ref.values))
-        assert abs(got.elastic_weight - ref.elastic_weight) < 1e-13 * abs(ref.elastic_weight)
+
+    def channels():
+        densities = pumpprobe.channel_densities(d, nus)
+        compact = residues.compact_channels(d, nus)
+        return ([grid.values for grid in compact] + [densities["ladder"], densities["crossed"]],
+                [grid.elastic_weight for grid in compact])
+
+    base_values, base_weights = channels()
+    count = quadrature._node_count
+    monkeypatch.setattr(quadrature, "_node_count", lambda depth: 2 * count(depth))
+    values, weights = channels()
+    for got, ref in zip(values, base_values):
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+    for got, ref in zip(weights, base_weights):
+        assert abs(got - ref) < 1e-13 * abs(ref)
 
 
 def test_compact_oracle_reaches_the_far_tails():
@@ -303,8 +311,7 @@ def test_compact_oracle_reaches_the_far_tails():
     d = drive(1.3, 0.8)
     nus = np.array([-190.0, 0.0, 190.0])
     result = cbs_spectra(d, nus=nus)
-    for got, oracle in [(result.ladder, residues.compact_ladder(d, nus)),
-                        (result.crossed, residues.compact_crossed(d, nus))]:
+    for got, oracle in zip((result.ladder, result.crossed), residues.compact_channels(d, nus)):
         peak = np.max(np.abs(oracle.values))
         assert np.max(np.abs(got.values - oracle.values)) < 1e-12 * peak
 
@@ -312,8 +319,7 @@ def test_compact_oracle_reaches_the_far_tails():
 def _assert_matches_compact(d):
     nus = default_grid(d, points=9)
     result = cbs_spectra(d, nus=nus)
-    for got, oracle in [(result.ladder, residues.compact_ladder(d, nus)),
-                        (result.crossed, residues.compact_crossed(d, nus))]:
+    for got, oracle in zip((result.ladder, result.crossed), residues.compact_channels(d, nus)):
         assert np.max(np.abs(got.values - oracle.values)) < 1e-12 * np.max(np.abs(oracle.values))
         assert abs(got.elastic_weight - oracle.elastic_weight) < 1e-12 * abs(oracle.elastic_weight)
 
@@ -384,7 +390,7 @@ def test_jordan_block_drive_is_healed():
     g = spectra.inelastic_ladder(drive(0.5), nus=nus)
     assert np.all(np.isfinite(g.values))
     assert abs(g.values[0] - g.values[2]) < 1e-10
-    oracle = residues.compact_ladder(drive(0.5), nus).values
+    oracle = residues.compact_channels(drive(0.5), nus)[0].values
     assert np.max(np.abs(g.values - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
 
