@@ -5,6 +5,10 @@ The package computes the elastic and inelastic spectra of the ladder
 resulting spectral CBS enhancement factor, for two two-level atoms driven by
 a strong monochromatic laser.
 
+One frame holds throughout: frequencies are in units of the dipole decay
+rate gamma, positions in units of the inverse laser wavenumber 1/k, and the
+laser propagates along z.
+
 The averaged channels have one production route: the surviving coupling
 monomials of the two-atom master equation on a single canonical
 configuration (:mod:`cbs2atom.spectra`, built on :mod:`cbs2atom.twoatom`).

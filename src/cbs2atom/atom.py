@@ -4,20 +4,20 @@ Bloch generator, steady state, probe-response vectors and the closed-form
 spectral correlation functions of resonance fluorescence: the inelastic
 spectrum (Mollow triplet), the first-order probe-scattering amplitudes and
 the probe-intensity response.  All frequencies are measured from the laser
-frequency, in units of the decay rate ``gamma``.
+frequency, in units of the dipole decay rate gamma.
 
 Every resolvent is the closed-form 3x3 inverse of
 :func:`cbs2atom.linalg.inverse3` over a whole stack of arguments, applied to
 its vectors by one product, so the closed forms take whole arrays of
 frequencies and stay exact at the defective Jordan-point drive
-(``rabi = gamma/2`` on resonance).  The ``compact_*`` oracle of
+(``rabi = 1/2`` on resonance).  The ``compact_*`` oracle of
 :mod:`cbs2atom.residues` integrates them over the probe frequency by
 quadrature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -54,9 +54,8 @@ def conj_swap(vec: np.ndarray) -> np.ndarray:
 class AtomDriveParams:
     """Drive parameters of one atom.
 
-    All rates share one frequency unit; with the default ``gamma=1`` that
-    unit is the decay rate itself, which is the convention used throughout
-    the library and its tests.
+    Every rate is in units of the dipole decay rate gamma (the
+    excited-state population decays at rate 2).
 
     Attributes
     ----------
@@ -64,25 +63,20 @@ class AtomDriveParams:
         Rabi amplitude at the coordinate origin, >= 0.
     delta:
         Laser-atom detuning (laser minus atomic frequency).
-    gamma:
-        Dipole decay rate (the excited-state population decays at
-        ``2*gamma``); sets the scale of all numerical thresholds.
     phase:
         Propagation phase of the laser at the atom's position, so the local
-        drive amplitude is ``rabi * exp(1j * phase)``.
+        drive amplitude is ``rabi * exp(1j * phase)``.  Keyword-only.
     """
 
     rabi: float
     delta: float = 0.0
-    gamma: float = 1.0
+    _: KW_ONLY
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
         if self.rabi < 0:
             raise ValueError("rabi must be non-negative")
-        for name in ("rabi", "delta", "gamma", "phase"):
+        for name in ("rabi", "delta", "phase"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -121,22 +115,22 @@ class BlochSystem:
         ``z.shape + (3, 3)``; :func:`cbs2atom.linalg.inverse3`), so it needs
         no eigenvectors and is exact at defective (Jordan-point) drives too.
         """
-        return inverse3(self.M, z, self.eigenvalues, self.params.gamma)
+        return inverse3(self.M, z, self.eigenvalues)
 
 
 def build(params: AtomDriveParams) -> BlochSystem:
     """Assemble the Bloch system for the given drive parameters."""
-    g, d = params.gamma, params.delta
+    d = params.delta
     om = params.local_rabi
     M = np.array(
         [
-            [-g + 1j * d, 0.0, -0.5j * om],
-            [0.0, -g - 1j * d, 0.5j * np.conj(om)],
-            [-1j * np.conj(om), 1j * om, -2.0 * g],
+            [-1.0 + 1j * d, 0.0, -0.5j * om],
+            [0.0, -1.0 - 1j * d, 0.5j * np.conj(om)],
+            [-1j * np.conj(om), 1j * om, -2.0],
         ],
         dtype=complex,
     )
-    L = np.array([0.0, 0.0, -2.0 * g], dtype=complex)
+    L = np.array([0.0, 0.0, -2.0], dtype=complex)
     return BlochSystem(params=params, M=M, L=L)
 
 

@@ -88,17 +88,16 @@ class SampledGeometry:
 
     separation: np.ndarray
     direction: np.ndarray
-    gamma: float
 
     @property
     def coupling(self) -> np.ndarray:
         """Exchange amplitude of every sample, see
         :func:`cbs2atom.twoatom.exchange_coupling`."""
-        return exchange_coupling(self.separation, self.gamma)
+        return exchange_coupling(self.separation)
 
     @property
     def phase_difference(self) -> np.ndarray:
-        """Laser phase mismatch ``k_hat . (r1 - r2) = -x d_z`` of every sample."""
+        """Laser phase mismatch ``z1 - z2 = -x d_z`` of every sample."""
         return -self.separation * self.direction[:, 2]
 
 
@@ -116,7 +115,6 @@ class ConfigSampler:
     periods: int = 8
     samples: int = 10_000
     seed: int = 0
-    gamma: float = 1.0
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.x_start) and self.x_start >= 50.0):
@@ -125,8 +123,6 @@ class ConfigSampler:
             raise ValueError("need at least 8 whole distance periods")
         if self.samples < 1_000:
             raise ValueError("need at least 1000 samples")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be finite and positive")
         # far out, x_start + 2 pi periods rounds to the float spacing: the
         # window shrinks or vanishes and the separations are quantised
         width = 2.0 * np.pi * self.periods
@@ -141,9 +137,9 @@ class ConfigSampler:
 
     @property
     def coupling_power_mean(self) -> float:
-        """Window mean of 4|T|^2 = 9 gamma^2 / x^2, evaluated analytically."""
+        """Window mean of 4|T|^2 = 9 / x^2, evaluated analytically."""
         width = self.x_stop - self.x_start
-        return 9.0 * self.gamma ** 2 * (1.0 / self.x_start - 1.0 / self.x_stop) / width
+        return 9.0 * (1.0 / self.x_start - 1.0 / self.x_stop) / width
 
     def geometry(self, rng: np.random.Generator | None = None) -> SampledGeometry:
         """Draw every sample at once: first all separations, then all
@@ -158,13 +154,13 @@ class ConfigSampler:
             direction[short] = rng.standard_normal((short.size, 3))
             norm[short] = np.linalg.norm(direction[short], axis=1)
             short = short[norm[short] < 1e-8]
-        return SampledGeometry(separation, direction / norm[:, None], self.gamma)
+        return SampledGeometry(separation, direction / norm[:, None])
 
     def configurations(self):
         """The samples of :meth:`geometry`, one `ScatteringConfig` each."""
         geometry = self.geometry()
         for x, direction in zip(geometry.separation, geometry.direction):
-            yield ScatteringConfig.from_separation(x, gamma=self.gamma, direction=direction)
+            yield ScatteringConfig.from_separation(x, direction=direction)
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,7 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     """
     nus = np.asarray(nus, dtype=float)
     canonical = fixed_config_spectrum(
-        assemble(canonical_configuration(sampler.gamma), drive, coupling=1.0), nus)
+        assemble(canonical_configuration(), drive, coupling=1.0), nus)
     geometry = sampler.geometry()
     coupling, phase_difference = geometry.coupling, geometry.phase_difference
     scale = sampler.coupling_power_mean

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Resolvent arguments closer than this (in units of gamma) to an
+#: Resolvent arguments closer than this (in units of the decay rate) to an
 #: eigenvalue are rejected as sitting on a pole.
 DEGENERACY_TOL = 1e-9
 
@@ -34,22 +34,21 @@ class PoleProximityError(ValueError):
     """Raised when a resolvent is evaluated too close to an eigenvalue."""
 
 
-def _guarded(z, eigenvalues: np.ndarray, gamma: float) -> np.ndarray:
+def _guarded(z, eigenvalues: np.ndarray) -> np.ndarray:
     """``z`` as a complex array, once every element is finite and at least
-    ``DEGENERACY_TOL * gamma`` from every eigenvalue."""
+    ``DEGENERACY_TOL`` from every eigenvalue."""
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("resolvent argument z must be finite")
     gap = np.abs(z[..., None] - eigenvalues)
-    if (gap < DEGENERACY_TOL * gamma).any():
+    if (gap < DEGENERACY_TOL).any():
         gap = np.min(gap, axis=-1)
         raise PoleProximityError(
             f"z={z.flat[np.argmin(gap)]} within {np.min(gap):.3e} of an eigenvalue")
     return z
 
 
-def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray,
-             gamma: float = 1.0) -> np.ndarray:
+def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
     """``(z - M)^{-1}`` of a 3x3 ``M`` for an array of ``z``, in closed form.
 
     With ``A = z - M`` the inverse is the transposed cofactor matrix over
@@ -65,10 +64,9 @@ def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray,
     ValueError
         If an element of ``z`` is not finite.
     PoleProximityError
-        If an element of ``z`` is within ``DEGENERACY_TOL * gamma`` of an
-        eigenvalue.
+        If an element of ``z`` is within ``DEGENERACY_TOL`` of an eigenvalue.
     """
-    z = _guarded(z, eigenvalues, gamma)
+    z = _guarded(z, eigenvalues)
     A = z[..., None, None] * np.eye(3) - M
     rows_next, rows_after = A.take(_NEXT, axis=-2), A.take(_AFTER, axis=-2)
     cofactor = (rows_next.take(_NEXT, axis=-1) * rows_after.take(_AFTER, axis=-1)
@@ -77,8 +75,7 @@ def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray,
     return np.swapaxes(cofactor, -1, -2) / det[..., None, None]
 
 
-def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray,
-            gamma: float = 1.0) -> np.ndarray:
+def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """``(z - M)^{-1} rhs`` for an array of ``z``, as one stacked dense solve.
 
     ``z`` has shape ``S``; ``rhs`` is an ``(n, k)`` matrix or a stack of
@@ -91,8 +88,7 @@ def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray,
     ValueError
         If an element of ``z`` is not finite.
     PoleProximityError
-        If an element of ``z`` is within ``DEGENERACY_TOL * gamma`` of an
-        eigenvalue.
+        If an element of ``z`` is within ``DEGENERACY_TOL`` of an eigenvalue.
     """
-    z = _guarded(z, eigenvalues, gamma)
+    z = _guarded(z, eigenvalues)
     return np.linalg.solve(z[..., None, None] * np.eye(len(M)) - M, rhs)

@@ -45,7 +45,6 @@ from cbs2atom.atom import p2 as closed_form_p2
 from cbs2atom.atom import p_minus as closed_form_p_minus
 from cbs2atom.atom import p_plus as closed_form_p_plus
 from cbs2atom.quadrature import exchanged_photon_convolution
-from cbs2atom.spectra import simpson
 
 
 class TruncationError(RuntimeError):
@@ -273,8 +272,7 @@ def _max_relative(got: np.ndarray, ref: np.ndarray) -> float:
 
 
 def equivalence_report(rabis=(0.5, 2.0, 5.0), deltas=(0.0, 1.0, 3.0),
-                       nus=None, probe_detunings=(-5.0, 0.0, 3.0),
-                       gamma: float = 1.0) -> list:
+                       nus=None, probe_detunings=(-5.0, 0.0, 3.0)) -> list:
     """Bichromatic-extraction vs closed-form response, over a parameter grid.
 
     Pairing of the channels (established analytically and pinned by the
@@ -292,7 +290,7 @@ def equivalence_report(rabis=(0.5, 2.0, 5.0), deltas=(0.0, 1.0, 3.0),
     rows = []
     for rabi in rabis:
         for delta in deltas:
-            pump = AtomDriveParams(rabi=rabi, delta=delta, gamma=gamma)
+            pump = AtomDriveParams(rabi=rabi, delta=delta)
             system = build(pump)
             p0_ref = mollow_p0(system, nus)
             dev_p0 = dev_plus = dev_minus = dev_mixed = 0.0
@@ -440,7 +438,7 @@ def time_domain_coefficient(drive: BichromaticDrive, channel: int, nus, *,
     by Simpson quadrature.  Slow by design — shares no algebra with the
     perturbative extraction it validates.
     """
-    from scipy.integrate import solve_ivp
+    from scipy.integrate import simpson, solve_ivp
 
     nus = np.asarray(nus, dtype=float)
     system = build(drive.pump)

@@ -7,7 +7,7 @@ insertions, and is evaluated by the self-placing rule of
 Green matrix is the closed-form 3x3 inverse over the whole node stack
 (:meth:`~cbs2atom.atom.BlochSystem.green`), so the rule needs no spectral
 decomposition and holds at the defective Jordan-point drive
-(``rabi = gamma/2`` on resonance) as anywhere else.
+(``rabi = 1/2`` on resonance) as anywhere else.
 
 Everything here is a test oracle, so the production modules never import
 it:

@@ -9,12 +9,13 @@ window mean of four times the squared coupling strength.
 The averaged channels have one production route: the surviving coupling
 monomials of the two-atom spectra (:func:`cbs2atom.twoatom.fixed_config_spectrum`)
 on a single canonical configuration.  Atoms on the x axis with the laser
-along z carry zero laser phases, and the coupling is fixed to ``gamma``.
+along z carry zero laser phases, and the coupling is fixed to one decay
+rate.
 By the gauge identity ``M(phase) = U M(0) U^-1`` and because the exchange
 amplitude enters each monomial only as a scalar factor, the surviving
 monomials divided by ``4|T|^2`` are the configuration averages.  The
 route needs no spectral decomposition, so the defective Jordan-point
-drive (``rabi = gamma/2`` on resonance) needs no special treatment.
+drive (``rabi = 1/2`` on resonance) needs no special treatment.
 
 The paper's closed form in single-atom observables, its convolutions
 evaluated by quadrature, is an independent test oracle that also holds at
@@ -131,7 +132,7 @@ class CbsResult:
 
 def default_grid(drive: AtomDriveParams, points: int = 601) -> np.ndarray:
     """Symmetric frequency grid covering the inelastic triplet structure."""
-    limit = max(15.0 * drive.gamma, abs(drive.rabi) + 6.0 * drive.gamma)
+    limit = max(15.0, abs(drive.rabi) + 6.0)
     return np.linspace(-limit, limit, points)
 
 
@@ -147,45 +148,43 @@ def _real_part(value: complex, scale: float = 1.0) -> float:
 
 
 def _canonical_spectrum(drive: AtomDriveParams, nus=()) -> FixedConfigSpectra:
-    """Order-two spectra of the canonical configuration with coupling
-    ``gamma``, in the two surviving monomials only."""
-    config = canonical_configuration(drive.gamma)
-    return fixed_config_spectrum(assemble(config, drive, coupling=drive.gamma), nus,
-                                 (LADDER_MONOMIAL, CROSSED_MONOMIAL))
+    """Order-two spectra of the canonical configuration with unit
+    coupling, in the two surviving monomials only."""
+    return fixed_config_spectrum(assemble(canonical_configuration(), drive, coupling=1.0),
+                                 nus, (LADDER_MONOMIAL, CROSSED_MONOMIAL))
 
 
-def _per_power(value, drive: AtomDriveParams):
-    """Both detection atoms, per coupling power ``4|T|^2 = 4 gamma^2``."""
-    return 2.0 * value / (4.0 * drive.gamma ** 2)
+def _per_power(value):
+    """Both detection atoms, per coupling power ``4|T|^2 = 4``."""
+    return 2.0 * value / 4.0
 
 
-def _weight(value: complex, drive: AtomDriveParams) -> float:
-    value = _per_power(value, drive)
+def _weight(value: complex) -> float:
+    value = _per_power(value)
     return _real_part(value, scale=abs(value))
 
 
-def _channel(nus: np.ndarray, density: np.ndarray, elastic: complex,
-             drive: AtomDriveParams) -> SpectralFunctionGrid:
-    return SpectralFunctionGrid(nu=nus, values=np.real(_per_power(density, drive)) / np.pi,
-                                elastic_weight=_weight(elastic, drive))
+def _channel(nus: np.ndarray, density: np.ndarray, elastic: complex) -> SpectralFunctionGrid:
+    return SpectralFunctionGrid(nu=nus, values=np.real(_per_power(density)) / np.pi,
+                                elastic_weight=_weight(elastic))
 
 
-def _ladder(spec: FixedConfigSpectra, drive: AtomDriveParams) -> SpectralFunctionGrid:
+def _ladder(spec: FixedConfigSpectra) -> SpectralFunctionGrid:
     return _channel(spec.nu, spec.autocorrelation[LADDER_MONOMIAL],
-                    spec.elastic_autocorrelation[LADDER_MONOMIAL], drive)
+                    spec.elastic_autocorrelation[LADDER_MONOMIAL])
 
 
-def _crossed(spec: FixedConfigSpectra, drive: AtomDriveParams) -> SpectralFunctionGrid:
+def _crossed(spec: FixedConfigSpectra) -> SpectralFunctionGrid:
     return _channel(spec.nu, spec.exchange[CROSSED_MONOMIAL],
-                    spec.elastic_exchange[CROSSED_MONOMIAL], drive)
+                    spec.elastic_exchange[CROSSED_MONOMIAL])
 
 
 def elastic_weights(drive: AtomDriveParams) -> tuple:
     """Elastic (drive-frequency) weights of the background and of the
     interference channel at exact backscattering, from one solve."""
     spec = _canonical_spectrum(drive)
-    return (_weight(spec.elastic_autocorrelation[LADDER_MONOMIAL], drive),
-            _weight(spec.elastic_exchange[CROSSED_MONOMIAL], drive))
+    return (_weight(spec.elastic_autocorrelation[LADDER_MONOMIAL]),
+            _weight(spec.elastic_exchange[CROSSED_MONOMIAL]))
 
 
 def elastic_ladder(drive: AtomDriveParams) -> float:
@@ -210,7 +209,7 @@ def inelastic_ladder(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     """
     if nus is None:
         nus = default_grid(drive)
-    return _ladder(_canonical_spectrum(drive, nus), drive)
+    return _ladder(_canonical_spectrum(drive, nus))
 
 
 def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
@@ -218,7 +217,7 @@ def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     bundled with the channel's elastic weight."""
     if nus is None:
         nus = default_grid(drive)
-    return _crossed(_canonical_spectrum(drive, nus), drive)
+    return _crossed(_canonical_spectrum(drive, nus))
 
 
 def cbs_spectra(drive: AtomDriveParams, nus=None) -> CbsResult:
@@ -229,4 +228,4 @@ def cbs_spectra(drive: AtomDriveParams, nus=None) -> CbsResult:
     if nus is None:
         nus = default_grid(drive)
     spec = _canonical_spectrum(drive, nus)
-    return CbsResult(drive=drive, ladder=_ladder(spec, drive), crossed=_crossed(spec, drive))
+    return CbsResult(drive=drive, ladder=_ladder(spec), crossed=_crossed(spec))

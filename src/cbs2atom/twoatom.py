@@ -9,8 +9,9 @@ where each single-atom block is (lowering, raising, inversion) and the
 correlation block is the row-major Kronecker product (atom-1 index slow).
 Its equation of motion is ``dQ/dt = (A + V) Q + drive`` with a
 block-triangular drift ``A`` and a far-field photon-exchange coupling ``V``
-proportional to the complex amplitude ``T = 1.5j * gamma * exp(-1j*x) / x``
-(``x`` the interatomic distance in units of the inverse wavenumber).
+proportional to the complex amplitude ``T = 1.5j * exp(-1j*x) / x`` (``x``
+the interatomic distance in units of the inverse wavenumber, ``T`` in units
+of the decay rate).
 
 ``V`` splits into four channels, identified by which atom contributes the
 raising operator and whether the coupling enters with ``T`` or its
@@ -145,10 +146,10 @@ def _tagged_add(into: TaggedVector, key: tuple, value: np.ndarray) -> None:
         into[key] = value
 
 
-def exchange_coupling(x, gamma: float = 1.0):
-    """Far-field exchange amplitude ``T = 1.5j * gamma * exp(-1j*x) / x`` at
+def exchange_coupling(x):
+    """Far-field exchange amplitude ``T = 1.5j * exp(-1j*x) / x`` at
     separation ``x`` (a scalar or an array of separations)."""
-    return 1.5j * gamma * np.exp(-1j * x) / x
+    return 1.5j * np.exp(-1j * x) / x
 
 
 @dataclass(frozen=True)
@@ -157,27 +158,21 @@ class ScatteringConfig:
 
     Positions are measured in units of the inverse laser wavenumber, so
     the interatomic separation is directly the dimensionless retardation
-    parameter ``x`` and laser phases are plain dot products with the unit
-    propagation direction ``k_hat``.
+    parameter ``x``, and with the laser along z the laser phase at an atom
+    is its z coordinate.
     """
 
     r1: np.ndarray
     r2: np.ndarray
-    k_hat: np.ndarray = (0.0, 0.0, 1.0)
-    gamma: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("r1", "r2", "k_hat"):
+        for name in ("r1", "r2"):
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, vec)
-        if abs(np.linalg.norm(self.k_hat) - 1.0) > 1e-9:
-            raise ValueError("k_hat must be a unit vector")
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be finite and positive")
         if self.separation <= 0.0:
             raise ValueError("atoms must sit at distinct positions")
         if self.separation < 10.0:
@@ -195,34 +190,31 @@ class ScatteringConfig:
     @property
     def coupling(self) -> complex:
         """Far-field exchange amplitude, see :func:`exchange_coupling`."""
-        return exchange_coupling(self.separation, self.gamma)
+        return exchange_coupling(self.separation)
 
     @property
     def phase1(self) -> float:
-        """Laser propagation phase at atom 1."""
-        return float(self.k_hat @ self.r1)
+        """Laser propagation phase at atom 1, its z coordinate."""
+        return float(self.r1[2])
 
     @property
     def phase2(self) -> float:
-        """Laser propagation phase at atom 2."""
-        return float(self.k_hat @ self.r2)
+        """Laser propagation phase at atom 2, its z coordinate."""
+        return float(self.r2[2])
 
     @property
     def phase_difference(self) -> float:
-        """Phase mismatch ``k_hat . (r1 - r2)`` entering the interference channel."""
+        """Phase mismatch ``z1 - z2`` entering the interference channel."""
         return self.phase1 - self.phase2
 
     @classmethod
-    def from_separation(cls, x: float, *, gamma: float = 1.0,
-                        k_hat=(0.0, 0.0, 1.0), direction=(1.0, 0.0, 0.0),
-                        origin=(0.0, 0.0, 0.0)) -> "ScatteringConfig":
-        """Place atom 1 at ``origin`` and atom 2 at ``origin + x*direction``."""
-        origin = np.asarray(origin, dtype=float)
+    def from_separation(cls, x: float, *, direction=(1.0, 0.0, 0.0)) -> "ScatteringConfig":
+        """Place atom 1 at the origin and atom 2 at ``x*direction``."""
         step = np.asarray(direction, dtype=float)
         norm = np.linalg.norm(step)
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
-        return cls(r1=origin, r2=origin + (x / norm) * step, k_hat=np.asarray(k_hat, dtype=float), gamma=gamma)
+        return cls(r1=np.zeros(3), r2=(x / norm) * step)
 
 
 #: Interatomic distance of the canonical configuration.  Its coupling is
@@ -230,15 +222,14 @@ class ScatteringConfig:
 CANONICAL_SEPARATION = 100.0
 
 
-def canonical_configuration(gamma: float = 1.0) -> ScatteringConfig:
+def canonical_configuration() -> ScatteringConfig:
     """Atoms on the x axis with the laser along z: both laser phases vanish.
 
     By the gauge identity ``M(phase) = U M(0) U^-1`` every other geometry's
     coupling monomials are this one's times scalar coupling and phase
     factors, so callers override its coupling in :func:`assemble`.
     """
-    return ScatteringConfig.from_separation(
-        CANONICAL_SEPARATION, gamma=gamma, k_hat=(0.0, 0.0, 1.0), direction=(1.0, 0.0, 0.0))
+    return ScatteringConfig.from_separation(CANONICAL_SEPARATION)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,8 +305,7 @@ class TwoAtomGenerator:
 
         ``z`` may be an array; the result has shape ``z.shape + (9, 9)``.
         """
-        return resolve(self.drift[6:, 6:], z, np.eye(9), self.correlation_eigenvalues,
-                       self.config.gamma)
+        return resolve(self.drift[6:, 6:], z, np.eye(9), self.correlation_eigenvalues)
 
 
 def assemble(config: ScatteringConfig, drive: AtomDriveParams,
@@ -327,8 +317,6 @@ def assemble(config: ScatteringConfig, drive: AtomDriveParams,
     the geometric exchange amplitude (diagnostics: scaling checks and the
     decoupled limit).
     """
-    if abs(drive.gamma - config.gamma) > 1e-12 * config.gamma:
-        raise ValueError("drive and configuration disagree on the decay rate")
     atom1 = build(replace(drive, phase=drive.phase + config.phase1))
     atom2 = (atom1 if config.phase2 == config.phase1
              else build(replace(drive, phase=drive.phase + config.phase2)))

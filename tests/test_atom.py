@@ -11,8 +11,8 @@ from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS, conj_swap
 from cbs2atom.linalg import inverse3
 
 
-def make(rabi, delta=0.0, gamma=1.0, phase=0.0):
-    return atom.build(AtomDriveParams(rabi=rabi, delta=delta, gamma=gamma, phase=phase))
+def make(rabi, delta=0.0, phase=0.0):
+    return atom.build(AtomDriveParams(rabi=rabi, delta=delta, phase=phase))
 
 
 # ---------------------------------------------------------------- generator
@@ -41,9 +41,11 @@ def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         AtomDriveParams(rabi=-1.0)
     with pytest.raises(ValueError):
-        AtomDriveParams(rabi=1.0, gamma=0.0)
-    with pytest.raises(ValueError):
         AtomDriveParams(rabi=np.inf)
+    # the phase is keyword-only, so no positional third argument passes
+    # for it
+    with pytest.raises(TypeError):
+        AtomDriveParams(1.0, 0.0, 2.0)
 
 
 # ------------------------------------------------------------- steady state
@@ -197,13 +199,6 @@ def test_mollow_independent_of_drive_phase():
     b = make(2.0, delta=1.0, phase=2.1)
     for nu in (-4.0, -0.3, 1.7):
         assert abs(atom.mollow_p0(a, nu) - atom.mollow_p0(b, nu)) < 1e-12
-
-
-def test_mollow_scale_invariance_in_gamma():
-    # Measuring all rates in a unit twice as large halves the density.
-    a = make(2.0, delta=1.0)
-    b = make(4.0, delta=2.0, gamma=2.0)
-    assert abs(atom.mollow_p0(b, 2.6) - atom.mollow_p0(a, 1.3) / 2.0) < 1e-14
 
 
 # ------------------------------------------------------------ probe response

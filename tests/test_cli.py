@@ -285,14 +285,44 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
+# the oracle methods and every validate suite, in a second interpreter: the
+# sum-rules and oracle suites load residues, which the first one forbids
+_ORACLE_ROUTES = """
+import sys
+
+from cbs2atom.cli import SUITES, main
+
+out = sys.argv[1]
+for argv in (["spectrum", "--rabi", "2", "--method", "pump-probe", "--nu-points", "3"],
+             ["spectrum", "--rabi", "2", "--method", "oracle", "--samples", "1000",
+              "--nu-points", "5"]):
+    assert main([*argv, "--output", out]) == 0, argv
+for suite in SUITES:
+    assert main(["validate", suite]) == 0, suite
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
 def test_cli_routes_import_no_scipy(tmp_path):
     # a fresh interpreter: neither the production modules nor a spectrum,
     # sweep or `validate physics` route loads the residue oracle, and no
-    # such route loads scipy; pump-probe loads the shared quadrature
+    # such route loads scipy; pump-probe loads the shared quadrature.  A
+    # second one: neither do the oracle methods and the validate suites
     src = os.path.dirname(os.path.dirname(os.path.abspath(cbs2atom.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _IMPORT_GRAPH, str(tmp_path)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "sweep_summary.csv").exists()
+    for script, written in ((_IMPORT_GRAPH, "sweep_summary.csv"),
+                            (_ORACLE_ROUTES, "spectrum.json")):
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("suite", ["sum-rules", "equivalence", "oracle", "physics"])
+def test_validate_tolerance_bounds_every_check(capsys, suite):
+    # every row, `mollow-triplet-peaks` and its grid-step default included
+    main(["validate", suite, "--tolerance", "1e-300", "--nu-points", "31"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if " bound " in line]
+    assert rows and all(row[row.index("bound") + 1] == "1.000e-300" for row in rows)

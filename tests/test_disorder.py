@@ -125,16 +125,9 @@ def test_sampler_draws_inside_window_with_isotropic_orientations():
     assert np.max(np.abs(mean_dir / len(seps))) < 5 / np.sqrt(len(seps))
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
-def test_sampler_rejects_a_bad_decay_rate(gamma):
-    # checked once per sampler: the array draw builds no ScatteringConfig
-    with pytest.raises(ValueError, match="gamma"):
-        ConfigSampler(gamma=gamma)
-
-
 @pytest.mark.parametrize("seed", [3, 29])
 def test_geometry_arrays_match_the_sampled_configurations(seed):
-    sampler = ConfigSampler(samples=1000, seed=seed, gamma=2.0)
+    sampler = ConfigSampler(samples=1000, seed=seed)
     geometry = sampler.geometry()
     configs = list(sampler.configurations())
     coupling = np.array([c.coupling for c in configs])
@@ -277,7 +270,7 @@ def test_phased_monomials_carry_the_sample_variance():
 
 def canonical_spectrum(drive, nus):
     return fixed_config_spectrum(
-        assemble(canonical_configuration(drive.gamma), drive, coupling=1.0), nus)
+        assemble(canonical_configuration(), drive, coupling=1.0), nus)
 
 
 def sampled_geometry(sampler):
@@ -352,8 +345,3 @@ def test_selection_rule_holds_at_scale(drive):
                           (averaged.elastic_crossed, result.elastic_crossed)):
         assert abs(np.real(field.mean) - weight) <= 5 * field.stderr + 1e-12 * abs(weight)
 
-
-def test_sampler_and_drive_must_share_the_decay_rate():
-    sampler = ConfigSampler(samples=1000, gamma=2.0)
-    with pytest.raises(ValueError, match="decay rate"):
-        monte_carlo_spectra(DRIVE, sampler, [0.0])

@@ -9,15 +9,13 @@ from cbs2atom import atom
 from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError, inverse3, resolve
 
 
-def bloch_matrix(rabi, delta, gamma=1.0, phase=0.0):
-    return atom.build(
-        atom.AtomDriveParams(rabi=rabi, delta=delta, gamma=gamma, phase=phase)
-    ).M
+def bloch_matrix(rabi, delta, phase=0.0):
+    return atom.build(atom.AtomDriveParams(rabi=rabi, delta=delta, phase=phase)).M
 
 
-def characteristic_cubic(z, rabi, delta, gamma=1.0):
+def characteristic_cubic(z, rabi, delta):
     """Independent oracle: the cubic whose roots are the generator eigenvalues."""
-    return (z + 2 * gamma) * ((z + gamma) ** 2 + delta**2) + (z + gamma) * rabi**2
+    return (z + 2) * ((z + 1) ** 2 + delta**2) + (z + 1) * rabi**2
 
 
 def test_eigenvalues_undriven_atom():
@@ -76,15 +74,6 @@ def test_resolve_guard_covers_every_batch_element():
                            rtol=0, atol=1e-14)
 
 
-def test_resolve_guard_scales_with_the_decay_rate():
-    # a generator at gamma = 2: the guard radius is DEGENERACY_TOL * gamma
-    M = bloch_matrix(4.0, 1.0, gamma=2.0)
-    poles = np.linalg.eigvals(M)
-    with pytest.raises(PoleProximityError):
-        resolve(M, poles[0] + 1.5 * DEGENERACY_TOL, np.ones((3, 1)), poles, gamma=2.0)
-    resolve(M, poles[0] + 3.0 * DEGENERACY_TOL, np.ones((3, 1)), poles, gamma=2.0)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_resolve_rejects_non_finite_arguments(bad):
     # a nan compares False against the guard radius, so it is caught first
@@ -111,25 +100,26 @@ def test_resolve_stacks_matrix_and_vector_right_hand_sides():
 @given(
     log_rabi=st.floats(-4.0, np.log10(50.0)),
     delta=st.floats(-20.0, 20.0),
-    gamma=st.floats(0.25, 4.0).filter(lambda g: g != 1.0),
+    scale=st.floats(0.25, 4.0).filter(lambda s: s != 1.0),
     log_size=st.floats(np.log10(2 * DEGENERACY_TOL), 6.0),
     angle=st.one_of(st.sampled_from([-0.5 * np.pi, 0.5 * np.pi]),
                     st.floats(-0.5 * np.pi, 0.5 * np.pi)),
 )
-def test_closed_form_inverse_matches_dense_solve(log_rabi, delta, gamma, log_size, angle):
-    # every pole lies at least gamma left of the imaginary axis, so the
+def test_closed_form_inverse_matches_dense_solve(log_rabi, delta, scale, log_size, angle):
+    # a generator scaled as if the rates were measured in another unit:
+    # every pole lies at least ``scale`` left of the imaginary axis, so the
     # closed right half-plane is well conditioned; |z| runs from twice the
-    # guard radius to 1e6, on the imaginary axis and off it
-    params = atom.AtomDriveParams(rabi=10.0**log_rabi, delta=delta, gamma=gamma)
-    system = atom.build(params)
-    z = gamma * 10.0**log_size * np.exp(1j * angle)
-    got = inverse3(system.M, z, system.eigenvalues, gamma)
-    want = np.linalg.solve(z * np.eye(3) - system.M, np.eye(3))
+    # guard radius to 1e6 times the scale, on the imaginary axis and off it
+    system = atom.build(atom.AtomDriveParams(rabi=10.0**log_rabi, delta=delta))
+    M = scale * system.M
+    z = scale * 10.0**log_size * np.exp(1j * angle)
+    got = inverse3(M, z, scale * system.eigenvalues)
+    want = np.linalg.solve(z * np.eye(3) - M, np.eye(3))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(want, 2)
 
 
 def test_closed_form_inverse_at_the_jordan_point():
-    # rabi = gamma/2 on resonance: a defective generator, whose inverse the
+    # rabi = 1/2 on resonance: a defective generator, whose inverse the
     # cofactors still form without an eigenbasis
     M = bloch_matrix(0.5, 0.0)
     poles = np.linalg.eigvals(M)
@@ -156,25 +146,25 @@ def test_closed_form_inverse_keeps_an_unregistered_drive_undriven():
 
 
 def test_closed_form_inverse_guards_like_the_dense_solve():
-    M = bloch_matrix(2.0, 0.5, gamma=2.0)
+    M = bloch_matrix(2.0, 0.5)
     poles = np.linalg.eigvals(M)
-    near = np.array([0.3j, -2.0j, poles[1] + 1.5 * DEGENERACY_TOL])
+    near = np.array([0.3j, -2.0j, poles[1] + 0.5 * DEGENERACY_TOL])
 
-    def dense(M, z, poles, gamma):
-        return resolve(M, z, np.eye(3), poles, gamma)
+    def dense(M, z, poles):
+        return resolve(M, z, np.eye(3), poles)
 
     for kernel in (inverse3, dense):
         with pytest.raises(PoleProximityError):
-            kernel(M, poles[0], poles, 2.0)
+            kernel(M, poles[0], poles)
         with pytest.raises(PoleProximityError):
-            kernel(M, near, poles, 2.0)
+            kernel(M, near, poles)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             with pytest.raises(ValueError, match="finite"):
-                kernel(M, bad, poles, 2.0)
+                kernel(M, bad, poles)
             with pytest.raises(ValueError, match="finite"):
-                kernel(M, np.array([[0.5j, -1.0j], [bad, 2.0j]]), poles, 2.0)
-    assert inverse3(M, near[:2], poles, 2.0).shape == (2, 3, 3)
-    assert inverse3(M, poles[1] + 3.0 * DEGENERACY_TOL, poles, 2.0).shape == (3, 3)
+                kernel(M, np.array([[0.5j, -1.0j], [bad, 2.0j]]), poles)
+    assert inverse3(M, near[:2], poles).shape == (2, 3, 3)
+    assert inverse3(M, poles[1] + 3.0 * DEGENERACY_TOL, poles).shape == (3, 3)
 
 
 def test_kron_identity_and_flat_index():

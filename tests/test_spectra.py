@@ -20,8 +20,8 @@ from cbs2atom.twoatom import (
 )
 
 
-def drive(rabi, delta=0.0, gamma=1.0):
-    return AtomDriveParams(rabi=rabi, delta=delta, gamma=gamma)
+def drive(rabi, delta=0.0):
+    return AtomDriveParams(rabi=rabi, delta=delta)
 
 
 def selected_channels(config, drv, nus):
@@ -150,18 +150,6 @@ def test_elastic_weights_even_in_detuning():
                    - spectra.elastic_crossed(drive(rabi, -delta))) < 1e-14
 
 
-def test_reduced_weights_scale_with_decay_rate():
-    # per coupling power the elastic weights carry 1/gamma^2 and the
-    # densities 1/gamma^3; the shape depends only on rabi/gamma, delta/gamma
-    a = drive(2.0, 1.0, gamma=1.0)
-    b = drive(6.0, 3.0, gamma=3.0)
-    assert abs(9.0 * spectra.elastic_ladder(b) - spectra.elastic_ladder(a)) < 1e-15
-    nus = np.array([-1.0, 0.4, 2.0])
-    da = spectra.inelastic_ladder(a, nus=nus).values
-    db = spectra.inelastic_ladder(b, nus=3.0 * nus).values
-    assert np.max(np.abs(27.0 * db - da)) < 1e-15
-
-
 # ------------------------------------ brute-force fixed-configuration check
 
 
@@ -198,7 +186,7 @@ def test_production_equals_the_full_evaluation(rabi, delta):
     nus = default_grid(d, 61)
     pruned = spectra._canonical_spectrum(d, nus)
     full = fixed_config_spectrum(
-        assemble(canonical_configuration(d.gamma), d, coupling=d.gamma), nus)
+        assemble(canonical_configuration(), d, coupling=1.0), nus)
     assert set(pruned.autocorrelation) == {LADDER_MONOMIAL, CROSSED_MONOMIAL}
     for name, mono in (("autocorrelation", LADDER_MONOMIAL), ("exchange", CROSSED_MONOMIAL),
                        ("elastic_autocorrelation", LADDER_MONOMIAL),
