@@ -86,7 +86,7 @@ class AtomDriveParams:
         return self.rabi * np.exp(1j * self.phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochSystem:
     """Drift generator and drive vector of one atom.
 
@@ -206,7 +206,7 @@ def delta_sigma_second(sys: BlochSystem, omega) -> np.ndarray:
                             delta_sigma_first(sys, +1, omega))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeResponseSet:
     """Closed-form response vectors seeding the spectral correlation functions.
 

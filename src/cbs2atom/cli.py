@@ -53,8 +53,6 @@ class RunConfig:
     nu_max: float = 15.0
     nu_points: int = 601
     method: str = "analytic"
-    x0: float = 200.0
-    periods: int = 8
     samples: int = 10_000
     seed: int = 0
     output: str = "."
@@ -75,8 +73,6 @@ class RunConfig:
             raise ValueError(f"method must be one of {METHODS}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.method == "oracle" and self.samples < 1_000:
-            raise ValueError("the sampling oracle needs at least 1000 samples")
 
     @property
     def drive(self) -> AtomDriveParams:
@@ -191,9 +187,8 @@ def _evaluate(cfg: RunConfig) -> tuple:
                            SpectralFunctionGrid(nus, got["ladder"], ladder_weight),
                            SpectralFunctionGrid(nus, got["crossed"], crossed_weight))
     else:
-        sampler = ConfigSampler(x_start=cfg.x0, periods=cfg.periods,
-                                samples=cfg.samples, seed=cfg.seed)
-        averaged = monte_carlo_spectra(drive, sampler, nus)
+        averaged = monte_carlo_spectra(
+            drive, ConfigSampler(samples=cfg.samples, seed=cfg.seed), nus)
         result = CbsResult(
             drive,
             SpectralFunctionGrid(nus, np.real(averaged.ladder.mean) / np.pi,
@@ -248,6 +243,7 @@ def cmd_spectrum(cfg: RunConfig, basename: str = "spectrum") -> list:
 # ----------------------------------------------------------------------------
 # validation suites
 # ----------------------------------------------------------------------------
+# each suite returns rows (check name, deviation, default bound)
 
 
 def _drawn_system(rng):
@@ -256,7 +252,7 @@ def _drawn_system(rng):
                                  phase=rng.uniform(0.0, 2 * np.pi)))
 
 
-def _suite_sum_rules(tolerance: float, nu_points: int) -> list:
+def _suite_sum_rules(nu_points: int) -> list:
     from cbs2atom.residues import check_sum_rule_I, check_sum_rule_II, check_sum_rule_III
 
     rng = np.random.default_rng(2024)
@@ -272,16 +268,16 @@ def _suite_sum_rules(tolerance: float, nu_points: int) -> list:
         z = 1j * rng.uniform(-4, 4)
         worst["sum-rule-III"] = max(
             worst["sum-rule-III"], check_sum_rule_III(one, z, -z, rng=rng))
-    return [(name, dev, tolerance) for name, dev in worst.items()]
+    return [(name, dev, 1e-10) for name, dev in worst.items()]
 
 
-def _suite_equivalence(tolerance: float, nu_points: int) -> list:
+def _suite_equivalence(nu_points: int) -> list:
     rows = equivalence_report(nus=np.linspace(-15.0, 15.0, nu_points))
     return [
-        ("probe-extraction-p0", max(r.dev_p0 for r in rows), tolerance),
-        ("probe-extraction-plus", max(r.dev_plus for r in rows), tolerance),
-        ("probe-extraction-minus", max(r.dev_minus for r in rows), tolerance),
-        ("probe-extraction-mixed", max(r.dev_mixed for r in rows), tolerance),
+        ("probe-extraction-p0", max(r.dev_p0 for r in rows), 1e-6),
+        ("probe-extraction-plus", max(r.dev_plus for r in rows), 1e-6),
+        ("probe-extraction-minus", max(r.dev_minus for r in rows), 1e-6),
+        ("probe-extraction-mixed", max(r.dev_mixed for r in rows), 1e-6),
     ]
 
 
@@ -292,7 +288,7 @@ def _deviations(got: SpectralFunctionGrid, ref: SpectralFunctionGrid) -> tuple:
             abs(got.elastic_weight - ref.elastic_weight) / abs(ref.elastic_weight))
 
 
-def _suite_oracle(tolerance: float, nu_points: int) -> list:
+def _suite_oracle(nu_points: int) -> list:
     """Production channels against a generic geometry (``fixed-config-*``,
     the gauge identity behind the canonical configuration) and against the
     closed form in single-atom observables (``compact-*``, an independent
@@ -336,13 +332,10 @@ def _suite_oracle(tolerance: float, nu_points: int) -> list:
             checks[name] = max(checks[name], density)
             checks[f"{route}-elastic-{channel}"] = max(
                 checks[f"{route}-elastic-{channel}"], elastic)
-    return [(name, dev, tolerance) for name, dev in checks.items()]
+    return [(name, dev, 1e-8) for name, dev in checks.items()]
 
 
-def _suite_physics(tolerance, nu_points: int) -> list:
-    def bound(default: float) -> float:
-        return default if tolerance is None else tolerance
-
+def _suite_physics(nu_points: int) -> list:
     checks = []
 
     # fluorescence normalization: the inelastic integral (the rule's weights
@@ -352,8 +345,7 @@ def _suite_physics(tolerance, nu_points: int) -> list:
     variance = float(np.real((1.0 + steady[2]) / 2.0 - steady[1] * steady[0]))
     nodes, weights = line_rule(pole_clusters(system))
     integral = 2.0 * np.pi * float(weights @ mollow_p0(system, nodes))
-    checks.append(("mollow-normalization", abs(integral - variance),
-                   bound(1e-6)))
+    checks.append(("mollow-normalization", abs(integral - variance), 1e-6))
 
     # triplet peaks at 0 and +-rabi for a well-split strong drive; the
     # grid step is half the natural linewidth, coarse enough not to
@@ -366,22 +358,18 @@ def _suite_physics(tolerance, nu_points: int) -> list:
     peaks = np.sort(grid[1:-1][interior])
     peak_dev = (np.inf if len(peaks) != 3
                 else float(np.max(np.abs(peaks - np.array([-10.0, 0.0, 10.0])))))
-    checks.append(("mollow-triplet-peaks", peak_dev, bound(step * 1.0001)))
+    checks.append(("mollow-triplet-peaks", peak_dev, step * 1.0001))
 
     # weak-drive interference recovery on the averaged channels
     weak = AtomDriveParams(rabi=1e-3, delta=0.0)
-    ladder_weight, crossed_weight = elastic_weights(weak)
-    ratio_dev = abs(crossed_weight / ladder_weight - 1.0)
-    checks.append(("weak-drive-reciprocity", ratio_dev, bound(1e-4)))
     result = cbs_spectra(weak, nus=np.linspace(-15.0, 15.0, max(nu_points, 201)))
-    checks.append(("weak-drive-enhancement",
-                   abs(result.enhancement - 2.0), bound(1e-3)))
+    ratio_dev = abs(result.elastic_crossed / result.elastic_ladder - 1.0)
+    checks.append(("weak-drive-reciprocity", ratio_dev, 1e-4))
+    checks.append(("weak-drive-enhancement", abs(result.enhancement - 2.0), 1e-3))
     checks.append(("weak-drive-ladder-positivity",
-                   max(0.0, -float(np.min(result.ladder.values))),
-                   bound(1e-10)))
+                   max(0.0, -float(np.min(result.ladder.values))), 1e-10))
     bound_dev = max(0.0, 1.0 - result.enhancement, result.enhancement - 2.0)
-    checks.append(("weak-drive-enhancement-bounds",
-                   bound_dev, bound(1e-6)))
+    checks.append(("weak-drive-enhancement-bounds", bound_dev, 1e-6))
     return checks
 
 
@@ -391,18 +379,15 @@ def cmd_validate(suite: str, tolerance=None, nu_points: int = 601,
     stream = stream or sys.stdout
     runners = {"sum-rules": _suite_sum_rules, "equivalence": _suite_equivalence,
                "oracle": _suite_oracle, "physics": _suite_physics}
-    defaults = {"sum-rules": 1e-10, "equivalence": 1e-6, "oracle": 1e-8}
     if suite not in runners:
         raise ValueError(f"suite must be one of {SUITES}")
     if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     if nu_points < 3:
         raise ValueError("need at least 3 frequency points")
-    if suite == "physics":
-        checks = runners[suite](tolerance, nu_points)
-    else:
-        checks = runners[suite](defaults[suite] if tolerance is None else tolerance,
-                                nu_points)
+    checks = runners[suite](nu_points)
+    if tolerance is not None:
+        checks = [(name, deviation, tolerance) for name, deviation, _ in checks]
     failed = None
     for name, deviation, bound in checks:
         ok = deviation <= bound
@@ -518,12 +503,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, sweep: bool) -> None:
     parser.add_argument("--nu-max", type=float, default=RunConfig.nu_max)
     parser.add_argument("--nu-points", type=int, default=RunConfig.nu_points)
     parser.add_argument("--method", choices=METHODS, default=RunConfig.method)
-    parser.add_argument("--x0", type=float, default=RunConfig.x0,
-                        help="start of the oracle's interatomic-distance window")
-    parser.add_argument("--periods", type=int, default=RunConfig.periods,
-                        help="whole distance-phase periods in the window")
     parser.add_argument("--samples", type=int, default=RunConfig.samples,
-                        help="oracle sample count")
+                        help="oracle sample count (at least 1000)")
     parser.add_argument("--seed", type=int, default=RunConfig.seed)
     parser.add_argument("--output", default=RunConfig.output,
                         help="directory for the emitted files")

@@ -7,17 +7,22 @@ Two routes to the ensemble average of the double-scattering signal:
   net distance phase and zero net laser phase survive; `select_surviving`
   filters a tagged term collection down to the surviving monomial of a
   detection channel.
-* sampling — `ConfigSampler` draws random two-atom geometries and
-  `monte_carlo_average` / `monte_carlo_spectra` average per-configuration
-  observables over them, with standard errors.  `monte_carlo_spectra`
-  keeps every coupling monomial, so it checks the selection rule
-  independently: the monomials it drops have to average to zero.
+* sampling — `ConfigSampler.geometry` draws every random two-atom
+  geometry at once, as arrays, and `monte_carlo_spectra` averages the
+  order-two spectra over them, with standard errors.  It keeps every
+  coupling monomial, so it checks the selection rule independently: the
+  monomials it drops have to average to zero.
+
+Separations are uniform on the fixed window ``[WINDOW_START, WINDOW_START
++ 2 pi WINDOW_PERIODS]`` = ``[200, 200 + 16 pi]``: far enough out for the
+dipole coupling's far field, and whole periods of the distance phase
+``e^(2ix)``, so phased monomials cancel at the window level, not just
+statistically.
 
 `monte_carlo_spectra` solves the two-atom equations once, on the canonical
 configuration of :func:`cbs2atom.twoatom.canonical_configuration`.  By the
 gauge identity ``M(phase) = U M(0) U^-1`` each sampled geometry's monomial
-is the canonical one times a scalar coupling and phase factor.  The
-sampler draws all geometries as arrays (`ConfigSampler.geometry`), so the
+is the canonical one times a scalar coupling and phase factor, so the
 samples cost array arithmetic over those factors, with no per-sample
 object.  The identity itself is checked elsewhere: against brute-force
 solves of sampled geometries in the tests, and by the ``fixed-config-*``
@@ -39,12 +44,17 @@ from cbs2atom.twoatom import (
     COUPLING_TAGS,
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
-    ScatteringConfig,
     assemble,
     canonical_configuration,
     exchange_coupling,
     fixed_config_spectrum,
 )
+
+
+#: Start of the sampled distance window, in units of 1/k.
+WINDOW_START = 200.0
+#: Whole periods ``2 pi`` of the distance phase the window spans.
+WINDOW_PERIODS = 8
 
 
 class BookkeepingError(ValueError):
@@ -80,7 +90,7 @@ def select_surviving(tagged, channel: str, backscatter_phase: complex = 1.0) -> 
     raise ValueError(f"unknown channel {channel!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledGeometry:
     """Sampled two-atom geometries as arrays: atom 1 at the origin, atom 2
     at ``separation * direction``, the laser along z.  The array
@@ -103,50 +113,33 @@ class SampledGeometry:
 
 @dataclass(frozen=True)
 class ConfigSampler:
-    """Random two-atom geometries: distance window plus isotropic orientation.
+    """Random two-atom geometries: ``samples`` separations uniform on the
+    module's distance window, orientations uniform on the sphere, the
+    laser along z, all drawn at once by :meth:`geometry`."""
 
-    Distances are uniform on ``[x_start, x_start + 2 pi periods]`` (whole
-    oscillation periods, so phased monomials cancel at the window level,
-    not just statistically); orientations are uniform on the sphere; the
-    laser propagates along z.
-    """
-
-    x_start: float = 200.0
-    periods: int = 8
     samples: int = 10_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.x_start) and self.x_start >= 50.0):
-            raise ValueError("distance window must start at a finite x >= 50")
-        if int(self.periods) != self.periods or self.periods < 8:
-            raise ValueError("need at least 8 whole distance periods")
         if self.samples < 1_000:
-            raise ValueError("need at least 1000 samples")
-        # far out, x_start + 2 pi periods rounds to the float spacing: the
-        # window shrinks or vanishes and the separations are quantised
-        width = 2.0 * np.pi * self.periods
-        if not abs(self.x_stop - self.x_start - width) <= 1e-9 * width:
-            raise ValueError(
-                f"distance window at x_start={self.x_start:g} is not resolvable in finite "
-                f"precision: its width rounds to {self.x_stop - self.x_start:g}, not {width:g}")
+            raise ValueError("the sampling oracle needs at least 1000 samples")
 
     @property
     def x_stop(self) -> float:
-        return self.x_start + 2.0 * np.pi * self.periods
+        return WINDOW_START + 2.0 * np.pi * WINDOW_PERIODS
 
     @property
     def coupling_power_mean(self) -> float:
         """Window mean of 4|T|^2 = 9 / x^2, evaluated analytically."""
-        width = self.x_stop - self.x_start
-        return 9.0 * (1.0 / self.x_start - 1.0 / self.x_stop) / width
+        width = self.x_stop - WINDOW_START
+        return 9.0 * (1.0 / WINDOW_START - 1.0 / self.x_stop) / width
 
     def geometry(self, rng: np.random.Generator | None = None) -> SampledGeometry:
         """Draw every sample at once: first all separations, then all
         directions (normalised; a row shorter than 1e-8 is redrawn).
         ``rng`` defaults to a generator seeded with ``seed``."""
         rng = np.random.default_rng(self.seed) if rng is None else rng
-        separation = rng.uniform(self.x_start, self.x_stop, self.samples)
+        separation = rng.uniform(WINDOW_START, self.x_stop, self.samples)
         direction = rng.standard_normal((self.samples, 3))
         norm = np.linalg.norm(direction, axis=1)
         short = np.flatnonzero(norm < 1e-8)
@@ -156,14 +149,8 @@ class ConfigSampler:
             short = short[norm[short] < 1e-8]
         return SampledGeometry(separation, direction / norm[:, None])
 
-    def configurations(self):
-        """The samples of :meth:`geometry`, one `ScatteringConfig` each."""
-        geometry = self.geometry()
-        for x, direction in zip(geometry.separation, geometry.direction):
-            yield ScatteringConfig.from_separation(x, direction=direction)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloResult:
     mean: np.ndarray
     stderr: np.ndarray
@@ -171,7 +158,8 @@ class MonteCarloResult:
 
 
 def _reduce(values: np.ndarray, samples: int, scale: float = 1.0) -> MonteCarloResult:
-    """Sample mean and standard error, both divided by ``scale``."""
+    """Sample mean and standard error of per-sample ``values``, both divided
+    by ``scale``: the reference that `_reduce_monomials` is checked against."""
     mean = values.mean(axis=0)
     if samples > 1:
         spread = np.sqrt(np.sum(np.abs(values - mean) ** 2, axis=0)
@@ -181,20 +169,7 @@ def _reduce(values: np.ndarray, samples: int, scale: float = 1.0) -> MonteCarloR
     return MonteCarloResult(mean=mean / scale, stderr=spread / scale, samples=samples)
 
 
-def monte_carlo_average(observable, sampler: ConfigSampler, *,
-                        normalize: bool = False) -> MonteCarloResult:
-    """Sample mean and standard error of a per-configuration observable.
-
-    With ``normalize`` the mean and error are divided by the analytic
-    window mean of the coupling power 4|T|^2 (the common prefactor of
-    all double-scattering quantities).
-    """
-    values = np.asarray([observable(config) for config in sampler.configurations()])
-    scale = sampler.coupling_power_mean if normalize else 1.0
-    return _reduce(values, sampler.samples, scale)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisorderAveragedSpectra:
     """Monte-Carlo averages of the order-two detection channels.
 

@@ -64,7 +64,7 @@ def simpson(y, x):
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralFunctionGrid:
     """A real spectral density on an ascending frequency grid.
 
@@ -97,7 +97,7 @@ class SpectralFunctionGrid:
         return self.elastic_weight + self.integrated()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CbsResult:
     """Elastic weights, inelastic densities, and the interference contrast.
 

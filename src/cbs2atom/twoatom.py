@@ -152,7 +152,7 @@ def exchange_coupling(x):
     return 1.5j * np.exp(-1j * x) / x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScatteringConfig:
     """Geometry of one fixed two-atom configuration.
 
@@ -478,7 +478,7 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
 # -- fixed-configuration spectra -----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedConfigSpectra:
     """Order-two dipole-correlation spectra of one fixed configuration.
 

@@ -156,12 +156,24 @@ def test_zero_drive_exits_with_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("x0", ["nan", "inf", "1e17", "1e300"])
-def test_non_finite_window_start_exits_with_usage_error(tmp_path, capsys, x0):
-    argv = ["spectrum", "--rabi", "2", "--method", "oracle", "--x0", x0, *GRID,
+@pytest.mark.parametrize("flag", ["--x0", "--periods"])
+def test_the_oracle_window_has_no_flag(tmp_path, capsys, flag):
+    argv = ["spectrum", "--rabi", "2", "--method", "oracle", flag, "200", *GRID,
+            "--output", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["spectrum", "--rabi", "2"],
+                                     ["sweep", "--rabi", "0.7", "2"]])
+def test_too_few_oracle_samples_exit_with_usage_error(tmp_path, capsys, command):
+    argv = [*command, "--method", "oracle", "--samples", "10", *GRID,
             "--output", str(tmp_path)]
     assert main(argv) == 2
-    assert "finite" in capsys.readouterr().err
+    assert "at least 1000 samples" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -200,6 +212,33 @@ def test_sweep_summary_header_lists_every_drive(tmp_path, capsys):
     point = (tmp_path / "sweep_r2_d1p5.csv").read_text().splitlines()
     assert point[0] == "# cbs2atom spectrum table"
     assert "# rabi=2.0" in point and "# detuning=1.5" in point
+
+
+@pytest.mark.parametrize("method, fmt", [("oracle", "csv"), ("oracle", "json"),
+                                         ("pump-probe", "csv")])
+def test_sweep_through_the_oracle_methods(tmp_path, capsys, method, fmt):
+    # every point's table has its method's columns, and every summary row
+    # is its point's sidecar
+    argv = ["sweep", "--rabi", 0.7, 2, "--method", method, "--format", fmt,
+            "--samples", 1000, *GRID, "--output", tmp_path]
+    assert run(argv, capsys) == 0
+    columns = ["nu", "L_inel", "C_inel"]
+    if method == "oracle":
+        columns += ["L_inel_err", "C_inel_err"]
+    summary = read_csv(tmp_path / "sweep_summary.csv")
+    for i, name in enumerate(["sweep_r0p7_d0", "sweep_r2_d0"]):
+        sidecar = json.loads((tmp_path / f"{name}.json").read_text())
+        table = sidecar["table"] if fmt == "json" else read_csv(tmp_path / f"{name}.csv")
+        assert sorted(table) == sorted(columns)
+        if fmt == "csv":
+            assert list(table) == columns
+        assert all(len(table[column]) == 7 for column in columns)
+        assert sidecar["parameters"]["method"] == method
+        assert summary["rabi"][i] == sidecar["parameters"]["rabi"]
+        assert summary["detuning"][i] == sidecar["parameters"]["detuning"]
+        assert summary["L_el"][i] == sidecar["elastic_ladder"]
+        assert summary["C_el"][i] == sidecar["elastic_crossed"]
+        assert summary["enhancement"][i] == sidecar["enhancement"]
 
 
 @pytest.mark.parametrize("rabis", [["2", "2.0000000001"], ["2", "-1"], ["2", "1e-300"]],

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson, solve_ivp
 
-from cbs2atom import residues
+from cbs2atom import disorder, residues, spectra
 from cbs2atom import twoatom as ta
 from cbs2atom.atom import (
     DELTA_MINUS,
@@ -17,6 +17,7 @@ from cbs2atom.atom import (
     build,
     g0_vectors,
     mollow_p0,
+    probe_vectors,
 )
 from cbs2atom.linalg import PoleProximityError
 
@@ -76,6 +77,33 @@ def test_from_separation_normalizes_direction():
     assert np.array_equal(cfg.r2, [0.0, 250.0, 0.0])
     with pytest.raises(ValueError):
         ta.ScatteringConfig.from_separation(250.0, direction=(0, 0, 0))
+
+
+_NUS = np.array([-1.0, 0.0, 1.7])
+
+#: a builder per result class that holds numpy arrays
+_ARRAY_HOLDERS = {
+    "ScatteringConfig": lambda: ta.ScatteringConfig.from_separation(250.0),
+    "BlochSystem": lambda: build(DRIVE),
+    "ProbeResponseSet": lambda: probe_vectors(build(DRIVE), _NUS),
+    "FixedConfigSpectra": lambda: ta.fixed_config_spectrum(make_gen(), _NUS),
+    "SpectralFunctionGrid": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS).ladder,
+    "CbsResult": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS),
+    "SampledGeometry": lambda: disorder.ConfigSampler(samples=1000).geometry(),
+    "MonteCarloResult": lambda: disorder._reduce(np.ones((1000, 2)), 1000),
+    "DisorderAveragedSpectra": lambda: disorder.monte_carlo_spectra(
+        DRIVE, disorder.ConfigSampler(samples=1000), _NUS),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARRAY_HOLDERS))
+def test_array_holders_compare_and_hash_by_identity(name):
+    # dataclass equality over array fields would ask an array for its
+    # truth value, and hashing would hash an array
+    first, second = _ARRAY_HOLDERS[name](), _ARRAY_HOLDERS[name]()
+    assert type(first).__name__ == name
+    assert (first == second) is False and (first == first) is True
+    assert isinstance(hash(first), int)
 
 
 # ---------------------------------------------------------- coupling blocks
