@@ -91,7 +91,8 @@ class BlochSystem:
     """Drift generator and drive vector of one atom.
 
     The Bloch vector (lowering, raising, inversion) obeys
-    ``d<s>/dt = M @ <s> + L``.
+    ``d<s>/dt = M @ <s> + L``.  Built from a sequence of drives, it stacks
+    one ``M`` per drive along a leading axis; ``L`` is the same for all.
     """
 
     params: AtomDriveParams
@@ -112,14 +113,17 @@ class BlochSystem:
         """Resolvent ``(z - M)^{-1}`` for a scalar or an array of ``z``.
 
         Cofactors over determinant, elementwise over the stack (shape
-        ``z.shape + (3, 3)``; :func:`cbs2atom.linalg.inverse3`), so it needs
+        ``S_d + z.shape + (3, 3)``; :func:`cbs2atom.linalg.inverse3`), so it needs
         no eigenvectors and is exact at defective (Jordan-point) drives too.
         """
         return inverse3(self.M, z, self.eigenvalues)
 
 
-def build(params: AtomDriveParams) -> BlochSystem:
-    """Assemble the Bloch system for the given drive parameters."""
+def build(params) -> BlochSystem:
+    """Assemble the Bloch system of one drive, or the stack of a sequence's."""
+    if not isinstance(params, AtomDriveParams):
+        stack = [build(one) for one in params]
+        return BlochSystem(tuple(params), np.stack([one.M for one in stack]), stack[0].L)
     d = params.delta
     om = params.local_rabi
     M = np.array(

@@ -25,6 +25,7 @@ from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
     cbs_spectra,
+    cbs_spectra_stack,
     elastic_weights,
 )
 from cbs2atom.twoatom import (
@@ -172,14 +173,14 @@ def _plot_script(table: str, sidecar: str, png: str) -> str:
 # ----------------------------------------------------------------------------
 
 
-def _evaluate(cfg: RunConfig) -> tuple:
+def _evaluate(cfg: RunConfig, result: CbsResult | None = None) -> tuple:
     """Averaged signal, table columns and sidecar summary of one
-    configuration."""
+    configuration; an analytic ``result`` solved beforehand is passed in."""
     nus = cfg.grid
     drive = cfg.drive
     err_columns, err_summary = {}, {}
     if cfg.method == "analytic":
-        result = cbs_spectra(drive, nus=nus)
+        result = cbs_spectra(drive, nus=nus) if result is None else result
     elif cfg.method == "pump-probe":
         got = channel_densities(drive, nus)
         ladder_weight, crossed_weight = elastic_weights(drive)
@@ -437,8 +438,8 @@ print("wrote sweep_summary.png")
 def cmd_sweep(rabis, detunings, base: RunConfig) -> list:
     """One spectrum per grid point plus a summary table and plot script.
 
-    Points are evaluated sequentially in the given order so that outputs
-    and summary rows are deterministic.
+    Files and summary rows follow the given order of the points; analytic points
+    are solved as one stack (:func:`cbs2atom.spectra.cbs_spectra_stack`), others one by one.
     """
     rabis = list(rabis)
     detunings = list(detunings) or [RunConfig.detuning]
@@ -458,7 +459,10 @@ def cmd_sweep(rabis, detunings, base: RunConfig) -> list:
                     f"sweep points (rabi {other.rabi!r}, detuning {other.detuning!r}) and "
                     f"(rabi {rabi!r}, detuning {detuning!r}) would both write {name}.*")
             points[name] = cfg
-    evaluated = {name: (cfg, *_evaluate(cfg)) for name, cfg in points.items()}
+    solved = ([None] * len(points) if base.method != "analytic" else
+              cbs_spectra_stack([cfg.drive for cfg in points.values()], base.grid))
+    evaluated = {name: (cfg, *_evaluate(cfg, result))
+                 for (name, cfg), result in zip(points.items(), solved)}
     os.makedirs(base.output, exist_ok=True)
     written = []
     summary = {name: [] for name in
@@ -549,9 +553,8 @@ def main(argv=None) -> int:
         elif args.command == "validate":
             return cmd_validate(args.suite, args.tolerance, args.nu_points)
         else:
-            detunings = args.detuning or [RunConfig.detuning]
-            base = _config_from_args(args, rabi=args.rabi[0], detuning=detunings[0])
-            written = cmd_sweep(args.rabi, detunings, base)
+            base = _config_from_args(args, rabi=args.rabi[0], detuning=RunConfig.detuning)
+            written = cmd_sweep(args.rabi, args.detuning, base)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

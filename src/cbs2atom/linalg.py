@@ -34,18 +34,19 @@ class PoleProximityError(ValueError):
     """Raised when a resolvent is evaluated too close to an eigenvalue."""
 
 
-def _guarded(z, eigenvalues: np.ndarray) -> np.ndarray:
-    """``z`` as a complex array, once every element is finite and at least
-    ``DEGENERACY_TOL`` from every eigenvalue."""
+def _shifted(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
+    """``z - M`` over ``S_d + z.shape`` for ``M`` of shape ``S_d + (n, n)`` (one matrix is
+    not lifted: faster), once each ``z`` is finite and clear of its matrix's eigenvalues."""
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("resolvent argument z must be finite")
-    gap = np.abs(z[..., None] - eigenvalues)
+    lift = (..., *(None,) * (z.ndim if M.ndim > 2 else 0), slice(None))
+    gap = np.abs(z[..., None] - eigenvalues[lift])
     if (gap < DEGENERACY_TOL).any():
         gap = np.min(gap, axis=-1)
-        raise PoleProximityError(
-            f"z={z.flat[np.argmin(gap)]} within {np.min(gap):.3e} of an eigenvalue")
-    return z
+        raise PoleProximityError(f"z={np.broadcast_to(z, gap.shape).flat[np.argmin(gap)]} "
+                                 f"within {np.min(gap):.3e} of an eigenvalue")
+    return z[..., None, None] * np.eye(M.shape[-1]) - M[lift + (slice(None),)]
 
 
 def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
@@ -53,7 +54,7 @@ def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
 
     With ``A = z - M`` the inverse is the transposed cofactor matrix over
     ``det A``, the determinant expanded along the first row of ``A``, all
-    of it elementwise over the ``z`` stack (shape ``z.shape + (3, 3)``).
+    of it elementwise over ``S_d + z.shape`` for ``M`` of shape ``S_d + (3, 3)``.
     The determinant comes from the entries of ``A``, not from
     ``prod(z - eigenvalues)``, so a drive too weak to register in double
     precision leaves the undriven inverse exactly as it is.
@@ -66,8 +67,7 @@ def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
     PoleProximityError
         If an element of ``z`` is within ``DEGENERACY_TOL`` of an eigenvalue.
     """
-    z = _guarded(z, eigenvalues)
-    A = z[..., None, None] * np.eye(3) - M
+    A = _shifted(M, z, eigenvalues)
     rows_next, rows_after = A.take(_NEXT, axis=-2), A.take(_AFTER, axis=-2)
     cofactor = (rows_next.take(_NEXT, axis=-1) * rows_after.take(_AFTER, axis=-1)
                 - rows_next.take(_AFTER, axis=-1) * rows_after.take(_NEXT, axis=-1))
@@ -78,10 +78,10 @@ def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
 def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
     """``(z - M)^{-1} rhs`` for an array of ``z``, as one stacked dense solve.
 
-    ``z`` has shape ``S``; ``rhs`` is an ``(n, k)`` matrix or a stack of
-    them that broadcasts against ``S``.  Pass the identity for the
-    resolvent itself and ``vec[..., None]`` for vectors.  ``eigenvalues``
-    is the spectrum of ``M``, which sets the poles.
+    ``z`` has shape ``S`` and ``M`` ``S_d + (n, n)`` (:func:`_shifted`); ``rhs`` is
+    an ``(n, k)`` matrix or a stack of them that broadcasts against ``S_d + S``.
+    Pass the identity for the resolvent itself and ``vec[..., None]`` for
+    vectors.  ``eigenvalues`` is the spectrum of ``M``, which sets the poles.
 
     Raises
     ------
@@ -90,5 +90,4 @@ def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray) -> np.nd
     PoleProximityError
         If an element of ``z`` is within ``DEGENERACY_TOL`` of an eigenvalue.
     """
-    z = _guarded(z, eigenvalues)
-    return np.linalg.solve(z[..., None, None] * np.eye(len(M)) - M, rhs)
+    return np.linalg.solve(_shifted(M, z, eigenvalues), rhs)

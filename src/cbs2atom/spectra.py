@@ -15,7 +15,9 @@ By the gauge identity ``M(phase) = U M(0) U^-1`` and because the exchange
 amplitude enters each monomial only as a scalar factor, the surviving
 monomials divided by ``4|T|^2`` are the configuration averages.  The
 route needs no spectral decomposition, so the defective Jordan-point
-drive (``rabi = 1/2`` on resonance) needs no special treatment.
+drive (``rabi = 1/2`` on resonance) needs no special treatment.  Drives
+on one grid are solved as stacks (:func:`cbs_spectra_stack`) in blocks of
+at most ``BLOCK_PAIRS`` (drive, frequency) pairs; one drive is unstacked.
 
 The paper's closed form in single-atom observables, its convolutions
 evaluated by quadrature, is an independent test oracle that also holds at
@@ -147,9 +149,13 @@ def _real_part(value: complex, scale: float = 1.0) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _canonical_spectrum(drive: AtomDriveParams, nus=()) -> FixedConfigSpectra:
-    """Order-two spectra of the canonical configuration with unit
-    coupling, in the two surviving monomials only."""
+#: Most (drive, frequency) pairs one stacked solve holds; a larger one is no cheaper per pair.
+BLOCK_PAIRS = 1024
+
+
+def _canonical_spectrum(drive, nus=()) -> FixedConfigSpectra:
+    """Order-two spectra of the canonical configuration with unit coupling,
+    in the two surviving monomials only, for one drive or a stack."""
     return fixed_config_spectrum(assemble(canonical_configuration(), drive, coupling=1.0),
                                  nus, (LADDER_MONOMIAL, CROSSED_MONOMIAL))
 
@@ -169,14 +175,14 @@ def _channel(nus: np.ndarray, density: np.ndarray, elastic: complex) -> Spectral
                                 elastic_weight=_weight(elastic))
 
 
-def _ladder(spec: FixedConfigSpectra) -> SpectralFunctionGrid:
-    return _channel(spec.nu, spec.autocorrelation[LADDER_MONOMIAL],
-                    spec.elastic_autocorrelation[LADDER_MONOMIAL])
+def _ladder(spec: FixedConfigSpectra, at=()) -> SpectralFunctionGrid:
+    return _channel(spec.nu, spec.autocorrelation[LADDER_MONOMIAL][at],
+                    spec.elastic_autocorrelation[LADDER_MONOMIAL][at])
 
 
-def _crossed(spec: FixedConfigSpectra) -> SpectralFunctionGrid:
-    return _channel(spec.nu, spec.exchange[CROSSED_MONOMIAL],
-                    spec.elastic_exchange[CROSSED_MONOMIAL])
+def _crossed(spec: FixedConfigSpectra, at=()) -> SpectralFunctionGrid:
+    return _channel(spec.nu, spec.exchange[CROSSED_MONOMIAL][at],
+                    spec.elastic_exchange[CROSSED_MONOMIAL][at])
 
 
 def elastic_weights(drive: AtomDriveParams) -> tuple:
@@ -220,12 +226,25 @@ def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     return _crossed(_canonical_spectrum(drive, nus))
 
 
+def cbs_spectra_stack(drives, nus) -> list:
+    """:func:`cbs_spectra` of each drive of a sequence on one grid ``nus``,
+    solved in stacks of at most ``BLOCK_PAIRS`` (drive, frequency) pairs,
+    at least one drive each; a one-drive block is solved unstacked."""
+    if any(drive.rabi == 0.0 for drive in drives):
+        raise ValueError("undriven atoms scatter nothing; rabi must be nonzero")
+    size = max(1, BLOCK_PAIRS // max(1, np.size(nus)))
+    results = []
+    for block in (drives[start:start + size] for start in range(0, len(drives), size)):
+        stacked = len(block) > 1
+        spec = _canonical_spectrum(block if stacked else block[0], nus)
+        results += [CbsResult(drive, _ladder(spec, at), _crossed(spec, at))
+                    for drive, at in zip(block, range(len(block)) if stacked else [()])]
+    return results
+
+
 def cbs_spectra(drive: AtomDriveParams, nus=None) -> CbsResult:
     """Full averaged backscattering signal: both channels plus contrast,
-    from one canonical-configuration solve."""
-    if drive.rabi == 0.0:
-        raise ValueError("undriven atoms scatter nothing; rabi must be nonzero")
+    from one canonical-configuration solve (a one-drive stack)."""
     if nus is None:
         nus = default_grid(drive)
-    spec = _canonical_spectrum(drive, nus)
-    return CbsResult(drive=drive, ladder=_ladder(spec), crossed=_crossed(spec))
+    return cbs_spectra_stack([drive], nus)[0]

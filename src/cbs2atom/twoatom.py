@@ -26,7 +26,9 @@ solves here are brute force, stacked over whole frequency grids
 (:func:`resolvent_apply`): the block-triangular drift is resolved through
 its single-atom blocks (closed-form 3x3 inverses) and its pair block (one
 stacked dense solve), and each coupling insertion is one product with one
-channel's operator.
+channel's operator.  A sequence of drives (:func:`assemble`) stacks one generator
+per drive: the expansions then have shape ``S_d + S_nu + (...)``, drive axes first,
+the channels and feed block are shared, and one drive is the empty stack ``S_d = ()``.
 :func:`fixed_config_spectrum` on one canonical configuration
 (:func:`canonical_configuration`) is the production route of the averaged
 channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
@@ -122,6 +124,12 @@ TaggedVector = dict
 def merge_monomials(a: tuple, b: tuple) -> tuple:
     """Combine two coupling monomials into one sorted key."""
     return tuple(sorted(a + b))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 3x3 matrices, either one a stack along leading axes."""
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(product.shape[:-4] + (9, 9))
 
 
 def _divisors(monomials) -> frozenset:
@@ -247,18 +255,23 @@ class TwoAtomGenerator:
     coupling: complex
 
     @cached_property
+    def feed(self) -> np.ndarray:
+        """9x6 drift block feeding the pair block: only ``L``, for any drive."""
+        one, two, eye = self.atom1.L[:, None], self.atom2.L[:, None], np.eye(3)
+        return np.hstack([np.kron(one, eye), np.kron(eye, two)])
+
+    @cached_property
     def drift(self) -> np.ndarray:
         """15x15 drift (coupling excluded).  It is block-triangular: the
         direct sum of the two Bloch generators on the single-atom block, the
-        single-atom means feeding the pair block, and the Kronecker sum of
-        the generators on the pair block."""
+        :attr:`feed` into the pair block, and the Kronecker sum of the
+        generators on the pair block."""
         eye = np.eye(3)
-        out = np.zeros((15, 15), dtype=complex)
-        out[:3, :3] = self.atom2.M
-        out[3:6, 3:6] = self.atom1.M
-        out[6:, :3] = np.kron(self.atom1.L.reshape(3, 1), eye)
-        out[6:, 3:6] = np.kron(eye, self.atom2.L.reshape(3, 1))
-        out[6:, 6:] = np.kron(self.atom1.M, eye) + np.kron(eye, self.atom2.M)
+        out = np.zeros(self.atom1.M.shape[:-2] + (15, 15), dtype=complex)
+        out[..., :3, :3] = self.atom2.M
+        out[..., 3:6, 3:6] = self.atom1.M
+        out[..., 6:, :6] = self.feed
+        out[..., 6:, 6:] = _kron(self.atom1.M, eye) + _kron(eye, self.atom2.M)
         return out
 
     @cached_property
@@ -285,17 +298,16 @@ class TwoAtomGenerator:
         """Eigenvalues of the pair-correlation drift (all eigenvalue sums)."""
         e1 = self.atom1.eigenvalues
         e2 = self.atom2.eigenvalues
-        return np.add.outer(e1, e2).ravel()
+        return (e1[..., :, None] + e2[..., None, :]).reshape(e1.shape[:-1] + (9,))
 
     def single_green(self, z=0.0) -> np.ndarray:
         """6x6 resolvent ``(z - M_bloch)^{-1}``, block-diagonal per atom;
         one inverse serves both blocks when the atoms share their system.
 
-        ``z`` may be an array; the result has shape ``z.shape + (6, 6)``.
+        ``z`` may be an array; the result has shape ``S_d + z.shape + (6, 6)``.
         """
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros(z.shape + (6, 6), dtype=complex)
         green1 = self.atom1.green(z)
+        out = np.zeros(green1.shape[:-2] + (6, 6), dtype=complex)
         out[..., 3:, 3:] = green1
         out[..., :3, :3] = green1 if self.atom2 is self.atom1 else self.atom2.green(z)
         return out
@@ -303,23 +315,30 @@ class TwoAtomGenerator:
     def pair_green(self, z=0.0) -> np.ndarray:
         """9x9 resolvent ``(z - M_corr)^{-1}`` by one stacked dense solve.
 
-        ``z`` may be an array; the result has shape ``z.shape + (9, 9)``.
+        ``z`` may be an array; the result has shape ``S_d + z.shape + (9, 9)``.
         """
-        return resolve(self.drift[6:, 6:], z, np.eye(9), self.correlation_eigenvalues)
+        return resolve(self.drift[..., 6:, 6:], z, np.eye(9), self.correlation_eigenvalues)
 
 
-def assemble(config: ScatteringConfig, drive: AtomDriveParams,
+def _at_phase(drive, phase: float):
+    """The drive, or each drive of a sequence, with ``phase`` added."""
+    if isinstance(drive, AtomDriveParams):
+        return replace(drive, phase=drive.phase + phase)
+    return [replace(one, phase=one.phase + phase) for one in drive]
+
+
+def assemble(config: ScatteringConfig, drive,
              coupling: complex | None = None) -> TwoAtomGenerator:
     """Build the generator for one configuration under a common laser drive.
 
     ``drive`` describes the laser at the coordinate origin; each atom gets
-    the extra propagation phase of its position.  ``coupling`` overrides
-    the geometric exchange amplitude (diagnostics: scaling checks and the
-    decoupled limit).
+    the extra propagation phase of its position; a sequence of drives
+    stacks one generator per drive.  ``coupling`` overrides the geometric
+    exchange amplitude (diagnostics: scaling checks, decoupled limit).
     """
-    atom1 = build(replace(drive, phase=drive.phase + config.phase1))
+    atom1 = build(_at_phase(drive, config.phase1))
     atom2 = (atom1 if config.phase2 == config.phase1
-             else build(replace(drive, phase=drive.phase + config.phase2)))
+             else build(_at_phase(drive, config.phase2)))
     t = config.coupling if coupling is None else complex(coupling)
     return TwoAtomGenerator(config=config, atom1=atom1, atom2=atom2, coupling=t)
 
@@ -359,14 +378,14 @@ def _mean_splittings(orders: list, n: int):
     monomial of ``orders[n]`` (all of them, unless the orders were pruned).
     The caller multiplies, because a complex product over an array can round
     differently in the last digit from the scalar product of the components
-    it needs.
+    it needs: one drive yields scalars, which keep their scalar products.
     """
     for p in range(n + 1):
         for mono_p, xp in orders[p].items():
             for mono_q, qvec in orders[n - p].items():
                 key = merge_monomials(mono_p, mono_q)
                 if key in orders[n]:
-                    yield key, xp[1], qvec
+                    yield key, xp[..., 1] if xp.ndim > 1 else xp[1], qvec
 
 
 # -- regression initial conditions ---------------------------------------------
@@ -380,12 +399,13 @@ def _raising_product(vec: np.ndarray, include_unit: bool) -> np.ndarray:
     contribute the constant ``N1`` only where the identity expectation
     enters (the zeroth order and the atom-1 block).
     """
-    out = np.zeros(15, dtype=complex)
-    out[:3] = 1j * (DELTA_MINUS @ vec[:3])
+    out = np.zeros(vec.shape, dtype=complex)
+    out[..., :3] = 1j * (vec[..., :3] @ DELTA_MINUS.T)
     if include_unit:
-        out[:3] += N1
-    out[3:6] = vec[[7, 10, 13]]
-    out[6:] = _RAISING_COUPLER @ vec[6:] + np.outer(vec[3:6], N1).ravel()
+        out[..., :3] += N1
+    out[..., 3:6] = vec[..., [7, 10, 13]]
+    out[..., 6:] = (vec[..., 6:] @ _RAISING_COUPLER.T
+                    + (vec[..., 3:6, None] * N1).reshape(vec.shape[:-1] + (9,)))
     return out
 
 
@@ -402,7 +422,7 @@ def regression_initials(orders: list) -> tuple:
         tagged: TaggedVector = {mono: _raising_product(vec, include_unit=(n == 0))
                                 for mono, vec in level.items()}
         for key, amp, qvec in _mean_splittings(orders, n):
-            _tagged_add(tagged, key, -amp * qvec)
+            _tagged_add(tagged, key, -(amp[..., None] if amp.ndim else amp) * qvec)
         out.append(tagged)
     return tuple(out)
 
@@ -430,7 +450,7 @@ def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, g_pair: np.ndarray | N
         if g_pair is None:
             out[mono] = x_part
             continue
-        y_part = (g_pair @ (x_part @ gen.drift[6:, :6].T + vec[..., 6:])[..., None])[..., 0]
+        y_part = (g_pair @ (x_part @ gen.feed.T + vec[..., 6:])[..., None])[..., 0]
         out[mono] = np.concatenate([x_part, y_part], axis=-1)
     return out
 
@@ -527,18 +547,19 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
 
     z = -1j * nus
     g_single, g_pair = gen.single_green(z), gen.pair_green(z)
+    on_grid = (..., *(None,) * nus.ndim, slice(None))
     nested: TaggedVector = {}
     for n, init in enumerate(inits):
         source = _couple(gen, nested, keep)
         for mono, vec in init.items():
-            _tagged_add(source, mono, vec)
+            _tagged_add(source, mono, vec[on_grid])
         nested = _resolve(gen, g_single, g_pair if n < 2 else None, source)
 
     elastic_auto: dict = {}
     elastic_exch: dict = {}
     for key, amp, qvec in _mean_splittings(orders, 2):
-        _tagged_add(elastic_auto, key, amp * qvec[0])
-        _tagged_add(elastic_exch, key, amp * qvec[3])
+        _tagged_add(elastic_auto, key, amp * qvec[..., 0][()])
+        _tagged_add(elastic_exch, key, amp * qvec[..., 3][()])
     return FixedConfigSpectra(
         nu=nus,
         autocorrelation={mono: vec[..., 0] for mono, vec in nested.items()},

@@ -241,8 +241,10 @@ def test_sweep_through_the_oracle_methods(tmp_path, capsys, method, fmt):
         assert summary["enhancement"][i] == sidecar["enhancement"]
 
 
-@pytest.mark.parametrize("rabis", [["2", "2.0000000001"], ["2", "-1"], ["2", "1e-300"]],
-                         ids=["name-collision", "bad-point", "empty-channel"])
+@pytest.mark.parametrize("rabis", [["2", "2.0000000001"], ["2", "-1"], ["2", "1e-300"],
+                                  ["0.5", "1e-300", "2"]],
+                         ids=["name-collision", "bad-point", "empty-channel",
+                              "empty-channel-mid-stack"])
 def test_sweep_checks_every_point_before_writing(tmp_path, capsys, rabis):
     # 2 and 2.0000000001 both format as sweep_r2_d0; a later bad drive, or
     # one that passes the option checks but whose background channel is

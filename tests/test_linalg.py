@@ -1,5 +1,7 @@
 """Generator eigenvalues, the guarded resolvents and tensor products."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,28 @@ def test_resolve_stacks_matrix_and_vector_right_hand_sides():
         want = np.linalg.inv(z[idx] * np.eye(3) - M)
         assert np.allclose(inverse[idx], want, rtol=0, atol=1e-14)
         assert np.allclose(applied[idx], want @ vecs[idx], rtol=0, atol=1e-13)
+
+
+def test_resolvents_take_a_stack_of_matrices_first():
+    # one matrix per drive along the leading axis, each meeting every z:
+    # shape S_d + z.shape + (n, n), the same bits as one matrix at a time
+    eye = np.eye(3)
+    blochs = [bloch_matrix(2.0, 0.5), bloch_matrix(0.5, 0.0)]
+    pairs = np.stack([np.kron(M, eye) + np.kron(eye, M) for M in blochs])
+    z = 1j * np.linspace(-3.0, 3.0, 5)
+    for stack in (np.stack(blochs), pairs):
+        poles = np.linalg.eigvals(stack)
+        n = stack.shape[-1]
+        applied = resolve(stack, z, np.eye(n), poles)
+        assert applied.shape == (2, 5, n, n)
+        for one, one_poles, got in zip(stack, poles, applied):
+            assert np.array_equal(got, resolve(one, z, np.eye(n), one_poles))
+        if n == 3:
+            closed = inverse3(stack, z, poles)
+            assert all(np.array_equal(got, inverse3(one, z, one_poles))
+                       for one, one_poles, got in zip(stack, poles, closed))
+        with pytest.raises(PoleProximityError, match=re.escape(f"z={poles[1, 0]}")):
+            resolve(stack, np.array([0.0, poles[1, 0]]), np.eye(n), poles)
 
 
 @settings(max_examples=200, deadline=None)

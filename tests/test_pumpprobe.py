@@ -210,9 +210,9 @@ def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
     calls = []
     original = pumpprobe.extracted_functions
 
-    def counting(drive, nus):
+    def counting(drive, nus, system):
         calls.append(drive.probe_detuning)
-        return original(drive, nus)
+        return original(drive, nus, system)
 
     monkeypatch.setattr(pumpprobe, "extracted_functions", counting)
     nus = np.linspace(-15.0, 15.0, 61)
@@ -222,16 +222,48 @@ def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
     assert calls == list(probe_detunings) * (len(rabis) * len(deltas))
     for row in rows:
         pump = AtomDriveParams(rabi=row.rabi, delta=row.delta)
-        at_zero = original(BichromaticDrive(pump=pump, probe_detuning=0.0), nus)["p0"]
+        at_zero = original(BichromaticDrive(pump=pump, probe_detuning=0.0), nus,
+                           build(pump))["p0"]
         reference = mollow_p0(build(pump), nus)
         assert row.dev_p0 == (np.max(np.abs(np.real(at_zero) - reference))
                               / np.max(np.abs(reference)))
 
 
+def test_equivalence_report_inverts_each_argument_once(monkeypatch):
+    # per drive, the extraction and the closed forms share their resolvent
+    # arguments: the default report asks for 189 distinct ones (801 times),
+    # and sharing them leaves every row as it was
+    calls = []
+    original = linalg.inverse3
+
+    def counting(M, z, eigenvalues):
+        calls.append(np.shape(z))
+        return original(M, z, eigenvalues)
+
+    monkeypatch.setattr(atom, "inverse3", counting)
+    shared = equivalence_report()
+    assert len(calls) <= 189
+    monkeypatch.setattr(pumpprobe._SharedInverses, "green", atom.BlochSystem.green)
+    assert equivalence_report() == shared
+
+
+def test_shared_inverses_are_formed_once_and_read_only():
+    pump = AtomDriveParams(rabi=2.0, delta=1.0)
+    bloch = build(pump)
+    system = pumpprobe._SharedInverses(pump, bloch.M, bloch.L)
+    z = 1j * np.linspace(-3.0, 3.0, 7)
+    green = system.green(z)
+    assert system.green(z.copy()) is green
+    assert np.array_equal(green, bloch.green(z))
+    with pytest.raises(ValueError):
+        green += 1.0
+
+
 def test_inelastic_density_symmetric_under_joint_reflection():
     nus = np.linspace(-8.0, 8.0, 41)
-    direct = extracted_functions(make_drive(delta=1.7), nus)["p0"]
-    mirrored = extracted_functions(make_drive(delta=-1.7), -nus)["p0"]
+    drive, mirror = make_drive(delta=1.7), make_drive(delta=-1.7)
+    direct = extracted_functions(drive, nus, build(drive.pump))["p0"]
+    mirrored = extracted_functions(mirror, -nus, build(mirror.pump))["p0"]
     assert np.allclose(direct, mirrored, rtol=0, atol=1e-14)
 
 

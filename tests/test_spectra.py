@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson as scipy_simpson
 
@@ -236,6 +236,53 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
     calls.update(bloch=0, pair=0)
     monte_carlo_spectra(drive(2.0), ConfigSampler(samples=1000, seed=3), nus)
     assert calls == {"bloch": 2, "pair": 2}
+
+
+# ------------------------------------------------------------ stacked drives
+
+STACK_GRID = np.linspace(-15.0, 15.0, 21)
+
+
+def assert_stack_equals(stacked, singles):
+    # densities bit for bit; an elastic weight of a stack is an array
+    # product and may round differently from the one-drive scalar product
+    assert len(stacked) == len(singles)
+    for got, want in zip(stacked, singles):
+        assert got.drive == want.drive
+        for channel in ("ladder", "crossed"):
+            got_channel, want_channel = getattr(got, channel), getattr(want, channel)
+            assert np.array_equal(got_channel.values, want_channel.values)
+            assert (abs(got_channel.elastic_weight - want_channel.elastic_weight)
+                    <= 1e-14 * abs(want_channel.elastic_weight))
+
+
+@settings(max_examples=30, deadline=None)
+@given(drives=st.lists(st.builds(drive, st.floats(-2.0, np.log10(50.0)).map(lambda e: 10.0 ** e),
+                                 st.floats(-20.0, 20.0)),
+                       min_size=1, max_size=6))
+@example(drives=[drive(0.5, 0.0), drive(1e-3, 1.5)])
+@example(drives=[drive(2.0), drive(0.5, 0.0), drive(20.0, 1.5), drive(1e-3, 1.5)])
+def test_stacked_spectra_equal_the_per_drive_spectra(drives):
+    assert_stack_equals(spectra.cbs_spectra_stack(drives, STACK_GRID),
+                        [cbs_spectra(d, nus=STACK_GRID) for d in drives])
+
+
+def test_stack_larger_than_a_block_equals_one_block(monkeypatch):
+    # five drives in blocks of two: two stacked blocks and a one-drive block
+    drives = [drive(0.3), drive(2.0, -1.2), drive(0.5), drive(7.0, 4.0), drive(1e-3, 1.5)]
+    assert spectra.BLOCK_PAIRS >= len(drives) * len(STACK_GRID)
+    whole = spectra.cbs_spectra_stack(drives, STACK_GRID)
+    blocks = []
+    solve = spectra._canonical_spectrum
+
+    def counting(block, nus):
+        blocks.append(len(block) if isinstance(block, list) else 1)
+        return solve(block, nus)
+
+    monkeypatch.setattr(spectra, "_canonical_spectrum", counting)
+    monkeypatch.setattr(spectra, "BLOCK_PAIRS", 2 * len(STACK_GRID) + 1)
+    assert_stack_equals(spectra.cbs_spectra_stack(drives, STACK_GRID), whole)
+    assert blocks == [2, 2, 1]
 
 
 def test_fixed_config_spectrum_rejects_other_monomials():

@@ -278,6 +278,29 @@ def test_greens_stack_over_an_array_of_z():
         assert np.allclose(gp, gen.pair_green(z), rtol=0, atol=1e-15)
 
 
+def test_stacked_generator_holds_each_drive():
+    # a sequence of drives stacks one generator per drive along a leading
+    # axis; the coupling channels and the feed block are shared by all
+    cfg = ta.ScatteringConfig.from_separation(1000.0, direction=(0.6, 0.0, 0.8))
+    drives = [AtomDriveParams(2.0, 0.5), AtomDriveParams(0.5, 0.0), AtomDriveParams(7.0, -3.0)]
+    stacked = ta.assemble(cfg, drives)
+    zs = np.array([0.0, -0.8j, 2.1j])
+    assert stacked.drift.shape == (3, 15, 15) and stacked.feed.shape == (9, 6)
+    assert stacked.single_green(zs).shape == (3, 3, 6, 6)
+    for i, one in enumerate(ta.assemble(cfg, d) for d in drives):
+        assert np.array_equal(stacked.drift[i], one.drift)
+        assert np.array_equal(stacked.feed, one.drift[6:, :6])
+        assert np.array_equal(stacked.correlation_eigenvalues[i], one.correlation_eigenvalues)
+        assert np.array_equal(stacked.single_green(zs)[i], one.single_green(zs))
+        assert np.array_equal(stacked.pair_green(zs)[i], one.pair_green(zs))
+        # a coupling insertion on a stack is a matrix product where one
+        # drive's is a vector product: equal to rounding at a generic coupling
+        for got, want in zip(ta.perturbative_orders(stacked), ta.perturbative_orders(one)):
+            assert got.keys() == want.keys()
+            for mono, vec in want.items():
+                assert np.max(np.abs(got[mono][i] - vec)) <= 1e-13 * np.max(np.abs(vec))
+
+
 def test_pair_green_guards_pole_proximity():
     gen = make_gen()
     with pytest.raises(PoleProximityError):
