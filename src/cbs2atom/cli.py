@@ -197,9 +197,9 @@ def _evaluate(cfg: RunConfig, result: CbsResult | None = None) -> tuple:
             SpectralFunctionGrid(nus, np.real(averaged.crossed.mean) / np.pi,
                                  float(np.real(averaged.elastic_crossed.mean))))
         err_columns = {"L_inel_err": averaged.ladder.stderr / np.pi,
-                  "C_inel_err": averaged.crossed.stderr / np.pi}
+                       "C_inel_err": averaged.crossed.stderr / np.pi}
         err_summary = {"elastic_ladder_stderr": float(averaged.elastic_ladder.stderr),
-                   "elastic_crossed_stderr": float(averaged.elastic_crossed.stderr)}
+                       "elastic_crossed_stderr": float(averaged.elastic_crossed.stderr)}
     columns = {"nu": nus, "L_inel": result.ladder.values,
                "C_inel": result.crossed.values, **err_columns}
     summary = {"elastic_ladder": result.elastic_ladder,

@@ -157,18 +157,6 @@ class MonteCarloResult:
     samples: int
 
 
-def _reduce(values: np.ndarray, samples: int, scale: float = 1.0) -> MonteCarloResult:
-    """Sample mean and standard error of per-sample ``values``, both divided
-    by ``scale``: the reference that `_reduce_monomials` is checked against."""
-    mean = values.mean(axis=0)
-    if samples > 1:
-        spread = np.sqrt(np.sum(np.abs(values - mean) ** 2, axis=0)
-                         / (samples - 1) / samples)
-    else:
-        spread = np.zeros_like(np.abs(mean))
-    return MonteCarloResult(mean=mean / scale, stderr=spread / scale, samples=samples)
-
-
 @dataclass(frozen=True, eq=False)
 class DisorderAveragedSpectra:
     """Monte-Carlo averages of the order-two detection channels.
@@ -225,9 +213,10 @@ def _gauge_weights(monomials, coupling: np.ndarray, phase_difference: np.ndarray
 
 def _reduce_monomials(weights: np.ndarray, coefficients: np.ndarray,
                       scale: float) -> MonteCarloResult:
-    """`_reduce` of the sample values ``weights @ coefficients`` without
-    forming them: the mean is ``mean(weights) @ coefficients`` and the
-    variance follows from the monomials' k x k weight covariance."""
+    """Sample mean and standard error of the values ``weights @ coefficients``,
+    both divided by ``scale``, without forming them: the mean is
+    ``mean(weights) @ coefficients`` and the variance follows from the
+    monomials' k x k weight covariance."""
     samples = len(weights)
     mean = weights.mean(axis=0)
     centred = weights - mean

@@ -15,11 +15,11 @@ derivative matrices of the generator with respect to the Rabi pair.
 
 Everything here is an independent computational path: the stationary
 harmonic hierarchy and the frequency-resolved dipole correlation are
-obtained directly from the time-dependent equations of motion (order by
-order, or nonperturbatively on a truncated harmonic lattice, or by brute
-time integration), never from the closed-form response chains they are
-later compared against.  Only the convolution that assembles the averaged
-channels from them is shared with the closed form (:mod:`cbs2atom.quadrature`).
+obtained directly from the time-dependent equations of motion, order by
+order in the probe amplitudes, never from the closed-form response chains
+they are later compared against.  Only the convolution that assembles the
+averaged channels from them is shared with the closed form
+(:mod:`cbs2atom.quadrature`).
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ from cbs2atom.atom import p2 as closed_form_p2
 from cbs2atom.atom import p_minus as closed_form_p_minus
 from cbs2atom.atom import p_plus as closed_form_p_plus
 from cbs2atom.quadrature import exchanged_photon_convolution
-
-
-class TruncationError(RuntimeError):
-    """Harmonic lattice too small for the requested probe amplitudes."""
 
 
 @dataclass(frozen=True)
@@ -385,111 +381,3 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
 
     ladder, crossed = exchanged_photon_convolution(system, nus, at_nodes, emission)
     return {"nu": nus, "ladder": ladder, "crossed": crossed}
-
-
-# ----------------------------------------------------------------------------
-# Nonperturbative paths: truncated harmonic lattice and brute time domain.
-# ----------------------------------------------------------------------------
-
-
-def floquet_state(drive: BichromaticDrive, n_harmonics: int = 6) -> dict:
-    """Nonperturbative periodic steady state on a truncated harmonic lattice.
-
-    Solves the block-tridiagonal stationarity system for the Fourier
-    components of the Bloch vector at all harmonics up to
-    ``n_harmonics``.  Raises :class:`TruncationError` when the edge
-    harmonics are still feeding back a non-negligible amount.
-    """
-    if drive.probe_detuning == 0.0:
-        raise ValueError("harmonic lattice needs a nonzero probe detuning")
-    if n_harmonics < 1:
-        raise ValueError("need at least one harmonic")
-    system = build(drive.pump)
-    w = drive.probe_detuning
-    size = 2 * n_harmonics + 1
-    block = np.zeros((3 * size, 3 * size), dtype=complex)
-    rhs = np.zeros(3 * size, dtype=complex)
-    for i, n in enumerate(range(-n_harmonics, n_harmonics + 1)):
-        sl = slice(3 * i, 3 * i + 3)
-        block[sl, sl] = -1j * n * w * np.eye(3) - system.M
-        if i > 0:
-            block[sl, 3 * (i - 1):3 * i] = -drive.v_plus * DELTA_MINUS
-        if i < size - 1:
-            block[sl, 3 * (i + 1):3 * (i + 2)] = -drive.v_minus * DELTA_PLUS
-        if n == 0:
-            rhs[sl] = system.L
-    flat = np.linalg.solve(block, rhs)
-    harmonics = {n: flat[3 * i:3 * i + 3]
-                 for i, n in enumerate(range(-n_harmonics, n_harmonics + 1))}
-    spill = (abs(drive.v_plus) * np.linalg.norm(harmonics[n_harmonics])
-             + abs(drive.v_minus) * np.linalg.norm(harmonics[-n_harmonics]))
-    if spill > 1e-10 * np.linalg.norm(system.L):
-        raise TruncationError(
-            f"edge harmonics still carry weight (spill {spill:.2e}); "
-            "increase n_harmonics or reduce the probe amplitudes")
-    return harmonics
-
-
-def periodic_state(harmonics: dict, w: float, t: float) -> np.ndarray:
-    """Evaluate a harmonic decomposition at one time."""
-    out = np.zeros(3, dtype=complex)
-    for n, vec in harmonics.items():
-        out = out + np.exp(-1j * n * w * t) * vec
-    return out
-
-
-def time_domain_coefficient(drive: BichromaticDrive, channel: int, nus, *,
-                            n_harmonics: int = 6, t0_samples: int = 8,
-                            tau_max: float = 45.0, dt: float = 0.01) -> np.ndarray:
-    """Brute-force correlation channel: ODE regression plus numeric Laplace.
-
-    Computes the nonperturbative delta coefficient on the support line
-    ``w2 = w1 + channel * probe_detuning`` at finite probe amplitudes: the
-    periodic state seeds connected initial conditions on a grid of start
-    times, both time orderings are integrated directly under the
-    time-dependent generator, the start-time average isolates the
-    requested oscillation channel, and the final lag integrals are done
-    by Simpson quadrature.  Slow by design — shares no algebra with the
-    perturbative extraction it validates.
-    """
-    from scipy.integrate import simpson, solve_ivp
-
-    nus = np.asarray(nus, dtype=float)
-    system = build(drive.pump)
-    w = drive.probe_detuning
-    harmonics = floquet_state(drive, n_harmonics)
-    period = 2 * np.pi / abs(w)
-    taus = np.arange(0.0, tau_max + dt / 2, dt)
-
-    def generator(t):
-        return (system.M + drive.v_plus * np.exp(-1j * w * t) * DELTA_MINUS
-                + drive.v_minus * np.exp(1j * w * t) * DELTA_PLUS)
-
-    later_lowering = np.zeros((t0_samples, len(taus)), dtype=complex)
-    later_raising = np.zeros((t0_samples, len(taus)), dtype=complex)
-    t0_grid = np.arange(t0_samples) * period / t0_samples
-    for k, t0 in enumerate(t0_grid):
-        state0 = periodic_state(harmonics, w, t0)
-        init_r = 1j * (DELTA_MINUS @ state0) + N1 - state0[1] * state0
-        init_l = -1j * (DELTA_PLUS @ state0) + N2 - state0[0] * state0
-        stacked = np.concatenate([init_r, init_l])
-
-        def rhs(tau, y):
-            m = generator(t0 + tau)
-            return np.concatenate([m @ y[:3], m @ y[3:]])
-
-        sol = solve_ivp(rhs, (0.0, tau_max), stacked, t_eval=taus,
-                        method="DOP853", rtol=1e-11, atol=1e-13)
-        if not sol.success:
-            raise RuntimeError("regression integration failed")
-        later_lowering[k] = sol.y[0]
-        later_raising[k] = sol.y[4]
-
-    phases = np.exp(1j * channel * w * t0_grid)
-    decay_r = phases @ later_lowering / t0_samples
-    decay_l = phases @ later_raising / t0_samples
-    out = np.zeros(len(nus), dtype=complex)
-    for i, nu in enumerate(nus):
-        out[i] = (simpson(np.exp(1j * (nu + channel * w) * taus) * decay_r, x=taus)
-                  + simpson(np.exp(-1j * nu * taus) * decay_l, x=taus))
-    return out

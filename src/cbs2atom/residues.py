@@ -16,15 +16,9 @@ it:
   observables (``compact_*``): the exchanged-photon convolution of
   :mod:`cbs2atom.quadrature` over the single-atom closed forms of
   :mod:`cbs2atom.atom` (``mollow_p0``, ``p_plus``, ``p_minus``, ``p2``);
-* the reduction identities (``check_sum_rule_*``);
-* the printed first- and second-order transcriptions of the two-atom
-  expansion (``*_explicit``) and the frequency-integral representation of
-  the pair resolvent (:func:`pair_resolvent_integral`), which check the
-  recurrences of :mod:`cbs2atom.twoatom`.
+* the reduction identities (``check_sum_rule_*``).
 
-Every integral includes the ``1/2pi`` measure, as does
-:func:`quadrature_line_integral`, the adaptive scipy quadrature kept as an
-independent reference for the tests.
+Every integral includes the ``1/2pi`` measure.
 """
 
 from __future__ import annotations
@@ -50,50 +44,20 @@ from cbs2atom.atom import (
 )
 from cbs2atom.quadrature import exchanged_photon_convolution, line_rule, pole_clusters
 from cbs2atom.spectra import SpectralFunctionGrid, _real_part
-from cbs2atom.twoatom import (
-    CROSSED_MONOMIAL,
-    LADDER_MONOMIAL,
-    TaggedVector,
-    TwoAtomGenerator,
-    _tagged_add,
-)
 
 __all__ = [
-    "quadrature_line_integral",
     "check_sum_rule_I",
     "check_sum_rule_II",
     "check_sum_rule_III",
     "compact_elastic_ladder",
     "compact_elastic_crossed",
     "compact_channels",
-    "pair_resolvent_integral",
-    "single_first_order_explicit",
-    "pair_first_order_explicit",
-    "single_second_order_explicit",
 ]
+
 
 def _poles(system: BlochSystem, sign: int, offset: complex = 0.0) -> np.ndarray:
     """Poles in ``u`` of ``G(offset + sign*i*u)``."""
     return -1j * sign * (system.eigenvalues - offset)
-
-
-def quadrature_line_integral(
-    fn,
-    epsabs: float = 1e-13,
-    epsrel: float = 1e-10,
-    limit: int = 500,
-) -> complex:
-    """Adaptive quadrature of ``integral du/2pi fn(u)`` over the real line.
-
-    ``fn`` maps a real number to a complex value and must decay at least
-    like ``1/u**2``; the infinite range is handled by the integrator's
-    variable transformation, so no window/tail split is needed.
-    """
-    from scipy.integrate import quad
-
-    val = quad(fn, -np.inf, np.inf, epsabs=epsabs, epsrel=epsrel, limit=limit,
-               complex_func=True)[0]
-    return complex(val) / (2.0 * np.pi)
 
 
 # ----------------------------------------------------------------------------
@@ -296,138 +260,3 @@ def compact_channels(drive: AtomDriveParams, nus) -> tuple:
     ladder, crossed = exchanged_photon_convolution(system, nus, at_nodes, emission)
     return (SpectralFunctionGrid(nus, ladder, compact_elastic_ladder(drive)),
             SpectralFunctionGrid(nus, crossed, compact_elastic_crossed(drive)))
-
-
-# -- explicit closed-form transcriptions (oracles for the recurrences) ---------
-
-
-def _pair_integral(system_one: BlochSystem, system_two: BlochSystem,
-                   sign_one: int, sign_two: int, offset: complex = 0.0) -> np.ndarray:
-    """``integral dw/2pi G1(offset + s1*i*w) (x) G2(offset + s2*i*w)``, 9x9."""
-    u, weights = line_rule(np.concatenate([_poles(system_one, sign_one, offset),
-                                           _poles(system_two, sign_two, offset)]))
-    pair = (_first_slot(system_one.green(offset + sign_one * 1j * u))
-            @ _second_slot(system_two.green(offset + sign_two * 1j * u)))
-    return np.einsum("k,kij->ij", weights, pair)
-
-
-def pair_resolvent_integral(gen: TwoAtomGenerator, z: complex = 0.0,
-                            orientation: int = +1) -> np.ndarray:
-    """Pair-correlation resolvent via the frequency-integral representation.
-
-    Splits ``(z - M_corr)^{-1}`` into a line integral over single-atom
-    resolvents at ``z/2 +- i w``; ``orientation`` selects which slot gets
-    the upper sign (both choices must agree).  Cross-validates
-    :meth:`TwoAtomGenerator.pair_green`.
-    """
-    if abs(complex(z).real) > 1e-12:
-        raise ValueError("integral representation requires an imaginary argument")
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    return _pair_integral(gen.atom1, gen.atom2, orientation, -orientation, complex(z) / 2.0)
-
-
-def single_first_order_explicit(gen: TwoAtomGenerator) -> tuple:
-    """First-order Bloch corrections as the printed two-term chains.
-
-    Returns tagged 3-vectors ``(atom2_part, atom1_part)``: each atom is
-    pushed by the field scattered from the other's stationary coherence,
-    once co-rotating and once counter-rotating.
-    """
-    t = gen.coupling
-    tc = np.conj(t)
-    s1, s2 = gen.atom1.steady, gen.atom2.steady
-    g1, g2 = gen.atom1.green(0.0), gen.atom2.green(0.0)
-    atom2_part = {
-        ("12",): 2j * t * s1[1] * (g2 @ (DELTA_PLUS @ s2)),
-        ("21*",): -2j * tc * s1[0] * (g2 @ (DELTA_MINUS @ s2)),
-    }
-    atom1_part = {
-        ("21",): 2j * t * s2[1] * (g1 @ (DELTA_PLUS @ s1)),
-        ("12*",): -2j * tc * s2[0] * (g1 @ (DELTA_MINUS @ s1)),
-    }
-    return atom2_part, atom1_part
-
-
-def pair_first_order_explicit(gen: TwoAtomGenerator,
-                              printed_final_term: bool = False) -> TaggedVector:
-    """First-order pair correlations as the printed eight-term expression.
-
-    Four algebraic terms (stationary coherence times first-order response)
-    plus four frequency integrals over opposite-sign resolvent pairs.  The
-    eighth term appears in its source with the second resolvent argument
-    at the same sign as the first, which closes the contour away from all
-    poles and yields zero; ``printed_final_term=True`` reproduces that
-    literal reading, the default restores the opposite-sign pairing that
-    matches the recurrences.
-    """
-    t = gen.coupling
-    tc = np.conj(t)
-    a1, a2 = gen.atom1, gen.atom2
-    s1, s2 = a1.steady, a2.steady
-    g1, g2 = a1.green(0.0), a2.green(0.0)
-    g0_first_1, g0_second_1 = g0_vectors(a1)
-    g0_first_2, g0_second_2 = g0_vectors(a2)
-
-    out: TaggedVector = {}
-    _tagged_add(out, ("21*",), -2j * tc * s1[0] * np.kron(s1, g2 @ (DELTA_MINUS @ s2)))
-    _tagged_add(out, ("12",), 2j * t * s1[1] * np.kron(s1, g2 @ (DELTA_PLUS @ s2)))
-    _tagged_add(out, ("21",), 2j * t * s2[1] * np.kron(g1 @ (DELTA_PLUS @ s1), s2))
-    _tagged_add(out, ("12*",), -2j * tc * s2[0] * np.kron(g1 @ (DELTA_MINUS @ s1), s2))
-
-    _tagged_add(out, ("21*",),
-                -2j * tc * _pair_integral(a1, a2, +1, -1) @ np.kron(g0_first_1, DELTA_MINUS @ s2))
-    _tagged_add(out, ("12",),
-                2j * t * _pair_integral(a1, a2, -1, +1) @ np.kron(g0_second_1, DELTA_PLUS @ s2))
-    _tagged_add(out, ("21",),
-                2j * t * _pair_integral(a1, a2, +1, -1) @ np.kron(DELTA_PLUS @ s1, g0_second_2))
-    final_sign = -1 if printed_final_term else +1
-    _tagged_add(out, ("12*",), -2j * tc * _pair_integral(a1, a2, -1, final_sign)
-                @ np.kron(DELTA_MINUS @ s1, g0_first_2))
-    return out
-
-
-def single_second_order_explicit(gen: TwoAtomGenerator) -> TaggedVector:
-    """Squared-magnitude part of the second-order atom-2 Bloch correction.
-
-    The printed eight terms: four products of stationary factors with
-    double-response chains, four frequency integrals pairing a first-atom
-    spectral factor with a second-atom response chain.  Monomials with two
-    equal tags (squared amplitudes) are not part of this transcription.
-    """
-    t = gen.coupling
-    tt = t * np.conj(t)
-    a1, a2 = gen.atom1, gen.atom2
-    s1, s2 = a1.steady, a2.steady
-    g1, g2 = a1.green(0.0), a2.green(0.0)
-    g0_first_1, g0_second_1 = g0_vectors(a1)
-    g0_first_2, g0_second_2 = g0_vectors(a2)
-
-    out: TaggedVector = {}
-    _tagged_add(out, LADDER_MONOMIAL,
-                4.0 * tt * s1[1] * s1[0] * (g2 @ (DELTA_MINUS @ (g2 @ (DELTA_PLUS @ s2)))))
-    _tagged_add(out, LADDER_MONOMIAL,
-                4.0 * tt * s1[1] * s1[0] * (g2 @ (DELTA_PLUS @ (g2 @ (DELTA_MINUS @ s2)))))
-    _tagged_add(out, CROSSED_MONOMIAL,
-                4.0 * tt * s2[0] * (g1 @ (DELTA_MINUS @ s1))[1] * (g2 @ (DELTA_PLUS @ s2)))
-    _tagged_add(out, ("21", "21*"),
-                4.0 * tt * s2[1] * (g1 @ (DELTA_PLUS @ s1))[0] * (g2 @ (DELTA_MINUS @ s2)))
-
-    # a first-atom spectral factor times a second-atom response chain,
-    # both on the nodes of one rule; vectors act as ``vec @ matrix.T``
-    u, weights = line_rule(np.concatenate([pole_clusters(a1), pole_clusters(a2)]))
-    up1, down1 = a1.green(1j * u), a1.green(-1j * u)
-    up2, down2 = a2.green(1j * u), a2.green(-1j * u)
-    paired = (
-        (LADDER_MONOMIAL, (down1 @ g0_second_1)[:, 0],
-         (up2 @ (DELTA_PLUS @ s2)) @ DELTA_MINUS.T @ g2.T),
-        (LADDER_MONOMIAL, (up1 @ g0_first_1)[:, 1],
-         (down2 @ (DELTA_MINUS @ s2)) @ DELTA_PLUS.T @ g2.T),
-        (CROSSED_MONOMIAL, (up1 @ (DELTA_MINUS @ s1))[:, 1],
-         (down2 @ g0_first_2) @ DELTA_PLUS.T @ g2.T),
-        (("21", "21*"), (up1 @ (DELTA_PLUS @ s1))[:, 0],
-         (down2 @ g0_second_2) @ DELTA_MINUS.T @ g2.T),
-    )
-    for mono, scalar, vector in paired:
-        _tagged_add(out, mono, 4.0 * tt * ((weights * scalar) @ vector))
-    return out

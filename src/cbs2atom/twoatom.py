@@ -38,9 +38,9 @@ order); production reads only the two surviving ones and expands only
 their divisors (1 + 3 + 2).  Both read components 0 and 3 of the spectra,
 which lie in the single-atom block, so the last resolve of the spectra
 skips the pair correlations.  The printed closed-form
-transcriptions of the first orders and the frequency-integral
-representation of the pair resolvent, which check these recurrences, live
-with the quadrature oracles in :mod:`cbs2atom.residues`.
+transcriptions of the first orders, the frequency-integral representation
+of the pair resolvent and the exact steady state at finite coupling, which
+check these recurrences, live with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -116,8 +116,7 @@ _RAISING_COUPLER = np.kron(np.eye(3), 1j * DELTA_MINUS)
 #: A tagged vector maps a coupling monomial (sorted tuple of channel tags)
 #: to a complex coefficient vector, or a stack of them along leading axes
 #: (one per frequency).  Each vector already carries its coupling amplitude,
-#: so the represented quantity is the plain sum of the entries
-#: (:func:`tagged_total`).
+#: so the represented quantity is the plain sum of the entries.
 TaggedVector = dict
 
 
@@ -137,14 +136,6 @@ def _divisors(monomials) -> frozenset:
     the products an expansion must form to reach them."""
     return frozenset(sub for mono in monomials for k in range(len(mono) + 1)
                      for sub in combinations(sorted(mono), k))
-
-
-def tagged_total(tagged: TaggedVector, dim: int) -> np.ndarray:
-    """Plain (untagged) sum of a tagged vector's entries."""
-    out = np.zeros(dim, dtype=complex)
-    for vec in tagged.values():
-        out = out + vec
-    return out
 
 
 def _tagged_add(into: TaggedVector, key: tuple, value: np.ndarray) -> None:
@@ -343,16 +334,6 @@ def assemble(config: ScatteringConfig, drive,
     return TwoAtomGenerator(config=config, atom1=atom1, atom2=atom2, coupling=t)
 
 
-def exact_steady_state(gen: TwoAtomGenerator) -> np.ndarray:
-    """Nonperturbative stationary 15-vector ``-(A+V)^{-1} drive``."""
-    full = gen.drift + sum(gen.channels.values())
-    state = np.linalg.solve(full, -gen.drive)
-    residual = np.linalg.norm(full @ state + gen.drive)
-    if residual > 1e-11 * (1.0 + np.linalg.norm(gen.drive)):
-        raise ArithmeticError(f"steady-state solve left residual {residual:g}")
-    return state
-
-
 def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2,
                         monomials=None) -> list:
     """Expand the stationary state in powers of the exchange coupling.
@@ -425,11 +406,6 @@ def regression_initials(orders: list) -> tuple:
             _tagged_add(tagged, key, -(amp[..., None] if amp.ndim else amp) * qvec)
         out.append(tagged)
     return tuple(out)
-
-
-def regression_initial_exact(steady: np.ndarray) -> np.ndarray:
-    """Nonperturbative connected initial condition from a full steady state."""
-    return _raising_product(steady, include_unit=True) - steady[1] * steady
 
 
 # -- resolvent expansion -------------------------------------------------------
@@ -567,33 +543,3 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
         elastic_autocorrelation=elastic_auto,
         elastic_exchange=elastic_exch,
     )
-
-
-# -- radiated intensity --------------------------------------------------------
-
-
-def intensity(gen: TwoAtomGenerator, direction) -> float:
-    """Stationary radiated intensity toward a unit ``direction``.
-
-    Sum of both excited-state populations plus the interference cross
-    terms with their geometric phases.
-    """
-    direction = np.asarray(direction, dtype=float)
-    s = exact_steady_state(gen)
-    phase = np.exp(1j * direction @ (gen.config.r1 - gen.config.r2))
-    value = 0.5 * (1.0 + s[2]) + 0.5 * (1.0 + s[5]) + s[9] * phase + s[7] * np.conj(phase)
-    return float(value.real)
-
-
-def double_scattering_intensity(gen: TwoAtomGenerator, direction,
-                                orders: list) -> dict:
-    """Coupling-order-two part of the intensity, tagged by monomial.
-
-    The population terms lose their constant offsets at nonzero order, so
-    each contribution is half the inversion correction plus the phased
-    cross-atom coherences.
-    """
-    direction = np.asarray(direction, dtype=float)
-    phase = np.exp(1j * direction @ (gen.config.r1 - gen.config.r2))
-    return {mono: 0.5 * (vec[2] + vec[5]) + (vec[9] * phase + vec[7] * np.conj(phase))
-            for mono, vec in orders[2].items()}

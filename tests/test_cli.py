@@ -1,5 +1,6 @@
 """Command-line front end: emitted files, exit codes, reproducibility."""
 
+import ast
 import json
 import os
 import runpy
@@ -358,6 +359,28 @@ def test_cli_routes_import_no_scipy(tmp_path):
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / written).exists()
+
+
+def test_package_imports_no_scipy():
+    # scipy is only a test extra: no module of the package imports it, at
+    # any depth, a function-local import included
+    package = os.path.dirname(os.path.abspath(cbs2atom.__file__))
+    names = sorted(name for name in os.listdir(package) if name.endswith(".py"))
+    found = []
+    for name in names:
+        with open(os.path.join(package, name)) as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {module}" for module in modules
+                      if module.split(".")[0] == "scipy"]
+    assert "cli.py" in names
+    assert found == []
 
 
 @pytest.mark.parametrize("suite", ["sum-rules", "equivalence", "oracle", "physics"])

@@ -10,7 +10,6 @@ from cbs2atom.disorder import (
     ConfigSampler,
     _gauge_weights,
     WINDOW_START,
-    _reduce,
     monte_carlo_spectra,
     select_surviving,
 )
@@ -23,6 +22,7 @@ from cbs2atom.twoatom import (
     canonical_configuration,
     fixed_config_spectrum,
 )
+from oracles import _reduce
 
 DRIVE = AtomDriveParams(rabi=2.0, delta=0.0)
 #: rabi = gamma/2 on resonance: the single-atom generator is defective

@@ -24,19 +24,16 @@ from cbs2atom.atom import (
 )
 from cbs2atom.pumpprobe import (
     BichromaticDrive,
-    TruncationError,
     channel_densities,
     correlation_coefficient,
     equivalence_report,
     extracted_functions,
-    floquet_state,
     harmonic_orders,
-    periodic_state,
-    time_domain_coefficient,
 )
 from cbs2atom.linalg import resolve
 from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.spectra import cbs_spectra, default_grid
+from oracles import TruncationError, floquet_state, periodic_state, time_domain_coefficient
 
 PUMP = AtomDriveParams(rabi=2.0, delta=0.5)
 

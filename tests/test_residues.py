@@ -10,8 +10,8 @@ from cbs2atom.residues import (
     check_sum_rule_I,
     check_sum_rule_II,
     check_sum_rule_III,
-    quadrature_line_integral,
 )
+from oracles import quadrature_line_integral
 
 
 def make(rabi, delta=0.0, phase=0.0):

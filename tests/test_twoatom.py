@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson, solve_ivp
 
-from cbs2atom import disorder, residues, spectra
+from cbs2atom import disorder, spectra
 from cbs2atom import twoatom as ta
 from cbs2atom.atom import (
     DELTA_MINUS,
@@ -20,6 +20,18 @@ from cbs2atom.atom import (
     probe_vectors,
 )
 from cbs2atom.linalg import PoleProximityError
+from oracles import (
+    _reduce,
+    double_scattering_intensity,
+    exact_steady_state,
+    intensity,
+    pair_first_order_explicit,
+    pair_resolvent_integral,
+    regression_initial_exact,
+    single_first_order_explicit,
+    single_second_order_explicit,
+    tagged_total,
+)
 
 DRIVE = AtomDriveParams(rabi=2.0, delta=0.5)
 
@@ -90,7 +102,7 @@ _ARRAY_HOLDERS = {
     "SpectralFunctionGrid": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS).ladder,
     "CbsResult": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS),
     "SampledGeometry": lambda: disorder.ConfigSampler(samples=1000).geometry(),
-    "MonteCarloResult": lambda: disorder._reduce(np.ones((1000, 2)), 1000),
+    "MonteCarloResult": lambda: _reduce(np.ones((1000, 2)), 1000),
     "DisorderAveragedSpectra": lambda: disorder.monte_carlo_spectra(
         DRIVE, disorder.ConfigSampler(samples=1000), _NUS),
 }
@@ -312,16 +324,16 @@ def test_pair_green_integral_representation(z):
     gen = make_gen()
     direct = gen.pair_green(z)
     for orientation in (+1, -1):
-        integ = residues.pair_resolvent_integral(gen, z, orientation)
+        integ = pair_resolvent_integral(gen, z, orientation)
         assert np.max(np.abs(integ - direct)) < 1e-10
 
 
 def test_pair_green_integral_rejects_bad_arguments():
     gen = make_gen()
     with pytest.raises(ValueError):
-        residues.pair_resolvent_integral(gen, 0.5)
+        pair_resolvent_integral(gen, 0.5)
     with pytest.raises(ValueError):
-        residues.pair_resolvent_integral(gen, 0.0, orientation=3)
+        pair_resolvent_integral(gen, 0.0, orientation=3)
 
 
 # -------------------------------------------------------------- steady state
@@ -329,12 +341,12 @@ def test_pair_green_integral_rejects_bad_arguments():
 
 def test_exact_steady_state_solves_full_system():
     gen = make_gen()
-    s = ta.exact_steady_state(gen)
+    s = exact_steady_state(gen)
     assert np.linalg.norm(full_matrix(gen) @ s + gen.drive) < 1e-12
 
 
 def test_exact_steady_state_is_physical():
-    s = ta.exact_steady_state(make_gen(x=300.0))
+    s = exact_steady_state(make_gen(x=300.0))
     for z_idx, minus_idx, plus_idx in ((2, 0, 1), (5, 3, 4)):
         population = (1.0 + s[z_idx].real) / 2.0
         assert abs(s[z_idx].imag) < 1e-12
@@ -346,7 +358,7 @@ def test_exact_steady_state_is_physical():
 
 def test_steady_state_factorizes_when_uncoupled():
     gen = make_gen(coupling=0.0)
-    s = ta.exact_steady_state(gen)
+    s = exact_steady_state(gen)
     assert np.allclose(s[:3], gen.atom2.steady, atol=1e-13)
     assert np.allclose(s[3:6], gen.atom1.steady, atol=1e-13)
     assert np.allclose(s[6:], np.kron(gen.atom1.steady, gen.atom2.steady), atol=1e-13)
@@ -359,7 +371,7 @@ def test_steady_state_matches_long_time_integration():
                     np.zeros(15, dtype=complex), method="DOP853",
                     rtol=1e-11, atol=1e-13)
     assert sol.success
-    assert np.linalg.norm(sol.y[:, -1] - ta.exact_steady_state(gen)) < 1e-9
+    assert np.linalg.norm(sol.y[:, -1] - exact_steady_state(gen)) < 1e-9
 
 
 def test_truncation_remainder_scales_with_coupling_cubed():
@@ -371,8 +383,8 @@ def test_truncation_remainder_scales_with_coupling_cubed():
     devs, strengths = [], []
     for x in (32 * np.pi, 320 * np.pi, 3200 * np.pi):
         gen = make_gen(x=x, delta=0.0)
-        truncated = sum(ta.tagged_total(lvl, 15) for lvl in ta.perturbative_orders(gen, 2))
-        dev = np.linalg.norm(ta.exact_steady_state(gen) - truncated)
+        truncated = sum(tagged_total(lvl, 15) for lvl in ta.perturbative_orders(gen, 2))
+        dev = np.linalg.norm(exact_steady_state(gen) - truncated)
         devs.append(dev)
         strengths.append(abs(gen.coupling))
     slopes = np.diff(np.log(devs)) / np.diff(np.log(strengths))
@@ -385,9 +397,9 @@ def test_truncation_remainder_scales_with_coupling_cubed():
 def test_order_zero_correlations_factorize():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 2)
-    assert np.allclose(ta.tagged_total(orders[0], 15)[:6],
+    assert np.allclose(tagged_total(orders[0], 15)[:6],
                        np.concatenate([gen.atom2.steady, gen.atom1.steady]), atol=1e-14)
-    assert np.allclose(ta.tagged_total(orders[0], 15)[6:],
+    assert np.allclose(tagged_total(orders[0], 15)[6:],
                        np.kron(gen.atom1.steady, gen.atom2.steady), atol=1e-14)
 
 
@@ -413,7 +425,7 @@ def test_orders_scale_as_coupling_power(seed):
 def test_first_order_single_atom_closed_forms():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 1)
-    atom2_part, atom1_part = residues.single_first_order_explicit(gen)
+    atom2_part, atom1_part = single_first_order_explicit(gen)
     for mono, vec in atom2_part.items():
         assert np.allclose(orders[1][mono][:3], vec, atol=1e-15)
         assert np.max(np.abs(orders[1][mono][3:6])) < 1e-18
@@ -425,7 +437,7 @@ def test_first_order_single_atom_closed_forms():
 def test_first_order_pair_closed_forms():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 1)
-    explicit = residues.pair_first_order_explicit(gen)
+    explicit = pair_first_order_explicit(gen)
     for mono, vec in explicit.items():
         scale = np.max(np.abs(vec))
         assert np.max(np.abs(orders[1][mono][6:] - vec)) < 1e-12 * scale
@@ -440,8 +452,8 @@ def test_first_order_pair_printed_final_term_is_inconsistent():
     """
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 1)
-    printed = residues.pair_first_order_explicit(gen, printed_final_term=True)
-    corrected = residues.pair_first_order_explicit(gen)
+    printed = pair_first_order_explicit(gen, printed_final_term=True)
+    corrected = pair_first_order_explicit(gen)
     mono = ("12*",)
     scale = np.max(np.abs(orders[1][mono][6:]))
     assert np.max(np.abs(printed[mono] - orders[1][mono][6:])) > 0.1 * scale
@@ -453,7 +465,7 @@ def test_first_order_pair_printed_final_term_is_inconsistent():
 def test_second_order_single_atom_closed_forms():
     gen = make_gen()
     orders = ta.perturbative_orders(gen, 2)
-    explicit = residues.single_second_order_explicit(gen)
+    explicit = single_second_order_explicit(gen)
     assert set(explicit) == {("12", "21*"), ("12", "12*"), ("21", "21*")}
     for mono, vec in explicit.items():
         recurrence = orders[2][mono][:3]
@@ -467,10 +479,10 @@ def test_second_order_closed_forms_across_parameter_draws():
                        delta=rng.uniform(-2.5, 2.5),
                        direction=tuple(rng.normal(size=3)))
         orders = ta.perturbative_orders(gen, 2)
-        for mono, vec in residues.single_second_order_explicit(gen).items():
+        for mono, vec in single_second_order_explicit(gen).items():
             recurrence = orders[2][mono][:3]
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
-        for mono, vec in residues.pair_first_order_explicit(gen).items():
+        for mono, vec in pair_first_order_explicit(gen).items():
             recurrence = orders[1][mono][6:]
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
@@ -480,11 +492,11 @@ def test_degenerate_drive_still_solves_and_matches_explicit_chains():
     # the recurrences and the quadrature of the printed chains need none
     gen = make_gen(rabi=0.5, delta=0.0)
     orders = ta.perturbative_orders(gen, 2)
-    assert np.isfinite(ta.tagged_total(orders[2], 15)[:6]).all()
-    for mono, vec in residues.single_second_order_explicit(gen).items():
+    assert np.isfinite(tagged_total(orders[2], 15)[:6]).all()
+    for mono, vec in single_second_order_explicit(gen).items():
         recurrence = orders[2][mono][:3]
         assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
-    for mono, vec in residues.pair_first_order_explicit(gen).items():
+    for mono, vec in pair_first_order_explicit(gen).items():
         recurrence = orders[1][mono][6:]
         assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
 
@@ -514,11 +526,11 @@ def test_initial_condition_first_order_matches_finite_difference():
 
     def exact_initial(scale):
         gen = ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling)
-        return ta.regression_initial_exact(ta.exact_steady_state(gen))
+        return regression_initial_exact(exact_steady_state(gen))
 
     gen = ta.assemble(cfg, DRIVE)
     orders = ta.perturbative_orders(gen, 2)
-    first = ta.tagged_total(ta.regression_initials(orders)[1], 15)
+    first = tagged_total(ta.regression_initials(orders)[1], 15)
     step = 1e-4
     fd = (exact_initial(step) - exact_initial(-step)) / (2.0 * step)
     assert np.linalg.norm(fd - first) < 1e-6 * np.linalg.norm(first)
@@ -529,8 +541,8 @@ def test_initial_conditions_sum_to_exact_within_cubic_remainder():
     orders = ta.perturbative_orders(gen, 2)
     summed = np.zeros(15, dtype=complex)
     for tagged in ta.regression_initials(orders):
-        summed += ta.tagged_total(tagged, 15)
-    exact = ta.regression_initial_exact(ta.exact_steady_state(gen))
+        summed += tagged_total(tagged, 15)
+    exact = regression_initial_exact(exact_steady_state(gen))
     assert np.linalg.norm(exact - summed) < abs(gen.coupling) ** 3
 
 
@@ -553,7 +565,7 @@ def test_resolvent_orders_sum_to_full_inverse():
     seed_vec = rng.normal(size=15) + 1j * rng.normal(size=15)
     z = -1.7j
     levels = ta.resolvent_apply(gen, z, {(): seed_vec}, max_order=2)
-    approx = sum(ta.tagged_total(lvl, 15) for lvl in levels)
+    approx = sum(tagged_total(lvl, 15) for lvl in levels)
     direct = np.linalg.solve(z * np.eye(15) - full_matrix(gen), seed_vec)
     assert np.linalg.norm(direct - approx) < abs(gen.coupling) ** 3 * np.linalg.norm(seed_vec) * 10
 
@@ -626,7 +638,7 @@ def test_spectrum_matches_time_domain_regression():
     order-summed resolvent output, chained through the dense solve."""
     gen = make_gen()
     full = full_matrix(gen)
-    init = ta.regression_initial_exact(ta.exact_steady_state(gen))
+    init = regression_initial_exact(exact_steady_state(gen))
     tmax, dt = 42.0, 0.004
     ts = np.arange(0.0, tmax + dt / 2, dt)
     sol = solve_ivp(lambda t, y: full @ y, (0.0, tmax), init, t_eval=ts,
@@ -641,7 +653,7 @@ def test_spectrum_matches_time_domain_regression():
         order_sum = np.zeros(15, dtype=complex)
         for n in range(3):
             for lvl in ta.resolvent_apply(gen, z, inits[n], max_order=2 - n):
-                order_sum += ta.tagged_total(lvl, 15)
+                order_sum += tagged_total(lvl, 15)
         for comp in (0, 3):
             laplace = simpson(np.exp(1j * nu * ts) * sol.y[comp], x=ts)
             assert abs(laplace - direct[comp]) < 1e-10
@@ -691,7 +703,7 @@ def test_spectrum_rejects_non_finite_frequencies(bad):
 
 
 def test_intensity_vanishes_undriven():
-    assert abs(ta.intensity(make_gen(rabi=0.0, delta=0.2), (0, 0, -1.0))) < 1e-14
+    assert abs(intensity(make_gen(rabi=0.0, delta=0.2), (0, 0, -1.0))) < 1e-14
 
 
 def test_intensity_uncoupled_orientation_average_kills_cross_term():
@@ -707,7 +719,7 @@ def test_intensity_uncoupled_orientation_average_kills_cross_term():
         axis /= np.linalg.norm(axis)
         cfg = ta.ScatteringConfig(r1=np.zeros(3), r2=500.0 * axis)
         gen = ta.assemble(cfg, drive, coupling=0.0)
-        samples.append(ta.intensity(gen, back))
+        samples.append(intensity(gen, back))
     samples = np.array(samples) - population
     stderr = samples.std(ddof=1) / np.sqrt(len(samples))
     assert abs(samples.mean()) < 3.0 * stderr
@@ -750,11 +762,11 @@ def test_order_two_intensity_matches_finite_difference():
     back = np.array([0.0, 0.0, -1.0])
 
     def total(scale):
-        return ta.intensity(ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling), back)
+        return intensity(ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling), back)
 
     gen = ta.assemble(cfg, DRIVE)
     orders = ta.perturbative_orders(gen, 2)
-    tagged = ta.double_scattering_intensity(gen, back, orders)
+    tagged = double_scattering_intensity(gen, back, orders)
     second = sum(tagged.values())
     assert abs(second.imag) < 1e-12 * abs(second)
     # step large enough to clear float cancellation in the second difference
