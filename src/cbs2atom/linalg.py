@@ -35,12 +35,12 @@ class PoleProximityError(ValueError):
 
 
 def _shifted(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
-    """``z - M`` over ``S_d + z.shape`` for ``M`` of shape ``S_d + (n, n)`` (one matrix is
-    not lifted: faster), once each ``z`` is finite and clear of its matrix's eigenvalues."""
+    """``z - M`` over ``S_d + z.shape`` for ``M`` of shape ``S_d + (n, n)``, once each
+    ``z`` is finite and clear of its matrix's eigenvalues."""
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("resolvent argument z must be finite")
-    lift = (..., *(None,) * (z.ndim if M.ndim > 2 else 0), slice(None))
+    lift = (..., *(None,) * z.ndim, slice(None))
     gap = np.abs(z[..., None] - eigenvalues[lift])
     if (gap < DEGENERACY_TOL).any():
         gap = np.min(gap, axis=-1)

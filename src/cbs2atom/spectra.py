@@ -16,8 +16,9 @@ amplitude enters each monomial only as a scalar factor, the surviving
 monomials divided by ``4|T|^2`` are the configuration averages.  The
 route needs no spectral decomposition, so the defective Jordan-point
 drive (``rabi = 1/2`` on resonance) needs no special treatment.  Drives
-on one grid are solved as stacks (:func:`cbs_spectra_stack`) in blocks of
-at most ``BLOCK_PAIRS`` (drive, frequency) pairs; one drive is unstacked.
+on one grid, and one drive as a stack of one, are solved in blocks of at
+most ``BLOCK_PAIRS`` (drive, frequency) pairs (:func:`cbs_spectra_stack`); a
+longer grid is cut into frequency blocks.
 
 The paper's closed form in single-atom observables, its convolutions
 evaluated by quadrature, is an independent test oracle that also holds at
@@ -149,7 +150,7 @@ def _real_part(value: complex, scale: float = 1.0) -> float:
 # ----------------------------------------------------------------------------
 
 
-#: Most (drive, frequency) pairs one stacked solve holds; a larger one is no cheaper per pair.
+#: Most (drive, frequency) pairs one solve holds; a larger one is no cheaper per pair.
 BLOCK_PAIRS = 1024
 
 
@@ -170,27 +171,44 @@ def _weight(value: complex) -> float:
     return _real_part(value, scale=abs(value))
 
 
-def _channel(nus: np.ndarray, density: np.ndarray, elastic: complex) -> SpectralFunctionGrid:
-    return SpectralFunctionGrid(nu=nus, values=np.real(_per_power(density)) / np.pi,
+def _channel(nus: np.ndarray, densities: list, elastic: complex) -> SpectralFunctionGrid:
+    """One channel from its densities on consecutive blocks of ``nus``."""
+    density = _per_power(np.concatenate(densities))
+    return SpectralFunctionGrid(nu=nus, values=np.real(density) / np.pi,
                                 elastic_weight=_weight(elastic))
 
 
-def _ladder(spec: FixedConfigSpectra, at=()) -> SpectralFunctionGrid:
-    return _channel(spec.nu, spec.autocorrelation[LADDER_MONOMIAL][at],
-                    spec.elastic_autocorrelation[LADDER_MONOMIAL][at])
+def _ladder(nus: np.ndarray, specs: list, at: int) -> SpectralFunctionGrid:
+    return _channel(nus, [spec.autocorrelation[LADDER_MONOMIAL][at] for spec in specs],
+                    specs[0].elastic_autocorrelation[LADDER_MONOMIAL][at])
 
 
-def _crossed(spec: FixedConfigSpectra, at=()) -> SpectralFunctionGrid:
-    return _channel(spec.nu, spec.exchange[CROSSED_MONOMIAL][at],
-                    spec.elastic_exchange[CROSSED_MONOMIAL][at])
+def _crossed(nus: np.ndarray, specs: list, at: int) -> SpectralFunctionGrid:
+    return _channel(nus, [spec.exchange[CROSSED_MONOMIAL][at] for spec in specs],
+                    specs[0].elastic_exchange[CROSSED_MONOMIAL][at])
+
+
+def _channels(drives, nus) -> list:
+    """(ladder, crossed) of each drive of a sequence on one grid ``nus``, solved in stacks
+    of at most ``BLOCK_PAIRS`` (drive, frequency) pairs: the whole grid of as many drives
+    as fit, or one drive on each block of ``BLOCK_PAIRS`` frequencies of a longer grid.
+    Each frequency block repeats the z = 0 expansion; the elastic weights are the first's."""
+    nus = np.asarray(nus, dtype=float)
+    size = max(1, BLOCK_PAIRS // max(1, nus.size))
+    parts = np.split(nus, range(BLOCK_PAIRS, nus.size, BLOCK_PAIRS))
+    out = []
+    for block in (drives[start:start + size] for start in range(0, len(drives), size)):
+        specs = [_canonical_spectrum(block, part) for part in parts]
+        out += [(_ladder(nus, specs, at), _crossed(nus, specs, at)) for at in range(len(block))]
+    return out
 
 
 def elastic_weights(drive: AtomDriveParams) -> tuple:
     """Elastic (drive-frequency) weights of the background and of the
     interference channel at exact backscattering, from one solve."""
-    spec = _canonical_spectrum(drive)
-    return (_weight(spec.elastic_autocorrelation[LADDER_MONOMIAL]),
-            _weight(spec.elastic_exchange[CROSSED_MONOMIAL]))
+    spec = _canonical_spectrum([drive])
+    return (_weight(spec.elastic_autocorrelation[LADDER_MONOMIAL][0]),
+            _weight(spec.elastic_exchange[CROSSED_MONOMIAL][0]))
 
 
 def elastic_ladder(drive: AtomDriveParams) -> float:
@@ -215,7 +233,7 @@ def inelastic_ladder(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     """
     if nus is None:
         nus = default_grid(drive)
-    return _ladder(_canonical_spectrum(drive, nus))
+    return _channels([drive], nus)[0][0]
 
 
 def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
@@ -223,28 +241,21 @@ def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     bundled with the channel's elastic weight."""
     if nus is None:
         nus = default_grid(drive)
-    return _crossed(_canonical_spectrum(drive, nus))
+    return _channels([drive], nus)[0][1]
 
 
 def cbs_spectra_stack(drives, nus) -> list:
     """:func:`cbs_spectra` of each drive of a sequence on one grid ``nus``,
-    solved in stacks of at most ``BLOCK_PAIRS`` (drive, frequency) pairs,
-    at least one drive each; a one-drive block is solved unstacked."""
+    solved in stacks of at most ``BLOCK_PAIRS`` (drive, frequency) pairs."""
     if any(drive.rabi == 0.0 for drive in drives):
         raise ValueError("undriven atoms scatter nothing; rabi must be nonzero")
-    size = max(1, BLOCK_PAIRS // max(1, np.size(nus)))
-    results = []
-    for block in (drives[start:start + size] for start in range(0, len(drives), size)):
-        stacked = len(block) > 1
-        spec = _canonical_spectrum(block if stacked else block[0], nus)
-        results += [CbsResult(drive, _ladder(spec, at), _crossed(spec, at))
-                    for drive, at in zip(block, range(len(block)) if stacked else [()])]
-    return results
+    return [CbsResult(drive, ladder, crossed)
+            for drive, (ladder, crossed) in zip(drives, _channels(drives, nus))]
 
 
 def cbs_spectra(drive: AtomDriveParams, nus=None) -> CbsResult:
     """Full averaged backscattering signal: both channels plus contrast,
-    from one canonical-configuration solve (a one-drive stack)."""
+    from the canonical-configuration solve of a one-drive stack."""
     if nus is None:
         nus = default_grid(drive)
     return cbs_spectra_stack([drive], nus)[0]

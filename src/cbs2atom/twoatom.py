@@ -28,7 +28,7 @@ its single-atom blocks (closed-form 3x3 inverses) and its pair block (one
 stacked dense solve), and each coupling insertion is one product with one
 channel's operator.  A sequence of drives (:func:`assemble`) stacks one generator
 per drive: the expansions then have shape ``S_d + S_nu + (...)``, drive axes first,
-the channels and feed block are shared, and one drive is the empty stack ``S_d = ()``.
+the channels and feed block are shared, and one drive, ``S_d = ()``, takes a stack's arithmetic.
 :func:`fixed_config_spectrum` on one canonical configuration
 (:func:`canonical_configuration`) is the production route of the averaged
 channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
@@ -357,16 +357,14 @@ def _mean_splittings(orders: list, n: int):
     """Order-n mean-product splittings: yields ``(monomial, <sigma_2^+>^(p),
     <Q>^(n-p))`` over every p and pair of monomials whose product is a
     monomial of ``orders[n]`` (all of them, unless the orders were pruned).
-    The caller multiplies, because a complex product over an array can round
-    differently in the last digit from the scalar product of the components
-    it needs: one drive yields scalars, which keep their scalar products.
+    ``<sigma_2^+>^(p)`` keeps the drive axes, a 0-d array for one drive.
     """
     for p in range(n + 1):
         for mono_p, xp in orders[p].items():
             for mono_q, qvec in orders[n - p].items():
                 key = merge_monomials(mono_p, mono_q)
                 if key in orders[n]:
-                    yield key, xp[..., 1] if xp.ndim > 1 else xp[1], qvec
+                    yield key, xp[..., 1], qvec
 
 
 # -- regression initial conditions ---------------------------------------------
@@ -403,7 +401,7 @@ def regression_initials(orders: list) -> tuple:
         tagged: TaggedVector = {mono: _raising_product(vec, include_unit=(n == 0))
                                 for mono, vec in level.items()}
         for key, amp, qvec in _mean_splittings(orders, n):
-            _tagged_add(tagged, key, -(amp[..., None] if amp.ndim else amp) * qvec)
+            _tagged_add(tagged, key, -amp[..., None] * qvec)
         out.append(tagged)
     return tuple(out)
 
@@ -534,8 +532,8 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     elastic_auto: dict = {}
     elastic_exch: dict = {}
     for key, amp, qvec in _mean_splittings(orders, 2):
-        _tagged_add(elastic_auto, key, amp * qvec[..., 0][()])
-        _tagged_add(elastic_exch, key, amp * qvec[..., 3][()])
+        _tagged_add(elastic_auto, key, amp * qvec[..., 0])
+        _tagged_add(elastic_exch, key, amp * qvec[..., 3])
     return FixedConfigSpectra(
         nu=nus,
         autocorrelation={mono: vec[..., 0] for mono, vec in nested.items()},

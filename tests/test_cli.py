@@ -201,6 +201,20 @@ def test_sweep_summary_has_one_row_per_drive(tmp_path, capsys):
         assert summary["enhancement"][i] == result.enhancement
 
 
+def test_spectrum_files_equal_the_sweep_point_files(tmp_path, capsys):
+    # one drive is solved as a stack of one, so a spectrum agrees bit for bit
+    # with the same drive inside a swept stack; one output directory, as the
+    # headers echo it
+    grid = ["--nu-points", 21, "--output", tmp_path]
+    assert run(["sweep", "--rabi", 1, 2, "--detuning", 0, 1.1484375, *grid], capsys) == 0
+    for rabi, detuning, name in ((1, 1.1484375, "sweep_r1_d1p14844"), (2, 0, "sweep_r2_d0")):
+        argv = ["spectrum", "--rabi", rabi, "--detuning", detuning, *grid]
+        assert run(argv, capsys) == 0
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"spectrum{suffix}").read_bytes()
+                    == (tmp_path / f"{name}{suffix}").read_bytes()), (name, suffix)
+
+
 def test_sweep_summary_header_lists_every_drive(tmp_path, capsys):
     # the per-point headers echo one drive each; the summary names itself
     # and lists every swept value, not the first point's

@@ -244,16 +244,14 @@ STACK_GRID = np.linspace(-15.0, 15.0, 21)
 
 
 def assert_stack_equals(stacked, singles):
-    # densities bit for bit; an elastic weight of a stack is an array
-    # product and may round differently from the one-drive scalar product
+    # one drive is solved as a stack of one, so every number agrees bit for bit
     assert len(stacked) == len(singles)
     for got, want in zip(stacked, singles):
         assert got.drive == want.drive
         for channel in ("ladder", "crossed"):
             got_channel, want_channel = getattr(got, channel), getattr(want, channel)
             assert np.array_equal(got_channel.values, want_channel.values)
-            assert (abs(got_channel.elastic_weight - want_channel.elastic_weight)
-                    <= 1e-14 * abs(want_channel.elastic_weight))
+            assert got_channel.elastic_weight == want_channel.elastic_weight
 
 
 @settings(max_examples=30, deadline=None)
@@ -261,6 +259,7 @@ def assert_stack_equals(stacked, singles):
                                  st.floats(-20.0, 20.0)),
                        min_size=1, max_size=6))
 @example(drives=[drive(0.5, 0.0), drive(1e-3, 1.5)])
+@example(drives=[drive(1.0, 0.0), drive(1.0, 1.1484375)])
 @example(drives=[drive(2.0), drive(0.5, 0.0), drive(20.0, 1.5), drive(1e-3, 1.5)])
 def test_stacked_spectra_equal_the_per_drive_spectra(drives):
     assert_stack_equals(spectra.cbs_spectra_stack(drives, STACK_GRID),
@@ -276,13 +275,39 @@ def test_stack_larger_than_a_block_equals_one_block(monkeypatch):
     solve = spectra._canonical_spectrum
 
     def counting(block, nus):
-        blocks.append(len(block) if isinstance(block, list) else 1)
+        blocks.append(len(block))
         return solve(block, nus)
 
     monkeypatch.setattr(spectra, "_canonical_spectrum", counting)
     monkeypatch.setattr(spectra, "BLOCK_PAIRS", 2 * len(STACK_GRID) + 1)
     assert_stack_equals(spectra.cbs_spectra_stack(drives, STACK_GRID), whole)
     assert blocks == [2, 2, 1]
+
+
+def test_grid_longer_than_a_block_equals_one_block(monkeypatch):
+    # a grid of more than BLOCK_PAIRS frequencies is solved one drive at a
+    # time, on frequency blocks of at most BLOCK_PAIRS whose densities are
+    # concatenated; unblocked, the five drives are one stack
+    drives = [drive(2.0), drive(0.5, 0.0), drive(20.0, 1.5), drive(1e-3, 1.5), drive(7.0, 4.0)]
+    nus = default_grid(drive(20.0), 61)
+    whole = spectra.cbs_spectra_stack(drives, nus)
+    ladder = spectra.inelastic_ladder(drives[0], nus)
+    crossed = spectra.inelastic_crossed(drives[0], nus)
+    blocks = []
+    solve = spectra._canonical_spectrum
+
+    def counting(block, part):
+        blocks.append((len(block), len(part)))
+        return solve(block, part)
+
+    monkeypatch.setattr(spectra, "_canonical_spectrum", counting)
+    monkeypatch.setattr(spectra, "BLOCK_PAIRS", 13)
+    assert_stack_equals(spectra.cbs_spectra_stack(drives, nus), whole)
+    assert blocks == len(drives) * [(1, 13), (1, 13), (1, 13), (1, 13), (1, 9)]
+    for got, want in ((spectra.inelastic_ladder(drives[0], nus), ladder),
+                      (spectra.inelastic_crossed(drives[0], nus), crossed)):
+        assert np.array_equal(got.nu, want.nu) and np.array_equal(got.values, want.values)
+        assert got.elastic_weight == want.elastic_weight
 
 
 def test_fixed_config_spectrum_rejects_other_monomials():
