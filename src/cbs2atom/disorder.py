@@ -20,13 +20,15 @@ dipole coupling's far field, and whole periods of the distance phase
 statistically.
 
 `monte_carlo_spectra` solves the two-atom equations once, on the canonical
-configuration of :func:`cbs2atom.twoatom.canonical_configuration`.  By the
+configuration of :func:`cbs2atom.twoatom.canonical_configuration`, in the
+frequency blocks of :func:`cbs2atom.spectra.canonical_blocks`.  By the
 gauge identity ``M(phase) = U M(0) U^-1`` each sampled geometry's monomial
 is the canonical one times a scalar coupling and phase factor, so the
 samples cost array arithmetic over those factors, with no per-sample
-object.  The identity itself is checked elsewhere: against brute-force
-solves of sampled geometries in the tests, and by the ``fixed-config-*``
-rows of ``cbs2atom validate oracle``.
+object, drawn and reduced ``SAMPLE_CHUNK`` at a time: memory grows neither
+with the grid nor with the sample count.  The identity itself is checked
+elsewhere: against brute-force solves of sampled geometries in the tests,
+and by the ``fixed-config-*`` rows of ``cbs2atom validate oracle``.
 
 Averaged spectra are normalized by the window mean of four times the
 squared coupling strength, which puts them on the same scale as the
@@ -40,14 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from cbs2atom.atom import AtomDriveParams
+from cbs2atom.spectra import canonical_blocks
 from cbs2atom.twoatom import (
     COUPLING_TAGS,
     CROSSED_MONOMIAL,
+    DEGREE_TWO_MONOMIALS,
     LADDER_MONOMIAL,
-    assemble,
-    canonical_configuration,
     exchange_coupling,
-    fixed_config_spectrum,
 )
 
 
@@ -55,6 +56,9 @@ from cbs2atom.twoatom import (
 WINDOW_START = 200.0
 #: Whole periods ``2 pi`` of the distance phase the window spans.
 WINDOW_PERIODS = 8
+#: Most samples drawn and weighted at once (about 1 kB each); the moments of
+#: more samples are combined chunk by chunk.
+SAMPLE_CHUNK = 16_384
 
 
 class BookkeepingError(ValueError):
@@ -139,12 +143,29 @@ class ConfigSampler:
         directions (normalised; a row shorter than 1e-8 is redrawn).
         ``rng`` defaults to a generator seeded with ``seed``."""
         rng = np.random.default_rng(self.seed) if rng is None else rng
-        separation = rng.uniform(WINDOW_START, self.x_stop, self.samples)
-        direction = rng.standard_normal((self.samples, 3))
+        return self._draw(rng, rng, self.samples)
+
+    def geometry_chunks(self, size: int):
+        """The samples of :meth:`geometry`, drawn ``size`` at a time.
+
+        The directions come from a second generator advanced past the
+        separations, one 64-bit draw per uniform double, so the chunks are
+        consecutive slices of :meth:`geometry`'s arrays.  Only a redrawn
+        direction differs: it is drawn after its chunk's directions, not after
+        all of them, which happens with probability ~1e-24 per sample.
+        """
+        separations, directions = (np.random.default_rng(self.seed) for _ in range(2))
+        directions.bit_generator.advance(self.samples)
+        for start in range(0, self.samples, size):
+            yield self._draw(separations, directions, min(size, self.samples - start))
+
+    def _draw(self, separations, directions, count: int) -> SampledGeometry:
+        separation = separations.uniform(WINDOW_START, self.x_stop, count)
+        direction = directions.standard_normal((count, 3))
         norm = np.linalg.norm(direction, axis=1)
         short = np.flatnonzero(norm < 1e-8)
         while short.size:
-            direction[short] = rng.standard_normal((short.size, 3))
+            direction[short] = directions.standard_normal((short.size, 3))
             norm[short] = np.linalg.norm(direction[short], axis=1)
             short = short[norm[short] < 1e-8]
         return SampledGeometry(separation, direction / norm[:, None])
@@ -211,16 +232,45 @@ def _gauge_weights(monomials, coupling: np.ndarray, phase_difference: np.ndarray
     return np.stack(columns, axis=1)
 
 
-def _reduce_monomials(weights: np.ndarray, coefficients: np.ndarray,
-                      scale: float) -> MonteCarloResult:
-    """Sample mean and standard error of the values ``weights @ coefficients``,
-    both divided by ``scale``, without forming them: the mean is
-    ``mean(weights) @ coefficients`` and the variance follows from the
-    monomials' k x k weight covariance."""
-    samples = len(weights)
+def _moments(weights: np.ndarray) -> tuple:
+    """Mean, sum of centred outer products ``sum (w - mean) (w - mean)^H`` and
+    count of the rows of ``weights``."""
     mean = weights.mean(axis=0)
     centred = weights - mean
-    covariance = centred.T @ centred.conj() / (samples - 1)
+    return mean, centred.T @ centred.conj(), len(weights)
+
+
+def _combine_moments(first: tuple, second: tuple) -> tuple:
+    """The :func:`_moments` of two sets of rows from theirs (the pairwise update
+    of Chan, Golub and LeVeque)."""
+    (mean_a, outer_a, count_a), (mean_b, outer_b, count_b) = first, second
+    count = count_a + count_b
+    step = mean_b - mean_a
+    return (mean_a + step * (count_b / count),
+            outer_a + outer_b + np.outer(step, step.conj()) * (count_a * count_b / count),
+            count)
+
+
+def _weight_moments(sampler: ConfigSampler, monomials: list, charges) -> list:
+    """Sample mean, k x k covariance and count of the gauge weights (times
+    the both-atoms factor two) of ``monomials`` at each gauge charge, from
+    the samples drawn ``SAMPLE_CHUNK`` at a time."""
+    moments = [None] * len(charges)
+    for geometry in sampler.geometry_chunks(SAMPLE_CHUNK):
+        coupling, phase_difference = geometry.coupling, geometry.phase_difference
+        for at, charge in enumerate(charges):
+            chunk = _moments(2.0 * _gauge_weights(monomials, coupling, phase_difference, charge))
+            moments[at] = chunk if moments[at] is None else _combine_moments(moments[at], chunk)
+    return [(mean, outer / (count - 1), count) for mean, outer, count in moments]
+
+
+def _reduce_monomials(moments: tuple, coefficients: np.ndarray,
+                      scale: float) -> MonteCarloResult:
+    """Sample mean and standard error of the values ``weights @ coefficients``,
+    both divided by ``scale``, without forming them: from the weights' mean
+    and k x k covariance (:func:`_weight_moments`), the mean is
+    ``mean @ coefficients`` and the variance a quadratic form in each column."""
+    mean, covariance, samples = moments
     variance = np.real(np.einsum("m...,mn,n...->...", coefficients, covariance,
                                  coefficients.conj())) / samples
     spread = np.sqrt(np.maximum(variance, 0.0))
@@ -239,38 +289,41 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     sample variance.
 
     The two-atom spectra are solved once, on the canonical configuration
-    with unit coupling; the samples then weight the canonical monomials
-    by their exchange amplitudes and laser phase differences (the gauge
-    identity, see the module docstring), as arrays over all samples.
+    with unit coupling, one frequency block at a time; the samples then
+    weight the canonical monomials by their exchange amplitudes and laser
+    phase differences (the gauge identity, see the module docstring).
     Mean and standard error are reduced in monomial space, so no
-    per-sample spectrum is formed.  A spectrum and its elastic weight
-    share monomials and gauge charge, so they share one weight matrix and
-    one reduction, the elastic weight as one more coefficient column.
+    per-sample spectrum is formed: the weights' moments are taken once,
+    and each frequency block is reduced against them before the next is
+    solved.  A spectrum and its elastic weight share monomials and gauge
+    charge, so the elastic weight is one more coefficient column of each
+    block; the first block's is kept.
     """
     nus = np.asarray(nus, dtype=float)
-    canonical = fixed_config_spectrum(
-        assemble(canonical_configuration(), drive, coupling=1.0), nus)
-    geometry = sampler.geometry()
-    coupling, phase_difference = geometry.coupling, geometry.phase_difference
     scale = sampler.coupling_power_mean
     # the crossed channel's backscattering phase e^{i Delta} adds one more
-    crossed_charge = _EXCHANGE_CHARGE + 1
+    moments = _weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, _EXCHANGE_CHARGE + 1))
 
-    def average(spectrum: dict, elastic: dict, charge: int) -> tuple:
-        monomials = list(spectrum)
-        if not monomials or set(elastic) != set(monomials):
-            raise BookkeepingError("a spectrum and its elastic weight need the same "
-                                   "nonempty set of monomials")
-        coefficients = np.array([np.append(spectrum[m], elastic[m]) for m in monomials])
-        weights = 2.0 * _gauge_weights(monomials, coupling, phase_difference, charge)
-        both = _reduce_monomials(weights, coefficients, scale)
-        return (MonteCarloResult(both.mean[:-1], both.stderr[:-1], both.samples),
-                MonteCarloResult(both.mean[-1], both.stderr[-1], both.samples))
+    def reduce(spec) -> tuple:
+        # one row per monomial: the block's densities, then the elastic weight
+        return tuple(
+            _reduce_monomials(weight_moments, np.array(
+                [np.append(spectrum[m][0], elastic[m][0]) for m in DEGREE_TWO_MONOMIALS]), scale)
+            for weight_moments, spectrum, elastic in (
+                (moments[0], spec.autocorrelation, spec.elastic_autocorrelation),
+                (moments[1], spec.exchange, spec.elastic_exchange)))
 
-    ladder, elastic_ladder = average(
-        canonical.autocorrelation, canonical.elastic_autocorrelation, 0)
-    crossed, elastic_crossed = average(
-        canonical.exchange, canonical.elastic_exchange, crossed_charge)
+    def joined(parts) -> tuple:
+        # the density on the whole grid, and the first block's elastic weight
+        return (MonteCarloResult(np.concatenate([part.mean[:-1] for part in parts]),
+                                 np.concatenate([part.stderr[:-1] for part in parts]),
+                                 sampler.samples),
+                MonteCarloResult(parts[0].mean[-1], parts[0].stderr[-1], sampler.samples))
+
+    [(_, blocks)] = canonical_blocks([drive], nus, DEGREE_TWO_MONOMIALS)
+    # map drops each block's spectra once reduced, before the next is solved
+    ladder_parts, crossed_parts = zip(*map(reduce, blocks))
+    (ladder, elastic_ladder), (crossed, elastic_crossed) = joined(ladder_parts), joined(crossed_parts)
     return DisorderAveragedSpectra(nu=nus, ladder=ladder, crossed=crossed,
                                    elastic_ladder=elastic_ladder,
                                    elastic_crossed=elastic_crossed)

@@ -10,9 +10,13 @@ stay exact at defective (Jordan-point) generators:
   production spectra, the pump-probe chains and the quadrature oracles of
   :mod:`cbs2atom.residues`.
 - :func:`resolve` computes ``(z - M)^{-1} B`` for any size as one stacked
-  dense solve; the 9x9 pair-correlation resolvent uses it.
+  dense solve; the two-atom pair-correlation block uses it at z = 0 and on
+  short grids (:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_green`).
 
-Both reject non-finite arguments and arguments on a pole alike.
+Both reject non-finite arguments and arguments on a pole alike.  The
+cofactor formula itself, :func:`_cofactor_inverse`, also inverts the two
+3x3 blocks of the closed-form pair solve
+(:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_solver`).
 """
 
 from __future__ import annotations
@@ -67,7 +71,13 @@ def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
     PoleProximityError
         If an element of ``z`` is within ``DEGENERACY_TOL`` of an eigenvalue.
     """
-    A = _shifted(M, z, eigenvalues)
+    return _cofactor_inverse(_shifted(M, z, eigenvalues))
+
+
+def _cofactor_inverse(A: np.ndarray) -> np.ndarray:
+    """Inverse of each 3x3 matrix of a stack ``A``: the transposed cofactor
+    matrix over the determinant, expanded along the first row.  No pivot
+    and no guard: the caller keeps ``A`` clear of singular."""
     rows_next, rows_after = A.take(_NEXT, axis=-2), A.take(_AFTER, axis=-2)
     cofactor = (rows_next.take(_NEXT, axis=-1) * rows_after.take(_AFTER, axis=-1)
                 - rows_next.take(_AFTER, axis=-1) * rows_after.take(_NEXT, axis=-1))

@@ -154,11 +154,12 @@ def _real_part(value: complex, scale: float = 1.0) -> float:
 BLOCK_PAIRS = 1024
 
 
-def _canonical_spectrum(drive, nus=()) -> FixedConfigSpectra:
+def _canonical_spectrum(drive, nus=(),
+                        monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL)) -> FixedConfigSpectra:
     """Order-two spectra of the canonical configuration with unit coupling,
-    in the two surviving monomials only, for one drive or a stack."""
+    by default in the two surviving monomials only, for one drive or a stack."""
     return fixed_config_spectrum(assemble(canonical_configuration(), drive, coupling=1.0),
-                                 nus, (LADDER_MONOMIAL, CROSSED_MONOMIAL))
+                                 nus, monomials)
 
 
 def _per_power(value):
@@ -188,17 +189,31 @@ def _crossed(nus: np.ndarray, specs: list, at: int) -> SpectralFunctionGrid:
                     specs[0].elastic_exchange[CROSSED_MONOMIAL][at])
 
 
-def _channels(drives, nus) -> list:
-    """(ladder, crossed) of each drive of a sequence on one grid ``nus``, solved in stacks
-    of at most ``BLOCK_PAIRS`` (drive, frequency) pairs: the whole grid of as many drives
-    as fit, or one drive on each block of ``BLOCK_PAIRS`` frequencies of a longer grid.
-    Each frequency block repeats the z = 0 expansion; the elastic weights are the first's."""
+def canonical_blocks(drives, nus, monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL)):
+    """Canonical spectra of each drive of a sequence on one grid ``nus``, in stacks of
+    at most ``BLOCK_PAIRS`` (drive, frequency) pairs: the whole grid of as many drives as
+    fit, or one drive on each block of ``BLOCK_PAIRS`` frequencies of a longer grid.
+
+    Yields each stack of drives with an iterator over its spectra on the consecutive
+    frequency blocks, each solved when it is drawn, so a caller that reduces a block
+    before drawing the next holds one block's solve at a time.  Each frequency block
+    repeats the z = 0 expansion; the elastic weights are the first's.
+    """
     nus = np.asarray(nus, dtype=float)
     size = max(1, BLOCK_PAIRS // max(1, nus.size))
     parts = np.split(nus, range(BLOCK_PAIRS, nus.size, BLOCK_PAIRS))
+    for start in range(0, len(drives), size):
+        block = drives[start:start + size]
+        yield block, (_canonical_spectrum(block, part, monomials) for part in parts)
+
+
+def _channels(drives, nus) -> list:
+    """(ladder, crossed) of each drive of a sequence on one grid ``nus``
+    (:func:`canonical_blocks`)."""
+    nus = np.asarray(nus, dtype=float)
     out = []
-    for block in (drives[start:start + size] for start in range(0, len(drives), size)):
-        specs = [_canonical_spectrum(block, part) for part in parts]
+    for block, specs in canonical_blocks(drives, nus):
+        specs = list(specs)
         out += [(_ladder(nus, specs, at), _crossed(nus, specs, at)) for at in range(len(block))]
     return out
 

@@ -24,9 +24,18 @@ The generator (:class:`TwoAtomGenerator`) has one format: the 15x15 drift
 ``A`` and one 15x15 coupling operator per channel, which sum to ``V``.  All
 solves here are brute force, stacked over whole frequency grids
 (:func:`resolvent_apply`): the block-triangular drift is resolved through
-its single-atom blocks (closed-form 3x3 inverses) and its pair block (one
-stacked dense solve), and each coupling insertion is one product with one
-channel's operator.  A sequence of drives (:func:`assemble`) stacks one generator
+its single-atom blocks (closed-form 3x3 inverses) and its pair block, and
+each coupling insertion is one product with one channel's operator.  The
+pair block is the Kronecker sum of the two atoms' generators, one matrix up
+to the laser-phase gauge, so undoing the phases and splitting by exchange
+symmetry solves it in closed form, by two 3x3 cofactor inverses per
+frequency (:meth:`TwoAtomGenerator.pair_solver`).  That path serves a
+spectrum of at least ``CLOSED_FORM_FREQUENCIES`` frequencies; shorter grids
+and the z = 0 expansions take one stacked dense solve
+(:meth:`TwoAtomGenerator.pair_green`), cheaper there in numpy calls.  The
+count is of frequencies, not of (drive, frequency) pairs, so one drive gets
+the same arithmetic alone and inside a stack.
+A sequence of drives (:func:`assemble`) stacks one generator
 per drive: the expansions then have shape ``S_d + S_nu + (...)``, drive axes first,
 the channels and feed block are shared, and one drive, ``S_d = ()``, takes a stack's arithmetic.
 :func:`fixed_config_spectrum` on one canonical configuration
@@ -61,7 +70,7 @@ from cbs2atom.atom import (
     BlochSystem,
     build,
 )
-from cbs2atom.linalg import resolve
+from cbs2atom.linalg import _cofactor_inverse, resolve
 
 #: The four coupling channels: "jk" transfers excitation via the raising
 #: operator of atom j and the lowering operator of atom k; a trailing "*"
@@ -77,8 +86,35 @@ CROSSED_MONOMIAL = ("12", "12*")
 #: Every coupling monomial of degree two, the full second-order content.
 DEGREE_TWO_MONOMIALS = tuple(combinations_with_replacement(COUPLING_TAGS, 2))
 
+#: Fewest frequencies of one :func:`fixed_config_spectrum` solve that take the
+#: closed-form pair solve (:meth:`TwoAtomGenerator.pair_solver`).  Shorter grids
+#: and every z = 0 expansion take the dense one, whose fewer numpy calls cost
+#: less there: on one core the two cost the same between 56 and 88 frequencies,
+#: and from 96 on the closed form is cheaper (0.70-0.97 of the dense time).
+CLOSED_FORM_FREQUENCIES = 96
+
 _E1 = np.array([1.0, 0.0, 0.0])
 _E2 = np.array([0.0, 1.0, 0.0])
+
+
+def _exchange_basis() -> np.ndarray:
+    """Orthonormal columns over the pair index ``3a + b``: the exchange-symmetric
+    transverse states 00, 11 and (01+10)/sqrt2, the other symmetric states 22,
+    (02+20)/sqrt2 and (12+21)/sqrt2, then the antisymmetric (01-10), (02-20),
+    (12-21) over sqrt2."""
+    out = np.zeros((9, 9))
+    states = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (2, 2, 0), (0, 2, 1), (1, 2, 1),
+              (0, 1, -1), (0, 2, -1), (1, 2, -1))
+    for column, (a, b, sign) in enumerate(states):
+        if sign:
+            out[3 * a + b, column], out[3 * b + a, column] = np.sqrt(0.5), sign * np.sqrt(0.5)
+        else:
+            out[3 * a + b, column] = 1.0
+    return out
+
+
+_EXCHANGE_BASIS = _exchange_basis()
+_TRANSVERSE, _REST, _ANTISYMMETRIC = slice(0, 3), slice(3, 6), slice(6, 9)
 
 
 def _channel_factor(atom: slice, to_single: np.ndarray, to_pair: np.ndarray,
@@ -310,6 +346,85 @@ class TwoAtomGenerator:
         """
         return resolve(self.drift[..., 6:, 6:], z, np.eye(9), self.correlation_eigenvalues)
 
+    @cached_property
+    def _pair_blocks(self) -> tuple:
+        """The z-independent pieces of :meth:`pair_solver`, in the unitary basis
+        ``W`` in which ``W^H M_corr W`` is block-diagonal.
+
+        With ``U = diag(e^{i phase}, e^{-i phase}, 1)`` each atom's generator is
+        ``U M_0 U^{-1}``, ``M_0`` the laser-phase-free one, so ``M_corr`` is
+        ``D (M_0 (+) M_0) D^{-1}`` with ``D = U_1 (x) U_2``.  A Kronecker sum of
+        one matrix with itself commutes with exchanging the atoms, so in
+        ``W = D Q``, ``Q`` the exchange basis (:data:`_EXCHANGE_BASIS`), it splits
+        into a symmetric 6-block and an antisymmetric 3-block.  The Bloch
+        generator has no lowering-raising element, so the symmetric block's
+        three transverse states couple only to its other three (the rest),
+        and among themselves they form the diagonal block ``(-2 + 2i delta,
+        -2 - 2i delta, -2)``.  Entries outside these blocks are dropped as zero.
+
+        Returns, for row vectors, ``conj(W)`` and ``W^T``; the transverse
+        diagonal; the rest and antisymmetric blocks stacked as
+        ``S_d + (2, 3, 3)``; the transposed transverse-to-rest and
+        rest-to-transverse blocks; and the products ``(rest <- k) (k <- rest)``
+        through each transverse state ``k``, flattened to ``S_d + (3, 9)``.
+        """
+        phases = [np.array([one.phase for one in atom.params])
+                  if isinstance(atom.params, tuple) else np.array(atom.params.phase)
+                  for atom in (self.atom1, self.atom2)]
+        turn1, turn2 = (np.stack([np.exp(1j * phase), np.exp(-1j * phase), np.ones_like(phase)],
+                                 axis=-1) for phase in phases)
+        gauge = (turn1[..., :, None] * turn2[..., None, :]).reshape(turn1.shape[:-1] + (9,))
+        basis = gauge[..., :, None] * _EXCHANGE_BASIS
+        blocks = np.conj(np.swapaxes(basis, -1, -2)) @ self.drift[..., 6:, 6:] @ basis
+        to_rest, from_rest = blocks[..., _REST, _TRANSVERSE], blocks[..., _TRANSVERSE, _REST]
+        through = to_rest.swapaxes(-1, -2)[..., :, :, None] * from_rest[..., :, None, :]
+        return (np.conj(basis), basis.swapaxes(-1, -2),
+                np.diagonal(blocks[..., _TRANSVERSE, _TRANSVERSE], axis1=-2, axis2=-1),
+                np.stack([blocks[..., _REST, _REST], blocks[..., _ANTISYMMETRIC, _ANTISYMMETRIC]],
+                         axis=-3),
+                to_rest.swapaxes(-1, -2), from_rest.swapaxes(-1, -2),
+                through.reshape(through.shape[:-3] + (3, 9)))
+
+    def pair_solver(self, z):
+        """``(z - M_corr)^{-1}`` in closed form, as a function on stacked 9-vectors.
+
+        In the basis of :attr:`_pair_blocks` the transverse pivots
+        ``z - (-2 +- 2i delta)`` and ``z + 2`` are eliminated, which leaves a 3x3
+        Schur complement on the rest of the symmetric block; it and the
+        antisymmetric block are inverted by cofactors over determinant
+        (:func:`cbs2atom.linalg._cofactor_inverse`).  For ``Re z >= 0`` every
+        pivot is at least 2 in modulus and every eigenvalue of ``M_corr`` has
+        real part at most -2, so no pole is near.  The returned function maps
+        vectors of shape ``S_d + z.shape + (9,)`` to the resolvent applied to
+        them; no 9x9 inverse is formed.
+
+        Raises
+        ------
+        ValueError
+            If an element of ``z`` is not finite or has a negative real part.
+        """
+        z = np.asarray(z, dtype=complex)
+        if not np.all(np.isfinite(z)) or np.any(z.real < 0.0):
+            raise ValueError("the closed-form pair solve needs finite z with Re z >= 0")
+        into, out_of, transverse, blocks, to_rest_t, from_rest_t, through = self._pair_blocks
+        stack, shape = into.shape[:-2], z.shape
+        z = z.reshape(-1, 1)
+        pivots = 1.0 / (z - transverse[..., None, :])
+        shifted = z[..., None, None] * np.eye(3) - blocks[..., None, :, :, :]
+        shifted[..., 0, :, :] -= (pivots @ through).reshape(pivots.shape + (3,))
+        inverses = _cofactor_inverse(shifted)
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x = rhs.reshape(stack + (-1, 9)) @ into
+            x_t = x[..., _TRANSVERSE]
+            x[..., _REST] += (x_t * pivots) @ to_rest_t
+            y = np.einsum("...ij,...j->...i", inverses, x[..., 3:].reshape(x.shape[:-1] + (2, 3)))
+            y_t = (x_t + y[..., 0, :] @ from_rest_t) * pivots
+            out = np.concatenate([y_t, y.reshape(x.shape[:-1] + (6,))], axis=-1) @ out_of
+            return out.reshape(stack + shape + (9,))
+
+        return solve
+
 
 def _at_phase(drive, phase: float):
     """The drive, or each drive of a sequence, with ``phase`` added."""
@@ -409,22 +524,29 @@ def regression_initials(orders: list) -> tuple:
 # -- resolvent expansion -------------------------------------------------------
 
 
-def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, g_pair: np.ndarray | None,
-             tagged: TaggedVector) -> TaggedVector:
+def _dense_pair_solver(gen: TwoAtomGenerator, z):
+    """``(z - M_corr)^{-1}`` on stacked 9-vectors through the dense
+    :meth:`TwoAtomGenerator.pair_green`, one product per application."""
+    g_pair = gen.pair_green(z)
+    return lambda rhs: (g_pair @ rhs[..., None])[..., 0]
+
+
+def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, pair_solve, tagged: TaggedVector) -> TaggedVector:
     """Apply the block-triangular drift resolvent to stacked 15-vectors.
 
-    ``g_single`` and ``g_pair`` are ``single_green(z)`` and
-    ``pair_green(z)``; the Bloch block is resolved first and feeds the
-    correlation block.  With ``g_pair=None`` only the Bloch block is
-    resolved and the result holds 6-vectors.
+    ``g_single`` is ``single_green(z)`` and ``pair_solve`` applies the pair
+    resolvent at the same ``z`` (:func:`_dense_pair_solver` or
+    :meth:`TwoAtomGenerator.pair_solver`); the Bloch block is resolved first
+    and feeds the correlation block.  With ``pair_solve=None`` only the Bloch
+    block is resolved and the result holds 6-vectors.
     """
     out: TaggedVector = {}
     for mono, vec in tagged.items():
         x_part = (g_single @ vec[..., :6, None])[..., 0]
-        if g_pair is None:
+        if pair_solve is None:
             out[mono] = x_part
             continue
-        y_part = (g_pair @ (x_part @ gen.feed.T + vec[..., 6:])[..., None])[..., 0]
+        y_part = pair_solve(x_part @ gen.feed.T + vec[..., 6:])
         out[mono] = np.concatenate([x_part, y_part], axis=-1)
     return out
 
@@ -462,10 +584,10 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     (:func:`_divisors`).  ``None`` forms every product.
     """
     keep = None if monomials is None else _divisors(monomials)
-    g_single, g_pair = gen.single_green(z), gen.pair_green(z)
-    levels = [_resolve(gen, g_single, g_pair, seed)]
+    g_single, pair_solve = gen.single_green(z), _dense_pair_solver(gen, z)
+    levels = [_resolve(gen, g_single, pair_solve, seed)]
     for _ in range(max_order):
-        levels.append(_resolve(gen, g_single, g_pair, _couple(gen, levels[-1], keep)))
+        levels.append(_resolve(gen, g_single, pair_solve, _couple(gen, levels[-1], keep)))
     return levels
 
 
@@ -499,9 +621,11 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     ``sum_k R (V R)^k i_(2-k)`` with ``i_n`` the order-n regression initial
     condition and ``R`` the drift resolvent at ``z = -i nu``.  It is
     evaluated nested, ``R (i_2 + V R (i_1 + V R i_0))``, on the whole grid
-    at once: the stacked inverses are formed once and applied in three
-    batched resolves.  The results read only components 0 and 3, both in
-    the Bloch block, so the last resolve skips the correlation block.
+    at once: the stacked resolvents are formed once and applied in three
+    batched resolves, the pair block's in closed form on a grid of at least
+    ``CLOSED_FORM_FREQUENCIES`` points.  The results read only components
+    0 and 3, both in the Bloch block, so the last resolve skips the
+    correlation block.
 
     ``monomials`` are the degree-two coupling monomials returned, by
     default all of them.  The stationary orders, the regression initials,
@@ -520,14 +644,16 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     inits = regression_initials(orders)
 
     z = -1j * nus
-    g_single, g_pair = gen.single_green(z), gen.pair_green(z)
+    g_single = gen.single_green(z)
+    pair_solve = (gen.pair_solver(z) if nus.size >= CLOSED_FORM_FREQUENCIES
+                  else _dense_pair_solver(gen, z))
     on_grid = (..., *(None,) * nus.ndim, slice(None))
     nested: TaggedVector = {}
     for n, init in enumerate(inits):
         source = _couple(gen, nested, keep)
         for mono, vec in init.items():
             _tagged_add(source, mono, vec[on_grid])
-        nested = _resolve(gen, g_single, g_pair if n < 2 else None, source)
+        nested = _resolve(gen, g_single, pair_solve if n < 2 else None, source)
 
     elastic_auto: dict = {}
     elastic_exch: dict = {}

@@ -1,7 +1,11 @@
 """Tests for configuration sampling, selection rules, and Monte-Carlo averages."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from cbs2atom import disorder
 
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import (
@@ -16,6 +20,7 @@ from cbs2atom.disorder import (
 from cbs2atom.spectra import cbs_spectra
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
+    DEGREE_TWO_MONOMIALS,
     LADDER_MONOMIAL,
     ScatteringConfig,
     assemble,
@@ -162,6 +167,16 @@ def test_geometry_redraws_a_vanishing_direction():
     assert stub.direction_shapes == [(1000, 3), (1, 3)]
     assert np.linalg.norm(direction[5]) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.linalg.norm(direction, axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_geometry_chunks_are_slices_of_the_geometry():
+    # the chunked draw reads the same random stream as the one-shot draw
+    sampler = small_sampler(seed=5, samples=2500)
+    whole = sampler.geometry()
+    chunks = list(sampler.geometry_chunks(1000))
+    assert [len(chunk.separation) for chunk in chunks] == [1000, 1000, 500]
+    assert np.array_equal(np.concatenate([c.separation for c in chunks]), whole.separation)
+    assert np.array_equal(np.concatenate([c.direction for c in chunks]), whole.direction)
 
 
 def test_sampler_is_deterministic_given_seed():
@@ -340,3 +355,49 @@ def test_selection_rule_holds_at_scale(drive):
                           (averaged.elastic_crossed, result.elastic_crossed)):
         assert abs(np.real(field.mean) - weight) <= 5 * field.stderr + 1e-12 * abs(weight)
 
+
+
+# ---- memory of the Monte-Carlo route ----
+
+
+def test_chunked_weight_moments_equal_one_pass(monkeypatch):
+    # five chunks combined by the pairwise update against one pass over
+    # every sample: equal to rounding
+    sampler = small_sampler(seed=11, samples=5000)
+    whole = disorder._weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, 2))
+    monkeypatch.setattr(disorder, "SAMPLE_CHUNK", 1000)
+    chunked = disorder._weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, 2))
+    for (mean, covariance, count), (want_mean, want_covariance, want_count) in zip(chunked, whole):
+        assert count == want_count == 5000
+        assert np.max(np.abs(mean - want_mean)) <= 1e-14 * np.max(np.abs(want_mean))
+        assert (np.max(np.abs(covariance - want_covariance))
+                <= 1e-13 * np.max(np.abs(want_covariance)))
+
+
+def traced_peak(drive, sampler, nus):
+    tracemalloc.start()
+    try:
+        monte_carlo_spectra(drive, sampler, nus)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_memory_is_flat_in_the_grid():
+    # the canonical solve runs in frequency blocks and each block is reduced
+    # before the next: 6001 points peak about as high as 601 (one block of
+    # 601 against blocks of up to spectra.BLOCK_PAIRS = 1024), not ten times
+    sampler = small_sampler(seed=1)
+    short = traced_peak(DRIVE, sampler, np.linspace(-15.0, 15.0, 601))
+    long = traced_peak(DRIVE, sampler, np.linspace(-15.0, 15.0, 6001))
+    assert long <= 2 * short
+
+
+def test_oracle_memory_is_flat_in_the_samples(monkeypatch):
+    # samples are drawn and weighted a chunk at a time: eight chunks peak
+    # as high as two
+    monkeypatch.setattr(disorder, "SAMPLE_CHUNK", 1000)
+    nus = np.linspace(-15.0, 15.0, 9)
+    two = traced_peak(DRIVE, small_sampler(samples=2000), nus)
+    eight = traced_peak(DRIVE, small_sampler(samples=8000), nus)
+    assert eight <= 1.05 * two

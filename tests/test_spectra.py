@@ -215,9 +215,10 @@ def test_production_resolves_only_the_surviving_monomials(monkeypatch):
 def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
     # both laser phases of the canonical configuration are 0, so the atoms
     # share one Bloch system: one single-atom (closed-form 3x3) and one pair
-    # (dense 9x9) inverse at z = 0 and on the grid; two single-atom
-    # inverses each would take 6
-    calls = {"bloch": 0, "pair": 0}
+    # inverse at z = 0 and on the grid; two single-atom inverses each would
+    # take 6.  The pair inverse is the dense 9x9 at z = 0 and on a short
+    # grid, the closed form on a grid of CLOSED_FORM_FREQUENCIES points
+    calls = {"bloch": 0, "pair": 0, "closed": 0}
 
     def counting(kind, original):
         def wrapped(*args, **kwargs):
@@ -230,12 +231,18 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
     for module in (linalg, atom, twoatom):
         monkeypatch.setattr(module, "inverse3", bloch, raising=False)
         monkeypatch.setattr(module, "resolve", pair, raising=False)
-    nus = np.linspace(-5.0, 5.0, 7)
-    cbs_spectra(drive(2.0), nus=nus)
-    assert calls == {"bloch": 2, "pair": 2}
-    calls.update(bloch=0, pair=0)
-    monte_carlo_spectra(drive(2.0), ConfigSampler(samples=1000, seed=3), nus)
-    assert calls == {"bloch": 2, "pair": 2}
+    monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver",
+                        counting("closed", twoatom.TwoAtomGenerator.pair_solver))
+    for points, expected in ((7, {"bloch": 2, "pair": 2, "closed": 0}),
+                             (twoatom.CLOSED_FORM_FREQUENCIES,
+                              {"bloch": 2, "pair": 1, "closed": 1})):
+        nus = np.linspace(-5.0, 5.0, points)
+        calls.update(bloch=0, pair=0, closed=0)
+        cbs_spectra(drive(2.0), nus=nus)
+        assert calls == expected, points
+        calls.update(bloch=0, pair=0, closed=0)
+        monte_carlo_spectra(drive(2.0), ConfigSampler(samples=1000, seed=3), nus)
+        assert calls == expected, points
 
 
 # ------------------------------------------------------------ stacked drives
@@ -274,9 +281,9 @@ def test_stack_larger_than_a_block_equals_one_block(monkeypatch):
     blocks = []
     solve = spectra._canonical_spectrum
 
-    def counting(block, nus):
+    def counting(block, nus, *monomials):
         blocks.append(len(block))
-        return solve(block, nus)
+        return solve(block, nus, *monomials)
 
     monkeypatch.setattr(spectra, "_canonical_spectrum", counting)
     monkeypatch.setattr(spectra, "BLOCK_PAIRS", 2 * len(STACK_GRID) + 1)
@@ -296,9 +303,9 @@ def test_grid_longer_than_a_block_equals_one_block(monkeypatch):
     blocks = []
     solve = spectra._canonical_spectrum
 
-    def counting(block, part):
+    def counting(block, part, *monomials):
         blocks.append((len(block), len(part)))
-        return solve(block, part)
+        return solve(block, part, *monomials)
 
     monkeypatch.setattr(spectra, "_canonical_spectrum", counting)
     monkeypatch.setattr(spectra, "BLOCK_PAIRS", 13)

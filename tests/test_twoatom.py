@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson, solve_ivp
 
@@ -317,6 +317,77 @@ def test_pair_green_guards_pole_proximity():
     gen = make_gen()
     with pytest.raises(PoleProximityError):
         gen.pair_green(gen.correlation_eigenvalues[4])
+
+
+def closed_form_pair_green(gen, z):
+    # the closed-form solve applied to each unit vector: the columns of the inverse
+    solve = gen.pair_solver(z)
+    shape = gen.drift.shape[:-2] + np.shape(z) + (9,)
+    return np.stack([solve(np.broadcast_to(unit, shape)) for unit in np.eye(9)], axis=-1)
+
+
+_DRIVES = st.builds(lambda e, delta, phase: AtomDriveParams(10.0 ** e, delta, phase=phase),
+                    st.floats(-4.0, 3.0), st.floats(-50.0, 50.0), st.floats(-np.pi, np.pi))
+_POSITIONS = st.lists(st.floats(-100.0, 100.0), min_size=6, max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drives=st.lists(_DRIVES, min_size=1, max_size=3), positions=st.none() | _POSITIONS,
+       scaled=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+@example(drives=[AtomDriveParams(0.5, 0.0)], positions=None, scaled=[0.0, 0.01, -0.3])
+@example(drives=[AtomDriveParams(1000.0, 1.5)], positions=None, scaled=[0.0, 1.0, 1e-3])
+@example(drives=[AtomDriveParams(1e-3, 1.5)], positions=None, scaled=[0.0, -1e-3, 0.5])
+def test_closed_form_pair_solve_equals_the_dense_inverse(drives, positions, scaled):
+    # laser phases undone and the exchange sectors split, the two 3x3
+    # cofactor inverses reproduce the stacked 9x9 LU at z = 0 and on the
+    # imaginary axis out to 100 (Omega' + 15), for one drive or a stack, on
+    # the canonical and on generic geometries
+    if positions is None:
+        cfg = ta.canonical_configuration()
+    else:
+        r1, r2 = np.array(positions[:3]), np.array(positions[3:])
+        if np.linalg.norm(r1 - r2) < 10.0:
+            r2 = r2 + 20.0
+        cfg = ta.ScatteringConfig(r1, r2)
+    gen = ta.assemble(cfg, drives)
+    reach = 100.0 * (max(np.hypot(d.rabi, d.delta) for d in drives) + 15.0)
+    z = np.concatenate([[0.0], -1j * reach * np.array(scaled)])
+    dense = gen.pair_green(z)
+    closed = closed_form_pair_green(gen, z)
+    scale = np.max(np.abs(dense), axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(closed - dense) <= 1e-12 * scale)
+
+
+def test_closed_form_pair_solve_rejects_the_left_half_plane():
+    gen = make_gen()
+    assert np.allclose(closed_form_pair_green(gen, 0.5 - 2j), gen.pair_green(0.5 - 2j),
+                       rtol=0, atol=1e-14)
+    for bad in (-1e-9, np.array([0.0, -0.5 + 1j]), np.nan, 1j * np.inf):
+        with pytest.raises(ValueError):
+            gen.pair_solver(bad)
+
+
+@pytest.mark.parametrize("points", [0, ta.CLOSED_FORM_FREQUENCIES - 1, ta.CLOSED_FORM_FREQUENCIES])
+def test_spectrum_takes_the_closed_form_on_long_grids(monkeypatch, points):
+    # one frequency block of at least CLOSED_FORM_FREQUENCIES points takes the
+    # closed-form pair solve; shorter grids and the z = 0 expansion keep the
+    # dense one, and a stack of drives counts frequencies, not pairs
+    calls = []
+    dense, closed = ta.TwoAtomGenerator.pair_green, ta.TwoAtomGenerator.pair_solver
+
+    def spy(kind, original):
+        def wrapped(gen, z=0.0):
+            calls.append((kind, np.shape(z)))
+            return original(gen, z)
+        return wrapped
+
+    monkeypatch.setattr(ta.TwoAtomGenerator, "pair_green", spy("dense", dense))
+    monkeypatch.setattr(ta.TwoAtomGenerator, "pair_solver", spy("closed", closed))
+    nus = np.linspace(-15.0, 15.0, points)
+    stack = ta.assemble(ta.canonical_configuration(), [DRIVE, AtomDriveParams(0.5, 0.0)])
+    ta.fixed_config_spectrum(stack, nus)
+    grid = "closed" if points >= ta.CLOSED_FORM_FREQUENCIES else "dense"
+    assert calls == [("dense", ()), (grid, (points,))]
 
 
 @pytest.mark.parametrize("z", [0.0, -1.3j, 2.6j])
