@@ -10,12 +10,13 @@ stay exact at defective (Jordan-point) generators:
   production spectra, the pump-probe chains and the quadrature oracles of
   :mod:`cbs2atom.residues`.
 - :func:`resolve` computes ``(z - M)^{-1} B`` for any size as one stacked
-  dense solve; the two-atom pair-correlation block uses it at z = 0 and on
-  short grids (:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_green`).
+  dense solve; the two-atom pair-correlation block uses it for the
+  stationary state, at z = 0 only
+  (:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_green`).
 
 Both reject non-finite arguments and arguments on a pole alike.  The
 cofactor formula itself, :func:`_cofactor_inverse`, also inverts the two
-3x3 blocks of the closed-form pair solve
+3x3 blocks of the closed-form pair solve of every frequency grid
 (:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_solver`).
 """
 

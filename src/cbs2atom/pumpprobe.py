@@ -111,8 +111,8 @@ def _harmonic_orders(steady: np.ndarray, greens: dict, max_plus: int,
 # exp(-i w1 t1 + i w2 t2) times the connected correlation.  At probe
 # order (p, q) the correlation oscillates at the single combination
 # frequency (p - q) w, so C is supported on the line w2 = w1 + (p-q) w;
-# `correlation_coefficient` returns the coefficient of that delta
-# function, with w1 as the free argument.
+# `_coefficient` returns the coefficient of that delta function, with w1
+# as the free argument.
 #
 # The computation follows the quantum regression route for the
 # time-periodic generator: for each time ordering, the connected
@@ -206,24 +206,6 @@ def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.
             vec = _apply(inverses[sign, k], vec @ coupler)
         total = total + vec[..., branch]
     return total
-
-
-def correlation_coefficient(drive: BichromaticDrive, order: tuple,
-                            nu: float) -> complex:
-    """Delta-function coefficient of the correlation at one probe order.
-
-    ``order = (p, q)`` selects the Taylor coefficient of
-    ``v_plus**p * v_minus**q``; the result lives on the support line
-    ``w2 = w1 + (p - q) * probe_detuning`` and is evaluated at ``w1 = nu``.
-    """
-    p, q = order
-    if p < 0 or q < 0:
-        raise ValueError("probe orders must be nonnegative")
-    system = build(drive.pump)
-    w = drive.probe_detuning
-    orders = harmonic_orders(system, w, p, q)
-    inverses = _chain_inverses(system, w, nu, range(-q, p + 1))
-    return complex(_coefficient(_connected_initials(orders, p, q), order, inverses))
 
 
 def extracted_functions(drive: BichromaticDrive, nus, system: BlochSystem) -> dict:

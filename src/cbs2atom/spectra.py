@@ -37,9 +37,12 @@ from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
     FixedConfigSpectra,
+    TwoAtomGenerator,
     assemble,
     canonical_configuration,
+    elastic_splittings,
     fixed_config_spectrum,
+    perturbative_orders,
 )
 
 
@@ -154,12 +157,16 @@ def _real_part(value: complex, scale: float = 1.0) -> float:
 BLOCK_PAIRS = 1024
 
 
-def _canonical_spectrum(drive, nus=(),
+def _canonical_generator(drive) -> TwoAtomGenerator:
+    """The canonical configuration with unit coupling, for one drive or a stack."""
+    return assemble(canonical_configuration(), drive, coupling=1.0)
+
+
+def _canonical_spectrum(drive, nus,
                         monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL)) -> FixedConfigSpectra:
-    """Order-two spectra of the canonical configuration with unit coupling,
+    """Order-two spectra of the canonical configuration on the grid ``nus``,
     by default in the two surviving monomials only, for one drive or a stack."""
-    return fixed_config_spectrum(assemble(canonical_configuration(), drive, coupling=1.0),
-                                 nus, monomials)
+    return fixed_config_spectrum(_canonical_generator(drive), nus, monomials)
 
 
 def _per_power(value):
@@ -197,7 +204,9 @@ def canonical_blocks(drives, nus, monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL))
     Yields each stack of drives with an iterator over its spectra on the consecutive
     frequency blocks, each solved when it is drawn, so a caller that reduces a block
     before drawing the next holds one block's solve at a time.  Each frequency block
-    repeats the z = 0 expansion; the elastic weights are the first's.
+    repeats the z = 0 expansion, whose dense pair solve gives the elastic weights (the
+    first block's are kept); every block, whatever its length, solves its frequencies'
+    pair block in closed form, so cutting the grid leaves each frequency's arithmetic.
     """
     nus = np.asarray(nus, dtype=float)
     size = max(1, BLOCK_PAIRS // max(1, nus.size))
@@ -220,20 +229,12 @@ def _channels(drives, nus) -> list:
 
 def elastic_weights(drive: AtomDriveParams) -> tuple:
     """Elastic (drive-frequency) weights of the background and of the
-    interference channel at exact backscattering, from one solve."""
-    spec = _canonical_spectrum([drive])
-    return (_weight(spec.elastic_autocorrelation[LADDER_MONOMIAL][0]),
-            _weight(spec.elastic_exchange[CROSSED_MONOMIAL][0]))
-
-
-def elastic_ladder(drive: AtomDriveParams) -> float:
-    """Elastic (drive-frequency) weight of the background channel."""
-    return elastic_weights(drive)[0]
-
-
-def elastic_crossed(drive: AtomDriveParams) -> float:
-    """Elastic weight of the interference channel at exact backscattering."""
-    return elastic_weights(drive)[1]
+    interference channel at exact backscattering, from the stationary
+    expansion alone: a spectrum's numbers, without a frequency grid."""
+    orders = perturbative_orders(_canonical_generator([drive]), 2,
+                                 (LADDER_MONOMIAL, CROSSED_MONOMIAL))
+    auto, exch = elastic_splittings(orders)
+    return _weight(auto[LADDER_MONOMIAL][0]), _weight(exch[CROSSED_MONOMIAL][0])
 
 
 def inelastic_ladder(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:

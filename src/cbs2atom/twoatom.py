@@ -29,12 +29,11 @@ each coupling insertion is one product with one channel's operator.  The
 pair block is the Kronecker sum of the two atoms' generators, one matrix up
 to the laser-phase gauge, so undoing the phases and splitting by exchange
 symmetry solves it in closed form, by two 3x3 cofactor inverses per
-frequency (:meth:`TwoAtomGenerator.pair_solver`).  That path serves a
-spectrum of at least ``CLOSED_FORM_FREQUENCIES`` frequencies; shorter grids
-and the z = 0 expansions take one stacked dense solve
-(:meth:`TwoAtomGenerator.pair_green`), cheaper there in numpy calls.  The
-count is of frequencies, not of (drive, frequency) pairs, so one drive gets
-the same arithmetic alone and inside a stack.
+frequency (:meth:`TwoAtomGenerator.pair_solver`).  Each solve takes its
+pair kernel by its role: every frequency grid of a spectrum takes the
+closed form, and the stationary (z = 0) expansion takes one dense 9x9
+solve (:meth:`TwoAtomGenerator.pair_green`), from which every elastic
+weight and regression initial comes (:func:`elastic_splittings`).
 A sequence of drives (:func:`assemble`) stacks one generator
 per drive: the expansions then have shape ``S_d + S_nu + (...)``, drive axes first,
 the channels and feed block are shared, and one drive, ``S_d = ()``, takes a stack's arithmetic.
@@ -85,13 +84,6 @@ CROSSED_MONOMIAL = ("12", "12*")
 
 #: Every coupling monomial of degree two, the full second-order content.
 DEGREE_TWO_MONOMIALS = tuple(combinations_with_replacement(COUPLING_TAGS, 2))
-
-#: Fewest frequencies of one :func:`fixed_config_spectrum` solve that take the
-#: closed-form pair solve (:meth:`TwoAtomGenerator.pair_solver`).  Shorter grids
-#: and every z = 0 expansion take the dense one, whose fewer numpy calls cost
-#: less there: on one core the two cost the same between 56 and 88 frequencies,
-#: and from 96 on the closed form is cheaper (0.70-0.97 of the dense time).
-CLOSED_FORM_FREQUENCIES = 96
 
 _E1 = np.array([1.0, 0.0, 0.0])
 _E2 = np.array([0.0, 1.0, 0.0])
@@ -524,19 +516,12 @@ def regression_initials(orders: list) -> tuple:
 # -- resolvent expansion -------------------------------------------------------
 
 
-def _dense_pair_solver(gen: TwoAtomGenerator, z):
-    """``(z - M_corr)^{-1}`` on stacked 9-vectors through the dense
-    :meth:`TwoAtomGenerator.pair_green`, one product per application."""
-    g_pair = gen.pair_green(z)
-    return lambda rhs: (g_pair @ rhs[..., None])[..., 0]
-
-
 def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, pair_solve, tagged: TaggedVector) -> TaggedVector:
     """Apply the block-triangular drift resolvent to stacked 15-vectors.
 
     ``g_single`` is ``single_green(z)`` and ``pair_solve`` applies the pair
-    resolvent at the same ``z`` (:func:`_dense_pair_solver` or
-    :meth:`TwoAtomGenerator.pair_solver`); the Bloch block is resolved first
+    resolvent at the same ``z`` (the dense product of :func:`resolvent_apply`
+    or :meth:`TwoAtomGenerator.pair_solver`); the Bloch block is resolved first
     and feeds the correlation block.  With ``pair_solve=None`` only the Bloch
     block is resolved and the result holds 6-vectors.
     """
@@ -577,14 +562,22 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     result once through the coupling channels and resolves again.  ``z`` may
     be an array of shape ``S`` and the seed's vectors stacked along leading
     axes that broadcast against ``S``; the drift resolvents are formed once,
-    as stacked inverses, and every level has shape ``S + (15,)``.
+    as stacked inverses, and every level has shape ``S + (15,)``.  The pair
+    block is one dense 9x9 solve (:meth:`TwoAtomGenerator.pair_green`): the
+    stationary state takes it at ``z = 0`` (:func:`perturbative_orders`), and
+    at other ``z`` it is the tests' reference for the closed form of
+    :func:`fixed_config_spectrum`.
 
     ``monomials`` names the coupling monomials the caller reads: the
     coupling insertions then form only products dividing one of them
     (:func:`_divisors`).  ``None`` forms every product.
     """
     keep = None if monomials is None else _divisors(monomials)
-    g_single, pair_solve = gen.single_green(z), _dense_pair_solver(gen, z)
+    g_single, g_pair = gen.single_green(z), gen.pair_green(z)
+
+    def pair_solve(rhs):
+        return (g_pair @ rhs[..., None])[..., 0]
+
     levels = [_resolve(gen, g_single, pair_solve, seed)]
     for _ in range(max_order):
         levels.append(_resolve(gen, g_single, pair_solve, _couple(gen, levels[-1], keep)))
@@ -613,6 +606,22 @@ class FixedConfigSpectra:
     elastic_exchange: dict
 
 
+def elastic_splittings(orders: list) -> tuple:
+    """Elastic weights of the autocorrelation (component 0) and of the
+    exchange (component 3), each mapping the monomials of ``orders[2]`` to
+    their order-two mean-product splittings ``<sigma_2^+>^(p) <Q>^(2-p)``.
+
+    ``orders`` are the stationary orders of :func:`perturbative_orders`, so
+    the weights need no frequency grid.
+    """
+    auto: dict = {}
+    exch: dict = {}
+    for key, amp, qvec in _mean_splittings(orders, 2):
+        _tagged_add(auto, key, amp * qvec[..., 0])
+        _tagged_add(exch, key, amp * qvec[..., 3])
+    return auto, exch
+
+
 def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
                           monomials=DEGREE_TWO_MONOMIALS) -> FixedConfigSpectra:
     """Second-order inelastic correlation spectra and elastic weights.
@@ -622,10 +631,12 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     condition and ``R`` the drift resolvent at ``z = -i nu``.  It is
     evaluated nested, ``R (i_2 + V R (i_1 + V R i_0))``, on the whole grid
     at once: the stacked resolvents are formed once and applied in three
-    batched resolves, the pair block's in closed form on a grid of at least
-    ``CLOSED_FORM_FREQUENCIES`` points.  The results read only components
-    0 and 3, both in the Bloch block, so the last resolve skips the
-    correlation block.
+    batched resolves, the pair block's in closed form
+    (:meth:`TwoAtomGenerator.pair_solver`) whatever the grid's length.  The
+    results read only components 0 and 3, both in the Bloch block, so the
+    last resolve skips the correlation block.  The stationary orders and
+    the elastic weights come from the z = 0 expansion
+    (:func:`perturbative_orders`, :func:`elastic_splittings`).
 
     ``monomials`` are the degree-two coupling monomials returned, by
     default all of them.  The stationary orders, the regression initials,
@@ -644,9 +655,7 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     inits = regression_initials(orders)
 
     z = -1j * nus
-    g_single = gen.single_green(z)
-    pair_solve = (gen.pair_solver(z) if nus.size >= CLOSED_FORM_FREQUENCIES
-                  else _dense_pair_solver(gen, z))
+    g_single, pair_solve = gen.single_green(z), gen.pair_solver(z)
     on_grid = (..., *(None,) * nus.ndim, slice(None))
     nested: TaggedVector = {}
     for n, init in enumerate(inits):
@@ -655,11 +664,7 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
             _tagged_add(source, mono, vec[on_grid])
         nested = _resolve(gen, g_single, pair_solve if n < 2 else None, source)
 
-    elastic_auto: dict = {}
-    elastic_exch: dict = {}
-    for key, amp, qvec in _mean_splittings(orders, 2):
-        _tagged_add(elastic_auto, key, amp * qvec[..., 0])
-        _tagged_add(elastic_exch, key, amp * qvec[..., 3])
+    elastic_auto, elastic_exch = elastic_splittings(orders)
     return FixedConfigSpectra(
         nu=nus,
         autocorrelation={mono: vec[..., 0] for mono, vec in nested.items()},

@@ -5,8 +5,9 @@ independent route to a quantity the package computes another way, kept so
 the tests can check the package against it.
 
 * Single atom under bichromatic driving (checks :mod:`cbs2atom.pumpprobe`):
-  the nonperturbative periodic state on a truncated harmonic lattice and
-  the brute time-domain correlation channel (scipy's ``solve_ivp``).
+  the delta coefficient of the correlation at one probe order, the
+  nonperturbative periodic state on a truncated harmonic lattice and the
+  brute time-domain correlation channel (scipy's ``solve_ivp``).
 * Frequency integrals (checks :mod:`cbs2atom.residues` and
   :mod:`cbs2atom.twoatom`): the adaptive scipy line quadrature, the
   frequency-integral representation of the pair resolvent, and the
@@ -30,7 +31,13 @@ from scipy.integrate import quad, simpson, solve_ivp
 
 from cbs2atom.atom import DELTA_MINUS, DELTA_PLUS, N1, N2, BlochSystem, build, g0_vectors
 from cbs2atom.disorder import MonteCarloResult
-from cbs2atom.pumpprobe import BichromaticDrive
+from cbs2atom.pumpprobe import (
+    BichromaticDrive,
+    _chain_inverses,
+    _coefficient,
+    _connected_initials,
+    harmonic_orders,
+)
 from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.residues import _first_slot, _poles, _second_slot
 from cbs2atom.twoatom import (
@@ -44,9 +51,27 @@ from cbs2atom.twoatom import (
 
 
 # ----------------------------------------------------------------------------
-# Nonperturbative pump-probe paths: truncated harmonic lattice and brute
-# time domain.
+# Pump-probe paths: the perturbative coefficient at one probe order, the
+# nonperturbative truncated harmonic lattice and the brute time domain.
 # ----------------------------------------------------------------------------
+
+
+def correlation_coefficient(drive: BichromaticDrive, order: tuple,
+                            nu: float) -> complex:
+    """Delta-function coefficient of the correlation at one probe order.
+
+    ``order = (p, q)`` selects the Taylor coefficient of
+    ``v_plus**p * v_minus**q``; the result lives on the support line
+    ``w2 = w1 + (p - q) * probe_detuning`` and is evaluated at ``w1 = nu``.
+    """
+    p, q = order
+    if p < 0 or q < 0:
+        raise ValueError("probe orders must be nonnegative")
+    system = build(drive.pump)
+    w = drive.probe_detuning
+    orders = harmonic_orders(system, w, p, q)
+    inverses = _chain_inverses(system, w, nu, range(-q, p + 1))
+    return complex(_coefficient(_connected_initials(orders, p, q), order, inverses))
 
 
 class TruncationError(RuntimeError):

@@ -25,7 +25,6 @@ from cbs2atom.atom import (
 from cbs2atom.pumpprobe import (
     BichromaticDrive,
     channel_densities,
-    correlation_coefficient,
     equivalence_report,
     extracted_functions,
     harmonic_orders,
@@ -33,7 +32,13 @@ from cbs2atom.pumpprobe import (
 from cbs2atom.linalg import resolve
 from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.spectra import cbs_spectra, default_grid
-from oracles import TruncationError, floquet_state, periodic_state, time_domain_coefficient
+from oracles import (
+    TruncationError,
+    correlation_coefficient,
+    floquet_state,
+    periodic_state,
+    time_domain_coefficient,
+)
 
 PUMP = AtomDriveParams(rabi=2.0, delta=0.5)
 
@@ -330,8 +335,8 @@ def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
 
 def densities_reference(pump, nus):
     """The convolutions of `channel_densities` transcribed one node at a
-    time, every factor from the public `correlation_coefficient` and
-    `harmonic_orders`.  The crossed factors run on the nodes of the rule
+    time, every factor from the oracle `correlation_coefficient` and the
+    public `harmonic_orders`.  The crossed factors run on the nodes of the rule
     over the pole clusters at 0 and nu, placed about nu/2 as in
     `channel_densities`; the whole mixed coefficient, with poles at 0, nu
     and -nu, on the rule over all three."""

@@ -123,31 +123,30 @@ def test_default_grid_tracks_drive_strength():
 def test_elastic_weights_at_reference_drive():
     # frozen against the brute-force two-atom average (deterministic
     # phase-torus quadrature over couplings and laser phases, 1e-10 level)
-    assert abs(spectra.elastic_ladder(drive(2.0)) - (-0.011385459533607674)) < 1e-14
-    assert abs(spectra.elastic_crossed(drive(2.0)) - (-0.002469135802469134)) < 1e-14
+    assert abs(spectra.elastic_weights(drive(2.0))[0] - (-0.011385459533607674)) < 1e-14
+    assert abs(spectra.elastic_weights(drive(2.0))[1] - (-0.002469135802469134)) < 1e-14
 
 
 def test_elastic_weights_detuned_reference():
-    assert abs(spectra.elastic_ladder(drive(2.0, 3.0)) - (-0.00014735510973936934)) < 1e-14
-    assert abs(spectra.elastic_crossed(drive(2.0, 3.0)) - 0.00112525720164609) < 1e-14
+    assert abs(spectra.elastic_weights(drive(2.0, 3.0))[0] - (-0.00014735510973936934)) < 1e-14
+    assert abs(spectra.elastic_weights(drive(2.0, 3.0))[1] - 0.00112525720164609) < 1e-14
 
 
 def test_weak_drive_elastic_weights_follow_rayleigh():
     # linear scattering: both channels approach (rabi/2)^2 / 2 and their
     # ratio approaches one, the hallmark of full interference recovery
     d = drive(1e-3)
-    lad = spectra.elastic_ladder(d)
-    cro = spectra.elastic_crossed(d)
+    lad, cro = spectra.elastic_weights(d)
     assert abs(lad - 1e-6 / 8.0) < 1e-4 * lad
     assert abs(cro / lad - 1.0) < 2e-6
 
 
 def test_elastic_weights_even_in_detuning():
     for rabi, delta in [(2.0, 3.0), (0.8, 1.3), (4.0, 0.4)]:
-        assert abs(spectra.elastic_ladder(drive(rabi, delta))
-                   - spectra.elastic_ladder(drive(rabi, -delta))) < 1e-14
-        assert abs(spectra.elastic_crossed(drive(rabi, delta))
-                   - spectra.elastic_crossed(drive(rabi, -delta))) < 1e-14
+        assert abs(spectra.elastic_weights(drive(rabi, delta))[0]
+                   - spectra.elastic_weights(drive(rabi, -delta))[0]) < 1e-14
+        assert abs(spectra.elastic_weights(drive(rabi, delta))[1]
+                   - spectra.elastic_weights(drive(rabi, -delta))[1]) < 1e-14
 
 
 # ------------------------------------ brute-force fixed-configuration check
@@ -163,8 +162,8 @@ def test_channels_match_selected_fixed_configuration_content():
         lad, cro, el_lad, el_cro = selected_channels(config, d, nus)
         assert np.max(np.abs(lad - spectra.inelastic_ladder(d, nus=nus).values)) < 1e-10
         assert np.max(np.abs(cro - spectra.inelastic_crossed(d, nus=nus).values)) < 1e-10
-        assert abs(el_lad - spectra.elastic_ladder(d)) < 1e-12
-        assert abs(el_cro - spectra.elastic_crossed(d)) < 1e-12
+        assert abs(el_lad - spectra.elastic_weights(d)[0]) < 1e-12
+        assert abs(el_cro - spectra.elastic_weights(d)[1]) < 1e-12
 
 
 def test_selected_content_is_geometry_independent_here_too():
@@ -216,8 +215,8 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
     # both laser phases of the canonical configuration are 0, so the atoms
     # share one Bloch system: one single-atom (closed-form 3x3) and one pair
     # inverse at z = 0 and on the grid; two single-atom inverses each would
-    # take 6.  The pair inverse is the dense 9x9 at z = 0 and on a short
-    # grid, the closed form on a grid of CLOSED_FORM_FREQUENCIES points
+    # take 6.  The pair inverse is the dense 9x9 at z = 0 and the closed
+    # form on every grid, short or long
     calls = {"bloch": 0, "pair": 0, "closed": 0}
 
     def counting(kind, original):
@@ -233,16 +232,39 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
         monkeypatch.setattr(module, "resolve", pair, raising=False)
     monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver",
                         counting("closed", twoatom.TwoAtomGenerator.pair_solver))
-    for points, expected in ((7, {"bloch": 2, "pair": 2, "closed": 0}),
-                             (twoatom.CLOSED_FORM_FREQUENCIES,
-                              {"bloch": 2, "pair": 1, "closed": 1})):
-        nus = np.linspace(-5.0, 5.0, points)
+    for points in (7, 601):
+        nus, expected = np.linspace(-5.0, 5.0, points), {"bloch": 2, "pair": 1, "closed": 1}
         calls.update(bloch=0, pair=0, closed=0)
         cbs_spectra(drive(2.0), nus=nus)
         assert calls == expected, points
         calls.update(bloch=0, pair=0, closed=0)
         monte_carlo_spectra(drive(2.0), ConfigSampler(samples=1000, seed=3), nus)
         assert calls == expected, points
+
+
+def test_elastic_weights_resolve_no_frequency_grid(monkeypatch):
+    # the elastic weights are the stationary expansion's alone: one dense pair
+    # solve at z = 0, no closed-form solve and no spectrum on any grid, and
+    # the same bits as a spectrum's
+    calls = []
+    dense, closed = twoatom.TwoAtomGenerator.pair_green, twoatom.TwoAtomGenerator.pair_solver
+
+    def spy(kind, original):
+        def wrapped(gen, z=0.0):
+            calls.append((kind, np.shape(z)))
+            return original(gen, z)
+        return wrapped
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("elastic weights solved a frequency grid")
+
+    d = drive(1.3, 0.8)
+    result = cbs_spectra(d, nus=np.linspace(-5.0, 5.0, 7))
+    monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_green", spy("dense", dense))
+    monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver", spy("closed", closed))
+    monkeypatch.setattr(spectra, "fixed_config_spectrum", no_spectrum)
+    assert spectra.elastic_weights(d) == (result.elastic_ladder, result.elastic_crossed)
+    assert calls == [("dense", ())]
 
 
 # ------------------------------------------------------------ stacked drives
@@ -445,13 +467,13 @@ def test_jordan_block_drive_is_healed():
     # solved directly) nor the closed form (integrated by quadrature over
     # stacked resolvents) needs its eigenbasis, so both stay exact there
     # and production stays smooth in the detuning
-    lad = spectra.elastic_ladder(drive(0.5))
+    lad = spectra.elastic_weights(drive(0.5))[0]
     assert abs(lad - 0.007209981917089566) < 1e-12
     assert abs(residues.compact_elastic_ladder(drive(0.5)) - lad) < 1e-12 * abs(lad)
     for delta in (1e-4, -1e-4):
         # the weight is even in the detuning: only its O(delta^2)
         # curvature shows, 1.4e-9 relative at this step
-        neighbour = spectra.elastic_ladder(drive(0.5, delta))
+        neighbour = spectra.elastic_weights(drive(0.5, delta))[0]
         assert abs(lad - neighbour) < 1e-8 * abs(lad)
     nus = np.array([-0.7, 0.0, 0.7])
     g = spectra.inelastic_ladder(drive(0.5), nus=nus)
@@ -463,8 +485,7 @@ def test_jordan_block_drive_is_healed():
 
 def test_weak_degenerate_drive_is_healed():
     d = drive(1e-3)
-    lad = spectra.elastic_ladder(d)
-    cro = spectra.elastic_crossed(d)
+    lad, cro = spectra.elastic_weights(d)
     assert np.isfinite(lad) and lad > 0.0
     assert abs(cro / lad - 1.0000009999863124) < 1e-9
 
@@ -479,8 +500,8 @@ def test_cbs_spectra_assembles_channels():
     assert result.drive == d
     assert np.array_equal(result.ladder.nu, nus)
     assert np.array_equal(result.crossed.nu, nus)
-    assert result.elastic_ladder == spectra.elastic_ladder(d)
-    assert result.elastic_crossed == spectra.elastic_crossed(d)
+    assert result.elastic_ladder == spectra.elastic_weights(d)[0]
+    assert result.elastic_crossed == spectra.elastic_weights(d)[1]
     assert result.enhancement == 1.0 + result.crossed.total / result.ladder.total
 
 
@@ -513,7 +534,6 @@ def test_weak_drive_enhancement_doubles():
     delta=st.floats(-3.0, 3.0),
 )
 def test_elastic_weights_are_finite_reals(rabi, delta):
-    lad = spectra.elastic_ladder(drive(rabi, delta))
-    cro = spectra.elastic_crossed(drive(rabi, delta))
+    lad, cro = spectra.elastic_weights(drive(rabi, delta))
     assert np.isfinite(lad) and np.isfinite(cro)
     assert isinstance(lad, float) and isinstance(cro, float)

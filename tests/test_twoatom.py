@@ -367,11 +367,10 @@ def test_closed_form_pair_solve_rejects_the_left_half_plane():
             gen.pair_solver(bad)
 
 
-@pytest.mark.parametrize("points", [0, ta.CLOSED_FORM_FREQUENCIES - 1, ta.CLOSED_FORM_FREQUENCIES])
-def test_spectrum_takes_the_closed_form_on_long_grids(monkeypatch, points):
-    # one frequency block of at least CLOSED_FORM_FREQUENCIES points takes the
-    # closed-form pair solve; shorter grids and the z = 0 expansion keep the
-    # dense one, and a stack of drives counts frequencies, not pairs
+@pytest.mark.parametrize("points", [1, 95, 601])
+def test_spectrum_takes_the_closed_form_on_every_grid(monkeypatch, points):
+    # the z = 0 expansion takes the dense pair solve and the frequency grid
+    # the closed form, whatever the grid's length, for a stack of drives too
     calls = []
     dense, closed = ta.TwoAtomGenerator.pair_green, ta.TwoAtomGenerator.pair_solver
 
@@ -386,8 +385,7 @@ def test_spectrum_takes_the_closed_form_on_long_grids(monkeypatch, points):
     nus = np.linspace(-15.0, 15.0, points)
     stack = ta.assemble(ta.canonical_configuration(), [DRIVE, AtomDriveParams(0.5, 0.0)])
     ta.fixed_config_spectrum(stack, nus)
-    grid = "closed" if points >= ta.CLOSED_FORM_FREQUENCIES else "dense"
-    assert calls == [("dense", ()), (grid, (points,))]
+    assert calls == [("dense", ()), ("closed", (points,))]
 
 
 @pytest.mark.parametrize("z", [0.0, -1.3j, 2.6j])
