@@ -7,11 +7,11 @@ Two routes to the ensemble average of the double-scattering signal:
   net distance phase and zero net laser phase survive; `select_surviving`
   filters a tagged term collection down to the surviving monomial of a
   detection channel.
-* sampling — `ConfigSampler.geometry` draws every random two-atom
-  geometry at once, as arrays, and `monte_carlo_spectra` averages the
-  order-two spectra over them, with standard errors.  It keeps every
-  coupling monomial, so it checks the selection rule independently: the
-  monomials it drops have to average to zero.
+* sampling — `ConfigSampler.geometry_chunks` draws random two-atom
+  geometries as arrays, a chunk at a time, and `monte_carlo_spectra`
+  averages the order-two spectra over them, with standard errors.  It
+  keeps every coupling monomial, so it checks the selection rule
+  independently: the monomials it drops have to average to zero.
 
 Separations are uniform on the fixed window ``[WINDOW_START, WINDOW_START
 + 2 pi WINDOW_PERIODS]`` = ``[200, 200 + 16 pi]``: far enough out for the
@@ -20,8 +20,9 @@ dipole coupling's far field, and whole periods of the distance phase
 statistically.
 
 `monte_carlo_spectra` solves the two-atom equations once, on the canonical
-configuration of :func:`cbs2atom.twoatom.canonical_configuration`, in the
-frequency blocks of :func:`cbs2atom.spectra.canonical_blocks`.  By the
+configuration of :func:`cbs2atom.twoatom.canonical_configuration`: the
+stationary state and elastic weights once, the spectra in the frequency
+blocks of :func:`cbs2atom.spectra.canonical_blocks`.  By the
 gauge identity ``M(phase) = U M(0) U^-1`` each sampled geometry's monomial
 is the canonical one times a scalar coupling and phase factor, so the
 samples cost array arithmetic over those factors, with no per-sample
@@ -119,7 +120,8 @@ class SampledGeometry:
 class ConfigSampler:
     """Random two-atom geometries: ``samples`` separations uniform on the
     module's distance window, orientations uniform on the sphere, the
-    laser along z, all drawn at once by :meth:`geometry`."""
+    laser along z, drawn a chunk at a time by :meth:`geometry_chunks`
+    (all at once by :meth:`geometry`)."""
 
     samples: int = 10_000
     seed: int = 0
@@ -296,34 +298,27 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     per-sample spectrum is formed: the weights' moments are taken once,
     and each frequency block is reduced against them before the next is
     solved.  A spectrum and its elastic weight share monomials and gauge
-    charge, so the elastic weight is one more coefficient column of each
-    block; the first block's is kept.
+    charge, so the elastic weights, solved once with the stationary state
+    (:func:`cbs2atom.spectra.canonical_blocks`), are reduced the same way.
     """
     nus = np.asarray(nus, dtype=float)
     scale = sampler.coupling_power_mean
     # the crossed channel's backscattering phase e^{i Delta} adds one more
     moments = _weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, _EXCHANGE_CHARGE + 1))
 
-    def reduce(spec) -> tuple:
-        # one row per monomial: the block's densities, then the elastic weight
-        return tuple(
-            _reduce_monomials(weight_moments, np.array(
-                [np.append(spectrum[m][0], elastic[m][0]) for m in DEGREE_TWO_MONOMIALS]), scale)
-            for weight_moments, spectrum, elastic in (
-                (moments[0], spec.autocorrelation, spec.elastic_autocorrelation),
-                (moments[1], spec.exchange, spec.elastic_exchange)))
+    def reduce(channels) -> tuple:
+        # (autocorrelation, exchange), one coefficient row per monomial
+        return tuple(_reduce_monomials(weight_moments, np.array(
+            [channel[m][0] for m in DEGREE_TWO_MONOMIALS]), scale)
+            for weight_moments, channel in zip(moments, channels))
 
-    def joined(parts) -> tuple:
-        # the density on the whole grid, and the first block's elastic weight
-        return (MonteCarloResult(np.concatenate([part.mean[:-1] for part in parts]),
-                                 np.concatenate([part.stderr[:-1] for part in parts]),
-                                 sampler.samples),
-                MonteCarloResult(parts[0].mean[-1], parts[0].stderr[-1], sampler.samples))
-
-    [(_, blocks)] = canonical_blocks([drive], nus, DEGREE_TWO_MONOMIALS)
+    [(_, elastic, blocks)] = canonical_blocks([drive], nus, DEGREE_TWO_MONOMIALS)
+    elastic_ladder, elastic_crossed = reduce(elastic)
     # map drops each block's spectra once reduced, before the next is solved
-    ladder_parts, crossed_parts = zip(*map(reduce, blocks))
-    (ladder, elastic_ladder), (crossed, elastic_crossed) = joined(ladder_parts), joined(crossed_parts)
+    ladder, crossed = (MonteCarloResult(np.concatenate([part.mean for part in parts]),
+                                        np.concatenate([part.stderr for part in parts]),
+                                        sampler.samples)
+                       for parts in zip(*map(reduce, blocks)))
     return DisorderAveragedSpectra(nu=nus, ladder=ladder, crossed=crossed,
                                    elastic_ladder=elastic_ladder,
                                    elastic_crossed=elastic_crossed)

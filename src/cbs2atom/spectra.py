@@ -18,7 +18,9 @@ route needs no spectral decomposition, so the defective Jordan-point
 drive (``rabi = 1/2`` on resonance) needs no special treatment.  Drives
 on one grid, and one drive as a stack of one, are solved in blocks of at
 most ``BLOCK_PAIRS`` (drive, frequency) pairs (:func:`cbs_spectra_stack`); a
-longer grid is cut into frequency blocks.
+longer grid is cut into frequency blocks.  The elastic weights are stationary
+products, so each stack solves them once, with the regression initials its
+frequency blocks start from (:func:`canonical_blocks`).
 
 The paper's closed form in single-atom observables, its convolutions
 evaluated by quadrature, is an independent test oracle that also holds at
@@ -36,13 +38,10 @@ from cbs2atom.atom import AtomDriveParams
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
-    FixedConfigSpectra,
-    TwoAtomGenerator,
     assemble,
     canonical_configuration,
-    elastic_splittings,
-    fixed_config_spectrum,
-    perturbative_orders,
+    inelastic_spectra,
+    stationary_terms,
 )
 
 
@@ -137,8 +136,9 @@ class CbsResult:
 
 
 def default_grid(drive: AtomDriveParams, points: int = 601) -> np.ndarray:
-    """Symmetric frequency grid covering the inelastic triplet structure."""
-    limit = max(15.0, abs(drive.rabi) + 6.0)
+    """Symmetric frequency grid covering the inelastic triplet structure, whose
+    sidebands sit at the generalised Rabi frequency ``hypot(rabi, delta)``."""
+    limit = max(15.0, np.hypot(drive.rabi, drive.delta) + 6.0)
     return np.linspace(-limit, limit, points)
 
 
@@ -155,18 +155,6 @@ def _real_part(value: complex, scale: float = 1.0) -> float:
 
 #: Most (drive, frequency) pairs one solve holds; a larger one is no cheaper per pair.
 BLOCK_PAIRS = 1024
-
-
-def _canonical_generator(drive) -> TwoAtomGenerator:
-    """The canonical configuration with unit coupling, for one drive or a stack."""
-    return assemble(canonical_configuration(), drive, coupling=1.0)
-
-
-def _canonical_spectrum(drive, nus,
-                        monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL)) -> FixedConfigSpectra:
-    """Order-two spectra of the canonical configuration on the grid ``nus``,
-    by default in the two surviving monomials only, for one drive or a stack."""
-    return fixed_config_spectrum(_canonical_generator(drive), nus, monomials)
 
 
 def _per_power(value):
@@ -186,34 +174,30 @@ def _channel(nus: np.ndarray, densities: list, elastic: complex) -> SpectralFunc
                                 elastic_weight=_weight(elastic))
 
 
-def _ladder(nus: np.ndarray, specs: list, at: int) -> SpectralFunctionGrid:
-    return _channel(nus, [spec.autocorrelation[LADDER_MONOMIAL][at] for spec in specs],
-                    specs[0].elastic_autocorrelation[LADDER_MONOMIAL][at])
-
-
-def _crossed(nus: np.ndarray, specs: list, at: int) -> SpectralFunctionGrid:
-    return _channel(nus, [spec.exchange[CROSSED_MONOMIAL][at] for spec in specs],
-                    specs[0].elastic_exchange[CROSSED_MONOMIAL][at])
-
-
 def canonical_blocks(drives, nus, monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL)):
     """Canonical spectra of each drive of a sequence on one grid ``nus``, in stacks of
     at most ``BLOCK_PAIRS`` (drive, frequency) pairs: the whole grid of as many drives as
     fit, or one drive on each block of ``BLOCK_PAIRS`` frequencies of a longer grid.
 
-    Yields each stack of drives with an iterator over its spectra on the consecutive
-    frequency blocks, each solved when it is drawn, so a caller that reduces a block
-    before drawing the next holds one block's solve at a time.  Each frequency block
-    repeats the z = 0 expansion, whose dense pair solve gives the elastic weights (the
-    first block's are kept); every block, whatever its length, solves its frequencies'
-    pair block in closed form, so cutting the grid leaves each frequency's arithmetic.
+    Yields ``(stack, elastic, blocks)`` per stack of drives.  The stack's one
+    stationary solve (:func:`cbs2atom.twoatom.stationary_terms`) gives ``elastic``, its
+    elastic splittings ``(autocorrelation, exchange)``, and the regression initials of
+    every frequency block.  ``blocks`` iterates over the ``(autocorrelation, exchange)``
+    spectra of the consecutive frequency blocks (:func:`cbs2atom.twoatom.inelastic_spectra`),
+    each solved when it is drawn: a caller that reduces a block before drawing the next
+    holds one block's solve at a time, and one that draws none solves no frequency.
+    Every block, whatever its length, solves its frequencies' pair block in closed form,
+    so cutting the grid leaves each frequency's arithmetic.
     """
     nus = np.asarray(nus, dtype=float)
     size = max(1, BLOCK_PAIRS // max(1, nus.size))
     parts = np.split(nus, range(BLOCK_PAIRS, nus.size, BLOCK_PAIRS))
     for start in range(0, len(drives), size):
-        block = drives[start:start + size]
-        yield block, (_canonical_spectrum(block, part, monomials) for part in parts)
+        stack = drives[start:start + size]
+        gen = assemble(canonical_configuration(), stack, coupling=1.0)
+        initials, *elastic = stationary_terms(gen, monomials)
+        yield stack, elastic, (inelastic_spectra(gen, part, initials, monomials)
+                               for part in parts)
 
 
 def _channels(drives, nus) -> list:
@@ -221,9 +205,13 @@ def _channels(drives, nus) -> list:
     (:func:`canonical_blocks`)."""
     nus = np.asarray(nus, dtype=float)
     out = []
-    for block, specs in canonical_blocks(drives, nus):
-        specs = list(specs)
-        out += [(_ladder(nus, specs, at), _crossed(nus, specs, at)) for at in range(len(block))]
+    for stack, (auto, exch), blocks in canonical_blocks(drives, nus):
+        autos, exchs = zip(*blocks)
+        out += [(_channel(nus, [block[LADDER_MONOMIAL][at] for block in autos],
+                          auto[LADDER_MONOMIAL][at]),
+                 _channel(nus, [block[CROSSED_MONOMIAL][at] for block in exchs],
+                          exch[CROSSED_MONOMIAL][at]))
+                for at in range(len(stack))]
     return out
 
 
@@ -231,9 +219,7 @@ def elastic_weights(drive: AtomDriveParams) -> tuple:
     """Elastic (drive-frequency) weights of the background and of the
     interference channel at exact backscattering, from the stationary
     expansion alone: a spectrum's numbers, without a frequency grid."""
-    orders = perturbative_orders(_canonical_generator([drive]), 2,
-                                 (LADDER_MONOMIAL, CROSSED_MONOMIAL))
-    auto, exch = elastic_splittings(orders)
+    [(_, (auto, exch), _)] = canonical_blocks([drive], ())
     return _weight(auto[LADDER_MONOMIAL][0]), _weight(exch[CROSSED_MONOMIAL][0])
 
 

@@ -37,15 +37,17 @@ weight and regression initial comes (:func:`elastic_splittings`).
 A sequence of drives (:func:`assemble`) stacks one generator
 per drive: the expansions then have shape ``S_d + S_nu + (...)``, drive axes first,
 the channels and feed block are shared, and one drive, ``S_d = ()``, takes a stack's arithmetic.
-:func:`fixed_config_spectrum` on one canonical configuration
-(:func:`canonical_configuration`) is the production route of the averaged
-channels in :mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo
-average in :mod:`cbs2atom.disorder`.  The Monte-Carlo average weights every
-degree-two monomial, so it expands them all (1 + 4 + 10 monomials per
-order); production reads only the two surviving ones and expands only
-their divisors (1 + 3 + 2).  Both read components 0 and 3 of the spectra,
-which lie in the single-atom block, so the last resolve of the spectra
-skips the pair correlations.  The printed closed-form
+:func:`fixed_config_spectrum` is two halves: :func:`stationary_terms`, the
+z = 0 expansion, and :func:`inelastic_spectra`, the resolves on a grid.  On
+one canonical configuration (:func:`canonical_configuration`), the first
+once per drive stack and the second per frequency block, they are the
+production route of the averaged channels in :mod:`cbs2atom.spectra` and the
+only solve of the Monte-Carlo average in :mod:`cbs2atom.disorder`.  The
+Monte-Carlo average weights every degree-two monomial, so it expands them
+all (1 + 4 + 10 monomials per order); production reads only the two
+surviving ones and expands only their divisors (1 + 3 + 2).  Both read
+components 0 and 3 of the spectra, which lie in the single-atom block, so
+the last resolve of the spectra skips the pair correlations.  The printed closed-form
 transcriptions of the first orders, the frequency-integral representation
 of the pair resolvent and the exact steady state at finite coupling, which
 check these recurrences, live with the tests (``tests/oracles.py``).
@@ -622,6 +624,38 @@ def elastic_splittings(orders: list) -> tuple:
     return auto, exch
 
 
+def stationary_terms(gen: TwoAtomGenerator, monomials=DEGREE_TWO_MONOMIALS) -> tuple:
+    """The stationary half of :func:`fixed_config_spectrum`, which needs no
+    frequency grid: ``(initials, elastic_autocorrelation, elastic_exchange)``,
+    the regression initials and the elastic splittings of the z = 0 orders,
+    carrying only the divisors of the degree-two ``monomials``."""
+    if not set(monomials) <= set(DEGREE_TWO_MONOMIALS):
+        raise ValueError("monomials must be sorted degree-two coupling monomials")
+    orders = perturbative_orders(gen, 2, monomials)
+    return (regression_initials(orders), *elastic_splittings(orders))
+
+
+def inelastic_spectra(gen: TwoAtomGenerator, nus, initials: tuple, monomials) -> tuple:
+    """The grid half of :func:`fixed_config_spectrum`: ``(autocorrelation,
+    exchange)`` on ``nus`` from the :func:`stationary_terms` ``initials`` of
+    the same ``monomials``, by the nested resolves."""
+    nus = np.asarray(nus, dtype=float)
+    if not np.all(np.isfinite(nus)):
+        raise ValueError("frequencies nus must be finite")
+    keep = _divisors(monomials)
+    z = -1j * nus
+    g_single, pair_solve = gen.single_green(z), gen.pair_solver(z)
+    on_grid = (..., *(None,) * nus.ndim, slice(None))
+    nested: TaggedVector = {}
+    for n, init in enumerate(initials):
+        source = _couple(gen, nested, keep)
+        for mono, vec in init.items():
+            _tagged_add(source, mono, vec[on_grid])
+        nested = _resolve(gen, g_single, pair_solve if n < 2 else None, source)
+    return ({mono: vec[..., 0] for mono, vec in nested.items()},
+            {mono: vec[..., 3] for mono, vec in nested.items()})
+
+
 def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
                           monomials=DEGREE_TWO_MONOMIALS) -> FixedConfigSpectra:
     """Second-order inelastic correlation spectra and elastic weights.
@@ -630,13 +664,13 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     ``sum_k R (V R)^k i_(2-k)`` with ``i_n`` the order-n regression initial
     condition and ``R`` the drift resolvent at ``z = -i nu``.  It is
     evaluated nested, ``R (i_2 + V R (i_1 + V R i_0))``, on the whole grid
-    at once: the stacked resolvents are formed once and applied in three
-    batched resolves, the pair block's in closed form
-    (:meth:`TwoAtomGenerator.pair_solver`) whatever the grid's length.  The
-    results read only components 0 and 3, both in the Bloch block, so the
-    last resolve skips the correlation block.  The stationary orders and
-    the elastic weights come from the z = 0 expansion
-    (:func:`perturbative_orders`, :func:`elastic_splittings`).
+    at once (:func:`inelastic_spectra`): the stacked resolvents are formed
+    once and applied in three batched resolves, the pair block's in closed
+    form (:meth:`TwoAtomGenerator.pair_solver`) whatever the grid's length.
+    The results read only components 0 and 3, both in the Bloch block, so
+    the last resolve skips the correlation block.  The regression initials
+    and the elastic weights come from the z = 0 expansion
+    (:func:`stationary_terms`), which needs no grid.
 
     ``monomials`` are the degree-two coupling monomials returned, by
     default all of them.  The stationary orders, the regression initials,
@@ -645,30 +679,8 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     configuration average, ``()``, ``12``, ``12*``, ``21*`` and the two
     themselves.
     """
-    nus = np.asarray(nus, dtype=float)
-    if not np.all(np.isfinite(nus)):
-        raise ValueError("frequencies nus must be finite")
-    if not set(monomials) <= set(DEGREE_TWO_MONOMIALS):
-        raise ValueError("monomials must be sorted degree-two coupling monomials")
-    keep = _divisors(monomials)
-    orders = perturbative_orders(gen, 2, monomials)
-    inits = regression_initials(orders)
-
-    z = -1j * nus
-    g_single, pair_solve = gen.single_green(z), gen.pair_solver(z)
-    on_grid = (..., *(None,) * nus.ndim, slice(None))
-    nested: TaggedVector = {}
-    for n, init in enumerate(inits):
-        source = _couple(gen, nested, keep)
-        for mono, vec in init.items():
-            _tagged_add(source, mono, vec[on_grid])
-        nested = _resolve(gen, g_single, pair_solve if n < 2 else None, source)
-
-    elastic_auto, elastic_exch = elastic_splittings(orders)
-    return FixedConfigSpectra(
-        nu=nus,
-        autocorrelation={mono: vec[..., 0] for mono, vec in nested.items()},
-        exchange={mono: vec[..., 3] for mono, vec in nested.items()},
-        elastic_autocorrelation=elastic_auto,
-        elastic_exchange=elastic_exch,
-    )
+    initials, elastic_auto, elastic_exch = stationary_terms(gen, monomials)
+    auto, exch = inelastic_spectra(gen, nus, initials, monomials)
+    return FixedConfigSpectra(nu=np.asarray(nus, dtype=float), autocorrelation=auto,
+                              exchange=exch, elastic_autocorrelation=elastic_auto,
+                              elastic_exchange=elastic_exch)

@@ -4,7 +4,8 @@
 computes with the package: one fixed-configuration geometry and the
 analytic channels of one drive.  It reads unstacked densities and calls
 ``float()`` on the elastic weights, so a change of shape in ``twoatom`` or
-``spectra`` fails here rather than in the benchmark.
+``spectra`` fails here rather than in the benchmark.  Every workload's
+command is also run in-process and held to the benchmark's correctness gate.
 """
 
 import importlib.util
@@ -39,3 +40,19 @@ def test_reference_routes_return_one_drive_shapes(workloads, route):
         assert channels[column].shape == nus.shape
     for weight in ("elastic_ladder", "elastic_crossed"):
         assert type(channels[weight]) is float
+
+
+def test_every_workload_passes_the_benchmark_gate(workloads, tmp_path, capsys):
+    # each workload's command run in-process, checked by the benchmark's own
+    # correctness gate against its independent reference route
+    from cbs2atom import cli
+
+    seed = 1
+    for name, workload in workloads.build_workloads(seed).items():
+        output = tmp_path / name
+        assert cli.main(list(workload.argv) + ["--output", str(output)]) == 0, name
+        verdicts = workloads.check_outputs(str(output), workload,
+                                           workloads.references_for(workload, seed))
+        assert len(verdicts) == len(workload.drives), name
+        for verdict in verdicts:
+            assert verdict.ok, (name, verdict)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cbs2atom import disorder
+from cbs2atom import disorder, spectra
 
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import (
@@ -401,3 +401,22 @@ def test_oracle_memory_is_flat_in_the_samples(monkeypatch):
     two = traced_peak(DRIVE, small_sampler(samples=2000), nus)
     eight = traced_peak(DRIVE, small_sampler(samples=8000), nus)
     assert eight <= 1.05 * two
+
+
+def test_blocked_oracle_equals_the_unblocked_oracle(monkeypatch):
+    # 61 points in frequency blocks of 13 against one block: the spectra
+    # agree to rounding, and the elastic weights, solved once per drive
+    # whatever the blocking, bit for bit
+    nus = np.linspace(-15.0, 15.0, 61)
+    whole = monte_carlo_spectra(DRIVE, small_sampler(seed=5), nus)
+    monkeypatch.setattr(spectra, "BLOCK_PAIRS", 13)
+    blocked = monte_carlo_spectra(DRIVE, small_sampler(seed=5), nus)
+    for channel in ("ladder", "crossed"):
+        got, want = getattr(blocked, channel), getattr(whole, channel)
+        peak = np.max(np.abs(want.mean))
+        assert got.mean.shape == got.stderr.shape == nus.shape
+        assert np.max(np.abs(got.mean - want.mean)) <= 1e-14 * peak, channel
+        assert np.max(np.abs(got.stderr - want.stderr)) <= 1e-14 * peak, channel
+    for weight in ("elastic_ladder", "elastic_crossed"):
+        got, want = getattr(blocked, weight), getattr(whole, weight)
+        assert got.mean == want.mean and got.stderr == want.stderr, weight

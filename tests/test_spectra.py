@@ -115,6 +115,13 @@ def test_default_grid_tracks_drive_strength():
     assert len(strong) == 11
     assert strong[0] == -26.0 and strong[-1] == 26.0
     assert np.allclose(strong, -strong[::-1], atol=0)
+    # the sidebands sit at the generalised Rabi frequency: at (2, 20) the
+    # ladder's largest value is near |nu| = 20.07, beyond a +-15 grid
+    detuned = default_grid(drive(2.0, 20.0), points=11)
+    assert detuned[-1] == -detuned[0] == np.hypot(2.0, 20.0) + 6.0
+    wide = np.linspace(-30.0, 30.0, 601)
+    peak = wide[np.argmax(np.abs(spectra.inelastic_ladder(drive(2.0, 20.0), wide).values))]
+    assert 15.0 < abs(peak) < detuned[-1]
 
 
 # ----------------------------------------------------------- elastic weights
@@ -183,14 +190,16 @@ def test_production_equals_the_full_evaluation(rabi, delta):
     # every number it returns is formed as in the all-monomial expansion
     d = drive(rabi, delta)
     nus = default_grid(d, 61)
-    pruned = spectra._canonical_spectrum(d, nus)
+    [(_, (elastic_auto, elastic_exch), blocks)] = spectra.canonical_blocks([d], nus)
+    [(auto, exch)] = blocks
     full = fixed_config_spectrum(
-        assemble(canonical_configuration(), d, coupling=1.0), nus)
-    assert set(pruned.autocorrelation) == {LADDER_MONOMIAL, CROSSED_MONOMIAL}
-    for name, mono in (("autocorrelation", LADDER_MONOMIAL), ("exchange", CROSSED_MONOMIAL),
-                       ("elastic_autocorrelation", LADDER_MONOMIAL),
-                       ("elastic_exchange", CROSSED_MONOMIAL)):
-        assert np.array_equal(getattr(pruned, name)[mono], getattr(full, name)[mono]), name
+        assemble(canonical_configuration(), [d], coupling=1.0), nus)
+    assert set(auto) == {LADDER_MONOMIAL, CROSSED_MONOMIAL}
+    for name, mono, pruned in (("autocorrelation", LADDER_MONOMIAL, auto),
+                               ("exchange", CROSSED_MONOMIAL, exch),
+                               ("elastic_autocorrelation", LADDER_MONOMIAL, elastic_auto),
+                               ("elastic_exchange", CROSSED_MONOMIAL, elastic_exch)):
+        assert np.array_equal(pruned[mono], getattr(full, name)[mono]), name
 
 
 def test_production_resolves_only_the_surviving_monomials(monkeypatch):
@@ -204,20 +213,22 @@ def test_production_resolves_only_the_surviving_monomials(monkeypatch):
         return resolve(gen, g_single, g_pair, tagged)
 
     monkeypatch.setattr(twoatom, "_resolve", spy)
-    spectra._canonical_spectrum(drive(2.0), np.linspace(-5.0, 5.0, 7))
+    cbs_spectra(drive(2.0), np.linspace(-5.0, 5.0, 7))
     levels = [{()}, {("12",), ("12*",), ("21*",)}, {LADDER_MONOMIAL, CROSSED_MONOMIAL}]
-    stationary = [(2, level, True) for level in levels]
-    nested = [(3, level, pair) for level, pair in zip(levels, (True, True, False))]
+    # one drive is a stack of one: (1, 6, 6) at z = 0, (1, 7, 6, 6) on the grid
+    stationary = [(3, level, True) for level in levels]
+    nested = [(4, level, pair) for level, pair in zip(levels, (True, True, False))]
     assert calls == stationary + nested
 
 
 def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
     # both laser phases of the canonical configuration are 0, so the atoms
     # share one Bloch system: one single-atom (closed-form 3x3) and one pair
-    # inverse at z = 0 and on the grid; two single-atom inverses each would
-    # take 6.  The pair inverse is the dense 9x9 at z = 0 and the closed
-    # form on every grid, short or long
-    calls = {"bloch": 0, "pair": 0, "closed": 0}
+    # inverse at z = 0 and on each frequency block; two single-atom inverses
+    # each would take 6.  The pair inverse is the dense 9x9 at z = 0 and the
+    # closed form on every block, short or long.  The stationary expansion
+    # runs once per drive stack, however many frequency blocks it feeds
+    calls = {"bloch": 0, "pair": 0, "closed": 0, "orders": 0}
 
     def counting(kind, original):
         def wrapped(*args, **kwargs):
@@ -232,12 +243,19 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
         monkeypatch.setattr(module, "resolve", pair, raising=False)
     monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver",
                         counting("closed", twoatom.TwoAtomGenerator.pair_solver))
-    for points in (7, 601):
-        nus, expected = np.linspace(-5.0, 5.0, points), {"bloch": 2, "pair": 1, "closed": 1}
-        calls.update(bloch=0, pair=0, closed=0)
+    monkeypatch.setattr(twoatom, "perturbative_orders",
+                        counting("orders", twoatom.perturbative_orders))
+    one_block = {"bloch": 2, "pair": 1, "closed": 1, "orders": 1}
+    three_blocks = {"bloch": 4, "pair": 1, "closed": 3, "orders": 1}
+    for points, block_pairs, expected in ((7, spectra.BLOCK_PAIRS, one_block),
+                                          (601, spectra.BLOCK_PAIRS, one_block),
+                                          (31, 13, three_blocks)):
+        monkeypatch.setattr(spectra, "BLOCK_PAIRS", block_pairs)
+        nus = np.linspace(-5.0, 5.0, points)
+        calls.update(bloch=0, pair=0, closed=0, orders=0)
         cbs_spectra(drive(2.0), nus=nus)
         assert calls == expected, points
-        calls.update(bloch=0, pair=0, closed=0)
+        calls.update(bloch=0, pair=0, closed=0, orders=0)
         monte_carlo_spectra(drive(2.0), ConfigSampler(samples=1000, seed=3), nus)
         assert calls == expected, points
 
@@ -262,7 +280,7 @@ def test_elastic_weights_resolve_no_frequency_grid(monkeypatch):
     result = cbs_spectra(d, nus=np.linspace(-5.0, 5.0, 7))
     monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_green", spy("dense", dense))
     monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver", spy("closed", closed))
-    monkeypatch.setattr(spectra, "fixed_config_spectrum", no_spectrum)
+    monkeypatch.setattr(spectra, "inelastic_spectra", no_spectrum)
     assert spectra.elastic_weights(d) == (result.elastic_ladder, result.elastic_crossed)
     assert calls == [("dense", ())]
 
@@ -301,13 +319,13 @@ def test_stack_larger_than_a_block_equals_one_block(monkeypatch):
     assert spectra.BLOCK_PAIRS >= len(drives) * len(STACK_GRID)
     whole = spectra.cbs_spectra_stack(drives, STACK_GRID)
     blocks = []
-    solve = spectra._canonical_spectrum
+    solve = spectra.inelastic_spectra
 
-    def counting(block, nus, *monomials):
-        blocks.append(len(block))
-        return solve(block, nus, *monomials)
+    def counting(gen, part, *args):
+        blocks.append(len(gen.atom1.params))
+        return solve(gen, part, *args)
 
-    monkeypatch.setattr(spectra, "_canonical_spectrum", counting)
+    monkeypatch.setattr(spectra, "inelastic_spectra", counting)
     monkeypatch.setattr(spectra, "BLOCK_PAIRS", 2 * len(STACK_GRID) + 1)
     assert_stack_equals(spectra.cbs_spectra_stack(drives, STACK_GRID), whole)
     assert blocks == [2, 2, 1]
@@ -323,13 +341,13 @@ def test_grid_longer_than_a_block_equals_one_block(monkeypatch):
     ladder = spectra.inelastic_ladder(drives[0], nus)
     crossed = spectra.inelastic_crossed(drives[0], nus)
     blocks = []
-    solve = spectra._canonical_spectrum
+    solve = spectra.inelastic_spectra
 
-    def counting(block, part, *monomials):
-        blocks.append((len(block), len(part)))
-        return solve(block, part, *monomials)
+    def counting(gen, part, *args):
+        blocks.append((len(gen.atom1.params), len(part)))
+        return solve(gen, part, *args)
 
-    monkeypatch.setattr(spectra, "_canonical_spectrum", counting)
+    monkeypatch.setattr(spectra, "inelastic_spectra", counting)
     monkeypatch.setattr(spectra, "BLOCK_PAIRS", 13)
     assert_stack_equals(spectra.cbs_spectra_stack(drives, nus), whole)
     assert blocks == len(drives) * [(1, 13), (1, 13), (1, 13), (1, 13), (1, 9)]
