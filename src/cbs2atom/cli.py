@@ -38,7 +38,6 @@ from cbs2atom.twoatom import (
 
 METHODS = ("analytic", "pump-probe", "oracle")
 FORMATS = ("csv", "json")
-SUITES = ("sum-rules", "equivalence", "oracle", "physics")
 
 
 @dataclass(frozen=True)
@@ -247,31 +246,6 @@ def cmd_spectrum(cfg: RunConfig, basename: str = "spectrum") -> list:
 # each suite returns rows (check name, deviation, default bound)
 
 
-def _drawn_system(rng):
-    return build(AtomDriveParams(rabi=rng.uniform(0.3, 5.0),
-                                 delta=rng.uniform(-3.0, 3.0),
-                                 phase=rng.uniform(0.0, 2 * np.pi)))
-
-
-def _suite_sum_rules(nu_points: int) -> list:
-    from cbs2atom.residues import check_sum_rule_I, check_sum_rule_II, check_sum_rule_III
-
-    rng = np.random.default_rng(2024)
-    worst = {"sum-rule-I": 0.0, "sum-rule-II": 0.0, "sum-rule-III": 0.0}
-    for _ in range(20):
-        one, two = _drawn_system(rng), _drawn_system(rng)
-        worst["sum-rule-I"] = max(
-            worst["sum-rule-I"],
-            check_sum_rule_I(one, two, 1j * rng.uniform(-3, 3), rng=rng))
-        worst["sum-rule-II"] = max(
-            worst["sum-rule-II"],
-            check_sum_rule_II(one, two, rng.uniform(-3, 3), rng=rng))
-        z = 1j * rng.uniform(-4, 4)
-        worst["sum-rule-III"] = max(
-            worst["sum-rule-III"], check_sum_rule_III(one, z, -z, rng=rng))
-    return [(name, dev, 1e-10) for name, dev in worst.items()]
-
-
 def _suite_equivalence(nu_points: int) -> list:
     rows = equivalence_report(nus=np.linspace(-15.0, 15.0, nu_points))
     return [
@@ -374,19 +348,23 @@ def _suite_physics(nu_points: int) -> list:
     return checks
 
 
+#: every validation suite by its name on the command line
+_RUNNERS = {"equivalence": _suite_equivalence, "oracle": _suite_oracle,
+            "physics": _suite_physics}
+SUITES = tuple(_RUNNERS)
+
+
 def cmd_validate(suite: str, tolerance=None, nu_points: int = 601,
                  stream=None) -> int:
     """Run one validation suite; exit status 0 iff every check passes."""
     stream = stream or sys.stdout
-    runners = {"sum-rules": _suite_sum_rules, "equivalence": _suite_equivalence,
-               "oracle": _suite_oracle, "physics": _suite_physics}
-    if suite not in runners:
+    if suite not in _RUNNERS:
         raise ValueError(f"suite must be one of {SUITES}")
     if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     if nu_points < 3:
         raise ValueError("need at least 3 frequency points")
-    checks = runners[suite](nu_points)
+    checks = _RUNNERS[suite](nu_points)
     if tolerance is not None:
         checks = [(name, deviation, tolerance) for name, deviation, _ in checks]
     failed = None
@@ -531,8 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="replace the default bound of every check of the suite")
     validate.add_argument("--nu-points", type=int, default=601,
                           help="frequency grid size: equivalence uses it as given, "
-                               "oracle caps it at 49, physics uses at least 201, "
-                               "sum-rules ignores it")
+                               "oracle caps it at 49, physics uses at least 201")
 
     sweep = sub.add_parser("sweep", help="sweep drive parameters")
     _add_config_flags(sweep, sweep=True)

@@ -1,29 +1,20 @@
-"""Frequency integrals for the test oracles.
+"""The paper's closed form of the averaged channels, as a test oracle.
 
-Every integral here runs over a real frequency ``u`` of products of Green
-matrices ``G(a + s*i*u)`` (``a`` imaginary, ``s = +-1``) and constant
-insertions, and is evaluated by the self-placing rule of
-:mod:`cbs2atom.quadrature` over exactly the poles of its integrand.  Each
-Green matrix is the closed-form 3x3 inverse over the whole node stack
-(:meth:`~cbs2atom.atom.BlochSystem.green`), so the rule needs no spectral
-decomposition and holds at the defective Jordan-point drive
-(``rabi = 1/2`` on resonance) as anywhere else.
+The channels in single-atom observables (``compact_*``): the
+exchanged-photon convolution of :mod:`cbs2atom.quadrature` over the
+single-atom closed forms of :mod:`cbs2atom.atom` (``mollow_p0``,
+``p_plus``, ``p_minus``, ``p2``), and the elastic weights' integrals over
+the probe frequency, each by the self-placing rule over exactly the poles
+of its integrand.  Each Green matrix is the closed-form 3x3 inverse over
+the whole node stack (:meth:`~cbs2atom.atom.BlochSystem.green`), so the
+rule needs no spectral decomposition and holds at the defective
+Jordan-point drive (``rabi = 1/2`` on resonance) as anywhere else.
 
 Everything here is a test oracle, so the production modules never import
-it:
-
-* the paper's closed form of the averaged channels in single-atom
-  observables (``compact_*``): the exchanged-photon convolution of
-  :mod:`cbs2atom.quadrature` over the single-atom closed forms of
-  :mod:`cbs2atom.atom` (``mollow_p0``, ``p_plus``, ``p_minus``, ``p2``);
-* the reduction identities (``check_sum_rule_*``).
-
-Every integral includes the ``1/2pi`` measure.
+it.  Every integral includes the ``1/2pi`` measure.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -46,146 +37,10 @@ from cbs2atom.quadrature import exchanged_photon_convolution, line_rule, pole_cl
 from cbs2atom.spectra import SpectralFunctionGrid, _real_part
 
 __all__ = [
-    "check_sum_rule_I",
-    "check_sum_rule_II",
-    "check_sum_rule_III",
     "compact_elastic_ladder",
     "compact_elastic_crossed",
     "compact_channels",
 ]
-
-
-def _poles(system: BlochSystem, sign: int, offset: complex = 0.0) -> np.ndarray:
-    """Poles in ``u`` of ``G(offset + sign*i*u)``."""
-    return -1j * sign * (system.eigenvalues - offset)
-
-
-# ----------------------------------------------------------------------------
-# reduction identities
-# ----------------------------------------------------------------------------
-
-
-def _first_slot(g: np.ndarray) -> np.ndarray:
-    """Stacked ``kron(g, 1)``: a 3x3 operator acting on the first slot."""
-    return np.einsum("...ij,kl->...ikjl", g, np.eye(3)).reshape(g.shape[:-2] + (9, 9))
-
-
-def _second_slot(g: np.ndarray) -> np.ndarray:
-    """Stacked ``kron(1, g)``: a 3x3 operator acting on the second slot."""
-    return np.einsum("kl,...ij->...kilj", np.eye(3), g).reshape(g.shape[:-2] + (9, 9))
-
-
-def _random_insertion(rng: np.random.Generator, dim: int) -> np.ndarray:
-    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return mat / math.sqrt(2.0 * dim)
-
-
-def _require_imaginary(*zs: complex) -> None:
-    for z in zs:
-        if abs(complex(z).real) > 1e-12:
-            raise ValueError(f"fixed resolvent argument {z} must be purely imaginary")
-
-
-def check_sum_rule_I(system_one, system_two, z: complex, rng=None) -> float:
-    """Deviation of the two-term reduction identity at imaginary ``z``.
-
-    With arbitrary fixed insertions ``A``, ``B``, ``C`` in the product
-    space,
-
-        integral dw/2pi [A G1(z/2+iw) B G2(z/2-iw) G2(z) C
-                         + A G1(z/2+iw) G1(0) B G2(z/2-iw) C]
-            = A G1(0) B G2(z) C,
-
-    where ``G1`` acts on the first slot and ``G2`` on the second.  Returns
-    the maximum absolute elementwise deviation, with the left side
-    computed by quadrature and the right side in closed form.
-    """
-    _require_imaginary(z)
-    rng = np.random.default_rng(rng)
-    a_ins, b_ins, c_ins = (_random_insertion(rng, 9) for _ in range(3))
-    g1_zero = _first_slot(system_one.green(0.0))
-    g2_z = _second_slot(system_two.green(z))
-
-    half = complex(z) / 2.0
-    u, weights = line_rule(np.concatenate([_poles(system_one, +1, half),
-                                           _poles(system_two, -1, half)]))
-    left = a_ins @ _first_slot(system_one.green(half + 1j * u))
-    right = _second_slot(system_two.green(half - 1j * u))
-    lines = left @ b_ins @ right @ g2_z @ c_ins + left @ g1_zero @ b_ins @ right @ c_ins
-    lhs = np.einsum("k,kij->ij", weights, lines)
-    rhs = a_ins @ g1_zero @ b_ins @ g2_z @ c_ins
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def check_sum_rule_II(system_one, system_two, omega: float, rng=None) -> float:
-    """Deviation of the double-integral collapse identity.
-
-    With fixed insertions ``A .. D`` in the product space,
-
-        integral dw1/2pi dw2/2pi
-            A G1(-i omega/2 + i w2) G1(i w1) B G2(-i omega/2 - i w2) C G2(-i w1) D
-        = integral dw1/2pi
-            A G1(i w1) B G2(-i omega - i w1) C G2(-i w1) D.
-
-    Both sides by quadrature, the left as an iterated double sum whose
-    inner (``w2``) sum is folded into one superoperator first; returns the
-    maximum absolute deviation.
-    """
-    rng = np.random.default_rng(rng)
-    a_ins, b_ins, c_ins, d_ins = (_random_insertion(rng, 9) for _ in range(4))
-    shift = -0.5j * omega
-
-    v, inner_weights = line_rule(np.concatenate([_poles(system_one, +1, shift),
-                                                 _poles(system_two, -1, shift)]))
-    outer = np.concatenate([_poles(system_one, +1), _poles(system_two, -1),
-                            _poles(system_two, -1, -1j * omega)])
-    u, weights = line_rule(outer)
-    g1_up = _first_slot(system_one.green(1j * u))
-    g2_down = _second_slot(system_two.green(-1j * u))
-
-    # sum_l V_l (A G1(shift + i v_l)) X G2(shift - i v_l), as a map on X
-    fold = np.einsum("l,lij,lmn->ijmn", inner_weights,
-                     a_ins @ _first_slot(system_one.green(shift + 1j * v)),
-                     _second_slot(system_two.green(shift - 1j * v)), optimize=True)
-    inner = np.einsum("ijmn,kjm->kin", fold, g1_up @ b_ins, optimize=True)
-    lhs = np.einsum("k,kij->ij", weights, inner @ c_ins @ g2_down @ d_ins)
-
-    g2_shifted = _second_slot(system_two.green(-1j * omega - 1j * u))
-    rhs = np.einsum("k,kij->ij", weights,
-                    a_ins @ g1_up @ b_ins @ g2_shifted @ c_ins @ g2_down @ d_ins)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def check_sum_rule_III(system, z1: complex, z2: complex, rng=None) -> float:
-    """Deviation of the single-atom splitting identity.
-
-    With fixed 3x3 insertions ``A``, ``B``, ``C``,
-
-        integral dw/2pi [A G(z1) G(iw) B G(-iw) C + A G(iw) B G(z2) G(-iw) C]
-            = A G(z1) B G(z2) C.
-
-    The identity holds for purely imaginary arguments with ``z1 + z2 = 0``
-    (every use downstream pairs a resolvent at ``-i nu`` with its mirror
-    at ``+i nu``); the function evaluates the deviation for whatever
-    arguments are supplied, so the constraint is observable.
-    """
-    _require_imaginary(z1, z2)
-    rng = np.random.default_rng(rng)
-    a_ins, b_ins, c_ins = (_random_insertion(rng, 3) for _ in range(3))
-    g_z1 = system.green(z1)
-    g_z2 = system.green(z2)
-
-    u, weights = line_rule(pole_clusters(system))
-    up, down = system.green(1j * u), system.green(-1j * u)
-    lines = a_ins @ g_z1 @ up @ b_ins @ down @ c_ins + a_ins @ up @ b_ins @ g_z2 @ down @ c_ins
-    lhs = np.einsum("k,kij->ij", weights, lines)
-    rhs = a_ins @ g_z1 @ b_ins @ g_z2 @ c_ins
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-# ----------------------------------------------------------------------------
-# closed form in single-atom observables (test oracle)
-# ----------------------------------------------------------------------------
 
 
 def _elastic_ladder_value(system: BlochSystem) -> complex:

@@ -5,9 +5,10 @@ independent route to a quantity the package computes another way, kept so
 the tests can check the package against it.
 
 * Single atom under bichromatic driving (checks :mod:`cbs2atom.pumpprobe`):
-  the delta coefficient of the correlation at one probe order, the
-  nonperturbative periodic state on a truncated harmonic lattice and the
-  brute time-domain correlation channel (scipy's ``solve_ivp``).
+  the drive of a pump and two probe sidebands, the delta coefficient of
+  the correlation at one probe order, the nonperturbative periodic state
+  on a truncated harmonic lattice and the brute time-domain correlation
+  channel (scipy's ``solve_ivp``).
 * Frequency integrals (checks :mod:`cbs2atom.residues` and
   :mod:`cbs2atom.twoatom`): the adaptive scipy line quadrature, the
   frequency-integral representation of the pair resolvent, and the
@@ -26,20 +27,29 @@ pytest puts this directory on ``sys.path``, so tests import it as
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.integrate import quad, simpson, solve_ivp
 
-from cbs2atom.atom import DELTA_MINUS, DELTA_PLUS, N1, N2, BlochSystem, build, g0_vectors
+from cbs2atom.atom import (
+    DELTA_MINUS,
+    DELTA_PLUS,
+    N1,
+    N2,
+    AtomDriveParams,
+    BlochSystem,
+    build,
+    g0_vectors,
+)
 from cbs2atom.disorder import MonteCarloResult
 from cbs2atom.pumpprobe import (
-    BichromaticDrive,
     _chain_inverses,
     _coefficient,
     _connected_initials,
     harmonic_orders,
 )
 from cbs2atom.quadrature import line_rule, pole_clusters
-from cbs2atom.residues import _first_slot, _poles, _second_slot
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
@@ -54,6 +64,23 @@ from cbs2atom.twoatom import (
 # Pump-probe paths: the perturbative coefficient at one probe order, the
 # nonperturbative truncated harmonic lattice and the brute time domain.
 # ----------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BichromaticDrive:
+    """Pump parameters plus probe detuning and amplitudes (Rabi units)."""
+
+    pump: AtomDriveParams
+    probe_detuning: float
+    v_plus: complex = 0.0
+    v_minus: complex = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("probe_detuning", "v_plus", "v_minus"):
+            if not np.isfinite(complex(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
+        if complex(self.probe_detuning).imag != 0:
+            raise ValueError("probe_detuning must be real")
 
 
 def correlation_coefficient(drive: BichromaticDrive, order: tuple,
@@ -200,6 +227,21 @@ def quadrature_line_integral(
     val = quad(fn, -np.inf, np.inf, epsabs=epsabs, epsrel=epsrel, limit=limit,
                complex_func=True)[0]
     return complex(val) / (2.0 * np.pi)
+
+
+def _poles(system: BlochSystem, sign: int, offset: complex = 0.0) -> np.ndarray:
+    """Poles in ``u`` of ``G(offset + sign*i*u)``."""
+    return -1j * sign * (system.eigenvalues - offset)
+
+
+def _first_slot(g: np.ndarray) -> np.ndarray:
+    """Stacked ``kron(g, 1)``: a 3x3 operator acting on the first slot."""
+    return np.einsum("...ij,kl->...ikjl", g, np.eye(3)).reshape(g.shape[:-2] + (9, 9))
+
+
+def _second_slot(g: np.ndarray) -> np.ndarray:
+    """Stacked ``kron(1, g)``: a 3x3 operator acting on the second slot."""
+    return np.einsum("kl,...ij->...kilj", np.eye(3), g).reshape(g.shape[:-2] + (9, 9))
 
 
 def _pair_integral(system_one: BlochSystem, system_two: BlochSystem,

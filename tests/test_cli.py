@@ -13,7 +13,7 @@ import pytest
 
 import cbs2atom
 from cbs2atom.atom import AtomDriveParams
-from cbs2atom.cli import RunConfig, _build_parser, _config_from_args, main
+from cbs2atom.cli import SUITES, RunConfig, _build_parser, _config_from_args, main
 from cbs2atom.spectra import BLOCK_PAIRS, cbs_spectra
 
 GRID = ["--nu-min", "-6", "--nu-max", "6", "--nu-points", "7"]
@@ -83,27 +83,33 @@ def test_validate_oracle_exit_codes(capsys):
     assert "FAILED" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["sum-rules"], ["physics"],
-                                  ["equivalence", "--nu-points", "61"]],
-                         ids=["sum-rules", "physics", "equivalence"])
-def test_validate_suites_pass_at_their_default_bounds(capsys, argv):
-    assert main(["validate", *argv]) == 0
+@pytest.mark.parametrize("suite", SUITES)
+def test_validate_suites_pass_at_their_default_bounds(capsys, suite):
+    assert main(["validate", suite, "--nu-points", "61"]) == 0
     report = capsys.readouterr().out
     assert "OK:" in report and "FAIL" not in report
 
 
 def test_zero_tolerance_is_applied_not_replaced_by_the_default(capsys):
-    # every sum-rule deviation is positive rounding noise, so bound 0 fails
-    assert main(["validate", "sum-rules", "--tolerance", "0"]) == 1
+    # every oracle deviation is positive rounding noise, so bound 0 fails
+    assert main(["validate", "oracle", "--nu-points", "9", "--tolerance", "0"]) == 1
     report = capsys.readouterr().out
-    assert "bound 0.000e+00" in report and "bound 1.000e-10" not in report
+    assert "bound 0.000e+00" in report and "bound 1.000e-08" not in report
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
 def test_invalid_tolerance_exits_with_usage_error(capsys, tolerance):
-    assert main(["validate", "sum-rules", "--tolerance", tolerance]) == 2
+    assert main(["validate", "oracle", "--tolerance", tolerance]) == 2
     captured = capsys.readouterr()
     assert "tolerance" in captured.err and captured.out == ""
+
+
+def test_unknown_suite_exits_with_usage_error(capsys):
+    # the suite of the resolvent reduction identities, which no route uses, is gone
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "sum-rules"])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_oracle_spectrum_agrees_with_production_and_reruns_identically(tmp_path, capsys):
@@ -345,7 +351,7 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 
 
 # the oracle methods and every validate suite, in a second interpreter: the
-# sum-rules and oracle suites load residues, which the first one forbids
+# oracle suite loads residues, which the first one forbids
 _ORACLE_ROUTES = """
 import sys
 
@@ -400,7 +406,7 @@ def test_package_imports_no_scipy():
     assert found == []
 
 
-@pytest.mark.parametrize("suite", ["sum-rules", "equivalence", "oracle", "physics"])
+@pytest.mark.parametrize("suite", SUITES)
 def test_validate_tolerance_bounds_every_check(capsys, suite):
     # every row, `mollow-triplet-peaks` and its grid-step default included
     main(["validate", suite, "--tolerance", "1e-300", "--nu-points", "31"])

@@ -23,7 +23,6 @@ from cbs2atom.atom import (
     p_plus,
 )
 from cbs2atom.pumpprobe import (
-    BichromaticDrive,
     channel_densities,
     equivalence_report,
     extracted_functions,
@@ -33,6 +32,7 @@ from cbs2atom.linalg import resolve
 from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.spectra import cbs_spectra, default_grid
 from oracles import (
+    BichromaticDrive,
     TruncationError,
     correlation_coefficient,
     floquet_state,
@@ -212,9 +212,9 @@ def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
     calls = []
     original = pumpprobe.extracted_functions
 
-    def counting(drive, nus, system):
-        calls.append(drive.probe_detuning)
-        return original(drive, nus, system)
+    def counting(system, w, nus):
+        calls.append(w)
+        return original(system, w, nus)
 
     monkeypatch.setattr(pumpprobe, "extracted_functions", counting)
     nus = np.linspace(-15.0, 15.0, 61)
@@ -224,8 +224,7 @@ def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
     assert calls == list(probe_detunings) * (len(rabis) * len(deltas))
     for row in rows:
         pump = AtomDriveParams(rabi=row.rabi, delta=row.delta)
-        at_zero = original(BichromaticDrive(pump=pump, probe_detuning=0.0), nus,
-                           build(pump))["p0"]
+        at_zero = original(build(pump), 0.0, nus)["p0"]
         reference = mollow_p0(build(pump), nus)
         assert row.dev_p0 == (np.max(np.abs(np.real(at_zero) - reference))
                               / np.max(np.abs(reference)))
@@ -264,8 +263,8 @@ def test_shared_inverses_are_formed_once_and_read_only():
 def test_inelastic_density_symmetric_under_joint_reflection():
     nus = np.linspace(-8.0, 8.0, 41)
     drive, mirror = make_drive(delta=1.7), make_drive(delta=-1.7)
-    direct = extracted_functions(drive, nus, build(drive.pump))["p0"]
-    mirrored = extracted_functions(mirror, -nus, build(mirror.pump))["p0"]
+    direct = extracted_functions(build(drive.pump), drive.probe_detuning, nus)["p0"]
+    mirrored = extracted_functions(build(mirror.pump), mirror.probe_detuning, -nus)["p0"]
     assert np.allclose(direct, mirrored, rtol=0, atol=1e-14)
 
 

@@ -1,16 +1,11 @@
-"""The tan-mapped midpoint rule over the real line and the reduction identities."""
+"""The tan-mapped midpoint rule over the real line and the poles it is placed by."""
 
 import numpy as np
 import pytest
 
 from cbs2atom import atom
 from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS
-from cbs2atom.quadrature import line_rule
-from cbs2atom.residues import (
-    check_sum_rule_I,
-    check_sum_rule_II,
-    check_sum_rule_III,
-)
+from cbs2atom.quadrature import line_rule, pole_clusters
 from oracles import quadrature_line_integral
 
 
@@ -111,112 +106,21 @@ def test_two_term_reduction_with_empty_insertions():
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-# ----------------------------------------------------------- sum-rule checks
+# ------------------------------------------------------------- pole clusters
 
 
-def test_sum_rule_I_random_draws():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        s1 = make(rng.uniform(0.3, 5.0), rng.uniform(-3, 3), rng.uniform(0, 2 * np.pi))
-        s2 = make(rng.uniform(0.3, 5.0), rng.uniform(-3, 3), rng.uniform(0, 2 * np.pi))
-        z = 1j * rng.uniform(-3, 3)
-        assert check_sum_rule_I(s1, s2, z, rng=rng) < 1e-10
-
-
-def test_sum_rule_II_random_draws():
-    rng = np.random.default_rng(43)
-    for _ in range(5):
-        s1 = make(rng.uniform(0.8, 4.0), rng.uniform(-2, 2), rng.uniform(0, 2 * np.pi))
-        s2 = make(rng.uniform(0.8, 4.0), rng.uniform(-2, 2), rng.uniform(0, 2 * np.pi))
-        omega = rng.uniform(-3, 3)
-        assert check_sum_rule_II(s1, s2, omega, rng=rng) < 1e-10
-
-
-def test_sum_rule_II_against_double_quadrature():
-    # the iterated midpoint-rule value of the double integral matches
-    # brute-force nested scipy quadrature of the dense-resolvent integrand
-    rng = np.random.default_rng(5)
-    s1, s2 = make(2.0, 0.6), make(2.0, 0.6, phase=1.1)
-    ins = [
-        (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))) / np.sqrt(18)
-        for _ in range(4)
-    ]
-    omega = 0.8
-    shift = -0.5j * omega
-    row, col = 4, 7
-
-    v, inner_weights = line_rule(np.concatenate([up_poles(s1, shift), down_poles(s2, shift)]))
-    u, weights = line_rule(np.concatenate([up_poles(s1), down_poles(s2)]))
-    left = ins[0][row] @ first_slot(s1.green(shift + 1j * v))          # (l, 9)
-    middle = first_slot(s1.green(1j * u)) @ ins[1]                    # (k, 9, 9)
-    tail = second_slot(s2.green(shift - 1j * v))                      # (l, 9, 9)
-    right = ins[2] @ second_slot(s2.green(-1j * u)) @ ins[3][:, col]  # (k, 9)
-    res = np.einsum("l,k,li,kij,ljn,kn->", inner_weights, weights, left, middle, tail,
-                    right, optimize=True)
-
-    # one matrix element is plenty for the 2d quadrature; feeding a basis
-    # vector through the chain keeps every evaluation a cheap matvec, and
-    # memoization shares work between the integrator's re/im passes
-    def green(system, z):
-        return np.linalg.inv(z * np.eye(3) - system.M)
-
-    outer_cache = {}
-
-    def inner(w1):
-        if w1 not in outer_cache:
-            g1_w1 = green(s1, 1j * w1)
-            back = ins[2] @ (np.kron(np.eye(3), green(s2, -1j * w1)) @ ins[3][:, col])
-            cache = {}
-
-            def f2(w2):
-                if w2 not in cache:
-                    x = np.kron(green(s1, shift + 1j * w2) @ g1_w1, np.eye(3))
-                    y = np.kron(np.eye(3), green(s2, shift - 1j * w2))
-                    cache[w2] = ins[0][row] @ x @ ins[1] @ y @ back
-                return cache[w2]
-
-            outer_cache[w1] = quadrature_line_integral(f2, epsabs=1e-12, epsrel=3e-9, limit=120)
-        return outer_cache[w1]
-
-    qq = quadrature_line_integral(inner, epsabs=1e-12, epsrel=1e-8, limit=120)
-    assert abs(res - qq) < 1e-9
-
-
-def test_sum_rule_III_mirror_arguments():
-    rng = np.random.default_rng(44)
-    for _ in range(20):
-        sys = make(rng.uniform(0.3, 5.0), rng.uniform(-3, 3), rng.uniform(0, 2 * np.pi))
-        z = 1j * rng.uniform(-4, 4)
-        assert check_sum_rule_III(sys, z, -z, rng=rng) < 1e-10
-
-
-def test_sum_rule_III_at_zero_degenerates_to_rule_I():
-    sys = make(1.3, delta=0.7)
-    assert check_sum_rule_III(sys, 0.0, 0.0, rng=3) < 1e-10
-
-
-def test_sum_rule_III_requires_opposite_arguments():
-    # the splitting identity is specific to mirror-image resolvent arguments;
-    # an independent pair must show a finite deviation
-    sys = make(1.3, delta=0.7)
-    assert check_sum_rule_III(sys, 1j, 2j, rng=6) > 1e-6
-
-
-def test_sum_rule_checks_reject_off_axis_arguments():
-    sys = make(1.3)
-    with pytest.raises(ValueError):
-        check_sum_rule_I(sys, sys, 0.5 + 0j, rng=0)
-    with pytest.raises(ValueError):
-        check_sum_rule_III(sys, 0.5, -0.5, rng=0)
-
-
-def test_sum_rules_hold_at_the_jordan_point():
-    # rabi = gamma/2 on resonance: a defective generator, no eigenbasis
-    jordan = make(0.5)
-    other = make(1.3, delta=0.7, phase=0.9)
-    assert check_sum_rule_I(jordan, other, 0.7j, rng=1) < 1e-10
-    assert check_sum_rule_II(jordan, jordan, 0.4, rng=2) < 1e-10
-    assert check_sum_rule_III(jordan, 1.1j, -1.1j, rng=3) < 1e-10
+def test_pole_clusters_are_the_poles_of_both_resolvents():
+    # G(i(u - c)) has its poles in u at c - i*eigenvalue and G(-i(u - c)) at
+    # c + i*eigenvalue: the clusters at each centre are the union of both,
+    # at a detuned drive and two centres
+    system = make(1.3, delta=0.8)
+    centres = (-0.7, 2.5)
+    expected = np.concatenate([[c - 1j * lam, c + 1j * lam]
+                               for c in centres for lam in system.eigenvalues])
+    got = pole_clusters(system, centres)
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(expected),
+                               rtol=0, atol=1e-14)
 
 
 # ----------------------------------------------- multiplicities and contours
