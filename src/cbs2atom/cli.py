@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError("need nu_min < nu_max")
         if self.nu_points < 3:
             raise ValueError("need at least 3 frequency points")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.format not in FORMATS:

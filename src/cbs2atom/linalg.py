@@ -7,7 +7,7 @@ stay exact at defective (Jordan-point) generators:
   closed form, cofactors over determinant, for a whole array of ``z``.
   Every single-atom route goes through it
   (:meth:`cbs2atom.atom.BlochSystem.green`): the Bloch block of the
-  production spectra, the pump-probe chains and the quadrature oracles of
+  production spectra, the pump-probe lattices and the quadrature oracles of
   :mod:`cbs2atom.residues`.
 - :func:`resolve` computes ``(z - M)^{-1} B`` for any size as one stacked
   dense solve; the two-atom pair-correlation block uses it for the

@@ -24,7 +24,6 @@ averaged channels from them is shared with the closed form
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -72,18 +71,24 @@ def _harmonic_orders(steady: np.ndarray, greens: dict, max_plus: int,
                      max_minus: int) -> dict:
     """:func:`harmonic_orders` from given resolvents: ``greens[n]`` is
     ``G(-i n w)``, for every harmonic ``n`` the orders populate."""
-    orders = {(0, 0): steady}
-    for p in range(max_plus + 1):
-        for q in range(max_minus + 1):
-            if p == q == 0:
-                continue
-            source = 0.0
-            if p > 0:
-                source = source + orders[(p - 1, q)] @ DELTA_MINUS.T
-            if q > 0:
-                source = source + orders[(p, q - 1)] @ DELTA_PLUS.T
-            orders[(p, q)] = _apply(greens[p - q], source)
-    return orders
+    return _lattice(max_plus, max_minus, lambda a, b, source: (
+        _apply(greens[a - b], source) if a or b else steady), lambda a, b: 0.0)
+
+
+def _lattice(p: int, q: int, step, seed) -> dict:
+    """The recursion over the probe-order lattice, ``{(a, b): x}`` for every
+    ``(a, b) <= (p, q)``: ``x[a, b] = step(a, b, seed(a, b) + x[a-1, b] @
+    DELTA_MINUS.T + x[a, b-1] @ DELTA_PLUS.T)``, on stacks of vectors.
+    ``None`` stands for zero: such a term, or one off the lattice, is left
+    out, and a state without any term is ``None`` and takes no step."""
+    x = {}
+    for a, b in itertools.product(range(p + 1), range(q + 1)):
+        source = seed(a, b)
+        for vec, coupler in ((x.get((a - 1, b)), DELTA_MINUS), (x.get((a, b - 1)), DELTA_PLUS)):
+            if vec is not None:
+                source = vec @ coupler.T if source is None else source + vec @ coupler.T
+        x[a, b] = None if source is None else step(a, b, source)
+    return x
 
 
 # ----------------------------------------------------------------------------
@@ -100,25 +105,22 @@ def _harmonic_orders(steady: np.ndarray, greens: dict, max_plus: int,
 # The computation follows the quantum regression route for the
 # time-periodic generator: for each time ordering, the connected
 # correlation evolves homogeneously from an initial vector quadratic in
-# the periodic state, and the probe couplers are inserted along the
-# evolution interval in every order-compatible sequence.  Each piece then
-# reduces to a chain of pump resolvents whose arguments track the net
-# probe-photon count k: (-+ i (w1 + k w) - M)^{-1} for the two time
-# orderings.  Every chain runs on whole arrays of (w, w1) pairs; vectors
-# are stacked along leading axes, so a coupler acts as ``vec @ coupler.T``.
-# The resolvents come from the caller as a memo keyed by (sign, k), each
-# applied to the chain vectors by a stacked matrix product: one
-# coefficient needs at most one inverse per key, and a caller that
-# evaluates several coefficients, or the same argument on several
-# supports, forms each distinct argument once and shares it.  Both
-# orderings are inverted directly, not one derived from the other by a
-# symmetry, so the extraction shares no symmetry with the closed forms it
-# checks.
+# the periodic state, and the probe couplers act along the evolution
+# interval in every order-compatible sequence: a path on the probe-order
+# lattice from the initial's order up to (p, q), each state applying a pump
+# resolvent whose argument tracks the net probe-photon shift k,
+# (-+ i (w1 + k w) - M)^{-1} for the two orderings.  `_lattice` sums all
+# paths at once, on stacks of (w, w1) pairs.  The resolvents come from the
+# caller as a memo keyed by (sign, k): a caller that evaluates several
+# coefficients, or the same argument on several supports, forms each
+# distinct argument once and shares it.  Both orderings are inverted
+# directly, not one derived from the other by a symmetry, so the
+# extraction shares no symmetry with the closed forms it checks.
 # ----------------------------------------------------------------------------
 
 
 def _connected_initials(orders: dict, p: int, q: int) -> dict:
-    """The chains' initial vectors at every order up to ``(p, q)``:
+    """The seeds of the :func:`_coefficient` lattices up to ``(p, q)``:
     ``{(a, b): (later_lowering, later_raising)}``.
 
     Each full initial is ``coupler @ state + affine - weight * state`` with
@@ -147,47 +149,41 @@ def _chain_inverses(system: BlochSystem, w, nu, shifts) -> dict:
             for sign in (-1, 1) for k in shifts}
 
 
-@functools.cache
-def _chains(order: tuple) -> tuple:
-    """The chains of the delta coefficient at probe order ``order``: each
-    one's initial order, branch (0 later lowering, 1 later raising; also
-    the component read at the end) and resolvent sign, couplers and net
-    photon shift at each step."""
-    p, q = order
-    couplers = {"+": DELTA_MINUS.T, "-": DELTA_PLUS.T}
-    chains = []
-    for ai in range(p + 1):
-        for bi in range(q + 1):
-            for seq in sorted(set(itertools.permutations("+" * (p - ai) + "-" * (q - bi)))):
-                steps = [1 if symbol == "+" else -1 for symbol in seq]
-                inserted = tuple(couplers[symbol] for symbol in seq)
-                # later lowering (raising acts at the earlier time) starts at
-                # the initial's own shift, later raising runs down to 0
-                lowering = tuple(itertools.accumulate(steps, initial=ai - bi))
-                raising = tuple(sum(steps[j:]) for j in range(len(seq) + 1))
-                chains += [((ai, bi), 0, -1, inserted, lowering),
-                           ((ai, bi), 1, 1, inserted, raising)]
-    return tuple(chains)
-
-
 def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.ndarray:
     """Delta coefficient at probe order ``order``.
 
     ``initials`` is :func:`_connected_initials` up to at least ``order``
     and ``inverses[sign, k]`` is ``G(sign*i*(nu + k*w))`` at the same
     probe detunings ``w``, for every net photon shift ``k`` from ``-q`` to
-    ``p``; the result broadcasts over their shapes.  ``side=+1`` sums only
-    the chains through shift ``+1`` and ``side=-1`` only the others: the
-    two add up to the whole, and neither needs the other's inverses.
+    ``p``; the result broadcasts over their shapes.  Branch 0 (later
+    lowering) runs at sign ``-1``, branch 1 (later raising) at ``+1`` with
+    the shift still to come; each reads its own component at ``(p, q)``.
+    ``side=+1`` sums only the paths through shift ``+1`` and ``side=-1``
+    only the others: the two add up to the whole.
     """
+    p, q = order
     total = 0.0
-    for initial, branch, sign, couplers, shifts in _chains(order):
-        if side is not None and (1 in shifts) != (side == 1):
-            continue
-        vec = _apply(inverses[sign, shifts[0]], initials[initial][branch])
-        for coupler, k in zip(couplers, shifts[1:]):
-            vec = _apply(inverses[sign, k], vec @ coupler)
-        total = total + vec[..., branch]
+    for branch, sign, shift in ((0, -1, lambda a, b: a - b),
+                                (1, 1, lambda a, b: (p - a) - (q - b))):
+        def solve(a, b, source):
+            return _apply(inverses[sign, shift(a, b)], source)
+
+        def below(a, b, source):
+            # a path stops at +1, where its inflow seeds the +1 side; that side
+            # needs no state whose later shifts, from (a, q) to (p, b), miss +1
+            if shift(a, b) == 1:
+                entered[a, b] = source
+            elif side == -1 or (shift(a, q) - 1) * (shift(p, b) - 1) <= 0:
+                return solve(a, b, source)
+            return None
+
+        entered = {}
+        x = _lattice(p, q, solve if side is None else below,
+                     lambda a, b: initials[a, b][branch])
+        if side == 1:
+            x = _lattice(p, q, solve, lambda a, b: entered.get((a, b)))
+        if x[p, q] is not None:
+            total = total + x[p, q][..., branch]
     return total
 
 
@@ -291,13 +287,13 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     densities convolve one atom's emission spectrum with the other atom's
     probe-response correlations, every factor from the bichromatic solver
     (:func:`~cbs2atom.quadrature.exchanged_photon_convolution`).  The mixed
-    coefficient's chains through the net photon shift ``+1`` have their
+    coefficient's paths through the net photon shift ``+1`` have their
     poles at ``-nu``, so they run at the mirrored probe detunings ``-u``.
 
     Each distinct resolvent argument is inverted once per call: ``G(0)``
     and ``G(+-i nu)`` over the output grid in set-up, then 2 inversions per
     emission frequency, ``G(+-i u)`` over its nodes.  They serve ``-u`` too,
-    and, reversed, ``nu - u``: the argument of the chains through shift
+    and, reversed, ``nu - u``: the argument of the paths through shift
     ``-1`` at ``u`` and of those through ``+1`` at ``-u``.  The reflected
     factor ``p_minus(nu - u)`` is the conjugate minus-probe coefficient at
     the reversed nodes.
@@ -315,7 +311,7 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     at_nu = {sign: system.green(sign * 1j * nus) for sign in (-1, 1)}
 
     # at zero probe detuning every harmonic is static and every photon
-    # shift of a chain leaves its argument at the emission frequency
+    # shift of a path leaves its argument at the emission frequency
     zero = _connected_initials(
         _harmonic_orders(steady, {n: static for n in (-1, 0, 1)}, 1, 1), 1, 1)
     zero_inverses = {(sign, k): at_nu[sign] for sign in (-1, 1) for k in (-1, 0, 1)}

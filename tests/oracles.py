@@ -84,12 +84,14 @@ class BichromaticDrive:
 
 
 def correlation_coefficient(drive: BichromaticDrive, order: tuple,
-                            nu: float) -> complex:
+                            nu: float, side=None) -> complex:
     """Delta-function coefficient of the correlation at one probe order.
 
     ``order = (p, q)`` selects the Taylor coefficient of
     ``v_plus**p * v_minus**q``; the result lives on the support line
     ``w2 = w1 + (p - q) * probe_detuning`` and is evaluated at ``w1 = nu``.
+    ``side`` selects one part of the split at net photon shift ``+1``
+    (:func:`cbs2atom.pumpprobe._coefficient`).
     """
     p, q = order
     if p < 0 or q < 0:
@@ -98,7 +100,7 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
     w = drive.probe_detuning
     orders = harmonic_orders(system, w, p, q)
     inverses = _chain_inverses(system, w, nu, range(-q, p + 1))
-    return complex(_coefficient(_connected_initials(orders, p, q), order, inverses))
+    return complex(_coefficient(_connected_initials(orders, p, q), order, inverses, side))
 
 
 class TruncationError(RuntimeError):

@@ -185,6 +185,16 @@ def test_too_few_oracle_samples_exit_with_usage_error(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("method", ["analytic", "oracle"])
+def test_negative_seed_exits_with_usage_error(tmp_path, capsys, method):
+    # the analytic method draws nothing, but echoes the seed into its sidecar
+    argv = ["spectrum", "--rabi", "2", "--method", method, "--seed", "-1", *GRID,
+            "--output", str(tmp_path)]
+    assert main(argv) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", ["analytic", "oracle"])
 @pytest.mark.parametrize("bound", ["--nu-min=-inf", "--nu-max=inf", "--nu-max=nan"])
 def test_non_finite_grid_exits_with_usage_error(tmp_path, capsys, method, bound):
     argv = ["spectrum", "--rabi", "2", "--method", method, bound, "--output", str(tmp_path)]

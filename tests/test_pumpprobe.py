@@ -115,9 +115,10 @@ def test_probe_derivatives_match_response_chains(rabi, delta, w):
         assert abs(c11 - p2(system, w, nu)) < 1e-12
 
 
-def chain_reference(pump, w, order, nu):
+def chain_reference(pump, w, order, nu, side=None):
     """Delta coefficient transcribed chain by chain, one dense solve per
-    chain step."""
+    chain step.  ``side=+1`` keeps only the chains whose net shift visits
+    ``+1``, ``side=-1`` only the others."""
     system = build(pump)
     orders = harmonic_orders(system, w, *order)
     couplers = {"+": DELTA_MINUS, "-": DELTA_PLUS}
@@ -133,38 +134,50 @@ def chain_reference(pump, w, order, nu):
                 vec = vec - orders[(ap, bp)][index] * orders[(a - ap, b - bp)]
         return vec
 
+    def kept(shifts):
+        return side is None or (1 in shifts) == (side == 1)
+
     p, q = order
     total = 0j
     for a in range(p + 1):
         for b in range(q + 1):
             for seq in set(itertools.permutations("+" * (p - a) + "-" * (q - b))):
                 k = a - b
+                shifts = [k]
                 vec = solve(initial(a, b, 1j * DELTA_MINUS, N1, 1), -1j * (nu + k * w))
                 for symbol in seq:
                     k += steps[symbol]
+                    shifts.append(k)
                     vec = solve(couplers[symbol] @ vec, -1j * (nu + k * w))
-                total += vec[0]
+                if kept(shifts):
+                    total += vec[0]
                 k = sum(steps[symbol] for symbol in seq)
+                shifts = [k]
                 vec = solve(initial(a, b, -1j * DELTA_PLUS, N2, 0), 1j * (nu + k * w))
                 for symbol in seq:
                     k -= steps[symbol]
+                    shifts.append(k)
                     vec = solve(couplers[symbol] @ vec, 1j * (nu + k * w))
-                total += vec[1]
+                if kept(shifts):
+                    total += vec[1]
     return total
 
 
 @pytest.mark.parametrize("rabi,delta", [(2.0, 0.0), (1.3, 0.8), (0.5, 0.0)],
                          ids=["rabi2", "detuned", "jordan"])
-@pytest.mark.parametrize("order", [(1, 1), (0, 1)])
-def test_shared_inverses_match_per_step_solves(rabi, delta, order):
-    # each resolvent argument inverted once and shared by every chain
-    # reproduces one solve per chain step
+@pytest.mark.parametrize("order,side", [((1, 1), None), ((0, 1), None), ((1, 0), None),
+                                        ((1, 1), -1), ((1, 1), 1)],
+                         ids=["order0", "order1", "order2", "order0-side-1", "order0-side+1"])
+def test_shared_inverses_match_per_step_solves(rabi, delta, order, side):
+    # each resolvent argument inverted once and shared by every path of the
+    # lattice reproduces one solve per chain step, also for each side of
+    # the split at net shift +1
     pump = AtomDriveParams(rabi=rabi, delta=delta)
     for w in (1.3, -2.0):
         drive = BichromaticDrive(pump=pump, probe_detuning=w)
         for nu in (-3.1, 0.0, 0.7, 4.2):
-            ref = chain_reference(pump, w, order, nu)
-            got = correlation_coefficient(drive, order, nu)
+            ref = chain_reference(pump, w, order, nu, side)
+            got = correlation_coefficient(drive, order, nu, side)
             assert abs(got - ref) <= 1e-13 * abs(ref), (w, nu)
 
 
