@@ -443,9 +443,8 @@ def assemble(config: ScatteringConfig, drive,
     return TwoAtomGenerator(config=config, atom1=atom1, atom2=atom2, coupling=t)
 
 
-def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2,
-                        monomials=None) -> list:
-    """Expand the stationary state in powers of the exchange coupling.
+def perturbative_orders(gen: TwoAtomGenerator, monomials=DEGREE_TWO_MONOMIALS) -> list:
+    """Expand the stationary state to order two in the exchange coupling.
 
     The stationary state solves ``(A + V) Q + drive = 0``, so it is the
     zero-frequency resolvent applied to the drive and its orders are
@@ -454,12 +453,12 @@ def perturbative_orders(gen: TwoAtomGenerator, max_order: int = 2,
     channel's 15x15 operator, and resolved by the drift, whose Bloch block
     is solved first and feeds the correlation block.
 
-    Returns ``[Q0, Q1, ..., Qmax]``: ``Qn`` is a tagged 15-vector keyed by
-    every coupling monomial of degree exactly n, Bloch block in ``[:6]``
-    and correlation block in ``[6:]``.  Given ``monomials``, only their
-    divisors are kept (see :func:`resolvent_apply`).
+    Returns ``[Q0, Q1, Q2]``: ``Qn`` is a tagged 15-vector keyed by the
+    coupling monomials of degree exactly n that divide one of the
+    degree-two ``monomials`` (by default every one), Bloch block in
+    ``[:6]`` and correlation block in ``[6:]``.
     """
-    return resolvent_apply(gen, 0.0, {(): gen.drive}, max_order, monomials)
+    return resolvent_apply(gen, 0.0, {(): gen.drive}, monomials)
 
 
 def _mean_splittings(orders: list, n: int):
@@ -538,28 +537,27 @@ def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, pair_solve, tagged: Ta
     return out
 
 
-def _couple(gen: TwoAtomGenerator, tagged: TaggedVector, keep=None) -> TaggedVector:
+def _couple(gen: TwoAtomGenerator, tagged: TaggedVector, keep: frozenset) -> TaggedVector:
     """One insertion of the coupling ``V``: every tagged vector times every
     channel's 15x15 operator, the monomial extended by the channel's tag.
 
-    Only products whose monomial is in ``keep`` are formed (every one if
-    ``keep`` is None).
+    Only products whose monomial is in ``keep`` are formed.
     """
     out: TaggedVector = {}
     for tag, channel in gen.channels.items():
         for mono, vec in tagged.items():
             key = merge_monomials(mono, (tag,))
-            if keep is None or key in keep:
+            if key in keep:
                 _tagged_add(out, key, vec @ channel.T)
     return out
 
 
 def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
-                    max_order: int = 2, monomials=None) -> list:
+                    monomials=DEGREE_TWO_MONOMIALS) -> list:
     """Apply the order-by-order resolvent of ``z - A - V`` to a tagged seed.
 
-    Returns ``[R0 seed, R1 seed, ..., Rmax seed]`` where the order-n term
-    carries n extra coupling insertions.  The zeroth order solves the
+    Returns ``[R0 seed, R1 seed, R2 seed]`` where the order-n term carries
+    n extra coupling insertions.  The zeroth order solves the
     block-triangular drift alone; each further order routes the previous
     result once through the coupling channels and resolves again.  ``z`` may
     be an array of shape ``S`` and the seed's vectors stacked along leading
@@ -571,17 +569,18 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     :func:`fixed_config_spectrum`.
 
     ``monomials`` names the coupling monomials the caller reads: the
-    coupling insertions then form only products dividing one of them
-    (:func:`_divisors`).  ``None`` forms every product.
+    coupling insertions form only products dividing one of them
+    (:func:`_divisors`), so a level beyond degree two, which a seed of
+    positive degree reaches, is empty.
     """
-    keep = None if monomials is None else _divisors(monomials)
+    keep = _divisors(monomials)
     g_single, g_pair = gen.single_green(z), gen.pair_green(z)
 
     def pair_solve(rhs):
         return (g_pair @ rhs[..., None])[..., 0]
 
     levels = [_resolve(gen, g_single, pair_solve, seed)]
-    for _ in range(max_order):
+    for _ in range(2):
         levels.append(_resolve(gen, g_single, pair_solve, _couple(gen, levels[-1], keep)))
     return levels
 
@@ -631,7 +630,7 @@ def stationary_terms(gen: TwoAtomGenerator, monomials=DEGREE_TWO_MONOMIALS) -> t
     carrying only the divisors of the degree-two ``monomials``."""
     if not set(monomials) <= set(DEGREE_TWO_MONOMIALS):
         raise ValueError("monomials must be sorted degree-two coupling monomials")
-    orders = perturbative_orders(gen, 2, monomials)
+    orders = perturbative_orders(gen, monomials)
     return (regression_initials(orders), *elastic_splittings(orders))
 
 
@@ -656,9 +655,9 @@ def inelastic_spectra(gen: TwoAtomGenerator, nus, initials: tuple, monomials) ->
             {mono: vec[..., 3] for mono, vec in nested.items()})
 
 
-def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
-                          monomials=DEGREE_TWO_MONOMIALS) -> FixedConfigSpectra:
-    """Second-order inelastic correlation spectra and elastic weights.
+def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
+    """Second-order inelastic correlation spectra and elastic weights of
+    every degree-two coupling monomial.
 
     The Laplace image of the connected correlation at order two is
     ``sum_k R (V R)^k i_(2-k)`` with ``i_n`` the order-n regression initial
@@ -670,17 +669,13 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus,
     The results read only components 0 and 3, both in the Bloch block, so
     the last resolve skips the correlation block.  The regression initials
     and the elastic weights come from the z = 0 expansion
-    (:func:`stationary_terms`), which needs no grid.
-
-    ``monomials`` are the degree-two coupling monomials returned, by
-    default all of them.  The stationary orders, the regression initials,
-    the nested resolves and the elastic splittings then carry only the
-    divisors of these monomials: for the two that survive the
-    configuration average, ``()``, ``12``, ``12*``, ``21*`` and the two
-    themselves.
+    (:func:`stationary_terms`), which needs no grid.  A caller that reads
+    fewer monomials calls the two halves with them, so that they carry only
+    the monomials' divisors: for the two that survive the configuration
+    average, ``()``, ``12``, ``12*``, ``21*`` and the two themselves.
     """
-    initials, elastic_auto, elastic_exch = stationary_terms(gen, monomials)
-    auto, exch = inelastic_spectra(gen, nus, initials, monomials)
+    initials, elastic_auto, elastic_exch = stationary_terms(gen)
+    auto, exch = inelastic_spectra(gen, nus, initials, DEGREE_TWO_MONOMIALS)
     return FixedConfigSpectra(nu=np.asarray(nus, dtype=float), autocorrelation=auto,
                               exchange=exch, elastic_autocorrelation=elastic_auto,
                               elastic_exchange=elastic_exch)

@@ -174,11 +174,13 @@ def test_the_oracle_window_has_no_flag(tmp_path, capsys, flag):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", [["spectrum", "--rabi", "2"],
-                                     ["sweep", "--rabi", "0.7", "2"]])
+@pytest.mark.parametrize("command", [["spectrum", "--rabi", "2", "--method", "oracle"],
+                                     ["sweep", "--rabi", "0.7", "2", "--method", "oracle"],
+                                     ["spectrum", "--rabi", "2", "--method", "analytic"],
+                                     ["spectrum", "--rabi", "2", "--method", "pump-probe"]])
 def test_too_few_oracle_samples_exit_with_usage_error(tmp_path, capsys, command):
-    argv = [*command, "--method", "oracle", "--samples", "10", *GRID,
-            "--output", str(tmp_path)]
+    # the other methods draw nothing, but echo the count into their sidecar
+    argv = [*command, "--samples", "10", *GRID, "--output", str(tmp_path)]
     assert main(argv) == 2
     assert "at least 1000 samples" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
@@ -192,6 +194,28 @@ def test_negative_seed_exits_with_usage_error(tmp_path, capsys, method):
     assert main(argv) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (["spectrum", "--rabi", "2", "--detuning", "-1e-3"], "detuning", -1e-3),
+    (["spectrum", "--rabi", "2", "--nu-min", "-1e1"], "nu_min", -10.0),
+    (["sweep", "--rabi", "2", "--detuning", "0", "-1e-3"], "detuning", [0.0, -1e-3]),
+], ids=["detuning", "nu-min", "sweep-list"])
+def test_negative_numbers_in_exponent_notation_are_values(argv, name, value):
+    assert getattr(_build_parser().parse_args(argv), name) == value
+
+
+@pytest.mark.parametrize("message, reported", [
+    ("Unable to allocate 745. GiB", "Unable to allocate 745. GiB"), ("", "out of memory")],
+    ids=["numpy", "bare"])
+def test_out_of_memory_exits_with_one_line_error(tmp_path, capsys, monkeypatch,
+                                                 message, reported):
+    def exhausted(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("cbs2atom.cli.cmd_spectrum", exhausted)
+    assert main(["spectrum", "--rabi", "2", "--output", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {reported}\n"
 
 
 @pytest.mark.parametrize("method", ["analytic", "oracle"])

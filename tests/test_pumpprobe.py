@@ -211,12 +211,10 @@ def test_minus_probe_derivative_property(rabi, delta, w, nu):
 
 
 def test_equivalence_report_small_grid():
-    rows = equivalence_report(rabis=(0.5, 2.0), deltas=(0.0, 1.0),
-                              nus=np.linspace(-15.0, 15.0, 61),
-                              probe_detunings=(-5.0, 0.0, 3.0))
-    assert len(rows) == 4
-    for row in rows:
-        assert row.worst < 1e-6
+    report = equivalence_report(np.linspace(-15.0, 15.0, 61))
+    assert list(report) == ["p0", "plus", "minus", "mixed"]
+    for deviation in report.values():
+        assert deviation < 1e-6
 
 
 def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
@@ -231,34 +229,35 @@ def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
 
     monkeypatch.setattr(pumpprobe, "extracted_functions", counting)
     nus = np.linspace(-15.0, 15.0, 61)
-    rabis, deltas, probe_detunings = (0.5, 2.0), (0.0, 1.0), (-5.0, 0.0, 3.0)
-    rows = equivalence_report(rabis=rabis, deltas=deltas, nus=nus,
-                              probe_detunings=probe_detunings)
-    assert calls == list(probe_detunings) * (len(rabis) * len(deltas))
-    for row in rows:
-        pump = AtomDriveParams(rabi=row.rabi, delta=row.delta)
+    report = equivalence_report(nus)
+    assert calls == [-5.0, 0.0, 3.0] * 9
+    deviations = []
+    for rabi, delta in itertools.product((0.5, 2.0, 5.0), (0.0, 1.0, 3.0)):
+        pump = AtomDriveParams(rabi=rabi, delta=delta)
         at_zero = original(build(pump), 0.0, nus)["p0"]
         reference = mollow_p0(build(pump), nus)
-        assert row.dev_p0 == (np.max(np.abs(np.real(at_zero) - reference))
-                              / np.max(np.abs(reference)))
+        deviations.append(np.max(np.abs(np.real(at_zero) - reference))
+                          / np.max(np.abs(reference)))
+    assert report["p0"] == max(deviations)
 
 
 def test_equivalence_report_inverts_each_argument_once(monkeypatch):
     # per drive, the extraction and the closed forms share their resolvent
-    # arguments: the default report asks for 189 distinct ones (801 times),
-    # and sharing them leaves every row as it was
+    # arguments: the report on 601 points asks for 189 distinct ones (801
+    # times), and sharing them leaves every maximum as it was
     calls = []
     original = linalg.inverse3
+    nus = np.linspace(-15.0, 15.0, 601)
 
     def counting(M, z, eigenvalues):
         calls.append(np.shape(z))
         return original(M, z, eigenvalues)
 
     monkeypatch.setattr(atom, "inverse3", counting)
-    shared = equivalence_report()
+    shared = equivalence_report(nus)
     assert len(calls) <= 189
     monkeypatch.setattr(pumpprobe._SharedInverses, "green", atom.BlochSystem.green)
-    assert equivalence_report() == shared
+    assert equivalence_report(nus) == shared
 
 
 def test_shared_inverses_are_formed_once_and_read_only():

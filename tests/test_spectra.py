@@ -17,6 +17,7 @@ from cbs2atom.twoatom import (
     assemble,
     canonical_configuration,
     fixed_config_spectrum,
+    stationary_terms,
 )
 
 
@@ -358,10 +359,11 @@ def test_grid_longer_than_a_block_equals_one_block(monkeypatch):
 
 
 def test_fixed_config_spectrum_rejects_other_monomials():
+    # the spectrum's stationary half is where a caller's monomials enter
     gen = assemble(canonical_configuration(), drive(2.0), coupling=1.0)
     for bad in ((("12",),), (("21*", "12"),), (("12", "12", "21"),)):
         with pytest.raises(ValueError):
-            fixed_config_spectrum(gen, [0.0], bad)
+            stationary_terms(gen, bad)
 
 
 # ------------------------------------------- production against the oracle

@@ -452,7 +452,7 @@ def test_truncation_remainder_scales_with_coupling_cubed():
     devs, strengths = [], []
     for x in (32 * np.pi, 320 * np.pi, 3200 * np.pi):
         gen = make_gen(x=x, delta=0.0)
-        truncated = sum(tagged_total(lvl, 15) for lvl in ta.perturbative_orders(gen, 2))
+        truncated = sum(tagged_total(lvl, 15) for lvl in ta.perturbative_orders(gen))
         dev = np.linalg.norm(exact_steady_state(gen) - truncated)
         devs.append(dev)
         strengths.append(abs(gen.coupling))
@@ -465,7 +465,7 @@ def test_truncation_remainder_scales_with_coupling_cubed():
 
 def test_order_zero_correlations_factorize():
     gen = make_gen()
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     assert np.allclose(tagged_total(orders[0], 15)[:6],
                        np.concatenate([gen.atom2.steady, gen.atom1.steady]), atol=1e-14)
     assert np.allclose(tagged_total(orders[0], 15)[6:],
@@ -473,7 +473,7 @@ def test_order_zero_correlations_factorize():
 
 
 def test_orders_carry_exact_monomial_degrees():
-    orders = ta.perturbative_orders(make_gen(), 2)
+    orders = ta.perturbative_orders(make_gen())
     for n in range(3):
         assert all(len(mono) == n for mono in orders[n])
 
@@ -484,8 +484,8 @@ def test_orders_scale_as_coupling_power(seed):
     rng = np.random.default_rng(seed)
     cfg = ta.ScatteringConfig.from_separation(rng.uniform(100, 2000))
     drive = AtomDriveParams(rabi=rng.uniform(0.3, 6.0), delta=rng.uniform(-2, 2))
-    base = ta.perturbative_orders(ta.assemble(cfg, drive), 2)
-    scaled = ta.perturbative_orders(ta.assemble(cfg, drive, coupling=2.0 * cfg.coupling), 2)
+    base = ta.perturbative_orders(ta.assemble(cfg, drive))
+    scaled = ta.perturbative_orders(ta.assemble(cfg, drive, coupling=2.0 * cfg.coupling))
     for n in range(3):
         for mono, vec in base[n].items():
             assert np.allclose(scaled[n][mono], 2.0 ** n * vec, rtol=1e-13, atol=1e-18)
@@ -493,7 +493,7 @@ def test_orders_scale_as_coupling_power(seed):
 
 def test_first_order_single_atom_closed_forms():
     gen = make_gen()
-    orders = ta.perturbative_orders(gen, 1)
+    orders = ta.perturbative_orders(gen)[:2]
     atom2_part, atom1_part = single_first_order_explicit(gen)
     for mono, vec in atom2_part.items():
         assert np.allclose(orders[1][mono][:3], vec, atol=1e-15)
@@ -505,7 +505,7 @@ def test_first_order_single_atom_closed_forms():
 
 def test_first_order_pair_closed_forms():
     gen = make_gen()
-    orders = ta.perturbative_orders(gen, 1)
+    orders = ta.perturbative_orders(gen)[:2]
     explicit = pair_first_order_explicit(gen)
     for mono, vec in explicit.items():
         scale = np.max(np.abs(vec))
@@ -520,7 +520,7 @@ def test_first_order_pair_printed_final_term_is_inconsistent():
     pins the opposite-sign pairing as the correct one.
     """
     gen = make_gen()
-    orders = ta.perturbative_orders(gen, 1)
+    orders = ta.perturbative_orders(gen)[:2]
     printed = pair_first_order_explicit(gen, printed_final_term=True)
     corrected = pair_first_order_explicit(gen)
     mono = ("12*",)
@@ -533,7 +533,7 @@ def test_first_order_pair_printed_final_term_is_inconsistent():
 
 def test_second_order_single_atom_closed_forms():
     gen = make_gen()
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     explicit = single_second_order_explicit(gen)
     assert set(explicit) == {("12", "21*"), ("12", "12*"), ("21", "21*")}
     for mono, vec in explicit.items():
@@ -547,7 +547,7 @@ def test_second_order_closed_forms_across_parameter_draws():
         gen = make_gen(x=rng.uniform(150, 3000), rabi=rng.uniform(0.3, 5.0),
                        delta=rng.uniform(-2.5, 2.5),
                        direction=tuple(rng.normal(size=3)))
-        orders = ta.perturbative_orders(gen, 2)
+        orders = ta.perturbative_orders(gen)
         for mono, vec in single_second_order_explicit(gen).items():
             recurrence = orders[2][mono][:3]
             assert np.max(np.abs(recurrence - vec)) < 1e-10 * np.max(np.abs(recurrence))
@@ -560,7 +560,7 @@ def test_degenerate_drive_still_solves_and_matches_explicit_chains():
     # critically damped point: a defective generator without an eigenbasis;
     # the recurrences and the quadrature of the printed chains need none
     gen = make_gen(rabi=0.5, delta=0.0)
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     assert np.isfinite(tagged_total(orders[2], 15)[:6]).all()
     for mono, vec in single_second_order_explicit(gen).items():
         recurrence = orders[2][mono][:3]
@@ -575,7 +575,7 @@ def test_degenerate_drive_still_solves_and_matches_explicit_chains():
 
 def test_initial_condition_order_zero_structure():
     gen = make_gen()
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     inits = ta.regression_initials(orders)
     _, connected = g0_vectors(gen.atom2)
     expect = np.concatenate([connected, np.zeros(3), np.kron(gen.atom1.steady, connected)])
@@ -584,7 +584,7 @@ def test_initial_condition_order_zero_structure():
 
 def test_initial_conditions_vanish_undriven():
     gen = make_gen(rabi=0.0, delta=0.3)
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     for n, tagged in enumerate(ta.regression_initials(orders)):
         for vec in tagged.values():
             assert np.max(np.abs(vec)) < 1e-15, f"order {n}"
@@ -598,7 +598,7 @@ def test_initial_condition_first_order_matches_finite_difference():
         return regression_initial_exact(exact_steady_state(gen))
 
     gen = ta.assemble(cfg, DRIVE)
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     first = tagged_total(ta.regression_initials(orders)[1], 15)
     step = 1e-4
     fd = (exact_initial(step) - exact_initial(-step)) / (2.0 * step)
@@ -607,7 +607,7 @@ def test_initial_condition_first_order_matches_finite_difference():
 
 def test_initial_conditions_sum_to_exact_within_cubic_remainder():
     gen = make_gen()
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     summed = np.zeros(15, dtype=complex)
     for tagged in ta.regression_initials(orders):
         summed += tagged_total(tagged, 15)
@@ -623,7 +623,7 @@ def test_resolvent_order_zero_matches_drift_solve():
     rng = np.random.default_rng(3)
     seed = {(): rng.normal(size=15) + 1j * rng.normal(size=15)}
     z = -0.9j
-    level0 = ta.resolvent_apply(gen, z, seed, max_order=0)[0][()]
+    level0 = ta.resolvent_apply(gen, z, seed)[0][()]
     direct = np.linalg.solve(z * np.eye(15) - gen.drift, seed[()])
     assert np.allclose(level0, direct, atol=1e-12)
 
@@ -633,7 +633,7 @@ def test_resolvent_orders_sum_to_full_inverse():
     rng = np.random.default_rng(4)
     seed_vec = rng.normal(size=15) + 1j * rng.normal(size=15)
     z = -1.7j
-    levels = ta.resolvent_apply(gen, z, {(): seed_vec}, max_order=2)
+    levels = ta.resolvent_apply(gen, z, {(): seed_vec})
     approx = sum(tagged_total(lvl, 15) for lvl in levels)
     direct = np.linalg.solve(z * np.eye(15) - full_matrix(gen), seed_vec)
     assert np.linalg.norm(direct - approx) < abs(gen.coupling) ** 3 * np.linalg.norm(seed_vec) * 10
@@ -643,8 +643,8 @@ def test_resolvent_first_order_linear_in_coupling():
     cfg = ta.ScatteringConfig.from_separation(700.0)
     seed = {(): np.arange(1.0, 16.0) + 0.5j}
     z = -0.4j
-    lvl = ta.resolvent_apply(ta.assemble(cfg, DRIVE), z, seed, 1)[1]
-    lvl2 = ta.resolvent_apply(ta.assemble(cfg, DRIVE, coupling=2 * cfg.coupling), z, seed, 1)[1]
+    lvl = ta.resolvent_apply(ta.assemble(cfg, DRIVE), z, seed)[1]
+    lvl2 = ta.resolvent_apply(ta.assemble(cfg, DRIVE, coupling=2 * cfg.coupling), z, seed)[1]
     for mono, vec in lvl.items():
         assert np.allclose(lvl2[mono], 2.0 * vec, rtol=1e-13, atol=1e-20)
 
@@ -652,9 +652,11 @@ def test_resolvent_first_order_linear_in_coupling():
 def test_resolvent_levels_extend_monomial_degree():
     gen = make_gen()
     seed = {("12",): np.ones(15, dtype=complex)}
-    levels = ta.resolvent_apply(gen, -0.2j, seed, 2)
-    for n, lvl in enumerate(levels):
-        assert all(len(mono) == n + 1 for mono in lvl)
+    levels = ta.resolvent_apply(gen, -0.2j, seed)
+    for n, lvl in enumerate(levels[:2]):
+        assert lvl and all(len(mono) == n + 1 for mono in lvl)
+    # the expansion is order two: no product beyond degree two is formed
+    assert levels[2] == {}
 
 
 # --------------------------------------------------- fixed-config spectrum
@@ -663,10 +665,10 @@ def test_resolvent_levels_extend_monomial_degree():
 def test_order_zero_channel_reproduces_single_atom_spectrum():
     gen = make_gen(phase=0.4)
     origin = build(AtomDriveParams(rabi=2.0, delta=0.5, phase=0.4))
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     inits = ta.regression_initials(orders)
     for nu in (-2.4, 0.3, 1.9):
-        level0 = ta.resolvent_apply(gen, -1j * nu, inits[0], 0)[0]
+        level0 = ta.resolvent_apply(gen, -1j * nu, inits[0])[0]
         value = np.real(level0[()][0]) / np.pi
         assert abs(value - mollow_p0(origin, nu)) < 1e-12
 
@@ -714,14 +716,14 @@ def test_spectrum_matches_time_domain_regression():
                     method="DOP853", rtol=1e-12, atol=1e-14)
     assert sol.success
 
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     inits = ta.regression_initials(orders)
     for nu in (0.0, 2.0):
         z = -1j * nu
         direct = np.linalg.solve(z * np.eye(15) - full, init)
         order_sum = np.zeros(15, dtype=complex)
         for n in range(3):
-            for lvl in ta.resolvent_apply(gen, z, inits[n], max_order=2 - n):
+            for lvl in ta.resolvent_apply(gen, z, inits[n])[:3 - n]:
                 order_sum += tagged_total(lvl, 15)
         for comp in (0, 3):
             laplace = simpson(np.exp(1j * nu * ts) * sol.y[comp], x=ts)
@@ -736,11 +738,11 @@ def test_nested_spectrum_equals_the_explicit_order_sum(rabi, delta):
     gen = make_gen(rabi=rabi, delta=delta)
     nus = np.array([-2.3, 0.0, 1.7])
     spec = ta.fixed_config_spectrum(gen, nus)
-    inits = ta.regression_initials(ta.perturbative_orders(gen, 2))
+    inits = ta.regression_initials(ta.perturbative_orders(gen))
     for i, nu in enumerate(nus):
         explicit: dict = {}
         for k in range(3):
-            for mono, vec in ta.resolvent_apply(gen, -1j * nu, inits[2 - k], k)[k].items():
+            for mono, vec in ta.resolvent_apply(gen, -1j * nu, inits[2 - k])[k].items():
                 explicit[mono] = explicit.get(mono, 0.0) + vec
         assert set(explicit) == set(spec.autocorrelation) == set(spec.exchange)
         scale = max(np.max(np.abs(vec)) for vec in explicit.values())
@@ -811,7 +813,7 @@ def test_backscatter_detection_phase_cancels_interference_channel():
         r1 = np.array([0.0, 0.0, dphi]) + np.array([np.sqrt(x * x - dphi * dphi), 0.0, 0.0])
         cfg = ta.ScatteringConfig(r1=r1, r2=np.zeros(3))
         gen = ta.assemble(cfg, DRIVE, coupling=1.5j / x)
-        orders = ta.perturbative_orders(gen, 2)
+        orders = ta.perturbative_orders(gen)
         cross_vals.append(orders[2][ta.CROSSED_MONOMIAL][7])
         vec = orders[2][ta.LADDER_MONOMIAL]
         ladder_pops.append(0.5 * (vec[2] + vec[5]))
@@ -834,7 +836,7 @@ def test_order_two_intensity_matches_finite_difference():
         return intensity(ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling), back)
 
     gen = ta.assemble(cfg, DRIVE)
-    orders = ta.perturbative_orders(gen, 2)
+    orders = ta.perturbative_orders(gen)
     tagged = double_scattering_intensity(gen, back, orders)
     second = sum(tagged.values())
     assert abs(second.imag) < 1e-12 * abs(second)
