@@ -101,7 +101,10 @@ class BlochSystem:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Generator eigenvalues (they set the poles of every resolvent)."""
+        """Generator eigenvalues: the quadrature oracles place their rules on
+        them (:func:`cbs2atom.quadrature.pole_clusters`).  Every one has real
+        part at most -1, so no resolvent argument comes near one
+        (:func:`cbs2atom.linalg._half_plane`)."""
         return np.linalg.eigvals(self.M)
 
     @cached_property
@@ -116,7 +119,7 @@ class BlochSystem:
         ``S_d + z.shape + (3, 3)``; :func:`cbs2atom.linalg.inverse3`), so it needs
         no eigenvectors and is exact at defective (Jordan-point) drives too.
         """
-        return inverse3(self.M, z, self.eigenvalues)
+        return inverse3(self.M, z)
 
 
 def build(params) -> BlochSystem:

@@ -530,16 +530,24 @@ def _config_from_args(args, **overrides) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # an input beyond double precision overflows somewhere in the algebra;
+    # raising there names the cause, where the nan or inf it would leave
+    # fails a check far downstream.  Underflow stays silent: a drive too
+    # weak to register rounds to the undriven atom by design
     try:
-        if args.command == "spectrum":
-            written = cmd_spectrum(_config_from_args(args))
-        elif args.command == "validate":
-            return cmd_validate(args.suite, args.tolerance, args.nu_points)
-        else:
-            base = _config_from_args(args, rabi=args.rabi[0], detuning=RunConfig.detuning)
-            written = cmd_sweep(args.rabi, args.detuning, base)
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "spectrum":
+                written = cmd_spectrum(_config_from_args(args))
+            elif args.command == "validate":
+                return cmd_validate(args.suite, args.tolerance, args.nu_points)
+            else:
+                base = _config_from_args(args, rabi=args.rabi[0], detuning=RunConfig.detuning)
+                written = cmd_sweep(args.rabi, args.detuning, base)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except FloatingPointError as error:
+        print(f"error: an input is beyond double precision ({error})", file=sys.stderr)
         return 2
     except (OSError, MemoryError) as error:
         print(f"error: {str(error) or 'out of memory'}", file=sys.stderr)

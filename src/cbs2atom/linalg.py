@@ -14,19 +14,19 @@ stay exact at defective (Jordan-point) generators:
   stationary state, at z = 0 only
   (:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_green`).
 
-Both reject non-finite arguments and arguments on a pole alike.  The
-cofactor formula itself, :func:`_cofactor_inverse`, also inverts the two
-3x3 blocks of the closed-form pair solve of every frequency grid
-(:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_solver`).
+Every resolvent takes its arguments from the closed right half-plane:
+finite ``z`` with ``Re z >= 0``, the stationary point ``z = 0`` and the
+spectral axis ``z = -i nu`` (:func:`_half_plane`).  Radiative damping keeps
+every pole at least 1 to the left of it, so the rule needs no eigenvalues.
+The cofactor formula itself, :func:`_cofactor_inverse`, also inverts the
+two 3x3 blocks of the closed-form pair solve of every frequency grid
+(:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_solver`), which takes its
+arguments by the same rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-#: Resolvent arguments closer than this (in units of the decay rate) to an
-#: eigenvalue are rejected as sitting on a pole.
-DEGENERACY_TOL = 1e-9
 
 # cyclic successors of the row/column indices 0, 1, 2: the cofactor of
 # entry (i, j) of a 3x3 matrix is the 2x2 determinant of rows
@@ -35,26 +35,41 @@ _NEXT = [1, 2, 0]
 _AFTER = [2, 0, 1]
 
 
-class PoleProximityError(ValueError):
-    """Raised when a resolvent is evaluated too close to an eigenvalue."""
+def _half_plane(z) -> np.ndarray:
+    """``z`` as a complex array, once every element is finite with ``Re z >= 0``.
 
+    No Bloch generator has a pole within 1 of this half-plane.  With
+    ``w = lambda + 1`` the characteristic cubic of the generator at detuning
+    ``delta`` and Rabi amplitude ``Omega`` reads
+    ``(w + 1)(w**2 + delta**2) + w Omega**2 = 0``.  For ``Re w > 0`` dividing
+    by ``w (w + 1)`` gives ``w + delta**2/w = -Omega**2/(w + 1)``, whose left
+    side has a positive real part and whose right side a non-positive one.
+    So every eigenvalue has ``Re lambda <= -1`` at every drive; the laser
+    phase is a similarity transform and moves none.  The pair-correlation
+    block is a Kronecker sum, so its eigenvalues are sums of two, with
+    ``Re <= -2``.  Hence ``|z - lambda| >= 1`` (``>= 2`` for the pair block)
+    for every argument this rule admits.
 
-def _shifted(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
-    """``z - M`` over ``S_d + z.shape`` for ``M`` of shape ``S_d + (n, n)``, once each
-    ``z`` is finite and clear of its matrix's eigenvalues."""
+    Raises
+    ------
+    ValueError
+        If an element of ``z`` is not finite or has a negative real part.
+    """
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("resolvent argument z must be finite")
-    lift = (..., *(None,) * z.ndim, slice(None))
-    gap = np.abs(z[..., None] - eigenvalues[lift])
-    if (gap < DEGENERACY_TOL).any():
-        gap = np.min(gap, axis=-1)
-        raise PoleProximityError(f"z={np.broadcast_to(z, gap.shape).flat[np.argmin(gap)]} "
-                                 f"within {np.min(gap):.3e} of an eigenvalue")
-    return z[..., None, None] * np.eye(M.shape[-1]) - M[lift + (slice(None),)]
+    if not np.all(np.isfinite(z)) or np.any(z.real < 0.0):
+        raise ValueError("resolvent argument z must be finite with Re z >= 0")
+    return z
 
 
-def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
+def _shifted(M: np.ndarray, z) -> np.ndarray:
+    """``z - M`` over ``S_d + z.shape`` for ``M`` of shape ``S_d + (n, n)``, once each
+    ``z`` passes :func:`_half_plane`."""
+    z = _half_plane(z)
+    lift = (..., *(None,) * z.ndim, slice(None), slice(None))
+    return z[..., None, None] * np.eye(M.shape[-1]) - M[lift]
+
+
+def inverse3(M: np.ndarray, z) -> np.ndarray:
     """``(z - M)^{-1}`` of a 3x3 ``M`` for an array of ``z``, in closed form.
 
     With ``A = z - M`` the inverse is the transposed cofactor matrix over
@@ -63,16 +78,14 @@ def inverse3(M: np.ndarray, z, eigenvalues: np.ndarray) -> np.ndarray:
     The determinant comes from the entries of ``A``, not from
     ``prod(z - eigenvalues)``, so a drive too weak to register in double
     precision leaves the undriven inverse exactly as it is.
-    ``eigenvalues`` is the spectrum of ``M``, which sets the poles.
 
     Raises
     ------
     ValueError
-        If an element of ``z`` is not finite.
-    PoleProximityError
-        If an element of ``z`` is within ``DEGENERACY_TOL`` of an eigenvalue.
+        If an element of ``z`` is not finite or has a negative real part
+        (:func:`_half_plane`).
     """
-    return _cofactor_inverse(_shifted(M, z, eigenvalues))
+    return _cofactor_inverse(_shifted(M, z))
 
 
 def _cofactor_inverse(A: np.ndarray) -> np.ndarray:
@@ -86,19 +99,18 @@ def _cofactor_inverse(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(cofactor, -1, -2) / det[..., None, None]
 
 
-def resolve(M: np.ndarray, z, rhs: np.ndarray, eigenvalues: np.ndarray) -> np.ndarray:
+def resolve(M: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
     """``(z - M)^{-1} rhs`` for an array of ``z``, as one stacked dense solve.
 
     ``z`` has shape ``S`` and ``M`` ``S_d + (n, n)`` (:func:`_shifted`); ``rhs`` is
     an ``(n, k)`` matrix or a stack of them that broadcasts against ``S_d + S``.
     Pass the identity for the resolvent itself and ``vec[..., None]`` for
-    vectors.  ``eigenvalues`` is the spectrum of ``M``, which sets the poles.
+    vectors.
 
     Raises
     ------
     ValueError
-        If an element of ``z`` is not finite.
-    PoleProximityError
-        If an element of ``z`` is within ``DEGENERACY_TOL`` of an eigenvalue.
+        If an element of ``z`` is not finite or has a negative real part
+        (:func:`_half_plane`).
     """
-    return np.linalg.solve(_shifted(M, z, eigenvalues), rhs)
+    return np.linalg.solve(_shifted(M, z), rhs)

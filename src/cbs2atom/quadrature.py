@@ -51,21 +51,24 @@ def line_rule(poles) -> tuple[np.ndarray, np.ndarray]:
     Raises
     ------
     ValueError
-        If the rule would need more than ``2**17`` nodes, e.g. because a
-        pole lies on the real axis, where the integral does not exist.
+        If the rule would need more than ``2**17`` nodes: the poles' real
+        spread is too wide for their smallest ``|Im|``, because a pole lies
+        on the real axis, where the integral does not exist, or because
+        clusters lie far apart.
     """
     poles = np.asarray(poles)
     low, high = np.min(poles.real), np.max(poles.real)
     centre = 0.5 * (low + high)
-    scale = max(0.5 * (high - low), np.min(np.abs(poles.imag)))
+    floor = np.min(np.abs(poles.imag))
+    scale = max(0.5 * (high - low), floor)
     # a pole at exactly m +- i*c maps to theta = +-i*inf, where it costs
     # nothing; a zero scale (a pole on the axis, no spread) maps to nan
     with np.errstate(divide="ignore", invalid="ignore"):
         mapped = np.arctan((poles - centre) / scale)
     depth = 2.0 * float(np.min(np.abs(mapped.imag)))
     if not depth * _MAX_NODES > _E_FOLDS:
-        raise ValueError(f"a pole lies {depth:.2e} from the real axis after the map; "
-                         f"the rule would need more than {_MAX_NODES} nodes")
+        raise ValueError(f"poles of real spread {high - low:.3g} and smallest |Im| {floor:.3g} "
+                         f"would need more than {_MAX_NODES} quadrature nodes")
     count = _node_count(depth)
     half = 0.5 * np.pi * (2.0 * np.arange(count) + (1.0 - count)) / count
     return centre + scale * np.tan(half), scale / (2.0 * count * np.cos(half) ** 2)

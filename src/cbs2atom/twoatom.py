@@ -71,7 +71,7 @@ from cbs2atom.atom import (
     BlochSystem,
     build,
 )
-from cbs2atom.linalg import _cofactor_inverse, resolve
+from cbs2atom.linalg import _cofactor_inverse, _half_plane, resolve
 
 #: The four coupling channels: "jk" transfers excitation via the raising
 #: operator of atom j and the lowering operator of atom k; a trailing "*"
@@ -270,7 +270,6 @@ class TwoAtomGenerator:
     the 15-vector documented in the module docstring.
     """
 
-    config: ScatteringConfig
     atom1: BlochSystem
     atom2: BlochSystem
     coupling: complex
@@ -314,13 +313,6 @@ class TwoAtomGenerator:
 
     # -- resolvents -----------------------------------------------------------
 
-    @cached_property
-    def correlation_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of the pair-correlation drift (all eigenvalue sums)."""
-        e1 = self.atom1.eigenvalues
-        e2 = self.atom2.eigenvalues
-        return (e1[..., :, None] + e2[..., None, :]).reshape(e1.shape[:-1] + (9,))
-
     def single_green(self, z=0.0) -> np.ndarray:
         """6x6 resolvent ``(z - M_bloch)^{-1}``, block-diagonal per atom;
         one inverse serves both blocks when the atoms share their system.
@@ -338,7 +330,7 @@ class TwoAtomGenerator:
 
         ``z`` may be an array; the result has shape ``S_d + z.shape + (9, 9)``.
         """
-        return resolve(self.drift[..., 6:, 6:], z, np.eye(9), self.correlation_eigenvalues)
+        return resolve(self.drift[..., 6:, 6:], z, np.eye(9))
 
     @cached_property
     def _pair_blocks(self) -> tuple:
@@ -386,20 +378,19 @@ class TwoAtomGenerator:
         ``z - (-2 +- 2i delta)`` and ``z + 2`` are eliminated, which leaves a 3x3
         Schur complement on the rest of the symmetric block; it and the
         antisymmetric block are inverted by cofactors over determinant
-        (:func:`cbs2atom.linalg._cofactor_inverse`).  For ``Re z >= 0`` every
-        pivot is at least 2 in modulus and every eigenvalue of ``M_corr`` has
-        real part at most -2, so no pole is near.  The returned function maps
-        vectors of shape ``S_d + z.shape + (9,)`` to the resolvent applied to
-        them; no 9x9 inverse is formed.
+        (:func:`cbs2atom.linalg._cofactor_inverse`).  Its arguments follow the
+        rule of every resolvent (:func:`cbs2atom.linalg._half_plane`): for
+        ``Re z >= 0`` every pivot is at least 2 in modulus and every
+        eigenvalue of ``M_corr`` has real part at most -2, so no pole is near.
+        The returned function maps vectors of shape ``S_d + z.shape + (9,)``
+        to the resolvent applied to them; no 9x9 inverse is formed.
 
         Raises
         ------
         ValueError
             If an element of ``z`` is not finite or has a negative real part.
         """
-        z = np.asarray(z, dtype=complex)
-        if not np.all(np.isfinite(z)) or np.any(z.real < 0.0):
-            raise ValueError("the closed-form pair solve needs finite z with Re z >= 0")
+        z = _half_plane(z)
         into, out_of, transverse, blocks, to_rest_t, from_rest_t, through = self._pair_blocks
         stack, shape = into.shape[:-2], z.shape
         z = z.reshape(-1, 1)
@@ -440,7 +431,7 @@ def assemble(config: ScatteringConfig, drive,
     atom2 = (atom1 if config.phase2 == config.phase1
              else build(_at_phase(drive, config.phase2)))
     t = config.coupling if coupling is None else complex(coupling)
-    return TwoAtomGenerator(config=config, atom1=atom1, atom2=atom2, coupling=t)
+    return TwoAtomGenerator(atom1=atom1, atom2=atom2, coupling=t)
 
 
 def perturbative_orders(gen: TwoAtomGenerator, monomials=DEGREE_TWO_MONOMIALS) -> list:

@@ -53,6 +53,7 @@ from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
+    ScatteringConfig,
     TaggedVector,
     TwoAtomGenerator,
     _raising_product,
@@ -406,29 +407,30 @@ def regression_initial_exact(steady: np.ndarray) -> np.ndarray:
     return _raising_product(steady, include_unit=True) - steady[1] * steady
 
 
-def intensity(gen: TwoAtomGenerator, direction) -> float:
-    """Stationary radiated intensity toward a unit ``direction``.
+def intensity(gen: TwoAtomGenerator, config: ScatteringConfig, direction) -> float:
+    """Stationary radiated intensity toward a unit ``direction`` of the
+    generator assembled on ``config``.
 
     Sum of both excited-state populations plus the interference cross
     terms with their geometric phases.
     """
     direction = np.asarray(direction, dtype=float)
     s = exact_steady_state(gen)
-    phase = np.exp(1j * direction @ (gen.config.r1 - gen.config.r2))
+    phase = np.exp(1j * direction @ (config.r1 - config.r2))
     value = 0.5 * (1.0 + s[2]) + 0.5 * (1.0 + s[5]) + s[9] * phase + s[7] * np.conj(phase)
     return float(value.real)
 
 
-def double_scattering_intensity(gen: TwoAtomGenerator, direction,
-                                orders: list) -> dict:
-    """Coupling-order-two part of the intensity, tagged by monomial.
+def double_scattering_intensity(config: ScatteringConfig, direction, orders: list) -> dict:
+    """Coupling-order-two part of the intensity, tagged by monomial, from
+    the stationary ``orders`` of a generator assembled on ``config``.
 
     The population terms lose their constant offsets at nonzero order, so
     each contribution is half the inversion correction plus the phased
     cross-atom coherences.
     """
     direction = np.asarray(direction, dtype=float)
-    phase = np.exp(1j * direction @ (gen.config.r1 - gen.config.r2))
+    phase = np.exp(1j * direction @ (config.r1 - config.r2))
     return {mono: 0.5 * (vec[2] + vec[5]) + (vec[9] * phase + vec[7] * np.conj(phase))
             for mono, vec in orders[2].items()}
 

@@ -227,6 +227,29 @@ def test_non_finite_grid_exits_with_usage_error(tmp_path, capsys, method, bound)
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags", [["--rabi", "1e80"], ["--rabi", "2", "--detuning", "1e160"],
+                                   ["--rabi", "2", "--nu-min=-1e160", "--nu-max", "1e160"]],
+                         ids=["rabi", "detuning", "grid"])
+def test_inputs_beyond_double_precision_exit_with_one_line_error(tmp_path, capsys, flags):
+    # finite, but their products overflow: the first overflow names the
+    # cause, where its inf or nan would fail a check far downstream
+    assert main(["spectrum", *flags, "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: an input is beyond double precision")
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_quadrature_limit_names_the_pole_spread(tmp_path, capsys):
+    # the pole clusters at 0 and nu lie 1e5 apart, each pole 1 from the axis
+    argv = ["spectrum", "--rabi", "2", "--method", "pump-probe", "--nu-min", "1e5",
+            "--nu-max", "2e5", "--nu-points", "5", "--output", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "real spread 1e+05" in err and "smallest |Im| 1 " in err
+    assert err.count("\n") == 1
+
+
 def test_sweep_summary_has_one_row_per_drive(tmp_path, capsys):
     argv = ["sweep", "--rabi", 0.7, 2, "--detuning", 0, 1, *GRID, "--output", tmp_path]
     assert run(argv, capsys) == 0

@@ -4,11 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbs2atom import atom
-from cbs2atom.linalg import DEGENERACY_TOL, PoleProximityError, inverse3, resolve
+from cbs2atom import atom, twoatom
+from cbs2atom.linalg import _cofactor_inverse, inverse3, resolve
+
+#: The one message every resolvent rejects an argument with.
+REJECTED = "resolvent argument z must be finite with Re z >= 0"
 
 
 def bloch_matrix(rabi, delta, phase=0.0):
@@ -35,7 +38,7 @@ def test_eigenvalues_solve_characteristic_cubic():
 def test_resolvent_at_zero_is_inverse_of_undriven_generator():
     # Decomposition-free path: valid even at the degenerate point rabi=delta=0.
     M = bloch_matrix(0.0, 0.0)
-    G = resolve(M, 0.0, np.eye(3), np.linalg.eigvals(M))
+    G = resolve(M, 0.0, np.eye(3))
     assert np.allclose(G, np.diag([1.0, 1.0, 0.5]), atol=1e-14)
 
 
@@ -45,32 +48,32 @@ def test_resolvent_matches_dense_solve():
         M = bloch_matrix(rng.uniform(0.2, 8.0), rng.uniform(-4.0, 4.0))
         z = 1j * rng.uniform(-50.0, 50.0)
         Gi = np.linalg.inv(z * np.eye(3) - M)
-        Gd = resolve(M, z, np.eye(3), np.linalg.eigvals(M))
+        Gd = resolve(M, z, np.eye(3))
         assert np.max(np.abs(Gi - Gd)) <= 1e-11 * max(1.0, np.max(np.abs(Gd)))
 
 
 def test_resolvent_inverts_generator():
     M = bloch_matrix(2.0, 1.0)
-    G0 = resolve(M, 0.0, np.eye(3), np.linalg.eigvals(M))
+    G0 = resolve(M, 0.0, np.eye(3))
     assert np.max(np.abs(G0 @ (-M) - np.eye(3))) < 1e-11
 
 
 def test_resolvent_pole_proximity_rejected():
     M = bloch_matrix(2.0, 1.0)
     poles = np.linalg.eigvals(M)
-    with pytest.raises(PoleProximityError):
-        resolve(M, poles[0] + 1e-10, np.eye(3), poles)
+    with pytest.raises(ValueError, match=re.escape(REJECTED)):
+        resolve(M, poles[0] + 1e-10, np.eye(3))
 
 
 def test_resolve_guard_covers_every_batch_element():
     M = bloch_matrix(2.0, 0.5)
     poles = np.linalg.eigvals(M)
     vec = np.ones(3, dtype=complex)
-    z = np.array([0.3j, -2.0j, poles[1] + 0.5 * DEGENERACY_TOL])
-    with pytest.raises(PoleProximityError):
-        resolve(M, z, vec[..., None], poles)
+    z = np.array([0.3j, -2.0j, poles[1] + 0.5e-9])
+    with pytest.raises(ValueError, match=re.escape(REJECTED)):
+        resolve(M, z, vec[..., None])
     far = z[:2]
-    got = resolve(M, far, vec[..., None], poles)[..., 0]
+    got = resolve(M, far, vec[..., None])[..., 0]
     for zi, row in zip(far, got):
         assert np.allclose(row, np.linalg.solve(zi * np.eye(3) - M, vec),
                            rtol=0, atol=1e-14)
@@ -78,20 +81,19 @@ def test_resolve_guard_covers_every_batch_element():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_resolve_rejects_non_finite_arguments(bad):
-    # a nan compares False against the guard radius, so it is caught first
+    # a nan compares False against Re z < 0, so it is caught first
     M = bloch_matrix(2.0, 0.5)
     with pytest.raises(ValueError, match="finite"):
-        resolve(M, np.array([0.5j, bad]), np.eye(3), np.linalg.eigvals(M))
+        resolve(M, np.array([0.5j, bad]), np.eye(3))
 
 
 def test_resolve_stacks_matrix_and_vector_right_hand_sides():
     M = bloch_matrix(1.3, 0.8)
-    poles = np.linalg.eigvals(M)
     z = np.array([[0.0, -1.1j], [2.5j, 0.4 - 3.0j]])
-    inverse = resolve(M, z, np.eye(3), poles)
+    inverse = resolve(M, z, np.eye(3))
     assert inverse.shape == (2, 2, 3, 3)
     vecs = np.arange(12.0).reshape(2, 2, 3) + 1j
-    applied = resolve(M, z, vecs[..., None], poles)[..., 0]
+    applied = resolve(M, z, vecs[..., None])[..., 0]
     for idx in np.ndindex(z.shape):
         want = np.linalg.inv(z[idx] * np.eye(3) - M)
         assert np.allclose(inverse[idx], want, rtol=0, atol=1e-14)
@@ -106,18 +108,18 @@ def test_resolvents_take_a_stack_of_matrices_first():
     pairs = np.stack([np.kron(M, eye) + np.kron(eye, M) for M in blochs])
     z = 1j * np.linspace(-3.0, 3.0, 5)
     for stack in (np.stack(blochs), pairs):
-        poles = np.linalg.eigvals(stack)
         n = stack.shape[-1]
-        applied = resolve(stack, z, np.eye(n), poles)
+        applied = resolve(stack, z, np.eye(n))
         assert applied.shape == (2, 5, n, n)
-        for one, one_poles, got in zip(stack, poles, applied):
-            assert np.array_equal(got, resolve(one, z, np.eye(n), one_poles))
+        for one, got in zip(stack, applied):
+            assert np.array_equal(got, resolve(one, z, np.eye(n)))
         if n == 3:
-            closed = inverse3(stack, z, poles)
-            assert all(np.array_equal(got, inverse3(one, z, one_poles))
-                       for one, one_poles, got in zip(stack, poles, closed))
-        with pytest.raises(PoleProximityError, match=re.escape(f"z={poles[1, 0]}")):
-            resolve(stack, np.array([0.0, poles[1, 0]]), np.eye(n), poles)
+            closed = inverse3(stack, z)
+            assert all(np.array_equal(got, inverse3(one, z)) for one, got in zip(stack, closed))
+        # the rule does not depend on the matrices, so a pole of one of them
+        # is rejected as every other argument left of the imaginary axis
+        with pytest.raises(ValueError, match=re.escape(REJECTED)):
+            resolve(stack, np.array([0.0, np.linalg.eigvals(stack)[1, 0]]), np.eye(n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,33 +127,35 @@ def test_resolvents_take_a_stack_of_matrices_first():
     log_rabi=st.floats(-4.0, np.log10(50.0)),
     delta=st.floats(-20.0, 20.0),
     scale=st.floats(0.25, 4.0).filter(lambda s: s != 1.0),
-    log_size=st.floats(np.log10(2 * DEGENERACY_TOL), 6.0),
+    log_size=st.floats(np.log10(2e-9), 6.0),
     angle=st.one_of(st.sampled_from([-0.5 * np.pi, 0.5 * np.pi]),
                     st.floats(-0.5 * np.pi, 0.5 * np.pi)),
 )
 def test_closed_form_inverse_matches_dense_solve(log_rabi, delta, scale, log_size, angle):
     # a generator scaled as if the rates were measured in another unit:
     # every pole lies at least ``scale`` left of the imaginary axis, so the
-    # closed right half-plane is well conditioned; |z| runs from twice the
-    # guard radius to 1e6 times the scale, on the imaginary axis and off it
+    # closed right half-plane is well conditioned; |z| runs from 2e-9 to
+    # 1e6 times the scale, on the imaginary axis and off it
     system = atom.build(atom.AtomDriveParams(rabi=10.0**log_rabi, delta=delta))
     M = scale * system.M
     z = scale * 10.0**log_size * np.exp(1j * angle)
-    got = inverse3(M, z, scale * system.eigenvalues)
+    got = inverse3(M, z)
     want = np.linalg.solve(z * np.eye(3) - M, np.eye(3))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.linalg.norm(want, 2)
 
 
 def test_closed_form_inverse_at_the_jordan_point():
     # rabi = 1/2 on resonance: a defective generator, whose inverse the
-    # cofactors still form without an eigenbasis
+    # cofactors still form without an eigenbasis, also at -1.5 + 0.25j, a
+    # quarter from the defective pole, where no resolvent takes arguments
     M = bloch_matrix(0.5, 0.0)
-    poles = np.linalg.eigvals(M)
     zs = np.array([0.0, -0.7j, 2.3j, 0.4 + 1.0j, -1.5 + 0.25j, 1e6j])
-    stacked = inverse3(M, zs, poles)
+    stacked = _cofactor_inverse(zs[:, None, None] * np.eye(3) - M)
     assert stacked.shape == (6, 3, 3)
     for z, g in zip(zs, stacked):
         assert np.max(np.abs((z * np.eye(3) - M) @ g - np.eye(3))) <= 1e-14
+    right = zs.real >= 0.0
+    assert np.array_equal(inverse3(M, zs[right]), stacked[right])
 
 
 def test_closed_form_inverse_keeps_an_unregistered_drive_undriven():
@@ -162,8 +166,8 @@ def test_closed_form_inverse_keeps_an_unregistered_drive_undriven():
     zs = np.array([0.0, 0.7j, -2.1j, 0.3 + 0.1j])
     for delta in (0.0, 0.3, 1.5):
         weak, undriven = bloch_matrix(1e-300, delta), bloch_matrix(0.0, delta)
-        got = inverse3(weak, zs, np.linalg.eigvals(weak))
-        want = inverse3(undriven, zs, np.linalg.eigvals(undriven))
+        got = inverse3(weak, zs)
+        want = inverse3(undriven, zs)
         assert np.array_equal(np.diagonal(got, axis1=-2, axis2=-1),
                               np.diagonal(want, axis1=-2, axis2=-1))
         assert np.max(np.abs(got - want)) < 1e-299
@@ -172,23 +176,78 @@ def test_closed_form_inverse_keeps_an_unregistered_drive_undriven():
 def test_closed_form_inverse_guards_like_the_dense_solve():
     M = bloch_matrix(2.0, 0.5)
     poles = np.linalg.eigvals(M)
-    near = np.array([0.3j, -2.0j, poles[1] + 0.5 * DEGENERACY_TOL])
+    near = np.array([0.3j, -2.0j, poles[1] + 0.5e-9])
 
-    def dense(M, z, poles):
-        return resolve(M, z, np.eye(3), poles)
+    def dense(M, z):
+        return resolve(M, z, np.eye(3))
 
     for kernel in (inverse3, dense):
-        with pytest.raises(PoleProximityError):
-            kernel(M, poles[0], poles)
-        with pytest.raises(PoleProximityError):
-            kernel(M, near, poles)
+        with pytest.raises(ValueError, match=re.escape(REJECTED)):
+            kernel(M, poles[0])
+        with pytest.raises(ValueError, match=re.escape(REJECTED)):
+            kernel(M, near)
+        # every argument left of the imaginary axis goes, however far from
+        # a pole, and the axis itself stays, its negative zero included
+        with pytest.raises(ValueError, match=re.escape(REJECTED)):
+            kernel(M, poles[1] + 3e-9)
+        with pytest.raises(ValueError, match=re.escape(REJECTED)):
+            kernel(M, complex(-1e-300, 2.0))
+        assert kernel(M, complex(-0.0, 2.0)).shape == (3, 3)
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             with pytest.raises(ValueError, match="finite"):
-                kernel(M, bad, poles)
+                kernel(M, bad)
             with pytest.raises(ValueError, match="finite"):
-                kernel(M, np.array([[0.5j, -1.0j], [bad, 2.0j]]), poles)
-    assert inverse3(M, near[:2], poles).shape == (2, 3, 3)
-    assert inverse3(M, poles[1] + 3.0 * DEGENERACY_TOL, poles).shape == (3, 3)
+                kernel(M, np.array([[0.5j, -1.0j], [bad, 2.0j]]))
+    assert inverse3(M, near[:2]).shape == (2, 3, 3)
+
+
+def _generator():
+    cfg = twoatom.ScatteringConfig.from_separation(1000.0, direction=(0.6, 0.0, 0.8))
+    return twoatom.assemble(cfg, atom.AtomDriveParams(rabi=2.0, delta=0.5))
+
+
+# every resolvent kernel, each called as its callers call it
+_KERNELS = {
+    "inverse3": lambda z: inverse3(bloch_matrix(2.0, 0.5), z),
+    "resolve": lambda z: resolve(bloch_matrix(2.0, 0.5), z, np.eye(3)),
+    "green": lambda z: atom.build(atom.AtomDriveParams(rabi=2.0, delta=0.5)).green(z),
+    "single_green": lambda z: _generator().single_green(z),
+    "pair_green": lambda z: _generator().pair_green(z),
+    "pair_solver": lambda z: _generator().pair_solver(z),
+}
+
+
+@pytest.mark.parametrize("bad", [complex(-1e-300, 1.0), -2.5, np.nan, np.inf, -np.inf],
+                         ids=["left", "negative", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_every_resolvent_takes_the_closed_right_half_plane(kernel, bad):
+    # one rule and one message for all six, for a scalar and inside an array
+    for z in (bad, np.array([0.0, -3.0j, bad])):
+        with pytest.raises(ValueError) as caught:
+            _KERNELS[kernel](z)
+        assert str(caught.value) == REJECTED
+    _KERNELS[kernel](np.array([0.0, -0.0 - 3.0j, 0.5 + 2.0j, 1e6j]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_rabi=st.floats(-6.0, 4.0), delta=st.floats(-1e3, 1e3),
+       phase=st.floats(-np.pi, np.pi), offset=st.floats(-np.pi, np.pi))
+@example(log_rabi=np.log10(0.5), delta=0.0, phase=0.0, offset=0.0)
+@example(log_rabi=-np.inf, delta=0.5, phase=0.0, offset=0.0)
+@example(log_rabi=4.0, delta=1e3, phase=0.0, offset=0.0)
+def test_every_pole_lies_at_least_one_left_of_the_imaginary_axis(log_rabi, delta, phase,
+                                                                 offset):
+    # the bound the half-plane rule rests on: Re lambda <= -1 for the
+    # Bloch generator at any drive (the Jordan point and the undriven atom
+    # among the examples), Re <= -2 for the pair block of two atoms whose
+    # laser phases differ by ``offset``; up to rounding of the largest entry
+    rabi = 10.0**log_rabi
+    rounding = 1e-14 * max(1.0, rabi, abs(delta))
+    drive = atom.AtomDriveParams(rabi=rabi, delta=delta, phase=phase)
+    assert np.max(atom.build(drive).eigenvalues.real) <= -1.0 + rounding
+    cfg = twoatom.ScatteringConfig(np.zeros(3), np.array([100.0, 0.0, offset]))
+    pair = twoatom.assemble(cfg, drive).drift[6:, 6:]
+    assert np.max(np.linalg.eigvals(pair).real) <= -2.0 + 2.0 * rounding
 
 
 def test_kron_identity_and_flat_index():

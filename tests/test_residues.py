@@ -252,8 +252,8 @@ def test_symmetric_poles_give_antisymmetric_nodes():
 def test_pole_on_real_axis_rejected():
     # a pole 1e-12 from the axis: the integral does not exist, and the rule
     # would need ~1e13 nodes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"real spread 1\.5 and smallest \|Im\| 1e-12 "):
         line_rule([-0.5 + 1e-12j, 1.0 + 0.2j])
     # the same with every pole on one vertical line: no spread, zero floor
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"real spread 0 and smallest \|Im\| 0 "):
         line_rule([0.0, 1j, -1j])

@@ -261,6 +261,25 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
         assert calls == expected, points
 
 
+def test_production_takes_no_eigenvalues(monkeypatch):
+    # the resolvents' argument rule needs no spectrum, so neither the
+    # spectra of a drive stack nor the elastic weights decompose a generator
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    spectra.cbs_spectra_stack([drive(2.0), drive(0.5)], default_grid(drive(2.0)))
+    spectra.elastic_weights(drive(1.3, 0.8))
+    assert calls == []
+    # the spy sees the quadrature oracles' pole placement
+    atom.build(drive(2.0)).eigenvalues
+    assert calls == [1]
+
+
 def test_elastic_weights_resolve_no_frequency_grid(monkeypatch):
     # the elastic weights are the stationary expansion's alone: one dense pair
     # solve at z = 0, no closed-form solve and no spectrum on any grid, and

@@ -19,7 +19,6 @@ from cbs2atom.atom import (
     mollow_p0,
     probe_vectors,
 )
-from cbs2atom.linalg import PoleProximityError
 from oracles import (
     _reduce,
     double_scattering_intensity,
@@ -191,7 +190,8 @@ def test_drift_block_structure():
     # pair-block eigenvalues are all sums of one eigenvalue per atom
     # (rounded before sorting: ties in the real part break on imaginary noise)
     direct = np.sort_complex(np.round(np.linalg.eigvals(gen.drift[6:, 6:]), 10))
-    summed = np.sort_complex(np.round(gen.correlation_eigenvalues, 10))
+    summed = gen.atom1.eigenvalues[:, None] + gen.atom2.eigenvalues[None, :]
+    summed = np.sort_complex(np.round(summed.ravel(), 10))
     assert np.allclose(direct, summed, atol=1e-9)
     # drive: only the two inversion slots are fed
     expect = np.zeros(15)
@@ -302,7 +302,8 @@ def test_stacked_generator_holds_each_drive():
     for i, one in enumerate(ta.assemble(cfg, d) for d in drives):
         assert np.array_equal(stacked.drift[i], one.drift)
         assert np.array_equal(stacked.feed, one.drift[6:, :6])
-        assert np.array_equal(stacked.correlation_eigenvalues[i], one.correlation_eigenvalues)
+        assert np.array_equal(stacked.atom1.eigenvalues[i], one.atom1.eigenvalues)
+        assert np.array_equal(stacked.atom2.eigenvalues[i], one.atom2.eigenvalues)
         assert np.array_equal(stacked.single_green(zs)[i], one.single_green(zs))
         assert np.array_equal(stacked.pair_green(zs)[i], one.pair_green(zs))
         # a coupling insertion on a stack is a matrix product where one
@@ -314,9 +315,10 @@ def test_stacked_generator_holds_each_drive():
 
 
 def test_pair_green_guards_pole_proximity():
+    # the eigenvalue sum of the two atoms' second modes, as a resolvent argument
     gen = make_gen()
-    with pytest.raises(PoleProximityError):
-        gen.pair_green(gen.correlation_eigenvalues[4])
+    with pytest.raises(ValueError, match="Re z >= 0"):
+        gen.pair_green(gen.atom1.eigenvalues[1] + gen.atom2.eigenvalues[1])
 
 
 def closed_form_pair_green(gen, z):
@@ -774,7 +776,9 @@ def test_spectrum_rejects_non_finite_frequencies(bad):
 
 
 def test_intensity_vanishes_undriven():
-    assert abs(intensity(make_gen(rabi=0.0, delta=0.2), (0, 0, -1.0))) < 1e-14
+    cfg = ta.ScatteringConfig.from_separation(1000.0, direction=(0.6, 0.8, 0.0))
+    gen = ta.assemble(cfg, AtomDriveParams(rabi=0.0, delta=0.2))
+    assert abs(intensity(gen, cfg, (0, 0, -1.0))) < 1e-14
 
 
 def test_intensity_uncoupled_orientation_average_kills_cross_term():
@@ -790,7 +794,7 @@ def test_intensity_uncoupled_orientation_average_kills_cross_term():
         axis /= np.linalg.norm(axis)
         cfg = ta.ScatteringConfig(r1=np.zeros(3), r2=500.0 * axis)
         gen = ta.assemble(cfg, drive, coupling=0.0)
-        samples.append(intensity(gen, back))
+        samples.append(intensity(gen, cfg, back))
     samples = np.array(samples) - population
     stderr = samples.std(ddof=1) / np.sqrt(len(samples))
     assert abs(samples.mean()) < 3.0 * stderr
@@ -833,11 +837,11 @@ def test_order_two_intensity_matches_finite_difference():
     back = np.array([0.0, 0.0, -1.0])
 
     def total(scale):
-        return intensity(ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling), back)
+        return intensity(ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling), cfg, back)
 
     gen = ta.assemble(cfg, DRIVE)
     orders = ta.perturbative_orders(gen)
-    tagged = double_scattering_intensity(gen, back, orders)
+    tagged = double_scattering_intensity(cfg, back, orders)
     second = sum(tagged.values())
     assert abs(second.imag) < 1e-12 * abs(second)
     # step large enough to clear float cancellation in the second difference
