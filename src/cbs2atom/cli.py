@@ -266,7 +266,7 @@ def _deviations(got: SpectralFunctionGrid, ref: SpectralFunctionGrid) -> tuple:
 
 def _suite_oracle(nu_points: int) -> list:
     """Production channels against a generic geometry (``fixed-config-*``,
-    the gauge identity behind the canonical configuration) and against the
+    the gauge identity behind the canonical generator) and against the
     closed form in single-atom observables (``compact-*``, an independent
     route)."""
     from cbs2atom.residues import compact_channels

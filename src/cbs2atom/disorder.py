@@ -21,7 +21,7 @@ dipole coupling's far field, and whole periods of the distance phase
 share of a surviving ladder monomial's weight that ``(12, 21)`` keeps.
 
 `monte_carlo_spectra` solves the two-atom equations once, on the canonical
-configuration of :func:`cbs2atom.twoatom.canonical_configuration`: the
+generator of :func:`cbs2atom.twoatom.canonical_generator`: the
 stationary state and elastic weights once, the spectra in the frequency
 blocks of :func:`cbs2atom.spectra.canonical_blocks`.  By the
 gauge identity ``M(phase) = U M(0) U^-1`` each sampled geometry's monomial
@@ -121,8 +121,7 @@ class SampledGeometry:
 class ConfigSampler:
     """Random two-atom geometries: ``samples`` separations uniform on the
     module's distance window, orientations uniform on the sphere, the
-    laser along z, drawn a chunk at a time by :meth:`geometry_chunks`
-    (all at once by :meth:`geometry`)."""
+    laser along z, drawn a chunk at a time by :meth:`geometry_chunks`."""
 
     samples: int = 10_000
     seed: int = 0
@@ -141,21 +140,16 @@ class ConfigSampler:
         width = self.x_stop - WINDOW_START
         return 9.0 * (1.0 / WINDOW_START - 1.0 / self.x_stop) / width
 
-    def geometry(self, rng: np.random.Generator | None = None) -> SampledGeometry:
-        """Draw every sample at once: first all separations, then all
-        directions (normalised; a row shorter than 1e-8 is redrawn).
-        ``rng`` defaults to a generator seeded with ``seed``."""
-        rng = np.random.default_rng(self.seed) if rng is None else rng
-        return self._draw(rng, rng, self.samples)
-
     def geometry_chunks(self, size: int):
-        """The samples of :meth:`geometry`, drawn ``size`` at a time.
+        """The samples, drawn ``size`` at a time: separations from a
+        generator seeded with ``seed``, directions (normalised; a row shorter
+        than 1e-8 is redrawn) from a second one advanced past the
+        separations, one 64-bit draw per uniform double.
 
-        The directions come from a second generator advanced past the
-        separations, one 64-bit draw per uniform double, so the chunks are
-        consecutive slices of :meth:`geometry`'s arrays.  Only a redrawn
-        direction differs: it is drawn after its chunk's directions, not after
-        all of them, which happens with probability ~1e-24 per sample.
+        So the chunks are consecutive slices of the one chunk of every
+        sample, whatever ``size``.  Only a redrawn direction differs: it is
+        drawn after its chunk's directions, not after all of them, which
+        happens with probability ~1e-24 per sample.
         """
         separations, directions = (np.random.default_rng(self.seed) for _ in range(2))
         directions.bit_generator.advance(self.samples)
@@ -291,7 +285,7 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     laser phases average to zero here, at the cost of dominating the
     sample variance.
 
-    The two-atom spectra are solved once, on the canonical configuration
+    The two-atom spectra are solved once, on the canonical generator
     with unit coupling, one frequency block at a time; the samples then
     weight the canonical monomials by their exchange amplitudes and laser
     phase differences (the gauge identity, see the module docstring).

@@ -85,14 +85,12 @@ def _elastic_crossed_value(system: BlochSystem) -> complex:
 
 def compact_elastic_ladder(drive: AtomDriveParams) -> float:
     """Closed-form elastic weight of the background channel (test oracle)."""
-    value = 2.0 * _elastic_ladder_value(build(drive))
-    return _real_part(value, scale=abs(value))
+    return _real_part(2.0 * _elastic_ladder_value(build(drive)))
 
 
 def compact_elastic_crossed(drive: AtomDriveParams) -> float:
     """Closed-form elastic weight of the interference channel (test oracle)."""
-    value = 2.0 * _elastic_crossed_value(build(drive))
-    return _real_part(value, scale=abs(value))
+    return _real_part(2.0 * _elastic_crossed_value(build(drive)))
 
 
 def compact_channels(drive: AtomDriveParams, nus) -> tuple:

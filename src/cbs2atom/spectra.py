@@ -8,9 +8,9 @@ window mean of four times the squared coupling strength.
 
 The averaged channels have one production route: the surviving coupling
 monomials of the two-atom spectra (:func:`cbs2atom.twoatom.fixed_config_spectrum`)
-on a single canonical configuration.  Atoms on the x axis with the laser
-along z carry zero laser phases, and the coupling is fixed to one decay
-rate.
+on the canonical generator (:func:`cbs2atom.twoatom.canonical_generator`):
+both atoms carry the drive's own laser phase, with no propagation phase,
+and the coupling is fixed to one decay rate.
 By the gauge identity ``M(phase) = U M(0) U^-1`` and because the exchange
 amplitude enters each monomial only as a scalar factor, the surviving
 monomials divided by ``4|T|^2`` are the configuration averages.  The
@@ -38,8 +38,7 @@ from cbs2atom.atom import AtomDriveParams
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
-    assemble,
-    canonical_configuration,
+    canonical_generator,
     inelastic_spectra,
     stationary_terms,
 )
@@ -142,14 +141,17 @@ def default_grid(drive: AtomDriveParams, points: int = 601) -> np.ndarray:
     return np.linspace(-limit, limit, points)
 
 
-def _real_part(value: complex, scale: float = 1.0) -> float:
-    if abs(value.imag) > 1e-10 * (scale + abs(value.real)):
-        raise ArithmeticError(f"spectral quantity has a non-real residue: {value!r}")
+def _real_part(value: complex) -> float:
+    """The real part of a quantity that must be real, whose imaginary part
+    may only be rounding: at most 1e-10 of ``|value| + |Re value|``."""
+    if abs(value.imag) > 1e-10 * (abs(value) + abs(value.real)):
+        raise ArithmeticError(f"real spectral quantity has an imaginary part beyond "
+                              f"rounding: {value!r}")
     return float(value.real)
 
 
 # ----------------------------------------------------------------------------
-# production route: one canonical configuration
+# production route: one canonical generator
 # ----------------------------------------------------------------------------
 
 
@@ -163,8 +165,7 @@ def _per_power(value):
 
 
 def _weight(value: complex) -> float:
-    value = _per_power(value)
-    return _real_part(value, scale=abs(value))
+    return _real_part(_per_power(value))
 
 
 def _channel(nus: np.ndarray, densities: list, elastic: complex) -> SpectralFunctionGrid:
@@ -194,10 +195,9 @@ def canonical_blocks(drives, nus, monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL))
     parts = np.split(nus, range(BLOCK_PAIRS, nus.size, BLOCK_PAIRS))
     for start in range(0, len(drives), size):
         stack = drives[start:start + size]
-        gen = assemble(canonical_configuration(), stack, coupling=1.0)
+        gen = canonical_generator(stack)
         initials, *elastic = stationary_terms(gen, monomials)
-        yield stack, elastic, (inelastic_spectra(gen, part, initials, monomials)
-                               for part in parts)
+        yield stack, elastic, (inelastic_spectra(gen, part, initials) for part in parts)
 
 
 def _channels(drives, nus) -> list:

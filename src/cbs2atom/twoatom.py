@@ -22,14 +22,15 @@ that configuration averaging downstream reduces to selecting monomials.
 
 The generator (:class:`TwoAtomGenerator`) has one format: the 15x15 drift
 ``A`` and one 15x15 coupling operator per channel, which sum to ``V``.  All
-solves here are brute force, stacked over whole frequency grids
-(:func:`resolvent_apply`): the block-triangular drift is resolved through
-its single-atom blocks (closed-form 3x3 inverses) and its pair block, and
-each coupling insertion is one product with one channel's operator.  The
-pair block is the Kronecker sum of the two atoms' generators, one matrix up
-to the laser-phase gauge, so undoing the phases and splitting by exchange
-symmetry solves it in closed form, by two 3x3 cofactor inverses per
-frequency (:meth:`TwoAtomGenerator.pair_solver`).  Each solve takes its
+solves here are brute force, stacked over whole frequency grids, and run one
+recursion, ``level_n = R (seed_n + V level_(n-1))`` (:func:`_expand`): the
+block-triangular drift is resolved through its single-atom blocks
+(closed-form 3x3 inverses) and its pair block, and each coupling insertion
+is one product with one channel's operator.  The pair block is the
+Kronecker sum of the two atoms' generators, one matrix up to the laser-phase
+gauge, so undoing the phases and splitting by exchange symmetry solves it in
+closed form, by two 3x3 cofactor inverses per frequency
+(:meth:`TwoAtomGenerator.pair_solver`).  Each solve takes its
 pair kernel by its role: every frequency grid of a spectrum takes the
 closed form, and the stationary (z = 0) expansion takes one dense 9x9
 solve (:meth:`TwoAtomGenerator.pair_green`), from which every elastic
@@ -39,18 +40,20 @@ per drive: the expansions then have shape ``S_d + S_nu + (...)``, drive axes fir
 the channels and feed block are shared, and one drive, ``S_d = ()``, takes a stack's arithmetic.
 :func:`fixed_config_spectrum` is two halves: :func:`stationary_terms`, the
 z = 0 expansion, and :func:`inelastic_spectra`, the resolves on a grid.  On
-one canonical configuration (:func:`canonical_configuration`), the first
-once per drive stack and the second per frequency block, they are the
-production route of the averaged channels in :mod:`cbs2atom.spectra` and the
-only solve of the Monte-Carlo average in :mod:`cbs2atom.disorder`.  The
+the canonical generator (:func:`canonical_generator`: no propagation phase,
+unit coupling), the first once per drive stack and the second per frequency
+block, they are the production route of the averaged channels in
+:mod:`cbs2atom.spectra` and the only solve of the Monte-Carlo average in
+:mod:`cbs2atom.disorder`.  The
 Monte-Carlo average weights every degree-two monomial, so it expands them
 all (1 + 4 + 10 monomials per order); production reads only the two
 surviving ones and expands only their divisors (1 + 3 + 2).  Both read
 components 0 and 3 of the spectra, which lie in the single-atom block, so
 the last resolve of the spectra skips the pair correlations.  The printed closed-form
 transcriptions of the first orders, the frequency-integral representation
-of the pair resolvent and the exact steady state at finite coupling, which
-check these recurrences, live with the tests (``tests/oracles.py``).
+of the pair resolvent, the dense expansion at any ``z`` and the exact steady
+state at finite coupling, which check these recurrences, live with the tests
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -246,21 +249,6 @@ class ScatteringConfig:
         return cls(r1=np.zeros(3), r2=(x / norm) * step)
 
 
-#: Interatomic distance of the canonical configuration.  Its coupling is
-#: overridden, so the value only has to clear the far-field warning.
-CANONICAL_SEPARATION = 100.0
-
-
-def canonical_configuration() -> ScatteringConfig:
-    """Atoms on the x axis with the laser along z: both laser phases vanish.
-
-    By the gauge identity ``M(phase) = U M(0) U^-1`` every other geometry's
-    coupling monomials are this one's times scalar coupling and phase
-    factors, so callers override its coupling in :func:`assemble`.
-    """
-    return ScatteringConfig.from_separation(CANONICAL_SEPARATION)
-
-
 @dataclass(frozen=True, eq=False)
 class TwoAtomGenerator:
     """Assembled drift, drive and tagged coupling channels of the 15-system.
@@ -418,38 +406,55 @@ def _at_phase(drive, phase: float):
     return [replace(one, phase=one.phase + phase) for one in drive]
 
 
-def assemble(config: ScatteringConfig, drive,
-             coupling: complex | None = None) -> TwoAtomGenerator:
+def assemble(config: ScatteringConfig, drive) -> TwoAtomGenerator:
     """Build the generator for one configuration under a common laser drive.
 
     ``drive`` describes the laser at the coordinate origin; each atom gets
     the extra propagation phase of its position; a sequence of drives
-    stacks one generator per drive.  ``coupling`` overrides the geometric
-    exchange amplitude (diagnostics: scaling checks, decoupled limit).
+    stacks one generator per drive.
     """
     atom1 = build(_at_phase(drive, config.phase1))
     atom2 = (atom1 if config.phase2 == config.phase1
              else build(_at_phase(drive, config.phase2)))
-    t = config.coupling if coupling is None else complex(coupling)
-    return TwoAtomGenerator(atom1=atom1, atom2=atom2, coupling=t)
+    return TwoAtomGenerator(atom1=atom1, atom2=atom2, coupling=config.coupling)
+
+
+def canonical_generator(drives) -> TwoAtomGenerator:
+    """The generator with no propagation phase and unit coupling: both atoms
+    are the one Bloch system of ``drives`` (one drive, or a sequence, which
+    stacks one generator per drive), and the exchange amplitude is one decay
+    rate.
+
+    By the gauge identity ``M(phase) = U M(0) U^-1`` every geometry's
+    coupling monomials are this one's times scalar coupling and phase
+    factors, so it is the one solve of the averaged channels.
+    """
+    atom = build(drives)
+    return TwoAtomGenerator(atom1=atom, atom2=atom, coupling=1 + 0j)
 
 
 def perturbative_orders(gen: TwoAtomGenerator, monomials=DEGREE_TWO_MONOMIALS) -> list:
     """Expand the stationary state to order two in the exchange coupling.
 
     The stationary state solves ``(A + V) Q + drive = 0``, so it is the
-    zero-frequency resolvent applied to the drive and its orders are
-    :func:`resolvent_apply` at ``z = 0``: each new order is the previous
-    one passed once through every coupling channel, one product with the
-    channel's 15x15 operator, and resolved by the drift, whose Bloch block
-    is solved first and feeds the correlation block.
+    zero-frequency resolvent applied to the drive, and its orders are the
+    recursion of :func:`_expand` at ``z = 0`` seeded by the drive alone:
+    each new order is the previous one passed once through every coupling
+    channel and resolved by the drift, the pair block by one dense 9x9
+    solve (:meth:`TwoAtomGenerator.pair_green`) at every order.
 
     Returns ``[Q0, Q1, Q2]``: ``Qn`` is a tagged 15-vector keyed by the
     coupling monomials of degree exactly n that divide one of the
     degree-two ``monomials`` (by default every one), Bloch block in
     ``[:6]`` and correlation block in ``[6:]``.
     """
-    return resolvent_apply(gen, 0.0, {(): gen.drive}, monomials)
+    g_pair = gen.pair_green(0.0)
+
+    def pair_solve(rhs):
+        return (g_pair @ rhs[..., None])[..., 0]
+
+    return _expand(gen, gen.single_green(0.0), (pair_solve,) * 3, ({(): gen.drive}, {}, {}),
+                   _divisors(monomials))
 
 
 def _mean_splittings(orders: list, n: int):
@@ -512,7 +517,7 @@ def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, pair_solve, tagged: Ta
     """Apply the block-triangular drift resolvent to stacked 15-vectors.
 
     ``g_single`` is ``single_green(z)`` and ``pair_solve`` applies the pair
-    resolvent at the same ``z`` (the dense product of :func:`resolvent_apply`
+    resolvent at the same ``z`` (a product with :meth:`TwoAtomGenerator.pair_green`
     or :meth:`TwoAtomGenerator.pair_solver`); the Bloch block is resolved first
     and feeds the correlation block.  With ``pair_solve=None`` only the Bloch
     block is resolved and the result holds 6-vectors.
@@ -543,36 +548,22 @@ def _couple(gen: TwoAtomGenerator, tagged: TaggedVector, keep: frozenset) -> Tag
     return out
 
 
-def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
-                    monomials=DEGREE_TWO_MONOMIALS) -> list:
-    """Apply the order-by-order resolvent of ``z - A - V`` to a tagged seed.
+def _expand(gen: TwoAtomGenerator, g_single: np.ndarray, pair_solvers, seeds,
+            keep: frozenset) -> list:
+    """The order-by-order resolvent recursion ``level_n = R_n (seed_n + V
+    level_(n-1))``, one level per pair solver and seed.
 
-    Returns ``[R0 seed, R1 seed, R2 seed]`` where the order-n term carries
-    n extra coupling insertions.  The zeroth order solves the
-    block-triangular drift alone; each further order routes the previous
-    result once through the coupling channels and resolves again.  ``z`` may
-    be an array of shape ``S`` and the seed's vectors stacked along leading
-    axes that broadcast against ``S``; the drift resolvents are formed once,
-    as stacked inverses, and every level has shape ``S + (15,)``.  The pair
-    block is one dense 9x9 solve (:meth:`TwoAtomGenerator.pair_green`): the
-    stationary state takes it at ``z = 0`` (:func:`perturbative_orders`), and
-    at other ``z`` it is the tests' reference for the closed form of
-    :func:`fixed_config_spectrum`.
-
-    ``monomials`` names the coupling monomials the caller reads: the
-    coupling insertions form only products dividing one of them
-    (:func:`_divisors`), so a level beyond degree two, which a seed of
-    positive degree reaches, is empty.
+    ``R_n`` is the drift resolvent of :func:`_resolve` with the single-atom
+    resolvent ``g_single`` and the level's pair solver (``None``: the Bloch
+    block only).  Each coupling insertion forms only the products whose
+    monomial is in ``keep`` (:func:`_couple`).
     """
-    keep = _divisors(monomials)
-    g_single, g_pair = gen.single_green(z), gen.pair_green(z)
-
-    def pair_solve(rhs):
-        return (g_pair @ rhs[..., None])[..., 0]
-
-    levels = [_resolve(gen, g_single, pair_solve, seed)]
-    for _ in range(2):
-        levels.append(_resolve(gen, g_single, pair_solve, _couple(gen, levels[-1], keep)))
+    levels: list = []
+    for pair_solve, seed in zip(pair_solvers, seeds):
+        source = _couple(gen, levels[-1], keep) if levels else {}
+        for mono, vec in seed.items():
+            _tagged_add(source, mono, vec)
+        levels.append(_resolve(gen, g_single, pair_solve, source))
     return levels
 
 
@@ -625,23 +616,20 @@ def stationary_terms(gen: TwoAtomGenerator, monomials=DEGREE_TWO_MONOMIALS) -> t
     return (regression_initials(orders), *elastic_splittings(orders))
 
 
-def inelastic_spectra(gen: TwoAtomGenerator, nus, initials: tuple, monomials) -> tuple:
+def inelastic_spectra(gen: TwoAtomGenerator, nus, initials: tuple) -> tuple:
     """The grid half of :func:`fixed_config_spectrum`: ``(autocorrelation,
-    exchange)`` on ``nus`` from the :func:`stationary_terms` ``initials`` of
-    the same ``monomials``, by the nested resolves."""
+    exchange)`` on ``nus`` from the :func:`stationary_terms` ``initials``,
+    by the nested resolves, which form only the monomials the initials
+    carry."""
     nus = np.asarray(nus, dtype=float)
     if not np.all(np.isfinite(nus)):
         raise ValueError("frequencies nus must be finite")
-    keep = _divisors(monomials)
     z = -1j * nus
     g_single, pair_solve = gen.single_green(z), gen.pair_solver(z)
     on_grid = (..., *(None,) * nus.ndim, slice(None))
-    nested: TaggedVector = {}
-    for n, init in enumerate(initials):
-        source = _couple(gen, nested, keep)
-        for mono, vec in init.items():
-            _tagged_add(source, mono, vec[on_grid])
-        nested = _resolve(gen, g_single, pair_solve if n < 2 else None, source)
+    seeds = [{mono: vec[on_grid] for mono, vec in init.items()} for init in initials]
+    nested = _expand(gen, g_single, (pair_solve, pair_solve, None), seeds,
+                     frozenset().union(*initials))[-1]
     return ({mono: vec[..., 0] for mono, vec in nested.items()},
             {mono: vec[..., 3] for mono, vec in nested.items()})
 
@@ -661,12 +649,13 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
     the last resolve skips the correlation block.  The regression initials
     and the elastic weights come from the z = 0 expansion
     (:func:`stationary_terms`), which needs no grid.  A caller that reads
-    fewer monomials calls the two halves with them, so that they carry only
-    the monomials' divisors: for the two that survive the configuration
-    average, ``()``, ``12``, ``12*``, ``21*`` and the two themselves.
+    fewer monomials passes them to the stationary half, whose initials then
+    carry only the monomials' divisors, and the grid half forms no others:
+    for the two that survive the configuration average, ``()``, ``12``,
+    ``12*``, ``21*`` and the two themselves.
     """
     initials, elastic_auto, elastic_exch = stationary_terms(gen)
-    auto, exch = inelastic_spectra(gen, nus, initials, DEGREE_TWO_MONOMIALS)
+    auto, exch = inelastic_spectra(gen, nus, initials)
     return FixedConfigSpectra(nu=np.asarray(nus, dtype=float), autocorrelation=auto,
                               exchange=exch, elastic_autocorrelation=elastic_auto,
                               elastic_exchange=elastic_exch)

@@ -24,7 +24,7 @@ from cbs2atom.twoatom import (
     LADDER_MONOMIAL,
     ScatteringConfig,
     assemble,
-    canonical_configuration,
+    canonical_generator,
     fixed_config_spectrum,
 )
 from oracles import _reduce
@@ -42,9 +42,14 @@ def small_sampler(seed=3, samples=1000):
     return ConfigSampler(samples=samples, seed=seed)
 
 
+def every_sample(sampler):
+    """Every sample of ``sampler`` as one chunk."""
+    return next(sampler.geometry_chunks(sampler.samples))
+
+
 def configurations(sampler):
-    """The samples of ``sampler.geometry()``, one `ScatteringConfig` each."""
-    geometry = sampler.geometry()
+    """The samples of ``sampler``, one `ScatteringConfig` each."""
+    geometry = every_sample(sampler)
     return [ScatteringConfig.from_separation(x, direction=direction)
             for x, direction in zip(geometry.separation, geometry.direction)]
 
@@ -132,7 +137,7 @@ def test_sampler_draws_inside_window_with_isotropic_orientations():
 @pytest.mark.parametrize("seed", [3, 29])
 def test_geometry_arrays_match_the_sampled_configurations(seed):
     sampler = ConfigSampler(samples=1000, seed=seed)
-    geometry = sampler.geometry()
+    geometry = every_sample(sampler)
     configs = configurations(sampler)
     coupling = np.array([c.coupling for c in configs])
     phase_difference = np.array([c.phase_difference for c in configs])
@@ -163,16 +168,16 @@ class _ZeroRowGenerator:
 
 def test_geometry_redraws_a_vanishing_direction():
     stub = _ZeroRowGenerator()
-    direction = small_sampler().geometry(stub).direction
+    direction = small_sampler()._draw(stub, stub, 1000).direction
     assert stub.direction_shapes == [(1000, 3), (1, 3)]
     assert np.linalg.norm(direction[5]) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(np.linalg.norm(direction, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_geometry_chunks_are_slices_of_the_geometry():
-    # the chunked draw reads the same random stream as the one-shot draw
+    # chunks of any size read the same random streams as one chunk of every sample
     sampler = small_sampler(seed=5, samples=2500)
-    whole = sampler.geometry()
+    whole = every_sample(sampler)
     chunks = list(sampler.geometry_chunks(1000))
     assert [len(chunk.separation) for chunk in chunks] == [1000, 1000, 500]
     assert np.array_equal(np.concatenate([c.separation for c in chunks]), whole.separation)
@@ -190,7 +195,7 @@ def test_sampler_is_deterministic_given_seed():
 
 def test_constant_observable_is_exact_with_zero_error():
     sampler = small_sampler()
-    result = _reduce(np.full_like(sampler.geometry().separation, 2.5), sampler.samples)
+    result = _reduce(np.full_like(every_sample(sampler).separation, 2.5), sampler.samples)
     assert result.mean == 2.5
     assert result.stderr == 0.0
     assert result.samples == 1000
@@ -198,7 +203,7 @@ def test_constant_observable_is_exact_with_zero_error():
 
 def test_double_forward_distance_phase_averages_to_zero():
     sampler = small_sampler(seed=2)
-    x = sampler.geometry().separation
+    x = every_sample(sampler).separation
     result = _reduce(np.exp(-2j * x) / x ** 2, sampler.samples)
     assert abs(result.mean) <= 3 * result.stderr
     # and it is genuinely small compared with the coupling-power scale
@@ -207,7 +212,7 @@ def test_double_forward_distance_phase_averages_to_zero():
 
 def test_coupling_power_sample_mean_matches_window_integral():
     sampler = small_sampler(seed=4)
-    result = _reduce(np.abs(sampler.geometry().coupling) ** 2, sampler.samples)
+    result = _reduce(np.abs(every_sample(sampler).coupling) ** 2, sampler.samples)
     analytic = sampler.coupling_power_mean / 4.0
     assert abs(result.mean - analytic) <= 3 * result.stderr
     assert analytic == pytest.approx(9.0 / (4 * WINDOW_START ** 2), rel=0.3)
@@ -215,7 +220,7 @@ def test_coupling_power_sample_mean_matches_window_integral():
 
 def test_disjoint_seeds_agree_within_combined_errors():
     def average(sampler):
-        geometry = sampler.geometry()
+        geometry = every_sample(sampler)
         values = np.abs(geometry.coupling) ** 2 * geometry.separation
         return _reduce(values, sampler.samples)
     first = average(small_sampler(seed=21))
@@ -279,8 +284,7 @@ def test_phased_monomials_carry_the_sample_variance():
 
 
 def canonical_spectrum(drive, nus):
-    return fixed_config_spectrum(
-        assemble(canonical_configuration(), drive, coupling=1.0), nus)
+    return fixed_config_spectrum(canonical_generator(drive), nus)
 
 
 def sampled_geometry(sampler):

@@ -15,7 +15,7 @@ from cbs2atom.twoatom import (
     LADDER_MONOMIAL,
     ScatteringConfig,
     assemble,
-    canonical_configuration,
+    canonical_generator,
     fixed_config_spectrum,
     stationary_terms,
 )
@@ -108,6 +108,13 @@ def test_simpson_matches_scipy(points, uniform):
         assert abs(spectra.simpson(y, nu) - want) <= 1e-14 * abs(want)
 
 
+def test_real_part_rejects_an_imaginary_part_beyond_rounding():
+    # the weights are real to rounding; 1e-6 of the modulus is no rounding
+    with pytest.raises(ArithmeticError, match="imaginary part"):
+        spectra._real_part(1 + 1e-6j)
+    assert spectra._real_part(1 + 1e-12j) == 1.0
+
+
 def test_default_grid_tracks_drive_strength():
     weak = default_grid(drive(0.5))
     assert len(weak) == 601
@@ -193,8 +200,7 @@ def test_production_equals_the_full_evaluation(rabi, delta):
     nus = default_grid(d, 61)
     [(_, (elastic_auto, elastic_exch), blocks)] = spectra.canonical_blocks([d], nus)
     [(auto, exch)] = blocks
-    full = fixed_config_spectrum(
-        assemble(canonical_configuration(), [d], coupling=1.0), nus)
+    full = fixed_config_spectrum(canonical_generator([d]), nus)
     assert set(auto) == {LADDER_MONOMIAL, CROSSED_MONOMIAL}
     for name, mono, pruned in (("autocorrelation", LADDER_MONOMIAL, auto),
                                ("exchange", CROSSED_MONOMIAL, exch),
@@ -223,9 +229,9 @@ def test_production_resolves_only_the_surviving_monomials(monkeypatch):
 
 
 def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
-    # both laser phases of the canonical configuration are 0, so the atoms
-    # share one Bloch system: one single-atom (closed-form 3x3) and one pair
-    # inverse at z = 0 and on each frequency block; two single-atom inverses
+    # the canonical generator's two atoms are one Bloch system: one
+    # single-atom (closed-form 3x3) and one pair inverse at z = 0 and on
+    # each frequency block; two single-atom inverses
     # each would take 6.  The pair inverse is the dense 9x9 at z = 0 and the
     # closed form on every block, short or long.  The stationary expansion
     # runs once per drive stack, however many frequency blocks it feeds
@@ -379,7 +385,7 @@ def test_grid_longer_than_a_block_equals_one_block(monkeypatch):
 
 def test_fixed_config_spectrum_rejects_other_monomials():
     # the spectrum's stationary half is where a caller's monomials enter
-    gen = assemble(canonical_configuration(), drive(2.0), coupling=1.0)
+    gen = canonical_generator(drive(2.0))
     for bad in ((("12",),), (("21*", "12"),), (("12", "12", "21"),)):
         with pytest.raises(ValueError):
             stationary_terms(gen, bad)

@@ -1,5 +1,7 @@
 """Two-atom generator: coupling blocks, expansions, resolvents, spectra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +29,7 @@ from oracles import (
     pair_first_order_explicit,
     pair_resolvent_integral,
     regression_initial_exact,
+    resolvent_apply,
     single_first_order_explicit,
     single_second_order_explicit,
     tagged_total,
@@ -38,8 +41,8 @@ DRIVE = AtomDriveParams(rabi=2.0, delta=0.5)
 def make_gen(x=1000.0, rabi=2.0, delta=0.5, direction=(0.6, 0.8, 0.0), coupling=None,
              phase=0.0):
     cfg = ta.ScatteringConfig.from_separation(x, direction=direction)
-    return ta.assemble(cfg, AtomDriveParams(rabi=rabi, delta=delta, phase=phase),
-                       coupling=coupling)
+    gen = ta.assemble(cfg, AtomDriveParams(rabi=rabi, delta=delta, phase=phase))
+    return gen if coupling is None else replace(gen, coupling=complex(coupling))
 
 
 def full_matrix(gen):
@@ -100,7 +103,7 @@ _ARRAY_HOLDERS = {
     "FixedConfigSpectra": lambda: ta.fixed_config_spectrum(make_gen(), _NUS),
     "SpectralFunctionGrid": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS).ladder,
     "CbsResult": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS),
-    "SampledGeometry": lambda: disorder.ConfigSampler(samples=1000).geometry(),
+    "SampledGeometry": lambda: next(disorder.ConfigSampler(samples=1000).geometry_chunks(1000)),
     "MonteCarloResult": lambda: _reduce(np.ones((1000, 2)), 1000),
     "DisorderAveragedSpectra": lambda: disorder.monte_carlo_spectra(
         DRIVE, disorder.ConfigSampler(samples=1000), _NUS),
@@ -314,6 +317,22 @@ def test_stacked_generator_holds_each_drive():
                 assert np.max(np.abs(got[mono][i] - vec)) <= 1e-13 * np.max(np.abs(vec))
 
 
+@pytest.mark.parametrize("drives", [DRIVE, [DRIVE, AtomDriveParams(0.5, 0.0)],
+                                    AtomDriveParams(1.3, 0.8, phase=0.7)],
+                         ids=["one", "stack", "phase"])
+def test_canonical_generator_is_the_unit_coupling_axis_geometry(drives):
+    # atoms on the x axis with the laser along z add no propagation phase,
+    # so both atoms are one Bloch system; only the coupling is set
+    gen = ta.canonical_generator(drives)
+    axis = replace(ta.assemble(ta.ScatteringConfig.from_separation(100.0), drives),
+                   coupling=1 + 0j)
+    assert gen.atom2 is gen.atom1 and gen.coupling == 1 + 0j
+    assert np.array_equal(gen.drift, axis.drift) and np.array_equal(gen.drive, axis.drive)
+    assert gen.channels.keys() == axis.channels.keys()
+    for tag, channel in axis.channels.items():
+        assert np.array_equal(gen.channels[tag], channel), tag
+
+
 def test_pair_green_guards_pole_proximity():
     # the eigenvalue sum of the two atoms' second modes, as a resolvent argument
     gen = make_gen()
@@ -345,13 +364,12 @@ def test_closed_form_pair_solve_equals_the_dense_inverse(drives, positions, scal
     # imaginary axis out to 100 (Omega' + 15), for one drive or a stack, on
     # the canonical and on generic geometries
     if positions is None:
-        cfg = ta.canonical_configuration()
+        gen = ta.canonical_generator(drives)
     else:
         r1, r2 = np.array(positions[:3]), np.array(positions[3:])
         if np.linalg.norm(r1 - r2) < 10.0:
             r2 = r2 + 20.0
-        cfg = ta.ScatteringConfig(r1, r2)
-    gen = ta.assemble(cfg, drives)
+        gen = ta.assemble(ta.ScatteringConfig(r1, r2), drives)
     reach = 100.0 * (max(np.hypot(d.rabi, d.delta) for d in drives) + 15.0)
     z = np.concatenate([[0.0], -1j * reach * np.array(scaled)])
     dense = gen.pair_green(z)
@@ -385,7 +403,7 @@ def test_spectrum_takes_the_closed_form_on_every_grid(monkeypatch, points):
     monkeypatch.setattr(ta.TwoAtomGenerator, "pair_green", spy("dense", dense))
     monkeypatch.setattr(ta.TwoAtomGenerator, "pair_solver", spy("closed", closed))
     nus = np.linspace(-15.0, 15.0, points)
-    stack = ta.assemble(ta.canonical_configuration(), [DRIVE, AtomDriveParams(0.5, 0.0)])
+    stack = ta.canonical_generator([DRIVE, AtomDriveParams(0.5, 0.0)])
     ta.fixed_config_spectrum(stack, nus)
     assert calls == [("dense", ()), ("closed", (points,))]
 
@@ -487,10 +505,35 @@ def test_orders_scale_as_coupling_power(seed):
     cfg = ta.ScatteringConfig.from_separation(rng.uniform(100, 2000))
     drive = AtomDriveParams(rabi=rng.uniform(0.3, 6.0), delta=rng.uniform(-2, 2))
     base = ta.perturbative_orders(ta.assemble(cfg, drive))
-    scaled = ta.perturbative_orders(ta.assemble(cfg, drive, coupling=2.0 * cfg.coupling))
+    scaled = ta.perturbative_orders(replace(ta.assemble(cfg, drive),
+                                            coupling=complex(2.0 * cfg.coupling)))
     for n in range(3):
         for mono, vec in base[n].items():
             assert np.allclose(scaled[n][mono], 2.0 ** n * vec, rtol=1e-13, atol=1e-18)
+
+
+_GENERATORS = {
+    "generic": lambda: make_gen(),
+    "canonical": lambda: ta.canonical_generator(DRIVE),
+    "stack": lambda: ta.canonical_generator([DRIVE, AtomDriveParams(0.5, 0.0),
+                                             AtomDriveParams(7.0, -3.0, phase=0.4)]),
+}
+
+
+@pytest.mark.parametrize("monomials", [(ta.LADDER_MONOMIAL, ta.CROSSED_MONOMIAL),
+                                       ta.DEGREE_TWO_MONOMIALS], ids=["surviving", "all"])
+@pytest.mark.parametrize("name", list(_GENERATORS))
+def test_stationary_orders_are_the_dense_expansion_at_zero(name, monomials):
+    # the stationary recursion is the any-z dense expansion of the tests,
+    # run at z = 0 on the drive, to the bit
+    gen = _GENERATORS[name]()
+    orders = ta.perturbative_orders(gen, monomials)
+    dense = resolvent_apply(gen, 0.0, {(): gen.drive}, monomials)
+    assert len(orders) == len(dense) == 3
+    for got, want in zip(orders, dense):
+        assert list(got) == list(want)
+        for mono, vec in want.items():
+            assert np.array_equal(got[mono], vec), mono
 
 
 def test_first_order_single_atom_closed_forms():
@@ -596,7 +639,7 @@ def test_initial_condition_first_order_matches_finite_difference():
     cfg = ta.ScatteringConfig.from_separation(1000.0, direction=(0.6, 0.8, 0.0))
 
     def exact_initial(scale):
-        gen = ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling)
+        gen = replace(ta.assemble(cfg, DRIVE), coupling=complex(scale * cfg.coupling))
         return regression_initial_exact(exact_steady_state(gen))
 
     gen = ta.assemble(cfg, DRIVE)
@@ -625,7 +668,7 @@ def test_resolvent_order_zero_matches_drift_solve():
     rng = np.random.default_rng(3)
     seed = {(): rng.normal(size=15) + 1j * rng.normal(size=15)}
     z = -0.9j
-    level0 = ta.resolvent_apply(gen, z, seed)[0][()]
+    level0 = resolvent_apply(gen, z, seed)[0][()]
     direct = np.linalg.solve(z * np.eye(15) - gen.drift, seed[()])
     assert np.allclose(level0, direct, atol=1e-12)
 
@@ -635,7 +678,7 @@ def test_resolvent_orders_sum_to_full_inverse():
     rng = np.random.default_rng(4)
     seed_vec = rng.normal(size=15) + 1j * rng.normal(size=15)
     z = -1.7j
-    levels = ta.resolvent_apply(gen, z, {(): seed_vec})
+    levels = resolvent_apply(gen, z, {(): seed_vec})
     approx = sum(tagged_total(lvl, 15) for lvl in levels)
     direct = np.linalg.solve(z * np.eye(15) - full_matrix(gen), seed_vec)
     assert np.linalg.norm(direct - approx) < abs(gen.coupling) ** 3 * np.linalg.norm(seed_vec) * 10
@@ -645,8 +688,9 @@ def test_resolvent_first_order_linear_in_coupling():
     cfg = ta.ScatteringConfig.from_separation(700.0)
     seed = {(): np.arange(1.0, 16.0) + 0.5j}
     z = -0.4j
-    lvl = ta.resolvent_apply(ta.assemble(cfg, DRIVE), z, seed)[1]
-    lvl2 = ta.resolvent_apply(ta.assemble(cfg, DRIVE, coupling=2 * cfg.coupling), z, seed)[1]
+    lvl = resolvent_apply(ta.assemble(cfg, DRIVE), z, seed)[1]
+    lvl2 = resolvent_apply(replace(ta.assemble(cfg, DRIVE), coupling=complex(2 * cfg.coupling)),
+                           z, seed)[1]
     for mono, vec in lvl.items():
         assert np.allclose(lvl2[mono], 2.0 * vec, rtol=1e-13, atol=1e-20)
 
@@ -654,7 +698,7 @@ def test_resolvent_first_order_linear_in_coupling():
 def test_resolvent_levels_extend_monomial_degree():
     gen = make_gen()
     seed = {("12",): np.ones(15, dtype=complex)}
-    levels = ta.resolvent_apply(gen, -0.2j, seed)
+    levels = resolvent_apply(gen, -0.2j, seed)
     for n, lvl in enumerate(levels[:2]):
         assert lvl and all(len(mono) == n + 1 for mono in lvl)
     # the expansion is order two: no product beyond degree two is formed
@@ -670,7 +714,7 @@ def test_order_zero_channel_reproduces_single_atom_spectrum():
     orders = ta.perturbative_orders(gen)
     inits = ta.regression_initials(orders)
     for nu in (-2.4, 0.3, 1.9):
-        level0 = ta.resolvent_apply(gen, -1j * nu, inits[0])[0]
+        level0 = resolvent_apply(gen, -1j * nu, inits[0])[0]
         value = np.real(level0[()][0]) / np.pi
         assert abs(value - mollow_p0(origin, nu)) < 1e-12
 
@@ -725,7 +769,7 @@ def test_spectrum_matches_time_domain_regression():
         direct = np.linalg.solve(z * np.eye(15) - full, init)
         order_sum = np.zeros(15, dtype=complex)
         for n in range(3):
-            for lvl in ta.resolvent_apply(gen, z, inits[n])[:3 - n]:
+            for lvl in resolvent_apply(gen, z, inits[n])[:3 - n]:
                 order_sum += tagged_total(lvl, 15)
         for comp in (0, 3):
             laplace = simpson(np.exp(1j * nu * ts) * sol.y[comp], x=ts)
@@ -744,7 +788,7 @@ def test_nested_spectrum_equals_the_explicit_order_sum(rabi, delta):
     for i, nu in enumerate(nus):
         explicit: dict = {}
         for k in range(3):
-            for mono, vec in ta.resolvent_apply(gen, -1j * nu, inits[2 - k])[k].items():
+            for mono, vec in resolvent_apply(gen, -1j * nu, inits[2 - k])[k].items():
                 explicit[mono] = explicit.get(mono, 0.0) + vec
         assert set(explicit) == set(spec.autocorrelation) == set(spec.exchange)
         scale = max(np.max(np.abs(vec)) for vec in explicit.values())
@@ -793,7 +837,7 @@ def test_intensity_uncoupled_orientation_average_kills_cross_term():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         cfg = ta.ScatteringConfig(r1=np.zeros(3), r2=500.0 * axis)
-        gen = ta.assemble(cfg, drive, coupling=0.0)
+        gen = replace(ta.assemble(cfg, drive), coupling=0j)
         samples.append(intensity(gen, cfg, back))
     samples = np.array(samples) - population
     stderr = samples.std(ddof=1) / np.sqrt(len(samples))
@@ -816,7 +860,7 @@ def test_backscatter_detection_phase_cancels_interference_channel():
     for dphi in grid:
         r1 = np.array([0.0, 0.0, dphi]) + np.array([np.sqrt(x * x - dphi * dphi), 0.0, 0.0])
         cfg = ta.ScatteringConfig(r1=r1, r2=np.zeros(3))
-        gen = ta.assemble(cfg, DRIVE, coupling=1.5j / x)
+        gen = replace(ta.assemble(cfg, DRIVE), coupling=complex(1.5j / x))
         orders = ta.perturbative_orders(gen)
         cross_vals.append(orders[2][ta.CROSSED_MONOMIAL][7])
         vec = orders[2][ta.LADDER_MONOMIAL]
@@ -837,7 +881,8 @@ def test_order_two_intensity_matches_finite_difference():
     back = np.array([0.0, 0.0, -1.0])
 
     def total(scale):
-        return intensity(ta.assemble(cfg, DRIVE, coupling=scale * cfg.coupling), cfg, back)
+        gen = replace(ta.assemble(cfg, DRIVE), coupling=complex(scale * cfg.coupling))
+        return intensity(gen, cfg, back)
 
     gen = ta.assemble(cfg, DRIVE)
     orders = ta.perturbative_orders(gen)
