@@ -198,6 +198,12 @@ def delta_sigma_first(sys: BlochSystem, sign: int, omega) -> np.ndarray:
     return _solve(sys, sign * 1j * np.asarray(omega, dtype=float), coupler @ sys.steady)
 
 
+def _first_responses(sys: BlochSystem, omega_p) -> tuple:
+    """``(dm, dp)``: both first-order responses at probe detuning
+    ``omega_p``, ``G(-i w) DELTA_MINUS G L`` and ``G(+i w) DELTA_PLUS G L``."""
+    return delta_sigma_first(sys, -1, omega_p), delta_sigma_first(sys, +1, omega_p)
+
+
 def _second_response(sys: BlochSystem, dm: np.ndarray, dp: np.ndarray) -> np.ndarray:
     """:func:`delta_sigma_second` from the two first-order responses."""
     return _solve(sys, 0.0, dm @ DELTA_PLUS.T + dp @ DELTA_MINUS.T)
@@ -209,60 +215,24 @@ def delta_sigma_second(sys: BlochSystem, omega) -> np.ndarray:
     Sum of the two time orderings of one co-rotating and one
     counter-rotating probe interaction, returned at zero net frequency.
     """
-    return _second_response(sys, delta_sigma_first(sys, -1, omega),
-                            delta_sigma_first(sys, +1, omega))
+    return _second_response(sys, *_first_responses(sys, omega))
 
 
-@dataclass(frozen=True, eq=False)
-class ProbeResponseSet:
-    """Closed-form response vectors seeding the spectral correlation functions.
+def probe_vectors(sys: BlochSystem, dm: np.ndarray, dp: np.ndarray) -> tuple:
+    """The positive-frequency (branch-2) probe-response vectors
+    ``(minus_2, plus_2)`` from the first-order responses ``dm`` and ``dp``
+    (:func:`delta_sigma_first` with ``sign`` -1 and +1), one co- or
+    counter-rotating probe interaction each.
 
-    The ``*_2`` vectors belong to the positive-frequency correlation branch,
-    the ``*_1`` vectors to the conjugate branch (obtained by
-    :func:`conj_swap`).  ``minus``/``plus`` carry one co-/counter-rotating
-    probe interaction, ``second`` carries one of each.  For an array of
-    ``nu`` each vector is a stack along the leading axes.
-    """
-
-    nu: float | np.ndarray
-    minus_2: np.ndarray
-    plus_2: np.ndarray
-    second_2: np.ndarray
-    minus_1: np.ndarray
-    plus_1: np.ndarray
-    second_1: np.ndarray
-
-
-def probe_vectors(sys: BlochSystem, nu) -> ProbeResponseSet:
-    """All six probe-response vectors at probe detuning ``nu``.
-
-    The branch-2 vectors are explicit chains of resolvents, couplers and
-    steady-state factors; the branch-1 set is generated mechanically by the
-    conjugate-swap map (an exact involution).
+    They are explicit chains of resolvents, couplers and steady-state
+    factors; the conjugate branch follows by :func:`conj_swap`, which maps
+    ``plus_2`` onto ``minus_1`` and ``minus_2`` onto ``plus_1``.  Stacks of
+    responses give stacks of vectors.
     """
     s = sys.steady
-    dm = delta_sigma_first(sys, -1, nu)   # G(-i nu) DELTA_MINUS G L
-    dp = delta_sigma_first(sys, +1, nu)   # G(+i nu) DELTA_PLUS  G L
-    ds2 = _second_response(sys, dm, dp)
-
     minus_2 = 1j * (dm @ DELTA_MINUS.T) - dm * s[1] - s * dm[..., 1, None]
     plus_2 = 1j * (dp @ DELTA_MINUS.T) - dp[..., 1, None] * s - s[1] * dp
-    second_2 = (
-        1j * (ds2 @ DELTA_MINUS.T)
-        - s * ds2[..., 1, None]
-        - s[1] * ds2
-        - dp[..., 1, None] * dm
-        - dm[..., 1, None] * dp
-    )
-    return ProbeResponseSet(
-        nu=nu,
-        minus_2=minus_2,
-        plus_2=plus_2,
-        second_2=second_2,
-        minus_1=conj_swap(plus_2),
-        plus_1=conj_swap(minus_2),
-        second_1=conj_swap(second_2),
-    )
+    return minus_2, plus_2
 
 
 # The closed forms below take ``omega_p`` and ``nu`` as arrays that broadcast
@@ -279,11 +249,11 @@ def p_plus(sys: BlochSystem, omega_p, nu):
     """
     omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
     g0_1, g0_2 = g0_vectors(sys)
-    pv = probe_vectors(sys, omega_p)
-    t12 = _solve(sys, 1j * nu,
-                 _solve(sys, 1j * (nu - omega_p), g0_1) @ DELTA_PLUS.T + pv.plus_1)[..., 1]
+    minus_2, plus_2 = probe_vectors(sys, *_first_responses(sys, omega_p))
+    t12 = _solve(sys, 1j * nu, _solve(sys, 1j * (nu - omega_p), g0_1) @ DELTA_PLUS.T
+                 + conj_swap(minus_2))[..., 1]
     t34 = _solve(sys, 1j * (omega_p - nu),
-                 _solve(sys, -1j * nu, g0_2) @ DELTA_PLUS.T + pv.plus_2)[..., 0]
+                 _solve(sys, -1j * nu, g0_2) @ DELTA_PLUS.T + plus_2)[..., 0]
     return (t12 + t34)[()]
 
 
@@ -296,11 +266,11 @@ def p_minus(sys: BlochSystem, omega_p, nu):
     """
     omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
     g0_1, g0_2 = g0_vectors(sys)
-    pv = probe_vectors(sys, omega_p)
+    minus_2, plus_2 = probe_vectors(sys, *_first_responses(sys, omega_p))
     t12 = _solve(sys, -1j * nu,
-                 _solve(sys, 1j * (omega_p - nu), g0_2) @ DELTA_MINUS.T + pv.minus_2)[..., 0]
+                 _solve(sys, 1j * (omega_p - nu), g0_2) @ DELTA_MINUS.T + minus_2)[..., 0]
     t34 = _solve(sys, 1j * (nu - omega_p),
-                 _solve(sys, 1j * nu, g0_1) @ DELTA_MINUS.T + pv.minus_1)[..., 1]
+                 _solve(sys, 1j * nu, g0_1) @ DELTA_MINUS.T + conj_swap(plus_2))[..., 1]
     return (t12 + t34)[()]
 
 
@@ -308,13 +278,24 @@ def p2_sides(sys: BlochSystem, omega_p, nu) -> tuple:
     """The two parts of :func:`p2`: its terms with poles in ``omega_p`` at
     ``0`` and ``nu``, and its term with poles at ``0`` and ``-nu``."""
     omega_p, nu = np.asarray(omega_p, dtype=float), np.asarray(nu, dtype=float)
-    g0_1, g0_2 = g0_vectors(sys)
-    pv = probe_vectors(sys, omega_p)
+    g0_2 = g0_vectors(sys)[1]
+    s = sys.steady
+    dm, dp = _first_responses(sys, omega_p)
+    minus_2, plus_2 = probe_vectors(sys, dm, dp)
+    ds2 = _second_response(sys, dm, dp)
+    # the branch-2 response to one co- and one counter-rotating interaction
+    second_2 = (
+        1j * (ds2 @ DELTA_MINUS.T)
+        - s * ds2[..., 1, None]
+        - s[1] * ds2
+        - dp[..., 1, None] * dm
+        - dm[..., 1, None] * dp
+    )
     emission = sys.green(-1j * nu)
     emitted = _apply(emission, g0_2)
-    near = (pv.second_2
-            + _solve(sys, 1j * (omega_p - nu), emitted @ DELTA_PLUS.T + pv.plus_2) @ DELTA_MINUS.T)
-    far = _solve(sys, -1j * (nu + omega_p), emitted @ DELTA_MINUS.T + pv.minus_2) @ DELTA_PLUS.T
+    near = (second_2
+            + _solve(sys, 1j * (omega_p - nu), emitted @ DELTA_PLUS.T + plus_2) @ DELTA_MINUS.T)
+    far = _solve(sys, -1j * (nu + omega_p), emitted @ DELTA_MINUS.T + minus_2) @ DELTA_PLUS.T
     return tuple((2.0 * np.real(_apply(emission, part)[..., 0]))[()] for part in (near, far))
 
 

@@ -25,6 +25,7 @@ from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
+    _real_part,
     cbs_spectra,
     cbs_spectra_stack,
     elastic_weights,
@@ -283,7 +284,7 @@ def _suite_oracle(nu_points: int) -> list:
 
     def per_power(density, weight) -> SpectralFunctionGrid:
         return SpectralFunctionGrid(nus, np.real(2.0 * density / power) / np.pi,
-                                    float(np.real(2.0 * weight / power)))
+                                    _real_part(2.0 * weight / power))
 
     for drive in (AtomDriveParams(rabi=2.0, delta=0.0),
                   AtomDriveParams(rabi=1.3, delta=0.8)):

@@ -180,13 +180,12 @@ class DisorderAveragedSpectra:
     """Monte-Carlo averages of the order-two detection channels.
 
     ``ladder``/``crossed`` are the averaged Laplace-image channels on the
-    frequency grid (complex; densities follow by Re/pi), the elastic
+    caller's frequency grid (complex; densities follow by Re/pi), the elastic
     fields are the averaged stationary weights; everything is normalized
     by the window mean of 4|T|^2 and includes the both-atoms factor two
     and, for the crossed channel, the backscattering phase.
     """
 
-    nu: np.ndarray
     ladder: MonteCarloResult
     crossed: MonteCarloResult
     elastic_ladder: MonteCarloResult
@@ -296,7 +295,6 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     charge, so the elastic weights, solved once with the stationary state
     (:func:`cbs2atom.spectra.canonical_blocks`), are reduced the same way.
     """
-    nus = np.asarray(nus, dtype=float)
     scale = sampler.coupling_power_mean
     # the crossed channel's backscattering phase e^{i Delta} adds one more
     moments = _weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, _EXCHANGE_CHARGE + 1))
@@ -314,6 +312,6 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
                                         np.concatenate([part.stderr for part in parts]),
                                         sampler.samples)
                        for parts in zip(*map(reduce, blocks)))
-    return DisorderAveragedSpectra(nu=nus, ladder=ladder, crossed=crossed,
+    return DisorderAveragedSpectra(ladder=ladder, crossed=crossed,
                                    elastic_ladder=elastic_ladder,
                                    elastic_crossed=elastic_crossed)

@@ -578,11 +578,10 @@ class FixedConfigSpectra:
     of atom 2's raising and lowering operators (component 0 of the
     15-vector), ``exchange`` the cross-atom component (component 3,
     without the interference phase factor); both map coupling monomials
-    to arrays on the grid ``nu``.  Elastic weights are products of
-    stationary means of total coupling order two.
+    to arrays on the caller's frequency grid.  Elastic weights are products
+    of stationary means of total coupling order two.
     """
 
-    nu: np.ndarray
     autocorrelation: dict
     exchange: dict
     elastic_autocorrelation: dict
@@ -656,6 +655,6 @@ def fixed_config_spectrum(gen: TwoAtomGenerator, nus) -> FixedConfigSpectra:
     """
     initials, elastic_auto, elastic_exch = stationary_terms(gen)
     auto, exch = inelastic_spectra(gen, nus, initials)
-    return FixedConfigSpectra(nu=np.asarray(nus, dtype=float), autocorrelation=auto,
-                              exchange=exch, elastic_autocorrelation=elastic_auto,
+    return FixedConfigSpectra(autocorrelation=auto, exchange=exch,
+                              elastic_autocorrelation=elastic_auto,
                               elastic_exchange=elastic_exch)

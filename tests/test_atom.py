@@ -256,31 +256,36 @@ def test_second_order_response_decays_as_inverse_frequency():
     assert n4 < n3 / 5
 
 
+def first_responses(sys, omega):
+    return atom.delta_sigma_first(sys, -1, omega), atom.delta_sigma_first(sys, +1, omega)
+
+
 def test_probe_vectors_vanish_undriven():
-    pv = atom.probe_vectors(make(0.0, delta=0.5), 1.3)
-    for vec in (pv.minus_2, pv.plus_2, pv.second_2, pv.minus_1, pv.plus_1, pv.second_1):
+    sys = make(0.0, delta=0.5)
+    for vec in atom.probe_vectors(sys, *first_responses(sys, 1.3)):
         assert np.allclose(vec, 0.0, atol=1e-15)
+    # the undriven emission seeds vanish too, so p2 reads only the
+    # second-order response vector, which then vanishes as well
+    assert np.allclose(atom.p2_sides(sys, 1.3, 0.4), 0.0, rtol=0, atol=1e-15)
 
 
 def test_probe_vectors_branch1_matches_explicit_chain():
+    # the conjugate branch is conj_swap of the other branch-2 member
     sys = make(2.0, delta=0.8)
     nu = 1.1
-    pv = atom.probe_vectors(sys, nu)
+    minus_2, plus_2 = atom.probe_vectors(sys, *first_responses(sys, nu))
     s = sys.steady
     dp = sys.green(1j * nu) @ (DELTA_PLUS @ s)
     explicit_plus_1 = -1j * (DELTA_PLUS @ dp) - dp[0] * s - s[0] * dp
-    assert np.allclose(pv.plus_1, explicit_plus_1, atol=1e-14)
+    assert np.allclose(conj_swap(minus_2), explicit_plus_1, atol=1e-14)
     dm = sys.green(-1j * nu) @ (DELTA_MINUS @ s)
     explicit_minus_1 = -1j * (DELTA_PLUS @ dm) - dm[0] * s - s[0] * dm
-    assert np.allclose(pv.minus_1, explicit_minus_1, atol=1e-14)
+    assert np.allclose(conj_swap(plus_2), explicit_minus_1, atol=1e-14)
 
 
-@pytest.mark.parametrize("omega_p, nu", [(0.7, -1.3), (np.linspace(-5, 5, 31), 0.4)],
-                         ids=["scalar", "array"])
-def test_p2_inverts_each_resolvent_once(omega_p, nu, monkeypatch):
-    # G(0) and G(+-i w) for the probe vectors, then G(-i nu), G(i(w - nu))
-    # and G(-i(nu + w)): the emission resolvent serves both of its uses
-    sys = make(1.3, delta=0.8)
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The arguments of every resolvent inversion made in the test."""
     calls = []
 
     def counting(M, z, *args):
@@ -288,8 +293,29 @@ def test_p2_inverts_each_resolvent_once(omega_p, nu, monkeypatch):
         return inverse3(M, z, *args)
 
     monkeypatch.setattr(atom, "inverse3", counting)
-    atom.p2(sys, omega_p, nu)
-    assert len(calls) == 6
+    return calls
+
+
+FREQUENCY_CASES = pytest.mark.parametrize(
+    "omega_p, nu", [(0.7, -1.3), (np.linspace(-5, 5, 31), 0.4)], ids=["scalar", "array"])
+
+
+@FREQUENCY_CASES
+def test_p2_inverts_each_resolvent_once(omega_p, nu, inverse_calls):
+    # G(+-i w) for the first-order responses and G(0) for the second-order
+    # one, then G(-i nu), G(i(w - nu)) and G(-i(nu + w)): the emission
+    # resolvent serves both of its uses
+    atom.p2(make(1.3, delta=0.8), omega_p, nu)
+    assert len(inverse_calls) == 6
+
+
+@FREQUENCY_CASES
+@pytest.mark.parametrize("amplitude", [atom.p_plus, atom.p_minus], ids=["plus", "minus"])
+def test_amplitudes_invert_each_resolvent_once(amplitude, omega_p, nu, inverse_calls):
+    # G(+-i w) for the first-order responses, then G(+-i nu) and
+    # G(+-i(nu - w)); no G(0): the amplitudes read no second-order response
+    amplitude(make(1.3, delta=0.8), omega_p, nu)
+    assert len(inverse_calls) == 6
 
 
 def test_closed_forms_broadcast_over_frequency_arrays():
@@ -308,11 +334,10 @@ def test_closed_forms_broadcast_over_frequency_arrays():
                 assert abs(grid[i, j] - point) < 1e-15 * max(1.0, abs(point))
     assert np.ndim(atom.mollow_p0(sys, 0.3)) == 0
     assert np.array_equal(atom.mollow_p0(sys, nu), [atom.mollow_p0(sys, n) for n in nu])
-    pv = atom.probe_vectors(sys, nu)
+    vectors = atom.probe_vectors(sys, *first_responses(sys, nu))
     for j, n in enumerate(nu):
-        single = atom.probe_vectors(sys, n)
-        for name in ("minus_2", "plus_2", "second_2", "minus_1", "plus_1", "second_1"):
-            assert np.allclose(getattr(pv, name)[j], getattr(single, name), rtol=0, atol=1e-15)
+        for vec, single in zip(vectors, atom.probe_vectors(sys, *first_responses(sys, n))):
+            assert np.allclose(vec[j], single, rtol=0, atol=1e-15)
     for sign in (+1, -1):
         stacked = atom.delta_sigma_first(sys, sign, nu)
         assert stacked.shape == (4, 3)

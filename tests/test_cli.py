@@ -1,6 +1,7 @@
 """Command-line front end: emitted files, exit codes, reproducibility."""
 
 import ast
+import dataclasses
 import json
 import os
 import runpy
@@ -81,6 +82,22 @@ def test_validate_oracle_exit_codes(capsys):
     assert "compact-ladder" in report and "fixed-config-ladder" in report
     assert main(["validate", "oracle", "--nu-points", "9", "--tolerance", "1e-30"]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_validate_oracle_stops_on_a_complex_elastic_weight(capsys, monkeypatch):
+    # the fixed-geometry elastic weights are real to rounding; an imaginary
+    # part of 1e-6 of a splitting stops the suite instead of being dropped
+    from cbs2atom import twoatom
+
+    def skewed(gen, nus):
+        spec = twoatom.fixed_config_spectrum(gen, nus)
+        return dataclasses.replace(spec, **{
+            name: {mono: value * (1.0 + 1e-6j) for mono, value in getattr(spec, name).items()}
+            for name in ("elastic_autocorrelation", "elastic_exchange")})
+
+    monkeypatch.setattr("cbs2atom.cli.fixed_config_spectrum", skewed)
+    with pytest.raises(ArithmeticError, match="imaginary part beyond rounding"):
+        main(["validate", "oracle", "--nu-points", "9"])
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -19,7 +19,6 @@ from cbs2atom.atom import (
     build,
     g0_vectors,
     mollow_p0,
-    probe_vectors,
 )
 from oracles import (
     _reduce,
@@ -99,7 +98,6 @@ _NUS = np.array([-1.0, 0.0, 1.7])
 _ARRAY_HOLDERS = {
     "ScatteringConfig": lambda: ta.ScatteringConfig.from_separation(250.0),
     "BlochSystem": lambda: build(DRIVE),
-    "ProbeResponseSet": lambda: probe_vectors(build(DRIVE), _NUS),
     "FixedConfigSpectra": lambda: ta.fixed_config_spectrum(make_gen(), _NUS),
     "SpectralFunctionGrid": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS).ladder,
     "CbsResult": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS),
