@@ -11,19 +11,11 @@ the same name here.
 Run ``python tests/reference/regenerate.py`` from the repository root to
 replace every fixture with the outputs of the working tree.  A change that
 moves an output reruns it and names the numbers that moved and why.
-
-``python tests/reference/regenerate.py --check`` reruns every case the
-same way but writes no fixture: it names each fixture file whose bytes the
-working tree does not reproduce, one a line, and exits with status 1 if
-there is any.  The test compares numbers to 1e-13 only, so a fixture can
-go stale unseen; this check sees every byte.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import filecmp
 import io
 import os
 import shutil
@@ -73,41 +65,16 @@ def run_case(name: str, directory: str) -> str:
     return outputs
 
 
-def stale_files(outputs: str, fixture: str) -> list:
-    """Names of the files that differ in bytes between the two directories,
-    or that only one of them holds."""
-    names = set(os.listdir(outputs))
-    if os.path.isdir(fixture):
-        names |= set(os.listdir(fixture))
-    return sorted(name for name in names
-                  if not all(os.path.isfile(os.path.join(root, name))
-                             for root in (outputs, fixture))
-                  or not filecmp.cmp(os.path.join(outputs, name),
-                                     os.path.join(fixture, name), shallow=False))
-
-
-def regenerate(check: bool = False) -> int:
-    """Rewrite every fixture, or with ``check`` only name the stale ones;
-    the exit status: 1 if ``check`` found a stale file, else 0."""
-    stale = []
+def regenerate() -> None:
     for name in CASES:
         target = os.path.join(HERE, name)
         with tempfile.TemporaryDirectory() as workdir:
             outputs = run_case(name, workdir)
-            if check:
-                stale += [os.path.join(target, file) for file in stale_files(outputs, target)]
-            else:
-                shutil.rmtree(target, ignore_errors=True)
-                shutil.copytree(outputs, target)
-                print(target)
-    for path in stale:
-        print(f"stale: {path}")
-    return int(bool(stale))
+            shutil.rmtree(target, ignore_errors=True)
+            shutil.copytree(outputs, target)
+        print(target)
 
 
 if __name__ == "__main__":
     sys.path.insert(0, os.path.join(HERE, os.pardir, os.pardir, "src"))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="write no fixture; exit 1 naming each stale one")
-    sys.exit(regenerate(parser.parse_args().check))
+    regenerate()

@@ -256,13 +256,9 @@ def test_second_order_response_decays_as_inverse_frequency():
     assert n4 < n3 / 5
 
 
-def first_responses(sys, omega):
-    return atom.delta_sigma_first(sys, -1, omega), atom.delta_sigma_first(sys, +1, omega)
-
-
 def test_probe_vectors_vanish_undriven():
     sys = make(0.0, delta=0.5)
-    for vec in atom.probe_vectors(sys, *first_responses(sys, 1.3)):
+    for vec in atom.probe_vectors(sys, *atom._first_responses(sys, 1.3)):
         assert np.allclose(vec, 0.0, atol=1e-15)
     # the undriven emission seeds vanish too, so p2 reads only the
     # second-order response vector, which then vanishes as well
@@ -273,7 +269,7 @@ def test_probe_vectors_branch1_matches_explicit_chain():
     # the conjugate branch is conj_swap of the other branch-2 member
     sys = make(2.0, delta=0.8)
     nu = 1.1
-    minus_2, plus_2 = atom.probe_vectors(sys, *first_responses(sys, nu))
+    minus_2, plus_2 = atom.probe_vectors(sys, *atom._first_responses(sys, nu))
     s = sys.steady
     dp = sys.green(1j * nu) @ (DELTA_PLUS @ s)
     explicit_plus_1 = -1j * (DELTA_PLUS @ dp) - dp[0] * s - s[0] * dp
@@ -334,9 +330,9 @@ def test_closed_forms_broadcast_over_frequency_arrays():
                 assert abs(grid[i, j] - point) < 1e-15 * max(1.0, abs(point))
     assert np.ndim(atom.mollow_p0(sys, 0.3)) == 0
     assert np.array_equal(atom.mollow_p0(sys, nu), [atom.mollow_p0(sys, n) for n in nu])
-    vectors = atom.probe_vectors(sys, *first_responses(sys, nu))
+    vectors = atom.probe_vectors(sys, *atom._first_responses(sys, nu))
     for j, n in enumerate(nu):
-        for vec, single in zip(vectors, atom.probe_vectors(sys, *first_responses(sys, n))):
+        for vec, single in zip(vectors, atom.probe_vectors(sys, *atom._first_responses(sys, n))):
             assert np.allclose(vec[j], single, rtol=0, atol=1e-15)
     for sign in (+1, -1):
         stacked = atom.delta_sigma_first(sys, sign, nu)

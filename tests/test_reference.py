@@ -5,8 +5,7 @@ to 1e-13 of the largest magnitude in their column (a JSON number alone is
 its own column), so another BLAS build or CPU does not fail the test; a
 validation deviation, printed to four digits and often rounding noise,
 matches to 1e-13 absolute.  ``tests/reference/regenerate.py`` writes the
-fixtures, and with ``--check`` names those whose bytes the tree does not
-reproduce.
+fixtures.
 """
 
 import json
@@ -16,7 +15,7 @@ import re
 import numpy as np
 import pytest
 
-from reference.regenerate import CASES, HERE, run_case, stale_files
+from reference.regenerate import CASES, HERE, run_case
 
 RTOL = 1e-13
 ROW = re.compile(r"^(\S+)\s+deviation (\S+)\s+bound (\S+)\s+(pass|FAIL)$")
@@ -90,17 +89,3 @@ def test_reference_outputs_are_reproduced(tmp_path, case):
             compare_report(got, ref, where)
         else:
             assert got == ref, where
-
-
-def test_check_names_every_file_whose_bytes_differ(tmp_path):
-    # a last-digit change the 1e-13 comparison forgives, and a file that
-    # only one side holds
-    outputs, fixture = tmp_path / "outputs", tmp_path / "fixture"
-    for root in (outputs, fixture):
-        root.mkdir()
-        (root / "same.csv").write_text("1.0\n")
-    (outputs / "moved.csv").write_text("1.0000000000000002\n")
-    (fixture / "moved.csv").write_text("1.0\n")
-    (outputs / "new.json").write_text("{}")
-    (fixture / "gone.txt").write_text("")
-    assert stale_files(str(outputs), str(fixture)) == ["gone.txt", "moved.csv", "new.json"]
