@@ -22,7 +22,6 @@ from cbs2atom.atom import (
     DELTA_MINUS,
     DELTA_PLUS,
     AtomDriveParams,
-    BlochSystem,
     build,
     delta_sigma_first,
     delta_sigma_second,
@@ -43,7 +42,9 @@ __all__ = [
 ]
 
 
-def _elastic_ladder_value(system: BlochSystem) -> complex:
+def compact_elastic_ladder(drive: AtomDriveParams) -> float:
+    """Closed-form elastic weight of the background channel (test oracle)."""
+    system = build(drive)
     b_minus, b_plus = system.steady[0], system.steady[1]
     d_minus0 = delta_sigma_first(system, -1, 0.0)
     d_plus0 = delta_sigma_first(system, +1, 0.0)
@@ -60,10 +61,12 @@ def _elastic_ladder_value(system: BlochSystem) -> complex:
     second = delta_sigma_second(system, u)
     fluctuation = 2.0 * np.pi * mollow_p0(system, u)
     integral = weights @ (fluctuation * (b_minus * second[:, 1] + b_plus * second[:, 0]))
-    return algebraic + integral
+    return _real_part(2.0 * (algebraic + integral))
 
 
-def _elastic_crossed_value(system: BlochSystem) -> complex:
+def compact_elastic_crossed(drive: AtomDriveParams) -> float:
+    """Closed-form elastic weight of the interference channel (test oracle)."""
+    system = build(drive)
     b_minus, b_plus = system.steady[0], system.steady[1]
     g0_1, g0_2 = g0_vectors(system)
     d_minus0 = delta_sigma_first(system, -1, 0.0)
@@ -80,17 +83,7 @@ def _elastic_crossed_value(system: BlochSystem) -> complex:
               * (system.green(1j * u) @ g0_1 @ DELTA_PLUS.T @ g0.T)[:, 1])
     term_b = ((system.green(-1j * u) @ g0_2 @ DELTA_MINUS.T @ g0.T)[:, 0]
               * delta_sigma_first(system, +1, u)[:, 0])
-    return algebraic + weights @ (b_minus * term_a + b_plus * term_b)
-
-
-def compact_elastic_ladder(drive: AtomDriveParams) -> float:
-    """Closed-form elastic weight of the background channel (test oracle)."""
-    return _real_part(2.0 * _elastic_ladder_value(build(drive)))
-
-
-def compact_elastic_crossed(drive: AtomDriveParams) -> float:
-    """Closed-form elastic weight of the interference channel (test oracle)."""
-    return _real_part(2.0 * _elastic_crossed_value(build(drive)))
+    return _real_part(2.0 * (algebraic + weights @ (b_minus * term_a + b_plus * term_b)))
 
 
 def compact_channels(drive: AtomDriveParams, nus) -> tuple:

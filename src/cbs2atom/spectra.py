@@ -92,13 +92,10 @@ class SpectralFunctionGrid:
         if not np.isfinite(self.elastic_weight):
             raise ValueError("elastic weight must be finite")
 
-    def integrated(self) -> float:
-        """Grid integral of the smooth density (composite Simpson)."""
-        return float(simpson(self.values, self.nu))
-
     @property
     def total(self) -> float:
-        return self.elastic_weight + self.integrated()
+        """The elastic weight plus the grid integral of the density (composite Simpson)."""
+        return self.elastic_weight + float(simpson(self.values, self.nu))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,21 +197,6 @@ def canonical_blocks(drives, nus, monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL))
         yield stack, elastic, (inelastic_spectra(gen, part, initials) for part in parts)
 
 
-def _channels(drives, nus) -> list:
-    """(ladder, crossed) of each drive of a sequence on one grid ``nus``
-    (:func:`canonical_blocks`)."""
-    nus = np.asarray(nus, dtype=float)
-    out = []
-    for stack, (auto, exch), blocks in canonical_blocks(drives, nus):
-        autos, exchs = zip(*blocks)
-        out += [(_channel(nus, [block[LADDER_MONOMIAL][at] for block in autos],
-                          auto[LADDER_MONOMIAL][at]),
-                 _channel(nus, [block[CROSSED_MONOMIAL][at] for block in exchs],
-                          exch[CROSSED_MONOMIAL][at]))
-                for at in range(len(stack))]
-    return out
-
-
 def elastic_weights(drive: AtomDriveParams) -> tuple:
     """Elastic (drive-frequency) weights of the background and of the
     interference channel at exact backscattering, from the stationary
@@ -227,23 +209,21 @@ def inelastic_ladder(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     """Inelastic density of the background channel on a frequency grid,
     bundled with the channel's elastic weight.
 
-    At strong driving the density is not sign-definite: the
-    second-order background correction contains, besides the rescattered
-    fluorescence, the interference of the doubly-scattered amplitude
-    with the unscattered one, and near saturation the latter dominates
-    around the line centre.
+    Each call solves both channels (:func:`cbs_spectra`), so a caller who
+    wants both calls :func:`cbs_spectra` once.  At strong driving the
+    density is not sign-definite: the second-order background correction
+    contains, besides the rescattered fluorescence, the interference of the
+    doubly-scattered amplitude with the unscattered one, and near
+    saturation the latter dominates around the line centre.
     """
-    if nus is None:
-        nus = default_grid(drive)
-    return _channels([drive], nus)[0][0]
+    return cbs_spectra(drive, nus).ladder
 
 
 def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
     """Inelastic density of the interference channel on a frequency grid,
-    bundled with the channel's elastic weight."""
-    if nus is None:
-        nus = default_grid(drive)
-    return _channels([drive], nus)[0][1]
+    bundled with the channel's elastic weight.  Each call solves both
+    channels, so a caller who wants both calls :func:`cbs_spectra` once."""
+    return cbs_spectra(drive, nus).crossed
 
 
 def cbs_spectra_stack(drives, nus) -> list:
@@ -251,8 +231,16 @@ def cbs_spectra_stack(drives, nus) -> list:
     solved in stacks of at most ``BLOCK_PAIRS`` (drive, frequency) pairs."""
     if any(drive.rabi == 0.0 for drive in drives):
         raise ValueError("undriven atoms scatter nothing; rabi must be nonzero")
-    return [CbsResult(drive, ladder, crossed)
-            for drive, (ladder, crossed) in zip(drives, _channels(drives, nus))]
+    nus = np.asarray(nus, dtype=float)
+    out = []
+    for stack, (auto, exch), blocks in canonical_blocks(drives, nus):
+        autos, exchs = zip(*blocks)
+        out += [CbsResult(drive, _channel(nus, [block[LADDER_MONOMIAL][at] for block in autos],
+                                          auto[LADDER_MONOMIAL][at]),
+                          _channel(nus, [block[CROSSED_MONOMIAL][at] for block in exchs],
+                                   exch[CROSSED_MONOMIAL][at]))
+                for at, drive in enumerate(stack)]
+    return out
 
 
 def cbs_spectra(drive: AtomDriveParams, nus=None) -> CbsResult:

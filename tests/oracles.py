@@ -13,7 +13,9 @@ the tests can check the package against it.
   :mod:`cbs2atom.twoatom`): the order-by-order resolvent of ``z - A - V``
   applied to a tagged seed, the pair block by one dense 9x9 solve; at
   ``z = 0`` with the drive as the seed it is the stationary expansion, and
-  elsewhere the reference of the closed-form pair solve on a grid.
+  elsewhere the reference of the closed-form pair solve on a grid.  Both
+  pair kernels are checked against one pair solve at 50 significant digits
+  (mpmath).
 * Frequency integrals (checks :mod:`cbs2atom.residues` and
   :mod:`cbs2atom.twoatom`): the adaptive scipy line quadrature, the
   frequency-integral representation of the pair resolvent, and the
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad, simpson, solve_ivp
 
@@ -254,6 +257,16 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     for _ in range(2):
         levels.append(_resolve(gen, g_single, pair_solve, _couple(gen, levels[-1], keep)))
     return levels
+
+
+def pair_solve_exact(gen: TwoAtomGenerator, z: complex, rhs: np.ndarray) -> np.ndarray:
+    """``(z - M_corr)^{-1} rhs`` for one drive's generator and one ``z``, by mpmath's
+    LU at 50 significant digits on the same double-precision matrix and rounded
+    once to double: a float pair kernel differs from it only by its own rounding."""
+    with mpmath.workdps(50):
+        shifted = mpmath.mpc(z) * mpmath.eye(9) - mpmath.matrix(gen.drift[6:, 6:].tolist())
+        x = mpmath.lu_solve(shifted, mpmath.matrix(np.asarray(rhs).tolist()))
+        return np.array([complex(x[i]) for i in range(9)])
 
 
 # ----------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from oracles import (
     intensity,
     pair_first_order_explicit,
     pair_resolvent_integral,
+    pair_solve_exact,
     regression_initial_exact,
     resolvent_apply,
     single_first_order_explicit,
@@ -383,6 +384,36 @@ def test_closed_form_pair_solve_rejects_the_left_half_plane():
     for bad in (-1e-9, np.array([0.0, -0.5 + 1j]), np.nan, 1j * np.inf):
         with pytest.raises(ValueError):
             gen.pair_solver(bad)
+
+
+@pytest.mark.parametrize("rabi, delta, dense_bound, closed_bound", [
+    (2.0, 0.0, 5e-15, 1e-14),
+    (0.5, 0.0, 5e-15, 1e-14),
+    (1.3, 0.8, 5e-15, 1e-14),
+    (1e-3, 1.5, 5e-15, 1e-14),
+    (20.0, 1.5, 5e-15, 1e-14),
+    (50.0, 3.0, 5e-15, 1e-14),
+    (100.0, -44.9, 3e-14, 8e-13),
+    (1000.0, -500.0, 2.5e-13, 3e-11),
+    (1000.0, 1.5, 3e-13, 1.5e-13),
+])
+def test_pair_kernels_against_a_50_digit_solve(rabi, delta, dense_bound, closed_bound):
+    # both pair kernels against mpmath's LU of the same matrix, relative to
+    # max|x|, at z = 0, -i Omega'/2, -i Omega' and -15i.  Worst errors on this
+    # seed (dense / closed form): <= 7.4e-16 / 2.0e-15 up to rabi 50,
+    # 3.1e-15 / 8.1e-14 at (100, -44.9), 2.9e-14 / 5.1e-12 at (1000, -500) and
+    # 3.6e-14 / 1.8e-14 at (1000, 1.5); each bound is under 10x its worst
+    gen = ta.canonical_generator(AtomDriveParams(rabi, delta))
+    z = np.array([0.0, -0.5j * np.hypot(rabi, delta), -1j * np.hypot(rabi, delta), -15j])
+    rng = np.random.default_rng(17)
+    rhs = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    dense = gen.pair_green(z) @ rhs
+    closed = gen.pair_solver(z)(np.broadcast_to(rhs, (4, 9)))
+    for k in range(4):
+        exact = pair_solve_exact(gen, z[k], rhs)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(dense[k] - exact)) <= dense_bound * scale
+        assert np.max(np.abs(closed[k] - exact)) <= closed_bound * scale
 
 
 @pytest.mark.parametrize("points", [1, 95, 601])
