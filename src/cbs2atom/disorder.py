@@ -8,7 +8,9 @@ Two routes to the ensemble average of the double-scattering signal:
   filters a tagged term collection down to the surviving monomial of a
   detection channel.
 * sampling — `ConfigSampler.geometry_chunks` draws random two-atom
-  geometries as arrays, a chunk at a time, and `monte_carlo_spectra`
+  geometries as two uniform doubles per sample, a chunk at a time: the
+  separation and the polar cosine of the atoms' axis, all that the
+  coupling and the laser phase difference read.  `monte_carlo_spectra`
   averages the order-two spectra over them, with standard errors.  It
   keeps every coupling monomial, so it checks the selection rule
   independently: the monomials it drops have to average to zero.
@@ -40,6 +42,7 @@ closed-form per-coupling-power expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -58,6 +61,10 @@ from cbs2atom.twoatom import (
 WINDOW_START = 200.0
 #: Whole periods ``2 pi`` of the distance phase the window spans.
 WINDOW_PERIODS = 8
+#: End of the sampled distance window.
+WINDOW_STOP = WINDOW_START + 2.0 * np.pi * WINDOW_PERIODS
+#: Window mean of 4|T|^2 = 9 / x^2, the scale of the averaged spectra.
+COUPLING_POWER_MEAN = 9.0 / (WINDOW_START * WINDOW_STOP)
 #: Most samples drawn and weighted at once (about 1 kB each); the moments of
 #: more samples are combined chunk by chunk.
 SAMPLE_CHUNK = 16_384
@@ -96,80 +103,45 @@ def select_surviving(tagged, channel: str, backscatter_phase: complex = 1.0) -> 
     raise ValueError(f"unknown channel {channel!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SampledGeometry:
-    """Sampled two-atom geometries as arrays: atom 1 at the origin, atom 2
-    at ``separation * direction``, the laser along z.  The array
-    counterpart of :class:`cbs2atom.twoatom.ScatteringConfig`."""
-
-    separation: np.ndarray
-    direction: np.ndarray
-
-    @property
-    def coupling(self) -> np.ndarray:
-        """Exchange amplitude of every sample, see
-        :func:`cbs2atom.twoatom.exchange_coupling`."""
-        return exchange_coupling(self.separation)
-
-    @property
-    def phase_difference(self) -> np.ndarray:
-        """Laser phase mismatch ``z1 - z2 = -x d_z`` of every sample."""
-        return -self.separation * self.direction[:, 2]
-
-
 @dataclass(frozen=True)
 class ConfigSampler:
     """Random two-atom geometries: ``samples`` separations uniform on the
-    module's distance window, orientations uniform on the sphere, the
-    laser along z, drawn a chunk at a time by :meth:`geometry_chunks`."""
+    module's distance window and orientations uniform on the sphere, the
+    laser along z, drawn as two uniform doubles per sample, a chunk at a
+    time, by :meth:`geometry_chunks`."""
 
     samples: int = 10_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.samples < 1_000:
-            raise ValueError("the sampling oracle needs at least 1000 samples")
-
-    @property
-    def x_stop(self) -> float:
-        return WINDOW_START + 2.0 * np.pi * WINDOW_PERIODS
-
-    @property
-    def coupling_power_mean(self) -> float:
-        """Window mean of 4|T|^2 = 9 / x^2, evaluated analytically."""
-        width = self.x_stop - WINDOW_START
-        return 9.0 * (1.0 / WINDOW_START - 1.0 / self.x_stop) / width
+        if not isinstance(self.samples, Integral) or self.samples < 1_000:
+            raise ValueError(f"samples must be an integer of at least 1000, got {self.samples!r}")
+        if not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def geometry_chunks(self, size: int):
-        """The samples, drawn ``size`` at a time: separations from a
-        generator seeded with ``seed``, directions (normalised; a row shorter
-        than 1e-8 is redrawn) from a second one advanced past the
-        separations, one 64-bit draw per uniform double.
-
-        So the chunks are consecutive slices of the one chunk of every
-        sample, whatever ``size``.  Only a redrawn direction differs: it is
-        drawn after its chunk's directions, not after all of them, which
-        happens with probability ~1e-24 per sample.
+        """The samples, ``size`` at a time, as arrays ``(separation,
+        cos_polar)`` from two uniform doubles per sample of
+        ``default_rng(seed)``: atom 2 sits at ``separation`` from atom 1
+        along a direction with z component ``cos_polar``, which is uniform
+        on [-1, 1] for directions uniform on the sphere (Archimedes).  The
+        azimuth enters neither the coupling nor the laser phase difference
+        ``-separation * cos_polar``, so it is not drawn.  The stream is
+        consecutive: the chunks are slices of one chunk of every sample.
         """
-        separations, directions = (np.random.default_rng(self.seed) for _ in range(2))
-        directions.bit_generator.advance(self.samples)
+        rng = np.random.default_rng(self.seed)
         for start in range(0, self.samples, size):
-            yield self._draw(separations, directions, min(size, self.samples - start))
-
-    def _draw(self, separations, directions, count: int) -> SampledGeometry:
-        separation = separations.uniform(WINDOW_START, self.x_stop, count)
-        direction = directions.standard_normal((count, 3))
-        norm = np.linalg.norm(direction, axis=1)
-        short = np.flatnonzero(norm < 1e-8)
-        while short.size:
-            direction[short] = directions.standard_normal((short.size, 3))
-            norm[short] = np.linalg.norm(direction[short], axis=1)
-            short = short[norm[short] < 1e-8]
-        return SampledGeometry(separation, direction / norm[:, None])
+            uniform = rng.random((min(size, self.samples - start), 2))
+            yield (WINDOW_START + (WINDOW_STOP - WINDOW_START) * uniform[:, 0],
+                   2.0 * uniform[:, 1] - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloResult:
+    """Complex sample mean and standard error of one Monte-Carlo average, on
+    the caller's frequency grid (a spectrum) or a scalar (an elastic
+    weight), and the number of samples behind them."""
+
     mean: np.ndarray
     stderr: np.ndarray
     samples: int
@@ -252,26 +224,25 @@ def _weight_moments(sampler: ConfigSampler, monomials: list, charges) -> list:
     the both-atoms factor two) of ``monomials`` at each gauge charge, from
     the samples drawn ``SAMPLE_CHUNK`` at a time."""
     moments = [None] * len(charges)
-    for geometry in sampler.geometry_chunks(SAMPLE_CHUNK):
-        coupling, phase_difference = geometry.coupling, geometry.phase_difference
+    for separation, cos_polar in sampler.geometry_chunks(SAMPLE_CHUNK):
+        coupling, phase_difference = exchange_coupling(separation), -separation * cos_polar
         for at, charge in enumerate(charges):
             chunk = _moments(2.0 * _gauge_weights(monomials, coupling, phase_difference, charge))
             moments[at] = chunk if moments[at] is None else _combine_moments(moments[at], chunk)
     return [(mean, outer / (count - 1), count) for mean, outer, count in moments]
 
 
-def _reduce_monomials(moments: tuple, coefficients: np.ndarray,
-                      scale: float) -> MonteCarloResult:
+def _reduce_monomials(moments: tuple, coefficients: np.ndarray) -> MonteCarloResult:
     """Sample mean and standard error of the values ``weights @ coefficients``,
-    both divided by ``scale``, without forming them: from the weights' mean
-    and k x k covariance (:func:`_weight_moments`), the mean is
+    both divided by ``COUPLING_POWER_MEAN``, without forming them: from the
+    weights' mean and k x k covariance (:func:`_weight_moments`), the mean is
     ``mean @ coefficients`` and the variance a quadratic form in each column."""
     mean, covariance, samples = moments
     variance = np.real(np.einsum("m...,mn,n...->...", coefficients, covariance,
                                  coefficients.conj())) / samples
     spread = np.sqrt(np.maximum(variance, 0.0))
-    return MonteCarloResult(mean=mean @ coefficients / scale, stderr=spread / scale,
-                            samples=samples)
+    return MonteCarloResult(mean=mean @ coefficients / COUPLING_POWER_MEAN,
+                            stderr=spread / COUPLING_POWER_MEAN, samples=samples)
 
 
 def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
@@ -295,14 +266,13 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     charge, so the elastic weights, solved once with the stationary state
     (:func:`cbs2atom.spectra.canonical_blocks`), are reduced the same way.
     """
-    scale = sampler.coupling_power_mean
     # the crossed channel's backscattering phase e^{i Delta} adds one more
     moments = _weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, _EXCHANGE_CHARGE + 1))
 
     def reduce(channels) -> tuple:
         # (autocorrelation, exchange), one coefficient row per monomial
         return tuple(_reduce_monomials(weight_moments, np.array(
-            [channel[m][0] for m in DEGREE_TWO_MONOMIALS]), scale)
+            [channel[m][0] for m in DEGREE_TWO_MONOMIALS]))
             for weight_moments, channel in zip(moments, channels))
 
     [(_, elastic, blocks)] = canonical_blocks([drive], nus, DEGREE_TWO_MONOMIALS)

@@ -10,10 +10,12 @@ from cbs2atom import disorder, spectra
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom.disorder import (
     _EXCHANGE_CHARGE,
+    COUPLING_POWER_MEAN,
     BookkeepingError,
     ConfigSampler,
     _gauge_weights,
     WINDOW_START,
+    WINDOW_STOP,
     monte_carlo_spectra,
     select_surviving,
 )
@@ -25,6 +27,7 @@ from cbs2atom.twoatom import (
     ScatteringConfig,
     assemble,
     canonical_generator,
+    exchange_coupling,
     fixed_config_spectrum,
 )
 from oracles import _reduce
@@ -43,15 +46,15 @@ def small_sampler(seed=3, samples=1000):
 
 
 def every_sample(sampler):
-    """Every sample of ``sampler`` as one chunk."""
+    """Every sample of ``sampler`` as one chunk: ``(separation, cos_polar)``."""
     return next(sampler.geometry_chunks(sampler.samples))
 
 
 def configurations(sampler):
-    """The samples of ``sampler``, one `ScatteringConfig` each."""
-    geometry = every_sample(sampler)
-    return [ScatteringConfig.from_separation(x, direction=direction)
-            for x, direction in zip(geometry.separation, geometry.direction)]
+    """The samples of ``sampler``, one `ScatteringConfig` each; the azimuth,
+    which enters neither the coupling nor the laser phase, is zero."""
+    return [ScatteringConfig.from_separation(x, direction=(np.sqrt(1.0 - c * c), 0.0, c))
+            for x, c in zip(*every_sample(sampler))]
 
 
 # ---- surviving-term selection ----
@@ -120,68 +123,53 @@ def test_sampler_validates_window_and_size():
         ConfigSampler(samples=10)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
+    ({"samples": 1000.5}, "samples must be an integer of at least 1000, got 1000.5"),
+])
+def test_sampler_rejects_what_it_cannot_draw_from(fields, message):
+    # at construction, not at the first draw with numpy's own error
+    with pytest.raises(ValueError, match=message):
+        ConfigSampler(**{"samples": 1000, **fields})
+
+
 def test_sampler_draws_inside_window_with_isotropic_orientations():
     sampler = small_sampler(seed=5)
-    seps = []
-    mean_dir = np.zeros(3)
-    for config in configurations(sampler):
-        seps.append(config.separation)
-        mean_dir += (config.r1 - config.r2) / config.separation
-    seps = np.array(seps)
-    assert np.all(seps >= WINDOW_START) and np.all(seps <= sampler.x_stop)
-    width = sampler.x_stop - WINDOW_START
+    configs = configurations(sampler)
+    seps = np.array([config.separation for config in configs])
+    assert np.all(seps >= WINDOW_START) and np.all(seps <= WINDOW_STOP)
+    width = WINDOW_STOP - WINDOW_START
     assert abs(seps.mean() - (WINDOW_START + width / 2)) < 3 * width / np.sqrt(12 * len(seps))
-    assert np.max(np.abs(mean_dir / len(seps))) < 5 / np.sqrt(len(seps))
+    # d_z of a direction uniform on the sphere is uniform on [-1, 1]:
+    # mean 0 (variance 1/3) and mean square 1/3 (variance 1/5 - 1/9)
+    d_z = np.array([(config.r2 - config.r1)[2] for config in configs]) / seps
+    assert np.all(np.abs(d_z) <= 1.0)
+    assert abs(d_z.mean()) < 5 * np.sqrt(1 / 3 / len(d_z))
+    assert abs(np.mean(d_z ** 2) - 1 / 3) < 5 * np.sqrt(4 / 45 / len(d_z))
 
 
 @pytest.mark.parametrize("seed", [3, 29])
 def test_geometry_arrays_match_the_sampled_configurations(seed):
     sampler = ConfigSampler(samples=1000, seed=seed)
-    geometry = every_sample(sampler)
+    separation, cos_polar = every_sample(sampler)
     configs = configurations(sampler)
     coupling = np.array([c.coupling for c in configs])
     phase_difference = np.array([c.phase_difference for c in configs])
-    assert geometry.separation.shape == (1000,) and geometry.direction.shape == (1000, 3)
-    assert np.all(np.abs(geometry.coupling - coupling) <= 1e-12 * np.abs(coupling))
-    assert np.all(np.abs(geometry.phase_difference - phase_difference)
+    assert separation.shape == cos_polar.shape == (1000,)
+    assert np.all(np.abs(exchange_coupling(separation) - coupling) <= 1e-12 * np.abs(coupling))
+    assert np.all(np.abs(-separation * cos_polar - phase_difference)
                   <= 1e-12 * np.abs(phase_difference))
 
 
-class _ZeroRowGenerator:
-    """Draws like ``default_rng(0)``, but the first direction block has a
-    zero row 5."""
-
-    def __init__(self):
-        self.rng = np.random.default_rng(0)
-        self.direction_shapes = []
-
-    def uniform(self, low, high, size):
-        return self.rng.uniform(low, high, size)
-
-    def standard_normal(self, shape):
-        self.direction_shapes.append(shape)
-        block = self.rng.standard_normal(shape)
-        if len(self.direction_shapes) == 1:
-            block[5] = 0.0
-        return block
-
-
-def test_geometry_redraws_a_vanishing_direction():
-    stub = _ZeroRowGenerator()
-    direction = small_sampler()._draw(stub, stub, 1000).direction
-    assert stub.direction_shapes == [(1000, 3), (1, 3)]
-    assert np.linalg.norm(direction[5]) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(np.linalg.norm(direction, axis=1), 1.0, rtol=0, atol=1e-12)
-
-
 def test_geometry_chunks_are_slices_of_the_geometry():
-    # chunks of any size read the same random streams as one chunk of every sample
+    # chunks of any size read the same random stream as one chunk of every sample
     sampler = small_sampler(seed=5, samples=2500)
     whole = every_sample(sampler)
     chunks = list(sampler.geometry_chunks(1000))
-    assert [len(chunk.separation) for chunk in chunks] == [1000, 1000, 500]
-    assert np.array_equal(np.concatenate([c.separation for c in chunks]), whole.separation)
-    assert np.array_equal(np.concatenate([c.direction for c in chunks]), whole.direction)
+    assert [len(separation) for separation, _ in chunks] == [1000, 1000, 500]
+    for got, want in zip(zip(*chunks), whole):
+        assert np.array_equal(np.concatenate(got), want)
 
 
 def test_sampler_is_deterministic_given_seed():
@@ -195,7 +183,7 @@ def test_sampler_is_deterministic_given_seed():
 
 def test_constant_observable_is_exact_with_zero_error():
     sampler = small_sampler()
-    result = _reduce(np.full_like(every_sample(sampler).separation, 2.5), sampler.samples)
+    result = _reduce(np.full_like(every_sample(sampler)[0], 2.5), sampler.samples)
     assert result.mean == 2.5
     assert result.stderr == 0.0
     assert result.samples == 1000
@@ -203,25 +191,25 @@ def test_constant_observable_is_exact_with_zero_error():
 
 def test_double_forward_distance_phase_averages_to_zero():
     sampler = small_sampler(seed=2)
-    x = every_sample(sampler).separation
+    x, _ = every_sample(sampler)
     result = _reduce(np.exp(-2j * x) / x ** 2, sampler.samples)
     assert abs(result.mean) <= 3 * result.stderr
     # and it is genuinely small compared with the coupling-power scale
-    assert abs(result.mean) < 0.05 * small_sampler().coupling_power_mean
+    assert abs(result.mean) < 0.05 * COUPLING_POWER_MEAN
 
 
 def test_coupling_power_sample_mean_matches_window_integral():
     sampler = small_sampler(seed=4)
-    result = _reduce(np.abs(every_sample(sampler).coupling) ** 2, sampler.samples)
-    analytic = sampler.coupling_power_mean / 4.0
+    result = _reduce(np.abs(exchange_coupling(every_sample(sampler)[0])) ** 2, sampler.samples)
+    analytic = COUPLING_POWER_MEAN / 4.0
     assert abs(result.mean - analytic) <= 3 * result.stderr
     assert analytic == pytest.approx(9.0 / (4 * WINDOW_START ** 2), rel=0.3)
 
 
 def test_disjoint_seeds_agree_within_combined_errors():
     def average(sampler):
-        geometry = every_sample(sampler)
-        values = np.abs(geometry.coupling) ** 2 * geometry.separation
+        separation, _ = every_sample(sampler)
+        values = np.abs(exchange_coupling(separation)) ** 2 * separation
         return _reduce(values, sampler.samples)
     first = average(small_sampler(seed=21))
     second = average(small_sampler(seed=22))
@@ -337,7 +325,7 @@ def test_monomial_space_reduction_matches_materialised_samples():
         values = _gauge_weights(monomials, coupling, delta, charge) @ np.array(
             [tagged[m] for m in monomials])
         values = 2.0 * (values if charge == 0 else (phase * values.T).T)
-        expected = _reduce(values, sampler.samples, sampler.coupling_power_mean)
+        expected = _reduce(values, sampler.samples, COUPLING_POWER_MEAN)
         got = fields[name]
         assert got.samples == expected.samples
         assert np.all(np.abs(got.mean - expected.mean) <= 1e-12 * np.abs(expected.mean)), name

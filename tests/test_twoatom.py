@@ -102,7 +102,6 @@ _ARRAY_HOLDERS = {
     "FixedConfigSpectra": lambda: ta.fixed_config_spectrum(make_gen(), _NUS),
     "SpectralFunctionGrid": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS).ladder,
     "CbsResult": lambda: spectra.cbs_spectra(DRIVE, nus=_NUS),
-    "SampledGeometry": lambda: next(disorder.ConfigSampler(samples=1000).geometry_chunks(1000)),
     "MonteCarloResult": lambda: _reduce(np.ones((1000, 2)), 1000),
     "DisorderAveragedSpectra": lambda: disorder.monte_carlo_spectra(
         DRIVE, disorder.ConfigSampler(samples=1000), _NUS),
