@@ -250,12 +250,12 @@ def cmd_spectrum(cfg: RunConfig) -> list:
 # ----------------------------------------------------------------------------
 # validation suites
 # ----------------------------------------------------------------------------
-# each suite returns rows (check name, deviation, default bound)
+# each suite returns rows (check name, deviation, bound) on its own fixed grid
 
 
-def _suite_equivalence(nu_points: int) -> list:
+def _suite_equivalence() -> list:
     return [(f"probe-extraction-{name}", deviation, 1e-6) for name, deviation
-            in equivalence_report(np.linspace(-15.0, 15.0, nu_points)).items()]
+            in equivalence_report(np.linspace(-15.0, 15.0, 601)).items()]
 
 
 def _deviations(got: SpectralFunctionGrid, ref: SpectralFunctionGrid) -> tuple:
@@ -265,14 +265,14 @@ def _deviations(got: SpectralFunctionGrid, ref: SpectralFunctionGrid) -> tuple:
             abs(got.elastic_weight - ref.elastic_weight) / abs(ref.elastic_weight))
 
 
-def _suite_oracle(nu_points: int) -> list:
+def _suite_oracle() -> list:
     """Production channels against a generic geometry (``fixed-config-*``,
     the gauge identity behind the canonical generator) and against the
     closed form in single-atom observables (``compact-*``, an independent
     route)."""
     from cbs2atom.residues import compact_channels
 
-    nus = np.linspace(-12.0, 12.0, min(nu_points, 49))
+    nus = np.linspace(-12.0, 12.0, 49)
     config = ScatteringConfig.from_separation(217.3, direction=(0.3, -1.1, 0.7))
     power = 4.0 * abs(config.coupling) ** 2
     phase = np.exp(1j * config.phase_difference)
@@ -312,7 +312,7 @@ def _suite_oracle(nu_points: int) -> list:
     return [(name, dev, 1e-8) for name, dev in checks.items()]
 
 
-def _suite_physics(nu_points: int) -> list:
+def _suite_physics() -> list:
     checks = []
 
     # fluorescence normalization: the inelastic integral (the rule's weights
@@ -339,7 +339,7 @@ def _suite_physics(nu_points: int) -> list:
 
     # weak-drive interference recovery on the averaged channels
     weak = AtomDriveParams(rabi=1e-3, delta=0.0)
-    result = cbs_spectra(weak, nus=np.linspace(-15.0, 15.0, max(nu_points, 201)))
+    result = cbs_spectra(weak, nus=np.linspace(-15.0, 15.0, 601))
     ratio_dev = abs(result.elastic_crossed / result.elastic_ladder - 1.0)
     checks.append(("weak-drive-reciprocity", ratio_dev, 1e-4))
     checks.append(("weak-drive-enhancement", abs(result.enhancement - 2.0), 1e-3))
@@ -356,17 +356,11 @@ _RUNNERS = {"equivalence": _suite_equivalence, "oracle": _suite_oracle,
 SUITES = tuple(_RUNNERS)
 
 
-def cmd_validate(suite: str, tolerance=None, nu_points: int = 601) -> int:
+def cmd_validate(suite: str) -> int:
     """Run one validation suite; exit status 0 iff every check passes."""
     if suite not in _RUNNERS:
         raise ValueError(f"suite must be one of {SUITES}")
-    if tolerance is not None and not (np.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
-    if nu_points < 3:
-        raise ValueError("need at least 3 frequency points")
-    checks = _RUNNERS[suite](nu_points)
-    if tolerance is not None:
-        checks = [(name, deviation, tolerance) for name, deviation, _ in checks]
+    checks = _RUNNERS[suite]()
     failed = None
     for name, deviation, bound in checks:
         ok = deviation <= bound
@@ -510,11 +504,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="run a validation suite")
     validate.add_argument("suite", choices=SUITES)
-    validate.add_argument("--tolerance", type=float, default=None,
-                          help="replace the default bound of every check of the suite")
-    validate.add_argument("--nu-points", type=int, default=601,
-                          help="frequency grid size: equivalence uses it as given, "
-                               "oracle caps it at 49, physics uses at least 201")
 
     sweep = sub.add_parser("sweep", help="sweep drive parameters")
     _add_config_flags(sweep, sweep=True)
@@ -540,7 +529,7 @@ def main(argv=None) -> int:
             if args.command == "spectrum":
                 written = cmd_spectrum(_config_from_args(args))
             elif args.command == "validate":
-                return cmd_validate(args.suite, args.tolerance, args.nu_points)
+                return cmd_validate(args.suite)
             else:
                 base = _config_from_args(args, rabi=args.rabi[0], detuning=RunConfig.detuning)
                 written = cmd_sweep(args.rabi, args.detuning, base)

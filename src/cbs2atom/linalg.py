@@ -1,18 +1,12 @@
 """Dense complex linear algebra for the Bloch generators.
 
-Two guarded resolvents, both free of any spectral decomposition, so they
-stay exact at defective (Jordan-point) generators:
-
-- :func:`inverse3` forms the 3x3 single-atom resolvent ``(z - M)^{-1}`` in
-  closed form, cofactors over determinant, for a whole array of ``z``.
-  Every single-atom route goes through it
-  (:meth:`cbs2atom.atom.BlochSystem.green`): the Bloch block of the
-  production spectra, the pump-probe lattices and the quadrature oracles of
-  :mod:`cbs2atom.residues`.
-- :func:`resolve` computes ``(z - M)^{-1} B`` for any size as one stacked
-  dense solve; the two-atom pair-correlation block uses it for the
-  stationary state, at z = 0 only
-  (:meth:`cbs2atom.twoatom.TwoAtomGenerator.pair_green`).
+One guarded resolvent, free of any spectral decomposition, so it stays
+exact at defective (Jordan-point) generators: :func:`inverse3` forms the
+3x3 single-atom resolvent ``(z - M)^{-1}`` in closed form, cofactors over
+determinant, for a whole array of ``z``.  Every single-atom route goes
+through it (:meth:`cbs2atom.atom.BlochSystem.green`): the Bloch block of the
+production spectra, the pump-probe lattices and the quadrature oracles of
+:mod:`cbs2atom.residues`.
 
 Every resolvent takes its arguments from the closed right half-plane:
 finite ``z`` with ``Re z >= 0``, the stationary point ``z = 0`` and the
@@ -61,14 +55,6 @@ def _half_plane(z) -> np.ndarray:
     return z
 
 
-def _shifted(M: np.ndarray, z) -> np.ndarray:
-    """``z - M`` over ``S_d + z.shape`` for ``M`` of shape ``S_d + (n, n)``, once each
-    ``z`` passes :func:`_half_plane`."""
-    z = _half_plane(z)
-    lift = (..., *(None,) * z.ndim, slice(None), slice(None))
-    return z[..., None, None] * np.eye(M.shape[-1]) - M[lift]
-
-
 def inverse3(M: np.ndarray, z) -> np.ndarray:
     """``(z - M)^{-1}`` of a 3x3 ``M`` for an array of ``z``, in closed form.
 
@@ -85,7 +71,9 @@ def inverse3(M: np.ndarray, z) -> np.ndarray:
         If an element of ``z`` is not finite or has a negative real part
         (:func:`_half_plane`).
     """
-    return _cofactor_inverse(_shifted(M, z))
+    z = _half_plane(z)
+    lift = (..., *(None,) * z.ndim, slice(None), slice(None))
+    return _cofactor_inverse(z[..., None, None] * np.eye(3) - M[lift])
 
 
 def _cofactor_inverse(A: np.ndarray) -> np.ndarray:
@@ -98,19 +86,3 @@ def _cofactor_inverse(A: np.ndarray) -> np.ndarray:
     det = np.einsum("...j,...j->...", A[..., 0, :], cofactor[..., 0, :])
     return np.swapaxes(cofactor, -1, -2) / det[..., None, None]
 
-
-def resolve(M: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
-    """``(z - M)^{-1} rhs`` for an array of ``z``, as one stacked dense solve.
-
-    ``z`` has shape ``S`` and ``M`` ``S_d + (n, n)`` (:func:`_shifted`); ``rhs`` is
-    an ``(n, k)`` matrix or a stack of them that broadcasts against ``S_d + S``.
-    Pass the identity for the resolvent itself and ``vec[..., None]`` for
-    vectors.
-
-    Raises
-    ------
-    ValueError
-        If an element of ``z`` is not finite or has a negative real part
-        (:func:`_half_plane`).
-    """
-    return np.linalg.solve(_shifted(M, z), rhs)

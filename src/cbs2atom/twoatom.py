@@ -32,9 +32,9 @@ gauge, so undoing the phases and splitting by exchange symmetry solves it in
 closed form, by two 3x3 cofactor inverses per frequency
 (:meth:`TwoAtomGenerator.pair_solver`).  Each solve takes its
 pair kernel by its role: every frequency grid of a spectrum takes the
-closed form, and the stationary (z = 0) expansion takes one dense 9x9
-solve (:meth:`TwoAtomGenerator.pair_green`), from which every elastic
-weight and regression initial comes (:func:`elastic_splittings`).
+closed form, and the stationary (z = 0) expansion takes the one dense 9x9
+inverse of the pair block (:func:`perturbative_orders`), from which every
+elastic weight and regression initial comes (:func:`elastic_splittings`).
 A sequence of drives (:func:`assemble`) stacks one generator
 per drive: the expansions then have shape ``S_d + S_nu + (...)``, drive axes first,
 the channels and feed block are shared, and one drive, ``S_d = ()``, takes a stack's arithmetic.
@@ -51,9 +51,9 @@ surviving ones and expands only their divisors (1 + 3 + 2).  Both read
 components 0 and 3 of the spectra, which lie in the single-atom block, so
 the last resolve of the spectra skips the pair correlations.  The printed closed-form
 transcriptions of the first orders, the frequency-integral representation
-of the pair resolvent, the dense expansion at any ``z`` and the exact steady
-state at finite coupling, which check these recurrences, live with the tests
-(``tests/oracles.py``).
+of the pair resolvent, the dense pair resolvent and expansion at any ``z``
+and the exact steady state at finite coupling, which check these
+recurrences, live with the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from cbs2atom.atom import (
     BlochSystem,
     build,
 )
-from cbs2atom.linalg import _cofactor_inverse, _half_plane, resolve
+from cbs2atom.linalg import _cofactor_inverse, _half_plane
 
 #: The four coupling channels: "jk" transfers excitation via the raising
 #: operator of atom j and the lowering operator of atom k; a trailing "*"
@@ -313,13 +313,6 @@ class TwoAtomGenerator:
         out[..., :3, :3] = green1 if self.atom2 is self.atom1 else self.atom2.green(z)
         return out
 
-    def pair_green(self, z=0.0) -> np.ndarray:
-        """9x9 resolvent ``(z - M_corr)^{-1}`` by one stacked dense solve.
-
-        ``z`` may be an array; the result has shape ``S_d + z.shape + (9, 9)``.
-        """
-        return resolve(self.drift[..., 6:, 6:], z, np.eye(9))
-
     @cached_property
     def _pair_blocks(self) -> tuple:
         """The z-independent pieces of :meth:`pair_solver`, in the unitary basis
@@ -440,15 +433,17 @@ def perturbative_orders(gen: TwoAtomGenerator, monomials=DEGREE_TWO_MONOMIALS) -
     zero-frequency resolvent applied to the drive, and its orders are the
     recursion of :func:`_expand` at ``z = 0`` seeded by the drive alone:
     each new order is the previous one passed once through every coupling
-    channel and resolved by the drift, the pair block by one dense 9x9
-    solve (:meth:`TwoAtomGenerator.pair_green`) at every order.
+    channel and resolved by the drift.  The pair block's inverse
+    ``(-M_corr)^{-1}`` is formed once, by one stacked dense LU, and applied
+    at every order; ``z = 0`` lies in the closed right half-plane, at least 2
+    from every pole of the pair block (:func:`cbs2atom.linalg._half_plane`).
 
     Returns ``[Q0, Q1, Q2]``: ``Qn`` is a tagged 15-vector keyed by the
     coupling monomials of degree exactly n that divide one of the
     degree-two ``monomials`` (by default every one), Bloch block in
     ``[:6]`` and correlation block in ``[6:]``.
     """
-    g_pair = gen.pair_green(0.0)
+    g_pair = np.linalg.inv(-gen.drift[..., 6:, 6:])
 
     def pair_solve(rhs):
         return (g_pair @ rhs[..., None])[..., 0]
@@ -517,10 +512,11 @@ def _resolve(gen: TwoAtomGenerator, g_single: np.ndarray, pair_solve, tagged: Ta
     """Apply the block-triangular drift resolvent to stacked 15-vectors.
 
     ``g_single`` is ``single_green(z)`` and ``pair_solve`` applies the pair
-    resolvent at the same ``z`` (a product with :meth:`TwoAtomGenerator.pair_green`
-    or :meth:`TwoAtomGenerator.pair_solver`); the Bloch block is resolved first
-    and feeds the correlation block.  With ``pair_solve=None`` only the Bloch
-    block is resolved and the result holds 6-vectors.
+    resolvent at the same ``z`` (a product with the stationary inverse of
+    :func:`perturbative_orders`, or :meth:`TwoAtomGenerator.pair_solver`);
+    the Bloch block is resolved first and feeds the correlation block.
+    With ``pair_solve=None`` only the Bloch block is resolved and the
+    result holds 6-vectors.
     """
     out: TaggedVector = {}
     for mono, vec in tagged.items():

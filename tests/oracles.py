@@ -9,6 +9,10 @@ the tests can check the package against it.
   the correlation at one probe order, the nonperturbative periodic state
   on a truncated harmonic lattice and the brute time-domain correlation
   channel (scipy's ``solve_ivp``).
+* Dense resolvents at any ``z``: one stacked LU solve of any size (the
+  pump-probe chain transcription of the tests takes it), and the 9x9
+  pair-correlation resolvent built on it (checks the closed-form pair
+  solve of :mod:`cbs2atom.twoatom`).
 * The dense two-atom expansion at any ``z`` (checks
   :mod:`cbs2atom.twoatom`): the order-by-order resolvent of ``z - A - V``
   applied to a tagged seed, the pair block by one dense 9x9 solve; at
@@ -222,8 +226,27 @@ def time_domain_coefficient(drive: BichromaticDrive, channel: int, nus, *,
 
 
 # ----------------------------------------------------------------------------
-# The dense two-atom expansion at any z.
+# Dense resolvents and the dense two-atom expansion at any z.
 # ----------------------------------------------------------------------------
+
+
+def resolve(M: np.ndarray, z, rhs: np.ndarray) -> np.ndarray:
+    """``(z - M)^{-1} rhs`` for an array of ``z``, as one stacked dense solve.
+
+    ``z`` has shape ``S`` and ``M`` ``S_d + (n, n)``; ``rhs`` is an ``(n, k)``
+    matrix or a stack of them that broadcasts against ``S_d + S``.  Pass the
+    identity for the resolvent itself and ``vec[..., None]`` for vectors.
+    """
+    z = np.asarray(z, dtype=complex)
+    lift = (..., *(None,) * z.ndim, slice(None), slice(None))
+    return np.linalg.solve(z[..., None, None] * np.eye(M.shape[-1]) - M[lift], rhs)
+
+
+def pair_green(gen: TwoAtomGenerator, z) -> np.ndarray:
+    """9x9 pair-correlation resolvent ``(z - M_corr)^{-1}`` by one stacked dense
+    solve, of shape ``S_d + z.shape + (9, 9)``.  At ``z = 0`` it is the
+    inverse :func:`cbs2atom.twoatom.perturbative_orders` forms."""
+    return resolve(gen.drift[..., 6:, 6:], z, np.eye(9))
 
 
 def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
@@ -237,7 +260,7 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     be an array of shape ``S`` and the seed's vectors stacked along leading
     axes that broadcast against ``S``; the drift resolvents are formed once,
     as stacked inverses, and every level has shape ``S + (15,)``.  The pair
-    block is one dense 9x9 solve (:meth:`TwoAtomGenerator.pair_green`): at
+    block is one dense 9x9 solve (:func:`pair_green`): at
     ``z = 0`` with the drive as the seed this is
     :func:`cbs2atom.twoatom.perturbative_orders` bit for bit, and at other
     ``z`` it is the reference for the closed form of
@@ -248,7 +271,7 @@ def resolvent_apply(gen: TwoAtomGenerator, z, seed: TaggedVector,
     beyond degree two, which a seed of positive degree reaches, is empty.
     """
     keep = _divisors(monomials)
-    g_single, g_pair = gen.single_green(z), gen.pair_green(z)
+    g_single, g_pair = gen.single_green(z), pair_green(gen, z)
 
     def pair_solve(rhs):
         return (g_pair @ rhs[..., None])[..., 0]
@@ -324,7 +347,7 @@ def pair_resolvent_integral(gen: TwoAtomGenerator, z: complex = 0.0,
     Splits ``(z - M_corr)^{-1}`` into a line integral over single-atom
     resolvents at ``z/2 +- i w``; ``orientation`` selects which slot gets
     the upper sign (both choices must agree).  Cross-validates
-    :meth:`TwoAtomGenerator.pair_green`.
+    :func:`pair_green`.
     """
     if abs(complex(z).real) > 1e-12:
         raise ValueError("integral representation requires an imaginary argument")

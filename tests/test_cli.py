@@ -14,6 +14,7 @@ import pytest
 
 import cbs2atom
 from cbs2atom.atom import AtomDriveParams
+from cbs2atom import cli
 from cbs2atom.cli import SUITES, RunConfig, _build_parser, _config_from_args, main
 from cbs2atom.spectra import BLOCK_PAIRS, cbs_spectra
 
@@ -76,12 +77,22 @@ def test_table_cells_are_the_17_digit_library_values(tmp_path, capsys):
     assert lines[1:] == [",".join("%.17g" % x for x in row) for row in expected]
 
 
-def test_validate_oracle_exit_codes(capsys):
-    assert main(["validate", "oracle", "--nu-points", "9"]) == 0
+def test_validate_oracle_exit_codes(capsys, monkeypatch):
+    assert main(["validate", "oracle"]) == 0
     report = capsys.readouterr().out
     assert "compact-ladder" in report and "fixed-config-ladder" in report
-    assert main(["validate", "oracle", "--nu-points", "9", "--tolerance", "1e-30"]) == 1
-    assert "FAILED" in capsys.readouterr().out
+    # one row pushed past its bound fails the suite and is named
+    oracle = cli._RUNNERS["oracle"]
+
+    def one_row_beyond_its_bound():
+        (name, _, bound), *rest = oracle()
+        return [(name, 2.0 * bound, bound), *rest]
+
+    monkeypatch.setitem(cli._RUNNERS, "oracle", one_row_beyond_its_bound)
+    assert main(["validate", "oracle"]) == 1
+    report = capsys.readouterr().out
+    assert report.splitlines()[-1] == "FAILED: fixed-config-ladder"
+    assert report.count("FAIL\n") == 1
 
 
 def test_validate_oracle_stops_on_a_complex_elastic_weight(capsys, monkeypatch):
@@ -97,28 +108,25 @@ def test_validate_oracle_stops_on_a_complex_elastic_weight(capsys, monkeypatch):
 
     monkeypatch.setattr("cbs2atom.cli.fixed_config_spectrum", skewed)
     with pytest.raises(ArithmeticError, match="imaginary part beyond rounding"):
-        main(["validate", "oracle", "--nu-points", "9"])
+        main(["validate", "oracle"])
 
 
 @pytest.mark.parametrize("suite", SUITES)
 def test_validate_suites_pass_at_their_default_bounds(capsys, suite):
-    assert main(["validate", suite, "--nu-points", "61"]) == 0
+    assert main(["validate", suite]) == 0
     report = capsys.readouterr().out
     assert "OK:" in report and "FAIL" not in report
 
 
-def test_zero_tolerance_is_applied_not_replaced_by_the_default(capsys):
-    # every oracle deviation is positive rounding noise, so bound 0 fails
-    assert main(["validate", "oracle", "--nu-points", "9", "--tolerance", "0"]) == 1
-    report = capsys.readouterr().out
-    assert "bound 0.000e+00" in report and "bound 1.000e-08" not in report
-
-
-@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
-def test_invalid_tolerance_exits_with_usage_error(capsys, tolerance):
-    assert main(["validate", "oracle", "--tolerance", tolerance]) == 2
+@pytest.mark.parametrize("flag", [["--tolerance", "1"], ["--nu-points", "9"]])
+def test_validate_runs_each_suite_as_stated(capsys, flag):
+    # a suite's grid and bounds are its own: neither takes an override
+    with pytest.raises(SystemExit) as exit_info:
+        main(["validate", "oracle", *flag])
+    assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert "tolerance" in captured.err and captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_suite_exits_with_usage_error(capsys):
@@ -359,13 +367,6 @@ def test_flag_defaults_are_the_run_config_defaults():
     assert _config_from_args(args) == RunConfig(rabi=2.0)
 
 
-@pytest.mark.parametrize("points", ["0", "-3", "2"])
-def test_validate_rejects_fewer_than_three_frequency_points(capsys, points):
-    assert main(["validate", "equivalence", "--nu-points", points]) == 2
-    captured = capsys.readouterr()
-    assert "need at least 3 frequency points" in captured.err and captured.out == ""
-
-
 @pytest.fixture
 def stub_matplotlib(monkeypatch):
     """Let the emitted plot scripts run where matplotlib is not installed."""
@@ -478,12 +479,3 @@ def test_package_imports_no_scipy():
                       if module.split(".")[0] == "scipy"]
     assert "cli.py" in names
     assert found == []
-
-
-@pytest.mark.parametrize("suite", SUITES)
-def test_validate_tolerance_bounds_every_check(capsys, suite):
-    # every row, `mollow-triplet-peaks` and its grid-step default included
-    main(["validate", suite, "--tolerance", "1e-300", "--nu-points", "31"])
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()
-            if " bound " in line]
-    assert rows and all(row[row.index("bound") + 1] == "1.000e-300" for row in rows)

@@ -1,4 +1,4 @@
-"""Generator eigenvalues, the guarded resolvents and tensor products."""
+"""Generator eigenvalues, the guarded resolvent kernels and tensor products."""
 
 import re
 
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbs2atom import atom, twoatom
-from cbs2atom.linalg import _cofactor_inverse, inverse3, resolve
+from cbs2atom.linalg import _cofactor_inverse, inverse3
 
 #: The one message every resolvent rejects an argument with.
 REJECTED = "resolvent argument z must be finite with Re z >= 0"
@@ -38,7 +38,7 @@ def test_eigenvalues_solve_characteristic_cubic():
 def test_resolvent_at_zero_is_inverse_of_undriven_generator():
     # Decomposition-free path: valid even at the degenerate point rabi=delta=0.
     M = bloch_matrix(0.0, 0.0)
-    G = resolve(M, 0.0, np.eye(3))
+    G = inverse3(M, 0.0)
     assert np.allclose(G, np.diag([1.0, 1.0, 0.5]), atol=1e-14)
 
 
@@ -48,13 +48,13 @@ def test_resolvent_matches_dense_solve():
         M = bloch_matrix(rng.uniform(0.2, 8.0), rng.uniform(-4.0, 4.0))
         z = 1j * rng.uniform(-50.0, 50.0)
         Gi = np.linalg.inv(z * np.eye(3) - M)
-        Gd = resolve(M, z, np.eye(3))
+        Gd = inverse3(M, z)
         assert np.max(np.abs(Gi - Gd)) <= 1e-11 * max(1.0, np.max(np.abs(Gd)))
 
 
 def test_resolvent_inverts_generator():
     M = bloch_matrix(2.0, 1.0)
-    G0 = resolve(M, 0.0, np.eye(3))
+    G0 = inverse3(M, 0.0)
     assert np.max(np.abs(G0 @ (-M) - np.eye(3))) < 1e-11
 
 
@@ -62,64 +62,21 @@ def test_resolvent_pole_proximity_rejected():
     M = bloch_matrix(2.0, 1.0)
     poles = np.linalg.eigvals(M)
     with pytest.raises(ValueError, match=re.escape(REJECTED)):
-        resolve(M, poles[0] + 1e-10, np.eye(3))
-
-
-def test_resolve_guard_covers_every_batch_element():
-    M = bloch_matrix(2.0, 0.5)
-    poles = np.linalg.eigvals(M)
-    vec = np.ones(3, dtype=complex)
-    z = np.array([0.3j, -2.0j, poles[1] + 0.5e-9])
-    with pytest.raises(ValueError, match=re.escape(REJECTED)):
-        resolve(M, z, vec[..., None])
-    far = z[:2]
-    got = resolve(M, far, vec[..., None])[..., 0]
-    for zi, row in zip(far, got):
-        assert np.allclose(row, np.linalg.solve(zi * np.eye(3) - M, vec),
-                           rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
-def test_resolve_rejects_non_finite_arguments(bad):
-    # a nan compares False against Re z < 0, so it is caught first
-    M = bloch_matrix(2.0, 0.5)
-    with pytest.raises(ValueError, match="finite"):
-        resolve(M, np.array([0.5j, bad]), np.eye(3))
-
-
-def test_resolve_stacks_matrix_and_vector_right_hand_sides():
-    M = bloch_matrix(1.3, 0.8)
-    z = np.array([[0.0, -1.1j], [2.5j, 0.4 - 3.0j]])
-    inverse = resolve(M, z, np.eye(3))
-    assert inverse.shape == (2, 2, 3, 3)
-    vecs = np.arange(12.0).reshape(2, 2, 3) + 1j
-    applied = resolve(M, z, vecs[..., None])[..., 0]
-    for idx in np.ndindex(z.shape):
-        want = np.linalg.inv(z[idx] * np.eye(3) - M)
-        assert np.allclose(inverse[idx], want, rtol=0, atol=1e-14)
-        assert np.allclose(applied[idx], want @ vecs[idx], rtol=0, atol=1e-13)
+        inverse3(M, poles[0] + 1e-10)
 
 
 def test_resolvents_take_a_stack_of_matrices_first():
     # one matrix per drive along the leading axis, each meeting every z:
-    # shape S_d + z.shape + (n, n), the same bits as one matrix at a time
-    eye = np.eye(3)
-    blochs = [bloch_matrix(2.0, 0.5), bloch_matrix(0.5, 0.0)]
-    pairs = np.stack([np.kron(M, eye) + np.kron(eye, M) for M in blochs])
+    # shape S_d + z.shape + (3, 3), the same bits as one matrix at a time
+    stack = np.stack([bloch_matrix(2.0, 0.5), bloch_matrix(0.5, 0.0)])
     z = 1j * np.linspace(-3.0, 3.0, 5)
-    for stack in (np.stack(blochs), pairs):
-        n = stack.shape[-1]
-        applied = resolve(stack, z, np.eye(n))
-        assert applied.shape == (2, 5, n, n)
-        for one, got in zip(stack, applied):
-            assert np.array_equal(got, resolve(one, z, np.eye(n)))
-        if n == 3:
-            closed = inverse3(stack, z)
-            assert all(np.array_equal(got, inverse3(one, z)) for one, got in zip(stack, closed))
-        # the rule does not depend on the matrices, so a pole of one of them
-        # is rejected as every other argument left of the imaginary axis
-        with pytest.raises(ValueError, match=re.escape(REJECTED)):
-            resolve(stack, np.array([0.0, np.linalg.eigvals(stack)[1, 0]]), np.eye(n))
+    closed = inverse3(stack, z)
+    assert closed.shape == (2, 5, 3, 3)
+    assert all(np.array_equal(got, inverse3(one, z)) for one, got in zip(stack, closed))
+    # the rule does not depend on the matrices, so a pole of one of them
+    # is rejected as every other argument left of the imaginary axis
+    with pytest.raises(ValueError, match=re.escape(REJECTED)):
+        inverse3(stack, np.array([0.0, np.linalg.eigvals(stack)[1, 0]]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,31 +130,26 @@ def test_closed_form_inverse_keeps_an_unregistered_drive_undriven():
         assert np.max(np.abs(got - want)) < 1e-299
 
 
-def test_closed_form_inverse_guards_like_the_dense_solve():
+def test_closed_form_inverse_guards_its_arguments():
     M = bloch_matrix(2.0, 0.5)
     poles = np.linalg.eigvals(M)
     near = np.array([0.3j, -2.0j, poles[1] + 0.5e-9])
-
-    def dense(M, z):
-        return resolve(M, z, np.eye(3))
-
-    for kernel in (inverse3, dense):
-        with pytest.raises(ValueError, match=re.escape(REJECTED)):
-            kernel(M, poles[0])
-        with pytest.raises(ValueError, match=re.escape(REJECTED)):
-            kernel(M, near)
-        # every argument left of the imaginary axis goes, however far from
-        # a pole, and the axis itself stays, its negative zero included
-        with pytest.raises(ValueError, match=re.escape(REJECTED)):
-            kernel(M, poles[1] + 3e-9)
-        with pytest.raises(ValueError, match=re.escape(REJECTED)):
-            kernel(M, complex(-1e-300, 2.0))
-        assert kernel(M, complex(-0.0, 2.0)).shape == (3, 3)
-        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-            with pytest.raises(ValueError, match="finite"):
-                kernel(M, bad)
-            with pytest.raises(ValueError, match="finite"):
-                kernel(M, np.array([[0.5j, -1.0j], [bad, 2.0j]]))
+    with pytest.raises(ValueError, match=re.escape(REJECTED)):
+        inverse3(M, poles[0])
+    with pytest.raises(ValueError, match=re.escape(REJECTED)):
+        inverse3(M, near)
+    # every argument left of the imaginary axis goes, however far from
+    # a pole, and the axis itself stays, its negative zero included
+    with pytest.raises(ValueError, match=re.escape(REJECTED)):
+        inverse3(M, poles[1] + 3e-9)
+    with pytest.raises(ValueError, match=re.escape(REJECTED)):
+        inverse3(M, complex(-1e-300, 2.0))
+    assert inverse3(M, complex(-0.0, 2.0)).shape == (3, 3)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            inverse3(M, bad)
+        with pytest.raises(ValueError, match="finite"):
+            inverse3(M, np.array([[0.5j, -1.0j], [bad, 2.0j]]))
     assert inverse3(M, near[:2]).shape == (2, 3, 3)
 
 
@@ -209,10 +161,8 @@ def _generator():
 # every resolvent kernel, each called as its callers call it
 _KERNELS = {
     "inverse3": lambda z: inverse3(bloch_matrix(2.0, 0.5), z),
-    "resolve": lambda z: resolve(bloch_matrix(2.0, 0.5), z, np.eye(3)),
     "green": lambda z: atom.build(atom.AtomDriveParams(rabi=2.0, delta=0.5)).green(z),
     "single_green": lambda z: _generator().single_green(z),
-    "pair_green": lambda z: _generator().pair_green(z),
     "pair_solver": lambda z: _generator().pair_solver(z),
 }
 
@@ -221,7 +171,7 @@ _KERNELS = {
                          ids=["left", "negative", "nan", "inf", "-inf"])
 @pytest.mark.parametrize("kernel", list(_KERNELS))
 def test_every_resolvent_takes_the_closed_right_half_plane(kernel, bad):
-    # one rule and one message for all six, for a scalar and inside an array
+    # one rule and one message for all four, for a scalar and inside an array
     for z in (bad, np.array([0.0, -3.0j, bad])):
         with pytest.raises(ValueError) as caught:
             _KERNELS[kernel](z)

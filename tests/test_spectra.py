@@ -236,8 +236,9 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
     # single-atom (closed-form 3x3) and one pair inverse at z = 0 and on
     # each frequency block; two single-atom inverses
     # each would take 6.  The pair inverse is the dense 9x9 at z = 0 and the
-    # closed form on every block, short or long.  The stationary expansion
-    # runs once per drive stack, however many frequency blocks it feeds
+    # closed form on every block, short or long.  The stationary expansion,
+    # and with it the one dense inverse, runs once per drive stack, however
+    # many frequency blocks it feeds
     calls = {"bloch": 0, "pair": 0, "closed": 0, "orders": 0}
 
     def counting(kind, original):
@@ -247,10 +248,9 @@ def test_canonical_solve_inverts_one_single_atom_system(monkeypatch):
         return wrapped
 
     bloch = counting("bloch", linalg.inverse3)
-    pair = counting("pair", linalg.resolve)
     for module in (linalg, atom, twoatom):
         monkeypatch.setattr(module, "inverse3", bloch, raising=False)
-        monkeypatch.setattr(module, "resolve", pair, raising=False)
+    monkeypatch.setattr(np.linalg, "inv", counting("pair", np.linalg.inv))
     monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver",
                         counting("closed", twoatom.TwoAtomGenerator.pair_solver))
     monkeypatch.setattr(twoatom, "perturbative_orders",
@@ -290,16 +290,15 @@ def test_production_takes_no_eigenvalues(monkeypatch):
 
 
 def test_elastic_weights_resolve_no_frequency_grid(monkeypatch):
-    # the elastic weights are the stationary expansion's alone: one dense pair
-    # solve at z = 0, no closed-form solve and no spectrum on any grid, and
-    # the same bits as a spectrum's
+    # the elastic weights are the stationary expansion's alone: one z = 0
+    # expansion, no closed-form solve and no spectrum on any grid, and the
+    # same bits as a spectrum's
     calls = []
-    dense, closed = twoatom.TwoAtomGenerator.pair_green, twoatom.TwoAtomGenerator.pair_solver
 
     def spy(kind, original):
-        def wrapped(gen, z=0.0):
-            calls.append((kind, np.shape(z)))
-            return original(gen, z)
+        def wrapped(*args):
+            calls.append(kind)
+            return original(*args)
         return wrapped
 
     def no_spectrum(*args, **kwargs):
@@ -307,11 +306,13 @@ def test_elastic_weights_resolve_no_frequency_grid(monkeypatch):
 
     d = drive(1.3, 0.8)
     result = cbs_spectra(d, nus=np.linspace(-5.0, 5.0, 7))
-    monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_green", spy("dense", dense))
-    monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver", spy("closed", closed))
+    monkeypatch.setattr(twoatom, "perturbative_orders",
+                        spy("stationary", twoatom.perturbative_orders))
+    monkeypatch.setattr(twoatom.TwoAtomGenerator, "pair_solver",
+                        spy("closed", twoatom.TwoAtomGenerator.pair_solver))
     monkeypatch.setattr(spectra, "inelastic_spectra", no_spectrum)
     assert spectra.elastic_weights(d) == (result.elastic_ladder, result.elastic_crossed)
-    assert calls == [("dense", ())]
+    assert calls == ["stationary"]
 
 
 # ------------------------------------------------------------ stacked drives
@@ -575,6 +576,17 @@ def test_weak_drive_enhancement_doubles():
     d = drive(1e-3)
     result = cbs_spectra(d, nus=default_grid(d, points=201))
     assert abs(result.enhancement - 2.0) < 1e-3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 7: the order-two ladder initial cancels to rounding noise below "
+    "rabi ~1e-7, so the ladder's inelastic-to-elastic ratio reads -0.4999 at delta 0, "
+    "not O(rabi**2), and E reads 3.0 at delta 0 and -0.6 at delta 1.5"))
+@pytest.mark.parametrize("delta", [0.0, 1.5])
+def test_very_weak_drive_enhancement_doubles(delta):
+    # the weak-drive limit holds however weak the drive, on the default grid
+    result = cbs_spectra(drive(1e-8, delta))
+    assert abs(result.enhancement - 2.0) <= 1e-6
 
 
 @settings(max_examples=15, deadline=None)
