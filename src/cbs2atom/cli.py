@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from cbs2atom.quadrature import line_rule, pole_clusters
 from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
-    _real_part,
+    _channel,
     cbs_spectra,
     cbs_spectra_stack,
     elastic_weights,
@@ -69,13 +70,11 @@ class RunConfig:
             raise ValueError("nu_min and nu_max must be finite")
         if not self.nu_min < self.nu_max:
             raise ValueError("need nu_min < nu_max")
-        if self.nu_points < 3:
-            raise ValueError("need at least 3 frequency points")
-        if self.samples < 1_000:
-            raise ValueError(
-                f"the sampling oracle needs at least 1000 samples, got {self.samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(self.nu_points, Integral) or self.nu_points < 3:
+            raise ValueError(f"need an integer of at least 3 frequency points, "
+                             f"got {self.nu_points!r}")
+        # the other methods draw nothing, but echo the sampler's fields
+        ConfigSampler(self.samples, self.seed)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         if self.format not in FORMATS:
@@ -281,20 +280,15 @@ def _suite_oracle() -> list:
          "fixed-config-elastic-ladder", "fixed-config-elastic-crossed",
          "compact-ladder", "compact-crossed",
          "compact-elastic-ladder", "compact-elastic-crossed"), 0.0)
-
-    def per_power(density, weight) -> SpectralFunctionGrid:
-        return SpectralFunctionGrid(nus, np.real(2.0 * density / power) / np.pi,
-                                    _real_part(2.0 * weight / power))
-
     for drive in (AtomDriveParams(rabi=2.0, delta=0.0),
                   AtomDriveParams(rabi=1.3, delta=0.8)):
         spec = fixed_config_spectrum(assemble(config, drive), nus)
-        geometry_ladder = per_power(
-            select_surviving(spec.autocorrelation, "ladder")[LADDER_MONOMIAL],
-            select_surviving(spec.elastic_autocorrelation, "ladder")[LADDER_MONOMIAL])
-        geometry_crossed = per_power(
-            select_surviving(spec.exchange, "crossed", phase)[CROSSED_MONOMIAL],
-            select_surviving(spec.elastic_exchange, "crossed", phase)[CROSSED_MONOMIAL])
+        geometry_ladder = _channel(
+            nus, [select_surviving(spec.autocorrelation, "ladder")[LADDER_MONOMIAL]],
+            select_surviving(spec.elastic_autocorrelation, "ladder")[LADDER_MONOMIAL], power)
+        geometry_crossed = _channel(
+            nus, [select_surviving(spec.exchange, "crossed", phase)[CROSSED_MONOMIAL]],
+            select_surviving(spec.elastic_exchange, "crossed", phase)[CROSSED_MONOMIAL], power)
         result = cbs_spectra(drive, nus=nus)
         compact_ladder, compact_crossed = compact_channels(drive, nus)
         pairs = {

@@ -156,20 +156,22 @@ def _real_part(value: complex) -> float:
 BLOCK_PAIRS = 1024
 
 
-def _per_power(value):
-    """Both detection atoms, per coupling power ``4|T|^2 = 4``."""
-    return 2.0 * value / 4.0
+#: ``4|T|^2`` of the canonical generator's unit coupling.
+_CANONICAL_POWER = 4.0
 
 
-def _weight(value: complex) -> float:
-    return _real_part(_per_power(value))
+def _weight(value: complex, power: float) -> float:
+    """An elastic splitting's weight: both detection atoms, per ``power = 4|T|^2``."""
+    return _real_part(2.0 * value / power)
 
 
-def _channel(nus: np.ndarray, densities: list, elastic: complex) -> SpectralFunctionGrid:
-    """One channel from its densities on consecutive blocks of ``nus``."""
-    density = _per_power(np.concatenate(densities))
+def _channel(nus: np.ndarray, densities: list, elastic: complex,
+             power: float) -> SpectralFunctionGrid:
+    """One channel from its densities on consecutive blocks of ``nus`` and its
+    elastic splitting: both detection atoms, per ``power = 4|T|^2``."""
+    density = 2.0 * np.concatenate(densities) / power
     return SpectralFunctionGrid(nu=nus, values=np.real(density) / np.pi,
-                                elastic_weight=_weight(elastic))
+                                elastic_weight=_weight(elastic, power))
 
 
 def canonical_blocks(drives, nus, monomials=(LADDER_MONOMIAL, CROSSED_MONOMIAL)):
@@ -202,7 +204,8 @@ def elastic_weights(drive: AtomDriveParams) -> tuple:
     interference channel at exact backscattering, from the stationary
     expansion alone: a spectrum's numbers, without a frequency grid."""
     [(_, (auto, exch), _)] = canonical_blocks([drive], ())
-    return _weight(auto[LADDER_MONOMIAL][0]), _weight(exch[CROSSED_MONOMIAL][0])
+    return (_weight(auto[LADDER_MONOMIAL][0], _CANONICAL_POWER),
+            _weight(exch[CROSSED_MONOMIAL][0], _CANONICAL_POWER))
 
 
 def inelastic_ladder(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
@@ -236,9 +239,9 @@ def cbs_spectra_stack(drives, nus) -> list:
     for stack, (auto, exch), blocks in canonical_blocks(drives, nus):
         autos, exchs = zip(*blocks)
         out += [CbsResult(drive, _channel(nus, [block[LADDER_MONOMIAL][at] for block in autos],
-                                          auto[LADDER_MONOMIAL][at]),
+                                          auto[LADDER_MONOMIAL][at], _CANONICAL_POWER),
                           _channel(nus, [block[CROSSED_MONOMIAL][at] for block in exchs],
-                                   exch[CROSSED_MONOMIAL][at]))
+                                   exch[CROSSED_MONOMIAL][at], _CANONICAL_POWER))
                 for at, drive in enumerate(stack)]
     return out
 

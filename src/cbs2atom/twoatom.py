@@ -97,7 +97,7 @@ _E2 = np.array([0.0, 1.0, 0.0])
 def _exchange_basis() -> np.ndarray:
     """Orthonormal columns over the pair index ``3a + b``: the exchange-symmetric
     transverse states 00, 11 and (01+10)/sqrt2, the other symmetric states 22,
-    (02+20)/sqrt2 and (12+21)/sqrt2, then the antisymmetric (01-10), (02-20),
+    (02+20+12+21)/2 and (02+20-12-21)/2, then the antisymmetric (01-10), (02-20),
     (12-21) over sqrt2."""
     out = np.zeros((9, 9))
     states = ((0, 0, 0), (1, 1, 0), (0, 1, 1), (2, 2, 0), (0, 2, 1), (1, 2, 1),
@@ -107,6 +107,10 @@ def _exchange_basis() -> np.ndarray:
             out[3 * a + b, column], out[3 * b + a, column] = np.sqrt(0.5), sign * np.sqrt(0.5)
         else:
             out[3 * a + b, column] = 1.0
+    # the sum and difference of (02+20) and (12+21): the drive couples the
+    # inversion 22 only to the difference, and the rank-one part that the
+    # transverse elimination adds to the rest block is diagonal in them
+    out[:, 4:6] = out[:, 4:6] @ np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     return out
 
 

@@ -207,7 +207,7 @@ def test_too_few_oracle_samples_exit_with_usage_error(tmp_path, capsys, command)
     # the other methods draw nothing, but echo the count into their sidecar
     argv = [*command, "--samples", "10", *GRID, "--output", str(tmp_path)]
     assert main(argv) == 2
-    assert "at least 1000 samples" in capsys.readouterr().err
+    assert "samples must be an integer of at least 1000, got 10" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -365,6 +365,18 @@ def test_sweep_checks_every_point_before_writing(tmp_path, capsys, rabis):
 def test_flag_defaults_are_the_run_config_defaults():
     args = _build_parser().parse_args(["spectrum", "--rabi", "2"])
     assert _config_from_args(args) == RunConfig(rabi=2.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"samples": 1000.5}, "samples must be an integer of at least 1000, got 1000.5"),
+    ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
+    ({"nu_points": 3.5}, "need an integer of at least 3 frequency points, got 3.5"),
+])
+def test_run_config_rejects_non_integer_counts(fields, message):
+    # the library takes any number where the flags take integers; a count it
+    # would echo into every sidecar, or fail on later, is refused at construction
+    with pytest.raises(ValueError, match=message):
+        RunConfig(rabi=2.0, **fields)
 
 
 @pytest.fixture

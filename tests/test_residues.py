@@ -6,31 +6,11 @@ import pytest
 from cbs2atom import atom
 from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS
 from cbs2atom.quadrature import line_rule, pole_clusters
-from oracles import quadrature_line_integral
+from oracles import _first_slot, _poles, _second_slot, quadrature_line_integral
 
 
 def make(rabi, delta=0.0, phase=0.0):
     return atom.build(AtomDriveParams(rabi=rabi, delta=delta, phase=phase))
-
-
-def first_slot(g):
-    """Stacked kron(g, 1) in the 9-dimensional product space."""
-    return np.stack([np.kron(m, np.eye(3)) for m in g])
-
-
-def second_slot(g):
-    """Stacked kron(1, g) in the 9-dimensional product space."""
-    return np.stack([np.kron(np.eye(3), m) for m in g])
-
-
-def up_poles(system, offset=0.0):
-    """Poles in u of G(offset + i u)."""
-    return -1j * (system.eigenvalues - offset)
-
-
-def down_poles(system, offset=0.0):
-    """Poles in u of G(offset - i u)."""
-    return 1j * (system.eigenvalues - offset)
 
 
 def rule_integral(fn, poles):
@@ -85,8 +65,8 @@ def test_product_resolvent_integral_representation():
     # integral dw/2pi G1(iw) (x) G2(-iw) equals the inverse of the summed drift
     s1, s2 = make(1.3, delta=0.7), make(1.3, delta=0.7, phase=0.9)
     gx = rule_integral(
-        lambda u: first_slot(s1.green(1j * u)) @ second_slot(s2.green(-1j * u)),
-        [up_poles(s1), down_poles(s2)])
+        lambda u: _first_slot(s1.green(1j * u)) @ _second_slot(s2.green(-1j * u)),
+        [_poles(s1, +1), _poles(s2, -1)])
     m_plus = np.kron(s1.M, np.eye(3)) + np.kron(np.eye(3), s2.M)
     assert np.max(np.abs(gx - np.linalg.inv(-m_plus))) < 1e-12
 
@@ -98,10 +78,10 @@ def test_two_term_reduction_with_empty_insertions():
     g2_zero = np.kron(np.eye(3), s2.green(0.0))
 
     def lines(u):
-        first, second = first_slot(s1.green(1j * u)), second_slot(s2.green(-1j * u))
+        first, second = _first_slot(s1.green(1j * u)), _second_slot(s2.green(-1j * u))
         return first @ second @ g2_zero + first @ g1_zero @ second
 
-    lhs = rule_integral(lines, [up_poles(s1), down_poles(s2)])
+    lhs = rule_integral(lines, [_poles(s1, +1), _poles(s2, -1)])
     rhs = np.kron(s1.green(0.0), s2.green(0.0))
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -144,7 +124,7 @@ def test_exact_pole_collisions_integrate_correctly():
     def c4(u):
         return (s.green(1j * u) @ s.steady)[..., 0]
 
-    poles = [up_poles(s), down_poles(s)]
+    poles = [_poles(s, +1), _poles(s, -1)]
     res2 = rule_integral(lambda u: c1(u) * c2(u) * c3(u), poles)
     quad2 = quadrature_line_integral(lambda u: c1(u) * c2(u) * c3(u))
     assert abs(res2 - quad2) < 1e-12 + 1e-10 * abs(quad2)
@@ -173,7 +153,7 @@ def test_same_half_plane_product_integrates_to_zero():
     def product(u):
         return (s.green(-1j * u) @ g0_2)[..., 0] * (s.green(-1j * u) @ s.steady)[..., 1]
 
-    assert abs(rule_integral(product, [down_poles(s)])) < 1e-12
+    assert abs(rule_integral(product, [_poles(s, -1)])) < 1e-12
     assert abs(quadrature_line_integral(product)) < 1e-12
 
 
@@ -189,7 +169,7 @@ def test_production_like_chain_vs_quadrature():
             response = (shifted @ DELTA_PLUS.T @ g_nu.T)[..., 0]
             return response * (s.green(1j * u) @ g0_1)[..., 1]
 
-        res = rule_integral(product, [down_poles(s, -1j * nu), up_poles(s)])
+        res = rule_integral(product, [_poles(s, -1, -1j * nu), _poles(s, +1)])
         quad_val = quadrature_line_integral(product)
         assert abs(res - quad_val) < 1e-8 * max(1.0, abs(quad_val))
 
@@ -212,7 +192,7 @@ def test_linearity_of_integration():
 
     alpha = complex(rng.normal(), rng.normal())
     beta = complex(rng.normal(), rng.normal())
-    p1, p2 = [up_poles(s1), down_poles(s1)], [up_poles(s2), down_poles(s2)]
+    p1, p2 = [_poles(s1, +1), _poles(s1, -1)], [_poles(s2, +1), _poles(s2, -1)]
     combo = rule_integral(lambda u: alpha * f(u) + beta * g(u), p1 + p2)
     separate = alpha * rule_integral(f, p1) + beta * rule_integral(g, p2)
     assert np.max(np.abs(combo - separate)) < 1e-12
@@ -233,8 +213,8 @@ def test_conjugation_commutes_with_integration():
         c1 = (s.green(0.7j + 1j * u) @ (DELTA_PLUS @ g0 @ atom.conj_swap(g0_2)))[..., 1]
         return c1 * (s.green(-1j * u) @ atom.conj_swap(g0_1))[..., 0]
 
-    v1 = rule_integral(mirrored, [up_poles(s, 0.7j), down_poles(s)])
-    v2 = np.conj(rule_integral(product, [down_poles(s, -0.7j), up_poles(s)]))
+    v1 = rule_integral(mirrored, [_poles(s, +1, 0.7j), _poles(s, -1)])
+    v2 = np.conj(rule_integral(product, [_poles(s, -1, -0.7j), _poles(s, +1)]))
     assert abs(v1 - v2) < 1e-14
 
 
@@ -243,7 +223,7 @@ def test_conjugation_commutes_with_integration():
 
 def test_symmetric_poles_give_antisymmetric_nodes():
     # the exchanged-photon convolution pairs each node with its mirror image
-    poles = np.concatenate([up_poles(make(1.3, 0.8), 3.7j), down_poles(make(1.3, 0.8), 3.7j)])
+    poles = np.concatenate([_poles(make(1.3, 0.8), +1, 3.7j), _poles(make(1.3, 0.8), -1, 3.7j)])
     u, weights = line_rule(np.concatenate([poles, -poles]))
     assert np.array_equal(u, -u[::-1])
     assert np.array_equal(weights, weights[::-1])
