@@ -14,7 +14,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,6 +62,11 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
+        for name in ("rabi", "detuning", "nu_min", "nu_max"):
+            value = getattr(self, name)
+            # a bool is an Integral, which would run as 0 or 1 and echo true
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not np.isfinite(self.rabi) or self.rabi <= 0:
             raise ValueError("rabi must be positive (zero drive emits nothing)")
         if not np.isfinite(self.detuning):

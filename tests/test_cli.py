@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -371,12 +372,19 @@ def test_flag_defaults_are_the_run_config_defaults():
     ({"samples": 1000.5}, "samples must be an integer of at least 1000, got 1000.5"),
     ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
     ({"nu_points": 3.5}, "need an integer of at least 3 frequency points, got 3.5"),
+    ({"rabi": True}, "rabi must be a real number, got True"),
+    ({"detuning": False}, "detuning must be a real number, got False"),
+    ({"nu_min": np.True_}, "nu_min must be a real number, got "),
+    ({"nu_max": True}, "nu_max must be a real number, got True"),
+    ({"rabi": "2"}, "rabi must be a real number, got '2'"),
+    ({"detuning": None}, "detuning must be a real number, got None"),
 ])
 def test_run_config_rejects_non_integer_counts(fields, message):
     # the library takes any number where the flags take integers; a count it
-    # would echo into every sidecar, or fail on later, is refused at construction
-    with pytest.raises(ValueError, match=message):
-        RunConfig(rabi=2.0, **fields)
+    # would echo into every sidecar, or fail on later, is refused at
+    # construction, and so is a bool or a non-number where it takes a float
+    with pytest.raises(ValueError, match=re.escape(message)):
+        RunConfig(**{"rabi": 2.0, **fields})
 
 
 @pytest.fixture

@@ -113,6 +113,18 @@ def test_closed_form_inverse_at_the_jordan_point():
         assert np.max(np.abs((z * np.eye(3) - M) @ g - np.eye(3))) <= 1e-14
     right = zs.real >= 0.0
     assert np.array_equal(inverse3(M, zs[right]), stacked[right])
+    # the kernel works the stack flat: a large stack, and one with two
+    # leading axes, come back in their own shape, each matrix inverted as
+    # if alone
+    spectral = 1j * np.linspace(-15.0, 15.0, 742)
+    pairs = np.stack([zs[:4], zs[1:5]], axis=-1)
+    for A in (spectral[:, None, None] * np.eye(3) - M,
+              pairs[..., None, None] * np.eye(3) - np.stack([M, bloch_matrix(2.0, 0.5)])):
+        got = _cofactor_inverse(A)
+        assert got.shape == A.shape and got.flags.c_contiguous
+        assert np.max(np.abs(A @ got - np.eye(3))) <= 1e-14
+        assert all(np.array_equal(g, _cofactor_inverse(a))
+                   for a, g in zip(A.reshape(-1, 3, 3), got.reshape(-1, 3, 3)))
 
 
 def test_closed_form_inverse_keeps_an_unregistered_drive_undriven():

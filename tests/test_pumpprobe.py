@@ -316,11 +316,11 @@ def test_channel_densities_do_not_mix_emission_frequencies():
 
 def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
     # per emission frequency only +-i u on the nodes of its rule are new,
-    # one stack each (+-i(nu - u) is the same stack reversed); set-up forms
-    # G(0) and G(+-i nu) over the output grid once.  One inverse per
-    # argument and coefficient would take 15 per frequency, one solve per
-    # chain step 35.  The chains take linalg's one kernel, so it is the one
-    # counted
+    # one stack of both (-i u is i(-u), +-i(nu - u) the same stack
+    # reversed); set-up forms G(0) and G(+-i nu) over the output grid once.
+    # One inverse per argument and coefficient would take 15 per frequency,
+    # one solve per chain step 35.  The chains take linalg's one kernel, so
+    # it is the one counted
     calls = []
 
     def counting(original):
@@ -338,7 +338,7 @@ def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
         channel_densities(AtomDriveParams(rabi=2.0), nus)
         counts.append(len(calls))
     assert counts[0] > 0
-    assert counts[1] - counts[0] <= 4
+    assert counts[1] - counts[0] == 1
     assert counts[0] <= 5 + 4
 
 
