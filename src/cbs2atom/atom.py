@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -50,6 +51,13 @@ def conj_swap(vec: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(vec))[..., [1, 0, 2]]
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number.  A bool is an
+    ``Integral``, which would run as 0 or 1, so it is refused too."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AtomDriveParams:
     """Drive parameters of one atom.
@@ -74,6 +82,8 @@ class AtomDriveParams:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("rabi", "delta", "phase"):
+            _check_real(name, getattr(self, name))
         if self.rabi < 0:
             raise ValueError("rabi must be non-negative")
         for name in ("rabi", "delta", "phase"):

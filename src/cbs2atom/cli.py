@@ -14,12 +14,11 @@ import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
 
 import numpy as np
 
 import cbs2atom
-from cbs2atom.atom import AtomDriveParams, build, mollow_p0
+from cbs2atom.atom import AtomDriveParams, _check_real, build, mollow_p0
 from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.pumpprobe import channel_densities, equivalence_report
 from cbs2atom.quadrature import line_rule, pole_clusters
@@ -27,6 +26,8 @@ from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
     _channel,
+    _check_points,
+    _frequency_grid,
     cbs_spectra,
     cbs_spectra_stack,
     elastic_weights,
@@ -63,10 +64,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("rabi", "detuning", "nu_min", "nu_max"):
-            value = getattr(self, name)
-            # a bool is an Integral, which would run as 0 or 1 and echo true
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            _check_real(name, getattr(self, name))
         if not np.isfinite(self.rabi) or self.rabi <= 0:
             raise ValueError("rabi must be positive (zero drive emits nothing)")
         if not np.isfinite(self.detuning):
@@ -75,9 +73,7 @@ class RunConfig:
             raise ValueError("nu_min and nu_max must be finite")
         if not self.nu_min < self.nu_max:
             raise ValueError("need nu_min < nu_max")
-        if not isinstance(self.nu_points, Integral) or self.nu_points < 3:
-            raise ValueError(f"need an integer of at least 3 frequency points, "
-                             f"got {self.nu_points!r}")
+        _check_points("nu_points", self.nu_points)
         # the other methods draw nothing, but echo the sampler's fields
         ConfigSampler(self.samples, self.seed)
         if self.method not in METHODS:
@@ -91,7 +87,7 @@ class RunConfig:
 
     @property
     def grid(self) -> np.ndarray:
-        return np.linspace(self.nu_min, self.nu_max, self.nu_points)
+        return _frequency_grid(self.nu_min, self.nu_max, self.nu_points)
 
 
 # ----------------------------------------------------------------------------

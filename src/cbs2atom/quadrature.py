@@ -93,13 +93,16 @@ def exchanged_photon_convolution(system, nus, at_nodes, emission) -> tuple:
         crossed(nu) = 2 Re[ integral du/2pi p_plus(u, nu) p_minus(nu - u, nu)
                             + b+ d-(nu)[0] p_plus(0, nu) + b- d+(nu)[1] p_minus(0, nu) ] / 2pi
 
-    Each ``nu`` gets one :func:`line_rule` over the pole clusters at ``0``
+    Each ``|nu|`` gets one :func:`line_rule` over the pole clusters at ``0``
     and ``nu``, where every crossed factor has its poles.  Its nodes are
     ``u = nu/2 + s`` with ``s`` antisymmetric to the last bit (the rule is
     placed on the clusters shifted by ``-nu/2``), so ``u`` reversed,
     ``nu/2 - s``, is ``nu - u``.  Each term of ``p2(u, nu)`` has its poles
     at ``0`` and at one of ``+-nu``; those at ``-nu`` are integrated on the
-    mirrored nodes ``-u``.
+    mirrored nodes ``-u``.  The clusters of ``-nu`` are those of ``nu``, so
+    the frequencies are visited in order of ``|nu|``, a pair ``+-nu`` back to
+    back on one rule, whose nodes for ``-nu`` are those for ``nu`` negated and
+    reversed, bit for bit.  Each result is written at its own index.
 
     ``at_nodes(i, u)`` returns, at ``nu = nus[i]`` on the rule's nodes
     ``u``: ``p0`` at ``u`` and then at ``-u`` (one array), the ``p2`` terms
@@ -110,8 +113,12 @@ def exchanged_photon_convolution(system, nus, at_nodes, emission) -> tuple:
     """
     b_minus, b_plus = system.steady[0], system.steady[1]
     ladder, crossed = np.empty((2, len(nus)), dtype=complex)
-    for i, nu in enumerate(nus):
-        offset, weights = line_rule(pole_clusters(system, (-0.5 * nu, 0.5 * nu)))
+    magnitude = None
+    for i in np.argsort(np.abs(nus), kind="stable"):
+        nu = nus[i]
+        if abs(nu) != magnitude:
+            magnitude = abs(nu)
+            offset, weights = line_rule(pole_clusters(system, (-0.5 * nu, 0.5 * nu)))
         u = 0.5 * nu + offset
         p0, near, far, forward, reflected = at_nodes(i, u)
         ladder[i] = weights @ (p0[:len(u)] * near + p0[len(u):] * far)

@@ -31,6 +31,7 @@ nothing here imports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -131,11 +132,29 @@ class CbsResult:
         return self.crossed.elastic_weight
 
 
+def _check_points(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer count of at least
+    3 grid points, the fewest a channel takes; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 3:
+        raise ValueError(f"{name}: need an integer of at least 3 frequency points, "
+                         f"got {value!r}")
+
+
+def _frequency_grid(low: float, high: float, points: int) -> np.ndarray:
+    """``points`` equally spaced frequencies from ``low`` to ``high``.  On a
+    range symmetric about zero the grid is its own mirror bit for bit,
+    ``g == -g[::-1]``, so every ``+-nu`` pair is on it; the endpoints stay
+    exact and the points move from ``np.linspace`` by rounding only."""
+    grid = np.linspace(low, high, points)
+    return 0.5 * grid - 0.5 * grid[::-1] if low == -high else grid
+
+
 def default_grid(drive: AtomDriveParams, points: int = 601) -> np.ndarray:
     """Symmetric frequency grid covering the inelastic triplet structure, whose
     sidebands sit at the generalised Rabi frequency ``hypot(rabi, delta)``."""
+    _check_points("points", points)
     limit = max(15.0, np.hypot(drive.rabi, drive.delta) + 6.0)
-    return np.linspace(-limit, limit, points)
+    return _frequency_grid(-limit, limit, points)
 
 
 def _real_part(value: complex) -> float:

@@ -1,5 +1,7 @@
 """Single-atom Bloch system, steady state and spectral correlation functions."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,20 @@ def test_invalid_params_rejected():
     # for it
     with pytest.raises(TypeError):
         AtomDriveParams(1.0, 0.0, 2.0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"rabi": True}, "rabi must be a real number, got True"),
+    ({"rabi": "2"}, "rabi must be a real number, got '2'"),
+    ({"delta": None}, "delta must be a real number, got None"),
+    ({"delta": 1j}, "delta must be a real number, got 1j"),
+    ({"phase": np.True_}, "phase must be a real number, got "),
+])
+def test_drive_rejects_non_real_numbers(fields, message):
+    # a bool is an Integral and would run as 0 or 1; a string or a complex
+    # number would fail, or be cast, deep in numpy
+    with pytest.raises(ValueError, match=re.escape(message)):
+        AtomDriveParams(**{"rabi": 2.0, **fields})
 
 
 # ------------------------------------------------------------- steady state

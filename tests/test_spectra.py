@@ -8,6 +8,7 @@ from scipy.integrate import simpson as scipy_simpson
 
 from cbs2atom import atom, linalg, pumpprobe, quadrature, residues, spectra, twoatom
 from cbs2atom.atom import AtomDriveParams
+from cbs2atom.cli import RunConfig
 from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.spectra import CbsResult, SpectralFunctionGrid, cbs_spectra, default_grid
 from cbs2atom.twoatom import (
@@ -125,7 +126,13 @@ def test_default_grid_tracks_drive_strength():
     strong = default_grid(drive(20.0), points=11)
     assert len(strong) == 11
     assert strong[0] == -26.0 and strong[-1] == 26.0
-    assert np.allclose(strong, -strong[::-1], atol=0)
+    # mirror-exact, so every +-nu pair of a run is on the grid; at 601
+    # points np.linspace itself is not, and the mirror moves it by rounding
+    for grid in (weak, strong, RunConfig(rabi=2.0).grid):
+        assert np.array_equal(grid, -grid[::-1])
+    linear = np.linspace(-15.0, 15.0, 601)
+    assert not np.array_equal(linear, -linear[::-1])
+    assert np.max(np.abs(weak - linear)) <= 2e-15
     # the sidebands sit at the generalised Rabi frequency: at (2, 20) the
     # ladder's largest value is near |nu| = 20.07, beyond a +-15 grid
     detuned = default_grid(drive(2.0, 20.0), points=11)
@@ -133,6 +140,12 @@ def test_default_grid_tracks_drive_strength():
     wide = np.linspace(-30.0, 30.0, 601)
     peak = wide[np.argmax(np.abs(spectra.inelastic_ladder(drive(2.0, 20.0), wide).values))]
     assert 15.0 < abs(peak) < detuned[-1]
+
+
+@pytest.mark.parametrize("points", [0, 1, 2, 2.5, True, "601", None])
+def test_default_grid_rejects_a_bad_point_count(points):
+    with pytest.raises(ValueError, match="points: need an integer of at least 3"):
+        default_grid(drive(2.0), points)
 
 
 # ----------------------------------------------------------- elastic weights
