@@ -133,10 +133,15 @@ class BlochSystem:
 
 
 def build(params) -> BlochSystem:
-    """Assemble the Bloch system of one drive, or the stack of a sequence's."""
-    if not isinstance(params, AtomDriveParams):
+    """Assemble the Bloch system of one drive, or the stack of a non-empty
+    list or tuple of drives."""
+    if isinstance(params, (list, tuple)) and params and all(
+            isinstance(one, AtomDriveParams) for one in params):
         stack = [build(one) for one in params]
         return BlochSystem(tuple(params), np.stack([one.M for one in stack]), stack[0].L)
+    if not isinstance(params, AtomDriveParams):
+        raise ValueError("params must be an AtomDriveParams or a non-empty list or tuple "
+                         f"of them, got {params!r}")
     d = params.delta
     om = params.local_rabi
     M = np.array(

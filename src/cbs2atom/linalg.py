@@ -5,7 +5,7 @@ exact at defective (Jordan-point) generators: :func:`inverse3` forms the
 3x3 single-atom resolvent ``(z - M)^{-1}`` in closed form, cofactors over
 determinant, for a whole array of ``z``.  Every single-atom route goes
 through it (:meth:`cbs2atom.atom.BlochSystem.green`): the Bloch block of the
-production spectra, the pump-probe lattices and the quadrature oracles of
+production spectra, the pump-probe extraction and the quadrature oracles of
 :mod:`cbs2atom.residues`.
 
 Every resolvent takes its arguments from the closed right half-plane:

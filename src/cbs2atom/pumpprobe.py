@@ -45,49 +45,37 @@ from cbs2atom.atom import p_plus as closed_form_p_plus
 from cbs2atom.quadrature import exchanged_photon_convolution
 
 
-def harmonic_orders(system: BlochSystem, w, max_plus: int = 1,
-                    max_minus: int = 1) -> dict:
-    """Stationary response order by order in the probe amplitudes.
+def harmonic_orders(system: BlochSystem, w) -> dict:
+    """Stationary response to first order in each probe amplitude.
 
-    Returns ``{(p, q): vec}``: the Taylor coefficient of ``v_plus**p *
-    v_minus**q``, which populates the single harmonic ``n = p - q`` (time
-    dependence ``exp(-i n w t)``): every plus-probe photon shifts the
-    frequency one step down, every minus-probe photon one step up.  Order
-    (0, 0) is the pump-only steady state, shape ``(3,)``; each higher order
-    is driven by the two couplers acting on the orders with one fewer probe
-    photon and solved at its own harmonic frequency, for the whole array of
-    probe detunings ``w`` at once, shape ``w.shape + (3,)``.  Orders with
-    ``p == q`` sit on the static harmonic, whose one resolvent serves every
-    ``w``.
+    Returns ``{(p, q): vec}`` for ``p`` and ``q`` in 0 and 1: the Taylor
+    coefficient of ``v_plus**p * v_minus**q``, which populates the single
+    harmonic ``n = p - q`` (time dependence ``exp(-i n w t)``): a
+    plus-probe photon shifts the frequency one step down, a minus-probe
+    photon one step up.  Order (0, 0) is the pump-only steady state, shape
+    ``(3,)``; each higher order is driven by the two couplers acting on the
+    orders with one fewer probe photon and solved at its own harmonic
+    frequency, for the whole array of probe detunings ``w`` at once, shape
+    ``w.shape + (3,)``.  Order (1, 1) sits on the static harmonic, whose one
+    resolvent serves every ``w``.
     """
-    harmonics = {p - q for p in range(max_plus + 1) for q in range(max_minus + 1)
-                 if p or q}
-    greens = {n: system.green(-1j * n * w if n else 0.0) for n in harmonics}
-    return _harmonic_orders(system.steady, greens, max_plus, max_minus)
+    greens = {n: system.green(-1j * n * w if n else 0.0) for n in (-1, 0, 1)}
+    return _harmonic_orders(system.steady, greens)
 
 
-def _harmonic_orders(steady: np.ndarray, greens: dict, max_plus: int,
-                     max_minus: int) -> dict:
+def _harmonic_orders(steady: np.ndarray, greens: dict) -> dict:
     """:func:`harmonic_orders` from given resolvents: ``greens[n]`` is
-    ``G(-i n w)``, for every harmonic ``n`` the orders populate."""
-    return _lattice(max_plus, max_minus, lambda a, b, source: (
-        _apply(greens[a - b], source) if a or b else steady), lambda a, b: 0.0)
+    ``G(-i n w)`` for the harmonics ``n`` = -1, 0 and 1."""
+    minus = _apply(greens[-1], steady @ DELTA_PLUS.T)
+    plus = _apply(greens[1], steady @ DELTA_MINUS.T)
+    return {(0, 0): steady, (0, 1): minus, (1, 0): plus,
+            (1, 1): _apply(greens[0], minus @ DELTA_MINUS.T + plus @ DELTA_PLUS.T)}
 
 
-def _lattice(p: int, q: int, step, seed) -> dict:
-    """The recursion over the probe-order lattice, ``{(a, b): x}`` for every
-    ``(a, b) <= (p, q)``: ``x[a, b] = step(a, b, seed(a, b) + x[a-1, b] @
-    DELTA_MINUS.T + x[a, b-1] @ DELTA_PLUS.T)``, on stacks of vectors.
-    ``None`` stands for zero: such a term, or one off the lattice, is left
-    out, and a state without any term is ``None`` and takes no step."""
-    x = {}
-    for a, b in itertools.product(range(p + 1), range(q + 1)):
-        source = seed(a, b)
-        for vec, coupler in ((x.get((a - 1, b)), DELTA_MINUS), (x.get((a, b - 1)), DELTA_PLUS)):
-            if vec is not None:
-                source = vec @ coupler.T if source is None else source + vec @ coupler.T
-        x[a, b] = None if source is None else step(a, b, source)
-    return x
+#: The coupler of one probe step on the order lattice, for row vectors: a
+#: plus-probe photon, step (1, 0), acts through ``DELTA_MINUS`` and a
+#: minus-probe photon, step (0, 1), through ``DELTA_PLUS``.
+_STEP = {(1, 0): DELTA_MINUS.T, (0, 1): DELTA_PLUS.T}
 
 
 # ----------------------------------------------------------------------------
@@ -99,36 +87,40 @@ def _lattice(p: int, q: int, step, seed) -> dict:
 # order (p, q) the correlation oscillates at the single combination
 # frequency (p - q) w, so C is supported on the line w2 = w1 + (p-q) w;
 # `_coefficient` returns the coefficient of that delta function, with w1
-# as the free argument.
+# as the free argument, for the four orders (0, 0), (1, 0), (0, 1) and
+# (1, 1) that the averaged channels use.
 #
 # The computation follows the quantum regression route for the
 # time-periodic generator: for each time ordering, the connected
 # correlation evolves homogeneously from an initial vector quadratic in
 # the periodic state, and the probe couplers act along the evolution
-# interval in every order-compatible sequence: a path on the probe-order
-# lattice from the initial's order up to (p, q), each state applying a pump
-# resolvent whose argument tracks the net probe-photon shift k,
-# (-+ i (w1 + k w) - M)^{-1} for the two orderings.  `_lattice` sums all
-# paths at once, on stacks of (w, w1) pairs.  The resolvents come from the
-# caller as a memo keyed by (sign, k): a caller that evaluates several
-# coefficients, or the same argument on several supports, forms each
-# distinct argument once and shares it.  Both orderings are inverted
-# directly, not one derived from the other by a symmetry, so the
-# extraction shares no symmetry with the closed forms it checks.
+# interval in every order-compatible sequence.  Each state (a, b) <= (p, q)
+# applies a pump resolvent whose argument tracks the net probe-photon
+# shift k, (-+ i (w1 + k w) - M)^{-1} for the two orderings, to its own
+# initial plus the inflow of the states one photon below it.  Orders
+# (1, 0) and (0, 1) have one state below them, (0, 0); order (1, 1) has
+# the two middle states (1, 0) and (0, 1), one at shift +1 and one at -1,
+# each fed by (0, 0).  All run on stacks of (w, w1) pairs.  The resolvents
+# come from the caller as a memo keyed by (sign, k): a caller that
+# evaluates several coefficients, or the same argument on several
+# supports, forms each distinct argument once and shares it.  Both
+# orderings are inverted directly, not one derived from the other by a
+# symmetry, so the extraction shares no symmetry with the closed forms it
+# checks.
 # ----------------------------------------------------------------------------
 
 
-def _connected_initials(orders: dict, p: int, q: int) -> dict:
-    """The seeds of the :func:`_coefficient` lattices up to ``(p, q)``:
-    ``{(a, b): (later_lowering, later_raising)}``.
+def _connected_initials(orders: dict) -> dict:
+    """The initials of the :func:`_coefficient` states, ``{(a, b):
+    (later_lowering, later_raising)}`` for the four orders of ``orders``.
 
     Each full initial is ``coupler @ state + affine - weight * state`` with
     ``weight`` one state component; expanding both state factors in probe
     orders makes the product term a discrete convolution.  Above order
     ``(0, 0)`` its two terms with the steady state ``s`` are linear in the
     other factor, ``x[w] s + s[w] x``, so they fold into one coupler per
-    kind, ``coupler - s[w] I - outer(e_w, s)``, and only the cross-order
-    products stay in the sum.
+    kind, ``coupler - s[w] I - outer(e_w, s)``.  Only order ``(1, 1)``
+    keeps cross-order products, those of ``(0, 1)`` with ``(1, 0)``.
     """
     kinds = ((1j * DELTA_MINUS.T, N1, 1), (-1j * DELTA_PLUS.T, N2, 0))
     steady = orders[0, 0]
@@ -137,65 +129,61 @@ def _connected_initials(orders: dict, p: int, q: int) -> dict:
     eye = np.eye(3)
     folded = [(coupler - steady[weight] * eye - np.outer(eye[weight], steady), weight)
               for coupler, _, weight in kinds]
-    for a, b in itertools.product(range(p + 1), range(q + 1)):
-        if a or b:
-            pair = []
-            for fold, weight in folded:
-                vec = orders[a, b] @ fold
-                for ap, bp in itertools.product(range(a + 1), range(b + 1)):
-                    if (ap or bp) and (ap, bp) != (a, b):
-                        vec -= orders[ap, bp][..., weight, None] * orders[a - ap, b - bp]
-                pair.append(vec)
-            initials[a, b] = tuple(pair)
+    for key in ((0, 1), (1, 0), (1, 1)):
+        initials[key] = tuple(orders[key] @ fold for fold, _ in folded)
+    for vec, (_, weight) in zip(initials[1, 1], folded):
+        vec -= orders[0, 1][..., weight, None] * orders[1, 0]
+        vec -= orders[1, 0][..., weight, None] * orders[0, 1]
     return initials
 
 
-def _chain_inverses(system: BlochSystem, w, nu, shifts) -> dict:
+def _chain_inverses(system: BlochSystem, w, nu) -> dict:
     """The resolvent memo of :func:`_coefficient`: ``G(sign*i*(nu + k*w))``
-    for both time orderings and every net photon shift ``k`` in ``shifts``."""
+    for both time orderings and the net photon shifts ``k`` = -1, 0, 1."""
     return {(sign, k): system.green(sign * 1j * (nu + k * w if k else nu))
-            for sign in (-1, 1) for k in shifts}
+            for sign in (-1, 1) for k in (-1, 0, 1)}
 
 
 def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.ndarray:
-    """Delta coefficient at probe order ``order``.
+    """Delta coefficient at probe order ``order``: (0, 0), (1, 0), (0, 1)
+    or (1, 1).
 
-    ``initials`` is :func:`_connected_initials` up to at least ``order``
-    and ``inverses[sign, k]`` is ``G(sign*i*(nu + k*w))`` at the same
-    probe detunings ``w``, for every net photon shift ``k`` from ``-q`` to
-    ``p``; the result broadcasts over their shapes.  Branch 0 (later
-    lowering) runs at sign ``-1``, branch 1 (later raising) at ``+1`` with
-    the shift still to come; each reads its own component at ``(p, q)``.
-    ``side=+1`` sums only the paths through shift ``+1`` and ``side=-1``
-    only the others: the two add up to the whole.
+    ``initials`` is :func:`_connected_initials` and ``inverses[sign, k]``
+    is ``G(sign*i*(nu + k*w))`` at the same probe detunings ``w``, for
+    every net photon shift ``k`` the order's states reach; the result
+    broadcasts over their shapes.  Branch 0 (later lowering) runs at sign
+    ``-1`` with the shift made so far, branch 1 (later raising) at ``+1``
+    with the shift still to come; each reads its own component at
+    ``order``.  At order (1, 1), ``side=+1`` sums only the paths through
+    the middle state at shift ``+1``, (1, 0) on branch 0 and (0, 1) on
+    branch 1, and ``side=-1`` only the others: the two add up to the whole.
     """
+    if order not in initials:
+        raise ValueError(f"probe order must be one of {tuple(initials)}, got {order!r}")
+    if side is not None and order != (1, 1):
+        raise ValueError(f"only probe order (1, 1) splits by side, got {order!r}")
     p, q = order
     total = 0.0
-    for branch, sign, shift in ((0, -1, lambda a, b: a - b),
-                                (1, 1, lambda a, b: (p - a) - (q - b))):
-        def solve(a, b, source):
-            inverse = inverses[sign, shift(a, b)]
-            if (a, b) == (p, q):
-                # the last state is read at one component: form only that row
-                return _apply(inverse[..., branch:branch + 1, :], source)[..., 0]
-            return _apply(inverse, source)
+    for branch, sign in ((0, -1), (1, 1)):
+        def inverse(a, b):
+            return inverses[sign, a - b if branch == 0 else (p - a) - (q - b)]
 
-        def below(a, b, source):
-            # a path stops at +1, where its inflow seeds the +1 side; that side
-            # needs no state whose later shifts, from (a, q) to (p, b), miss +1
-            if shift(a, b) == 1:
-                entered[a, b] = source
-            elif side == -1 or (shift(a, q) - 1) * (shift(p, b) - 1) <= 0:
-                return solve(a, b, source)
-            return None
-
-        entered = {}
-        x = _lattice(p, q, solve if side is None else below,
-                     lambda a, b: initials[a, b][branch])
-        if side == 1:
-            x = _lattice(p, q, solve, lambda a, b: entered.get((a, b)))
-        if x[p, q] is not None:
-            total = total + x[p, q]
+        seed = {key: pair[branch] for key, pair in initials.items()}
+        source = seed[order]
+        if order in _STEP:
+            source = source + _apply(inverse(0, 0), seed[0, 0]) @ _STEP[order]
+        elif order == (1, 1):
+            base = _apply(inverse(0, 0), seed[0, 0])
+            plus = (1, 0) if branch == 0 else (0, 1)
+            # the seed, then the inflow from (0, 1), then from (1, 0)
+            terms = [] if side == 1 else [source]
+            for middle in ((0, 1), (1, 0)):
+                if side is None or (middle == plus) == (side == 1):
+                    x = _apply(inverse(*middle), seed[middle] + base @ _STEP[middle])
+                    terms.append(x @ _STEP[1 - middle[0], 1 - middle[1]])
+            source = sum(terms[1:], terms[0])
+        # the last state is read at one component: form only that row
+        total = total + _apply(inverse(p, q)[..., branch:branch + 1, :], source)[..., 0]
     return total
 
 
@@ -216,8 +204,8 @@ def extracted_functions(system: BlochSystem, w: float, nus) -> dict:
     Bloch system) over the grid.
     """
     nus = np.asarray(nus, dtype=float)
-    initials = _connected_initials(harmonic_orders(system, w, 1, 1), 1, 1)
-    inverses = _chain_inverses(system, w, nus, (-1, 0, 1))
+    initials = _connected_initials(harmonic_orders(system, w))
+    inverses = _chain_inverses(system, w, nus)
     return {
         "p0": _coefficient(initials, (0, 0), inverses) / (2 * np.pi),
         "plus_probe": _coefficient(initials, (1, 0), inverses),
@@ -324,14 +312,12 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
 
     # at zero probe detuning every harmonic is static and every photon
     # shift of a path leaves its argument at the emission frequency
-    zero = _connected_initials(
-        _harmonic_orders(steady, {n: static for n in (-1, 0, 1)}, 1, 1), 1, 1)
+    zero = _connected_initials(_harmonic_orders(steady, {n: static for n in (-1, 0, 1)}))
     zero_inverses = {(sign, k): at_nu[sign] for sign in (-1, 1) for k in (-1, 0, 1)}
-    emission_orders = _harmonic_orders(steady, {-1: at_nu[1], 0: static, 1: at_nu[-1]}, 1, 1)
     emission = (_coefficient(zero, (0, 0), zero_inverses) / (2 * np.pi),
                 *(_coefficient(zero, order, zero_inverses) for order in ((1, 1), (0, 1), (1, 0))),
-                _harmonic_orders(steady, {1: at_nu[1]}, 1, 0)[(1, 0)],
-                emission_orders[(0, 1)], emission_orders[(1, 0)])
+                _apply(at_nu[1], steady @ DELTA_MINUS.T), _apply(at_nu[1], steady @ DELTA_PLUS.T),
+                _apply(at_nu[-1], steady @ DELTA_MINUS.T))
 
     # the work of the last frequency that depends on its probe detunings alone
     last = {"w": np.empty(0)}
@@ -351,7 +337,7 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
             minus_w = np.concatenate([plus_w[n:], plus_w[:n]])
             # the order-(0, 0) initials do not depend on the probe detunings
             stacked = _connected_initials(
-                _harmonic_orders(steady, {-1: plus_w, 0: static, 1: minus_w}, 1, 1), 1, 1)
+                _harmonic_orders(steady, {-1: plus_w, 0: static, 1: minus_w}))
             p0 = _coefficient(zero, (0, 0), {(-1, 0): minus_w, (1, 0): plus_w}) / (2 * np.pi)
         last.update(w=w, plus_w=plus_w, minus_w=minus_w, stacked=stacked, p0=p0)
         up, down = plus_w[:n], plus_w[n:]

@@ -107,17 +107,14 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
     ``order = (p, q)`` selects the Taylor coefficient of
     ``v_plus**p * v_minus**q``; the result lives on the support line
     ``w2 = w1 + (p - q) * probe_detuning`` and is evaluated at ``w1 = nu``.
-    ``side`` selects one part of the split at net photon shift ``+1``
+    ``p`` and ``q`` are 0 or 1.  At order (1, 1), ``side`` selects one
+    part of the split at net photon shift ``+1``
     (:func:`cbs2atom.pumpprobe._coefficient`).
     """
-    p, q = order
-    if p < 0 or q < 0:
-        raise ValueError("probe orders must be nonnegative")
     system = build(drive.pump)
     w = drive.probe_detuning
-    orders = harmonic_orders(system, w, p, q)
-    inverses = _chain_inverses(system, w, nu, range(-q, p + 1))
-    return complex(_coefficient(_connected_initials(orders, p, q), order, inverses, side))
+    initials = _connected_initials(harmonic_orders(system, w))
+    return complex(_coefficient(initials, order, _chain_inverses(system, w, nu), side))
 
 
 class TruncationError(RuntimeError):

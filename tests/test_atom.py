@@ -11,6 +11,7 @@ from scipy.integrate import quad, solve_ivp
 from cbs2atom import atom
 from cbs2atom.atom import AtomDriveParams, DELTA_MINUS, DELTA_PLUS, conj_swap
 from cbs2atom.linalg import inverse3
+from cbs2atom.pumpprobe import channel_densities
 
 
 def make(rabi, delta=0.0, phase=0.0):
@@ -62,6 +63,20 @@ def test_drive_rejects_non_real_numbers(fields, message):
     # number would fail, or be cast, deep in numpy
     with pytest.raises(ValueError, match=re.escape(message)):
         AtomDriveParams(**{"rabi": 2.0, **fields})
+
+
+@pytest.mark.parametrize("call", [
+    lambda: atom.build("x"),
+    lambda: atom.build(2.0),
+    lambda: atom.build([2.0]),
+    lambda: atom.build([]),
+    lambda: channel_densities(2.0, np.linspace(-5.0, 5.0, 11)),
+], ids=["str", "float", "list-of-float", "empty", "channel-densities"])
+def test_build_rejects_a_bad_drive(call):
+    # one rule for every caller: a string would recurse without end, a
+    # number fail in iteration and an empty list in numpy's stack
+    with pytest.raises(ValueError, match="params must be an AtomDriveParams"):
+        call()
 
 
 # ------------------------------------------------------------- steady state

@@ -121,7 +121,7 @@ def chain_reference(pump, w, order, nu, side=None):
     chain step.  ``side=+1`` keeps only the chains whose net shift visits
     ``+1``, ``side=-1`` only the others."""
     system = build(pump)
-    orders = harmonic_orders(system, w, *order)
+    orders = harmonic_orders(system, w)
     couplers = {"+": DELTA_MINUS, "-": DELTA_PLUS}
     steps = {"+": 1, "-": -1}
 
@@ -166,9 +166,11 @@ def chain_reference(pump, w, order, nu, side=None):
 
 @pytest.mark.parametrize("rabi,delta", [(2.0, 0.0), (1.3, 0.8), (0.5, 0.0)],
                          ids=["rabi2", "detuned", "jordan"])
+# the ids order0, order1 and order2 stand for (1, 1), (0, 1) and (1, 0)
 @pytest.mark.parametrize("order,side", [((1, 1), None), ((0, 1), None), ((1, 0), None),
-                                        ((1, 1), -1), ((1, 1), 1)],
-                         ids=["order0", "order1", "order2", "order0-side-1", "order0-side+1"])
+                                        ((1, 1), -1), ((1, 1), 1), ((0, 0), None)],
+                         ids=["order0", "order1", "order2", "order0-side-1", "order0-side+1",
+                              "00"])
 def test_shared_inverses_match_per_step_solves(rabi, delta, order, side):
     # each resolvent argument inverted once and shared by every path of the
     # lattice reproduces one solve per chain step, also for each side of
@@ -194,8 +196,10 @@ def test_channel_pairing_is_not_the_naive_one():
 
 
 def test_negative_probe_orders_rejected():
-    with pytest.raises(ValueError):
-        correlation_coefficient(make_drive(), (-1, 0), 0.0)
+    # so are orders above (1, 1), which no channel uses
+    for order in ((-1, 0), (2, 0), (0, 2), (2, 2)):
+        with pytest.raises(ValueError, match="probe order"):
+            correlation_coefficient(make_drive(), order, 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -399,8 +403,8 @@ def densities_reference(pump, nus):
         us = 0.5 * nu + offsets
         forward = np.array([coefficient(u, (0, 1), nu) for u in us])
         reflected = np.conj([coefficient(nu - u, (0, 1), nu) for u in us])
-        d_minus_up = harmonic_orders(system, -nu, 1, 0)[(1, 0)]
-        at_nu = harmonic_orders(system, nu, 1, 1)
+        d_minus_up = harmonic_orders(system, -nu)[(1, 0)]
+        at_nu = harmonic_orders(system, nu)
         d_minus_down, d_plus_up = at_nu[(1, 0)], at_nu[(0, 1)]
         direct = (coefficient(0.0, (0, 0), nu) / (2 * np.pi)
                   * (abs(d_minus_up[1]) ** 2 + abs(d_plus_up[1]) ** 2))
