@@ -132,16 +132,42 @@ class BlochSystem:
         return inverse3(self.M, z)
 
 
+def _check_drives(name: str, value, one: bool = True, stack: bool = True) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is one drive
+    (where ``one``) or a non-empty list or tuple of drives (where ``stack``):
+    the drive rule of :func:`build`, which takes either."""
+    if one and isinstance(value, AtomDriveParams):
+        return
+    if stack and isinstance(value, (list, tuple)) and value and all(
+            isinstance(drive, AtomDriveParams) for drive in value):
+        return
+    kinds = [kind for kind, allowed in (
+        ("an AtomDriveParams", one), ("a non-empty list or tuple of AtomDriveParams", stack))
+        if allowed]
+    raise ValueError(f"{name} must be {' or '.join(kinds)}, got {value!r}")
+
+
+def _check_frequencies(name: str, values) -> np.ndarray:
+    """``values`` as a float array, once it is a 1-D array of finite real
+    numbers; otherwise raise ``ValueError`` naming ``name``.  A complex,
+    boolean, string or object array is refused, not cast."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real frequencies, got an array of dtype {values.dtype}")
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values.astype(float, copy=False)
+
+
 def build(params) -> BlochSystem:
     """Assemble the Bloch system of one drive, or the stack of a non-empty
     list or tuple of drives."""
-    if isinstance(params, (list, tuple)) and params and all(
-            isinstance(one, AtomDriveParams) for one in params):
+    _check_drives("params", params)
+    if not isinstance(params, AtomDriveParams):
         stack = [build(one) for one in params]
         return BlochSystem(tuple(params), np.stack([one.M for one in stack]), stack[0].L)
-    if not isinstance(params, AtomDriveParams):
-        raise ValueError("params must be an AtomDriveParams or a non-empty list or tuple "
-                         f"of them, got {params!r}")
     d = params.delta
     om = params.local_rabi
     M = np.array(

@@ -30,7 +30,6 @@ from cbs2atom.spectra import (
     _frequency_grid,
     cbs_spectra,
     cbs_spectra_stack,
-    elastic_weights,
 )
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
@@ -189,10 +188,9 @@ def _evaluate(cfg: RunConfig, result: CbsResult | None = None) -> tuple:
         result = cbs_spectra(drive, nus=nus) if result is None else result
     elif cfg.method == "pump-probe":
         got = channel_densities(drive, nus)
-        ladder_weight, crossed_weight = elastic_weights(drive)
         result = CbsResult(drive,
-                           SpectralFunctionGrid(nus, got["ladder"], ladder_weight),
-                           SpectralFunctionGrid(nus, got["crossed"], crossed_weight))
+                           SpectralFunctionGrid(nus, got["ladder"], got["elastic_ladder"]),
+                           SpectralFunctionGrid(nus, got["crossed"], got["elastic_crossed"]))
     else:
         averaged = monte_carlo_spectra(
             drive, ConfigSampler(samples=cfg.samples, seed=cfg.seed), nus)

@@ -17,9 +17,9 @@ Everything here is an independent computational path: the stationary
 harmonic hierarchy and the frequency-resolved dipole correlation are
 obtained directly from the time-dependent equations of motion, order by
 order in the probe amplitudes, never from the closed-form response chains
-they are later compared against.  Only the convolution that assembles the
-averaged channels from them is shared with the closed form
-(:mod:`cbs2atom.quadrature`).
+they are later compared against.  Only the convolution and the elastic
+weights' assembly, which build the averaged channels from them, are shared
+with the closed form (:mod:`cbs2atom.quadrature`).
 """
 
 from __future__ import annotations
@@ -36,13 +36,19 @@ from cbs2atom.atom import (
     AtomDriveParams,
     BlochSystem,
     _apply,
+    _check_frequencies,
     build,
     mollow_p0,
 )
 from cbs2atom.atom import p2 as closed_form_p2
 from cbs2atom.atom import p_minus as closed_form_p_minus
 from cbs2atom.atom import p_plus as closed_form_p_plus
-from cbs2atom.quadrature import exchanged_photon_convolution
+from cbs2atom.quadrature import (
+    elastic_weights,
+    exchanged_photon_convolution,
+    line_rule,
+    pole_clusters,
+)
 
 
 def harmonic_orders(system: BlochSystem, w) -> dict:
@@ -144,7 +150,7 @@ def _chain_inverses(system: BlochSystem, w, nu) -> dict:
             for sign in (-1, 1) for k in (-1, 0, 1)}
 
 
-def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.ndarray:
+def _coefficient(initials: dict, order: tuple, inverses: dict) -> np.ndarray:
     """Delta coefficient at probe order ``order``: (0, 0), (1, 0), (0, 1)
     or (1, 1).
 
@@ -154,14 +160,10 @@ def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.
     broadcasts over their shapes.  Branch 0 (later lowering) runs at sign
     ``-1`` with the shift made so far, branch 1 (later raising) at ``+1``
     with the shift still to come; each reads its own component at
-    ``order``.  At order (1, 1), ``side=+1`` sums only the paths through
-    the middle state at shift ``+1``, (1, 0) on branch 0 and (0, 1) on
-    branch 1, and ``side=-1`` only the others: the two add up to the whole.
+    ``order``.
     """
     if order not in initials:
         raise ValueError(f"probe order must be one of {tuple(initials)}, got {order!r}")
-    if side is not None and order != (1, 1):
-        raise ValueError(f"only probe order (1, 1) splits by side, got {order!r}")
     p, q = order
     total = 0.0
     for branch, sign in ((0, -1), (1, 1)):
@@ -174,17 +176,53 @@ def _coefficient(initials: dict, order: tuple, inverses: dict, side=None) -> np.
             source = source + _apply(inverse(0, 0), seed[0, 0]) @ _STEP[order]
         elif order == (1, 1):
             base = _apply(inverse(0, 0), seed[0, 0])
-            plus = (1, 0) if branch == 0 else (0, 1)
             # the seed, then the inflow from (0, 1), then from (1, 0)
-            terms = [] if side == 1 else [source]
             for middle in ((0, 1), (1, 0)):
-                if side is None or (middle == plus) == (side == 1):
-                    x = _apply(inverse(*middle), seed[middle] + base @ _STEP[middle])
-                    terms.append(x @ _STEP[1 - middle[0], 1 - middle[1]])
-            source = sum(terms[1:], terms[0])
+                x = _apply(inverse(*middle), seed[middle] + base @ _STEP[middle])
+                source = source + x @ _STEP[1 - middle[0], 1 - middle[1]]
         # the last state is read at one component: form only that row
         total = total + _apply(inverse(p, q)[..., branch:branch + 1, :], source)[..., 0]
     return total
+
+
+def _emitted(initials: dict, lowering: np.ndarray, raising: np.ndarray) -> tuple:
+    """The products of :func:`_chains` that depend on the emission
+    frequency ``nu`` alone, for ``lowering = G(-i nu)`` and ``raising =
+    G(i nu)``, one or a stack of them: each applied to its branch's
+    order-(0, 0) initial and passed through both couplers, and the row of
+    each that reads the last state."""
+    down = _apply(lowering, initials[0, 0][0])
+    up = _apply(raising, initials[0, 0][1])
+    return (down @ DELTA_PLUS.T, down @ DELTA_MINUS.T, up @ DELTA_MINUS.T, up @ DELTA_PLUS.T,
+            lowering[..., 0:1, :], raising[..., 1:2, :])
+
+
+def _chains(near: dict, far: dict, emitted: tuple, lowering, raising, raised) -> tuple:
+    """The three coefficients the convolution reads at one emission
+    frequency ``nu``, each path of :func:`_coefficient` written out.
+
+    ``near`` and ``far`` are :func:`_connected_initials` at probe
+    detunings ``w`` and ``w'``, ``lowering`` and ``raising`` the stacks
+    ``G(-+i(nu - w))`` (equal to ``G(-+i(nu + w'))``), ``raised`` is
+    ``raising`` applied to the branch-1 order-(0, 0) initial and
+    ``emitted`` is :func:`_emitted` at ``nu``.  Returns the mixed (1, 1)
+    coefficient's paths through the net photon shift ``-1`` at ``w`` (its
+    seed included), its paths through ``+1`` at ``w'``, and the forward
+    (0, 1) coefficient at ``w``.  Branch 0 runs on ``lowering`` and reads
+    ``G(-i nu)[0]``, branch 1 on ``raising`` and reads ``G(i nu)[1]``.
+    """
+    down_plus, down_minus, up_minus, up_plus, read_down, read_up = emitted
+    # branch 0 enters (0, 1) from the steady initial: the forward coefficient
+    # reads it, and the mixed one's paths through shift -1 continue from it
+    entered = near[0, 1][0] + down_plus
+    forward = (_apply(lowering[..., 0:1, :], entered)
+               + (near[0, 1][1] + raised @ DELTA_PLUS.T) @ read_up.T)
+    through_minus = (
+        (near[1, 1][0] + _apply(lowering, entered) @ DELTA_MINUS.T) @ read_down.T
+        + (near[1, 1][1] + _apply(raising, near[1, 0][1] + up_minus) @ DELTA_PLUS.T) @ read_up.T)
+    through_plus = (_apply(lowering, far[1, 0][0] + down_minus) @ DELTA_PLUS.T @ read_down.T
+                    + _apply(raising, far[0, 1][1] + up_plus) @ DELTA_MINUS.T @ read_up.T)
+    return through_minus[..., 0], through_plus[..., 0], forward[..., 0]
 
 
 def _rows(initials: dict, part: slice) -> dict:
@@ -268,7 +306,8 @@ def equivalence_report(nus) -> dict:
 
 
 def channel_densities(pump: AtomDriveParams, nus) -> dict:
-    """Averaged double-scattering densities assembled from probe extraction.
+    """Averaged double-scattering densities and elastic weights assembled
+    from probe extraction.
 
     The background (ladder) and interference (crossed) inelastic
     densities convolve one atom's emission spectrum with the other atom's
@@ -276,6 +315,9 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     (:func:`~cbs2atom.quadrature.exchanged_photon_convolution`).  The mixed
     coefficient's paths through the net photon shift ``+1`` have their
     poles at ``-nu``, so they run at the mirrored probe detunings ``-u``.
+    Both elastic weights come from the pump's harmonic orders
+    (:func:`~cbs2atom.quadrature.elastic_weights`): at zero probe detuning,
+    and over one rule of the probe detuning on ``G(+-i u)``.
 
     Each distinct resolvent argument is inverted once per call: ``G(0)``
     and ``G(+-i nu)`` over the output grid in set-up, then one stacked
@@ -284,27 +326,28 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     Reversed, the same stack serves ``nu - u``: the argument of the paths
     through shift ``-1`` at ``u`` and of those through ``+1`` at ``-u``.
     The reflected factor ``p_minus(nu - u)`` is the conjugate minus-probe
-    coefficient at the reversed nodes.
+    coefficient at the reversed nodes.  The three coefficients read at the
+    nodes are written out (:func:`_chains`), and every product in them that
+    depends on ``nu`` alone is formed once over the grid (:func:`_emitted`).
 
     The nodes of ``-nu`` are those of ``nu`` negated and reversed, and the
     convolution visits the two back to back, so the probe-detuning stack of
     ``-nu`` is that of ``nu`` reversed.  The work that depends on that stack
-    alone (the inverses, the stacked connected initials and ``p0`` at the
-    nodes) is kept for the next frequency, keyed on the exact stack, and
-    served reversed on a match: reuse of identical arguments, not a
-    symmetry of the physics, and bit for bit what a fresh evaluation
-    gives.  At rabi 2 on the default 601-point grid, whose 300 ``+-nu``
-    pairs are mirror-exact, a call takes 0.34-0.45 s of CPU (0.6-0.75 ms
-    per frequency) on one core of a shared 2-core VM, about 27% less than
-    unpaired in alternating calls.
+    alone (the inverses, the stacked connected initials, ``G(i w)`` applied
+    to the branch-1 steady initial and ``p0`` at the nodes) is kept for the
+    next frequency, keyed on the exact stack, and served reversed on a
+    match: reuse of identical arguments, not a symmetry of the physics, and
+    bit for bit what a fresh evaluation gives.  At rabi 2 on the default
+    601-point grid, whose 300 ``+-nu`` pairs are mirror-exact, a call,
+    elastic weights included, takes 0.16-0.19 s of CPU (0.27-0.32 ms per frequency) on one core of a shared
+    2-core VM with one BLAS thread, against 0.20-0.22 s with the chains
+    run through :func:`_coefficient` (medians of in-process calls).
 
-    Returns a dict with the evaluation grid and both density arrays.
+    Returns a dict with the evaluation grid (``nu``), both density arrays
+    (``ladder``, ``crossed``) and both elastic weights (``elastic_ladder``,
+    ``elastic_crossed``).
     """
-    nus = np.asarray(nus, dtype=float)
-    if nus.ndim != 1:
-        raise ValueError(f"emission frequencies nus must be a 1-D array, got shape {nus.shape}")
-    if not np.all(np.isfinite(nus)):
-        raise ValueError("emission frequencies nus must be finite")
+    nus = _check_frequencies("nus", nus)
     system = build(pump)
     steady = system.steady
     static = system.green(0.0)
@@ -312,12 +355,15 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
 
     # at zero probe detuning every harmonic is static and every photon
     # shift of a path leaves its argument at the emission frequency
-    zero = _connected_initials(_harmonic_orders(steady, {n: static for n in (-1, 0, 1)}))
+    orders = _harmonic_orders(steady, {n: static for n in (-1, 0, 1)})
+    zero = _connected_initials(orders)
     zero_inverses = {(sign, k): at_nu[sign] for sign in (-1, 1) for k in (-1, 0, 1)}
     emission = (_coefficient(zero, (0, 0), zero_inverses) / (2 * np.pi),
                 *(_coefficient(zero, order, zero_inverses) for order in ((1, 1), (0, 1), (1, 0))),
                 _apply(at_nu[1], steady @ DELTA_MINUS.T), _apply(at_nu[1], steady @ DELTA_PLUS.T),
                 _apply(at_nu[-1], steady @ DELTA_MINUS.T))
+    emitted = _emitted(zero, at_nu[-1], at_nu[1])
+    later_lowering, later_raising = zero[0, 0]
 
     # the work of the last frequency that depends on its probe detunings alone
     last = {"w": np.empty(0)}
@@ -330,7 +376,7 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
         if np.array_equal(w, last["w"][::-1]):
             # -nu right after nu: the stack is theirs reversed, and so is
             # everything that depends on it alone
-            plus_w, minus_w, p0 = (last[key][::-1] for key in ("plus_w", "minus_w", "p0"))
+            plus_w, raised, p0 = (last[key][::-1] for key in ("plus_w", "raised", "p0"))
             stacked = _rows(last["stacked"], slice(None, None, -1))
         else:
             plus_w = system.green(1j * w)
@@ -338,16 +384,22 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
             # the order-(0, 0) initials do not depend on the probe detunings
             stacked = _connected_initials(
                 _harmonic_orders(steady, {-1: plus_w, 0: static, 1: minus_w}))
-            p0 = _coefficient(zero, (0, 0), {(-1, 0): minus_w, (1, 0): plus_w}) / (2 * np.pi)
-        last.update(w=w, plus_w=plus_w, minus_w=minus_w, stacked=stacked, p0=p0)
-        up, down = plus_w[:n], plus_w[n:]
+            raised = _apply(plus_w, later_raising)
+            p0 = (_apply(minus_w[:, 0:1], later_lowering)[:, 0] + raised[:, 1]) / (2 * np.pi)
+        last.update(w=w, plus_w=plus_w, raised=raised, stacked=stacked, p0=p0)
         # the nodes are symmetric about nu/2: G(+-i(nu - u)) is G(+-i u) reversed
-        inverses = {(sign, k): at_nu[sign][i] if k == 0 else (up if sign == 1 else down)[::-1]
-                    for sign in (-1, 1) for k in (-1, 0, 1)}
+        lowering, raising = plus_w[n:][::-1], plus_w[:n][::-1]
         near, far = _rows(stacked, slice(n)), _rows(stacked, slice(n, None))
-        forward = _coefficient(near, (0, 1), inverses)
-        return (p0, _coefficient(near, (1, 1), inverses, side=-1),
-                _coefficient(far, (1, 1), inverses, side=+1), forward, np.conj(forward))
+        through_minus, through_plus, forward = _chains(
+            near, far, tuple(each[i] for each in emitted), lowering, raising, raised[:n][::-1])
+        return p0, through_minus, through_plus, forward, np.conj(forward)
 
     ladder, crossed = exchanged_photon_convolution(system, nus, at_nodes, emission)
-    return {"nu": nus, "ladder": ladder, "crossed": crossed}
+
+    u, weights = line_rule(pole_clusters(system))
+    plus_u = system.green(1j * np.concatenate([u, -u]))
+    greens = {-1: plus_u[:len(u)], 0: static, 1: plus_u[len(u):]}
+    elastic = elastic_weights((later_raising, later_lowering), greens, orders,
+                              _harmonic_orders(steady, greens), weights)
+    return {"nu": nus, "ladder": ladder, "crossed": crossed,
+            "elastic_ladder": elastic[0], "elastic_crossed": elastic[1]}

@@ -2,10 +2,11 @@
 
 :func:`line_rule` integrates a rational function of a real frequency that
 decays at least like ``1/u**2``, placed by its poles.
-:func:`exchanged_photon_convolution` is the paper's closed form of the
-averaged channels; its caller supplies the single-atom factors
+:func:`exchanged_photon_convolution` and :func:`elastic_weights` are the
+paper's closed form of the averaged channels: the inelastic densities and
+the elastic weights.  Their caller supplies the single-atom factors
 (:mod:`cbs2atom.residues` the closed forms, :mod:`cbs2atom.pumpprobe` the
-bichromatic extraction).  numpy only; every integral includes ``1/2pi``.
+bichromatic extraction).  Every integral includes ``1/2pi``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from cbs2atom.atom import DELTA_MINUS, DELTA_PLUS, _apply
 
 #: e-folds of the midpoint rule's geometric error demanded of the pole
 #: nearest the real ``theta`` axis.  Poles near the centre of the map carry
@@ -74,6 +77,15 @@ def line_rule(poles) -> tuple[np.ndarray, np.ndarray]:
     return centre + scale * np.tan(half), scale / (2.0 * count * np.cos(half) ** 2)
 
 
+def _real_part(value: complex) -> float:
+    """The real part of a quantity that must be real, whose imaginary part
+    may only be rounding: at most 1e-10 of ``|value| + |Re value|``."""
+    if abs(value.imag) > 1e-10 * (abs(value) + abs(value.real)):
+        raise ArithmeticError(f"real spectral quantity has an imaginary part beyond "
+                              f"rounding: {value!r}")
+    return float(value.real)
+
+
 def pole_clusters(system, centres=(0.0,)) -> np.ndarray:
     """Poles in ``u`` of ``G(+-i(u - c))`` for every real centre ``c``;
     ``system`` is a :class:`cbs2atom.atom.BlochSystem`."""
@@ -128,3 +140,50 @@ def exchanged_photon_convolution(system, nus, at_nodes, emission) -> tuple:
                + p0 * (abs(minus_up[:, 1]) ** 2 + abs(plus[:, 1]) ** 2))
     crossed += b_plus * minus[:, 0] * p_plus + b_minus * plus[:, 1] * p_minus
     return 2.0 * np.real(ladder), 2.0 * np.real(crossed / (2 * np.pi))
+
+
+def elastic_weights(initials, greens, zero, nodes, weights) -> tuple:
+    """Elastic weights of the background and of the interference channel.
+
+    Each is an algebraic term in the pump's probe responses at zero probe
+    detuning plus an integral over the probe detuning ``u``, on the nodes
+    of ``weights``: one :func:`line_rule` over ``pole_clusters(system)``.
+    ``zero`` and ``nodes`` map each probe order to the pump's response
+    there (:func:`cbs2atom.pumpprobe.harmonic_orders`): ``(0, 0)`` the
+    steady state, ``(1, 0)`` and ``(0, 1)`` the first-order responses
+    ``d-`` and ``d+`` and ``(1, 1)`` the second-order one.  ``greens`` is
+    ``{-1: G(iu), 0: G(0), 1: G(-iu)}`` on the nodes and ``initials`` the
+    connected initials ``(g0_1, g0_2)`` (:func:`cbs2atom.atom.g0_vectors`).
+
+    The background integrates the pump's fluctuation spectrum against the
+    intensity-like second response; the interference integrates each
+    first-order response against the other branch's connected initial,
+    propagated at ``u`` and passed through one probe coupler and ``G(0)``.
+    Returns ``(ladder, crossed)``.
+    """
+    g0_1, g0_2 = initials
+    b_minus, b_plus = zero[0, 0][0], zero[0, 0][1]
+    d_minus0, d_plus0, second0 = zero[1, 0], zero[0, 1], zero[1, 1]
+    second, static = nodes[1, 1], greens[0]
+
+    # ladder: the algebraic part, then the pump fluctuation spectrum times
+    # the intensity-like second response
+    algebraic = b_plus * b_minus * (
+        second0[1] * b_minus
+        + second0[0] * b_plus
+        + d_plus0[1] * d_minus0[0]
+        + d_minus0[1] * d_plus0[0]
+    )
+    fluctuation = np.real(_apply(greens[1], g0_2)[:, 0] + _apply(greens[-1], g0_1)[:, 1])
+    integral = weights @ (fluctuation * (b_minus * second[:, 1] + b_plus * second[:, 0]))
+    ladder = _real_part(2.0 * (algebraic + integral))
+
+    # crossed: the algebraic part, then the integral over the probe frequency
+    algebraic = (
+        b_plus * b_minus * d_minus0[0] * d_plus0[1]
+        + b_plus * b_plus * d_plus0[0] * d_minus0[0]
+        + b_minus * b_minus * d_minus0[1] * d_plus0[1]
+    )
+    term_a = nodes[1, 0][:, 1] * (greens[-1] @ g0_1 @ DELTA_PLUS.T @ static.T)[:, 1]
+    term_b = (greens[1] @ g0_2 @ DELTA_MINUS.T @ static.T)[:, 0] * nodes[0, 1][:, 0]
+    return ladder, _real_part(2.0 * (algebraic + weights @ (b_minus * term_a + b_plus * term_b)))

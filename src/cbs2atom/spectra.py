@@ -35,7 +35,8 @@ from numbers import Integral
 
 import numpy as np
 
-from cbs2atom.atom import AtomDriveParams
+from cbs2atom.atom import AtomDriveParams, _check_drives, _check_frequencies
+from cbs2atom.quadrature import _real_part
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
     LADDER_MONOMIAL,
@@ -82,12 +83,10 @@ class SpectralFunctionGrid:
     elastic_weight: float
 
     def __post_init__(self) -> None:
-        nu = np.asarray(self.nu, dtype=float)
+        nu = _check_grid("nu", self.nu)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "values", values)
-        if nu.ndim != 1 or len(nu) < 3 or np.any(np.diff(nu) <= 0):
-            raise ValueError("frequency grid must be strictly ascending, >= 3 points")
         if values.shape != nu.shape or not np.all(np.isfinite(values)):
             raise ValueError("densities must be finite reals on the grid")
         if not np.isfinite(self.elastic_weight):
@@ -132,6 +131,16 @@ class CbsResult:
         return self.crossed.elastic_weight
 
 
+def _check_grid(name: str, nus) -> np.ndarray:
+    """``nus`` as a float array, once it is a strictly ascending grid of at
+    least 3 finite real frequencies, the grid of every spectrum; otherwise
+    raise ``ValueError`` naming ``name``."""
+    nus = _check_frequencies(name, nus)
+    if len(nus) < 3 or np.any(np.diff(nus) <= 0):
+        raise ValueError(f"{name}: frequency grid must be strictly ascending, >= 3 points")
+    return nus
+
+
 def _check_points(name: str, value) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer count of at least
     3 grid points, the fewest a channel takes; a bool is not one."""
@@ -155,15 +164,6 @@ def default_grid(drive: AtomDriveParams, points: int = 601) -> np.ndarray:
     _check_points("points", points)
     limit = max(15.0, np.hypot(drive.rabi, drive.delta) + 6.0)
     return _frequency_grid(-limit, limit, points)
-
-
-def _real_part(value: complex) -> float:
-    """The real part of a quantity that must be real, whose imaginary part
-    may only be rounding: at most 1e-10 of ``|value| + |Re value|``."""
-    if abs(value.imag) > 1e-10 * (abs(value) + abs(value.real)):
-        raise ArithmeticError(f"real spectral quantity has an imaginary part beyond "
-                              f"rounding: {value!r}")
-    return float(value.real)
 
 
 # ----------------------------------------------------------------------------
@@ -251,9 +251,10 @@ def inelastic_crossed(drive: AtomDriveParams, nus=None) -> SpectralFunctionGrid:
 def cbs_spectra_stack(drives, nus) -> list:
     """:func:`cbs_spectra` of each drive of a sequence on one grid ``nus``,
     solved in stacks of at most ``BLOCK_PAIRS`` (drive, frequency) pairs."""
+    _check_drives("drives", drives, one=False)
+    nus = _check_grid("nus", nus)
     if any(drive.rabi == 0.0 for drive in drives):
         raise ValueError("undriven atoms scatter nothing; rabi must be nonzero")
-    nus = np.asarray(nus, dtype=float)
     out = []
     for stack, (auto, exch), blocks in canonical_blocks(drives, nus):
         autos, exchs = zip(*blocks)
@@ -268,6 +269,7 @@ def cbs_spectra_stack(drives, nus) -> list:
 def cbs_spectra(drive: AtomDriveParams, nus=None) -> CbsResult:
     """Full averaged backscattering signal: both channels plus contrast,
     from the canonical-configuration solve of a one-drive stack."""
+    _check_drives("drive", drive, stack=False)
     if nus is None:
         nus = default_grid(drive)
     return cbs_spectra_stack([drive], nus)[0]

@@ -51,14 +51,17 @@ from cbs2atom.atom import (
     N2,
     AtomDriveParams,
     BlochSystem,
+    _apply,
     build,
     g0_vectors,
 )
 from cbs2atom.disorder import MonteCarloResult
 from cbs2atom.pumpprobe import (
     _chain_inverses,
+    _chains,
     _coefficient,
     _connected_initials,
+    _emitted,
     harmonic_orders,
 )
 from cbs2atom.quadrature import line_rule, pole_clusters
@@ -107,14 +110,26 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
     ``order = (p, q)`` selects the Taylor coefficient of
     ``v_plus**p * v_minus**q``; the result lives on the support line
     ``w2 = w1 + (p - q) * probe_detuning`` and is evaluated at ``w1 = nu``.
-    ``p`` and ``q`` are 0 or 1.  At order (1, 1), ``side`` selects one
-    part of the split at net photon shift ``+1``
-    (:func:`cbs2atom.pumpprobe._coefficient`).
+    ``p`` and ``q`` are 0 or 1 (:func:`cbs2atom.pumpprobe._coefficient`).
+    At order (1, 1), ``side=+1`` keeps only the paths through net photon
+    shift ``+1`` and ``side=-1`` only the others, as the written-out chains
+    of :func:`cbs2atom.pumpprobe.channel_densities` split them
+    (:func:`cbs2atom.pumpprobe._chains`).
     """
     system = build(drive.pump)
     w = drive.probe_detuning
     initials = _connected_initials(harmonic_orders(system, w))
-    return complex(_coefficient(initials, order, _chain_inverses(system, w, nu), side))
+    inverses = _chain_inverses(system, w, nu)
+    if side is None:
+        return complex(_coefficient(initials, order, inverses))
+    if order != (1, 1):
+        raise ValueError(f"only probe order (1, 1) splits by side, got {order!r}")
+    # each side runs on the stacks of the one photon shift its middle state takes
+    lowering, raising = inverses[-1, side], inverses[1, side]
+    emitted = _emitted(initials, inverses[-1, 0], inverses[1, 0])
+    through_minus, through_plus, _ = _chains(initials, initials, emitted, lowering, raising,
+                                             _apply(raising, initials[0, 0][1]))
+    return complex(through_plus if side == 1 else through_minus)
 
 
 class TruncationError(RuntimeError):

@@ -17,6 +17,7 @@ import cbs2atom
 from cbs2atom.atom import AtomDriveParams
 from cbs2atom import cli
 from cbs2atom.cli import SUITES, RunConfig, _build_parser, _config_from_args, main
+from cbs2atom.residues import compact_elastic_weights
 from cbs2atom.spectra import BLOCK_PAIRS, cbs_spectra
 
 GRID = ["--nu-min", "-6", "--nu-max", "6", "--nu-points", "7"]
@@ -173,12 +174,16 @@ def test_pump_probe_spectrum_agrees_with_production_and_reruns_identically(tmp_p
     result = cbs_spectra(AtomDriveParams(rabi=2.0), nus=np.linspace(-15.0, 15.0, 3))
     assert np.array_equal(table["nu"], result.ladder.nu)
     # densities within 1e-12 of each channel's peak; the elastic weights
-    # are production's own
-    for column, name, channel in (("L_inel", "elastic_ladder", result.ladder),
-                                  ("C_inel", "elastic_crossed", result.crossed)):
+    # come from the pump's harmonic orders, which makes them the closed
+    # form's exactly and production's within 1e-13 relative
+    closed_form = compact_elastic_weights(AtomDriveParams(rabi=2.0))
+    for column, name, channel, weight in (
+            ("L_inel", "elastic_ladder", result.ladder, closed_form[0]),
+            ("C_inel", "elastic_crossed", result.crossed, closed_form[1])):
         scale = np.max(np.abs(channel.values))
         assert np.max(np.abs(table[column] - channel.values)) <= 1e-12 * scale, column
-        assert sidecar[name] == channel.elastic_weight, name
+        assert sidecar[name] == weight, name
+        assert abs(sidecar[name] - channel.elastic_weight) <= 1e-13 * abs(channel.elastic_weight)
     assert run(argv, capsys) == 0
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
 

@@ -1,6 +1,9 @@
 """Tests for the bichromatic pump-probe solver and correlation extraction."""
 
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbs2atom import atom, linalg, pumpprobe
+from cbs2atom import atom, linalg, pumpprobe, residues
 from cbs2atom.atom import (
     DELTA_MINUS,
     DELTA_PLUS,
@@ -30,7 +33,7 @@ from cbs2atom.pumpprobe import (
     harmonic_orders,
 )
 from cbs2atom.quadrature import line_rule, pole_clusters
-from cbs2atom.spectra import cbs_spectra, default_grid
+from cbs2atom.spectra import cbs_spectra, default_grid, elastic_weights
 from oracles import (
     BichromaticDrive,
     TruncationError,
@@ -310,6 +313,38 @@ def test_channel_densities_match_production_channels(pump):
         assert np.max(np.abs(got[name] - channel.values)) <= 1e-12 * scale, name
 
 
+@pytest.mark.parametrize("pump", [AtomDriveParams(rabi=2.0), JORDAN,
+                                  AtomDriveParams(rabi=1.3, delta=0.8),
+                                  AtomDriveParams(rabi=20.0, delta=1.5),
+                                  AtomDriveParams(rabi=50.0, delta=3.0),
+                                  AtomDriveParams(rabi=1e-3, delta=1.5)],
+                         ids=["rabi2", "jordan", "rabi1.3-det0.8", "rabi20-det1.5",
+                              "rabi50-det3", "rabi1e-3-det1.5"])
+def test_elastic_weights_from_harmonic_orders(pump):
+    # the pump's harmonic orders at zero probe detuning are the closed-form
+    # responses bit for bit, so the shared assembly gives the closed form's
+    # weights exactly; production's within 1e-13 relative (measured <= 4.6e-15)
+    got = channel_densities(pump, [0.0])
+    weights = (got["elastic_ladder"], got["elastic_crossed"])
+    assert weights == residues.compact_elastic_weights(pump)
+    for weight, reference in zip(weights, elastic_weights(pump)):
+        assert abs(weight - reference) <= 1e-13 * abs(reference)
+
+
+def test_pump_probe_route_loads_no_two_atom_module():
+    # the method reduces the two-atom problem to one driven atom: in a
+    # fresh interpreter its module loads neither the two-atom equations nor
+    # production nor the closed-form oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pumpprobe.__file__)))
+    script = ("import sys, cbs2atom.pumpprobe; "
+              "print(*sorted(m for m in sys.modules if m.startswith('cbs2atom.')))")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["cbs2atom.atom", "cbs2atom.linalg", "cbs2atom.pumpprobe",
+                                   "cbs2atom.quadrature"]
+
+
 def test_channel_densities_do_not_mix_emission_frequencies():
     pump = AtomDriveParams(rabi=1.3, delta=0.8)
     grid = channel_densities(pump, NUS_CHANNELS)
@@ -351,7 +386,8 @@ def test_channel_densities_memory_is_one_frequency_pair():
 def test_channel_densities_invert_each_chain_argument_once(monkeypatch):
     # per emission frequency only +-i u on the nodes of its rule are new,
     # one stack of both (-i u is i(-u), +-i(nu - u) the same stack
-    # reversed); set-up forms G(0) and G(+-i nu) over the output grid once.
+    # reversed); set-up forms G(0) and G(+-i nu) over the output grid once,
+    # and the elastic weights one stack of G(+-i u) on their own rule.
     # One inverse per argument and coefficient would take 15 per frequency,
     # one solve per chain step 35.  The chains take linalg's one kernel, so
     # it is the one counted
