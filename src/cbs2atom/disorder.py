@@ -46,7 +46,7 @@ from numbers import Integral
 
 import numpy as np
 
-from cbs2atom.atom import AtomDriveParams
+from cbs2atom.atom import AtomDriveParams, _check_frequencies
 from cbs2atom.spectra import canonical_blocks
 from cbs2atom.twoatom import (
     COUPLING_TAGS,
@@ -266,6 +266,9 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     charge, so the elastic weights, solved once with the stationary state
     (:func:`cbs2atom.spectra.canonical_blocks`), are reduced the same way.
     """
+    if not isinstance(sampler, ConfigSampler):
+        raise ValueError(f"sampler must be a ConfigSampler, got {sampler!r}")
+    nus = _check_frequencies("nus", nus)
     # the crossed channel's backscattering phase e^{i Delta} adds one more
     moments = _weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, _EXCHANGE_CHARGE + 1))
 

@@ -78,12 +78,6 @@ def _harmonic_orders(steady: np.ndarray, greens: dict) -> dict:
             (1, 1): _apply(greens[0], minus @ DELTA_MINUS.T + plus @ DELTA_PLUS.T)}
 
 
-#: The coupler of one probe step on the order lattice, for row vectors: a
-#: plus-probe photon, step (1, 0), acts through ``DELTA_MINUS`` and a
-#: minus-probe photon, step (0, 1), through ``DELTA_PLUS``.
-_STEP = {(1, 0): DELTA_MINUS.T, (0, 1): DELTA_PLUS.T}
-
-
 # ----------------------------------------------------------------------------
 # Perturbative extraction of the dipole-correlation delta coefficients.
 #
@@ -92,33 +86,34 @@ _STEP = {(1, 0): DELTA_MINUS.T, (0, 1): DELTA_PLUS.T}
 # exp(-i w1 t1 + i w2 t2) times the connected correlation.  At probe
 # order (p, q) the correlation oscillates at the single combination
 # frequency (p - q) w, so C is supported on the line w2 = w1 + (p-q) w;
-# `_coefficient` returns the coefficient of that delta function, with w1
-# as the free argument, for the four orders (0, 0), (1, 0), (0, 1) and
-# (1, 1) that the averaged channels use.
+# the coefficient of that delta function, with w1 as the free argument,
+# is extracted for the four orders (0, 0), (1, 0), (0, 1) and (1, 1) that
+# the averaged channels use.
 #
 # The computation follows the quantum regression route for the
 # time-periodic generator: for each time ordering, the connected
 # correlation evolves homogeneously from an initial vector quadratic in
-# the periodic state, and the probe couplers act along the evolution
-# interval in every order-compatible sequence.  Each state (a, b) <= (p, q)
-# applies a pump resolvent whose argument tracks the net probe-photon
-# shift k, (-+ i (w1 + k w) - M)^{-1} for the two orderings, to its own
-# initial plus the inflow of the states one photon below it.  Orders
-# (1, 0) and (0, 1) have one state below them, (0, 0); order (1, 1) has
-# the two middle states (1, 0) and (0, 1), one at shift +1 and one at -1,
-# each fed by (0, 0).  All run on stacks of (w, w1) pairs.  The resolvents
-# come from the caller as a memo keyed by (sign, k): a caller that
-# evaluates several coefficients, or the same argument on several
-# supports, forms each distinct argument once and shares it.  Both
-# orderings are inverted directly, not one derived from the other by a
-# symmetry, so the extraction shares no symmetry with the closed forms it
-# checks.
+# the periodic state (`_connected_initials`), and the probe couplers act
+# along the evolution interval in every order-compatible sequence.  Each
+# state (a, b) <= (p, q) applies a pump resolvent whose argument tracks
+# the net probe-photon shift k, (-+ i (w1 + k w) - M)^{-1} for the two
+# orderings, to its own initial plus the inflow of the states one photon
+# below it.  Orders (1, 0) and (0, 1) have one state below them, (0, 0);
+# order (1, 1) has the two middle states (1, 0) and (0, 1), one at shift
+# +1 and one at -1, each fed by (0, 0).  `_spectrum` reads order (0, 0)
+# and `_chains` writes every path of the three others out: the states at
+# shift 0 run on G(-+i w1) (`_emitted`), those at shift -1 and +1 on
+# stacks the caller forms, so the same products serve one emission
+# frequency on a stack of probe detunings and a grid of emission
+# frequencies at one probe detuning.  Both orderings are inverted
+# directly, not one derived from the other by a symmetry, so the
+# extraction shares no symmetry with the closed forms it checks.
 # ----------------------------------------------------------------------------
 
 
 def _connected_initials(orders: dict) -> dict:
-    """The initials of the :func:`_coefficient` states, ``{(a, b):
-    (later_lowering, later_raising)}`` for the four orders of ``orders``.
+    """The initials of the regression states, ``{(a, b): (later_lowering,
+    later_raising)}`` for the four orders of ``orders``.
 
     Each full initial is ``coupler @ state + affine - weight * state`` with
     ``weight`` one state component; expanding both state factors in probe
@@ -143,48 +138,6 @@ def _connected_initials(orders: dict) -> dict:
     return initials
 
 
-def _chain_inverses(system: BlochSystem, w, nu) -> dict:
-    """The resolvent memo of :func:`_coefficient`: ``G(sign*i*(nu + k*w))``
-    for both time orderings and the net photon shifts ``k`` = -1, 0, 1."""
-    return {(sign, k): system.green(sign * 1j * (nu + k * w if k else nu))
-            for sign in (-1, 1) for k in (-1, 0, 1)}
-
-
-def _coefficient(initials: dict, order: tuple, inverses: dict) -> np.ndarray:
-    """Delta coefficient at probe order ``order``: (0, 0), (1, 0), (0, 1)
-    or (1, 1).
-
-    ``initials`` is :func:`_connected_initials` and ``inverses[sign, k]``
-    is ``G(sign*i*(nu + k*w))`` at the same probe detunings ``w``, for
-    every net photon shift ``k`` the order's states reach; the result
-    broadcasts over their shapes.  Branch 0 (later lowering) runs at sign
-    ``-1`` with the shift made so far, branch 1 (later raising) at ``+1``
-    with the shift still to come; each reads its own component at
-    ``order``.
-    """
-    if order not in initials:
-        raise ValueError(f"probe order must be one of {tuple(initials)}, got {order!r}")
-    p, q = order
-    total = 0.0
-    for branch, sign in ((0, -1), (1, 1)):
-        def inverse(a, b):
-            return inverses[sign, a - b if branch == 0 else (p - a) - (q - b)]
-
-        seed = {key: pair[branch] for key, pair in initials.items()}
-        source = seed[order]
-        if order in _STEP:
-            source = source + _apply(inverse(0, 0), seed[0, 0]) @ _STEP[order]
-        elif order == (1, 1):
-            base = _apply(inverse(0, 0), seed[0, 0])
-            # the seed, then the inflow from (0, 1), then from (1, 0)
-            for middle in ((0, 1), (1, 0)):
-                x = _apply(inverse(*middle), seed[middle] + base @ _STEP[middle])
-                source = source + x @ _STEP[1 - middle[0], 1 - middle[1]]
-        # the last state is read at one component: form only that row
-        total = total + _apply(inverse(p, q)[..., branch:branch + 1, :], source)[..., 0]
-    return total
-
-
 def _emitted(initials: dict, lowering: np.ndarray, raising: np.ndarray) -> tuple:
     """The products of :func:`_chains` that depend on the emission
     frequency ``nu`` alone, for ``lowering = G(-i nu)`` and ``raising =
@@ -197,32 +150,44 @@ def _emitted(initials: dict, lowering: np.ndarray, raising: np.ndarray) -> tuple
             lowering[..., 0:1, :], raising[..., 1:2, :])
 
 
+def _spectrum(initials: dict, emitted: tuple) -> np.ndarray:
+    """The order-(0, 0) coefficient over ``2 pi``, the inelastic density:
+    each branch's steady initial read by its row of :func:`_emitted`."""
+    read_down, read_up = emitted[4:]
+    return (_apply(read_down, initials[0, 0][0])
+            + _apply(read_up, initials[0, 0][1]))[..., 0] / (2 * np.pi)
+
+
 def _chains(near: dict, far: dict, emitted: tuple, lowering, raising, raised) -> tuple:
-    """The three coefficients the convolution reads at one emission
-    frequency ``nu``, each path of :func:`_coefficient` written out.
+    """The coefficients above order (0, 0), every path written out.
 
     ``near`` and ``far`` are :func:`_connected_initials` at probe
     detunings ``w`` and ``w'``, ``lowering`` and ``raising`` the stacks
-    ``G(-+i(nu - w))`` (equal to ``G(-+i(nu + w'))``), ``raised`` is
+    ``G(-+i(nu - w))``, equal to ``G(-+i(nu + w'))``, ``raised`` is
     ``raising`` applied to the branch-1 order-(0, 0) initial and
-    ``emitted`` is :func:`_emitted` at ``nu``.  Returns the mixed (1, 1)
-    coefficient's paths through the net photon shift ``-1`` at ``w`` (its
-    seed included), its paths through ``+1`` at ``w'``, and the forward
-    (0, 1) coefficient at ``w``.  Branch 0 runs on ``lowering`` and reads
-    ``G(-i nu)[0]``, branch 1 on ``raising`` and reads ``G(i nu)[1]``.
+    ``emitted`` is :func:`_emitted` at ``nu``: one emission frequency
+    against stacks over its probe detunings, or a grid of them against
+    stacks over the grid.  Returns the mixed (1, 1) coefficient's paths
+    through the net photon shift ``-1`` at ``w`` (its seed included), its
+    paths through ``+1`` at ``w'``, the forward (0, 1) coefficient at
+    ``w`` and the backward (1, 0) coefficient at ``w'``.  Branch 0 runs on
+    ``lowering`` and reads ``G(-i nu)[0]``, branch 1 on ``raising`` and
+    reads ``G(i nu)[1]``.
     """
     down_plus, down_minus, up_minus, up_plus, read_down, read_up = emitted
-    # branch 0 enters (0, 1) from the steady initial: the forward coefficient
-    # reads it, and the mixed one's paths through shift -1 continue from it
-    entered = near[0, 1][0] + down_plus
-    forward = (_apply(lowering[..., 0:1, :], entered)
-               + (near[0, 1][1] + raised @ DELTA_PLUS.T) @ read_up.T)
+    # branch 0's state (0, 1) at w ends the forward coefficient and feeds
+    # the mixed one's paths through shift -1; its state (1, 0) at w' ends
+    # the backward coefficient and feeds the paths through shift +1
+    minus_state = _apply(lowering, near[0, 1][0] + down_plus)
+    plus_state = _apply(lowering, far[1, 0][0] + down_minus)
+    forward = minus_state[..., 0:1] + _apply(read_up, near[0, 1][1] + raised @ DELTA_PLUS.T)
+    backward = plus_state[..., 0:1] + _apply(read_up, far[1, 0][1] + raised @ DELTA_MINUS.T)
     through_minus = (
-        (near[1, 1][0] + _apply(lowering, entered) @ DELTA_MINUS.T) @ read_down.T
-        + (near[1, 1][1] + _apply(raising, near[1, 0][1] + up_minus) @ DELTA_PLUS.T) @ read_up.T)
-    through_plus = (_apply(lowering, far[1, 0][0] + down_minus) @ DELTA_PLUS.T @ read_down.T
-                    + _apply(raising, far[0, 1][1] + up_plus) @ DELTA_MINUS.T @ read_up.T)
-    return through_minus[..., 0], through_plus[..., 0], forward[..., 0]
+        _apply(read_down, near[1, 1][0] + minus_state @ DELTA_MINUS.T)
+        + _apply(read_up, near[1, 1][1] + _apply(raising, near[1, 0][1] + up_minus) @ DELTA_PLUS.T))
+    through_plus = (_apply(read_down, plus_state @ DELTA_PLUS.T)
+                    + _apply(read_up, _apply(raising, far[0, 1][1] + up_plus) @ DELTA_MINUS.T))
+    return through_minus[..., 0], through_plus[..., 0], forward[..., 0], backward[..., 0]
 
 
 def _rows(initials: dict, part: slice) -> dict:
@@ -238,18 +203,24 @@ def extracted_functions(system: BlochSystem, w: float, nus) -> dict:
     Returns the zero-probe spectral density (per unit angular frequency,
     hence the 2-pi division) and the three derivative coefficients at probe
     detuning ``w``, all as functions of the emission frequency ``w1``.  The
-    four share one resolvent memo, six inverses of ``system`` (the pump's
-    Bloch system) over the grid.
+    four share :func:`_emitted` on ``G(-+i nu)``; the paths through the
+    net photon shift ``-1`` run on ``G(-+i(nu - w))``, those through ``+1``
+    on ``G(-+i(nu + w))`` (:func:`_chains`), six inverses of ``system``
+    (the pump's Bloch system) over the grid.
     """
     nus = np.asarray(nus, dtype=float)
     initials = _connected_initials(harmonic_orders(system, w))
-    inverses = _chain_inverses(system, w, nus)
-    return {
-        "p0": _coefficient(initials, (0, 0), inverses) / (2 * np.pi),
-        "plus_probe": _coefficient(initials, (1, 0), inverses),
-        "minus_probe": _coefficient(initials, (0, 1), inverses),
-        "mixed": _coefficient(initials, (1, 1), inverses),
-    }
+    emitted = _emitted(initials, system.green(-1j * nus), system.green(1j * nus))
+
+    def chains(shifted):
+        raising = system.green(1j * shifted)
+        return _chains(initials, initials, emitted, system.green(-1j * shifted), raising,
+                       _apply(raising, initials[0, 0][1]))
+
+    through_minus, _, forward, _ = chains(nus - w)
+    _, through_plus, _, backward = chains(nus + w)
+    return {"p0": _spectrum(initials, emitted), "plus_probe": backward,
+            "minus_probe": forward, "mixed": through_minus + through_plus}
 
 
 class _SharedInverses(BlochSystem):
@@ -326,9 +297,12 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     Reversed, the same stack serves ``nu - u``: the argument of the paths
     through shift ``-1`` at ``u`` and of those through ``+1`` at ``-u``.
     The reflected factor ``p_minus(nu - u)`` is the conjugate minus-probe
-    coefficient at the reversed nodes.  The three coefficients read at the
-    nodes are written out (:func:`_chains`), and every product in them that
-    depends on ``nu`` alone is formed once over the grid (:func:`_emitted`).
+    coefficient at the reversed nodes.  The coefficients at the nodes and
+    the emission factors at zero probe detuning, where both photon shifts
+    run on ``G(+-i nu)``, come from the one evaluator that
+    :func:`extracted_functions` runs (:func:`_chains`), and every product
+    in them that depends on ``nu`` alone is formed once over the grid
+    (:func:`_emitted`).
 
     The nodes of ``-nu`` are those of ``nu`` negated and reversed, and the
     convolution visits the two back to back, so the probe-detuning stack of
@@ -339,9 +313,9 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     match: reuse of identical arguments, not a symmetry of the physics, and
     bit for bit what a fresh evaluation gives.  At rabi 2 on the default
     601-point grid, whose 300 ``+-nu`` pairs are mirror-exact, a call,
-    elastic weights included, takes 0.16-0.19 s of CPU (0.27-0.32 ms per frequency) on one core of a shared
-    2-core VM with one BLAS thread, against 0.20-0.22 s with the chains
-    run through :func:`_coefficient` (medians of in-process calls).
+    elastic weights included, takes 0.17-0.20 s of CPU (0.29-0.33 ms per
+    frequency) on one core of a shared 2-core VM with one BLAS thread
+    (the fastest of 5 in-process calls, in 5 fresh processes).
 
     Returns a dict with the evaluation grid (``nu``), both density arrays
     (``ladder``, ``crossed``) and both elastic weights (``elastic_ladder``,
@@ -357,13 +331,13 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     # shift of a path leaves its argument at the emission frequency
     orders = _harmonic_orders(steady, {n: static for n in (-1, 0, 1)})
     zero = _connected_initials(orders)
-    zero_inverses = {(sign, k): at_nu[sign] for sign in (-1, 1) for k in (-1, 0, 1)}
-    emission = (_coefficient(zero, (0, 0), zero_inverses) / (2 * np.pi),
-                *(_coefficient(zero, order, zero_inverses) for order in ((1, 1), (0, 1), (1, 0))),
+    later_lowering, later_raising = zero[0, 0]
+    emitted = _emitted(zero, at_nu[-1], at_nu[1])
+    through_minus, through_plus, forward, backward = _chains(
+        zero, zero, emitted, at_nu[-1], at_nu[1], _apply(at_nu[1], later_raising))
+    emission = (_spectrum(zero, emitted), through_minus + through_plus, forward, backward,
                 _apply(at_nu[1], steady @ DELTA_MINUS.T), _apply(at_nu[1], steady @ DELTA_PLUS.T),
                 _apply(at_nu[-1], steady @ DELTA_MINUS.T))
-    emitted = _emitted(zero, at_nu[-1], at_nu[1])
-    later_lowering, later_raising = zero[0, 0]
 
     # the work of the last frequency that depends on its probe detunings alone
     last = {"w": np.empty(0)}
@@ -390,7 +364,7 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
         # the nodes are symmetric about nu/2: G(+-i(nu - u)) is G(+-i u) reversed
         lowering, raising = plus_w[n:][::-1], plus_w[:n][::-1]
         near, far = _rows(stacked, slice(n)), _rows(stacked, slice(n, None))
-        through_minus, through_plus, forward = _chains(
+        through_minus, through_plus, forward, _ = _chains(
             near, far, tuple(each[i] for each in emitted), lowering, raising, raised[:n][::-1])
         return p0, through_minus, through_plus, forward, np.conj(forward)
 

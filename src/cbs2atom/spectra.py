@@ -161,6 +161,7 @@ def _frequency_grid(low: float, high: float, points: int) -> np.ndarray:
 def default_grid(drive: AtomDriveParams, points: int = 601) -> np.ndarray:
     """Symmetric frequency grid covering the inelastic triplet structure, whose
     sidebands sit at the generalised Rabi frequency ``hypot(rabi, delta)``."""
+    _check_drives("drive", drive, stack=False)
     _check_points("points", points)
     limit = max(15.0, np.hypot(drive.rabi, drive.delta) + 6.0)
     return _frequency_grid(-limit, limit, points)

@@ -57,11 +57,10 @@ from cbs2atom.atom import (
 )
 from cbs2atom.disorder import MonteCarloResult
 from cbs2atom.pumpprobe import (
-    _chain_inverses,
     _chains,
-    _coefficient,
     _connected_initials,
     _emitted,
+    extracted_functions,
     harmonic_orders,
 )
 from cbs2atom.quadrature import line_rule, pole_clusters
@@ -103,6 +102,10 @@ class BichromaticDrive:
             raise ValueError("probe_detuning must be real")
 
 
+#: The key of each probe order in :func:`cbs2atom.pumpprobe.extracted_functions`.
+_CHANNELS = {(0, 0): "p0", (1, 0): "plus_probe", (0, 1): "minus_probe", (1, 1): "mixed"}
+
+
 def correlation_coefficient(drive: BichromaticDrive, order: tuple,
                             nu: float, side=None) -> complex:
     """Delta-function coefficient of the correlation at one probe order.
@@ -110,25 +113,27 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
     ``order = (p, q)`` selects the Taylor coefficient of
     ``v_plus**p * v_minus**q``; the result lives on the support line
     ``w2 = w1 + (p - q) * probe_detuning`` and is evaluated at ``w1 = nu``.
-    ``p`` and ``q`` are 0 or 1 (:func:`cbs2atom.pumpprobe._coefficient`).
-    At order (1, 1), ``side=+1`` keeps only the paths through net photon
-    shift ``+1`` and ``side=-1`` only the others, as the written-out chains
-    of :func:`cbs2atom.pumpprobe.channel_densities` split them
+    ``p`` and ``q`` are 0 or 1: the four channels of
+    :func:`cbs2atom.pumpprobe.extracted_functions` at the one frequency
+    ``nu``, order (0, 0) without its ``1/2pi``.  At order (1, 1),
+    ``side=+1`` keeps only the paths through net photon shift ``+1`` and
+    ``side=-1`` only the others, as the written-out chains of
+    :func:`cbs2atom.pumpprobe.channel_densities` split them
     (:func:`cbs2atom.pumpprobe._chains`).
     """
     system = build(drive.pump)
     w = drive.probe_detuning
-    initials = _connected_initials(harmonic_orders(system, w))
-    inverses = _chain_inverses(system, w, nu)
     if side is None:
-        return complex(_coefficient(initials, order, inverses))
+        value = extracted_functions(system, w, nu)[_CHANNELS[order]]
+        return complex(value * 2 * np.pi if order == (0, 0) else value)
     if order != (1, 1):
         raise ValueError(f"only probe order (1, 1) splits by side, got {order!r}")
+    initials = _connected_initials(harmonic_orders(system, w))
     # each side runs on the stacks of the one photon shift its middle state takes
-    lowering, raising = inverses[-1, side], inverses[1, side]
-    emitted = _emitted(initials, inverses[-1, 0], inverses[1, 0])
-    through_minus, through_plus, _ = _chains(initials, initials, emitted, lowering, raising,
-                                             _apply(raising, initials[0, 0][1]))
+    lowering, raising = system.green(-1j * (nu + side * w)), system.green(1j * (nu + side * w))
+    emitted = _emitted(initials, system.green(-1j * nu), system.green(1j * nu))
+    through_minus, through_plus, _, _ = _chains(initials, initials, emitted, lowering, raising,
+                                                _apply(raising, initials[0, 0][1]))
     return complex(through_plus if side == 1 else through_minus)
 
 

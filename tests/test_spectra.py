@@ -151,6 +151,7 @@ def test_default_grid_rejects_a_bad_point_count(points):
 
 
 _GRID = np.linspace(-6.0, 6.0, 5)
+_SAMPLER = ConfigSampler(samples=1000, seed=1)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -165,12 +166,23 @@ _GRID = np.linspace(-6.0, 6.0, 5)
     (lambda: spectra.cbs_spectra_stack(drive(2.0), _GRID), "drives"),
     (lambda: spectra.cbs_spectra_stack([drive(2.0)], np.float64(1.0)), "nus"),
     (lambda: pumpprobe.channel_densities(drive(2.0), [0, 1j, 2]), "nus"),
+    (lambda: default_grid("x"), "drive"),
+    (lambda: default_grid(None), "drive"),
+    (lambda: monte_carlo_spectra(drive(2.0), _SAMPLER, [True, False, True]), "nus"),
+    (lambda: monte_carlo_spectra(drive(2.0), _SAMPLER, [0, 1j, 2]), "nus"),
+    (lambda: monte_carlo_spectra(drive(2.0), _SAMPLER, np.float64(1.0)), "nus"),
+    (lambda: monte_carlo_spectra(drive(2.0), _SAMPLER, [[1.0, 2.0]]), "nus"),
+    (lambda: monte_carlo_spectra(drive(2.0), _SAMPLER, "x"), "nus"),
+    (lambda: monte_carlo_spectra(drive(2.0), None, _GRID), "sampler"),
 ], ids=["0d-grid", "complex-grid", "bool-grid", "str-grid", "unsorted-grid", "float-drive",
         "listed-drive", "stack-of-float", "bare-drive", "stack-0d-grid",
-        "pump-probe-complex-grid"])
+        "pump-probe-complex-grid", "grid-of-str-drive", "grid-of-none",
+        "oracle-bool-grid", "oracle-complex-grid", "oracle-0d-grid", "oracle-2d-grid",
+        "oracle-str-grid", "oracle-none-sampler"])
 def test_entry_points_name_a_bad_argument(call, name):
-    # each was a numpy or Python-internal IndexError, AttributeError or
-    # TypeError; now one drive rule (atom.build's) and one grid rule
+    # each was a numpy or Python-internal IndexError, AttributeError,
+    # TypeError or ValueError, or (a bool grid to the oracle) ran as 1/0;
+    # now one drive rule (atom.build's) and one grid rule
     with pytest.raises(ValueError, match=f"^{name}[ :]"):
         call()
 
