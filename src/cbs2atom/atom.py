@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass, field
 from functools import cached_property
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -51,11 +51,33 @@ def conj_swap(vec: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(vec))[..., [1, 0, 2]]
 
 
+#: Largest magnitude of a real input, rates and frequencies in decay rates.
+#: The two-atom solve overflows double precision from rates of about 1e77 on
+#: (rabi 1e80 overflows, 1e60 does not); below this bound no entry point
+#: overflows, with the rates of the drive and of the grid both at it.
+MAX_MAGNITUDE = 1e50
+
+
 def _check_real(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a real number.  A bool is an
-    ``Integral``, which would run as 0 or 1, so it is refused too."""
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite real
+    number, at most ``MAX_MAGNITUDE`` in magnitude.  A bool is an ``Integral``,
+    which would run as 0 or 1, so it is refused too.  An integer is compared
+    exactly, so one too large for a float is refused without overflow, and
+    any other number as a float, so a narrower one is not cast down to the
+    bound's precision."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not abs(value if isinstance(value, Integral) else float(value)) <= MAX_MAGNITUDE:
+        raise ValueError(f"{name} must be finite, at most {MAX_MAGNITUDE:g} in magnitude, "
+                         f"got {value!r}")
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer of
+    at least ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -86,9 +108,6 @@ class AtomDriveParams:
             _check_real(name, getattr(self, name))
         if self.rabi < 0:
             raise ValueError("rabi must be non-negative")
-        for name in ("rabi", "delta", "phase"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
     @property
     def local_rabi(self) -> complex:
@@ -147,17 +166,18 @@ def _check_drives(name: str, value, one: bool = True, stack: bool = True) -> Non
     raise ValueError(f"{name} must be {' or '.join(kinds)}, got {value!r}")
 
 
-def _check_frequencies(name: str, values) -> np.ndarray:
+def _check_reals(name: str, values) -> np.ndarray:
     """``values`` as a float array, once it is a 1-D array of finite real
-    numbers; otherwise raise ``ValueError`` naming ``name``.  A complex,
-    boolean, string or object array is refused, not cast."""
+    numbers, each at most ``MAX_MAGNITUDE`` in magnitude (:func:`_check_real`);
+    otherwise raise ``ValueError`` naming ``name``.  A complex, boolean,
+    string or object array is refused, not cast."""
     values = np.asarray(values)
     if values.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be real frequencies, got an array of dtype {values.dtype}")
+        raise ValueError(f"{name} must be real numbers, got an array of dtype {values.dtype}")
     if values.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
+    if not np.all(np.abs(values, dtype=float) <= MAX_MAGNITUDE):
+        raise ValueError(f"{name} must be finite, at most {MAX_MAGNITUDE:g} in magnitude")
     return values.astype(float, copy=False)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 import cbs2atom
-from cbs2atom.atom import AtomDriveParams, _check_real, build, mollow_p0
+from cbs2atom.atom import AtomDriveParams, _check_count, _check_real, build, mollow_p0
 from cbs2atom.disorder import ConfigSampler, monte_carlo_spectra, select_surviving
 from cbs2atom.pumpprobe import channel_densities, equivalence_report
 from cbs2atom.quadrature import line_rule, pole_clusters
@@ -26,7 +26,6 @@ from cbs2atom.spectra import (
     CbsResult,
     SpectralFunctionGrid,
     _channel,
-    _check_points,
     _frequency_grid,
     cbs_spectra,
     cbs_spectra_stack,
@@ -62,23 +61,26 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        for name in ("rabi", "detuning", "nu_min", "nu_max"):
-            _check_real(name, getattr(self, name))
-        if not np.isfinite(self.rabi) or self.rabi <= 0:
+        try:
+            self.drive  # the drive's rule checks rabi and detuning
+        except ValueError as error:
+            # and names the detuning by the drive's own field, delta
+            raise ValueError(re.sub("^delta", "detuning", str(error))) from None
+        if self.rabi <= 0:
             raise ValueError("rabi must be positive (zero drive emits nothing)")
-        if not np.isfinite(self.detuning):
-            raise ValueError("detuning must be finite")
-        if not (np.isfinite(self.nu_min) and np.isfinite(self.nu_max)):
-            raise ValueError("nu_min and nu_max must be finite")
+        for name in ("nu_min", "nu_max"):
+            _check_real(name, getattr(self, name))
         if not self.nu_min < self.nu_max:
             raise ValueError("need nu_min < nu_max")
-        _check_points("nu_points", self.nu_points)
+        _check_count("nu_points", self.nu_points, 3)
         # the other methods draw nothing, but echo the sampler's fields
         ConfigSampler(self.samples, self.seed)
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
+        if not (isinstance(self.method, str) and self.method in METHODS):
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not (isinstance(self.format, str) and self.format in FORMATS):
+            raise ValueError(f"format must be one of {FORMATS}, got {self.format!r}")
+        if not isinstance(self.output, (str, os.PathLike)):
+            raise ValueError(f"output must be a path, got {self.output!r}")
 
     @property
     def drive(self) -> AtomDriveParams:
@@ -513,10 +515,11 @@ def _config_from_args(args, **overrides) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # an input beyond double precision overflows somewhere in the algebra;
-    # raising there names the cause, where the nan or inf it would leave
-    # fails a check far downstream.  Underflow stays silent: a drive too
-    # weak to register rounds to the undriven atom by design
+    # the input rules hold every rate to atom.MAX_MAGNITUDE, inside which no
+    # product overflows; should one still overflow, raising there names the
+    # cause, where the nan or inf it would leave fails a check far
+    # downstream.  Underflow stays silent: a drive too weak to register
+    # rounds to the undriven atom by design
     try:
         with np.errstate(over="raise", invalid="raise"):
             if args.command == "spectrum":

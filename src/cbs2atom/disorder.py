@@ -42,11 +42,10 @@ closed-form per-coupling-power expressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from cbs2atom.atom import AtomDriveParams, _check_frequencies
+from cbs2atom.atom import AtomDriveParams, _check_count, _check_drives, _check_reals
 from cbs2atom.spectra import canonical_blocks
 from cbs2atom.twoatom import (
     COUPLING_TAGS,
@@ -114,10 +113,8 @@ class ConfigSampler:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.samples, Integral) or self.samples < 1_000:
-            raise ValueError(f"samples must be an integer of at least 1000, got {self.samples!r}")
-        if not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_count("samples", self.samples, 1_000)
+        _check_count("seed", self.seed, 0)
 
     def geometry_chunks(self, size: int):
         """The samples, ``size`` at a time, as arrays ``(separation,
@@ -266,9 +263,10 @@ def monte_carlo_spectra(drive: AtomDriveParams, sampler: ConfigSampler,
     charge, so the elastic weights, solved once with the stationary state
     (:func:`cbs2atom.spectra.canonical_blocks`), are reduced the same way.
     """
+    _check_drives("drive", drive, stack=False)
     if not isinstance(sampler, ConfigSampler):
         raise ValueError(f"sampler must be a ConfigSampler, got {sampler!r}")
-    nus = _check_frequencies("nus", nus)
+    nus = _check_reals("nus", nus)
     # the crossed channel's backscattering phase e^{i Delta} adds one more
     moments = _weight_moments(sampler, DEGREE_TWO_MONOMIALS, (0, _EXCHANGE_CHARGE + 1))
 

@@ -36,7 +36,8 @@ from cbs2atom.atom import (
     AtomDriveParams,
     BlochSystem,
     _apply,
-    _check_frequencies,
+    _check_drives,
+    _check_reals,
     build,
     mollow_p0,
 )
@@ -93,7 +94,8 @@ def _harmonic_orders(steady: np.ndarray, greens: dict) -> dict:
 # The computation follows the quantum regression route for the
 # time-periodic generator: for each time ordering, the connected
 # correlation evolves homogeneously from an initial vector quadratic in
-# the periodic state (`_connected_initials`), and the probe couplers act
+# the periodic state (`_connected_initials`, on the parts that read the
+# steady state alone, `_steady_initials`), and the probe couplers act
 # along the evolution interval in every order-compatible sequence.  Each
 # state (a, b) <= (p, q) applies a pump resolvent whose argument tracks
 # the net probe-photon shift k, (-+ i (w1 + k w) - M)^{-1} for the two
@@ -101,19 +103,33 @@ def _harmonic_orders(steady: np.ndarray, greens: dict) -> dict:
 # below it.  Orders (1, 0) and (0, 1) have one state below them, (0, 0);
 # order (1, 1) has the two middle states (1, 0) and (0, 1), one at shift
 # +1 and one at -1, each fed by (0, 0).  `_spectrum` reads order (0, 0)
-# and `_chains` writes every path of the three others out: the states at
-# shift 0 run on G(-+i w1) (`_emitted`), those at shift -1 and +1 on
-# stacks the caller forms, so the same products serve one emission
-# frequency on a stack of probe detunings and a grid of emission
-# frequencies at one probe detuning.  Both orderings are inverted
-# directly, not one derived from the other by a symmetry, so the
-# extraction shares no symmetry with the closed forms it checks.
+# and two halves write every path of the three others out, those through
+# shift -1 (`_minus_half`) and those through +1 (`_plus_half`,
+# `_backward`): the states at shift 0 run on G(-+i w1) (`_emitted`),
+# those at shift -1 and +1 on stacks the caller forms, so the same
+# products serve one emission frequency on a stack of probe detunings and
+# a grid of emission frequencies at one probe detuning.  Both orderings
+# are inverted directly, not one derived from the other by a symmetry, so
+# the extraction shares no symmetry with the closed forms it checks.
 # ----------------------------------------------------------------------------
 
 
-def _connected_initials(orders: dict) -> dict:
+def _steady_initials(steady: np.ndarray) -> tuple:
+    """The parts of :func:`_connected_initials` that read the steady state
+    alone: the order-(0, 0) initials and the folded coupler of each kind,
+    the later lowering operator's and then the later raising operator's."""
+    kinds = ((1j * DELTA_MINUS.T, N1, 1), (-1j * DELTA_PLUS.T, N2, 0))
+    eye = np.eye(3)
+    return (tuple(steady @ coupler + affine - steady[weight] * steady
+                  for coupler, affine, weight in kinds),
+            [(coupler - steady[weight] * eye - np.outer(eye[weight], steady), weight)
+             for coupler, _, weight in kinds])
+
+
+def _connected_initials(orders: dict, steady_initials: tuple) -> dict:
     """The initials of the regression states, ``{(a, b): (later_lowering,
-    later_raising)}`` for the four orders of ``orders``.
+    later_raising)}`` for the four orders of ``orders``, from the
+    :func:`_steady_initials` of their order ``(0, 0)``.
 
     Each full initial is ``coupler @ state + affine - weight * state`` with
     ``weight`` one state component; expanding both state factors in probe
@@ -123,13 +139,8 @@ def _connected_initials(orders: dict) -> dict:
     kind, ``coupler - s[w] I - outer(e_w, s)``.  Only order ``(1, 1)``
     keeps cross-order products, those of ``(0, 1)`` with ``(1, 0)``.
     """
-    kinds = ((1j * DELTA_MINUS.T, N1, 1), (-1j * DELTA_PLUS.T, N2, 0))
-    steady = orders[0, 0]
-    initials = {(0, 0): tuple(steady @ coupler + affine - steady[weight] * steady
-                              for coupler, affine, weight in kinds)}
-    eye = np.eye(3)
-    folded = [(coupler - steady[weight] * eye - np.outer(eye[weight], steady), weight)
-              for coupler, _, weight in kinds]
+    zero, folded = steady_initials
+    initials = {(0, 0): zero}
     for key in ((0, 1), (1, 0), (1, 1)):
         initials[key] = tuple(orders[key] @ fold for fold, _ in folded)
     for vec, (_, weight) in zip(initials[1, 1], folded):
@@ -139,7 +150,7 @@ def _connected_initials(orders: dict) -> dict:
 
 
 def _emitted(initials: dict, lowering: np.ndarray, raising: np.ndarray) -> tuple:
-    """The products of :func:`_chains` that depend on the emission
+    """The products of the chain halves that depend on the emission
     frequency ``nu`` alone, for ``lowering = G(-i nu)`` and ``raising =
     G(i nu)``, one or a stack of them: each applied to its branch's
     order-(0, 0) initial and passed through both couplers, and the row of
@@ -158,36 +169,46 @@ def _spectrum(initials: dict, emitted: tuple) -> np.ndarray:
             + _apply(read_up, initials[0, 0][1]))[..., 0] / (2 * np.pi)
 
 
-def _chains(near: dict, far: dict, emitted: tuple, lowering, raising, raised) -> tuple:
-    """The coefficients above order (0, 0), every path written out.
+# The coefficients above order (0, 0), every path written out, in two halves
+# that share no state: those through the net photon shift -1 read only the
+# initials ``near`` at a probe detuning ``w``, those through +1 only ``far``
+# at ``w'``.  ``lowering`` and ``raising`` are the stacks ``G(-+i(nu - w))``,
+# or ``G(-+i(nu + w'))``, ``raised`` is ``raising`` applied to the branch-1
+# order-(0, 0) initial and ``emitted`` is :func:`_emitted` at ``nu``: one
+# emission frequency against stacks over its probe detunings, or a grid of
+# them against stacks over the grid.  Branch 0 runs on ``lowering`` and reads
+# ``G(-i nu)[0]``, branch 1 on ``raising`` and reads ``G(i nu)[1]``.
 
-    ``near`` and ``far`` are :func:`_connected_initials` at probe
-    detunings ``w`` and ``w'``, ``lowering`` and ``raising`` the stacks
-    ``G(-+i(nu - w))``, equal to ``G(-+i(nu + w'))``, ``raised`` is
-    ``raising`` applied to the branch-1 order-(0, 0) initial and
-    ``emitted`` is :func:`_emitted` at ``nu``: one emission frequency
-    against stacks over its probe detunings, or a grid of them against
-    stacks over the grid.  Returns the mixed (1, 1) coefficient's paths
-    through the net photon shift ``-1`` at ``w`` (its seed included), its
-    paths through ``+1`` at ``w'``, the forward (0, 1) coefficient at
-    ``w`` and the backward (1, 0) coefficient at ``w'``.  Branch 0 runs on
-    ``lowering`` and reads ``G(-i nu)[0]``, branch 1 on ``raising`` and
-    reads ``G(i nu)[1]``.
-    """
-    down_plus, down_minus, up_minus, up_plus, read_down, read_up = emitted
-    # branch 0's state (0, 1) at w ends the forward coefficient and feeds
-    # the mixed one's paths through shift -1; its state (1, 0) at w' ends
-    # the backward coefficient and feeds the paths through shift +1
-    minus_state = _apply(lowering, near[0, 1][0] + down_plus)
-    plus_state = _apply(lowering, far[1, 0][0] + down_minus)
-    forward = minus_state[..., 0:1] + _apply(read_up, near[0, 1][1] + raised @ DELTA_PLUS.T)
-    backward = plus_state[..., 0:1] + _apply(read_up, far[1, 0][1] + raised @ DELTA_MINUS.T)
-    through_minus = (
-        _apply(read_down, near[1, 1][0] + minus_state @ DELTA_MINUS.T)
+
+def _minus_half(near: dict, emitted: tuple, lowering, raising, raised) -> tuple:
+    """The mixed (1, 1) coefficient's paths through the net photon shift
+    ``-1`` (its seed included) and the forward (0, 1) coefficient: branch
+    0's state (0, 1) feeds the one and ends the other."""
+    down_plus, _, up_minus, _, read_down, read_up = emitted
+    state = _apply(lowering, near[0, 1][0] + down_plus)
+    forward = state[..., 0:1] + _apply(read_up, near[0, 1][1] + raised @ DELTA_PLUS.T)
+    mixed = (
+        _apply(read_down, near[1, 1][0] + state @ DELTA_MINUS.T)
         + _apply(read_up, near[1, 1][1] + _apply(raising, near[1, 0][1] + up_minus) @ DELTA_PLUS.T))
-    through_plus = (_apply(read_down, plus_state @ DELTA_PLUS.T)
-                    + _apply(read_up, _apply(raising, far[0, 1][1] + up_plus) @ DELTA_MINUS.T))
-    return through_minus[..., 0], through_plus[..., 0], forward[..., 0], backward[..., 0]
+    return mixed[..., 0], forward[..., 0]
+
+
+def _plus_half(far: dict, emitted: tuple, lowering, raising) -> tuple:
+    """The mixed (1, 1) coefficient's paths through the net photon shift
+    ``+1``, and branch 0's state (1, 0) that they pass, which ends the
+    backward coefficient (:func:`_backward`)."""
+    _, down_minus, _, up_plus, read_down, read_up = emitted
+    state = _apply(lowering, far[1, 0][0] + down_minus)
+    mixed = (_apply(read_down, state @ DELTA_PLUS.T)
+             + _apply(read_up, _apply(raising, far[0, 1][1] + up_plus) @ DELTA_MINUS.T))
+    return mixed[..., 0], state
+
+
+def _backward(far: dict, emitted: tuple, state: np.ndarray, raised) -> np.ndarray:
+    """The backward (1, 0) coefficient: branch 0's state (1, 0) of
+    :func:`_plus_half`, plus branch 1's path, read by ``G(i nu)[1]``, the
+    last of ``emitted``."""
+    return (state[..., 0:1] + _apply(emitted[5], far[1, 0][1] + raised @ DELTA_MINUS.T))[..., 0]
 
 
 def _rows(initials: dict, part: slice) -> dict:
@@ -204,21 +225,19 @@ def extracted_functions(system: BlochSystem, w: float, nus) -> dict:
     hence the 2-pi division) and the three derivative coefficients at probe
     detuning ``w``, all as functions of the emission frequency ``w1``.  The
     four share :func:`_emitted` on ``G(-+i nu)``; the paths through the
-    net photon shift ``-1`` run on ``G(-+i(nu - w))``, those through ``+1``
-    on ``G(-+i(nu + w))`` (:func:`_chains`), six inverses of ``system``
-    (the pump's Bloch system) over the grid.
+    net photon shift ``-1`` run on ``G(-+i(nu - w))`` (:func:`_minus_half`),
+    those through ``+1`` on ``G(-+i(nu + w))`` (:func:`_plus_half`), six
+    inverses of ``system`` (the pump's Bloch system) over the grid.
     """
     nus = np.asarray(nus, dtype=float)
-    initials = _connected_initials(harmonic_orders(system, w))
+    initials = _connected_initials(harmonic_orders(system, w), _steady_initials(system.steady))
     emitted = _emitted(initials, system.green(-1j * nus), system.green(1j * nus))
-
-    def chains(shifted):
-        raising = system.green(1j * shifted)
-        return _chains(initials, initials, emitted, system.green(-1j * shifted), raising,
-                       _apply(raising, initials[0, 0][1]))
-
-    through_minus, _, forward, _ = chains(nus - w)
-    _, through_plus, _, backward = chains(nus + w)
+    lowering, raising = system.green(-1j * (nus - w)), system.green(1j * (nus - w))
+    through_minus, forward = _minus_half(initials, emitted, lowering, raising,
+                                         _apply(raising, initials[0, 0][1]))
+    lowering, raising = system.green(-1j * (nus + w)), system.green(1j * (nus + w))
+    through_plus, state = _plus_half(initials, emitted, lowering, raising)
+    backward = _backward(initials, emitted, state, _apply(raising, initials[0, 0][1]))
     return {"p0": _spectrum(initials, emitted), "plus_probe": backward,
             "minus_probe": forward, "mixed": through_minus + through_plus}
 
@@ -299,10 +318,13 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     The reflected factor ``p_minus(nu - u)`` is the conjugate minus-probe
     coefficient at the reversed nodes.  The coefficients at the nodes and
     the emission factors at zero probe detuning, where both photon shifts
-    run on ``G(+-i nu)``, come from the one evaluator that
-    :func:`extracted_functions` runs (:func:`_chains`), and every product
-    in them that depends on ``nu`` alone is formed once over the grid
-    (:func:`_emitted`).
+    run on ``G(+-i nu)``, come from the chain halves that
+    :func:`extracted_functions` runs (:func:`_minus_half`,
+    :func:`_plus_half`), the nodes without the backward coefficient they
+    do not read.  Every product in them that depends on ``nu`` alone is
+    formed once over the grid (:func:`_emitted`), and every one that
+    depends on the steady state alone once per call
+    (:func:`_steady_initials`).
 
     The nodes of ``-nu`` are those of ``nu`` negated and reversed, and the
     convolution visits the two back to back, so the probe-detuning stack of
@@ -321,20 +343,24 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
     (``ladder``, ``crossed``) and both elastic weights (``elastic_ladder``,
     ``elastic_crossed``).
     """
-    nus = _check_frequencies("nus", nus)
+    _check_drives("pump", pump, stack=False)
+    nus = _check_reals("nus", nus)
     system = build(pump)
     steady = system.steady
     static = system.green(0.0)
     at_nu = {sign: system.green(sign * 1j * nus) for sign in (-1, 1)}
+    steady_initials = _steady_initials(steady)
 
     # at zero probe detuning every harmonic is static and every photon
     # shift of a path leaves its argument at the emission frequency
     orders = _harmonic_orders(steady, {n: static for n in (-1, 0, 1)})
-    zero = _connected_initials(orders)
+    zero = _connected_initials(orders, steady_initials)
     later_lowering, later_raising = zero[0, 0]
     emitted = _emitted(zero, at_nu[-1], at_nu[1])
-    through_minus, through_plus, forward, backward = _chains(
-        zero, zero, emitted, at_nu[-1], at_nu[1], _apply(at_nu[1], later_raising))
+    raised = _apply(at_nu[1], later_raising)
+    through_minus, forward = _minus_half(zero, emitted, at_nu[-1], at_nu[1], raised)
+    through_plus, state = _plus_half(zero, emitted, at_nu[-1], at_nu[1])
+    backward = _backward(zero, emitted, state, raised)
     emission = (_spectrum(zero, emitted), through_minus + through_plus, forward, backward,
                 _apply(at_nu[1], steady @ DELTA_MINUS.T), _apply(at_nu[1], steady @ DELTA_PLUS.T),
                 _apply(at_nu[-1], steady @ DELTA_MINUS.T))
@@ -355,17 +381,17 @@ def channel_densities(pump: AtomDriveParams, nus) -> dict:
         else:
             plus_w = system.green(1j * w)
             minus_w = np.concatenate([plus_w[n:], plus_w[:n]])
-            # the order-(0, 0) initials do not depend on the probe detunings
             stacked = _connected_initials(
-                _harmonic_orders(steady, {-1: plus_w, 0: static, 1: minus_w}))
+                _harmonic_orders(steady, {-1: plus_w, 0: static, 1: minus_w}), steady_initials)
             raised = _apply(plus_w, later_raising)
             p0 = (_apply(minus_w[:, 0:1], later_lowering)[:, 0] + raised[:, 1]) / (2 * np.pi)
         last.update(w=w, plus_w=plus_w, raised=raised, stacked=stacked, p0=p0)
         # the nodes are symmetric about nu/2: G(+-i(nu - u)) is G(+-i u) reversed
         lowering, raising = plus_w[n:][::-1], plus_w[:n][::-1]
-        near, far = _rows(stacked, slice(n)), _rows(stacked, slice(n, None))
-        through_minus, through_plus, forward, _ = _chains(
-            near, far, tuple(each[i] for each in emitted), lowering, raising, raised[:n][::-1])
+        at_nu_i = tuple(each[i] for each in emitted)
+        through_minus, forward = _minus_half(_rows(stacked, slice(n)), at_nu_i, lowering,
+                                             raising, raised[:n][::-1])
+        through_plus, _ = _plus_half(_rows(stacked, slice(n, None)), at_nu_i, lowering, raising)
         return p0, through_minus, through_plus, forward, np.conj(forward)
 
     ladder, crossed = exchanged_photon_convolution(system, nus, at_nodes, emission)

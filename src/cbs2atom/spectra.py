@@ -31,11 +31,11 @@ nothing here imports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from cbs2atom.atom import AtomDriveParams, _check_drives, _check_frequencies
+from cbs2atom.atom import (MAX_MAGNITUDE, AtomDriveParams, _check_count, _check_drives,
+                           _check_real, _check_reals)
 from cbs2atom.quadrature import _real_part
 from cbs2atom.twoatom import (
     CROSSED_MONOMIAL,
@@ -83,14 +83,12 @@ class SpectralFunctionGrid:
     elastic_weight: float
 
     def __post_init__(self) -> None:
-        nu = _check_grid("nu", self.nu)
-        values = np.asarray(self.values, dtype=float)
+        nu, values = _check_grid("nu", self.nu), _check_reals("values", self.values)
+        if values.shape != nu.shape:
+            raise ValueError(f"values must hold one density per point of nu, got {values.shape}")
+        _check_real("elastic_weight", self.elastic_weight)
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "values", values)
-        if values.shape != nu.shape or not np.all(np.isfinite(values)):
-            raise ValueError("densities must be finite reals on the grid")
-        if not np.isfinite(self.elastic_weight):
-            raise ValueError("elastic weight must be finite")
 
     @property
     def total(self) -> float:
@@ -119,7 +117,7 @@ class CbsResult:
     def __post_init__(self) -> None:
         ladder_total = self.ladder.total
         if ladder_total == 0.0:
-            raise ValueError("background channel is empty; drive the atoms first")
+            raise ValueError(f"drive {self.drive}: background channel is empty; drive it harder")
         object.__setattr__(self, "enhancement", 1.0 + self.crossed.total / ladder_total)
 
     @property
@@ -135,18 +133,10 @@ def _check_grid(name: str, nus) -> np.ndarray:
     """``nus`` as a float array, once it is a strictly ascending grid of at
     least 3 finite real frequencies, the grid of every spectrum; otherwise
     raise ``ValueError`` naming ``name``."""
-    nus = _check_frequencies(name, nus)
+    nus = _check_reals(name, nus)
     if len(nus) < 3 or np.any(np.diff(nus) <= 0):
         raise ValueError(f"{name}: frequency grid must be strictly ascending, >= 3 points")
     return nus
-
-
-def _check_points(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer count of at least
-    3 grid points, the fewest a channel takes; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 3:
-        raise ValueError(f"{name}: need an integer of at least 3 frequency points, "
-                         f"got {value!r}")
 
 
 def _frequency_grid(low: float, high: float, points: int) -> np.ndarray:
@@ -160,10 +150,12 @@ def _frequency_grid(low: float, high: float, points: int) -> np.ndarray:
 
 def default_grid(drive: AtomDriveParams, points: int = 601) -> np.ndarray:
     """Symmetric frequency grid covering the inelastic triplet structure, whose
-    sidebands sit at the generalised Rabi frequency ``hypot(rabi, delta)``."""
+    sidebands sit at the generalised Rabi frequency ``hypot(rabi, delta)``;
+    at least 3 points (the fewest a channel takes), and no wider than a
+    frequency may be (:data:`cbs2atom.atom.MAX_MAGNITUDE`)."""
     _check_drives("drive", drive, stack=False)
-    _check_points("points", points)
-    limit = max(15.0, np.hypot(drive.rabi, drive.delta) + 6.0)
+    _check_count("points", points, 3)
+    limit = min(max(15.0, np.hypot(drive.rabi, drive.delta) + 6.0), MAX_MAGNITUDE)
     return _frequency_grid(-limit, limit, points)
 
 
@@ -223,6 +215,7 @@ def elastic_weights(drive: AtomDriveParams) -> tuple:
     """Elastic (drive-frequency) weights of the background and of the
     interference channel at exact backscattering, from the stationary
     expansion alone: a spectrum's numbers, without a frequency grid."""
+    _check_drives("drive", drive, stack=False)
     [(_, (auto, exch), _)] = canonical_blocks([drive], ())
     return (_weight(auto[LADDER_MONOMIAL][0], _CANONICAL_POWER),
             _weight(exch[CROSSED_MONOMIAL][0], _CANONICAL_POWER))
@@ -254,8 +247,6 @@ def cbs_spectra_stack(drives, nus) -> list:
     solved in stacks of at most ``BLOCK_PAIRS`` (drive, frequency) pairs."""
     _check_drives("drives", drives, one=False)
     nus = _check_grid("nus", nus)
-    if any(drive.rabi == 0.0 for drive in drives):
-        raise ValueError("undriven atoms scatter nothing; rabi must be nonzero")
     out = []
     for stack, (auto, exch), blocks in canonical_blocks(drives, nus):
         autos, exchs = zip(*blocks)

@@ -72,6 +72,7 @@ from cbs2atom.atom import (
     N2,
     AtomDriveParams,
     BlochSystem,
+    _check_reals,
     build,
 )
 from cbs2atom.linalg import _cofactor_inverse, _half_plane
@@ -620,12 +621,10 @@ def inelastic_spectra(gen: TwoAtomGenerator, nus, initials: tuple) -> tuple:
     exchange)`` on ``nus`` from the :func:`stationary_terms` ``initials``,
     by the nested resolves, which form only the monomials the initials
     carry."""
-    nus = np.asarray(nus, dtype=float)
-    if not np.all(np.isfinite(nus)):
-        raise ValueError("frequencies nus must be finite")
+    nus = _check_reals("nus", nus)
     z = -1j * nus
     g_single, pair_solve = gen.single_green(z), gen.pair_solver(z)
-    on_grid = (..., *(None,) * nus.ndim, slice(None))
+    on_grid = (..., None, slice(None))
     seeds = [{mono: vec[on_grid] for mono, vec in init.items()} for init in initials]
     nested = _expand(gen, g_single, (pair_solve, pair_solve, None), seeds,
                      frozenset().union(*initials))[-1]

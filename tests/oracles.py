@@ -57,9 +57,11 @@ from cbs2atom.atom import (
 )
 from cbs2atom.disorder import MonteCarloResult
 from cbs2atom.pumpprobe import (
-    _chains,
     _connected_initials,
     _emitted,
+    _minus_half,
+    _plus_half,
+    _steady_initials,
     extracted_functions,
     harmonic_orders,
 )
@@ -119,7 +121,8 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
     ``side=+1`` keeps only the paths through net photon shift ``+1`` and
     ``side=-1`` only the others, as the written-out chains of
     :func:`cbs2atom.pumpprobe.channel_densities` split them
-    (:func:`cbs2atom.pumpprobe._chains`).
+    (:func:`cbs2atom.pumpprobe._minus_half` and
+    :func:`cbs2atom.pumpprobe._plus_half`).
     """
     system = build(drive.pump)
     w = drive.probe_detuning
@@ -128,13 +131,14 @@ def correlation_coefficient(drive: BichromaticDrive, order: tuple,
         return complex(value * 2 * np.pi if order == (0, 0) else value)
     if order != (1, 1):
         raise ValueError(f"only probe order (1, 1) splits by side, got {order!r}")
-    initials = _connected_initials(harmonic_orders(system, w))
+    initials = _connected_initials(harmonic_orders(system, w), _steady_initials(system.steady))
     # each side runs on the stacks of the one photon shift its middle state takes
     lowering, raising = system.green(-1j * (nu + side * w)), system.green(1j * (nu + side * w))
     emitted = _emitted(initials, system.green(-1j * nu), system.green(1j * nu))
-    through_minus, through_plus, _, _ = _chains(initials, initials, emitted, lowering, raising,
-                                                _apply(raising, initials[0, 0][1]))
-    return complex(through_plus if side == 1 else through_minus)
+    if side == 1:
+        return complex(_plus_half(initials, emitted, lowering, raising)[0])
+    return complex(_minus_half(initials, emitted, lowering, raising,
+                               _apply(raising, initials[0, 0][1]))[0])
 
 
 class TruncationError(RuntimeError):

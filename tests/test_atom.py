@@ -65,17 +65,18 @@ def test_drive_rejects_non_real_numbers(fields, message):
         AtomDriveParams(**{"rabi": 2.0, **fields})
 
 
-@pytest.mark.parametrize("call", [
-    lambda: atom.build("x"),
-    lambda: atom.build(2.0),
-    lambda: atom.build([2.0]),
-    lambda: atom.build([]),
-    lambda: channel_densities(2.0, np.linspace(-5.0, 5.0, 11)),
+@pytest.mark.parametrize("call, name", [
+    (lambda: atom.build("x"), "params"),
+    (lambda: atom.build(2.0), "params"),
+    (lambda: atom.build([2.0]), "params"),
+    (lambda: atom.build([]), "params"),
+    (lambda: channel_densities(2.0, np.linspace(-5.0, 5.0, 11)), "pump"),
 ], ids=["str", "float", "list-of-float", "empty", "channel-densities"])
-def test_build_rejects_a_bad_drive(call):
+def test_build_rejects_a_bad_drive(call, name):
     # one rule for every caller: a string would recurse without end, a
-    # number fail in iteration and an empty list in numpy's stack
-    with pytest.raises(ValueError, match="params must be an AtomDriveParams"):
+    # number fail in iteration and an empty list in numpy's stack; an entry
+    # point checks its drive under its own argument's name
+    with pytest.raises(ValueError, match=f"{name} must be an AtomDriveParams"):
         call()
 
 

@@ -254,19 +254,21 @@ def test_out_of_memory_exits_with_one_line_error(tmp_path, capsys, monkeypatch,
 def test_non_finite_grid_exits_with_usage_error(tmp_path, capsys, method, bound):
     argv = ["spectrum", "--rabi", "2", "--method", method, bound, "--output", str(tmp_path)]
     assert main(argv) == 2
-    assert "nu_min and nu_max must be finite" in capsys.readouterr().err
+    name = bound[2:].split("=")[0].replace("-", "_")
+    assert f"{name} must be finite" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flags", [["--rabi", "1e80"], ["--rabi", "2", "--detuning", "1e160"],
-                                   ["--rabi", "2", "--nu-min=-1e160", "--nu-max", "1e160"]],
-                         ids=["rabi", "detuning", "grid"])
-def test_inputs_beyond_double_precision_exit_with_one_line_error(tmp_path, capsys, flags):
-    # finite, but their products overflow: the first overflow names the
-    # cause, where its inf or nan would fail a check far downstream
+@pytest.mark.parametrize("flags, name", [
+    (["--rabi", "1e80"], "rabi"), (["--rabi", "2", "--detuning", "1e160"], "detuning"),
+    (["--rabi", "2", "--nu-min=-1e160", "--nu-max", "1e160"], "nu_min")],
+    ids=["rabi", "detuning", "grid"])
+def test_inputs_beyond_double_precision_exit_with_one_line_error(tmp_path, capsys, flags, name):
+    # finite, but their products would overflow: the input rule names the
+    # argument, where an inf or nan would fail a check far downstream
     assert main(["spectrum", *flags, "--output", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: an input is beyond double precision")
+    assert err.startswith(f"error: {name} must be finite, at most 1e+50 in magnitude")
     assert err.count("\n") == 1 and "Warning" not in err
     assert not any(tmp_path.iterdir())
 
@@ -376,7 +378,7 @@ def test_flag_defaults_are_the_run_config_defaults():
 @pytest.mark.parametrize("fields, message", [
     ({"samples": 1000.5}, "samples must be an integer of at least 1000, got 1000.5"),
     ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
-    ({"nu_points": 3.5}, "need an integer of at least 3 frequency points, got 3.5"),
+    ({"nu_points": 3.5}, "nu_points must be an integer of at least 3, got 3.5"),
     ({"rabi": True}, "rabi must be a real number, got True"),
     ({"detuning": False}, "detuning must be a real number, got False"),
     ({"nu_min": np.True_}, "nu_min must be a real number, got "),

@@ -245,20 +245,21 @@ def test_equivalence_report_extracts_once_per_probe_detuning(monkeypatch):
 
 def test_equivalence_report_runs_the_chains_of_the_densities(monkeypatch):
     # the coefficients the report checks come from the written-out chains
-    # that every node of channel_densities runs: two calls per extraction,
-    # one on the stacks of each net photon shift
+    # that every node of channel_densities runs: each half once per
+    # extraction, on the stacks of its own net photon shift
     calls = []
-    original = pumpprobe._chains
-
-    def counting(*args):
-        calls.append(1)
-        return original(*args)
-
     nus = np.linspace(-15.0, 15.0, 61)
     reference = equivalence_report(nus)
-    monkeypatch.setattr(pumpprobe, "_chains", counting)
+    for name in ("_minus_half", "_plus_half"):
+        original = getattr(pumpprobe, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(pumpprobe, name, counting)
     assert equivalence_report(nus) == reference
-    assert len(calls) == 2 * 3 * 9
+    assert sorted(calls) == ["_minus_half"] * 3 * 9 + ["_plus_half"] * 3 * 9
 
 
 def test_equivalence_report_inverts_each_argument_once(monkeypatch):
